@@ -33,6 +33,11 @@ impl TestBed {
             cores_per_node: 24,
             max_task_attempts: 4,
             thread_cap: 8,
+            // Speculation launches duplicates off a wall-clock floor,
+            // and their recorded work inflates *simulated* seconds on a
+            // loaded host; simulated rows must be a function of the
+            // inputs alone.
+            speculation: false,
             ..SparkConf::default()
         });
         DefaultSource::register(&ctx, Arc::clone(&db));

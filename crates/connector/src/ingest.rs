@@ -1,11 +1,8 @@
 //! The unified ingest surface: one [`SaveRequest`] for every way rows
 //! reach the database.
 //!
-//! Historically the connector grew three parallel save entry points —
-//! `s2v::save_to_db` (direct COPY), `two_stage::save_via_dfs` (DFS
-//! landing zone), and `connector::save` (the stringly dispatch behind
-//! `df.write()`) — each with its own signature and defaults. They are
-//! now thin deprecated shims over this one surface:
+//! Direct COPY, the DFS landing zone, streaming micro-batches and the
+//! stringly dispatch behind `df.write()` all enter here:
 //!
 //! ```ignore
 //! let report = SaveRequest::new(&ctx, &cluster, &df, &opts)

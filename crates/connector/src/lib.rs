@@ -41,9 +41,7 @@
 //! Every write path — the direct S2V protocol, the two-stage DFS load,
 //! and streaming micro-batch ingest — hangs off one typed entry point,
 //! [`SaveRequest`], dispatched by `ConnectorOptions::{ingest, method}`;
-//! all of them return the same [`SaveReport`]. The historical
-//! free-function entry points ([`save`], [`s2v::save_to_db`],
-//! [`two_stage::save_via_dfs`]) remain as deprecated shims.
+//! all of them return the same [`SaveReport`].
 //!
 //! [`fault-injection`]: mppdb::fault
 
@@ -70,12 +68,8 @@ pub use ingest::SaveRequest;
 pub use md::ModelDeployment;
 pub use options::{ConnectorOptions, ConnectorOptionsBuilder, IngestMode, WriteMethod};
 pub use retry::{with_retry, with_retry_deadline, RetryConn, RetryPolicy};
-#[allow(deprecated)] // the shim stays importable from the crate root
-pub use s2v::save_to_db;
 pub use s2v::S2vReport;
 pub use stream::StreamWriter;
-#[allow(deprecated)] // the shim stays importable from the crate root
-pub use two_stage::save_via_dfs;
 pub use two_stage::{load_via_dfs, TwoStageConfig, TwoStageReport};
 pub use v2s::DbRelation;
 
@@ -155,28 +149,6 @@ impl From<S2vReport> for SaveReport {
             trace: r.trace,
         }
     }
-}
-
-/// Save a DataFrame through the write path `opts.method` selects — the
-/// old positional entry point, superseded by the typed [`SaveRequest`]
-/// builder (which also dispatches streaming ingest).
-#[deprecated(
-    since = "0.2.0",
-    note = "use connector::SaveRequest::new(ctx, cluster, df, opts)\
-            .with_dfs_opt(dfs).mode(mode).submit()"
-)]
-pub fn save(
-    ctx: &SparkContext,
-    cluster: &Arc<Cluster>,
-    dfs: Option<&Arc<DfsClusterSim>>,
-    df: &DataFrame,
-    opts: &ConnectorOptions,
-    mode: SaveMode,
-) -> ConnectorResult<SaveReport> {
-    SaveRequest::new(ctx, cluster, df, opts)
-        .with_dfs_opt(dfs)
-        .mode(mode)
-        .submit()
 }
 
 /// The connector's `DataSourceProvider`: one instance per database

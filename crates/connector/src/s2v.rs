@@ -143,26 +143,6 @@ struct JobTables {
 /// available; users can consult this table any time").
 pub const FINAL_STATUS_TABLE: &str = "s2v_job_final_status";
 
-/// Save `df` into `opts.table` with exactly-once semantics — the old
-/// S2V-only entry point, superseded by the unified [`SaveRequest`]
-/// surface (which also covers `method=dfs` and streaming ingest).
-///
-/// [`SaveRequest`]: crate::SaveRequest
-#[deprecated(
-    since = "0.2.0",
-    note = "use connector::SaveRequest::new(..).submit(); this S2V-only \
-            entry point bypasses the unified ingest dispatch"
-)]
-pub fn save_to_db(
-    ctx: &SparkContext,
-    cluster: &Arc<Cluster>,
-    df: &DataFrame,
-    opts: &ConnectorOptions,
-    mode: SaveMode,
-) -> ConnectorResult<S2vReport> {
-    run(ctx, cluster, df, opts, mode)
-}
-
 /// Save `df` into `opts.table` with exactly-once semantics.
 ///
 /// The whole save runs as one `s2v.job` trace: the driver's setup,
@@ -177,7 +157,7 @@ pub(crate) fn run(
     mode: SaveMode,
 ) -> ConnectorResult<S2vReport> {
     let trace = obs::global().trace_start("s2v.job");
-    let result = save_to_db_traced(ctx, cluster, df, opts, mode, trace);
+    let result = run_traced(ctx, cluster, df, opts, mode, trace);
     obs::global().span_finish(trace, |s| match &result {
         Ok(r) => {
             s.rows = r.rows_loaded;
@@ -191,7 +171,7 @@ pub(crate) fn run(
     result
 }
 
-fn save_to_db_traced(
+fn run_traced(
     ctx: &SparkContext,
     cluster: &Arc<Cluster>,
     df: &DataFrame,

@@ -69,27 +69,6 @@ fn prefix(path: &str) -> String {
     format!("{}/", path.trim_end_matches('/'))
 }
 
-/// Save a DataFrame into `table` via the DFS landing zone — the old
-/// DFS-only entry point, superseded by the unified [`SaveRequest`]
-/// surface (`method=dfs` selects this path).
-///
-/// [`SaveRequest`]: crate::SaveRequest
-#[deprecated(
-    since = "0.2.0",
-    note = "use connector::SaveRequest::new(..).with_dfs(..).submit() with \
-            method=dfs; this bypasses the unified ingest dispatch"
-)]
-pub fn save_via_dfs(
-    ctx: &SparkContext,
-    db: &Arc<Cluster>,
-    dfs: &Arc<DfsClusterSim>,
-    df: &DataFrame,
-    table: &str,
-    config: &TwoStageConfig,
-) -> SparkResult<TwoStageReport> {
-    run_via_dfs(ctx, db, dfs, df, table, config)
-}
-
 /// Save a DataFrame into `table` via the DFS landing zone.
 pub(crate) fn run_via_dfs(
     ctx: &SparkContext,

@@ -1,7 +1,6 @@
 //! Two-stage (DFS landing zone) transfer tests — the Sec. 5 / Redshift
 //! alternative, driven through the unified [`SaveRequest`] surface
-//! with `method=dfs` (the deprecated `save_via_dfs` shim delegates to
-//! the same path and is covered by the connector's own unit tests).
+//! with `method=dfs`.
 
 use std::sync::Arc;
 

@@ -1,9 +1,9 @@
 //! The flow-sensitive passes: static-lock-order, blocking-under-lock,
-//! context-propagation, plus the lexical deprecated-api pass. One
-//! entry point builds the shared IR/call-graph/lock-registry state and
-//! runs everything, returning findings (fed through the normal
-//! allow machinery by `lint_files`) and the static lock graph (used by
-//! the `--lock-graph` diff mode and the in-tree subgraph tests).
+//! context-propagation. One entry point builds the shared
+//! IR/call-graph/lock-registry state and runs everything, returning
+//! findings (fed through the normal allow machinery by `lint_files`)
+//! and the static lock graph (used by the `--lock-graph` diff mode and
+//! the in-tree subgraph tests).
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -161,10 +161,6 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> FlowAnalysis {
     }
 
     stage("flow-passes");
-    // ---- deprecated-api (lexical) ----
-    for (f, lx) in &lexed {
-        deprecated_api(f, lx, cfg, &mut findings);
-    }
 
     graph.registry = reg;
     FlowAnalysis { findings, graph }
@@ -358,71 +354,6 @@ fn context_propagation(
                     p.name,
                     ty,
                     if sum.blocks { "sleep" } else { "emit" }
-                ),
-            });
-        }
-    }
-}
-
-/// Lexical pass: callers of the PR 8 `#[deprecated]` save shims.
-/// `save_to_db(..)` / `save_via_dfs(..)` anywhere, and free-fn
-/// `save(..)` (method `.save()` is the DataFrameWriter API, not the
-/// shim). The shims' defining files and test code are exempt.
-fn deprecated_api(
-    f: &SourceFile,
-    lx: &crate::lexer::Lexed,
-    cfg: &Config,
-    findings: &mut Vec<Finding>,
-) {
-    if is_test_path_pub(&f.path) {
-        return;
-    }
-    let toks = &lx.tokens;
-    let (regions, whole) = find_test_regions_pub(toks);
-    let in_test = |line: u32| whole || regions.iter().any(|&(s, e)| line >= s && line <= e);
-    // Fns this file defines itself: a bare `save(..)` call in a file
-    // with its own `fn save` resolves to the local helper, not the shim.
-    let local_fns: std::collections::HashSet<&str> = toks
-        .iter()
-        .enumerate()
-        .filter(|(i, t)| {
-            t.is_ident("fn")
-                && toks
-                    .get(i + 1)
-                    .is_some_and(|n| n.kind == crate::lexer::TokKind::Ident)
-        })
-        .map(|(i, _)| toks[i + 1].text.as_str())
-        .collect();
-    for (name, defining) in &cfg.deprecated_fns {
-        if f.path.ends_with(defining.as_str()) {
-            continue;
-        }
-        for (i, t) in toks.iter().enumerate() {
-            if !t.is_ident(name) || in_test(t.line) {
-                continue;
-            }
-            if !toks.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-                continue;
-            }
-            let prev = i.checked_sub(1).map(|k| &toks[k]);
-            // Skip definitions and method calls (`.save()` is the
-            // writer API, not the shim).
-            if prev.is_some_and(|p| p.is_punct('.') || p.is_ident("fn") || p.is_ident("use")) {
-                continue;
-            }
-            // Qualified calls (`connector::save(`) always refer to the
-            // shim; bare calls defer to a local `fn` of the same name.
-            let qualified = prev.is_some_and(|p| p.is_punct(':'));
-            if !qualified && local_fns.contains(name.as_str()) {
-                continue;
-            }
-            findings.push(Finding {
-                file: f.path.clone(),
-                line: t.line,
-                rule: Rule::DeprecatedApi,
-                message: format!(
-                    "call to deprecated save shim `{name}`; build a \
-                     connector::SaveRequest and use `save_request` instead"
                 ),
             });
         }

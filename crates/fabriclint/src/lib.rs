@@ -64,8 +64,6 @@ pub enum Rule {
     /// Flow-sensitive: a Deadline/TraceCtx parameter that is dropped
     /// on a path that sleeps or emits.
     ContextPropagation,
-    /// Lexical: callers of `#[deprecated]` save shims.
-    DeprecatedApi,
     /// Meta-rule: problems with the allowlist itself (stale entries).
     Allowlist,
 }
@@ -81,7 +79,6 @@ impl Rule {
             Rule::StaticLockOrder => "static-lock-order",
             Rule::BlockingUnderLock => "blocking-under-lock",
             Rule::ContextPropagation => "context-propagation",
-            Rule::DeprecatedApi => "deprecated-api",
             Rule::Allowlist => "allowlist",
         }
     }
@@ -131,9 +128,6 @@ pub struct Config {
     pub blocking_fns: Vec<String>,
     /// Context types the propagation pass tracks.
     pub ctx_types: Vec<String>,
-    /// `(fn name, defining-file suffix)` of deprecated shims; callers
-    /// outside the defining file are flagged.
-    pub deprecated_fns: Vec<(String, String)>,
 }
 
 impl Default for Config {
@@ -159,20 +153,6 @@ impl Default for Config {
             .collect(),
             blocking_fns: callgraph::default_blocking_fns(),
             ctx_types: vec!["Deadline".to_string(), "TraceCtx".to_string()],
-            deprecated_fns: vec![
-                (
-                    "save".to_string(),
-                    "crates/connector/src/lib.rs".to_string(),
-                ),
-                (
-                    "save_to_db".to_string(),
-                    "crates/connector/src/s2v.rs".to_string(),
-                ),
-                (
-                    "save_via_dfs".to_string(),
-                    "crates/connector/src/two_stage.rs".to_string(),
-                ),
-            ],
         }
     }
 }

@@ -655,58 +655,6 @@ fn ctx_propagation_accepts_used_discarded_or_nonblocking_ctx() {
 }
 
 // ---------------------------------------------------------------------
-// deprecated-api
-// ---------------------------------------------------------------------
-
-#[test]
-fn deprecated_api_flags_shim_callers() {
-    let bare = file(
-        "crates/app/src/save.rs",
-        "pub fn go(s: &Session) { save_to_db(s, rows, opts); }\n",
-    );
-    let f = lint(&[bare]);
-    assert_eq!(rules(&f), vec![Rule::DeprecatedApi], "{f:?}");
-    assert!(f[0].message.contains("save_to_db"), "{:?}", f[0]);
-
-    let qualified = file(
-        "crates/app/src/save2.rs",
-        "pub fn go(df: &DataFrame) { connector::save(df, mode); }\n",
-    );
-    let f = lint(&[qualified]);
-    assert_eq!(rules(&f), vec![Rule::DeprecatedApi], "{f:?}");
-}
-
-#[test]
-fn deprecated_api_accepts_writer_method_local_helper_and_defining_file() {
-    // `.save(` is the DataFrameWriter API, not the shim.
-    let method = file(
-        "crates/app/src/w.rs",
-        "pub fn go(w: DataFrameWriter) { w.save(t); }\n",
-    );
-    assert!(lint(&[method]).is_empty());
-    // A file with its own `fn save` shadows the shim for bare calls.
-    let local = file(
-        "crates/app/src/local.rs",
-        "fn save(x: u32) -> u32 { x }\npub fn go_fix() { save(3); }\n",
-    );
-    assert!(lint(&[local]).is_empty());
-    // The shim's defining file is exempt (it defines and doc-tests it).
-    let defining = file(
-        "crates/connector/src/s2v.rs",
-        "pub fn save_to_db(s: &Session) { body(s) }\n",
-    );
-    assert!(lint(&[defining]).is_empty());
-    let allowed = file(
-        "crates/app/src/save3.rs",
-        "pub fn go(s: &Session) {\n\
-         \x20   // fabriclint: allow(deprecated-api): migration staged for next PR\n\
-         \x20   save_to_db(s, rows, opts)\n\
-         }\n",
-    );
-    assert!(lint(&[allowed]).is_empty());
-}
-
-// ---------------------------------------------------------------------
 // allowlist baseline
 // ---------------------------------------------------------------------
 

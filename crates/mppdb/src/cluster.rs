@@ -20,7 +20,7 @@ use crate::segmentation::{merge_ranges, HashRange, SegmentMap};
 use crate::session::Session;
 use crate::sql::ast::SelectStmt;
 use crate::storage::store::RowLoc;
-use crate::storage::{NodeTableStore, StorageStats};
+use crate::storage::{BatchScan, NodeTableStore, StorageStats};
 use crate::txn::{LockManager, LockMode, TxnHandle};
 use crate::udf::ScalarUdf;
 
@@ -377,6 +377,19 @@ impl Cluster {
             .is_some_and(|n| n.up.load(Ordering::Acquire) && !n.retired.load(Ordering::Acquire))
     }
 
+    /// The live replicas of `owner`'s data under `map`, in serving
+    /// order: the owner first, then its k-safety buddies. `.next()` is
+    /// the node a read fails over to.
+    pub(crate) fn live_holders<'a>(
+        &'a self,
+        map: &SegmentMap,
+        owner: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        std::iter::once(owner)
+            .chain(map.buddies(owner, self.config.k_safety))
+            .filter(move |&n| self.is_node_up(n))
+    }
+
     /// Mark a node down. Alias of [`Cluster::kill_node`], kept for the
     /// pre-fault-domain call sites.
     pub fn set_node_down(&self, node: usize) {
@@ -498,9 +511,7 @@ impl Cluster {
                     // migrated ranges, so historical pieces come back
                     // complete even when every pre-flip holder is gone.
                     for (owner, sub) in map.segments_intersecting(&range) {
-                        let source = std::iter::once(owner)
-                            .chain(map.buddies(owner, k))
-                            .find(|&n| n != node && self.is_node_up(n));
+                        let source = self.live_holders(&map, owner).find(|&n| n != node);
                         match source {
                             Some(src) => {
                                 // fabriclint: allow(panic-hygiene): src came from the map's member list
@@ -836,6 +847,18 @@ impl Cluster {
         Ok(n)
     }
 
+    /// Whether `node` is the primary of a row with segmentation hash
+    /// `hash`: its first *live* holder, so each logical row is counted
+    /// exactly once even when its owner (or node 0) is down.
+    fn is_live_primary(&self, def: &TableDef, map: &SegmentMap, node: usize, hash: u64) -> bool {
+        let first = if def.is_segmented() {
+            self.live_holders(map, map.owner_of_hash(hash)).next()
+        } else {
+            (0..self.node_count()).find(|&n| self.is_node_up(n))
+        };
+        first == Some(node)
+    }
+
     /// Scan every logical row of `def` exactly once, visible at `as_of`
     /// (plus the transaction's own pending work), reading each row from
     /// its first *live* holder — the same attribution `delete_where`
@@ -868,20 +891,18 @@ impl Cluster {
             let Some(store) = stores.get(&def.name) else {
                 continue;
             };
-            store.for_each_visible(as_of, my_txn, None, |_loc, row, hash| {
-                let primary = if def.is_segmented() {
-                    let owner = map.owner_of_hash(hash);
-                    std::iter::once(owner)
-                        .chain(map.buddies(owner, self.config.k_safety))
-                        .find(|&n| self.is_node_up(n))
-                        == Some(node)
-                } else {
-                    (0..states.len()).find(|&n| self.is_node_up(n)) == Some(node)
-                };
-                if primary {
-                    out.push(row.clone());
-                }
-            });
+            let scan = BatchScan {
+                as_of,
+                my_txn,
+                ..BatchScan::default()
+            };
+            store
+                .for_each_visible(&scan, |_loc, row, hash| {
+                    if self.is_live_primary(def, &map, node, hash) {
+                        out.push(row.clone());
+                    }
+                })
+                .map_err(DbError::Data)?;
         }
         Ok(out)
     }
@@ -929,27 +950,22 @@ impl Cluster {
             // deleted too, but only primaries count.
             // Rows are borrowed in place — matching never clones them.
             let mut matched: Vec<(RowLoc, bool)> = Vec::new();
-            store.for_each_visible(as_of, Some(txn.id), None, |loc, row, hash| {
-                let hit = match predicate {
-                    Some(p) => p.matches(row).unwrap_or(false),
-                    None => true,
-                };
-                if hit {
-                    // Primary = the first *live* holder of the row, so
-                    // each logical row is counted exactly once even when
-                    // its owner (or node 0) is down.
-                    let primary = if def.is_segmented() {
-                        let owner = map.owner_of_hash(hash);
-                        let holder = std::iter::once(owner)
-                            .chain(map.buddies(owner, self.config.k_safety))
-                            .find(|&n| self.is_node_up(n));
-                        holder == Some(node)
-                    } else {
-                        (0..states.len()).find(|&n| self.is_node_up(n)) == Some(node)
+            let scan = BatchScan {
+                as_of,
+                my_txn: Some(txn.id),
+                ..BatchScan::default()
+            };
+            store
+                .for_each_visible(&scan, |loc, row, hash| {
+                    let hit = match predicate {
+                        Some(p) => p.matches(row).unwrap_or(false),
+                        None => true,
                     };
-                    matched.push((loc, primary));
-                }
-            });
+                    if hit {
+                        matched.push((loc, self.is_live_primary(&def, &map, node, hash)));
+                    }
+                })
+                .map_err(DbError::Data)?;
             drop(stores);
             let locs: Vec<RowLoc> = matched.iter().map(|(l, _)| *l).collect();
             deleted += matched.iter().filter(|(_, primary)| *primary).count() as u64;

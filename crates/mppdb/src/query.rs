@@ -19,7 +19,7 @@ use crate::catalog::TableDef;
 use crate::cluster::Cluster;
 use crate::error::{DbError, DbResult};
 use crate::segmentation::HashRange;
-use crate::storage::{BatchScan, ColumnBatch};
+use crate::storage::{BatchScan, ColumnBatch, NodeTableStore, ScanCounters};
 
 /// A single-table read request.
 #[derive(Debug, Clone)]
@@ -329,39 +329,37 @@ pub(crate) fn execute_table_scan(
     };
     let dtypes: Vec<DataType> = out_schema.fields().iter().map(|f| f.dtype).collect();
 
-    let mut batch = if def.is_segmented() {
-        if spec.row_range.is_some() {
-            return Err(DbError::Execution(format!(
-                "row ranges apply to unsegmented tables and views; {} is segmented",
-                def.name
-            )));
-        }
-        scan_segmented(
-            ctx,
-            &def,
-            as_of,
-            spec,
-            predicate.as_ref(),
-            projection_idx.as_deref(),
-            &dtypes,
-        )?
-    } else {
-        if spec.hash_range.is_some() {
-            return Err(DbError::Execution(format!(
-                "hash ranges apply to segmented tables; {} is unsegmented",
-                def.name
-            )));
-        }
-        scan_unsegmented(
-            ctx,
-            &def,
-            as_of,
-            spec,
-            predicate.as_ref(),
-            projection_idx.as_deref(),
-            &dtypes,
-        )?
-    };
+    let mut batch = ColumnBatch::new(&dtypes);
+    scan_pieces(
+        ctx,
+        &def,
+        as_of,
+        spec,
+        predicate.as_ref(),
+        |store, piece| {
+            let out = store.scan_batch(&BatchScan {
+                projection: projection_idx.as_deref(),
+                dtypes: &dtypes,
+                ..*piece
+            })?;
+            // Only surviving rows materialize their full projected
+            // width, and only they cross between database nodes; a
+            // count-only request ships just the count.
+            let bytes = out.batch.wire_size() as u64;
+            let wire = if spec.count_only {
+                (8, 1)
+            } else {
+                (bytes, out.batch.num_rows() as u64)
+            };
+            Ok(PieceResult {
+                payload: out.batch,
+                counters: out.counters,
+                payload_bytes: bytes,
+                wire,
+            })
+        },
+        |piece| batch.append(piece),
+    )?;
 
     let count = batch.num_rows() as u64;
     if spec.count_only {
@@ -432,79 +430,67 @@ fn scan_cost(examined: u64, examined_width: u64, matched_bytes: u64) -> u64 {
     examined * examined_width + matched_bytes
 }
 
-/// One segment's scan, produced by a (possibly parallel) worker and
-/// folded into the result on the coordinating thread.
-struct PieceResult {
-    batch: ColumnBatch,
-    examined: u64,
-    scanned: u64,
-    serving: usize,
+/// One piece's scan, produced by a (possibly parallel) worker and
+/// recorded and merged on the coordinating thread.
+struct PieceResult<P> {
+    /// What the caller merges: a [`ColumnBatch`] or partial accumulators.
+    payload: P,
+    counters: ScanCounters,
+    /// Wire size of what the survivors materialize on the serving node
+    /// (the second term of [`scan_cost`]).
+    payload_bytes: u64,
+    /// `(bytes, rows)` shipped to the coordinating node when the piece
+    /// was served remotely.
+    wire: (u64, u64),
 }
 
-fn scan_segmented(
+/// A store a statement reads: the serving node and, for segmented
+/// tables, the hash sub-range it covers there.
+type Piece = (usize, Option<HashRange>);
+
+/// Enumerate a statement's pieces in segment order. A segment nobody
+/// can serve ends the enumeration; its error is returned beside the
+/// pieces before it, which still run (and are recorded) first.
+fn enumerate_pieces(
     ctx: ExecCtx<'_>,
     def: &TableDef,
     as_of: u64,
     spec: &QuerySpec,
-    predicate: Option<&Expr>,
-    projection: Option<&[usize]>,
-    dtypes: &[DataType],
-) -> DbResult<ColumnBatch> {
+) -> DbResult<(Vec<Piece>, Option<DbError>)> {
     let cluster = ctx.cluster;
+    if !def.is_segmented() {
+        if spec.hash_range.is_some() {
+            return Err(DbError::Execution(format!(
+                "hash ranges apply to segmented tables; {} is unsegmented",
+                def.name
+            )));
+        }
+        // Unsegmented tables are replicated everywhere: serve from the
+        // local replica — no inter-node traffic at all.
+        if !cluster.is_node_up(ctx.node) {
+            return Err(DbError::NodeUnavailable(ctx.node));
+        }
+        return Ok((vec![(ctx.node, None)], None));
+    }
+    if spec.row_range.is_some() {
+        return Err(DbError::Execution(format!(
+            "row ranges apply to unsegmented tables and views; {} is segmented",
+            def.name
+        )));
+    }
     // Ownership resolves through the map version authoritative at the
     // read's snapshot epoch: a scan pinned before a rebalance flip keeps
     // using the old map (whose owners still hold every pre-flip row),
     // one pinned after uses the new.
     let map = cluster.segment_map_at(as_of);
     let range = spec.hash_range.unwrap_or_else(HashRange::full);
-    let k = cluster.config().k_safety;
-
-    // Columnar scan cost: every visible row is examined, but only the
-    // *referenced* columns are decoded for it. Matched rows additionally
-    // materialize their full (projected) width; that part is the
-    // recorded wire volume below.
-    let exam_width = examined_width(def, spec.hash_range.is_some(), predicate);
-
-    let pieces = map.segments_intersecting(&range);
-
-    let scan_store = |serving: usize, sub: &HashRange| -> DbResult<PieceResult> {
-        let state = cluster
-            .node_state(serving)
-            .ok_or(DbError::NodeUnavailable(serving))?;
-        let stores = state.stores.read();
-        let store = stores
-            .get(&def.name)
-            .ok_or_else(|| DbError::UnknownTable(def.name.clone()))?;
-        // A range query has no hash index: the node examines every
-        // visible row to test it against the range — the per-query
-        // overhead that makes very high parallelism lose (Fig. 6).
-        let out = store
-            .scan_batch(&BatchScan {
-                as_of,
-                my_txn: ctx.txn,
-                hash_range: Some(sub),
-                row_range: None,
-                predicate,
-                projection,
-                dtypes,
-                no_skip: spec.no_skip,
-            })
-            .map_err(DbError::Data)?;
-        Ok(PieceResult {
-            batch: out.batch,
-            examined: out.examined,
-            scanned: out.scanned,
-            serving,
-        })
-    };
-    let scan_piece = |segment: usize, subrange: &HashRange| -> DbResult<Vec<PieceResult>> {
+    let mut pieces = Vec::new();
+    for (segment, sub) in map.segments_intersecting(&range) {
         // Serve from the owner at the pinned epoch, failing over to its
         // buddies under that same map version.
-        if let Some(serving) = std::iter::once(segment)
-            .chain(map.buddies(segment, k))
-            .find(|&n| cluster.is_node_up(n))
-        {
-            return Ok(vec![scan_store(serving, subrange)?]);
+        if let Some(serving) = cluster.live_holders(&map, segment).next() {
+            pieces.push((serving, Some(sub)));
+            continue;
         }
         // Last resort for epoch-pinned reads that outlived a rebalance:
         // the current map's owners hold the full verbatim history of
@@ -512,33 +498,78 @@ fn scan_segmented(
         // gone (a retired node at k=0, say) is still servable there.
         let current = cluster.segment_map();
         if current.version() == map.version() {
-            return Err(DbError::DataUnavailable { segment });
+            return Ok((pieces, Some(DbError::DataUnavailable { segment })));
         }
-        let mut out = Vec::new();
-        for (owner, subsub) in current.segments_intersecting(subrange) {
-            let serving = std::iter::once(owner)
-                .chain(current.buddies(owner, k))
-                .find(|&n| cluster.is_node_up(n))
-                .ok_or(DbError::DataUnavailable { segment: owner })?;
-            out.push(scan_store(serving, &subsub)?);
+        let resolved = pieces.len();
+        for (owner, subsub) in current.segments_intersecting(&sub) {
+            match cluster.live_holders(&current, owner).next() {
+                Some(serving) => pieces.push((serving, Some(subsub))),
+                None => {
+                    // The pinned segment is served whole or not at all.
+                    pieces.truncate(resolved);
+                    return Ok((pieces, Some(DbError::DataUnavailable { segment: owner })));
+                }
+            }
         }
-        Ok(out)
+    }
+    Ok((pieces, None))
+}
+
+/// The one piece driver behind batch, count and aggregate scans:
+/// enumerate the statement's pieces, run `scan` over each piece's store
+/// on a bounded worker pool, then — on this thread, in segment order —
+/// record each piece and hand its payload to `merge`.
+///
+/// `scan` receives the piece's pushed-down [`BatchScan`] (snapshot,
+/// hash range or row window, predicate; no projection) and picks the
+/// store sink. Two accounting rules hold for every sink: `filter_eval`
+/// is recorded iff a predicate exists and the piece scanned at least
+/// one row, and a piece whose scan fails records nothing.
+fn scan_pieces<P: Send>(
+    ctx: ExecCtx<'_>,
+    def: &TableDef,
+    as_of: u64,
+    spec: &QuerySpec,
+    predicate: Option<&Expr>,
+    scan: impl Fn(&NodeTableStore, &BatchScan<'_>) -> common::Result<PieceResult<P>> + Sync,
+    mut merge: impl FnMut(P) -> common::Result<()>,
+) -> DbResult<()> {
+    let cluster = ctx.cluster;
+    let (pieces, unservable) = enumerate_pieces(ctx, def, as_of, spec)?;
+    let scan_piece = |(serving, range): &Piece| -> DbResult<PieceResult<P>> {
+        let state = cluster
+            .node_state(*serving)
+            .ok_or(DbError::NodeUnavailable(*serving))?;
+        let stores = state.stores.read();
+        let store = stores
+            .get(&def.name)
+            .ok_or_else(|| DbError::UnknownTable(def.name.clone()))?;
+        // A range query has no hash index: the node examines every
+        // visible row to test it against the range — the per-query
+        // overhead that makes very high parallelism lose (Fig. 6).
+        let piece = BatchScan {
+            as_of,
+            my_txn: ctx.txn,
+            hash_range: range.as_ref(),
+            row_range: spec.row_range,
+            predicate,
+            no_skip: spec.no_skip,
+            ..BatchScan::default()
+        };
+        scan(store, &piece).map_err(DbError::Data)
     };
 
-    // Fan the per-segment scans across worker threads, bounded by the
-    // statement's resource-pool concurrency. Workers only scan; all
-    // recording and merging happens below on this thread, in segment
-    // order, so the recorder log and the output order are identical to
-    // a serial scan — including which error surfaces first.
+    // Fan the pieces across worker threads, bounded by the statement's
+    // resource-pool concurrency. Workers only scan; all recording and
+    // merging happens below on this thread, in segment order, so the
+    // recorder log and the output order are identical to a serial scan
+    // — including which error surfaces first.
     let workers = ctx.parallelism.min(pieces.len());
-    let results: Vec<Option<DbResult<Vec<PieceResult>>>> = if workers <= 1 {
-        pieces
-            .iter()
-            .map(|(seg, sub)| Some(scan_piece(*seg, sub)))
-            .collect()
+    let results: Vec<Option<DbResult<PieceResult<P>>>> = if workers <= 1 {
+        pieces.iter().map(|p| Some(scan_piece(p))).collect()
     } else {
         let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<DbResult<Vec<PieceResult>>>>> =
+        let slots: Mutex<Vec<Option<DbResult<PieceResult<P>>>>> =
             Mutex::new((0..pieces.len()).map(|_| None).collect());
         std::thread::scope(|s| {
             for _ in 0..workers {
@@ -547,8 +578,7 @@ fn scan_segmented(
                     if i >= pieces.len() {
                         break;
                     }
-                    let (seg, sub) = &pieces[i];
-                    let r = scan_piece(*seg, sub);
+                    let r = scan_piece(&pieces[i]);
                     slots.lock()[i] = Some(r);
                 });
             }
@@ -556,118 +586,39 @@ fn scan_segmented(
         slots.into_inner()
     };
 
-    let mut out = ColumnBatch::new(dtypes);
-    for slot in results {
-        let piece_group =
-            slot.ok_or_else(|| DbError::Execution("scan worker left no result".into()))??;
-        for piece in piece_group {
-            // Only surviving rows materialize their full projected width.
-            let matched_bytes = piece.batch.wire_size() as u64;
-            cluster.recorder().work(
-                ctx.task,
-                NodeRef::Db(piece.serving),
-                "scan_hash",
-                piece.examined,
-                scan_cost(piece.examined, exam_width, matched_bytes),
-            );
-            if predicate.is_some() {
-                cluster.recorder().work(
-                    ctx.task,
-                    NodeRef::Db(piece.serving),
-                    "filter_eval",
-                    piece.scanned,
-                    0,
-                );
-            }
-
-            // Only post-pushdown rows cross between database nodes; a
-            // count-only request ships just the count.
-            if piece.serving != ctx.node {
-                let (bytes, rows) = if spec.count_only {
-                    (8, 1)
-                } else {
-                    (matched_bytes, piece.batch.num_rows() as u64)
-                };
-                cluster.recorder().transfer(
-                    ctx.task,
-                    NodeRef::Db(piece.serving),
-                    NodeRef::Db(ctx.node),
-                    NetClass::DbInternal,
-                    bytes,
-                    rows,
-                );
-            }
-            out.append(piece.batch).map_err(DbError::Data)?;
-        }
-    }
-    Ok(out)
-}
-
-fn scan_unsegmented(
-    ctx: ExecCtx<'_>,
-    def: &TableDef,
-    as_of: u64,
-    spec: &QuerySpec,
-    predicate: Option<&Expr>,
-    projection: Option<&[usize]>,
-    dtypes: &[DataType],
-) -> DbResult<ColumnBatch> {
-    let cluster = ctx.cluster;
-    // Unsegmented tables are replicated everywhere: serve from the local
-    // replica — no inter-node traffic at all.
-    let serving = if cluster.is_node_up(ctx.node) {
-        ctx.node
+    // Columnar scan cost: every visible row is examined, but only the
+    // *referenced* columns are decoded for it; what the survivors
+    // additionally materialize is the piece's payload.
+    let exam_width = examined_width(def, spec.hash_range.is_some(), predicate);
+    let op = if def.is_segmented() {
+        "scan_hash"
     } else {
-        return Err(DbError::NodeUnavailable(ctx.node));
+        "scan_local"
     };
-    // Same cost model as the segmented path, so fig6/fig7 volumes are
-    // comparable across table kinds (no hash range here, so the
-    // examined width is just the predicate's referenced columns).
-    let exam_width = examined_width(def, false, predicate);
-    let scanned = {
-        let state = cluster
-            .node_state(serving)
-            .ok_or(DbError::NodeUnavailable(serving))?;
-        let stores = state.stores.read();
-        let store = stores
-            .get(&def.name)
-            .ok_or_else(|| DbError::UnknownTable(def.name.clone()))?;
-        let scanned = store.scan_batch(&BatchScan {
-            as_of,
-            my_txn: ctx.txn,
-            hash_range: None,
-            row_range: spec.row_range,
-            predicate,
-            projection,
-            dtypes,
-            no_skip: spec.no_skip,
-        });
-        // The scan walks every visible row before the window and filter
-        // apply; a predicate evaluation error still pays for that walk
-        // (but materializes nothing).
-        let (examined, scanned_rows, matched_bytes) = match &scanned {
-            Ok(out) => (out.examined, out.scanned, out.batch.wire_size() as u64),
-            Err(_) => (store.visible_count(as_of, ctx.txn) as u64, 0, 0),
-        };
-        cluster.recorder().work(
-            ctx.task,
-            NodeRef::Db(serving),
-            "scan_local",
-            examined,
-            scan_cost(examined, exam_width, matched_bytes),
-        );
-        if predicate.is_some() && scanned_rows > 0 {
-            cluster.recorder().work(
+    let recorder = cluster.recorder();
+    for (slot, &(serving, _)) in results.into_iter().zip(&pieces) {
+        let piece =
+            slot.ok_or_else(|| DbError::Execution("scan worker left no result".into()))??;
+        let n = piece.counters;
+        let cost = scan_cost(n.examined, exam_width, piece.payload_bytes);
+        recorder.work(ctx.task, NodeRef::Db(serving), op, n.examined, cost);
+        if predicate.is_some() && n.scanned > 0 {
+            recorder.work(ctx.task, NodeRef::Db(serving), "filter_eval", n.scanned, 0);
+        }
+        if serving != ctx.node {
+            let (bytes, rows) = piece.wire;
+            recorder.transfer(
                 ctx.task,
                 NodeRef::Db(serving),
-                "filter_eval",
-                scanned_rows,
-                0,
+                NodeRef::Db(ctx.node),
+                NetClass::DbInternal,
+                bytes,
+                rows,
             );
         }
-        scanned
-    };
-    Ok(scanned.map_err(DbError::Data)?.batch)
+        merge(piece.payload).map_err(DbError::Data)?;
+    }
+    unservable.map_or(Ok(()), Err)
 }
 
 /// Execute an aggregate-pushdown scan: every serving store folds its
@@ -720,110 +671,30 @@ fn execute_aggregate_scan(
     } else {
         req.output_schema(&def.schema).map_err(DbError::Data)?
     };
-    let exam_width = examined_width(def, spec.hash_range.is_some(), predicate);
     obs::global().add("agg.pushdown.queries", 1);
 
-    let cluster = ctx.cluster;
     let mut accs = GroupedAccs::new(funcs.iter().map(|(f, _)| *f).collect());
-    // Fold one store's partials into the running result, recording the
-    // scan work and the (tiny) partial transfer.
-    let mut fold_store =
-        |serving: usize, subrange: Option<&HashRange>, op: &'static str| -> DbResult<()> {
-            let state = cluster
-                .node_state(serving)
-                .ok_or(DbError::NodeUnavailable(serving))?;
-            let stores = state.stores.read();
-            let store = stores
-                .get(&def.name)
-                .ok_or_else(|| DbError::UnknownTable(def.name.clone()))?;
-            let out = store
-                .scan_aggregate(
-                    &BatchScan {
-                        as_of,
-                        my_txn: ctx.txn,
-                        hash_range: subrange,
-                        row_range: None,
-                        predicate,
-                        projection: None,
-                        dtypes: &[],
-                        no_skip: spec.no_skip,
-                    },
-                    &funcs,
-                    &group_idx,
-                )
-                .map_err(DbError::Data)?;
+    scan_pieces(
+        ctx,
+        def,
+        as_of,
+        spec,
+        predicate,
+        |store, piece| {
+            let out = store.scan_aggregate(piece, &funcs, &group_idx)?;
+            // Only accumulator states cross between database nodes —
+            // the whole point of the pushdown.
             let partial_rows = out.accs.to_partial_rows();
-            let partial_bytes: u64 = partial_rows.iter().map(|r| r.wire_size() as u64).sum();
-            cluster.recorder().work(
-                ctx.task,
-                NodeRef::Db(serving),
-                op,
-                out.examined,
-                scan_cost(out.examined, exam_width, partial_bytes),
-            );
-            if predicate.is_some() && out.scanned > 0 {
-                cluster.recorder().work(
-                    ctx.task,
-                    NodeRef::Db(serving),
-                    "filter_eval",
-                    out.scanned,
-                    0,
-                );
-            }
-            // Only accumulator states cross between database nodes — the
-            // whole point of the pushdown.
-            if serving != ctx.node {
-                cluster.recorder().transfer(
-                    ctx.task,
-                    NodeRef::Db(serving),
-                    NodeRef::Db(ctx.node),
-                    NetClass::DbInternal,
-                    partial_bytes.max(8),
-                    partial_rows.len().max(1) as u64,
-                );
-            }
-            accs.merge(&out.accs).map_err(DbError::Data)
-        };
-
-    if def.is_segmented() {
-        // Same epoch-pinned resolution (and post-rebalance fallback) as
-        // the row-scan path.
-        let map = cluster.segment_map_at(as_of);
-        let range = spec.hash_range.unwrap_or_else(HashRange::full);
-        let k = cluster.config().k_safety;
-        for (segment, subrange) in map.segments_intersecting(&range) {
-            let pinned = std::iter::once(segment)
-                .chain(map.buddies(segment, k))
-                .find(|&n| cluster.is_node_up(n));
-            match pinned {
-                Some(serving) => fold_store(serving, Some(&subrange), "scan_hash")?,
-                None => {
-                    let current = cluster.segment_map();
-                    if current.version() == map.version() {
-                        return Err(DbError::DataUnavailable { segment });
-                    }
-                    for (owner, subsub) in current.segments_intersecting(&subrange) {
-                        let serving = std::iter::once(owner)
-                            .chain(current.buddies(owner, k))
-                            .find(|&n| cluster.is_node_up(n))
-                            .ok_or(DbError::DataUnavailable { segment: owner })?;
-                        fold_store(serving, Some(&subsub), "scan_hash")?;
-                    }
-                }
-            }
-        }
-    } else {
-        if spec.hash_range.is_some() {
-            return Err(DbError::Execution(format!(
-                "hash ranges apply to segmented tables; {} is unsegmented",
-                def.name
-            )));
-        }
-        if !cluster.is_node_up(ctx.node) {
-            return Err(DbError::NodeUnavailable(ctx.node));
-        }
-        fold_store(ctx.node, None, "scan_local")?;
-    }
+            let bytes: u64 = partial_rows.iter().map(|r| r.wire_size() as u64).sum();
+            Ok(PieceResult {
+                payload: out.accs,
+                counters: out.counters,
+                payload_bytes: bytes,
+                wire: (bytes.max(8), partial_rows.len().max(1) as u64),
+            })
+        },
+        |partial| accs.merge(&partial),
+    )?;
 
     // A global aggregate over zero rows still yields one (all-NULL /
     // zero-count) group — but only in the finalized form; a partial

@@ -343,7 +343,7 @@ impl Cluster {
                     return Err(DbError::RebalanceInterrupted { node: mv.node });
                 }
                 let started = Instant::now();
-                let rows = self.copy_migration(&old, table, *segmented, &mv, k)?;
+                let rows = self.copy_migration(&old, table, *segmented, &mv)?;
                 // A kill during the copy bumped the generation: the
                 // target's staged rows died with it. Leave unrecorded —
                 // a resume re-copies it exactly (the landing clears the
@@ -453,7 +453,6 @@ impl Cluster {
         table: &str,
         segmented: bool,
         mv: &SegmentMove,
-        k: usize,
     ) -> DbResult<usize> {
         let _guard = self.commit_lock.lock();
         let target_state = self
@@ -473,9 +472,8 @@ impl Cluster {
         };
         for (src_owner, sub) in pieces {
             let source = if segmented {
-                std::iter::once(src_owner)
-                    .chain(old.buddies(src_owner, k))
-                    .find(|&n| n != mv.node && self.is_node_up(n))
+                self.live_holders(old, src_owner)
+                    .find(|&n| n != mv.node)
                     .ok_or(DbError::RebalanceInterrupted { node: mv.node })?
             } else {
                 src_owner

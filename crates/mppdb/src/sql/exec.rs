@@ -1,5 +1,6 @@
 //! SQL statement execution.
 
+use common::agg::{Acc, AggFunc};
 use common::expr::BinaryOp;
 use common::{DataType, Expr, Field, Row, Schema, Value};
 use netsim::record::NodeRef;
@@ -766,15 +767,6 @@ fn join_key(v: &Value) -> String {
 
 // ----- aggregation ---------------------------------------------------
 
-enum AggKind {
-    CountStar,
-    Count,
-    Sum,
-    Avg,
-    Min,
-    Max,
-}
-
 fn execute_aggregate(
     session: &mut Session,
     select: &SelectStmt,
@@ -852,23 +844,22 @@ fn eval_agg_item(
     // An aggregate call.
     if let ExprAst::FuncCall { name, args, .. } = expr {
         if is_aggregate_name(name) {
-            let kind = match name.to_ascii_uppercase().as_str() {
-                "COUNT" if args.len() == 1 && matches!(args[0], ExprAst::Star) => {
-                    AggKind::CountStar
-                }
-                "COUNT" => AggKind::Count,
-                "SUM" => AggKind::Sum,
-                "AVG" => AggKind::Avg,
-                "MIN" => AggKind::Min,
-                "MAX" => AggKind::Max,
+            let func = match name.to_ascii_uppercase().as_str() {
+                "COUNT" => AggFunc::Count,
+                "SUM" => AggFunc::Sum,
+                "AVG" => AggFunc::Avg,
+                "MIN" => AggFunc::Min,
+                "MAX" => AggFunc::Max,
                 _ => unreachable!(),
             };
-            if !matches!(kind, AggKind::CountStar) && args.len() != 1 {
+            let star = func == AggFunc::Count && matches!(args.as_slice(), [ExprAst::Star]);
+            if args.len() != 1 {
                 return Err(DbError::Execution(format!(
                     "{name} takes exactly one argument"
                 )));
             }
-            return compute_aggregate(session, kind, args.first(), scope, group_rows);
+            let arg = if star { None } else { args.first() };
+            return compute_aggregate(session, func, arg, scope, group_rows);
         }
     }
     Err(DbError::Execution(format!(
@@ -876,71 +867,30 @@ fn eval_agg_item(
     )))
 }
 
+/// Fold one aggregate call over a group's rows through the shared
+/// [`Acc`] — the accumulator the pushed-down plans use — so the same
+/// aggregate cannot give different answers depending on where it ran.
+/// `arg` is `None` for `COUNT(*)`.
 fn compute_aggregate(
     session: &mut Session,
-    kind: AggKind,
+    func: AggFunc,
     arg: Option<&ExprAst>,
     scope: &Scope,
     rows: &[Row],
 ) -> DbResult<Value> {
-    if matches!(kind, AggKind::CountStar) {
-        return Ok(Value::Int64(rows.len() as i64));
+    let mut acc = Acc::new(func);
+    match arg {
+        None => acc
+            .update_repeated(&Value::Int64(1), rows.len() as u64)
+            .map_err(DbError::Data)?,
+        Some(arg) => {
+            for row in rows {
+                let v = eval_ast(session, arg, scope, row)?;
+                acc.update(&v).map_err(DbError::Data)?;
+            }
+        }
     }
-    let arg = arg.ok_or_else(|| DbError::Execution("aggregate missing argument".into()))?;
-    let mut non_null: Vec<Value> = Vec::new();
-    for row in rows {
-        let v = eval_ast(session, arg, scope, row)?;
-        if !v.is_null() {
-            non_null.push(v);
-        }
-    }
-    Ok(match kind {
-        AggKind::CountStar => unreachable!(),
-        AggKind::Count => Value::Int64(non_null.len() as i64),
-        AggKind::Sum => {
-            if non_null.is_empty() {
-                Value::Null
-            } else if non_null.iter().all(|v| matches!(v, Value::Int64(_))) {
-                let mut total = 0i64;
-                for v in &non_null {
-                    total += v.as_i64().map_err(DbError::Data)?;
-                }
-                Value::Int64(total)
-            } else {
-                let mut total = 0.0;
-                for v in &non_null {
-                    total += v.as_f64().map_err(DbError::Data)?;
-                }
-                Value::Float64(total)
-            }
-        }
-        AggKind::Avg => {
-            if non_null.is_empty() {
-                Value::Null
-            } else {
-                let mut total = 0.0;
-                for v in &non_null {
-                    total += v.as_f64().map_err(DbError::Data)?;
-                }
-                Value::Float64(total / non_null.len() as f64)
-            }
-        }
-        AggKind::Min | AggKind::Max => {
-            let want_less = matches!(kind, AggKind::Min);
-            let mut best: Option<Value> = None;
-            for v in non_null {
-                best = Some(match best {
-                    None => v,
-                    Some(b) => match v.sql_cmp(&b) {
-                        Some(std::cmp::Ordering::Less) if want_less => v,
-                        Some(std::cmp::Ordering::Greater) if !want_less => v,
-                        _ => b,
-                    },
-                });
-            }
-            best.unwrap_or(Value::Null)
-        }
-    })
+    Ok(acc.finalize())
 }
 
 // ----- projection ----------------------------------------------------

@@ -13,5 +13,5 @@ pub use mover::{MoverOp, MoverPassReport, MOVER_POOL};
 pub use stats::{ColumnStats, ContainerStats};
 pub use store::{
     AggScanOutput, BatchScan, CommitState, ContainerInfo, MergeOutcome, NodeTableStore, RowLoc,
-    ScanOutput, StorageStats, VisibleRow,
+    ScanCounters, ScanOutput, StorageStats, VisibleRow,
 };

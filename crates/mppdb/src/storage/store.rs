@@ -120,11 +120,11 @@ pub struct BatchScan<'a> {
     pub no_skip: bool,
 }
 
-/// What a vectorized scan returns: the materialized batch plus the
-/// per-stage row counts the query layer feeds into cost accounting.
-#[derive(Debug)]
-pub struct ScanOutput {
-    pub batch: ColumnBatch,
+/// Per-stage row counts of one store traversal — what the query layer
+/// feeds into cost accounting, identical whichever sink consumed the
+/// survivors.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanCounters {
     /// Visible rows examined (before the hash range) — every one of
     /// these pays a visibility check and a hash probe.
     pub examined: u64,
@@ -144,17 +144,20 @@ pub struct ScanOutput {
     pub rows_skipped: u64,
 }
 
+/// What [`NodeTableStore::scan_batch`] returns: the materialized batch
+/// plus the traversal's counters.
+#[derive(Debug)]
+pub struct ScanOutput {
+    pub batch: ColumnBatch,
+    pub counters: ScanCounters,
+}
+
 /// What [`NodeTableStore::scan_aggregate`] returns: per-group partial
-/// accumulators plus the same cost accounting as [`ScanOutput`].
+/// accumulators plus the traversal's counters.
+#[derive(Debug)]
 pub struct AggScanOutput {
     pub accs: GroupedAccs,
-    pub examined: u64,
-    pub scanned: u64,
-    pub decoded: u64,
-    pub containers_skipped: u64,
-    pub rows_skipped: u64,
-    /// Containers answered from zone maps alone, with no decode.
-    pub stats_answered: u64,
+    pub counters: ScanCounters,
 }
 
 /// One ROS container's statistics row set, as surfaced by the
@@ -183,15 +186,14 @@ fn filter_single_column(
     pred: &Expr,
     scratch: &mut Row,
     sel: &[u32],
-    decoded: &mut u64,
-    rows_skipped: &mut u64,
+    n: &mut ScanCounters,
 ) -> Result<Vec<u32>> {
     let mut out = Vec::with_capacity(sel.len());
     match col {
         EncodedColumn::Plain(values) => {
             for &p in sel {
                 scratch.set(col_idx, values[p as usize].clone());
-                *decoded += 1;
+                n.decoded += 1;
                 if pred.matches(scratch)? {
                     out.push(p);
                 }
@@ -214,11 +216,11 @@ fn filter_single_column(
                     continue; // no selected row in this run
                 }
                 scratch.set(col_idx, value.clone());
-                *decoded += 1;
+                n.decoded += 1;
                 if pred.matches(scratch)? {
                     out.extend_from_slice(&sel[begin..i]);
                 } else {
-                    *rows_skipped += (i - begin) as u64;
+                    n.rows_skipped += (i - begin) as u64;
                 }
             }
         }
@@ -230,7 +232,7 @@ fn filter_single_column(
                     Some(k) => k,
                     None => {
                         scratch.set(col_idx, dict[code].clone());
-                        *decoded += 1;
+                        n.decoded += 1;
                         let k = pred.matches(scratch)?;
                         memo[code] = Some(k);
                         k
@@ -245,53 +247,46 @@ fn filter_single_column(
     Ok(out)
 }
 
-/// Per-scan predicate plan: the referenced columns, plus — when every
-/// top-level conjunct is provably error-free — the conjunct list for
-/// stats-driven reordering.
+/// Per-scan predicate plan: the filter steps stage 3 applies to each
+/// container's selection vector, each with its referenced table
+/// ordinals (sorted).
+///
+/// When the predicate is a conjunction of at least two provably
+/// error-free ([`analyzable`]) conjuncts, each conjunct is its own step
+/// — that is what makes evaluating them in any order, short-circuiting
+/// on an empty selection, semantics-preserving. Otherwise the whole
+/// predicate tree is the single step.
 struct PredPlan<'a> {
-    pred: &'a Expr,
-    /// All referenced table ordinals, sorted.
-    cols: Vec<usize>,
-    /// Top-level AND conjuncts with their referenced columns. Present
-    /// only when there are at least two and all are [`analyzable`]
-    /// (error-free): that is what makes evaluating them in any order,
-    /// short-circuiting on an empty selection, semantics-preserving.
-    conjuncts: Option<Vec<(&'a Expr, Vec<usize>)>>,
+    steps: Vec<(&'a Expr, Vec<usize>)>,
 }
 
 impl<'a> PredPlan<'a> {
     fn new(pred: &'a Expr, allow_reorder: bool) -> PredPlan<'a> {
-        let mut cols = Vec::new();
-        pred.referenced_indices(&mut cols);
-        cols.sort_unstable();
         let mut parts: Vec<&Expr> = Vec::new();
         split_conjuncts(pred, &mut parts);
-        let conjuncts = if allow_reorder && parts.len() > 1 && parts.iter().all(|e| analyzable(e)) {
-            Some(
-                parts
-                    .into_iter()
-                    .map(|e| {
-                        let mut c = Vec::new();
-                        e.referenced_indices(&mut c);
-                        c.sort_unstable();
-                        (e, c)
-                    })
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        PredPlan {
-            pred,
-            cols,
-            conjuncts,
+        if !(allow_reorder && parts.len() > 1 && parts.iter().all(|e| analyzable(e))) {
+            parts = vec![pred];
         }
+        let steps = parts
+            .into_iter()
+            .map(|e| {
+                let mut cols = Vec::new();
+                e.referenced_indices(&mut cols);
+                cols.sort_unstable();
+                (e, cols)
+            })
+            .collect();
+        PredPlan { steps }
     }
 
-    /// Conjunct evaluation order for one container: most selective
-    /// first (zone-map estimate), then fewest referenced columns, then
+    /// Step evaluation order for one container: most selective first
+    /// (zone-map estimate), then fewest referenced columns, then
     /// textual order.
-    fn order_for(cj: &[(&'a Expr, Vec<usize>)], stats: &ContainerStats) -> Vec<usize> {
+    fn order_for(&self, stats: &ContainerStats) -> Vec<usize> {
+        let cj = &self.steps;
+        if cj.len() == 1 {
+            return vec![0];
+        }
         let sel: Vec<f64> = cj
             .iter()
             .map(|(e, _)| estimate_selectivity(e, stats))
@@ -334,8 +329,7 @@ fn apply_filter(
     cols: &[usize],
     scratch: &mut Row,
     sel: Vec<u32>,
-    decoded: &mut u64,
-    rows_skipped: &mut u64,
+    n: &mut ScanCounters,
 ) -> Result<Vec<u32>> {
     match cols {
         [] => {
@@ -348,21 +342,13 @@ fn apply_filter(
                 Ok(Vec::new())
             }
         }
-        [single] => filter_single_column(
-            &c.columns[*single],
-            *single,
-            expr,
-            scratch,
-            &sel,
-            decoded,
-            rows_skipped,
-        ),
+        [single] => filter_single_column(&c.columns[*single], *single, expr, scratch, &sel, n),
         multi => {
             let gathered: Vec<Vec<Value>> = multi
                 .iter()
                 .map(|&ci| c.columns[ci].gather_sorted(&sel))
                 .collect();
-            *decoded += (gathered.len() * sel.len()) as u64;
+            n.decoded += (gathered.len() * sel.len()) as u64;
             let mut kept = Vec::with_capacity(sel.len());
             for (k, &p) in sel.iter().enumerate() {
                 for (col_vals, &ci) in gathered.iter().zip(multi) {
@@ -374,6 +360,189 @@ fn apply_filter(
             }
             Ok(kept)
         }
+    }
+}
+
+/// Where one traversal's survivors go ([`NodeTableStore::scan_with`]).
+/// Statically dispatched, so each sink's hot loop is monomorphized into
+/// the traversal.
+trait ScanSink {
+    /// Answer a whole container from its statistics alone, before any
+    /// row of it is touched; `true` means it was consumed. Only offered
+    /// when skipping is sound (no row window, skipping enabled).
+    fn try_stats(&mut self, _c: &RosContainer, _scan: &BatchScan<'_>) -> Result<bool> {
+        Ok(false)
+    }
+
+    /// Consume the non-empty final selection vector of one container,
+    /// adding what it decodes to `decoded`.
+    fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()>;
+
+    /// Consume one surviving WOS row.
+    fn wos(&mut self, loc: RowLoc, row: &Row, hash: u64) -> Result<()>;
+}
+
+/// Gather the projected columns of the survivors into a [`ColumnBatch`].
+struct BatchSink<'a> {
+    batch: ColumnBatch,
+    /// Table ordinals to materialize, in output order.
+    projection: &'a [usize],
+}
+
+impl ScanSink for BatchSink<'_> {
+    fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
+        for (out_c, &table_c) in self.projection.iter().enumerate() {
+            let values = c.columns[table_c].gather_sorted(sel);
+            *decoded += values.len() as u64;
+            for v in values {
+                self.batch.push(out_c, v)?;
+            }
+        }
+        for &p in sel {
+            self.batch.push_hash(c.hashes[p as usize]);
+        }
+        Ok(())
+    }
+
+    fn wos(&mut self, _loc: RowLoc, row: &Row, hash: u64) -> Result<()> {
+        for (out_c, &table_c) in self.projection.iter().enumerate() {
+            self.batch.push(out_c, row.get(table_c).clone())?;
+        }
+        self.batch.push_hash(hash);
+        Ok(())
+    }
+}
+
+/// Fold the survivors into per-group partial accumulators.
+struct AggSink<'a> {
+    accs: GroupedAccs,
+    funcs: &'a [(AggFunc, Option<usize>)],
+    group_by: &'a [usize],
+    /// Sorted, deduplicated ordinals the fold reads.
+    needed: Vec<usize>,
+    stats_eligible: bool,
+    /// Containers answered from zone maps alone, with no decode.
+    stats_answered: u64,
+}
+
+impl AggSink<'_> {
+    fn fold<'v>(&mut self, value_of: impl Fn(usize) -> &'v Value) -> Result<()> {
+        let key: Vec<Value> = self.group_by.iter().map(|&g| value_of(g).clone()).collect();
+        let group = self.accs.entry(key);
+        for ((_, col), acc) in self.funcs.iter().zip(group.iter_mut()) {
+            match col {
+                Some(i) => acc.update(value_of(*i))?,
+                // COUNT(*) is the only input-less aggregate.
+                None => acc.update(&Value::Int64(1))?,
+            }
+        }
+        Ok(())
+    }
+}
+
+impl ScanSink for AggSink<'_> {
+    /// Every row must be visible in this snapshot (no pending/aborted
+    /// commits, no deletes), the hash range must cover the container's
+    /// whole hash span, and every MIN/MAX column must have a usable
+    /// zone map (or be all-null, contributing nothing).
+    fn try_stats(&mut self, c: &RosContainer, scan: &BatchScan<'_>) -> Result<bool> {
+        let answerable = self.stats_eligible
+            && scan
+                .hash_range
+                .is_none_or(|r| r.contains(c.stats.hash_min) && r.contains(c.stats.hash_max))
+            && container_fully_visible(c, scan.as_of)
+            && self.funcs.iter().all(|(f, col)| match (f, col) {
+                (AggFunc::Min | AggFunc::Max, Some(i)) => {
+                    let cs = &c.stats.columns[*i];
+                    cs.min.is_some() || cs.null_count == c.stats.row_count
+                }
+                _ => true,
+            });
+        if !answerable {
+            return Ok(false);
+        }
+        let n = c.stats.row_count;
+        let group = self.accs.entry(Vec::new());
+        for ((f, col), acc) in self.funcs.iter().zip(group.iter_mut()) {
+            match (f, col) {
+                (AggFunc::Count, None) => acc.update_repeated(&Value::Int64(1), n)?,
+                (AggFunc::Count, Some(i)) => {
+                    acc.update_repeated(&Value::Int64(1), n - c.stats.columns[*i].null_count)?
+                }
+                (AggFunc::Min, Some(i)) => {
+                    if let Some(m) = &c.stats.columns[*i].min {
+                        acc.update(m)?;
+                    }
+                }
+                (AggFunc::Max, Some(i)) => {
+                    if let Some(m) = &c.stats.columns[*i].max {
+                        acc.update(m)?;
+                    }
+                }
+                // `stats_eligible` admits no other shape.
+                _ => {}
+            }
+        }
+        self.stats_answered += 1;
+        Ok(true)
+    }
+
+    fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
+        let gathered: Vec<(usize, Vec<Value>)> = self
+            .needed
+            .iter()
+            .map(|&ci| (ci, c.columns[ci].gather_sorted(sel)))
+            .collect();
+        *decoded += (gathered.len() * sel.len()) as u64;
+        for k in 0..sel.len() {
+            // `needed` holds every ordinal the fold reads, so the
+            // lookup always finds the gathered column.
+            self.fold(|ci| match gathered.iter().find(|(g, _)| *g == ci) {
+                Some((_, vals)) => &vals[k],
+                None => &Value::Null,
+            })?;
+        }
+        Ok(())
+    }
+
+    fn wos(&mut self, _loc: RowLoc, row: &Row, _hash: u64) -> Result<()> {
+        self.fold(|ci| row.get(ci))
+    }
+}
+
+/// Call a visitor with every survivor, fully decoded.
+struct VisitSink<F>(F);
+
+impl<F: FnMut(RowLoc, &Row, u64)> ScanSink for VisitSink<F> {
+    fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
+        let mut column_values: Vec<std::vec::IntoIter<Value>> = c
+            .columns
+            .iter()
+            .map(|col| col.gather_sorted(sel).into_iter())
+            .collect();
+        *decoded += (column_values.len() * sel.len()) as u64;
+        for &idx in sel {
+            let row = Row::new(
+                column_values
+                    .iter_mut()
+                    // Every iterator gathered exactly `sel.len()`
+                    // values above; a short column is corruption.
+                    // fabriclint: allow(panic-hygiene): gather produced sel.len() values per column
+                    .map(|it| it.next().expect("gather length mismatch"))
+                    .collect(),
+            );
+            let loc = RowLoc::Ros {
+                container: c.id,
+                idx: idx as usize,
+            };
+            (self.0)(loc, &row, c.hashes[idx as usize]);
+        }
+        Ok(())
+    }
+
+    fn wos(&mut self, loc: RowLoc, row: &Row, hash: u64) -> Result<()> {
+        (self.0)(loc, row, hash);
+        Ok(())
     }
 }
 
@@ -579,9 +748,11 @@ impl NodeTableStore {
     ///
     /// This is the row-at-a-time path: every visible row is fully
     /// materialized (all columns decoded) before any filter above it
-    /// runs. The engine's hot path is [`NodeTableStore::scan_batch`];
-    /// this method is retained as the reference implementation for the
-    /// differential tests and the `scan_micro` benchmark baseline.
+    /// runs. The engine never calls it — every engine scan goes through
+    /// the one late-materializing traversal (`scan_with`). It stays,
+    /// deliberately sharing no code with that traversal, as the
+    /// reference the `scan_differential` and `prop_storage` suites
+    /// compare against and as the `scan_micro` benchmark baseline.
     pub fn scan(
         &self,
         as_of: u64,
@@ -628,182 +799,139 @@ impl NodeTableStore {
         out
     }
 
-    /// Vectorized scan with late materialization. Per ROS container:
+    /// The one store traversal behind every scan entry point except the
+    /// reference [`NodeTableStore::scan`]: late materialization, with the
+    /// survivors handed to a statically-dispatched [`ScanSink`]. Per ROS
+    /// container, in id order:
     ///
+    /// 0. skip it when its zone maps prove the predicate matches no row
+    ///    and cannot error (or let the sink answer it from statistics);
     /// 1. build a selection vector of visible positions, probing the
     ///    hash vector against the range without decoding any column;
     /// 2. apply the row window over the surviving positions;
     /// 3. evaluate the predicate column-at-a-time, decoding only the
     ///    referenced columns (once per RLE run / dictionary code where
     ///    the encoding allows);
-    /// 4. gather the projected columns for the final survivors into the
-    ///    output [`ColumnBatch`].
+    /// 4. hand the final selection vector to the sink, which decodes
+    ///    only what it needs.
     ///
     /// WOS rows are already materialized; they evaluate the predicate
-    /// in place and copy only surviving projected values. Output order
-    /// matches [`NodeTableStore::scan`] exactly: ROS containers in id
-    /// order, then the WOS. Predicate errors surface at the same row
+    /// in place and reach the sink one borrowed row at a time. Survivor
+    /// order matches [`NodeTableStore::scan`] exactly: ROS containers in
+    /// id order, then the WOS. Predicate errors surface at the same row
     /// as row-at-a-time evaluation (memoization is lazy, in row order).
-    pub fn scan_batch(&self, scan: &BatchScan<'_>) -> Result<ScanOutput> {
-        let all_columns: Vec<usize> = (0..self.column_count).collect();
-        let projection: &[usize] = scan.projection.unwrap_or(&all_columns);
-        debug_assert_eq!(projection.len(), scan.dtypes.len());
-
-        let mut batch = ColumnBatch::new(scan.dtypes);
-        let mut examined = 0u64;
-        let mut scanned = 0u64;
-        let mut decoded = 0u64;
-        // Position in the stable scan order of range survivors, for the
-        // row window; spans containers and the WOS.
-        let mut window_pos = 0u64;
+    fn scan_with<S: ScanSink>(&self, scan: &BatchScan<'_>, sink: &mut S) -> Result<ScanCounters> {
+        let mut n = ScanCounters::default();
         // Scratch row for column-at-a-time predicate evaluation: bound
         // predicates only read the ordinals they reference, so the
         // unreferenced positions can stay NULL.
         let mut scratch = Row::new(vec![Value::Null; self.column_count]);
         let plan = scan.predicate.map(|p| PredPlan::new(p, !scan.no_skip));
-        let mut containers_skipped = 0u64;
-        let mut rows_skipped = 0u64;
-        // Container-level zone-map skipping is sound only when the scan
-        // has no row window: skipping would desynchronize `window_pos`,
-        // which counts range survivors across all containers.
+        // Skipping a container by metadata is sound only when the scan
+        // has no row window: it would desynchronize `window_pos`, which
+        // counts range survivors across all containers.
         let may_skip = !scan.no_skip && scan.row_range.is_none();
+        // Position in the stable scan order of range survivors, for the
+        // row window; spans containers and the WOS.
+        let mut window_pos = 0u64;
+        let mut in_piece = |hash: u64| -> bool {
+            if scan.hash_range.is_some_and(|r| !r.contains(hash)) {
+                return false;
+            }
+            let pos = window_pos;
+            window_pos += 1;
+            scan.row_range
+                .is_none_or(|(start, end)| pos >= start && pos < end)
+        };
 
         for c in &self.ros {
-            // Stage 0: zone maps. Skip the whole container when the
-            // predicate provably matches no row and provably cannot
-            // error. Stats cover a superset of the visible rows, so
-            // "no row matches" holds for every snapshot.
             if may_skip {
-                if let Some(pred) = scan.predicate {
-                    if container_cannot_match(pred, &c.stats) {
-                        containers_skipped += 1;
-                        rows_skipped += c.len() as u64;
-                        continue;
-                    }
+                // Stage 0: zone maps. Stats cover a superset of the
+                // visible rows, so "no row matches" holds for every
+                // snapshot.
+                if scan
+                    .predicate
+                    .is_some_and(|pred| container_cannot_match(pred, &c.stats))
+                {
+                    n.containers_skipped += 1;
+                    n.rows_skipped += c.len() as u64;
+                    continue;
+                }
+                if sink.try_stats(c, scan)? {
+                    n.examined += c.stats.row_count;
+                    continue;
                 }
             }
-            // Stage 1+2: visibility, hash range, row window — selection
-            // vector only, no column touched.
+            // Stage 1+2: selection vector only, no column touched.
             let mut sel: Vec<u32> = Vec::new();
             for idx in 0..c.len() {
                 if !row_visible(c.commits[idx], c.deletes[idx], scan.as_of, scan.my_txn) {
                     continue;
                 }
-                examined += 1;
-                if let Some(r) = scan.hash_range {
-                    if !r.contains(c.hashes[idx]) {
-                        continue;
-                    }
+                n.examined += 1;
+                if in_piece(c.hashes[idx]) {
+                    sel.push(idx as u32);
                 }
-                let pos = window_pos;
-                window_pos += 1;
-                if let Some((start, end)) = scan.row_range {
-                    if pos < start || pos >= end {
-                        continue;
-                    }
-                }
-                sel.push(idx as u32);
             }
-            scanned += sel.len() as u64;
+            n.scanned += sel.len() as u64;
             if sel.is_empty() {
                 continue;
             }
-
-            // Stage 3: predicate over referenced columns only. When the
-            // planner produced an error-free conjunct list, apply the
-            // conjuncts most-selective-first (per this container's zone
-            // maps); otherwise evaluate the predicate tree whole.
+            // Stage 3: predicate over referenced columns only, the
+            // plan's steps most-selective-first per this container's
+            // zone maps.
             if let Some(plan) = &plan {
-                match &plan.conjuncts {
-                    Some(cj) => {
-                        for &i in &PredPlan::order_for(cj, &c.stats) {
-                            let (expr, cols) = &cj[i];
-                            sel = apply_filter(
-                                c,
-                                expr,
-                                cols,
-                                &mut scratch,
-                                sel,
-                                &mut decoded,
-                                &mut rows_skipped,
-                            )?;
-                            if sel.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        sel = apply_filter(
-                            c,
-                            plan.pred,
-                            &plan.cols,
-                            &mut scratch,
-                            sel,
-                            &mut decoded,
-                            &mut rows_skipped,
-                        )?;
+                for i in plan.order_for(&c.stats) {
+                    let (expr, cols) = &plan.steps[i];
+                    sel = apply_filter(c, expr, cols, &mut scratch, sel, &mut n)?;
+                    if sel.is_empty() {
+                        break;
                     }
                 }
-                if sel.is_empty() {
-                    continue;
-                }
             }
-
-            // Stage 4: decode projected columns for survivors only.
-            for (out_c, &table_c) in projection.iter().enumerate() {
-                let values = c.columns[table_c].gather_sorted(&sel);
-                decoded += values.len() as u64;
-                for v in values {
-                    batch.push(out_c, v)?;
-                }
-            }
-            for &p in &sel {
-                batch.push_hash(c.hashes[p as usize]);
+            if !sel.is_empty() {
+                sink.ros(c, &sel, &mut n.decoded)?;
             }
         }
 
-        // WOS rows are row-major and already materialized: evaluate the
-        // predicate in place and copy only surviving projected values.
-        for r in &self.wos {
+        for (i, r) in self.wos.iter().enumerate() {
             if !row_visible(r.commit, r.delete, scan.as_of, scan.my_txn) {
                 continue;
             }
-            examined += 1;
-            if let Some(range) = scan.hash_range {
-                if !range.contains(r.hash) {
-                    continue;
-                }
+            n.examined += 1;
+            if !in_piece(r.hash) {
+                continue;
             }
-            let pos = window_pos;
-            window_pos += 1;
-            if let Some((start, end)) = scan.row_range {
-                if pos < start || pos >= end {
-                    continue;
-                }
-            }
-            scanned += 1;
+            n.scanned += 1;
             if let Some(pred) = scan.predicate {
                 if !pred.matches(&r.row)? {
                     continue;
                 }
             }
-            for (out_c, &table_c) in projection.iter().enumerate() {
-                batch.push(out_c, r.row.get(table_c).clone())?;
-            }
-            batch.push_hash(r.hash);
+            sink.wos(RowLoc::Wos(i), &r.row, r.hash)?;
         }
 
-        obs::global().add("scan.containers_skipped", containers_skipped);
-        obs::global().add("scan.rows_examined", examined);
-        obs::global().add("scan.rows_skipped", rows_skipped);
-        obs::global().add("scan.values_decoded", decoded);
+        obs::global().add("scan.containers_skipped", n.containers_skipped);
+        obs::global().add("scan.rows_examined", n.examined);
+        obs::global().add("scan.rows_skipped", n.rows_skipped);
+        obs::global().add("scan.values_decoded", n.decoded);
+        Ok(n)
+    }
+
+    /// Vectorized scan into a [`ColumnBatch`]: the traversal's survivors
+    /// with only the projected columns decoded.
+    pub fn scan_batch(&self, scan: &BatchScan<'_>) -> Result<ScanOutput> {
+        let all_columns: Vec<usize> = (0..self.column_count).collect();
+        let projection: &[usize] = scan.projection.unwrap_or(&all_columns);
+        debug_assert_eq!(projection.len(), scan.dtypes.len());
+        let mut sink = BatchSink {
+            batch: ColumnBatch::new(scan.dtypes),
+            projection,
+        };
+        let counters = self.scan_with(scan, &mut sink)?;
         Ok(ScanOutput {
-            batch,
-            examined,
-            scanned,
-            decoded,
-            containers_skipped,
-            rows_skipped,
+            batch: sink.batch,
+            counters,
         })
     }
 
@@ -814,32 +942,17 @@ impl NodeTableStore {
     /// accumulators — the caller merges partials across stores/nodes
     /// and finalizes.
     ///
-    /// Containers whose zone maps prove the predicate cannot match are
-    /// skipped like in [`Self::scan_batch`]; unfiltered, fully-visible,
-    /// hash-covered containers are answered straight from their stats
-    /// (COUNT from row/null counts, MIN/MAX from zone maps) with no
-    /// decode at all.
+    /// Unfiltered, fully-visible, hash-covered containers are answered
+    /// straight from their stats (COUNT from row/null counts, MIN/MAX
+    /// from zone maps) with no decode at all.
     pub fn scan_aggregate(
         &self,
         scan: &BatchScan<'_>,
         funcs: &[(AggFunc, Option<usize>)],
         group_by: &[usize],
     ) -> Result<AggScanOutput> {
-        debug_assert!(
-            scan.row_range.is_none(),
-            "row windows do not compose with aggregation"
-        );
-        let mut accs = GroupedAccs::new(funcs.iter().map(|(f, _)| *f).collect());
-        let mut examined = 0u64;
-        let mut scanned = 0u64;
-        let mut decoded = 0u64;
-        let mut containers_skipped = 0u64;
-        let mut rows_skipped = 0u64;
-        let mut stats_answered = 0u64;
-        let mut scratch = Row::new(vec![Value::Null; self.column_count]);
-        let plan = scan.predicate.map(|p| PredPlan::new(p, !scan.no_skip));
-        // Ordinals the accumulation step must decode: grouping columns
-        // plus aggregate inputs, deduplicated.
+        // Ordinals the fold must decode: grouping columns plus
+        // aggregate inputs, deduplicated.
         let mut needed: Vec<usize> = group_by
             .iter()
             .copied()
@@ -847,195 +960,40 @@ impl NodeTableStore {
             .collect();
         needed.sort_unstable();
         needed.dedup();
-        // A container is answerable from stats alone only for a global
-        // (ungrouped) aggregate with no predicate whose functions read
-        // nothing but counts and zone-map endpoints.
-        let stats_eligible = !scan.no_skip
-            && scan.predicate.is_none()
-            && group_by.is_empty()
-            && funcs.iter().all(|(f, c)| {
-                matches!(f, AggFunc::Count)
-                    || (matches!(f, AggFunc::Min | AggFunc::Max) && c.is_some())
-            });
-
-        for c in &self.ros {
-            if !scan.no_skip {
-                if let Some(pred) = scan.predicate {
-                    if container_cannot_match(pred, &c.stats) {
-                        containers_skipped += 1;
-                        rows_skipped += c.len() as u64;
-                        continue;
-                    }
-                }
-            }
-            // Stats-only fast path: every row must be visible in this
-            // snapshot (no pending/aborted commits, no deletes), the
-            // hash range must cover the container's whole hash span,
-            // and every MIN/MAX column must have a usable zone map
-            // (or be all-null, contributing nothing).
-            if stats_eligible
-                && scan
-                    .hash_range
-                    .is_none_or(|r| r.contains(c.stats.hash_min) && r.contains(c.stats.hash_max))
-                && container_fully_visible(c, scan.as_of)
-                && funcs.iter().all(|(f, col)| match (f, col) {
-                    (AggFunc::Min | AggFunc::Max, Some(i)) => {
-                        let cs = &c.stats.columns[*i];
-                        cs.min.is_some() || cs.null_count == c.stats.row_count
-                    }
-                    _ => true,
-                })
-            {
-                let n = c.stats.row_count;
-                examined += n;
-                let group = accs.entry(Vec::new());
-                for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
-                    match (f, col) {
-                        (AggFunc::Count, None) => acc.update_repeated(&Value::Int64(1), n)?,
-                        (AggFunc::Count, Some(i)) => acc.update_repeated(
-                            &Value::Int64(1),
-                            n - c.stats.columns[*i].null_count,
-                        )?,
-                        (AggFunc::Min, Some(i)) => {
-                            if let Some(m) = &c.stats.columns[*i].min {
-                                acc.update(m)?;
-                            }
-                        }
-                        (AggFunc::Max, Some(i)) => {
-                            if let Some(m) = &c.stats.columns[*i].max {
-                                acc.update(m)?;
-                            }
-                        }
-                        // `stats_eligible` admits no other shape.
-                        _ => {}
-                    }
-                }
-                stats_answered += 1;
-                continue;
-            }
-
-            // Fallback: selection vector, predicate, gather + fold.
-            let mut sel: Vec<u32> = Vec::new();
-            for idx in 0..c.len() {
-                if !row_visible(c.commits[idx], c.deletes[idx], scan.as_of, scan.my_txn) {
-                    continue;
-                }
-                examined += 1;
-                if let Some(r) = scan.hash_range {
-                    if !r.contains(c.hashes[idx]) {
-                        continue;
-                    }
-                }
-                sel.push(idx as u32);
-            }
-            scanned += sel.len() as u64;
-            if sel.is_empty() {
-                continue;
-            }
-            if let Some(plan) = &plan {
-                match &plan.conjuncts {
-                    Some(cj) => {
-                        for &i in &PredPlan::order_for(cj, &c.stats) {
-                            let (expr, cols) = &cj[i];
-                            sel = apply_filter(
-                                c,
-                                expr,
-                                cols,
-                                &mut scratch,
-                                sel,
-                                &mut decoded,
-                                &mut rows_skipped,
-                            )?;
-                            if sel.is_empty() {
-                                break;
-                            }
-                        }
-                    }
-                    None => {
-                        sel = apply_filter(
-                            c,
-                            plan.pred,
-                            &plan.cols,
-                            &mut scratch,
-                            sel,
-                            &mut decoded,
-                            &mut rows_skipped,
-                        )?;
-                    }
-                }
-                if sel.is_empty() {
-                    continue;
-                }
-            }
-            let gathered: Vec<(usize, Vec<Value>)> = needed
-                .iter()
-                .map(|&ci| (ci, c.columns[ci].gather_sorted(&sel)))
-                .collect();
-            decoded += (gathered.len() * sel.len()) as u64;
-            let value_of = |ci: usize, k: usize| -> &Value {
-                // `needed` is sorted and deduplicated, so the lookup
-                // always finds the gathered column.
-                match gathered.iter().find(|(g, _)| *g == ci) {
-                    Some((_, vals)) => &vals[k],
-                    None => &Value::Null,
-                }
-            };
-            for k in 0..sel.len() {
-                let key: Vec<Value> = group_by.iter().map(|&g| value_of(g, k).clone()).collect();
-                let group = accs.entry(key);
-                for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
-                    match (f, col) {
-                        (AggFunc::Count, None) => acc.update(&Value::Int64(1))?,
-                        (_, Some(i)) => acc.update(value_of(*i, k))?,
-                        // COUNT is the only input-less aggregate.
-                        (_, None) => acc.update(&Value::Int64(1))?,
-                    }
-                }
-            }
-        }
-
-        // WOS rows are already materialized: fold them in place.
-        for r in &self.wos {
-            if !row_visible(r.commit, r.delete, scan.as_of, scan.my_txn) {
-                continue;
-            }
-            examined += 1;
-            if let Some(range) = scan.hash_range {
-                if !range.contains(r.hash) {
-                    continue;
-                }
-            }
-            scanned += 1;
-            if let Some(pred) = scan.predicate {
-                if !pred.matches(&r.row)? {
-                    continue;
-                }
-            }
-            let key: Vec<Value> = group_by.iter().map(|&g| r.row.get(g).clone()).collect();
-            let group = accs.entry(key);
-            for ((f, col), acc) in funcs.iter().zip(group.iter_mut()) {
-                match (f, col) {
-                    (AggFunc::Count, None) => acc.update(&Value::Int64(1))?,
-                    (_, Some(i)) => acc.update(r.row.get(*i))?,
-                    (_, None) => acc.update(&Value::Int64(1))?,
-                }
-            }
-        }
-
-        obs::global().add("scan.containers_skipped", containers_skipped);
-        obs::global().add("scan.rows_examined", examined);
-        obs::global().add("scan.rows_skipped", rows_skipped);
-        obs::global().add("scan.values_decoded", decoded);
-        obs::global().add("agg.pushdown.stats_answered", stats_answered);
+        let mut sink = AggSink {
+            accs: GroupedAccs::new(funcs.iter().map(|(f, _)| *f).collect()),
+            funcs,
+            group_by,
+            needed,
+            // A container is answerable from stats alone only for a
+            // global (ungrouped) aggregate with no predicate whose
+            // functions read nothing but counts and zone-map endpoints.
+            stats_eligible: scan.predicate.is_none()
+                && group_by.is_empty()
+                && funcs.iter().all(|(f, c)| {
+                    matches!(f, AggFunc::Count)
+                        || (matches!(f, AggFunc::Min | AggFunc::Max) && c.is_some())
+                }),
+            stats_answered: 0,
+        };
+        let counters = self.scan_with(scan, &mut sink)?;
+        obs::global().add("agg.pushdown.stats_answered", sink.stats_answered);
         Ok(AggScanOutput {
-            accs,
-            examined,
-            scanned,
-            decoded,
-            containers_skipped,
-            rows_skipped,
-            stats_answered,
+            accs: sink.accs,
+            counters,
         })
+    }
+
+    /// Visit every surviving row in stable scan order without building
+    /// a result set. WOS rows are borrowed in place (no clone); ROS rows
+    /// are decoded container-at-a-time with the run-aware gather. The
+    /// mutation paths (UPDATE / DELETE WHERE) use this to locate rows.
+    pub fn for_each_visible(
+        &self,
+        scan: &BatchScan<'_>,
+        f: impl FnMut(RowLoc, &Row, u64),
+    ) -> Result<ScanCounters> {
+        self.scan_with(scan, &mut VisitSink(f))
     }
 
     /// Estimated rows a scan of this store leaves after filtering, from
@@ -1069,82 +1027,6 @@ impl NodeTableStore {
                 columns: c.stats.columns.clone(),
             })
             .collect()
-    }
-
-    /// Visit every visible row in stable scan order without building a
-    /// result set. WOS rows are borrowed in place (no clone); ROS rows
-    /// are decoded container-at-a-time with the run-aware gather. The
-    /// mutation paths (UPDATE / DELETE WHERE) use this to locate rows.
-    pub fn for_each_visible(
-        &self,
-        as_of: u64,
-        my_txn: Option<u64>,
-        hash_range: Option<&HashRange>,
-        mut f: impl FnMut(RowLoc, &Row, u64),
-    ) {
-        for c in &self.ros {
-            let mut sel: Vec<u32> = Vec::new();
-            for idx in 0..c.len() {
-                if row_visible(c.commits[idx], c.deletes[idx], as_of, my_txn)
-                    && hash_range.is_none_or(|r| r.contains(c.hashes[idx]))
-                {
-                    sel.push(idx as u32);
-                }
-            }
-            if sel.is_empty() {
-                continue;
-            }
-            let mut column_values: Vec<std::vec::IntoIter<Value>> = c
-                .columns
-                .iter()
-                .map(|col| col.gather_sorted(&sel).into_iter())
-                .collect();
-            for &idx in &sel {
-                let row = Row::new(
-                    column_values
-                        .iter_mut()
-                        // Every iterator gathered exactly `sel.len()`
-                        // values above; a short column is corruption.
-                        // fabriclint: allow(panic-hygiene): gather produced sel.len() values per column
-                        .map(|it| it.next().expect("gather length mismatch"))
-                        .collect(),
-                );
-                f(
-                    RowLoc::Ros {
-                        container: c.id,
-                        idx: idx as usize,
-                    },
-                    &row,
-                    c.hashes[idx as usize],
-                );
-            }
-        }
-        for (i, r) in self.wos.iter().enumerate() {
-            if row_visible(r.commit, r.delete, as_of, my_txn)
-                && hash_range.is_none_or(|range| range.contains(r.hash))
-            {
-                f(RowLoc::Wos(i), &r.row, r.hash);
-            }
-        }
-    }
-
-    /// Count rows visible at `as_of` (plus `my_txn`'s pending work)
-    /// without materializing them — the rows a range scan must examine.
-    pub fn visible_count(&self, as_of: u64, my_txn: Option<u64>) -> usize {
-        let mut count = 0;
-        for c in &self.ros {
-            for idx in 0..c.len() {
-                if row_visible(c.commits[idx], c.deletes[idx], as_of, my_txn) {
-                    count += 1;
-                }
-            }
-        }
-        count
-            + self
-                .wos
-                .iter()
-                .filter(|r| row_visible(r.commit, r.delete, as_of, my_txn))
-                .count()
     }
 
     /// Move committed WOS rows into a new encoded ROS container (the

@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use common::agg::{AggCall, AggFunc, AggRequest};
 use common::{row, Value};
 use mppdb::{Cluster, ClusterConfig, DbError, QuerySpec};
 
@@ -64,6 +65,21 @@ fn sql_end_to_end() {
         .rows()
         .unwrap();
     assert_eq!(r.rows[0].get(0), &Value::Int64(2));
+
+    // SQL and pushed-down aggregates share one accumulator: an
+    // overflowing integer SUM wraps the same way on both paths.
+    s.execute("CREATE TABLE big (v INT)").unwrap();
+    s.execute("INSERT INTO big VALUES (9223372036854775807), (1)")
+        .unwrap();
+    let sql = s.execute("SELECT SUM(v) FROM big").unwrap().rows().unwrap();
+    let pushed = s
+        .query(
+            &QuerySpec::scan("big")
+                .aggregate(AggRequest::new(&[], vec![AggCall::new(AggFunc::Sum, "v")])),
+        )
+        .unwrap();
+    assert_eq!(sql.rows, pushed.rows);
+    assert_eq!(sql.rows[0].get(0), &Value::Int64(i64::MIN));
 }
 
 #[test]

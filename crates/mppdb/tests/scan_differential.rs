@@ -1,19 +1,25 @@
 //! Randomized differential test: the vectorized scan pipeline
-//! ([`NodeTableStore::scan_batch`]) against the row-at-a-time reference
+//! ([`NodeTableStore::scan_batch`], and the aggregate and visitor sinks
+//! over the same traversal) against the row-at-a-time reference
 //! path (`scan` + per-row predicate + projection), across mixed
 //! ROS/WOS stores, deletes, epochs, own-transaction visibility, hash
 //! ranges, row windows, predicates, and projections. Results must
 //! match exactly — values, order, hashes, wire sizes, and which error
 //! surfaces first.
 
+use common::agg::AggFunc;
 use common::{DataType, Error, Expr, Row, Schema, Value};
 use mppdb::segmentation::HashRange;
-use mppdb::storage::{BatchScan, NodeTableStore};
+use mppdb::storage::{BatchScan, NodeTableStore, RowLoc};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-/// The row-at-a-time pipeline the batched scan must reproduce.
-#[allow(clippy::too_many_arguments)]
+/// What the reference pipeline yields: the surviving `(loc, row, hash)`
+/// triples before projection, and the count of rows that reached the
+/// predicate.
+type Reference = (Vec<(RowLoc, Row, u64)>, u64);
+
+/// The row-at-a-time pipeline every sink must reproduce.
 fn reference_scan(
     store: &NodeTableStore,
     as_of: u64,
@@ -21,11 +27,9 @@ fn reference_scan(
     hash_range: Option<&HashRange>,
     row_range: Option<(u64, u64)>,
     predicate: Option<&Expr>,
-    projection: Option<&[usize]>,
-) -> Result<(Vec<Row>, Vec<u64>, u64), Error> {
+) -> Result<Reference, Error> {
     let visible = store.scan(as_of, my_txn, hash_range);
-    let mut rows = Vec::new();
-    let mut hashes = Vec::new();
+    let mut survivors = Vec::new();
     let mut scanned = 0u64;
     for (pos, v) in visible.into_iter().enumerate() {
         if let Some((start, end)) = row_range {
@@ -40,13 +44,9 @@ fn reference_scan(
                 continue;
             }
         }
-        rows.push(match projection {
-            Some(idx) => v.row.project(idx),
-            None => v.row,
-        });
-        hashes.push(v.hash);
+        survivors.push((v.loc, v.row, v.hash));
     }
-    Ok((rows, hashes, scanned))
+    Ok((survivors, scanned))
 }
 
 fn random_value(rng: &mut StdRng, dtype: DataType) -> Value {
@@ -261,13 +261,13 @@ fn batched_scan_matches_reference() {
                 hash_range.as_ref(),
                 row_range,
                 predicate.as_ref(),
-                projection.as_deref(),
             );
+            let visible = store.scan(as_of, my_txn, None).len() as u64;
             // Both skipping modes must reproduce the reference exactly:
             // zone-map container elimination and RLE run elimination
             // are pure no-row-can-match proofs, never result changes.
             for no_skip in [true, false] {
-                let actual = store.scan_batch(&BatchScan {
+                let scan = BatchScan {
                     as_of,
                     my_txn,
                     hash_range: hash_range.as_ref(),
@@ -276,43 +276,78 @@ fn batched_scan_matches_reference() {
                     projection: projection.as_deref(),
                     dtypes: &dtypes,
                     no_skip,
+                };
+                let actual = store.scan_batch(&scan);
+                // The other two sinks over the same traversal.
+                let counted = store.scan_aggregate(&scan, &[(AggFunc::Count, None)], &[]);
+                let mut visited = Vec::new();
+                let visit = store.for_each_visible(&scan, |loc, row, hash| {
+                    visited.push((loc, row.clone(), hash))
                 });
 
                 match (&expected, actual) {
-                    (Ok((rows, hashes, scanned)), Ok(out)) => {
+                    (Ok((survivors, scanned)), Ok(out)) => {
+                        let hashes: Vec<u64> = survivors.iter().map(|(_, _, h)| *h).collect();
+                        let rows: Vec<Row> = survivors
+                            .iter()
+                            .map(|(_, row, _)| match &projection {
+                                Some(idx) => row.project(idx),
+                                None => row.clone(),
+                            })
+                            .collect();
                         assert_eq!(
                             out.batch.hashes(),
                             hashes.as_slice(),
                             "hash vector diverged (no_skip={no_skip}): {tag}"
                         );
-                        let visible = store.visible_count(as_of, my_txn) as u64;
+                        let n = out.counters;
                         if no_skip {
-                            assert_eq!(out.scanned, *scanned, "scanned count diverged: {tag}");
-                            assert_eq!(out.examined, visible, "examined != visible_count: {tag}");
-                            assert_eq!(out.containers_skipped, 0, "skip while disabled: {tag}");
-                            assert_eq!(out.rows_skipped, 0, "skip while disabled: {tag}");
+                            assert_eq!(n.scanned, *scanned, "scanned count diverged: {tag}");
+                            assert_eq!(n.examined, visible, "examined != visible rows: {tag}");
+                            assert_eq!(n.containers_skipped, 0, "skip while disabled: {tag}");
+                            assert_eq!(n.rows_skipped, 0, "skip while disabled: {tag}");
                         } else {
                             // Container skips remove rows from `examined`;
                             // `rows_skipped` counts whole containers (which
                             // may include invisible rows), so the pair
                             // bounds the visible count from both sides.
+                            assert!(n.examined <= visible, "examined beyond visible: {tag}");
                             assert!(
-                                out.examined <= visible,
-                                "examined beyond visible_count: {tag}"
-                            );
-                            assert!(
-                                out.examined + out.rows_skipped >= visible,
+                                n.examined + n.rows_skipped >= visible,
                                 "skipped more than accounted: {tag}"
                             );
+                            assert!(n.scanned <= *scanned, "skipping scanned extra rows: {tag}");
                             assert!(
-                                out.scanned <= *scanned,
-                                "skipping scanned extra rows: {tag}"
-                            );
-                            assert!(
-                                out.scanned + out.rows_skipped >= *scanned,
+                                n.scanned + n.rows_skipped >= *scanned,
                                 "scan skips unaccounted: {tag}"
                             );
                         }
+
+                        // Sink parity: the visitor shares every counter
+                        // but `decoded` (it decodes all columns); so
+                        // does the aggregate unless zone maps answered
+                        // a container for it, which skipping mode allows.
+                        let stages = |c: mppdb::storage::ScanCounters| {
+                            (c.examined, c.scanned, c.containers_skipped, c.rows_skipped)
+                        };
+                        let visit = visit.expect("visitor failed where batch succeeded");
+                        assert_eq!(stages(visit), stages(n), "visitor counters: {tag}");
+                        assert_eq!(
+                            &visited, survivors,
+                            "visitor diverged (no_skip={no_skip}): {tag}"
+                        );
+                        let counted = counted.expect("aggregate failed where batch succeeded");
+                        if no_skip {
+                            assert_eq!(stages(counted.counters), stages(n), "agg counters: {tag}");
+                        }
+                        let mut count = counted.accs;
+                        count.ensure_global_group();
+                        assert_eq!(
+                            count.finalize_rows(),
+                            vec![Row::new(vec![Value::Int64(out.batch.num_rows() as i64)])],
+                            "COUNT(*) != batch rows (no_skip={no_skip}): {tag}"
+                        );
+
                         assert_eq!(
                             out.batch.wire_size(),
                             rows.iter().map(Row::wire_size).sum::<usize>(),
@@ -324,17 +359,23 @@ fn batched_scan_matches_reference() {
                             "text wire size diverged (no_skip={no_skip}): {tag}"
                         );
                         let batch_rows = out.batch.into_rows();
-                        assert_eq!(
-                            &batch_rows, rows,
-                            "rows diverged (no_skip={no_skip}): {tag}"
-                        );
+                        assert_eq!(batch_rows, rows, "rows diverged (no_skip={no_skip}): {tag}");
                     }
                     (Err(e), Err(a)) => {
-                        assert_eq!(
-                            e.to_string(),
-                            a.to_string(),
-                            "different error (no_skip={no_skip}): {tag}"
-                        );
+                        for (sink, got) in [
+                            ("batch", a.to_string()),
+                            (
+                                "aggregate",
+                                counted.expect_err("aggregate succeeded").to_string(),
+                            ),
+                            ("visitor", visit.expect_err("visitor succeeded").to_string()),
+                        ] {
+                            assert_eq!(
+                                e.to_string(),
+                                got,
+                                "different {sink} error (no_skip={no_skip}): {tag}"
+                            );
+                        }
                     }
                     (e, a) => panic!(
                         "reference and batched scans disagree on success \

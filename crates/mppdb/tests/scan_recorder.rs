@@ -235,7 +235,8 @@ fn recorder_log_is_pinned_and_independent_of_fan_out() {
     }
 }
 
-/// Captured at the commit before the scan paths were unified.
+/// Captured at the commit before the scan paths were unified; the two
+/// commented edits are the accounting rules that unification made uniform.
 const GOLDEN: &[&str] = &[
     "# seg full",
     "work db0 scan_hash 101 1078",
@@ -315,7 +316,9 @@ const GOLDEN: &[&str] = &[
     "# dim partial aggregate",
     "work db0 scan_local 200 110",
     "# dim failing predicate",
-    "work db0 scan_local 200 1600",
+    // Rule unification 2 (a piece whose scan fails records nothing, on
+    // every path): the unsegmented path alone used to charge the walk,
+    // `work db0 scan_local 200 1600`.
     "# dim failing predicate aggregate",
     "# seg hash-range piece",
     "work db1 scan_hash 98 1312",
@@ -325,7 +328,9 @@ const GOLDEN: &[&str] = &[
     "xfer db1>db0 DbInternal 5 110",
     "# seg filtered empty piece",
     "work db1 scan_hash 59 1416",
-    "work db1 filter_eval 0 0",
+    // Rule unification 1 (`filter_eval` iff a predicate exists and the
+    // piece scanned a row, on every path): the segmented batch path
+    // alone used to emit the zero-row event `work db1 filter_eval 0 0`.
     "xfer db1>db0 DbInternal 0 0",
     "# dim row-window piece",
     "work db0 scan_local 200 3618",

@@ -10,9 +10,8 @@ cargo fmt --all --check
 # dependency-free, builds in seconds, and fails on any determinism /
 # obs-registry / error-taxonomy / panic-hygiene / SAFETY violation —
 # or, via the flow-sensitive passes, any static lock-order cycle,
-# blocking call under a live guard, dropped Deadline/TraceCtx, or
-# deprecated save-shim caller — not explicitly excepted in
-# fabriclint.allow or an inline allow comment. The JSON report lands
+# blocking call under a live guard, or dropped Deadline/TraceCtx — not
+# explicitly excepted in fabriclint.allow or an inline allow comment. The JSON report lands
 # in target/ for tooling that wants machine-readable findings.
 echo "== fabriclint --workspace"
 cargo run -q -p fabriclint -- --workspace
@@ -25,8 +24,12 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== cargo build --workspace --all-features"
 cargo build --workspace --all-features -q
 
-echo "== cargo test -q"
-cargo test -q
+# --workspace: the root is itself a package, so a bare `cargo test`
+# would run only its suites and skip every crate's own (the scan
+# differentials, the recorder golden log, the connector integration
+# suites, the fabriclint fixtures, the bench acceptance tests).
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
 
 # The seeded chaos schedules are the fault-tolerance gate; run them
 # explicitly so a filtered test run cannot silently skip them.

@@ -143,7 +143,7 @@ fn validate_detects_orphan_spans() {
 
 /// A save whose setup connections are all refused dies with the setup
 /// span open: the root is closed (and tagged failed) by the
-/// `save_to_db` wrapper, the abandoned setup span surfaces as
+/// `s2v::run` wrapper, the abandoned setup span surfaces as
 /// `Unclosed`.
 #[test]
 fn failed_save_leaves_tagged_root_and_unclosed_setup_span() {
