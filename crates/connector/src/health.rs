@@ -1,15 +1,15 @@
-//! Grey-failure defenses: per-node health scoring, circuit breakers,
-//! deadlines, and hedged reads.
+//! Grey-failure defenses: per-node circuit breakers, the latency
+//! histogram behind the hedge delay, and deadlines.
 //!
 //! PR 3's retry/failover layer handles *fail-stop* faults — a node that
 //! is down errors fast and the next candidate is tried. Grey failures
 //! are worse: a node that is alive but 10–100× slower never errors, so
-//! every piece routed through it stalls for its full service time. The
-//! defenses here are the classic tail-tolerance toolbox:
+//! every piece routed through it stalls for its full service time. This
+//! module holds the state the one call policy ([`crate::retry`])
+//! consults to defend against them:
 //!
-//! * **[`HealthTracker`]** — per-node EWMA latency and error-rate
-//!   scores, fed by every [`crate::retry::RetryConn`] call and V2S
-//!   piece. The scores drive a three-state circuit breaker per node:
+//! * **[`HealthTracker`]** — a three-state circuit breaker per node,
+//!   fed by every call the policy places:
 //!
 //!   ```text
 //!   Closed ──(N consecutive failures)──▶ Open
@@ -21,32 +21,25 @@
 //!   HalfOpen grants a bounded *probe budget*: only a few trial
 //!   operations may test a recovering node, so a still-sick node cannot
 //!   absorb a thundering herd the moment its cooldown lapses. Any
-//!   success fully closes the breaker.
+//!   success fully closes the breaker. The tracker also keeps one
+//!   histogram of successful-op latencies, whose P99 sets the delay
+//!   after which an idempotent read hedges onto a buddy node.
 //!
 //! * **[`Deadline`]** — an overall time budget set once at
-//!   `save()`/`load()` and propagated by value through every retry
-//!   loop, hedge, and COPY phase, so a job fails crisply at its budget
-//!   instead of each layer timing out independently.
+//!   `save()`/`load()` and carried inside the job's
+//!   [`crate::retry::CallPolicy`] through every retry loop, hedge, and
+//!   COPY phase, so a job fails crisply at its budget instead of each
+//!   layer timing out independently.
 //!
-//! * **[`hedged_read`]** — tail-latency hedging for *idempotent reads
-//!   only* (V2S pieces and catalog probes). If the primary attempt has
-//!   not answered within a delay derived from the observed P99, a buddy
-//!   attempt launches on another node; the first result wins and the
-//!   loser is abandoned. S2V writes never hedge: a second in-flight
-//!   writer would break the exactly-once commit protocol.
-//!
-//! Everything reports through the obs layer as `health.*`, `breaker.*`,
-//! and `hedge.*` counters, visible in the `dc_counters` system table.
+//! Everything reports through the obs layer as `health.*` and
+//! `breaker.*` counters, visible in the `dc_counters` system table.
 
 use std::collections::HashMap;
-use std::sync::mpsc;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use mppdb::Cluster;
 use parking_lot::Mutex;
-
-use crate::error::{ConnectorError, ConnectorResult};
 
 // ---------------------------------------------------------------------
 // Deadline
@@ -70,10 +63,6 @@ impl Deadline {
         }
     }
 
-    pub fn budget(&self) -> Duration {
-        self.budget
-    }
-
     pub fn remaining(&self) -> Duration {
         self.budget.saturating_sub(self.started.elapsed())
     }
@@ -88,13 +77,14 @@ impl Deadline {
 }
 
 // ---------------------------------------------------------------------
-// Health scoring + circuit breaker
+// Circuit breakers
 // ---------------------------------------------------------------------
 
 /// Breaker states for one node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BreakerState {
     /// Healthy: all traffic admitted.
+    #[default]
     Closed,
     /// Sick: traffic steered away until the cooldown lapses.
     Open,
@@ -105,8 +95,6 @@ pub enum BreakerState {
 /// Tuning knobs for [`HealthTracker`].
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
-    /// Weight of the newest sample in the EWMA scores.
-    pub ewma_alpha: f64,
     /// Consecutive failures that open a closed breaker.
     pub failure_threshold: u32,
     /// How long an open breaker rejects traffic before allowing probes.
@@ -118,7 +106,6 @@ pub struct HealthConfig {
 impl Default for HealthConfig {
     fn default() -> HealthConfig {
         HealthConfig {
-            ewma_alpha: 0.3,
             failure_threshold: 3,
             open_cooldown: Duration::from_millis(50),
             half_open_probes: 2,
@@ -126,13 +113,8 @@ impl Default for HealthConfig {
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct NodeHealth {
-    /// EWMA of successful-operation latency, microseconds.
-    ewma_us: f64,
-    /// EWMA of the failure indicator (1.0 = all recent ops failed).
-    err_rate: f64,
-    samples: u64,
     consecutive_failures: u32,
     state: BreakerState,
     opened_at: Option<Instant>,
@@ -140,16 +122,21 @@ struct NodeHealth {
 }
 
 impl NodeHealth {
-    fn new() -> NodeHealth {
-        NodeHealth {
-            ewma_us: 0.0,
-            err_rate: 0.0,
-            samples: 0,
-            consecutive_failures: 0,
-            state: BreakerState::Closed,
-            opened_at: None,
-            probes_left: 0,
+    /// Sort key for steering: closed, half-open, open-past-cooldown,
+    /// open.
+    fn rank(&self, cooldown: Duration) -> u8 {
+        match self.state {
+            BreakerState::Closed => 0,
+            BreakerState::HalfOpen => 1,
+            BreakerState::Open if self.cooled(cooldown) => 2,
+            BreakerState::Open => 3,
         }
+    }
+
+    fn cooled(&self, cooldown: Duration) -> bool {
+        self.opened_at
+            .map(|t| t.elapsed() >= cooldown)
+            .unwrap_or(true)
     }
 }
 
@@ -161,7 +148,12 @@ const MIN_HEDGE_DELAY: Duration = Duration::from_millis(10);
 /// Hedge after this multiple of the observed P99.
 const HEDGE_P99_MULTIPLIER: u32 = 3;
 
-/// Per-node health scores and circuit breakers for one cluster.
+/// Per-node circuit breakers for one cluster, plus the latency
+/// histogram the hedge delay derives from.
+///
+/// Slots are keyed by node id and grow with the ids the tracker is
+/// shown: an elastic cluster hands out ids past its original size, and
+/// each needs a breaker of its own.
 ///
 /// Successful-op latencies land in a log-scale [`obs::Histo`], so the
 /// hedge delay derives from a *true* P99 quantile (exact to one bucket,
@@ -169,11 +161,12 @@ const HEDGE_P99_MULTIPLIER: u32 = 3;
 /// P99 shifted as old samples were overwritten.
 pub struct HealthTracker {
     cfg: HealthConfig,
-    nodes: Vec<Mutex<NodeHealth>>,
+    nodes: Mutex<Vec<NodeHealth>>,
     recent: Mutex<obs::Histo>,
 }
 
 impl HealthTracker {
+    /// A tracker pre-sized for `node_count` nodes.
     pub fn new(node_count: usize) -> HealthTracker {
         HealthTracker::with_config(node_count, HealthConfig::default())
     }
@@ -181,63 +174,57 @@ impl HealthTracker {
     pub fn with_config(node_count: usize, cfg: HealthConfig) -> HealthTracker {
         HealthTracker {
             cfg,
-            nodes: (0..node_count.max(1))
-                .map(|_| Mutex::new(NodeHealth::new()))
-                .collect(),
+            nodes: Mutex::new((0..node_count).map(|_| NodeHealth::default()).collect()),
             recent: Mutex::new(obs::Histo::new()),
         }
     }
 
-    fn node(&self, node: usize) -> &Mutex<NodeHealth> {
-        &self.nodes[node.min(self.nodes.len() - 1)]
+    /// Apply `f` to `node`'s slot, creating it (closed) on first sight.
+    fn with_node<R>(&self, node: usize, f: impl FnOnce(&mut NodeHealth) -> R) -> R {
+        let mut nodes = self.nodes.lock();
+        if node >= nodes.len() {
+            nodes.resize_with(node + 1, NodeHealth::default);
+        }
+        f(&mut nodes[node])
     }
 
     /// Record a successful operation against `node`. Any success fully
     /// closes the node's breaker.
     pub fn record_success(&self, node: usize, latency: Duration) {
-        let us = latency.as_micros() as u64;
-        {
-            let mut nh = self.node(node).lock();
-            let a = self.cfg.ewma_alpha;
-            nh.ewma_us = if nh.samples == 0 {
-                us as f64
-            } else {
-                a * us as f64 + (1.0 - a) * nh.ewma_us
-            };
-            nh.err_rate *= 1.0 - a;
-            nh.samples += 1;
+        let closed = self.with_node(node, |nh| {
             nh.consecutive_failures = 0;
-            if nh.state != BreakerState::Closed {
-                nh.state = BreakerState::Closed;
-                nh.opened_at = None;
-                nh.probes_left = 0;
-                drop(nh);
-                self.breaker_event(node, "closed");
-                obs::global().incr("breaker.close");
-            }
+            let was_tripped = nh.state != BreakerState::Closed;
+            nh.state = BreakerState::Closed;
+            nh.opened_at = None;
+            nh.probes_left = 0;
+            was_tripped
+        });
+        if closed {
+            self.breaker_event(node, "closed");
+            obs::global().incr("breaker.close");
         }
-        self.recent.lock().record(us);
+        self.recent.lock().record(latency.as_micros() as u64);
         obs::global().incr("health.successes");
     }
 
     /// Record a failed (transient-errored) operation against `node`.
     pub fn record_failure(&self, node: usize) {
-        let mut nh = self.node(node).lock();
-        let a = self.cfg.ewma_alpha;
-        nh.err_rate = a + (1.0 - a) * nh.err_rate;
-        nh.samples += 1;
-        nh.consecutive_failures = nh.consecutive_failures.saturating_add(1);
-        let open = match nh.state {
-            BreakerState::Closed => nh.consecutive_failures >= self.cfg.failure_threshold,
-            BreakerState::HalfOpen => true,
-            // Already open: leave the cooldown clock running.
-            BreakerState::Open => false,
-        };
-        if open {
-            nh.state = BreakerState::Open;
-            nh.opened_at = Some(Instant::now());
-            nh.probes_left = 0;
-            drop(nh);
+        let opened = self.with_node(node, |nh| {
+            nh.consecutive_failures = nh.consecutive_failures.saturating_add(1);
+            let open = match nh.state {
+                BreakerState::Closed => nh.consecutive_failures >= self.cfg.failure_threshold,
+                BreakerState::HalfOpen => true,
+                // Already open: leave the cooldown clock running.
+                BreakerState::Open => false,
+            };
+            if open {
+                nh.state = BreakerState::Open;
+                nh.opened_at = Some(Instant::now());
+                nh.probes_left = 0;
+            }
+            open
+        });
+        if opened {
             self.breaker_event(node, "opened");
             obs::global().incr("breaker.open");
         }
@@ -254,7 +241,10 @@ impl HealthTracker {
     /// Current breaker state (read-only; does not consume probes or
     /// promote an open breaker).
     pub fn state(&self, node: usize) -> BreakerState {
-        self.node(node).lock().state
+        self.nodes
+            .lock()
+            .get(node)
+            .map_or(BreakerState::Closed, |nh| nh.state)
     }
 
     /// Ask the breaker to admit one operation against `node`. While
@@ -262,71 +252,35 @@ impl HealthTracker {
     /// cooldown transitions to half-open (and consumes the first
     /// probe). Returns false when the node should not be tried.
     pub fn acquire(&self, node: usize) -> bool {
-        let mut nh = self.node(node).lock();
-        match nh.state {
-            BreakerState::Closed => true,
-            BreakerState::Open => {
-                let cooled = nh
-                    .opened_at
-                    .map(|t| t.elapsed() >= self.cfg.open_cooldown)
-                    .unwrap_or(true);
-                if cooled {
-                    nh.state = BreakerState::HalfOpen;
-                    nh.probes_left = self.cfg.half_open_probes.saturating_sub(1);
-                    drop(nh);
-                    self.breaker_event(node, "half-open");
-                    obs::global().incr("breaker.half_open");
-                    true
-                } else {
-                    obs::global().incr(obs::names::BREAKER_REJECTED);
-                    false
-                }
+        let (admitted, promoted) = self.with_node(node, |nh| match nh.state {
+            BreakerState::Closed => (true, false),
+            BreakerState::Open if nh.cooled(self.cfg.open_cooldown) => {
+                nh.state = BreakerState::HalfOpen;
+                nh.probes_left = self.cfg.half_open_probes.saturating_sub(1);
+                (true, true)
             }
-            BreakerState::HalfOpen => {
-                if nh.probes_left > 0 {
-                    nh.probes_left -= 1;
-                    true
-                } else {
-                    obs::global().incr(obs::names::BREAKER_REJECTED);
-                    false
-                }
+            BreakerState::HalfOpen if nh.probes_left > 0 => {
+                nh.probes_left -= 1;
+                (true, false)
             }
+            BreakerState::Open | BreakerState::HalfOpen => (false, false),
+        });
+        if promoted {
+            self.breaker_event(node, "half-open");
+            obs::global().incr("breaker.half_open");
         }
+        if !admitted {
+            obs::global().incr(obs::names::BREAKER_REJECTED);
+        }
+        admitted
     }
 
     /// Stable-sort a candidate list so healthy nodes come first:
     /// closed breakers, then half-open, then open-past-cooldown, then
     /// open. Ties keep the caller's (locality-aware) order.
     pub fn reorder(&self, order: &mut [usize]) {
-        order.sort_by_key(|&n| {
-            let nh = self.node(n).lock();
-            match nh.state {
-                BreakerState::Closed => 0u8,
-                BreakerState::HalfOpen => 1,
-                BreakerState::Open => {
-                    let cooled = nh
-                        .opened_at
-                        .map(|t| t.elapsed() >= self.cfg.open_cooldown)
-                        .unwrap_or(true);
-                    if cooled {
-                        2
-                    } else {
-                        3
-                    }
-                }
-            }
-        });
-    }
-
-    /// EWMA latency of successful ops at `node`, if any were recorded.
-    pub fn ewma_latency(&self, node: usize) -> Option<Duration> {
-        let nh = self.node(node).lock();
-        (nh.samples > 0).then(|| Duration::from_micros(nh.ewma_us as u64))
-    }
-
-    /// EWMA failure rate at `node` in [0, 1].
-    pub fn error_rate(&self, node: usize) -> f64 {
-        self.node(node).lock().err_rate
+        let nodes = self.nodes.lock();
+        order.sort_by_key(|&n| nodes.get(n).map_or(0, |nh| nh.rank(self.cfg.open_cooldown)));
     }
 
     /// P99 of successful-op latencies across all nodes — the histogram
@@ -337,13 +291,10 @@ impl HealthTracker {
         (h.count() >= MIN_P99_SAMPLES).then(|| Duration::from_micros(h.quantile(0.99)))
     }
 
-    /// The delay after which a hedge launches: the explicit override if
-    /// set, else `max(3 × P99, 10ms)` once enough samples exist, else
-    /// `None` (no hedging until the tracker has seen real latencies).
-    pub fn hedge_delay(&self, fixed: Option<Duration>) -> Option<Duration> {
-        if fixed.is_some() {
-            return fixed;
-        }
+    /// The delay after which a hedge launches when none is fixed:
+    /// `max(3 × P99, 10ms)` once enough samples exist, else `None` (no
+    /// hedging until the tracker has seen real latencies).
+    pub fn hedge_delay(&self) -> Option<Duration> {
         self.observed_p99()
             .map(|p99| (p99 * HEDGE_P99_MULTIPLIER).max(MIN_HEDGE_DELAY))
     }
@@ -351,9 +302,9 @@ impl HealthTracker {
 
 /// Process-wide registry of health trackers, one per cluster, keyed by
 /// [`Cluster::id`] so independent test clusters never share scores.
-/// Every `RetryConn` and `V2sSource` against the same cluster feeds the
-/// same tracker — that sharing is what lets the S2V driver's failures
-/// steer V2S piece placement and vice versa.
+/// Every job's `CallPolicy` against the same cluster feeds the same
+/// tracker — that sharing is what lets the S2V driver's failures steer
+/// V2S piece placement and vice versa.
 pub fn tracker_for(cluster: &Cluster) -> Arc<HealthTracker> {
     static REGISTRY: OnceLock<Mutex<HashMap<u64, Arc<HealthTracker>>>> = OnceLock::new();
     let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
@@ -369,106 +320,6 @@ pub fn tracker_for(cluster: &Cluster) -> Arc<HealthTracker> {
         map.entry(cluster.id())
             .or_insert_with(|| Arc::new(HealthTracker::new(cluster.node_count()))),
     )
-}
-
-// ---------------------------------------------------------------------
-// Hedged reads
-// ---------------------------------------------------------------------
-
-/// Run an idempotent read with a tail-latency hedge: start `run` on
-/// `primary`; if no answer within `delay`, start it on `buddy` too and
-/// take whichever finishes first. The loser cannot be interrupted
-/// mid-call — it is abandoned on a detached thread and its eventual
-/// result discarded (counted under `hedge.cancelled`).
-///
-/// Only reads may use this: a hedged write would put two copies of the
-/// same mutation in flight.
-///
-/// Each attempt runs under a `hedge.attempt` span parented at `trace`
-/// (attempt 1 = primary, attempt 2 = buddy); the span is finished by
-/// the worker thread when its attempt returns, so an abandoned loser
-/// closes its span late rather than never.
-pub fn hedged_read<T: Send + 'static>(
-    op: &'static str,
-    delay: Duration,
-    primary: usize,
-    buddy: usize,
-    trace: obs::TraceCtx,
-    run: Arc<dyn Fn(usize) -> ConnectorResult<T> + Send + Sync>,
-) -> ConnectorResult<T> {
-    let (tx, rx) = mpsc::channel();
-    {
-        let tx = tx.clone();
-        let run = Arc::clone(&run);
-        let span = obs::global().span_start(obs::names::HEDGE_ATTEMPT, trace);
-        std::thread::spawn(move || {
-            let result = run(primary);
-            obs::global().span_finish(span, |s| {
-                s.attempt = 1;
-                s.node = Some(primary as u64);
-                s.failed = result.is_err();
-                s.detail = format!("{op} primary");
-            });
-            // The receiver may be gone (winner already returned).
-            let _ = tx.send((primary, result));
-        });
-    }
-    match rx.recv_timeout(delay) {
-        Ok((_, result)) => return result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {}
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return Err(ConnectorError::Engine(format!(
-                "{op}: hedged read worker died"
-            )))
-        }
-    }
-    // Primary is past the hedge delay: launch the buddy attempt.
-    obs::global().emit(obs::EventKind::Hedge, |e| {
-        e.node = Some(buddy as u64);
-        e.dur_us = delay.as_micros() as u64;
-        e.detail = format!("{op}: hedging node {primary} with buddy {buddy}");
-    });
-    obs::global().incr("hedge.launched");
-    {
-        let run = Arc::clone(&run);
-        let span = obs::global().span_start(obs::names::HEDGE_ATTEMPT, trace);
-        std::thread::spawn(move || {
-            let result = run(buddy);
-            obs::global().span_finish(span, |s| {
-                s.attempt = 2;
-                s.node = Some(buddy as u64);
-                s.failed = result.is_err();
-                s.detail = format!("{op} hedge");
-            });
-            let _ = tx.send((buddy, result));
-        });
-    }
-    let mut received = 0usize;
-    let mut first_err: Option<ConnectorError> = None;
-    while received < 2 {
-        match rx.recv() {
-            Ok((node, Ok(value))) => {
-                received += 1;
-                obs::global().incr(if node == buddy {
-                    "hedge.wins"
-                } else {
-                    "hedge.primary_wins"
-                });
-                if received < 2 {
-                    // The loser is still in flight; abandon it.
-                    obs::global().incr("hedge.cancelled");
-                }
-                return Ok(value);
-            }
-            Ok((_, Err(e))) => {
-                received += 1;
-                first_err.get_or_insert(e);
-            }
-            Err(_) => break,
-        }
-    }
-    Err(first_err
-        .unwrap_or_else(|| ConnectorError::Engine(format!("{op}: hedged read lost both attempts"))))
 }
 
 #[cfg(test)]
@@ -550,21 +401,16 @@ mod tests {
     #[test]
     fn hedge_delay_requires_samples_and_floors() {
         let t = HealthTracker::new(2);
-        assert_eq!(t.hedge_delay(None), None, "no samples, no hedging");
-        assert_eq!(
-            t.hedge_delay(Some(Duration::from_millis(7))),
-            Some(Duration::from_millis(7)),
-            "explicit override wins"
-        );
+        assert_eq!(t.hedge_delay(), None, "no samples, no hedging");
         for _ in 0..MIN_P99_SAMPLES {
             t.record_success(0, Duration::from_micros(200));
         }
-        let d = t.hedge_delay(None).unwrap();
+        let d = t.hedge_delay().unwrap();
         assert_eq!(d, MIN_HEDGE_DELAY, "µs-scale ops floor at the minimum");
         for _ in 0..40 {
             t.record_success(1, Duration::from_millis(8));
         }
-        let d = t.hedge_delay(None).unwrap();
+        let d = t.hedge_delay().unwrap();
         assert!(d >= Duration::from_millis(24), "3 × P99 above the floor");
     }
 
@@ -584,7 +430,7 @@ mod tests {
         }
         assert_eq!(t.observed_p99(), Some(Duration::from_millis(8)));
         assert_eq!(
-            t.hedge_delay(None),
+            t.hedge_delay(),
             Some(Duration::from_millis(24)),
             "hedge delay is 3 × the histogram P99"
         );
@@ -597,92 +443,5 @@ mod tests {
             reference.record(8_000);
         }
         assert_eq!(reference.quantile(0.99), 8_000);
-    }
-
-    #[test]
-    fn hedged_read_prefers_fast_primary() {
-        let before = obs::global().snapshot().counters;
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> { Ok(node) });
-        let got = hedged_read(
-            "t.fast",
-            Duration::from_millis(50),
-            0,
-            1,
-            obs::TraceCtx::NONE,
-            run,
-        )
-        .unwrap();
-        assert_eq!(got, 0, "primary answered before the hedge delay");
-        let after = obs::global().snapshot().counters;
-        let delta =
-            |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0);
-        assert_eq!(delta("hedge.launched"), 0);
-    }
-
-    #[test]
-    fn hedged_read_buddy_wins_when_primary_stalls() {
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
-            if node == 0 {
-                std::thread::sleep(Duration::from_millis(120));
-            }
-            Ok(node)
-        });
-        let started = Instant::now();
-        let got = hedged_read(
-            "t.stall",
-            Duration::from_millis(10),
-            0,
-            1,
-            obs::TraceCtx::NONE,
-            run,
-        )
-        .unwrap();
-        assert_eq!(got, 1, "buddy wins");
-        assert!(
-            started.elapsed() < Duration::from_millis(100),
-            "did not wait for the stalled primary"
-        );
-        // Let the abandoned primary drain so its send outlives no one.
-        std::thread::sleep(Duration::from_millis(130));
-    }
-
-    #[test]
-    fn hedged_read_surfaces_error_when_both_fail() {
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
-            Err(ConnectorError::Engine(format!("node {node} boom")))
-        });
-        let err = hedged_read(
-            "t.both",
-            Duration::from_millis(5),
-            0,
-            1,
-            obs::TraceCtx::NONE,
-            run,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ConnectorError::Engine(_)));
-    }
-
-    #[test]
-    fn hedged_read_falls_through_to_buddy_after_primary_error() {
-        // Primary errors *slowly* (after the hedge delay), buddy is good.
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
-            if node == 0 {
-                std::thread::sleep(Duration::from_millis(15));
-                Err(ConnectorError::Engine("slow failure".into()))
-            } else {
-                Ok(node)
-            }
-        });
-        let got = hedged_read(
-            "t.slow_err",
-            Duration::from_millis(5),
-            0,
-            1,
-            obs::TraceCtx::NONE,
-            run,
-        )
-        .unwrap();
-        assert_eq!(got, 1);
     }
 }

@@ -23,9 +23,8 @@ use mppdb::Cluster;
 use sparklet::{DataFrame, SaveMode, SparkContext};
 
 use crate::error::{ConnectorError, ConnectorResult};
-use crate::health::{self, Deadline};
 use crate::options::{ConnectorOptions, IngestMode, WriteMethod};
-use crate::retry::RetryConn;
+use crate::retry::{CallPolicy, RetryConn};
 use crate::two_stage::TwoStageConfig;
 use crate::{s2v, stream, two_stage, SaveReport};
 
@@ -136,6 +135,7 @@ pub(crate) fn bulk(
                 )
             })?;
             let exists = cluster.has_table(&opts.table);
+            let policy = CallPolicy::for_job(cluster, opts);
             match mode {
                 SaveMode::ErrorIfExists if exists => {
                     return Err(ConnectorError::Usage(format!(
@@ -149,18 +149,15 @@ pub(crate) fn bulk(
                 SaveMode::Overwrite if exists => {
                     // The DFS stage-2 COPY appends; overwrite = clear first.
                     let host = opts.host_on(cluster)?;
-                    let mut conn = RetryConn::new(Arc::clone(cluster), host, opts.retry.clone())
-                        .with_deadline(opts.deadline.map(Deadline::within))
-                        .with_health(health::tracker_for(cluster));
-                    if !opts.failover {
-                        conn = conn.pinned();
-                    }
-                    conn.run("dfs.truncate", |session| {
-                        session
-                            .execute(&format!("DELETE FROM {}", opts.table))
-                            .map(|_| ())
-                            .map_err(|e| ConnectorError::db("dfs.truncate", e))
-                    })?;
+                    RetryConn::new(Arc::clone(cluster), host, policy.clone()).run(
+                        "dfs.truncate",
+                        |session| {
+                            session
+                                .execute(&format!("DELETE FROM {}", opts.table))
+                                .map(|_| ())
+                                .map_err(|e| ConnectorError::db("dfs.truncate", e))
+                        },
+                    )?;
                 }
                 _ => {}
             }
@@ -171,7 +168,8 @@ pub(crate) fn bulk(
             let mut config = TwoStageConfig::new(staging);
             config.partitions = opts.num_partitions;
             config.host = opts.host_on(cluster)?;
-            let report = two_stage::run_via_dfs(ctx, cluster, dfs, df, &opts.table, &config)?;
+            let report =
+                two_stage::run_via_dfs(ctx, cluster, dfs, df, &opts.table, &config, &policy)?;
             Ok(SaveReport {
                 method: WriteMethod::Dfs,
                 rows_loaded: report.rows,

@@ -20,14 +20,16 @@
 //!   SQL via the generic `PMMLPredict` UDx (Sec. 3.3).
 //!
 //! Every database touchpoint runs under a typed error surface
-//! ([`error::ConnectorError`]) and a retry/failover policy
-//! ([`retry::RetryPolicy`]); [`fault-injection`] on the database side
-//! drives the chaos suite that exercises them. Grey failures — nodes
-//! alive but slow — are handled by the [`health`] layer: per-node
-//! health scores and circuit breakers steer placement away from sick
-//! nodes, idempotent reads hedge onto buddy nodes past the observed
-//! P99, and a [`health::Deadline`] budget set at `save()`/`load()`
-//! flows through every retry and phase.
+//! ([`error::ConnectorError`]) and one call policy
+//! ([`retry::CallPolicy`], built once per `save()`/`load()`): it
+//! places the call (failover candidates steered away from nodes whose
+//! [`health`] circuit breaker is open), bounds it (the retry budget
+//! and the job-wide [`health::Deadline`]), retries transient errors,
+//! feeds the outcome back to the breakers, and hedges idempotent reads
+//! onto a buddy node past the observed P99. Reads enter through
+//! [`retry::CallPolicy::read`], writes through
+//! [`retry::RetryConn::run`]; [`fault-injection`] on the database side
+//! drives the chaos suite that exercises both.
 //!
 //! The connector plugs into the engine's External Data Source API under
 //! the format name [`DEFAULT_SOURCE`], so the user-facing surface is
@@ -67,7 +69,7 @@ pub use health::{BreakerState, Deadline, HealthConfig, HealthTracker};
 pub use ingest::SaveRequest;
 pub use md::ModelDeployment;
 pub use options::{ConnectorOptions, ConnectorOptionsBuilder, IngestMode, WriteMethod};
-pub use retry::{with_retry, with_retry_deadline, RetryConn, RetryPolicy};
+pub use retry::{CallPolicy, RetryConn, RetryPolicy};
 pub use s2v::S2vReport;
 pub use stream::StreamWriter;
 pub use two_stage::{load_via_dfs, TwoStageConfig, TwoStageReport};

@@ -361,12 +361,6 @@ impl ConnectorOptionsBuilder {
         self
     }
 
-    /// Replace the whole retry policy.
-    pub fn retry(mut self, policy: RetryPolicy) -> Self {
-        self.opts.retry = policy;
-        self
-    }
-
     pub fn retry_max_attempts(mut self, attempts: u32) -> Self {
         self.opts.retry.max_attempts = attempts;
         self

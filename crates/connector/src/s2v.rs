@@ -52,9 +52,8 @@ use sparklet::{DataFrame, SaveMode, SparkContext, SparkError};
 use obs::names;
 
 use crate::error::{ConnectorError, ConnectorResult};
-use crate::health::{tracker_for, Deadline, HealthTracker};
 use crate::options::ConnectorOptions;
-use crate::retry::{RetryConn, RetryPolicy};
+use crate::retry::{CallPolicy, RetryConn};
 
 /// Outcome of a successful save.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,15 +190,9 @@ fn run_traced(
     // The overall wall-clock budget starts here and flows through every
     // driver and task phase. Writes are never hedged — only steered and
     // retried — so exactly-once never depends on the committer race.
-    let deadline = opts.deadline.map(Deadline::within);
-    let tracker = tracker_for(cluster);
+    let policy = CallPolicy::for_job(cluster, opts);
     let host = opts.host_on(cluster)?;
-    let mut driver = RetryConn::new(Arc::clone(cluster), host, opts.retry.clone())
-        .with_deadline(deadline)
-        .with_health(Arc::clone(&tracker));
-    if !opts.failover {
-        driver = driver.pinned();
-    }
+    let mut driver = RetryConn::new(Arc::clone(cluster), host, policy.clone());
     let exists = cluster.has_table(&target);
     match mode {
         SaveMode::ErrorIfExists if exists => {
@@ -378,20 +371,16 @@ fn run_traced(
     let avro_schema = AvroSchema::from_schema(&target, &schema);
     let tolerance = opts.failed_rows_percent_tolerance;
     let copy_direct = opts.copy_direct;
-    let failover = opts.failover;
-    let retry = opts.retry.clone();
     let cluster_for_tasks = Arc::clone(cluster);
     let tables_ref = &tables;
     let job_ref = job_name.as_str();
     let target_ref = target.as_str();
     let up_nodes_ref = &up_nodes;
     let avro_ref = &avro_schema;
-    let retry_ref = &retry;
 
     let pool_ref = opts.resource_pool.as_deref();
     let acc = PhaseAcc::default();
     let acc_ref = &acc;
-    let tracker_ref = &tracker;
     let outcomes = ctx.run_job_traced(&rdd, trace, move |tc, rows| {
         acc_ref.engine_job_id.store(tc.job_id, Ordering::Release);
         run_task_phases(
@@ -408,10 +397,7 @@ fn run_traced(
             mode,
             partitions,
             pool_ref,
-            retry_ref,
-            failover,
-            deadline,
-            tracker_ref,
+            &policy,
             acc_ref,
         )
         .map_err(SparkError::from)
@@ -649,10 +635,7 @@ fn run_task_phases(
     mode: SaveMode,
     partitions: usize,
     resource_pool: Option<&str>,
-    retry: &RetryPolicy,
-    failover: bool,
-    deadline: Option<Deadline>,
-    tracker: &Arc<HealthTracker>,
+    policy: &CallPolicy,
     acc: &PhaseAcc,
 ) -> ConnectorResult<TaskEnd> {
     let p = tc.partition;
@@ -660,15 +643,9 @@ fn run_task_phases(
     // The deadline is checked before every phase attempt (inside the
     // retry loop), so an expired budget fails the next phase boundary
     // instead of grinding through the remaining protocol steps.
-    let mut conn = RetryConn::new(Arc::clone(cluster), preferred, retry.clone())
+    let mut conn = RetryConn::new(Arc::clone(cluster), preferred, policy.under(tc.trace))
         .with_pool(resource_pool.map(str::to_string))
-        .with_task_tag(Some(p as u64))
-        .with_deadline(deadline)
-        .with_health(Arc::clone(tracker))
-        .with_trace(tc.trace);
-    if !failover {
-        conn = conn.pinned();
-    }
+        .with_task_tag(Some(p as u64));
     cluster
         .recorder()
         .setup(Some(p as u64), NodeRef::Db(preferred), "s2v_connect");

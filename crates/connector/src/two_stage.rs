@@ -31,7 +31,7 @@ use sparklet::rdd::PartitionSource;
 use sparklet::{DataFrame, Rdd, SparkContext, SparkError, SparkResult};
 
 use crate::error::ConnectorError;
-use crate::retry::{with_retry, RetryPolicy};
+use crate::retry::CallPolicy;
 
 /// Configuration for a two-stage transfer.
 #[derive(Debug, Clone)]
@@ -77,6 +77,7 @@ pub(crate) fn run_via_dfs(
     df: &DataFrame,
     table: &str,
     config: &TwoStageConfig,
+    policy: &CallPolicy,
 ) -> SparkResult<TwoStageReport> {
     let dir = prefix(&config.staging_path);
     // A half-finished previous attempt may have left files: clear them.
@@ -121,14 +122,21 @@ pub(crate) fn run_via_dfs(
         .map_err(|e| SparkError::DataSource(e.to_string()))?;
     }
     let files = dfs.list(&dir);
-    // Connecting retries transient refusals; the transactional load
-    // itself is deliberately single-attempt — without protocol tables to
-    // consult, a retry after a commit-then-lost-ack would load twice.
-    let mut session = with_retry(&RetryPolicy::default(), "two_stage.connect", |_| {
-        db.connect(config.host)
-            .map_err(|e| ConnectorError::db("two_stage.connect", e))
-    })
-    .map_err(SparkError::from)?;
+    // Connecting runs under the job's policy, pinned to the configured
+    // host (the node the staged files are read through); the
+    // transactional load itself is deliberately single-attempt — without
+    // protocol tables to consult, a retry after a commit-then-lost-ack
+    // would load twice.
+    let connect = {
+        let db = Arc::clone(db);
+        move |node| {
+            db.connect(node)
+                .map_err(|e| ConnectorError::db("two_stage.connect", e))
+        }
+    };
+    let mut session = policy
+        .read(db, "two_stage.connect", &[config.host], Arc::new(connect))
+        .map_err(SparkError::from)?;
     session
         .begin()
         .map_err(|e| SparkError::DataSource(e.to_string()))?;

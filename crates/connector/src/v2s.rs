@@ -20,12 +20,12 @@
 //! Because every V2S query is an idempotent snapshot read, this is the
 //! one place hedging is safe: when a piece's primary node runs past the
 //! observed P99 (a grey failure), a buddy-node attempt launches and the
-//! first result wins. Piece placement consults the per-cluster
-//! [`HealthTracker`], so pieces steer away from nodes whose circuit
-//! breakers are open before timeouts ever fire.
+//! first result wins. Every catalog probe and piece goes through the
+//! load's one [`CallPolicy`], so pieces steer away from nodes whose
+//! circuit breakers are open before timeouts ever fire.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use common::agg::{self, AggRequest, GroupedAccs};
 use common::expr::Expr;
@@ -38,9 +38,8 @@ use sparklet::rdd::PartitionSource;
 use sparklet::{Rdd, ScanRelation, SparkContext, SparkError, SparkResult};
 
 use crate::error::{ConnectorError, ConnectorResult};
-use crate::health::{hedged_read, tracker_for, BreakerState, Deadline, HealthTracker};
 use crate::options::ConnectorOptions;
-use crate::retry::{with_retry_deadline, RetryPolicy};
+use crate::retry::{CallPolicy, NodeCall};
 
 /// How a relation's rows are divided among partitions.
 #[derive(Debug, Clone)]
@@ -79,18 +78,11 @@ pub struct DbRelation {
     agg_pushdown: bool,
     host: usize,
     resource_pool: Option<String>,
-    retry: RetryPolicy,
-    failover: bool,
-    tracker: Arc<HealthTracker>,
-    /// Overall wall-clock budget set at open time; flows into every
-    /// catalog query and piece retry loop.
-    deadline: Option<Deadline>,
-    hedge: bool,
-    hedge_delay: Option<Duration>,
-    /// The load's `v2s.load` root span: every catalog probe, piece
-    /// attempt, and hedge parents under it. Closed when the relation is
+    /// The load's call policy. Its deadline started at open time; its
+    /// trace is the `v2s.load` root span every catalog probe, piece
+    /// attempt, and hedge parents under, closed when the relation is
     /// dropped.
-    trace: obs::TraceCtx,
+    policy: CallPolicy,
 }
 
 /// One partition's work: queries to issue, each against a specific node.
@@ -117,86 +109,44 @@ impl DbRelation {
         let host = opts.host_on(&cluster)?;
         let epoch = cluster.current_epoch();
         let map = cluster.segment_map_at(epoch);
-        let num_partitions = opts.num_partitions.unwrap_or(cluster.node_count());
-        let tracker = tracker_for(&cluster);
-        let deadline = opts.deadline.map(Deadline::within);
-        let trace = obs::global().trace_start("v2s.load");
-        if let Ok(def) = cluster.table_def(&opts.table) {
-            let kind = if def.is_segmented() {
-                RelationKind::Segmented
-            } else {
-                RelationKind::RowOrdered
-            };
-            return Ok(DbRelation {
-                cluster,
-                table: def.name.clone(),
-                schema: def.schema,
-                kind,
-                epoch,
-                map,
-                num_partitions,
-                explicit_partitions: opts.num_partitions.is_some(),
-                no_skip: !opts.stats_skipping,
-                agg_pushdown: opts.agg_pushdown,
-                host,
-                resource_pool: opts.resource_pool.clone(),
-                retry: opts.retry.clone(),
-                failover: opts.failover,
-                tracker,
-                deadline,
-                hedge: opts.hedge,
-                hedge_delay: opts.hedge_delay,
-                trace,
-            });
-        }
-        // A view: discover the schema by executing it with LIMIT 1. The
-        // probe is an idempotent catalog read, so it gets the same
-        // health steering and hedging as data pieces.
-        let candidates = catalog_candidates(&cluster, host, opts.failover);
-        let spec = QuerySpec::scan(&opts.table).with_limit(1).at_epoch(epoch);
-        let open_span = obs::global().span_start(names::V2S_OPEN, trace);
-        let probe = with_retry_deadline(&opts.retry, deadline, names::V2S_OPEN, |attempt| {
-            let delay = if opts.hedge {
-                tracker.hedge_delay(opts.hedge_delay)
-            } else {
-                None
-            };
-            run_steered(
-                &tracker,
-                &cluster,
-                delay,
-                names::V2S_OPEN,
-                &candidates,
-                attempt,
-                open_span,
-                catalog_exec(&cluster, names::V2S_OPEN, spec.clone(), open_span),
-            )
-        });
-        obs::global().span_finish(open_span, |s| {
-            s.failed = probe.is_err();
-            s.detail = format!("probe view {}", opts.table);
-        });
-        let probe = probe?;
+        let policy =
+            CallPolicy::for_job(&cluster, opts).under(obs::global().trace_start("v2s.load"));
+        let (table, schema, kind) = match cluster.table_def(&opts.table) {
+            Ok(def) if def.is_segmented() => (def.name, def.schema, RelationKind::Segmented),
+            Ok(def) => (def.name, def.schema, RelationKind::RowOrdered),
+            // A view: discover the schema by executing it with LIMIT 1.
+            // The probe is an idempotent catalog read, so it gets the
+            // same health steering and hedging as data pieces.
+            Err(_) => {
+                let spec = QuerySpec::scan(&opts.table).with_limit(1).at_epoch(epoch);
+                let open_span = obs::global().span_start(names::V2S_OPEN, policy.trace);
+                let probe = policy.under(open_span).read(
+                    &cluster,
+                    names::V2S_OPEN,
+                    &policy.candidates(&cluster, &map, host),
+                    catalog_exec(&cluster, names::V2S_OPEN, spec, open_span),
+                );
+                obs::global().span_finish(open_span, |s| {
+                    s.failed = probe.is_err();
+                    s.detail = format!("probe view {}", opts.table);
+                });
+                (opts.table.clone(), probe?.schema, RelationKind::RowOrdered)
+            }
+        };
         Ok(DbRelation {
-            cluster: Arc::clone(&cluster),
-            table: opts.table.clone(),
-            schema: probe.schema,
-            kind: RelationKind::RowOrdered,
+            table,
+            schema,
+            kind,
             epoch,
             map,
-            num_partitions,
+            num_partitions: opts.num_partitions.unwrap_or(cluster.node_count()),
             explicit_partitions: opts.num_partitions.is_some(),
             no_skip: !opts.stats_skipping,
             agg_pushdown: opts.agg_pushdown,
             host,
             resource_pool: opts.resource_pool.clone(),
-            retry: opts.retry.clone(),
-            failover: opts.failover,
-            tracker,
-            deadline,
-            hedge: opts.hedge,
-            hedge_delay: opts.hedge_delay,
-            trace,
+            policy,
+            cluster,
         })
     }
 
@@ -211,14 +161,14 @@ impl DbRelation {
 
     /// The load's trace in the global collector.
     pub fn trace_id(&self) -> obs::TraceId {
-        self.trace.trace
+        self.policy.trace.trace
     }
 
     /// Render the load's span tree and critical path so far. The
     /// `v2s.load` root stays open until the relation drops, so a live
     /// relation shows it `UNCLOSED` — everything underneath is real.
     pub fn profile(&self) -> String {
-        obs::trace::render(&obs::global().trace_spans(self.trace.trace))
+        obs::trace::render(&obs::global().trace_spans(self.trace_id()))
     }
 
     /// Pick the partition count for a scan. An explicit `numPartitions`
@@ -243,6 +193,29 @@ impl DbRelation {
         }
     }
 
+    /// The partition source for one scan over `plans`.
+    fn source(
+        &self,
+        ctx: &SparkContext,
+        plans: Vec<PartitionPlan>,
+        projection: Option<&[String]>,
+        filters: &[Expr],
+    ) -> V2sSource {
+        V2sSource {
+            cluster: Arc::clone(&self.cluster),
+            relation_table: self.table.clone(),
+            epoch: self.epoch,
+            map: Arc::clone(&self.map),
+            plans,
+            projection: projection.map(|p| p.to_vec()),
+            filters: filters.to_vec(),
+            no_skip: self.no_skip,
+            compute_nodes: ctx.conf().nodes,
+            resource_pool: self.resource_pool.clone(),
+            policy: self.policy.clone(),
+        }
+    }
+
     /// Build the per-partition plans.
     fn plan(&self, partitions: usize) -> ConnectorResult<Vec<PartitionPlan>> {
         match &self.kind {
@@ -250,27 +223,14 @@ impl DbRelation {
             RelationKind::RowOrdered => {
                 // Synthetic ranges need the relation's current size at
                 // the pinned epoch.
-                let candidates = catalog_candidates(&self.cluster, self.host, self.failover);
                 let spec = QuerySpec::scan(&self.table).at_epoch(self.epoch).count();
-                let plan_span = obs::global().span_start(names::V2S_PLAN, self.trace);
-                let total =
-                    with_retry_deadline(&self.retry, self.deadline, names::V2S_PLAN, |attempt| {
-                        let delay = if self.hedge {
-                            self.tracker.hedge_delay(self.hedge_delay)
-                        } else {
-                            None
-                        };
-                        run_steered(
-                            &self.tracker,
-                            &self.cluster,
-                            delay,
-                            names::V2S_PLAN,
-                            &candidates,
-                            attempt,
-                            plan_span,
-                            catalog_exec(&self.cluster, names::V2S_PLAN, spec.clone(), plan_span),
-                        )
-                    });
+                let plan_span = obs::global().span_start(names::V2S_PLAN, self.policy.trace);
+                let total = self.policy.under(plan_span).read(
+                    &self.cluster,
+                    names::V2S_PLAN,
+                    &self.policy.candidates(&self.cluster, &self.map, self.host),
+                    catalog_exec(&self.cluster, names::V2S_PLAN, spec, plan_span),
+                );
                 obs::global().span_finish(plan_span, |s| {
                     s.failed = total.is_err();
                     if let Ok(t) = &total {
@@ -293,7 +253,7 @@ impl Drop for DbRelation {
     fn drop(&mut self) {
         // The relation's lifetime is the load: closing the root here
         // stamps the `v2s.load` duration and feeds its histogram.
-        obs::global().span_finish(self.trace, |s| {
+        obs::global().span_finish(self.policy.trace, |s| {
             s.detail = format!("load {}", self.table);
         });
     }
@@ -306,20 +266,6 @@ fn and_filters(filters: &[Expr]) -> Option<Expr> {
     Some(iter.fold(first, |acc, f| acc.and(f)))
 }
 
-/// Candidate order for catalog/status queries: the configured host
-/// first, then (under failover) every other node.
-fn catalog_candidates(cluster: &Cluster, host: usize, failover: bool) -> Vec<usize> {
-    let mut order = vec![host];
-    if failover {
-        for n in 0..cluster.node_count() {
-            if n != host {
-                order.push(n);
-            }
-        }
-    }
-    order
-}
-
 /// The exec closure for a catalog/status query: connect to the given
 /// node and run the spec. Owned clones only, so hedge attempts can run
 /// it on detached threads.
@@ -328,7 +274,7 @@ fn catalog_exec(
     op: &'static str,
     spec: QuerySpec,
     trace: obs::TraceCtx,
-) -> Arc<dyn Fn(usize) -> ConnectorResult<mppdb::QueryResult> + Send + Sync> {
+) -> NodeCall<mppdb::QueryResult> {
     let cluster = Arc::clone(cluster);
     Arc::new(move |node| {
         let mut session = cluster
@@ -337,78 +283,6 @@ fn catalog_exec(
         session.set_trace(trace);
         session.query(&spec).map_err(|e| ConnectorError::db(op, e))
     })
-}
-
-/// One health-steered attempt of an idempotent read, with an optional
-/// hedge.
-///
-/// `candidates` is the locality-preferred order. Dead nodes are
-/// dropped, the rest are stably re-ranked by breaker state (so healthy
-/// nodes keep their locality order), and the lead rotates with the
-/// attempt number so a sick node cannot monopolize retries. The first
-/// node whose breaker admits the call becomes the primary; if every
-/// breaker rejects, the head runs anyway — a retry must never strand
-/// itself. When a hedge delay is set and a distinct non-open buddy
-/// exists, the buddy launches once the primary overruns the delay and
-/// the first result wins.
-///
-/// Every outcome feeds the tracker: successes update the EWMA and close
-/// breakers, transient failures trip them. Fatal errors are *not*
-/// counted against the node — a syntax error says nothing about node
-/// health.
-#[allow(clippy::too_many_arguments)]
-fn run_steered<T: Send + 'static>(
-    tracker: &Arc<HealthTracker>,
-    cluster: &Cluster,
-    hedge_delay: Option<Duration>,
-    op: &'static str,
-    candidates: &[usize],
-    attempt: u32,
-    trace: obs::TraceCtx,
-    exec: Arc<dyn Fn(usize) -> ConnectorResult<T> + Send + Sync>,
-) -> ConnectorResult<T> {
-    let mut order: Vec<usize> = candidates
-        .iter()
-        .copied()
-        .filter(|&n| cluster.is_node_up(n))
-        .collect();
-    if order.is_empty() {
-        return Err(ConnectorError::NoLiveNodes);
-    }
-    tracker.reorder(&mut order);
-    let lead = (attempt as usize - 1) % order.len();
-    order.rotate_left(lead);
-    let primary = order
-        .iter()
-        .copied()
-        .find(|&n| tracker.acquire(n))
-        .unwrap_or(order[0]);
-    let buddy = order
-        .iter()
-        .copied()
-        .find(|&n| n != primary && tracker.state(n) != BreakerState::Open);
-    let run: Arc<dyn Fn(usize) -> ConnectorResult<T> + Send + Sync> = {
-        let tracker = Arc::clone(tracker);
-        Arc::new(move |n: usize| {
-            let started = Instant::now();
-            match exec(n) {
-                Ok(v) => {
-                    tracker.record_success(n, started.elapsed());
-                    Ok(v)
-                }
-                Err(e) => {
-                    if e.is_transient() {
-                        tracker.record_failure(n);
-                    }
-                    Err(e)
-                }
-            }
-        })
-    };
-    match (hedge_delay, buddy) {
-        (Some(delay), Some(buddy)) => hedged_read(op, delay, primary, buddy, trace, run),
-        _ => run(primary),
-    }
 }
 
 /// Assign hash ranges to partitions per the paper's Fig. 4: with fewer
@@ -487,14 +361,9 @@ struct V2sSource {
     no_skip: bool,
     compute_nodes: usize,
     resource_pool: Option<String>,
-    retry: RetryPolicy,
-    failover: bool,
-    tracker: Arc<HealthTracker>,
-    deadline: Option<Deadline>,
-    hedge: bool,
-    hedge_delay: Option<Duration>,
-    /// The relation's `v2s.load` root: piece attempts parent here.
-    trace: obs::TraceCtx,
+    /// The relation's policy: piece attempts parent at its `v2s.load`
+    /// root.
+    policy: CallPolicy,
 }
 
 /// Everything one piece execution needs, owned, so hedge attempts can
@@ -619,35 +488,15 @@ fn exec_piece(
 }
 
 impl V2sSource {
-    /// Failover preference order for a piece whose data lives on `node`:
-    /// the owner first (locality), then its k-safety buddies (they hold
-    /// replicas of exactly this range), then everyone else (the engine
-    /// fans the scan out internally if it must).
-    fn candidates(&self, node: usize) -> Vec<usize> {
-        let mut order = vec![node];
-        if self.failover {
-            let k = self.cluster.config().k_safety;
-            for b in self.map.buddies(node, k) {
-                if !order.contains(&b) {
-                    order.push(b);
-                }
-            }
-            for n in 0..self.cluster.node_count() {
-                if !order.contains(&n) {
-                    order.push(n);
-                }
-            }
-        }
-        order
-    }
-
     fn run_piece(
         &self,
         partition: usize,
         node: usize,
         spec: &QuerySpec,
     ) -> ConnectorResult<mppdb::QueryResult> {
-        let candidates = self.candidates(node);
+        // Buddies come from the *pinned* map: they hold replicas of
+        // exactly this range at the load's epoch.
+        let candidates = self.policy.candidates(&self.cluster, &self.map, node);
         let ctx = Arc::new(PieceCtx {
             cluster: Arc::clone(&self.cluster),
             relation_table: self.relation_table.clone(),
@@ -658,18 +507,10 @@ impl V2sSource {
             spec: spec.clone(),
             map_version: std::sync::atomic::AtomicU64::new(spec.map_version.unwrap_or(0)),
         });
-        with_retry_deadline(&self.retry, self.deadline, names::V2S_PIECE, |attempt| {
-            let delay = if self.hedge {
-                self.tracker.hedge_delay(self.hedge_delay)
-            } else {
-                None
-            };
-            let ctx = Arc::clone(&ctx);
-            let span = obs::global().span_start(names::V2S_PIECE, self.trace);
-            let result = run_steered(
-                &self.tracker,
+        self.policy.run(names::V2S_PIECE, |attempt| {
+            let span = obs::global().span_start(names::V2S_PIECE, self.policy.trace);
+            let result = self.policy.read_attempt(
                 &self.cluster,
-                delay,
                 names::V2S_PIECE,
                 &candidates,
                 attempt,
@@ -778,25 +619,7 @@ impl ScanRelation for DbRelation {
         let plans = self
             .plan(self.planned_partitions(filters))
             .map_err(SparkError::from)?;
-        let source = V2sSource {
-            cluster: Arc::clone(&self.cluster),
-            relation_table: self.table.clone(),
-            epoch: self.epoch,
-            map: Arc::clone(&self.map),
-            plans,
-            projection: projection.map(|p| p.to_vec()),
-            filters: filters.to_vec(),
-            no_skip: self.no_skip,
-            compute_nodes: ctx.conf().nodes,
-            resource_pool: self.resource_pool.clone(),
-            retry: self.retry.clone(),
-            failover: self.failover,
-            tracker: Arc::clone(&self.tracker),
-            deadline: self.deadline,
-            hedge: self.hedge,
-            hedge_delay: self.hedge_delay,
-            trace: self.trace,
-        };
+        let source = self.source(ctx, plans, projection, filters);
         Ok(Rdd::from_source(ctx.clone(), Arc::new(source)))
     }
 
@@ -806,45 +629,28 @@ impl ScanRelation for DbRelation {
         let plans = self
             .plan(self.planned_partitions(filters))
             .map_err(SparkError::from)?;
-        let source = V2sSource {
-            cluster: Arc::clone(&self.cluster),
-            relation_table: self.table.clone(),
-            epoch: self.epoch,
-            map: Arc::clone(&self.map),
-            plans,
-            projection: None,
-            filters: filters.to_vec(),
-            no_skip: self.no_skip,
-            compute_nodes: ctx.conf().nodes,
-            resource_pool: self.resource_pool.clone(),
-            retry: self.retry.clone(),
-            failover: self.failover,
-            tracker: Arc::clone(&self.tracker),
-            deadline: self.deadline,
-            hedge: self.hedge,
-            hedge_delay: self.hedge_delay,
-            trace: self.trace,
-        };
-        let counts = ctx.run_partitions_traced(source.num_partitions(), self.trace, |tc| {
-            let mut total = 0u64;
-            for (node, range) in &source.plans[tc.partition].pieces {
-                let spec = build_piece_spec(
-                    &source.relation_table,
-                    source.epoch,
-                    source.map.version(),
-                    range,
-                    None,
-                    &source.filters,
-                    true,
-                    source.no_skip,
-                );
-                total += source
-                    .run_piece(tc.partition, *node, &spec)
-                    .map_err(SparkError::from)?
-                    .count;
-            }
-            Ok(total)
-        })?;
+        let source = self.source(ctx, plans, None, filters);
+        let counts =
+            ctx.run_partitions_traced(source.num_partitions(), self.policy.trace, |tc| {
+                let mut total = 0u64;
+                for (node, range) in &source.plans[tc.partition].pieces {
+                    let spec = build_piece_spec(
+                        &source.relation_table,
+                        source.epoch,
+                        source.map.version(),
+                        range,
+                        None,
+                        &source.filters,
+                        true,
+                        source.no_skip,
+                    );
+                    total += source
+                        .run_piece(tc.partition, *node, &spec)
+                        .map_err(SparkError::from)?
+                        .count;
+                }
+                Ok(total)
+            })?;
         Ok(counts.into_iter().sum())
     }
 
@@ -891,28 +697,10 @@ impl ScanRelation for DbRelation {
                 }]
             }
         };
-        let source = V2sSource {
-            cluster: Arc::clone(&self.cluster),
-            relation_table: self.table.clone(),
-            epoch: self.epoch,
-            map: Arc::clone(&self.map),
-            plans,
-            projection: None,
-            filters: filters.to_vec(),
-            no_skip: self.no_skip,
-            compute_nodes: ctx.conf().nodes,
-            resource_pool: self.resource_pool.clone(),
-            retry: self.retry.clone(),
-            failover: self.failover,
-            tracker: Arc::clone(&self.tracker),
-            deadline: self.deadline,
-            hedge: self.hedge,
-            hedge_delay: self.hedge_delay,
-            trace: self.trace,
-        };
+        let source = self.source(ctx, plans, None, filters);
         let request_owned = request.clone();
         let partials: Vec<Vec<Vec<Row>>> =
-            ctx.run_partitions_traced(source.num_partitions(), self.trace, |tc| {
+            ctx.run_partitions_traced(source.num_partitions(), self.policy.trace, |tc| {
                 let mut per_piece = Vec::new();
                 for (node, range) in &source.plans[tc.partition].pieces {
                     let spec = build_piece_spec(
@@ -1071,13 +859,14 @@ mod tests {
             no_skip: false,
             compute_nodes: 2,
             resource_pool: None,
-            retry: RetryPolicy::default(),
-            failover: false,
-            tracker: Arc::new(HealthTracker::new(cluster.node_count())),
-            deadline: None,
-            hedge: false,
-            hedge_delay: None,
-            trace: obs::TraceCtx::NONE,
+            policy: CallPolicy::for_job(
+                &cluster,
+                &ConnectorOptions::builder("stale")
+                    .failover(false)
+                    .hedge(false)
+                    .build()
+                    .unwrap(),
+            ),
         };
         // A spec asserting a version the engine never published: the
         // first attempt is rejected with `StaleSegmentMap`, the piece

@@ -8,7 +8,7 @@ use common::{row, DataType, Row, Schema};
 use connector::{load_via_dfs, ConnectorOptions, SaveRequest, TwoStageConfig, WriteMethod};
 use dfslite::{DfsClusterSim, DfsConfig};
 use mppdb::{Cluster, ClusterConfig, QuerySpec};
-use sparklet::{FailureMode, SparkConf, SparkContext};
+use sparklet::{FailureMode, SaveMode, SparkConf, SparkContext};
 
 fn setup() -> (SparkContext, Arc<Cluster>, Arc<DfsClusterSim>) {
     let db = Cluster::new(ClusterConfig::default());
@@ -146,4 +146,31 @@ fn two_stage_round_trips_unsegmented_tables() {
         "replicated table exports once"
     );
     assert_eq!(df.count().unwrap(), 120);
+}
+
+/// The stage-2 connect runs under the job's own call policy, pinned to
+/// the configured host: with that host dead it gives up after the
+/// job's `retry_max_attempts` (not a built-in default), and a job
+/// deadline bounds it like every other call of the save.
+#[test]
+fn two_stage_connect_honours_the_job_policy() {
+    let (ctx, db, dfs) = setup();
+    let df = ctx.create_dataframe(rows(60), schema(), 2).unwrap();
+    db.kill_node(0);
+    let base = ConnectorOptions::builder("unreachable")
+        .method(WriteMethod::Dfs)
+        .staging_path("/staging/unreachable")
+        .retry_max_attempts(2);
+    let save = |opts: ConnectorOptions| {
+        SaveRequest::new(&ctx, &db, &df, &opts)
+            .with_dfs(&dfs)
+            .mode(SaveMode::Append)
+            .submit()
+            .unwrap_err()
+            .to_string()
+    };
+    let err = save(base.clone().build().unwrap());
+    assert!(err.contains("gave up after 2 attempts"), "{err}");
+    let err = save(base.deadline_ms(1).build().unwrap());
+    assert!(err.contains("deadline exceeded"), "{err}");
 }

@@ -321,8 +321,9 @@ fn blocking_under_lock(
     }
 }
 
-/// A fn that accepts a `Deadline`/`TraceCtx` and transitively reaches
-/// a sleep or emit site must actually use the ctx it was handed.
+/// A fn that accepts a `Deadline`/`TraceCtx`/`CallPolicy` and
+/// transitively reaches a sleep or emit site must actually use the ctx
+/// it was handed.
 fn context_propagation(
     ir: &FnIr,
     sum: &callgraph::FlowSummary,

@@ -61,8 +61,8 @@ pub enum Rule {
     StaticLockOrder,
     /// Flow-sensitive: a call that may sleep/park under a live guard.
     BlockingUnderLock,
-    /// Flow-sensitive: a Deadline/TraceCtx parameter that is dropped
-    /// on a path that sleeps or emits.
+    /// Flow-sensitive: a Deadline/TraceCtx/CallPolicy parameter that is
+    /// dropped on a path that sleeps or emits.
     ContextPropagation,
     /// Meta-rule: problems with the allowlist itself (stale entries).
     Allowlist,
@@ -152,7 +152,10 @@ impl Default for Config {
             .map(String::from)
             .collect(),
             blocking_fns: callgraph::default_blocking_fns(),
-            ctx_types: vec!["Deadline".to_string(), "TraceCtx".to_string()],
+            ctx_types: ["Deadline", "TraceCtx", "CallPolicy"]
+                .into_iter()
+                .map(String::from)
+                .collect(),
         }
     }
 }

@@ -617,14 +617,18 @@ fn blocking_under_lock_accepts_dropped_guard_and_inline_allow() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn ctx_propagation_flags_unused_deadline_on_blocking_path() {
-    let bad = file(
-        "crates/app/src/ctx.rs",
-        "pub fn run_fix(d: Deadline, t: Duration) { sleep(t); }\n",
-    );
-    let f = lint(&[bad]);
-    assert_eq!(rules(&f), vec![Rule::ContextPropagation], "{f:?}");
-    assert!(f[0].message.contains("Deadline"), "{:?}", f[0]);
+fn ctx_propagation_flags_unused_ctx_on_blocking_path() {
+    // A `CallPolicy` carries the job's Deadline and TraceCtx, so
+    // dropping one on a blocking path loses both.
+    for ty in ["Deadline", "CallPolicy"] {
+        let bad = file(
+            "crates/app/src/ctx.rs",
+            &format!("pub fn run_fix(d: {ty}, t: Duration) {{ sleep(t); }}\n"),
+        );
+        let f = lint(&[bad]);
+        assert_eq!(rules(&f), vec![Rule::ContextPropagation], "{f:?}");
+        assert!(f[0].message.contains(ty), "{:?}", f[0]);
+    }
 }
 
 #[test]

@@ -27,30 +27,12 @@ cargo build --workspace --all-features -q
 # --workspace: the root is itself a package, so a bare `cargo test`
 # would run only its suites and skip every crate's own (the scan
 # differentials, the recorder golden log, the connector integration
-# suites, the fabriclint fixtures, the bench acceptance tests).
+# suites, the fabriclint fixtures, the bench acceptance tests). The
+# root's own suites are the gates for fault tolerance (chaos), grey
+# failures (resilience), the Tuple Mover (tuple_mover) and the elastic
+# cluster (rebalance); they run here once, not again by name.
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
-
-# The seeded chaos schedules are the fault-tolerance gate; run them
-# explicitly so a filtered test run cannot silently skip them.
-echo "== cargo test -q --test chaos"
-cargo test -q --test chaos
-
-# Same for the grey-failure defenses: breaker state machine, admission
-# shedding, deadline fast-fail, and counter surfacing.
-echo "== cargo test -q --test resilience"
-cargo test -q --test resilience
-
-# The Tuple Mover gate: moveout/mergeout invisibility differentials,
-# stats parity with COPY, dc_tuple_mover/tm.* surfacing, and the
-# background-mover lock-order witness run.
-echo "== cargo test -q --test tuple_mover"
-cargo test -q --test tuple_mover
-
-# The elastic-cluster gate: seeded node-add/remove/rolling-upgrade
-# chaos schedules with epoch-pinned reads across the map flip.
-echo "== cargo test -q --test rebalance"
-cargo test -q --test rebalance
 
 # Static-vs-dynamic lock-order diff: the suites above exported their
 # runtime-witnessed acquisition edges (target/lockwitness-*.edges);

@@ -76,7 +76,6 @@ fn breaker_state_machine_property_sweep() {
             failure_threshold: 3,
             open_cooldown: Duration::from_millis(3),
             half_open_probes: 2,
-            ..HealthConfig::default()
         };
         let cooldown = cfg.open_cooldown;
         let tracker = HealthTracker::with_config(1, cfg);
@@ -127,7 +126,6 @@ fn open_breaker_rejects_throughout_cooldown() {
         failure_threshold: 2,
         open_cooldown: Duration::from_millis(20),
         half_open_probes: 1,
-        ..HealthConfig::default()
     };
     let tracker = HealthTracker::with_config(1, cfg);
     tracker.record_failure(0);
@@ -145,6 +143,22 @@ fn open_breaker_rejects_throughout_cooldown() {
     std::thread::sleep(Duration::from_millis(10));
     assert!(tracker.acquire(0), "probe admitted after the cooldown");
     assert_eq!(tracker.state(0), BreakerState::HalfOpen);
+}
+
+/// Health slots follow elastic membership: a node added after the
+/// cluster's tracker was created gets a breaker of its own instead of
+/// sharing (and tripping) the last original node's.
+#[test]
+fn tracker_grows_with_added_nodes() {
+    let db = Cluster::new(ClusterConfig::default());
+    let tracker = connector::health::tracker_for(&db);
+    let added = db.add_node().unwrap();
+    assert_eq!(added, 4);
+    for _ in 0..3 {
+        tracker.record_failure(added);
+    }
+    assert_eq!(tracker.state(3), BreakerState::Closed);
+    assert_eq!(tracker.state(added), BreakerState::Open);
 }
 
 // ---------------------------------------------------------------------
@@ -272,22 +286,20 @@ fn resilience_counters_surface_in_dc_counters() {
     assert!(tracker.acquire(1), "probe"); // breaker.half_open
     tracker.record_success(1, Duration::from_micros(90)); // breaker.close
 
-    // hedge.*: a stalled primary forces a buddy launch that wins.
+    // hedge.*: a stalled primary forces a buddy launch that wins (the
+    // fixed 5ms delay applies although the tracker has no P99 yet).
+    let opts = ConnectorOptions::builder("t")
+        .hedge_delay_ms(5)
+        .build()
+        .unwrap();
+    let policy = connector::CallPolicy::for_job(&db, &opts);
     let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
         if node == 0 {
             std::thread::sleep(Duration::from_millis(40));
         }
         Ok(node)
     });
-    let got = connector::health::hedged_read(
-        "resilience.probe",
-        Duration::from_millis(5),
-        0,
-        1,
-        obs::TraceCtx::NONE,
-        run,
-    )
-    .unwrap();
+    let got = policy.read(&db, "resilience.probe", &[0, 1], run).unwrap();
     assert_eq!(got, 1, "buddy won the hedge");
 
     // shed.*: a zero-queue pool with its slot held sheds the next admit.
@@ -297,13 +309,17 @@ fn resilience_counters_surface_in_dc_counters() {
     drop(held);
 
     // deadline.*: an already-expired budget fails before attempt one.
-    let r: ConnectorResult<()> = connector::with_retry_deadline(
-        &connector::RetryPolicy::default(),
-        Some(connector::Deadline::within(Duration::ZERO)),
-        "resilience.deadline",
-        |_| Ok(()),
-    );
-    assert!(matches!(r, Err(ConnectorError::DeadlineExceeded { .. })));
+    let opts = ConnectorOptions::builder("t")
+        .deadline_ms(1)
+        .build()
+        .unwrap();
+    let policy = connector::CallPolicy::for_job(&db, &opts);
+    std::thread::sleep(Duration::from_millis(2));
+    let r: ConnectorResult<()> = policy.run("resilience.deadline", |_| Ok(()));
+    assert!(matches!(
+        r,
+        Err(ConnectorError::DeadlineExceeded { attempts: 0, .. })
+    ));
 
     let mut s = db.connect(0).unwrap();
     let counters = s
