@@ -25,9 +25,9 @@
 //!    committer cannot commit twice.
 //!
 //! In overwrite mode the final commit is the atomic swap of staging
-//! into target (charged to the cost model as a constant-time rename);
-//! in append mode it copies the staging rows (the slower path the
-//! paper's Sec. 5 discusses).
+//! into target (the target adopts the staged containers; charged to the
+//! cost model as a constant-time rename); in append mode it copies the
+//! staging rows (the slower path the paper's Sec. 5 discusses).
 //!
 //! Every database touchpoint — the driver's setup/wrap-up and each
 //! phase — runs on a retrying, failing-over connection
@@ -679,12 +679,30 @@ fn run_task_phases(
     };
 
     // ----- Phase 1: save into staging + conditional done flag --------
+    // Whether an earlier run of this phase may already have saved the
+    // partition: a rescheduled or speculative attempt, or (from its
+    // second pass on) a connection-level retry of this one.
+    let mut maybe_saved = tc.attempt > 1 || tc.speculative;
     conn.run("s2v.phase1", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase1", e);
         let span = obs::global().span_start("s2v.phase1", tc.trace);
         session.set_trace(span);
         let started = Instant::now();
         let node = session.node();
+        // A duplicate of a partition that is already saved skips the
+        // encode and the COPY. This snapshot read only saves work; the
+        // guard is the conditional flip inside the transaction below.
+        if std::mem::replace(&mut maybe_saved, true) && task_done(session, tables, p).map_err(db)? {
+            mark(
+                span,
+                1,
+                node,
+                started,
+                false,
+                format!("phase 1 duplicate of {p}, nothing loaded"),
+            );
+            return Ok(());
+        }
         session.begin().map_err(db)?;
         match phase1_save(
             cluster,
@@ -898,9 +916,10 @@ fn run_task_phases(
 
         // Commit staging into target. Overwrite is the atomic swap (a
         // constant-time rename in the paper; realized here as a
-        // transactional replace with the physical row copy muted in the
-        // cost log and charged as a rename); append copies for real —
-        // the slower path Sec. 5 discusses.
+        // transactional replace in which the target adopts the staged
+        // storage containers — no row is read or copied — charged to the
+        // cost log as a rename); append copies for real — the slower
+        // path Sec. 5 discusses.
         match mode {
             SaveMode::Append => {
                 let staging_rows = session
@@ -920,13 +939,12 @@ fn run_task_phases(
                     .recorder()
                     .setup(Some(p as u64), NodeRef::Db(node), "s2v_atomic_rename");
                 let _mute = cluster.recorder().mute();
-                let staging_rows = session
-                    .query(&QuerySpec::scan(&tables.staging))
-                    .map_err(db)?;
                 session
                     .execute(&format!("DELETE FROM {target}"))
                     .map_err(db)?;
-                session.insert(target, staging_rows.rows).map_err(db)?;
+                session
+                    .insert_from_table(target, &tables.staging)
+                    .map_err(db)?;
             }
         }
         session
@@ -952,6 +970,22 @@ fn run_task_phases(
         obs::global().add("s2v.final_commits", 1);
         Ok(TaskEnd::Committed { loaded, rejected })
     })
+}
+
+/// Task `p`'s done flag in the status table.
+fn task_done(session: &mut Session, tables: &JobTables, p: usize) -> DbResult<bool> {
+    let done = session
+        .execute(&format!(
+            "SELECT done FROM {} WHERE task_id = {p}",
+            tables.status
+        ))?
+        .rows()?;
+    match done.rows.first() {
+        Some(row) => Ok(row.get(0) == &Value::Boolean(true)),
+        None => Err(DbError::Execution(format!(
+            "status row for task {p} missing"
+        ))),
+    }
 }
 
 /// Phase 1 body (inside an open transaction): encode, ship, COPY, and
@@ -1018,18 +1052,7 @@ fn phase1_save(
         .replace('\'', "''");
 
     // Conditional flip of the done flag (the duplicate-save guard).
-    let done = session
-        .execute(&format!(
-            "SELECT done FROM {} WHERE task_id = {p}",
-            tables.status
-        ))?
-        .rows()?;
-    if done.rows.is_empty() {
-        return Err(DbError::Execution(format!(
-            "status row for task {p} missing"
-        )));
-    }
-    if done.rows[0].get(0) == &Value::Boolean(true) {
+    if task_done(session, tables, p)? {
         return Ok(false);
     }
     session.execute(&format!(

@@ -30,6 +30,11 @@ pub struct TableDef {
     /// Temp tables are bookkeeping objects (e.g. S2V staging/status
     /// tables); they behave like tables but are flagged in the catalog.
     pub is_temp: bool,
+    /// Version of the segment map that was authoritative when the
+    /// cluster created the table. While it is still the newest version
+    /// and no rebalance is pending, every row of the table sits where
+    /// an insert would place it now.
+    pub map_version: u64,
 }
 
 impl TableDef {
@@ -63,6 +68,7 @@ impl TableDef {
             segmentation,
             seg_columns,
             is_temp: false,
+            map_version: 0,
         })
     }
 

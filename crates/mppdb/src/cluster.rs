@@ -19,7 +19,7 @@ use crate::resource::ResourcePool;
 use crate::segmentation::{merge_ranges, HashRange, SegmentMap};
 use crate::session::Session;
 use crate::sql::ast::SelectStmt;
-use crate::storage::store::RowLoc;
+use crate::storage::store::{HandOver, RowLoc};
 use crate::storage::{BatchScan, NodeTableStore, StorageStats};
 use crate::txn::{LockManager, LockMode, TxnHandle};
 use crate::udf::ScalarUdf;
@@ -570,8 +570,9 @@ impl Cluster {
     // ----- DDL ------------------------------------------------------
 
     /// Create a table cluster-wide.
-    pub fn create_table(&self, def: TableDef) -> DbResult<()> {
+    pub fn create_table(&self, mut def: TableDef) -> DbResult<()> {
         let mut catalog = self.catalog.write();
+        def.map_version = self.segment_map().version();
         let columns = def.schema.len();
         let name = def.name.clone();
         catalog.create_table(def)?;
@@ -785,8 +786,13 @@ impl Cluster {
                         }
                     }
                 }
-                for target in targets {
-                    batches[target].push((row.clone(), h));
+                // The row moves into its last target: only replication
+                // and dual-writes pay for copies.
+                if let Some((&last, rest)) = targets.split_last() {
+                    for &t in rest {
+                        batches[t].push((row.clone(), h));
+                    }
+                    batches[last].push((row, h));
                 }
             } else {
                 // Unsegmented: replicate to every live slot (retired
@@ -845,6 +851,89 @@ impl Cluster {
             }
         }
         Ok(n)
+    }
+
+    /// `INSERT INTO target SELECT * FROM source` at container
+    /// granularity: stage every row of `source` visible to the
+    /// transaction into `target`. Returns the (logical) rows inserted.
+    ///
+    /// When every source row already sits where [`Cluster::insert_rows`]
+    /// would place it now, each live node's target store *adopts* its own
+    /// source store's contents — ROS payloads by reference, WOS rows with
+    /// their stored hash — and no row is decoded, hashed or routed. That
+    /// holds when the two tables are segmented alike over the same
+    /// schema, the segment map has not changed since the source was
+    /// created, and no rebalance is pending; the pending-rebalance lock
+    /// is held across the adoption, so none can begin under it. Otherwise
+    /// the same rows go through `insert_rows`, which routes (and
+    /// dual-writes) them under the maps in force now.
+    pub(crate) fn insert_from_table(
+        &self,
+        txn: &mut TxnHandle,
+        initiator: usize,
+        task: Option<u64>,
+        target: &str,
+        source: &str,
+    ) -> DbResult<u64> {
+        let target_def = self.table_def(target)?;
+        let source_def = self.table_def(source)?;
+        self.lock_table(txn, &source_def.name, LockMode::Shared)?;
+        self.lock_table(txn, &target_def.name, LockMode::Shared)?;
+        let as_of = self.current_epoch();
+
+        let pending = self.rebalance.pending.lock();
+        let map = self.segment_map();
+        let placed_alike = pending.is_none()
+            && source_def.map_version == map.version()
+            && source_def.schema == target_def.schema
+            && source_def.seg_columns == target_def.seg_columns
+            && source_def.is_segmented() == target_def.is_segmented();
+        if !placed_alike {
+            drop(pending);
+            let rows = self.scan_primary_live(&source_def, as_of, Some(txn.id))?;
+            return self.insert_rows(txn, initiator, task, &target_def.name, rows, false);
+        }
+
+        txn.touched.insert(target_def.name.clone());
+        let mut inserted = 0u64;
+        // Replicas of an unsegmented table must agree on scan order (row
+        // windows are served from any of them), so every node adopts the
+        // first live replica's contents rather than its own.
+        let mut replica: Option<HandOver> = None;
+        for (node, state) in self.node_states().iter().enumerate() {
+            if state.retired.load(Ordering::Acquire) {
+                continue;
+            }
+            if !self.is_node_up(node) {
+                // The rule `delete_where` applies: recovery rebuilds a
+                // dead replica from a live copy, which a segmented k=0
+                // member does not have.
+                if target_def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
+                    return Err(DbError::NodeUnavailable(node));
+                }
+                continue;
+            }
+            let mut stores = state.stores.write();
+            let contents = match (&replica, stores.get(&source_def.name)) {
+                (Some(first), _) => first.clone(),
+                (None, Some(store)) => store.hand_over(as_of, Some(txn.id)),
+                (None, None) => continue,
+            };
+            if target_def.is_segmented() {
+                inserted += contents
+                    .hashes()
+                    .filter(|&h| self.is_live_primary(&target_def, &map, node, h))
+                    .count() as u64;
+            } else if replica.is_none() {
+                inserted = contents.hashes().count() as u64;
+                replica = Some(contents.clone());
+            }
+            stores
+                .get_mut(&target_def.name)
+                .ok_or_else(|| DbError::UnknownTable(target_def.name.clone()))?
+                .adopt_pending(contents, txn.id);
+        }
+        Ok(inserted)
     }
 
     /// Whether `node` is the primary of a row with segmentation hash
@@ -948,24 +1037,26 @@ impl Cluster {
             // Match against every replica — buddy copies AND any copy a
             // pending rebalance already staged on its target must be
             // deleted too, but only primaries count.
-            // Rows are borrowed in place — matching never clones them.
+            // Rows are borrowed in place — matching never clones them —
+            // and without a predicate no row is decoded at all.
             let mut matched: Vec<(RowLoc, bool)> = Vec::new();
+            let mut hit = |loc, hash| {
+                matched.push((loc, self.is_live_primary(&def, &map, node, hash)));
+            };
             let scan = BatchScan {
                 as_of,
                 my_txn: Some(txn.id),
                 ..BatchScan::default()
             };
-            store
-                .for_each_visible(&scan, |loc, row, hash| {
-                    let hit = match predicate {
-                        Some(p) => p.matches(row).unwrap_or(false),
-                        None => true,
-                    };
-                    if hit {
-                        matched.push((loc, self.is_live_primary(&def, &map, node, hash)));
+            match predicate {
+                Some(p) => store.for_each_visible(&scan, |loc, row, hash| {
+                    if p.matches(row).unwrap_or(false) {
+                        hit(loc, hash);
                     }
-                })
-                .map_err(DbError::Data)?;
+                }),
+                None => store.for_each_visible_loc(&scan, hit),
+            }
+            .map_err(DbError::Data)?;
             drop(stores);
             let locs: Vec<RowLoc> = matched.iter().map(|(l, _)| *l).collect();
             deleted += matched.iter().filter(|(_, primary)| *primary).count() as u64;

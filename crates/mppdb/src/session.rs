@@ -197,6 +197,17 @@ impl Session {
         })
     }
 
+    /// Insert every row of `source` into `target`: the hand-over a bulk
+    /// load's final commit uses. Where the two tables' rows are placed
+    /// alike the target adopts the source's storage containers instead
+    /// of copying rows ([`Cluster::insert_from_table`]); the source is
+    /// left as it was either way.
+    pub fn insert_from_table(&mut self, target: &str, source: &str) -> DbResult<u64> {
+        self.with_txn(|cluster, txn, node, tag| {
+            cluster.insert_from_table(txn, node, tag, target, source)
+        })
+    }
+
     /// Bulk load (the COPY utility).
     pub fn copy(
         &mut self,

@@ -1,6 +1,8 @@
 //! The per-node, per-table MVCC store: WOS + ROS with pending-until-
 //! commit visibility and delete vectors.
 
+use std::sync::Arc;
+
 use common::agg::{AggFunc, GroupedAccs};
 use common::expr::BinaryOp;
 use common::{DataType, Expr, Result, Row, Value};
@@ -66,25 +68,88 @@ struct WosRow {
     delete: DeleteState,
 }
 
+/// The row data of a ROS container: what a load sorted and encoded.
+/// Never mutated after [`RosPayload::build`], so a hand-over
+/// ([`NodeTableStore::adopt_pending`]) shares it between tables by
+/// reference count; every operation that changes a container's rows
+/// (mergeout, `remove_hash_range`) builds a new payload and leaves the
+/// shared one as it was.
+#[derive(Debug)]
+struct RosPayload {
+    columns: Vec<EncodedColumn>,
+    hashes: Vec<u64>,
+}
+
+impl RosPayload {
+    /// The one ROS creation path: statistics from the raw column
+    /// vectors, then encoding.
+    fn build(
+        column_values: Vec<Vec<Value>>,
+        hashes: Vec<u64>,
+    ) -> (Arc<RosPayload>, ContainerStats) {
+        let stats = ContainerStats::compute(&column_values, &hashes);
+        let columns = column_values
+            .into_iter()
+            // Data type is only advisory for encoding choice.
+            .map(|vals| encode_auto(&vals, DataType::Varchar))
+            .collect();
+        (Arc::new(RosPayload { columns, hashes }), stats)
+    }
+}
+
+/// A ROS container: a (possibly shared) payload, its statistics, and
+/// this table's own per-row visibility.
 #[derive(Debug)]
 struct RosContainer {
     id: u64,
-    columns: Vec<EncodedColumn>,
-    hashes: Vec<u64>,
+    payload: Arc<RosPayload>,
+    /// Zone maps, null counts, and NDV sketches computed with the
+    /// payload and as immutable: a superset description of the rows any
+    /// snapshot of any table holding the payload can see. Kept beside
+    /// the visibility vectors, not behind the payload's pointer: a scan
+    /// that skips the container by its zone maps touches nothing else.
+    stats: ContainerStats,
     commits: Vec<CommitState>,
     deletes: Vec<DeleteState>,
-    /// Zone maps, null counts, and NDV sketches computed at creation;
-    /// immutable for the container's lifetime.
-    stats: ContainerStats,
 }
 
 impl RosContainer {
     fn row(&self, idx: usize) -> Row {
-        Row::new(self.columns.iter().map(|c| c.get(idx)).collect())
+        Row::new(self.payload.columns.iter().map(|c| c.get(idx)).collect())
     }
 
     fn len(&self) -> usize {
-        self.hashes.len()
+        self.commits.len()
+    }
+}
+
+/// Delete state of a payload row the adopting table never held: deleted
+/// before the first commit epoch, so invisible at every snapshot and to
+/// every transaction.
+const NEVER_VISIBLE: DeleteState = DeleteState::Committed(0);
+
+/// What one store hands over to another: the payloads holding its
+/// visible ROS rows, each with its statistics and the delete vector the
+/// adopter starts from, and its visible WOS rows with their stored
+/// hashes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct HandOver {
+    containers: Vec<(Arc<RosPayload>, ContainerStats, Vec<DeleteState>)>,
+    wos: Vec<(Row, u64)>,
+}
+
+impl HandOver {
+    /// Segmentation hashes of the rows handed over.
+    pub(crate) fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
+        let ros = self.containers.iter().flat_map(|(payload, _, deletes)| {
+            payload
+                .hashes
+                .iter()
+                .zip(deletes)
+                .filter(|(_, d)| **d == DeleteState::NotDeleted)
+                .map(|(h, _)| *h)
+        });
+        ros.chain(self.wos.iter().map(|(_, h)| *h))
     }
 }
 
@@ -342,11 +407,13 @@ fn apply_filter(
                 Ok(Vec::new())
             }
         }
-        [single] => filter_single_column(&c.columns[*single], *single, expr, scratch, &sel, n),
+        [single] => {
+            filter_single_column(&c.payload.columns[*single], *single, expr, scratch, &sel, n)
+        }
         multi => {
             let gathered: Vec<Vec<Value>> = multi
                 .iter()
-                .map(|&ci| c.columns[ci].gather_sorted(&sel))
+                .map(|&ci| c.payload.columns[ci].gather_sorted(&sel))
                 .collect();
             n.decoded += (gathered.len() * sel.len()) as u64;
             let mut kept = Vec::with_capacity(sel.len());
@@ -392,14 +459,14 @@ struct BatchSink<'a> {
 impl ScanSink for BatchSink<'_> {
     fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
         for (out_c, &table_c) in self.projection.iter().enumerate() {
-            let values = c.columns[table_c].gather_sorted(sel);
+            let values = c.payload.columns[table_c].gather_sorted(sel);
             *decoded += values.len() as u64;
             for v in values {
                 self.batch.push(out_c, v)?;
             }
         }
         for &p in sel {
-            self.batch.push_hash(c.hashes[p as usize]);
+            self.batch.push_hash(c.payload.hashes[p as usize]);
         }
         Ok(())
     }
@@ -491,7 +558,7 @@ impl ScanSink for AggSink<'_> {
         let gathered: Vec<(usize, Vec<Value>)> = self
             .needed
             .iter()
-            .map(|&ci| (ci, c.columns[ci].gather_sorted(sel)))
+            .map(|&ci| (ci, c.payload.columns[ci].gather_sorted(sel)))
             .collect();
         *decoded += (gathered.len() * sel.len()) as u64;
         for k in 0..sel.len() {
@@ -516,6 +583,7 @@ struct VisitSink<F>(F);
 impl<F: FnMut(RowLoc, &Row, u64)> ScanSink for VisitSink<F> {
     fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
         let mut column_values: Vec<std::vec::IntoIter<Value>> = c
+            .payload
             .columns
             .iter()
             .map(|col| col.gather_sorted(sel).into_iter())
@@ -535,13 +603,35 @@ impl<F: FnMut(RowLoc, &Row, u64)> ScanSink for VisitSink<F> {
                 container: c.id,
                 idx: idx as usize,
             };
-            (self.0)(loc, &row, c.hashes[idx as usize]);
+            (self.0)(loc, &row, c.payload.hashes[idx as usize]);
         }
         Ok(())
     }
 
     fn wos(&mut self, loc: RowLoc, row: &Row, hash: u64) -> Result<()> {
         (self.0)(loc, row, hash);
+        Ok(())
+    }
+}
+
+/// Call a visitor with every survivor's location and hash; decodes
+/// nothing.
+struct LocSink<F>(F);
+
+impl<F: FnMut(RowLoc, u64)> ScanSink for LocSink<F> {
+    fn ros(&mut self, c: &RosContainer, sel: &[u32], _decoded: &mut u64) -> Result<()> {
+        for &idx in sel {
+            let loc = RowLoc::Ros {
+                container: c.id,
+                idx: idx as usize,
+            };
+            (self.0)(loc, c.payload.hashes[idx as usize]);
+        }
+        Ok(())
+    }
+
+    fn wos(&mut self, loc: RowLoc, _row: &Row, hash: u64) -> Result<()> {
+        (self.0)(loc, hash);
         Ok(())
     }
 }
@@ -651,24 +741,75 @@ impl NodeTableStore {
                 column_values[c].push(v);
             }
         }
-        let stats = ContainerStats::compute(&column_values, &hashes);
-        let columns = column_values
-            .into_iter()
-            .map(|vals| {
-                // Data type is only advisory for encoding choice.
-                encode_auto(&vals, common::DataType::Varchar)
-            })
-            .collect();
+        self.push_container(
+            RosPayload::build(column_values, hashes),
+            vec![CommitState::Pending(txn); n],
+            vec![DeleteState::NotDeleted; n],
+        );
+    }
+
+    /// Append a container under the next id.
+    fn push_container(
+        &mut self,
+        (payload, stats): (Arc<RosPayload>, ContainerStats),
+        commits: Vec<CommitState>,
+        deletes: Vec<DeleteState>,
+    ) {
         let id = self.next_container_id;
         self.next_container_id += 1;
         self.ros.push(RosContainer {
             id,
-            columns,
-            hashes,
+            payload,
             stats,
-            commits: vec![CommitState::Pending(txn); n],
-            deletes: vec![DeleteState::NotDeleted; n],
+            commits,
+            deletes,
         });
+    }
+
+    /// Everything in this store visible at `as_of` (plus `my_txn`'s own
+    /// pending work), for another table's store to adopt: each ROS
+    /// container with a visible row contributes its payload by
+    /// reference (and a copy of its statistics), rows this snapshot
+    /// cannot see marked [`NEVER_VISIBLE`]; WOS rows are cloned with
+    /// their stored hash. Costs O(visibility vectors + WOS rows): no
+    /// column is decoded.
+    pub(crate) fn hand_over(&self, as_of: u64, my_txn: Option<u64>) -> HandOver {
+        let mut out = HandOver::default();
+        for c in &self.ros {
+            let deletes: Vec<DeleteState> = (0..c.len())
+                .map(|i| {
+                    if row_visible(c.commits[i], c.deletes[i], as_of, my_txn) {
+                        DeleteState::NotDeleted
+                    } else {
+                        NEVER_VISIBLE
+                    }
+                })
+                .collect();
+            if deletes.contains(&DeleteState::NotDeleted) {
+                out.containers
+                    .push((Arc::clone(&c.payload), c.stats.clone(), deletes));
+            }
+        }
+        for r in &self.wos {
+            if row_visible(r.commit, r.delete, as_of, my_txn) {
+                out.wos.push((r.row.clone(), r.hash));
+            }
+        }
+        out
+    }
+
+    /// Stage handed-over contents under an open transaction: one new
+    /// container per payload, sharing it, with this table's own
+    /// `Pending(txn)` commit vector; WOS rows land in the WOS. Commit
+    /// stamps them like any staged insert; abort drops only this
+    /// store's references.
+    pub(crate) fn adopt_pending(&mut self, contents: HandOver, txn: u64) {
+        for (payload, stats, deletes) in contents.containers {
+            debug_assert_eq!(payload.columns.len(), self.column_count);
+            let commits = vec![CommitState::Pending(txn); deletes.len()];
+            self.push_container((payload, stats), commits, deletes);
+        }
+        self.insert_pending(contents.wos, txn);
     }
 
     /// Stage deletes for the given row locations.
@@ -724,22 +865,18 @@ impl NodeTableStore {
                 r.delete = DeleteState::NotDeleted;
             }
         }
+        // Containers staged by the txn: all rows pending. Mixed
+        // containers cannot occur (a container is created whole). An
+        // adopted container gives up only its reference to the payload.
+        self.ros
+            .retain(|c| c.commits.first() != Some(&CommitState::Pending(txn)));
         for c in &mut self.ros {
-            // Containers staged by the txn: all rows pending. Mixed
-            // containers cannot occur (a container is created whole).
-            if c.commits.first() == Some(&CommitState::Pending(txn)) {
-                c.hashes.clear();
-                c.commits.clear();
-                c.deletes.clear();
-                c.columns = Vec::new();
-            }
             for s in &mut c.deletes {
                 if *s == DeleteState::Pending(txn) {
                     *s = DeleteState::NotDeleted;
                 }
             }
         }
-        self.ros.retain(|c| !c.hashes.is_empty());
     }
 
     /// Scan rows visible at `as_of` (plus `my_txn`'s own pending work),
@@ -765,7 +902,7 @@ impl NodeTableStore {
                 if !row_visible(c.commits[idx], c.deletes[idx], as_of, my_txn) {
                     continue;
                 }
-                let h = c.hashes[idx];
+                let h = c.payload.hashes[idx];
                 if let Some(r) = hash_range {
                     if !r.contains(h) {
                         continue;
@@ -864,12 +1001,13 @@ impl NodeTableStore {
             }
             // Stage 1+2: selection vector only, no column touched.
             let mut sel: Vec<u32> = Vec::new();
-            for idx in 0..c.len() {
-                if !row_visible(c.commits[idx], c.deletes[idx], scan.as_of, scan.my_txn) {
+            let rows = c.commits.iter().zip(&c.deletes).zip(&c.payload.hashes);
+            for (idx, ((&commit, &delete), &hash)) in rows.enumerate() {
+                if !row_visible(commit, delete, scan.as_of, scan.my_txn) {
                     continue;
                 }
                 n.examined += 1;
-                if in_piece(c.hashes[idx]) {
+                if in_piece(hash) {
                     sel.push(idx as u32);
                 }
             }
@@ -996,6 +1134,17 @@ impl NodeTableStore {
         self.scan_with(scan, &mut VisitSink(f))
     }
 
+    /// [`NodeTableStore::for_each_visible`] for visitors that need only
+    /// where the survivors are: no column of a survivor is decoded, so
+    /// a scan without a predicate costs O(visibility vectors).
+    pub fn for_each_visible_loc(
+        &self,
+        scan: &BatchScan<'_>,
+        f: impl FnMut(RowLoc, u64),
+    ) -> Result<ScanCounters> {
+        self.scan_with(scan, &mut LocSink(f))
+    }
+
     /// Estimated rows a scan of this store leaves after filtering, from
     /// container stats alone: containers the zone maps disqualify
     /// contribute zero, the rest their row count scaled by the
@@ -1023,7 +1172,12 @@ impl NodeTableStore {
             .map(|c| ContainerInfo {
                 id: c.id,
                 row_count: c.stats.row_count,
-                encodings: c.columns.iter().map(|col| col.encoding_name()).collect(),
+                encodings: c
+                    .payload
+                    .columns
+                    .iter()
+                    .map(|col| col.encoding_name())
+                    .collect(),
                 columns: c.stats.columns.clone(),
             })
             .collect()
@@ -1059,21 +1213,7 @@ impl NodeTableStore {
                 column_values[c].push(v.clone());
             }
         }
-        let stats = ContainerStats::compute(&column_values, &hashes);
-        let columns = column_values
-            .into_iter()
-            .map(|vals| encode_auto(&vals, common::DataType::Varchar))
-            .collect();
-        let id = self.next_container_id;
-        self.next_container_id += 1;
-        self.ros.push(RosContainer {
-            id,
-            columns,
-            hashes,
-            stats,
-            commits,
-            deletes,
-        });
+        self.push_container(RosPayload::build(column_values, hashes), commits, deletes);
         // Drop moved rows from the WOS (keep pending ones).
         let mut keep = Vec::with_capacity(self.wos.len() - n);
         for (i, r) in self.wos.drain(..).enumerate() {
@@ -1168,25 +1308,20 @@ impl NodeTableStore {
             .collect();
         for c in &inputs {
             let sel: Vec<u32> = (0..c.len() as u32).collect();
-            for (col, vals) in c.columns.iter().zip(column_values.iter_mut()) {
+            for (col, vals) in c.payload.columns.iter().zip(column_values.iter_mut()) {
                 vals.extend(col.gather_sorted(&sel));
             }
-            hashes.extend_from_slice(&c.hashes);
+            hashes.extend_from_slice(&c.payload.hashes);
             commits.extend_from_slice(&c.commits);
             deletes.extend_from_slice(&c.deletes);
         }
-        let stats = ContainerStats::compute(&column_values, &hashes);
-        let columns = column_values
-            .into_iter()
-            .map(|vals| encode_auto(&vals, common::DataType::Varchar))
-            .collect();
         outcome.merges += 1;
         outcome.containers_in += inputs.len();
         outcome.rows += n;
+        let (payload, stats) = RosPayload::build(column_values, hashes);
         out.push(RosContainer {
             id: inputs[0].id,
-            columns,
-            hashes,
+            payload,
             stats,
             commits,
             deletes,
@@ -1200,10 +1335,10 @@ impl NodeTableStore {
         let mut out = Vec::new();
         for c in &self.ros {
             for idx in 0..c.len() {
-                if hash_range.is_none_or(|r| r.contains(c.hashes[idx])) {
+                if hash_range.is_none_or(|r| r.contains(c.payload.hashes[idx])) {
                     out.push(ExportedRow {
                         row: c.row(idx),
-                        hash: c.hashes[idx],
+                        hash: c.payload.hashes[idx],
                         commit: c.commits[idx],
                         delete: c.deletes[idx],
                     });
@@ -1268,27 +1403,15 @@ impl NodeTableStore {
                 column_values[c].push(v);
             }
         }
-        let stats = ContainerStats::compute(&column_values, &hashes);
-        let columns = column_values
-            .into_iter()
-            .map(|vals| encode_auto(&vals, common::DataType::Varchar))
-            .collect();
-        let id = self.next_container_id;
-        self.next_container_id += 1;
-        self.ros.push(RosContainer {
-            id,
-            columns,
-            hashes,
-            stats,
-            commits,
-            deletes,
-        });
+        self.push_container(RosPayload::build(column_values, hashes), commits, deletes);
     }
 
     /// Drop every row (WOS and ROS) whose hash falls in `range`. ROS
     /// containers that lose rows are rebuilt in place — same id, same
-    /// position, statistics recomputed through the [`ContainerStats`]
-    /// path — so surviving data stays zone-map-skippable. Used by the
+    /// position, a new payload with statistics recomputed through the
+    /// [`ContainerStats`] path — so surviving data stays
+    /// zone-map-skippable and a payload shared with another table is
+    /// left as it was. Used by the
     /// rebalancer to make a re-copy idempotent: clearing the target
     /// range before landing the export means a resumed migration can
     /// never double-count rows.
@@ -1298,7 +1421,7 @@ impl NodeTableStore {
         let mut out = Vec::with_capacity(ros.len());
         for c in ros {
             let keep: Vec<u32> = (0..c.len() as u32)
-                .filter(|&i| !range.contains(c.hashes[i as usize]))
+                .filter(|&i| !range.contains(c.payload.hashes[i as usize]))
                 .collect();
             if keep.len() == c.len() {
                 out.push(c);
@@ -1312,24 +1435,20 @@ impl NodeTableStore {
             let mut commits = Vec::with_capacity(keep.len());
             let mut deletes = Vec::with_capacity(keep.len());
             for &i in &keep {
-                hashes.push(c.hashes[i as usize]);
+                hashes.push(c.payload.hashes[i as usize]);
                 commits.push(c.commits[i as usize]);
                 deletes.push(c.deletes[i as usize]);
             }
             let column_values: Vec<Vec<Value>> = c
+                .payload
                 .columns
                 .iter()
                 .map(|col| col.gather_sorted(&keep))
                 .collect();
-            let stats = ContainerStats::compute(&column_values, &hashes);
-            let columns = column_values
-                .into_iter()
-                .map(|vals| encode_auto(&vals, common::DataType::Varchar))
-                .collect();
+            let (payload, stats) = RosPayload::build(column_values, hashes);
             out.push(RosContainer {
                 id: c.id,
-                columns,
-                hashes,
+                payload,
                 stats,
                 commits,
                 deletes,
@@ -1356,7 +1475,7 @@ impl NodeTableStore {
         let mut encoded = 0;
         for c in &self.ros {
             ros_rows += c.len();
-            for col in &c.columns {
+            for col in &c.payload.columns {
                 encoded += col.encoded_size();
             }
             for idx in 0..c.len() {
@@ -1487,6 +1606,110 @@ mod tests {
         s.insert_pending_direct(rows3(), 2);
         s.commit(2, 2);
         assert_eq!(s.scan(2, None, None).len(), 3);
+    }
+
+    /// `(id, hash)` of the rows visible at `as_of`, in scan order.
+    fn visible(s: &NodeTableStore, as_of: u64) -> Vec<(i64, u64)> {
+        s.scan(as_of, None, None)
+            .iter()
+            .map(|v| (v.row.get(0).as_i64().unwrap(), v.hash))
+            .collect()
+    }
+
+    #[test]
+    fn adopted_container_shares_the_payload_not_the_visibility() {
+        let mut src = NodeTableStore::new(2);
+        src.insert_pending_direct(rows3(), 1);
+        src.commit(1, 1);
+        // Row 2 is deleted in the source, a fourth row belongs to a
+        // transaction still open, a fifth sits in the WOS.
+        let second = src.scan(1, None, None)[1].loc;
+        src.delete_pending(&[second], 2);
+        src.commit(2, 2);
+        src.insert_pending_direct(vec![(row![4i64, "d"], 400)], 9);
+        src.insert_pending(vec![(row![5i64, "e"], 500)], 3);
+        src.commit(3, 3);
+
+        let mut dst = NodeTableStore::new(2);
+        dst.adopt_pending(src.hand_over(3, Some(7)), 7);
+        assert!(Arc::ptr_eq(&src.ros[0].payload, &dst.ros[0].payload));
+        assert_eq!(dst.ros.len(), 1, "txn 9's container holds nothing visible");
+        assert!(visible(&dst, u64::MAX).is_empty(), "pending until commit");
+        assert_eq!(dst.scan(3, Some(7), None).len(), 3, "read-your-writes");
+        dst.commit(7, 4);
+        assert_eq!(visible(&dst, 4), vec![(1, 100), (3, 300), (5, 500)]);
+        assert!(visible(&dst, 3).is_empty(), "not before its own commit");
+        assert_eq!(
+            visible(&dst, u64::MAX),
+            visible(&dst, 4),
+            "row 2 never appears"
+        );
+
+        // Deleting in the target leaves the source as it was, and the
+        // source's open transaction resolves without touching the target.
+        let first = dst.scan(4, None, None)[0].loc;
+        dst.delete_pending(&[first], 8);
+        dst.commit(8, 5);
+        src.commit(9, 6);
+        assert_eq!(
+            visible(&src, 6),
+            vec![(1, 100), (3, 300), (4, 400), (5, 500)]
+        );
+        assert_eq!(visible(&dst, 6), vec![(3, 300), (5, 500)]);
+    }
+
+    #[test]
+    fn aborted_adoption_drops_only_the_reference() {
+        let mut src = NodeTableStore::new(2);
+        src.insert_pending_direct(rows3(), 1);
+        src.commit(1, 1);
+        let mut dst = NodeTableStore::new(2);
+        dst.adopt_pending(src.hand_over(1, None), 7);
+        assert_eq!(Arc::strong_count(&src.ros[0].payload), 2);
+        dst.abort(7);
+        assert_eq!(dst.stats(), NodeTableStore::new(2).stats());
+        assert_eq!(Arc::strong_count(&src.ros[0].payload), 1);
+        assert_eq!(visible(&src, 1).len(), 3);
+        // The retry adopts again and commits.
+        dst.adopt_pending(src.hand_over(1, None), 8);
+        dst.commit(8, 2);
+        assert_eq!(visible(&dst, 2), visible(&src, 2));
+    }
+
+    #[test]
+    fn rewriting_a_sharing_container_copies_on_write() {
+        let mut src = NodeTableStore::new(2);
+        for (txn, base) in [(1u64, 0i64), (2, 10), (3, 20), (4, 30)] {
+            let rows = (0..3)
+                .map(|i| (row![base + i, "x"], (base + i) as u64 * 10))
+                .collect();
+            src.insert_pending_direct(rows, txn);
+            src.commit(txn, txn);
+        }
+        let mut dst = NodeTableStore::new(2);
+        dst.adopt_pending(src.hand_over(4, None), 5);
+        dst.commit(5, 5);
+        let (before, stats) = (visible(&src, 5), src.stats());
+        let infos = |s: &NodeTableStore| -> Vec<Vec<ColumnStats>> {
+            s.container_infos().into_iter().map(|c| c.columns).collect()
+        };
+        let zone_maps = infos(&src);
+
+        // The rebalancer clears a hash range of the target: rows 0..=11.
+        assert_eq!(dst.remove_hash_range(&HashRange::new(0, Some(115))), 5);
+        assert_eq!(visible(&dst, 5), before[5..].to_vec());
+        assert!(
+            !Arc::ptr_eq(&src.ros[1].payload, &dst.ros[0].payload),
+            "the container that lost rows got a payload of its own"
+        );
+        assert!(Arc::ptr_eq(&src.ros[2].payload, &dst.ros[1].payload));
+        // The mover compacts what is left of the target.
+        assert_eq!(dst.mergeout(2).merges, 1);
+        assert_eq!(visible(&dst, 5), before[5..].to_vec());
+
+        assert_eq!(visible(&src, 5), before, "source rows unchanged");
+        assert_eq!(src.stats(), stats, "source storage unchanged");
+        assert_eq!(infos(&src), zone_maps, "source statistics unchanged");
     }
 
     #[test]

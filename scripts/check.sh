@@ -34,6 +34,13 @@ cargo build --workspace --all-features -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The wall-clock benchmark is a package of its own, outside the
+# workspace: its tests run every workload at 1/100 scale against the
+# generator-side oracles, so a product change that breaks a benchmark
+# oracle fails here and not in the bench pipeline.
+echo "== cargo test (perfbench)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Static-vs-dynamic lock-order diff: the suites above exported their
 # runtime-witnessed acquisition edges (target/lockwitness-*.edges);
 # every witnessed edge must be derivable from source by the static

@@ -1,0 +1,114 @@
+//! The S2V overwrite's final commit hands the staged containers to the
+//! target (paper Sec. 3.2, Fig. 5 phase 5: the constant-time rename).
+//! What the whole pipeline must keep true around that hand-over.
+
+use vertica_spark_fabric::prelude::*;
+
+/// Both tests read process-wide obs counters, so they take turns.
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+fn setup() -> (SparkContext, std::sync::Arc<mppdb::Cluster>) {
+    let db = Cluster::new(ClusterConfig::default());
+    let ctx = SparkContext::new(SparkConf {
+        nodes: 4,
+        cores_per_node: 4,
+        max_task_attempts: 4,
+        thread_cap: 8,
+        speculation: false,
+        ..SparkConf::default()
+    });
+    DefaultSource::register(&ctx, db.clone());
+    (ctx, db)
+}
+
+fn schema() -> Schema {
+    Schema::from_pairs(&[("id", DataType::Int64), ("x", DataType::Float64)])
+}
+
+fn overwrite(ctx: &SparkContext, table: &str, ids: std::ops::Range<i64>, partitions: usize) {
+    let rows: Vec<Row> = ids.map(|i| row![i, i as f64]).collect();
+    ctx.create_dataframe(rows, schema(), partitions)
+        .unwrap()
+        .write()
+        .format(DEFAULT_SOURCE)
+        .options(
+            Options::new()
+                .with("table", table)
+                .with("numPartitions", partitions),
+        )
+        .mode(SaveMode::Overwrite)
+        .save()
+        .unwrap();
+}
+
+fn sorted_ids(rows: &[Row]) -> Vec<i64> {
+    let mut ids: Vec<i64> = rows.iter().map(|r| r.get(0).as_i64().unwrap()).collect();
+    ids.sort_unstable();
+    ids
+}
+
+#[test]
+fn a_load_pinned_before_an_overwrite_still_reads_the_old_table() {
+    let _serial = serial();
+    let (ctx, db) = setup();
+    overwrite(&ctx, "swapped", 0..300, 6);
+    let pinned = ctx
+        .read()
+        .format(DEFAULT_SOURCE)
+        .option("table", "swapped")
+        .option("numPartitions", 8)
+        .load()
+        .unwrap();
+
+    let before = obs::global().snapshot();
+    overwrite(&ctx, "swapped", 1000..1500, 6);
+    let delta = obs::global().snapshot().counters_since(&before);
+    // The overwrite moved no row through the WOS, so its commit owed no
+    // moveout, and the target holds exactly the staged containers.
+    assert_eq!(delta.get("tm.rows_moved").copied().unwrap_or(0), 0);
+    let stats = db.table_stats("swapped").unwrap();
+    assert_eq!(stats.iter().map(|s| s.wos_rows).sum::<usize>(), 0);
+    assert_eq!(stats.iter().map(|s| s.ros_rows).sum::<usize>(), 300 + 500);
+
+    assert_eq!(pinned.count().unwrap(), 300);
+    assert_eq!(
+        sorted_ids(&pinned.collect().unwrap()),
+        (0..300).collect::<Vec<i64>>(),
+        "the pinned epoch keeps the overwritten contents"
+    );
+    let fresh = ctx
+        .read()
+        .format(DEFAULT_SOURCE)
+        .option("table", "swapped")
+        .load()
+        .unwrap();
+    assert_eq!(
+        sorted_ids(&fresh.collect().unwrap()),
+        (1000..1500).collect::<Vec<i64>>()
+    );
+}
+
+#[test]
+fn a_task_killed_after_its_phase_1_commit_does_not_load_again() {
+    let _serial = serial();
+    let (ctx, db) = setup();
+    // Attempt 1 of partition 2 saves, walks its phases and only then
+    // reports failure; the scheduler runs the partition again.
+    ctx.failures().fail_task(2, 1, FailureMode::AfterWork);
+    let before = obs::global().snapshot();
+    overwrite(&ctx, "retried", 0..400, 5);
+    ctx.failures().clear();
+    let delta = obs::global().snapshot().counters_since(&before);
+    assert!(delta.get("sched.task_retries").copied().unwrap_or(0) >= 1);
+    assert_eq!(
+        delta.get("db.copy_rows").copied().unwrap_or(0),
+        400,
+        "the retry found its partition saved before encoding it again"
+    );
+    let mut s = db.connect(0).unwrap();
+    let rows = s.query(&QuerySpec::scan("retried")).unwrap().rows;
+    assert_eq!(sorted_ids(&rows), (0..400).collect::<Vec<i64>>());
+}
