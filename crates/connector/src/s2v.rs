@@ -853,7 +853,13 @@ fn run_task_phases(
         session.set_trace(span);
         let started = Instant::now();
         let node = session.node();
-        session.begin().map_err(db)?;
+        // Read before the transaction opens, so that it takes no lock:
+        // phase 2 saw every task done, and a task's counts are committed
+        // with its done flag and never change again. Inside the
+        // transaction this read would hold the status table while the
+        // commit below waits for the staging table — which a duplicate
+        // of some task's phase 1 holds while it waits for the status
+        // table, a deadlock that only the lock timeout resolves.
         let totals = session
             .execute(&format!(
                 "SELECT SUM(rows_loaded), SUM(rows_rejected) FROM {}",
@@ -862,6 +868,7 @@ fn run_task_phases(
             .map_err(db)?
             .rows()
             .map_err(db)?;
+        session.begin().map_err(db)?;
         let loaded = totals.rows[0].get(0).as_i64()? as u64;
         let rejected = totals.rows[0].get(1).as_i64()? as u64;
         let attempted = loaded + rejected;

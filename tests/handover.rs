@@ -112,3 +112,52 @@ fn a_task_killed_after_its_phase_1_commit_does_not_load_again() {
     let rows = s.query(&QuerySpec::scan("retried")).unwrap().rows;
     assert_eq!(sorted_ids(&rows), (0..400).collect::<Vec<i64>>());
 }
+
+/// A speculative duplicate of a task's phase 1 holds the staging table
+/// (its COPY) and then asks for the status table (its done flag). The
+/// final commit must not hold the status table while it asks for the
+/// staging table: the two would wait for each other until the lock
+/// timeout, and the save would pay for it with a retry.
+#[test]
+fn a_speculative_phase_1_never_deadlocks_the_final_commit() {
+    let _serial = serial();
+    let db = Cluster::new(ClusterConfig {
+        // A regression fails in seconds, not minutes.
+        lock_timeout: std::time::Duration::from_millis(500),
+        ..ClusterConfig::default()
+    });
+    let (ctx, _) = setup();
+    let rows: Vec<Row> = (0..2_000).map(|i| row![i, i as f64]).collect();
+    let df = ctx.create_dataframe(rows, schema(), 2).unwrap();
+    let opts = connector::ConnectorOptions::for_table("raced").with_partitions(2);
+    let before = obs::global().snapshot();
+    let saves = 12;
+    for mode in [SaveMode::Overwrite, SaveMode::Append] {
+        for _ in 0..saves {
+            // Every partition runs twice at once: whichever copy loses
+            // the done flag is still inside its COPY when the winner's
+            // task moves on to the commit.
+            ctx.failures().speculate(0, 1);
+            ctx.failures().speculate(1, 1);
+            let report = connector::SaveRequest::new(&ctx, &db, &df, &opts)
+                .mode(mode)
+                .submit()
+                .unwrap();
+            ctx.failures().clear();
+            assert_eq!(report.rows_loaded, 2_000);
+        }
+    }
+    let delta = obs::global().snapshot().counters_since(&before);
+    assert_eq!(
+        delta.get("retry.attempts").copied().unwrap_or(0),
+        0,
+        "a phase waited for a lock until it timed out"
+    );
+    let mut s = db.connect(0).unwrap();
+    let count = s.query(&QuerySpec::scan("raced").count()).unwrap().count;
+    assert_eq!(
+        count,
+        2_000 * (1 + saves),
+        "one overwrite, then the appends"
+    );
+}
