@@ -12,12 +12,16 @@ use netsim::record::NetClass;
 use sparklet::{FailureMode, Options, SaveMode, SparkConf, SparkContext};
 
 fn setup() -> (SparkContext, Arc<Cluster>) {
+    setup_with_task_threads(8)
+}
+
+fn setup_with_task_threads(thread_cap: usize) -> (SparkContext, Arc<Cluster>) {
     let cluster = Cluster::new(ClusterConfig::default());
     let ctx = SparkContext::new(SparkConf {
         nodes: 8,
         cores_per_node: 4,
         max_task_attempts: 4,
-        thread_cap: 8,
+        thread_cap,
         ..SparkConf::default()
     });
     JdbcDefaultSource::register(&ctx, Arc::clone(&cluster));
@@ -164,30 +168,34 @@ fn jdbc_save_duplicates_rows_on_post_commit_task_failure() {
 
 #[test]
 fn jdbc_save_leaves_partial_load_on_job_kill() {
-    let (ctx, cluster) = setup();
+    // One task thread: the tasks run one after another, so the kill on
+    // the third completion is seen before a fourth task starts. With a
+    // thread per task all eight could be running by then, and a running
+    // task finishes its insert — the whole table landed one run in five.
+    let (ctx, cluster) = setup_with_task_threads(1);
     let df = ctx.create_dataframe(rows(200), schema(), 8).unwrap();
-    ctx.failures().kill_job_after(3);
-    let err = df
-        .write()
-        .format(JDBC_FORMAT)
-        .options(Options::new().with("dbtable", "partial"))
-        .mode(SaveMode::Append)
-        .save()
-        .unwrap_err();
-    ctx.failures().clear();
-    assert!(err.to_string().contains("killed"));
+    for round in 0..50 {
+        let table = format!("partial{round}");
+        ctx.failures().kill_job_after(3);
+        let err = df
+            .write()
+            .format(JDBC_FORMAT)
+            .options(Options::new().with("dbtable", table.as_str()))
+            .mode(SaveMode::Append)
+            .save()
+            .unwrap_err();
+        ctx.failures().clear();
+        assert!(err.to_string().contains("killed"));
 
-    // Some but not all rows landed: the partial load the paper warns
-    // about (Sec. 2.2.2).
-    let mut session = cluster.connect(0).unwrap();
-    let count = session
-        .query(&QuerySpec::scan("partial").count())
-        .unwrap()
-        .count;
-    assert!(
-        count > 0 && count < 200,
-        "partial load expected, got {count}"
-    );
+        // Some but not all rows landed: the partial load the paper warns
+        // about (Sec. 2.2.2) — the three finished partitions of eight.
+        let mut session = cluster.connect(0).unwrap();
+        let count = session
+            .query(&QuerySpec::scan(&table).count())
+            .unwrap()
+            .count;
+        assert_eq!(count, 75, "partial load expected in round {round}");
+    }
 }
 
 #[test]

@@ -10,6 +10,11 @@
 //!   so only referenced predicate columns and surviving projected
 //!   values are ever decoded.
 //!
+//! A second group, `wide100_*`, is the V2S shape: 100 FLOAT columns, no
+//! predicate, every column projected — all gather, no filter — once
+//! with the whole container selected (a slice copy per column) and once
+//! with the hash-scattered half a range piece selects (an indexed copy).
+//!
 //! Before timing, each batched configuration runs once bracketed by
 //! obs snapshots and prints the data-collector counters
 //! (`scan.rows_examined` vs `scan.values_decoded`) — the ratio is the
@@ -19,6 +24,7 @@ use common::hash::segmentation_hash;
 use common::{row, DataType, Expr, Row, Schema, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
 use mppdb::storage::{BatchScan, NodeTableStore};
+use mppdb::HashRange;
 
 const AS_OF: u64 = 2;
 
@@ -145,5 +151,59 @@ fn bench_scans(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_scans);
+/// Dataset D1's shape: `n` committed rows of `WIDE_COLUMNS` high-entropy
+/// floats loaded straight into one ROS container (plain encoding).
+const WIDE_COLUMNS: usize = 100;
+
+fn build_wide_store(n: usize) -> NodeTableStore {
+    let mut store = NodeTableStore::new(WIDE_COLUMNS);
+    let rows: Vec<(Row, u64)> = (0..n)
+        .map(|i| {
+            let hash = segmentation_hash(&[Value::Int64(i as i64)]);
+            let values = (0..WIDE_COLUMNS)
+                .map(|c| Value::Float64(((i * WIDE_COLUMNS + c) as f64).sin()))
+                .collect();
+            (Row::new(values), hash)
+        })
+        .collect();
+    store.insert_pending_direct(rows, 1);
+    store.commit(1, 1);
+    store
+}
+
+fn bench_wide_projection(c: &mut Criterion) {
+    let n = 10_000usize;
+    let store = build_wide_store(n);
+    let dtypes = vec![DataType::Float64; WIDE_COLUMNS];
+    let half = HashRange::new(0, Some(u64::MAX / 2));
+    let in_half = store.scan(AS_OF, None, Some(&half)).len();
+    assert!(in_half > n / 3 && in_half < n * 2 / 3, "{in_half} of {n}");
+
+    // (tag, hash range, expected row count)
+    let cases = [("full", None, n), ("half", Some(&half), in_half)];
+    for (tag, hash_range, expect) in cases {
+        let scan = BatchScan {
+            as_of: AS_OF,
+            hash_range,
+            dtypes: &dtypes,
+            ..BatchScan::default()
+        };
+        c.bench_function(&format!("wide100_{tag}_reference"), |b| {
+            b.iter(|| assert_eq!(store.scan(AS_OF, None, hash_range).len(), expect))
+        });
+        c.bench_function(&format!("wide100_{tag}_batched"), |b| {
+            b.iter(|| assert_eq!(store.scan_batch(&scan).unwrap().batch.num_rows(), expect))
+        });
+        c.bench_function(&format!("wide100_{tag}_batched_into_rows"), |b| {
+            b.iter(|| {
+                assert_eq!(
+                    store.scan_batch(&scan).unwrap().batch.into_rows().len(),
+                    expect
+                )
+            })
+        });
+    }
+}
+
+criterion_group!(benches, bench_scans, bench_wide_projection);
 criterion_main!(benches);

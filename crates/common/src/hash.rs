@@ -17,21 +17,26 @@ use crate::value::Value;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// Feed bytes into the running FNV-1a state.
+fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
+    for &b in bytes {
+        state ^= b as u64;
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state
+}
+
+/// Hash a string value (type tag, then its bytes) into the state.
+fn fnv1a_str(state: u64, s: &str) -> u64 {
+    fnv1a(fnv1a(state, &[0x04]), s.as_bytes())
+}
+
 /// Hash a single value into the running FNV-1a state.
-fn fnv1a_value(mut state: u64, value: &Value) -> u64 {
-    let mut feed = |bytes: &[u8]| {
-        for &b in bytes {
-            state ^= b as u64;
-            state = state.wrapping_mul(FNV_PRIME);
-        }
-    };
+fn fnv1a_value(state: u64, value: &Value) -> u64 {
     match value {
-        Value::Null => feed(&[0x00]),
-        Value::Boolean(b) => feed(&[0x01, *b as u8]),
-        Value::Int64(i) => {
-            feed(&[0x02]);
-            feed(&i.to_le_bytes());
-        }
+        Value::Null => fnv1a(state, &[0x00]),
+        Value::Boolean(b) => fnv1a(state, &[0x01, *b as u8]),
+        Value::Int64(i) => fnv1a(fnv1a(state, &[0x02]), &i.to_le_bytes()),
         Value::Float64(f) => {
             // Canonicalize so that integral floats hash like themselves
             // across runs; NaNs collapse to one bit pattern.
@@ -40,15 +45,10 @@ fn fnv1a_value(mut state: u64, value: &Value) -> u64 {
             } else {
                 f.to_bits()
             };
-            feed(&[0x03]);
-            feed(&bits.to_le_bytes());
+            fnv1a(fnv1a(state, &[0x03]), &bits.to_le_bytes())
         }
-        Value::Varchar(s) => {
-            feed(&[0x04]);
-            feed(s.as_bytes());
-        }
+        Value::Varchar(s) => fnv1a_str(state, s),
     }
-    state
 }
 
 /// Hash the given values (the segmentation expression's column values)
@@ -59,6 +59,12 @@ pub fn segmentation_hash(values: &[Value]) -> u64 {
         state = fnv1a_value(state, v);
     }
     state
+}
+
+/// [`segmentation_hash`] of the one value `Value::Varchar(s)`, for
+/// callers that hold the string borrowed.
+pub fn segmentation_hash_str(s: &str) -> u64 {
+    fnv1a_str(FNV_OFFSET, s)
 }
 
 /// Hash a row's segmentation columns (by ordinal).
@@ -73,12 +79,7 @@ pub fn hash_row_columns(row: &Row, columns: &[usize]) -> u64 {
 /// Hash an arbitrary byte string onto the ring (used for synthetic
 /// hash ranges over views and unsegmented tables, paper Sec. 3.1.1).
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
+    fnv1a(FNV_OFFSET, bytes)
 }
 
 #[cfg(test)]
@@ -106,6 +107,16 @@ mod tests {
             segmentation_hash(&[Value::Null]),
             segmentation_hash(&[Value::Varchar(String::new())])
         );
+    }
+
+    #[test]
+    fn borrowed_string_hashes_like_the_owned_value() {
+        for s in ["", "a", "héllo wörld"] {
+            assert_eq!(
+                segmentation_hash_str(s),
+                segmentation_hash(&[Value::Varchar(s.to_string())])
+            );
+        }
     }
 
     #[test]

@@ -708,7 +708,8 @@ impl Cluster {
 
     // ----- DML ------------------------------------------------------
 
-    /// Validate and coerce a row against a table schema.
+    /// Validate and coerce a row against a table schema, in place: only
+    /// the values that need widening are rewritten.
     fn coerce_row(def: &TableDef, row: Row) -> DbResult<Row> {
         if row.len() != def.schema.len() {
             return Err(DbError::Data(common::Error::SchemaMismatch(format!(
@@ -718,20 +719,21 @@ impl Cluster {
                 def.schema.len()
             ))));
         }
-        let values = row
-            .into_values()
-            .into_iter()
-            .zip(def.schema.fields())
-            .map(|(v, f)| {
-                if v.is_null() && !f.nullable {
+        let mut values = row.into_values();
+        for (v, f) in values.iter_mut().zip(def.schema.fields()) {
+            if v.is_null() {
+                if !f.nullable {
                     return Err(DbError::Data(common::Error::SchemaMismatch(format!(
                         "NULL in non-nullable column {}",
                         f.name
                     ))));
                 }
-                v.coerce(f.dtype).map_err(DbError::Data)
-            })
-            .collect::<DbResult<Vec<Value>>>()?;
+            } else if v.data_type() != Some(f.dtype) {
+                *v = std::mem::replace(v, Value::Null)
+                    .coerce(f.dtype)
+                    .map_err(DbError::Data)?;
+            }
+        }
         Ok(Row::new(values))
     }
 
@@ -765,14 +767,17 @@ impl Cluster {
         // skipped: their migration re-copies after restore).
         let mut batches: Vec<Vec<(Row, u64)>> = (0..states.len()).map(|_| Vec::new()).collect();
         let mut current_target = vec![false; states.len()];
+        // One row's target nodes; reused across the loop.
+        let mut targets: Vec<usize> = Vec::new();
+        let all_columns: Vec<usize> = (0..def.schema.len()).collect();
         for row in rows {
             let row = Self::coerce_row(&def, row)?;
             if def.is_segmented() {
                 let h = hash::hash_row_columns(&row, &def.seg_columns);
                 let owner = map.owner_of_hash(h);
-                let mut targets: Vec<usize> = std::iter::once(owner)
-                    .chain(map.buddies(owner, self.config.k_safety))
-                    .collect();
+                targets.clear();
+                targets.push(owner);
+                targets.extend(map.buddies(owner, self.config.k_safety));
                 for &t in &targets {
                     current_target[t] = true;
                 }
@@ -798,8 +803,7 @@ impl Cluster {
                 // Unsegmented: replicate to every live slot (retired
                 // nodes are gone for good); the hash over all columns
                 // is kept for bookkeeping only.
-                let all: Vec<usize> = (0..row.len()).collect();
-                let h = hash::hash_row_columns(&row, &all);
+                let h = hash::hash_row_columns(&row, &all_columns);
                 for (i, batch) in batches.iter_mut().enumerate() {
                     if !states[i].retired.load(Ordering::Acquire) {
                         batch.push((row.clone(), h));

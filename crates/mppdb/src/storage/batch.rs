@@ -7,8 +7,10 @@
 //! batches with *late materialization*: visibility and hash-range
 //! filtering run over selection vectors of row positions, the pushed
 //! down predicate decodes only its referenced columns, and only the
-//! surviving positions of the projected columns are ever decoded into
-//! the output batch.
+//! surviving positions of the projected columns are ever copied — typed
+//! vector to typed vector, no `Value` in between — into the output
+//! batch. The same [`ColumnVec`] is what a ROS container stores
+//! (`storage::encoding`).
 //!
 //! The batch keeps the engine's row-oriented cost accounting exact:
 //! [`ColumnBatch::wire_size`] and [`ColumnBatch::text_wire_size`] are
@@ -22,6 +24,7 @@ use common::{DataType, Error, Result, Row, Value};
 /// A growable bitmap; bit `i` set means position `i` is valid (non-NULL).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bitmap {
+    /// Bits at and above `len` in the last word are zero.
     words: Vec<u64>,
     len: usize,
 }
@@ -44,6 +47,11 @@ impl Bitmap {
 
     pub fn is_empty(&self) -> bool {
         self.len == 0
+    }
+
+    pub fn reserve(&mut self, bits: usize) {
+        let words = (self.len + bits).div_ceil(64);
+        self.words.reserve(words.saturating_sub(self.words.len()));
     }
 
     pub fn push(&mut self, valid: bool) {
@@ -81,121 +89,415 @@ impl Bitmap {
         self.len = len;
     }
 
-    pub fn append(&mut self, other: &Bitmap) {
-        for i in 0..other.len {
-            self.push(other.get(i));
+    /// Up to 64 bits starting at `start`, in the low bits of the result;
+    /// positions at or past `len` read as zero.
+    fn bits_at(&self, start: usize) -> u64 {
+        let (word, shift) = (start / 64, start % 64);
+        let lo = self.words.get(word).copied().unwrap_or(0) >> shift;
+        if shift == 0 {
+            lo
+        } else {
+            lo | self.words.get(word + 1).copied().unwrap_or(0) << (64 - shift)
+        }
+    }
+
+    /// Append the low `n` (≤ 64) bits of `bits`; returns how many of
+    /// them are set.
+    fn push_bits(&mut self, bits: u64, n: usize) -> usize {
+        debug_assert!(n <= 64);
+        if n == 0 {
+            return 0;
+        }
+        let bits = if n == 64 {
+            bits
+        } else {
+            bits & ((1u64 << n) - 1)
+        };
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.push(bits);
+        } else {
+            // fabriclint: allow(panic-hygiene): len % 64 != 0 means a partly filled last word exists
+            *self.words.last_mut().expect("partial last word") |= bits << shift;
+            if shift + n > 64 {
+                self.words.push(bits >> (64 - shift));
+            }
+        }
+        self.len += n;
+        bits.count_ones() as usize
+    }
+
+    /// Append `n` copies of `valid`, a word at a time.
+    pub fn extend_constant(&mut self, valid: bool, n: usize) {
+        let fill = if valid { u64::MAX } else { 0 };
+        let mut left = n;
+        while left > 0 {
+            let take = left.min(64);
+            self.push_bits(fill, take);
+            left -= take;
+        }
+    }
+
+    /// Append `other[start..start + n]`, a word at a time; returns how
+    /// many of the appended bits are set.
+    pub fn extend_from_range(&mut self, other: &Bitmap, start: usize, n: usize) -> usize {
+        debug_assert!(start + n <= other.len);
+        let (mut done, mut valid) = (0, 0);
+        while done < n {
+            let take = (n - done).min(64);
+            valid += self.push_bits(other.bits_at(start + done), take);
+            done += take;
+        }
+        valid
+    }
+
+    /// Append `other[i]` for every `i` in `idx`; returns how many of the
+    /// appended bits are set.
+    pub fn extend_gather(&mut self, other: &Bitmap, idx: &[u32]) -> usize {
+        let mut valid = 0;
+        for chunk in idx.chunks(64) {
+            let mut bits = 0u64;
+            for (k, &i) in chunk.iter().enumerate() {
+                bits |= (other.get(i as usize) as u64) << k;
+            }
+            valid += self.push_bits(bits, chunk.len());
+        }
+        valid
+    }
+}
+
+/// A Rust type that stores one SQL type's values natively.
+pub trait Native: Clone + Default + PartialEq + PartialOrd {
+    /// Whether every value has the same binary / textual wire size, so
+    /// that a column's size is arithmetic on its NULL count.
+    const FIXED_WIRE: bool;
+    const FIXED_TEXT: bool;
+
+    fn into_value(self) -> Value;
+
+    fn to_value(&self) -> Value {
+        self.clone().into_value()
+    }
+
+    /// `Value::wire_size` of this value.
+    fn wire_size(&self) -> usize;
+
+    /// `Value::text_wire_size` of this value, less the framing.
+    fn text_size(&self) -> usize;
+
+    /// [`common::hash::segmentation_hash`] of this value alone.
+    fn hash(&self) -> u64;
+}
+
+/// `Value::text_wire_size`'s per-value protocol framing.
+const TEXT_FRAMING: usize = 6;
+
+impl Native for bool {
+    const FIXED_WIRE: bool = true;
+    const FIXED_TEXT: bool = true;
+    fn into_value(self) -> Value {
+        Value::Boolean(self)
+    }
+    fn wire_size(&self) -> usize {
+        1
+    }
+    fn text_size(&self) -> usize {
+        5
+    }
+    fn hash(&self) -> u64 {
+        common::hash::segmentation_hash(&[Value::Boolean(*self)])
+    }
+}
+
+impl Native for i64 {
+    const FIXED_WIRE: bool = true;
+    const FIXED_TEXT: bool = false;
+    fn into_value(self) -> Value {
+        Value::Int64(self)
+    }
+    fn wire_size(&self) -> usize {
+        8
+    }
+    fn text_size(&self) -> usize {
+        Value::Int64(*self).text_wire_size() - TEXT_FRAMING
+    }
+    fn hash(&self) -> u64 {
+        common::hash::segmentation_hash(&[Value::Int64(*self)])
+    }
+}
+
+impl Native for f64 {
+    const FIXED_WIRE: bool = true;
+    const FIXED_TEXT: bool = true;
+    fn into_value(self) -> Value {
+        Value::Float64(self)
+    }
+    fn wire_size(&self) -> usize {
+        8
+    }
+    fn text_size(&self) -> usize {
+        17
+    }
+    fn hash(&self) -> u64 {
+        common::hash::segmentation_hash(&[Value::Float64(*self)])
+    }
+}
+
+impl Native for String {
+    const FIXED_WIRE: bool = false;
+    const FIXED_TEXT: bool = false;
+    fn into_value(self) -> Value {
+        Value::Varchar(self)
+    }
+    fn wire_size(&self) -> usize {
+        4 + self.len()
+    }
+    fn text_size(&self) -> usize {
+        self.len()
+    }
+    fn hash(&self) -> u64 {
+        common::hash::segmentation_hash_str(self)
+    }
+}
+
+/// Values of one native type with a validity bitmap. Invalid positions
+/// hold `T::default()` in `data` and decode as [`Value::Null`].
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct TypedVec<T> {
+    data: Vec<T>,
+    validity: Bitmap,
+    /// Number of invalid positions, kept beside the bitmap so that a
+    /// column without NULLs is known as such without counting bits.
+    nulls: usize,
+}
+
+impl<T: Native> TypedVec<T> {
+    pub fn len(&self) -> usize {
+        self.data.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.data.is_empty()
+    }
+
+    pub fn null_count(&self) -> usize {
+        self.nulls
+    }
+
+    /// Position `idx`'s value, `None` for NULL.
+    pub fn get(&self, idx: usize) -> Option<&T> {
+        self.validity.get(idx).then(|| &self.data[idx])
+    }
+
+    /// The non-null values, in position order.
+    pub fn iter_valid(&self) -> impl Iterator<Item = &T> {
+        let (validity, all_valid) = (&self.validity, self.nulls == 0);
+        self.data
+            .iter()
+            .enumerate()
+            .filter(move |(i, _)| all_valid || validity.get(*i))
+            .map(|(_, v)| v)
+    }
+
+    fn reserve(&mut self, n: usize) {
+        self.data.reserve(n);
+        self.validity.reserve(n);
+    }
+
+    fn push(&mut self, value: T) {
+        self.data.push(value);
+        self.validity.push(true);
+    }
+
+    fn push_nulls(&mut self, n: usize) {
+        self.data.resize(self.data.len() + n, T::default());
+        self.validity.extend_constant(false, n);
+        self.nulls += n;
+    }
+
+    fn value(&self, idx: usize) -> Value {
+        self.get(idx).map_or(Value::Null, T::to_value)
+    }
+
+    /// Move positions `start..start + tile.len()` out, one onto the end
+    /// of each row of `tile` (at most 64 rows).
+    fn take_tile(&mut self, start: usize, tile: &mut [Vec<Value>]) {
+        let valid = self.validity.bits_at(start);
+        let slots = &mut self.data[start..start + tile.len()];
+        for (k, (slot, row)) in slots.iter_mut().zip(tile).enumerate() {
+            row.push(if valid >> k & 1 == 1 {
+                std::mem::take(slot).into_value()
+            } else {
+                Value::Null
+            });
+        }
+    }
+
+    /// SQL-storage equality of two positions: NULL equals NULL, values
+    /// compare natively (`-0.0 == 0.0`, NaN equals nothing).
+    pub fn eq_at(&self, i: usize, j: usize) -> bool {
+        if self.nulls == 0 {
+            return self.data[i] == self.data[j];
+        }
+        match (self.validity.get(i), self.validity.get(j)) {
+            (true, true) => self.data[i] == self.data[j],
+            (a, b) => a == b,
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.data.truncate(len);
+        self.validity.truncate(len);
+        self.nulls = self.data.len() - self.validity.count_valid();
+    }
+
+    fn append(&mut self, other: TypedVec<T>) {
+        if self.data.is_empty() {
+            *self = other;
+        } else {
+            self.nulls += other.nulls;
+            self.validity
+                .extend_from_range(&other.validity, 0, other.len());
+            self.data.extend(other.data);
+        }
+    }
+
+    /// Append `src[start..start + n]`: one slice copy and a word-wise
+    /// bitmap append.
+    fn extend_from_range(&mut self, src: &TypedVec<T>, start: usize, n: usize) {
+        self.data.extend_from_slice(&src.data[start..start + n]);
+        self.nulls += n - self.validity.extend_from_range(&src.validity, start, n);
+    }
+
+    /// Append `src[i]` for every `i` in `idx`, with one reservation.
+    fn gather_from(&mut self, src: &TypedVec<T>, idx: &[u32]) {
+        self.data.reserve(idx.len());
+        self.data
+            .extend(idx.iter().map(|&i| src.data[i as usize].clone()));
+        if src.nulls == 0 {
+            self.validity.extend_constant(true, idx.len());
+        } else {
+            self.nulls += idx.len() - self.validity.extend_gather(&src.validity, idx);
+        }
+    }
+
+    fn wire_size(&self) -> usize {
+        // A NULL takes one byte on the wire.
+        self.nulls + self.sum_valid(T::FIXED_WIRE, T::wire_size)
+    }
+
+    fn text_wire_size(&self) -> usize {
+        self.len() * TEXT_FRAMING + self.sum_valid(T::FIXED_TEXT, T::text_size)
+    }
+
+    /// Sum of `size` over the non-null values; a multiplication when
+    /// every value has the same size.
+    fn sum_valid(&self, fixed: bool, size: impl Fn(&T) -> usize) -> usize {
+        if fixed {
+            (self.len() - self.nulls) * size(&T::default())
+        } else {
+            self.iter_valid().map(size).sum()
         }
     }
 }
 
-/// One typed column vector with a validity bitmap. Invalid positions
-/// hold an arbitrary default in `data` and decode as [`Value::Null`].
+/// One typed column vector with a validity bitmap.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ColumnVec {
-    Boolean { data: Vec<bool>, validity: Bitmap },
-    Int64 { data: Vec<i64>, validity: Bitmap },
-    Float64 { data: Vec<f64>, validity: Bitmap },
-    Varchar { data: Vec<String>, validity: Bitmap },
+    Boolean(TypedVec<bool>),
+    Int64(TypedVec<i64>),
+    Float64(TypedVec<f64>),
+    Varchar(TypedVec<String>),
+}
+
+/// Run `$body` with `$v` bound to the [`TypedVec`] inside `$col`,
+/// whichever type it holds.
+macro_rules! each_column_type {
+    ($col:expr, $v:ident => $body:expr) => {
+        match $col {
+            $crate::storage::batch::ColumnVec::Boolean($v) => $body,
+            $crate::storage::batch::ColumnVec::Int64($v) => $body,
+            $crate::storage::batch::ColumnVec::Float64($v) => $body,
+            $crate::storage::batch::ColumnVec::Varchar($v) => $body,
+        }
+    };
+}
+pub(crate) use each_column_type;
+
+/// Run `$body` with `$x`/`$y` bound to the [`TypedVec`]s inside `$a` and
+/// `$b` when both hold the same type, `$other` otherwise.
+macro_rules! same_column_type {
+    ($a:expr, $b:expr, ($x:ident, $y:ident) => $body:expr, _ => $other:expr) => {
+        match ($a, $b) {
+            (ColumnVec::Boolean($x), ColumnVec::Boolean($y)) => $body,
+            (ColumnVec::Int64($x), ColumnVec::Int64($y)) => $body,
+            (ColumnVec::Float64($x), ColumnVec::Float64($y)) => $body,
+            (ColumnVec::Varchar($x), ColumnVec::Varchar($y)) => $body,
+            _ => $other,
+        }
+    };
 }
 
 impl ColumnVec {
     pub fn new(dtype: DataType) -> ColumnVec {
         match dtype {
-            DataType::Boolean => ColumnVec::Boolean {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Int64 => ColumnVec::Int64 {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Float64 => ColumnVec::Float64 {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
-            DataType::Varchar => ColumnVec::Varchar {
-                data: Vec::new(),
-                validity: Bitmap::new(),
-            },
+            DataType::Boolean => ColumnVec::Boolean(TypedVec::default()),
+            DataType::Int64 => ColumnVec::Int64(TypedVec::default()),
+            DataType::Float64 => ColumnVec::Float64(TypedVec::default()),
+            DataType::Varchar => ColumnVec::Varchar(TypedVec::default()),
         }
     }
 
     pub fn dtype(&self) -> DataType {
         match self {
-            ColumnVec::Boolean { .. } => DataType::Boolean,
-            ColumnVec::Int64 { .. } => DataType::Int64,
-            ColumnVec::Float64 { .. } => DataType::Float64,
-            ColumnVec::Varchar { .. } => DataType::Varchar,
+            ColumnVec::Boolean(_) => DataType::Boolean,
+            ColumnVec::Int64(_) => DataType::Int64,
+            ColumnVec::Float64(_) => DataType::Float64,
+            ColumnVec::Varchar(_) => DataType::Varchar,
         }
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            ColumnVec::Boolean { data, .. } => data.len(),
-            ColumnVec::Int64 { data, .. } => data.len(),
-            ColumnVec::Float64 { data, .. } => data.len(),
-            ColumnVec::Varchar { data, .. } => data.len(),
-        }
+        each_column_type!(self, v => v.len())
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn validity(&self) -> &Bitmap {
-        match self {
-            ColumnVec::Boolean { validity, .. }
-            | ColumnVec::Int64 { validity, .. }
-            | ColumnVec::Float64 { validity, .. }
-            | ColumnVec::Varchar { validity, .. } => validity,
+    pub fn null_count(&self) -> usize {
+        each_column_type!(self, v => v.null_count())
+    }
+
+    pub fn reserve(&mut self, n: usize) {
+        each_column_type!(self, v => v.reserve(n))
+    }
+
+    pub fn capacity(&self) -> usize {
+        each_column_type!(self, v => v.data.capacity())
+    }
+
+    /// Append a NULL or a value of exactly this vector's type; any other
+    /// value is handed back.
+    pub fn push_exact(&mut self, value: Value) -> Option<Value> {
+        match (self, value) {
+            (ColumnVec::Boolean(v), Value::Boolean(b)) => v.push(b),
+            (ColumnVec::Int64(v), Value::Int64(i)) => v.push(i),
+            (ColumnVec::Float64(v), Value::Float64(f)) => v.push(f),
+            (ColumnVec::Varchar(v), Value::Varchar(s)) => v.push(s),
+            (col, Value::Null) => col.push_nulls(1),
+            (_, other) => return Some(other),
         }
+        None
     }
 
     /// Append one value. NULL is storable in any column; `Int64` widens
     /// to `Float64` exactly as the row insert path coerces.
     pub fn push(&mut self, value: Value) -> Result<()> {
-        match (self, value) {
-            (ColumnVec::Boolean { data, validity }, Value::Boolean(b)) => {
-                data.push(b);
-                validity.push(true);
-            }
-            (ColumnVec::Int64 { data, validity }, Value::Int64(i)) => {
-                data.push(i);
-                validity.push(true);
-            }
-            (ColumnVec::Float64 { data, validity }, Value::Float64(f)) => {
-                data.push(f);
-                validity.push(true);
-            }
-            (ColumnVec::Float64 { data, validity }, Value::Int64(i)) => {
-                data.push(i as f64);
-                validity.push(true);
-            }
-            (ColumnVec::Varchar { data, validity }, Value::Varchar(s)) => {
-                data.push(s);
-                validity.push(true);
-            }
-            (col, Value::Null) => {
-                match col {
-                    ColumnVec::Boolean { data, validity } => {
-                        data.push(false);
-                        validity.push(false);
-                    }
-                    ColumnVec::Int64 { data, validity } => {
-                        data.push(0);
-                        validity.push(false);
-                    }
-                    ColumnVec::Float64 { data, validity } => {
-                        data.push(0.0);
-                        validity.push(false);
-                    }
-                    ColumnVec::Varchar { data, validity } => {
-                        data.push(String::new());
-                        validity.push(false);
-                    }
-                };
-            }
-            (col, v) => {
+        match (self.push_exact(value), self) {
+            (None, _) => {}
+            (Some(Value::Int64(i)), ColumnVec::Float64(v)) => v.push(i as f64),
+            (Some(v), col) => {
                 return Err(Error::TypeMismatch {
                     expected: col.dtype().sql_name().to_string(),
                     found: v.type_name().to_string(),
@@ -205,164 +507,60 @@ impl ColumnVec {
         Ok(())
     }
 
-    /// Decode position `idx` into a [`Value`] (clones strings).
-    pub fn value(&self, idx: usize) -> Value {
-        if !self.validity().get(idx) {
-            return Value::Null;
-        }
-        match self {
-            ColumnVec::Boolean { data, .. } => Value::Boolean(data[idx]),
-            ColumnVec::Int64 { data, .. } => Value::Int64(data[idx]),
-            ColumnVec::Float64 { data, .. } => Value::Float64(data[idx]),
-            ColumnVec::Varchar { data, .. } => Value::Varchar(data[idx].clone()),
-        }
+    pub fn push_nulls(&mut self, n: usize) {
+        each_column_type!(self, v => v.push_nulls(n))
     }
 
-    /// Move position `idx` out (strings are taken, not cloned). The
-    /// position decodes as NULL-ish garbage afterwards — only used by
-    /// the consuming [`ColumnBatch::into_rows`].
-    fn take_value(&mut self, idx: usize) -> Value {
-        if !self.validity().get(idx) {
-            return Value::Null;
-        }
-        match self {
-            ColumnVec::Boolean { data, .. } => Value::Boolean(data[idx]),
-            ColumnVec::Int64 { data, .. } => Value::Int64(data[idx]),
-            ColumnVec::Float64 { data, .. } => Value::Float64(data[idx]),
-            ColumnVec::Varchar { data, .. } => Value::Varchar(std::mem::take(&mut data[idx])),
-        }
+    /// Decode position `idx` into a [`Value`] (clones strings).
+    pub fn value(&self, idx: usize) -> Value {
+        each_column_type!(self, v => v.value(idx))
+    }
+
+    /// Append `src[start..start + n]` as one slice copy. `false` (and
+    /// nothing appended) when `src` holds another type.
+    pub fn extend_from_range(&mut self, src: &ColumnVec, start: usize, n: usize) -> bool {
+        same_column_type!(self, src, (a, b) => a.extend_from_range(b, start, n), _ => return false);
+        true
+    }
+
+    /// Append `src[i]` for every `i` in `idx`, typed vector to typed
+    /// vector. `false` (and nothing appended) when `src` holds another
+    /// type.
+    pub fn gather_from(&mut self, src: &ColumnVec, idx: &[u32]) -> bool {
+        same_column_type!(self, src, (a, b) => a.gather_from(b, idx), _ => return false);
+        true
     }
 
     /// Binary wire size: byte-identical to summing `Value::wire_size`.
     pub fn wire_size(&self) -> usize {
-        let nulls = self.len() - self.validity().count_valid();
-        match self {
-            ColumnVec::Boolean { data, .. } => data.len(), // 1 byte either way
-            ColumnVec::Int64 { data, .. } => nulls + (data.len() - nulls) * 8,
-            ColumnVec::Float64 { data, .. } => nulls + (data.len() - nulls) * 8,
-            ColumnVec::Varchar { data, validity } => {
-                let mut total = nulls;
-                for (i, s) in data.iter().enumerate() {
-                    if validity.get(i) {
-                        total += 4 + s.len();
-                    }
-                }
-                total
-            }
-        }
+        each_column_type!(self, v => v.wire_size())
     }
 
     /// Textual (JDBC result set) wire size: byte-identical to summing
     /// `Value::text_wire_size`.
     pub fn text_wire_size(&self) -> usize {
-        const FRAMING: usize = 6;
-        let mut total = self.len() * FRAMING;
-        match self {
-            ColumnVec::Boolean { data, validity } => {
-                for i in 0..data.len() {
-                    if validity.get(i) {
-                        total += 5;
-                    }
-                }
-            }
-            ColumnVec::Int64 { data, validity } => {
-                for (i, v) in data.iter().enumerate() {
-                    if validity.get(i) {
-                        total += Value::Int64(*v).text_wire_size() - FRAMING;
-                    }
-                }
-            }
-            ColumnVec::Float64 { data, validity } => {
-                for i in 0..data.len() {
-                    if validity.get(i) {
-                        total += 17;
-                    }
-                }
-            }
-            ColumnVec::Varchar { data, validity } => {
-                for (i, s) in data.iter().enumerate() {
-                    if validity.get(i) {
-                        total += s.len();
-                    }
-                }
-            }
-        }
-        total
+        each_column_type!(self, v => v.text_wire_size())
     }
 
     pub fn truncate(&mut self, len: usize) {
-        match self {
-            ColumnVec::Boolean { data, validity } => {
-                data.truncate(len);
-                validity.truncate(len);
-            }
-            ColumnVec::Int64 { data, validity } => {
-                data.truncate(len);
-                validity.truncate(len);
-            }
-            ColumnVec::Float64 { data, validity } => {
-                data.truncate(len);
-                validity.truncate(len);
-            }
-            ColumnVec::Varchar { data, validity } => {
-                data.truncate(len);
-                validity.truncate(len);
-            }
-        }
+        each_column_type!(self, v => v.truncate(len))
     }
 
     pub fn append(&mut self, other: ColumnVec) -> Result<()> {
-        match (self, other) {
-            (
-                ColumnVec::Boolean { data, validity },
-                ColumnVec::Boolean {
-                    data: od,
-                    validity: ov,
-                },
-            ) => {
-                data.extend(od);
-                validity.append(&ov);
-            }
-            (
-                ColumnVec::Int64 { data, validity },
-                ColumnVec::Int64 {
-                    data: od,
-                    validity: ov,
-                },
-            ) => {
-                data.extend(od);
-                validity.append(&ov);
-            }
-            (
-                ColumnVec::Float64 { data, validity },
-                ColumnVec::Float64 {
-                    data: od,
-                    validity: ov,
-                },
-            ) => {
-                data.extend(od);
-                validity.append(&ov);
-            }
-            (
-                ColumnVec::Varchar { data, validity },
-                ColumnVec::Varchar {
-                    data: od,
-                    validity: ov,
-                },
-            ) => {
-                data.extend(od);
-                validity.append(&ov);
-            }
-            (me, other) => {
-                return Err(Error::TypeMismatch {
-                    expected: me.dtype().sql_name().to_string(),
-                    found: other.dtype().sql_name().to_string(),
-                })
-            }
-        }
+        let (expected, found) = (self.dtype(), other.dtype());
+        same_column_type!(self, other, (a, b) => a.append(b), _ => {
+            return Err(Error::TypeMismatch {
+                expected: expected.sql_name().to_string(),
+                found: found.sql_name().to_string(),
+            })
+        });
         Ok(())
     }
 }
+
+/// Rows per tile of [`ColumnBatch::into_rows`]. A tile of 100-column
+/// rows is 38 KB of `Value`s; at most 64, one validity word.
+const ROW_TILE: usize = 16;
 
 /// A batch of rows in columnar form, plus the per-row segmentation
 /// hashes (kept so hash-range filtering and re-routing never decode a
@@ -397,8 +595,16 @@ impl ColumnBatch {
         &self.columns[idx]
     }
 
+    pub(crate) fn column_mut(&mut self, idx: usize) -> &mut ColumnVec {
+        &mut self.columns[idx]
+    }
+
     pub fn hashes(&self) -> &[u64] {
         &self.hashes
+    }
+
+    pub(crate) fn extend_hashes(&mut self, hashes: impl IntoIterator<Item = u64>) {
+        self.hashes.extend(hashes);
     }
 
     /// Append one value to column `col`. Callers fill whole columns for
@@ -418,19 +624,26 @@ impl ColumnBatch {
     }
 
     /// Materialize all rows, moving values out of the batch (strings
-    /// are not cloned). This is the batch → row boundary.
+    /// are not cloned). This is the batch → row boundary. The transpose
+    /// runs in tiles of [`ROW_TILE`] rows: every column visits the tile
+    /// before the next tile starts, so each row is written once while
+    /// it is still in cache.
     pub fn into_rows(self) -> Vec<Row> {
         let n = self.num_rows();
         let ncols = self.columns.len();
-        let mut values: Vec<Vec<Value>> = (0..n).map(|_| Vec::with_capacity(ncols)).collect();
         let mut columns = self.columns;
-        for col in &mut columns {
-            debug_assert_eq!(col.len(), n);
-            for (i, row) in values.iter_mut().enumerate() {
-                row.push(col.take_value(i));
+        let mut rows = Vec::with_capacity(n);
+        let mut tile: Vec<Vec<Value>> = Vec::with_capacity(ROW_TILE);
+        for start in (0..n).step_by(ROW_TILE) {
+            let end = (start + ROW_TILE).min(n);
+            tile.extend((start..end).map(|_| Vec::with_capacity(ncols)));
+            for col in &mut columns {
+                debug_assert_eq!(col.len(), n);
+                each_column_type!(col, v => v.take_tile(start, &mut tile));
             }
+            rows.extend(tile.drain(..).map(Row::new));
         }
-        values.into_iter().map(Row::new).collect()
+        rows
     }
 
     /// Binary wire size of the batch; equals the sum of
@@ -488,6 +701,50 @@ mod tests {
         b.truncate(65);
         assert_eq!(b.len(), 65);
         assert_eq!(b.count_valid(), (0..65).filter(|i| i % 3 == 0).count());
+    }
+
+    #[test]
+    fn bitmap_word_wise_appends_match_pushes() {
+        let src: Vec<bool> = (0..300).map(|i| i % 3 == 0 || i % 7 == 2).collect();
+        let mut bits = Bitmap::new();
+        src.iter().for_each(|&b| bits.push(b));
+        // Every alignment of destination length, source start and count
+        // against the 64-bit word.
+        for prefix in [0usize, 1, 63, 64, 65] {
+            for (start, n) in [
+                (0usize, 0usize),
+                (0, 300),
+                (5, 64),
+                (63, 130),
+                (64, 64),
+                (130, 1),
+            ] {
+                let idx: Vec<u32> = (start..start + n).rev().map(|i| i as u32).collect();
+                let (mut ranged, mut gathered, mut constant, mut pushed) =
+                    (Bitmap::new(), Bitmap::new(), Bitmap::new(), Bitmap::new());
+                for b in [&mut ranged, &mut gathered, &mut constant, &mut pushed] {
+                    b.extend_constant(true, prefix);
+                }
+                ranged.extend_from_range(&bits, start, n);
+                src[start..start + n].iter().for_each(|&b| pushed.push(b));
+                assert_eq!(ranged, pushed, "range {prefix}+[{start}; {n}]");
+                gathered.extend_gather(&bits, &idx);
+                constant.extend_constant(false, n);
+                let mut expect = (Bitmap::new(), Bitmap::new());
+                (0..prefix).for_each(|_| {
+                    expect.0.push(true);
+                    expect.1.push(true)
+                });
+                idx.iter().for_each(|&i| expect.0.push(src[i as usize]));
+                (0..n).for_each(|_| expect.1.push(false));
+                assert_eq!(gathered, expect.0, "gather {prefix}+[{start}; {n}]");
+                assert_eq!(constant, expect.1, "constant {prefix}+{n}");
+                assert_eq!(
+                    ranged.count_valid(),
+                    (0..ranged.len()).filter(|&i| ranged.get(i)).count()
+                );
+            }
+        }
     }
 
     #[test]
@@ -562,6 +819,84 @@ mod tests {
             b.text_wire_size(),
             rows.iter().map(Row::text_wire_size).sum::<usize>()
         );
+    }
+
+    /// `n` rows of (BIGINT, VARCHAR, FLOAT, BOOLEAN) with NULLs sprinkled
+    /// through every column.
+    fn wide_batch(n: usize) -> ColumnBatch {
+        let mut b = ColumnBatch::new(&[
+            DataType::Int64,
+            DataType::Varchar,
+            DataType::Float64,
+            DataType::Boolean,
+        ]);
+        for i in 0..n {
+            let null = |every: usize, v: Value| if i % every == 1 { Value::Null } else { v };
+            b.push(0, null(5, Value::Int64(i as i64 * 37 - 1000)))
+                .unwrap();
+            b.push(1, null(3, Value::Varchar(format!("row-{i}"))))
+                .unwrap();
+            b.push(2, null(7, Value::Float64(i as f64 / 4.0))).unwrap();
+            b.push(3, null(2, Value::Boolean(i % 3 == 0))).unwrap();
+            b.push_hash(i as u64);
+        }
+        b
+    }
+
+    #[test]
+    fn tiled_into_rows_matches_row_at_a_time_and_moves_strings() {
+        for n in [0, 1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 5_000] {
+            let b = wide_batch(n);
+            let expected: Vec<Row> = (0..n).map(|i| b.row(i)).collect();
+            assert_eq!(
+                b.wire_size(),
+                expected.iter().map(Row::wire_size).sum::<usize>(),
+                "wire size of {n} rows"
+            );
+            assert_eq!(
+                b.text_wire_size(),
+                expected.iter().map(Row::text_wire_size).sum::<usize>(),
+                "text wire size of {n} rows"
+            );
+            let ColumnVec::Varchar(strings) = b.column(1) else {
+                panic!("column 1 is VARCHAR");
+            };
+            let buffers: Vec<*const u8> = strings.data.iter().map(|s| s.as_ptr()).collect();
+            let rows = b.into_rows();
+            assert_eq!(rows, expected, "{n} rows");
+            for (row, buffer) in rows.iter().zip(buffers) {
+                if let Value::Varchar(s) = row.get(1) {
+                    assert_eq!(s.as_ptr(), buffer, "moved, not cloned");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn typed_gather_and_range_copy_match_pushes() {
+        let src = wide_batch(200);
+        let idx: Vec<u32> = (0..200).filter(|i| i % 3 != 0).collect();
+        for c in 0..src.num_columns() {
+            let col = src.column(c);
+            let mut gathered = ColumnVec::new(col.dtype());
+            let mut ranged = ColumnVec::new(col.dtype());
+            let (mut by_idx, mut by_range) = (gathered.clone(), gathered.clone());
+            // Onto a non-empty destination, so the bitmaps are unaligned.
+            for v in [&mut gathered, &mut ranged, &mut by_idx, &mut by_range] {
+                v.push(Value::Null).unwrap();
+            }
+            assert!(gathered.gather_from(col, &idx));
+            assert!(ranged.extend_from_range(col, 70, 100));
+            idx.iter()
+                .for_each(|&i| by_idx.push(col.value(i as usize)).unwrap());
+            (70..170).for_each(|i| by_range.push(col.value(i)).unwrap());
+            assert_eq!(gathered, by_idx);
+            assert_eq!(ranged, by_range);
+            // Another type is refused untouched.
+            let mut other = ColumnVec::new(src.column((c + 1) % 4).dtype());
+            assert!(!other.gather_from(col, &idx) && !other.extend_from_range(col, 0, 1));
+            assert!(other.is_empty());
+        }
     }
 
     #[test]

@@ -1,25 +1,168 @@
 //! Column encodings for ROS containers.
 //!
-//! The engine's read-optimized storage keeps each column encoded. Three
-//! encodings cover the usual analytic cases:
+//! The engine's read-optimized storage keeps each column typed and
+//! encoded: the values are a [`ColumnVec`] (one native `Vec` plus a
+//! validity bitmap — 8 bytes per FLOAT, not a 24-byte tagged [`Value`]),
+//! wrapped in one of three encodings that cover the usual analytic
+//! cases:
 //!
 //! * **Plain** — values as-is; the fallback for high-entropy data
 //!   (dataset D1's random floats).
-//! * **Rle** — run-length `(value, count)` pairs; wins for sorted or
+//! * **Rle** — typed run values plus run lengths; wins for sorted or
 //!   low-variation columns.
-//! * **Dictionary** — distinct values plus per-row codes; wins for
-//!   low-cardinality strings.
+//! * **Dictionary** — typed distinct values plus per-row codes; wins
+//!   for low-cardinality strings.
 //!
 //! `encode_auto` samples cardinality and run structure to choose.
+//!
+//! The store is handed rows, not a schema, and accepts any value in any
+//! column. A column whose non-null values are not all of one type has no
+//! native vector to live in and keeps the [`ColumnData::Mixed`] form; it
+//! is chosen by that property of the data alone (such a column also has
+//! no usable zone map, see `storage::stats`).
 
-use common::{DataType, Value};
+use std::borrow::Cow;
+
+use common::{Result, Value};
+
+use crate::storage::batch::{each_column_type, ColumnVec};
+
+/// The values of one column, unencoded: what a load hands to
+/// [`encode_auto`], what the run values and dictionary entries of an
+/// encoded column are kept in, and what a gather returns.
+#[derive(Debug, Clone, PartialEq)]
+pub enum ColumnData {
+    /// Every non-null value has the vector's type. A column with no
+    /// non-null value at all has no type of its own and is stored as an
+    /// all-NULL vector of whichever type it was created with.
+    Typed(ColumnVec),
+    /// Non-null values of more than one type.
+    Mixed(Vec<Value>),
+}
+
+impl ColumnData {
+    /// An empty column with room for `n` values.
+    pub fn with_capacity(n: usize) -> ColumnData {
+        let mut col = ColumnVec::new(common::DataType::Boolean);
+        col.reserve(n);
+        ColumnData::Typed(col)
+    }
+
+    pub fn len(&self) -> usize {
+        match self {
+            ColumnData::Typed(col) => col.len(),
+            ColumnData::Mixed(vals) => vals.len(),
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append one value, as it is (no widening). The first non-null
+    /// value decides the vector's type; the first one of another type
+    /// turns the column into the mixed form.
+    pub fn push(&mut self, value: Value) {
+        let col = match self {
+            ColumnData::Typed(col) => col,
+            ColumnData::Mixed(vals) => return vals.push(value),
+        };
+        let Some(value) = col.push_exact(value) else {
+            return;
+        };
+        let n = col.len();
+        if col.null_count() < n {
+            let mut vals: Vec<Value> = (0..n).map(|i| col.value(i)).collect();
+            vals.push(value);
+            *self = ColumnData::Mixed(vals);
+        } else if let Some(dtype) = value.data_type() {
+            let mut typed = ColumnVec::new(dtype);
+            typed.reserve(col.capacity().max(n + 1));
+            typed.push_nulls(n);
+            typed.push_exact(value);
+            *col = typed;
+        }
+    }
+
+    /// Append every value of `other`.
+    pub fn extend(&mut self, other: &ColumnData) {
+        if let (ColumnData::Typed(a), ColumnData::Typed(b)) = (&mut *self, other) {
+            if a.extend_from_range(b, 0, b.len()) {
+                return;
+            }
+        }
+        for i in 0..other.len() {
+            self.push(other.value(i));
+        }
+    }
+
+    /// Decode position `idx` into a [`Value`] (clones strings).
+    pub fn value(&self, idx: usize) -> Value {
+        match self {
+            ColumnData::Typed(col) => col.value(idx),
+            ColumnData::Mixed(vals) => vals[idx].clone(),
+        }
+    }
+
+    /// The values at `idx` (any order, repeats allowed) as a column of
+    /// their own.
+    pub fn gather(&self, idx: &[u32]) -> ColumnData {
+        match self {
+            ColumnData::Typed(col) => {
+                let mut out = ColumnVec::new(col.dtype());
+                out.gather_from(col, idx);
+                ColumnData::Typed(out)
+            }
+            ColumnData::Mixed(vals) => {
+                // Through `push`: a subset of one type is typed again.
+                let mut out = ColumnData::with_capacity(idx.len());
+                for &i in idx {
+                    out.push(vals[i as usize].clone());
+                }
+                out
+            }
+        }
+    }
+
+    /// Append the values at `idx` to `dest`: typed vector to typed
+    /// vector when the types agree, otherwise value by value under
+    /// [`ColumnVec::push`]'s rules (NULLs fit, `Int64` widens to
+    /// `Float64`, anything else is a type mismatch at its position).
+    pub fn gather_into(&self, idx: &[u32], dest: &mut ColumnVec) -> Result<()> {
+        if let ColumnData::Typed(src) = self {
+            if dest.gather_from(src, idx) {
+                return Ok(());
+            }
+        }
+        for &i in idx {
+            dest.push(self.value(i as usize))?;
+        }
+        Ok(())
+    }
+
+    /// Sum of `Value::wire_size` over the column.
+    pub fn wire_size(&self) -> usize {
+        match self {
+            ColumnData::Typed(col) => col.wire_size(),
+            ColumnData::Mixed(vals) => vals.iter().map(Value::wire_size).sum(),
+        }
+    }
+}
 
 /// An encoded column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EncodedColumn {
-    Plain(Vec<Value>),
-    Rle(Vec<(Value, u32)>),
-    Dictionary { dict: Vec<Value>, codes: Vec<u32> },
+    Plain(ColumnData),
+    /// Run `r` is `lengths[r]` copies of `values[r]`.
+    Rle {
+        values: ColumnData,
+        lengths: Vec<u32>,
+    },
+    /// Row `i` is `dict[codes[i]]`.
+    Dictionary {
+        dict: ColumnData,
+        codes: Vec<u32>,
+    },
 }
 
 impl EncodedColumn {
@@ -27,7 +170,7 @@ impl EncodedColumn {
     pub fn len(&self) -> usize {
         match self {
             EncodedColumn::Plain(v) => v.len(),
-            EncodedColumn::Rle(runs) => runs.iter().map(|(_, c)| *c as usize).sum(),
+            EncodedColumn::Rle { lengths, .. } => lengths.iter().map(|&c| c as usize).sum(),
             EncodedColumn::Dictionary { codes, .. } => codes.len(),
         }
     }
@@ -36,21 +179,13 @@ impl EncodedColumn {
         self.len() == 0
     }
 
-    /// Decode the full column.
-    pub fn decode(&self) -> Vec<Value> {
+    /// Decode the full column; a plain column is borrowed as it is.
+    pub fn decode(&self) -> Cow<'_, ColumnData> {
         match self {
-            EncodedColumn::Plain(v) => v.clone(),
-            EncodedColumn::Rle(runs) => {
-                let mut out = Vec::with_capacity(self.len());
-                for (v, count) in runs {
-                    for _ in 0..*count {
-                        out.push(v.clone());
-                    }
-                }
-                out
-            }
-            EncodedColumn::Dictionary { dict, codes } => {
-                codes.iter().map(|&c| dict[c as usize].clone()).collect()
+            EncodedColumn::Plain(v) => Cow::Borrowed(v),
+            _ => {
+                let all: Vec<u32> = (0..self.len() as u32).collect();
+                Cow::Owned(self.gather_sorted(&all))
             }
         }
     }
@@ -58,67 +193,87 @@ impl EncodedColumn {
     /// Random access to row `idx` (used by point visibility checks).
     pub fn get(&self, idx: usize) -> Value {
         match self {
-            EncodedColumn::Plain(v) => v[idx].clone(),
-            EncodedColumn::Rle(runs) => {
+            EncodedColumn::Plain(v) => v.value(idx),
+            EncodedColumn::Rle { values, lengths } => {
                 let mut remaining = idx;
-                for (v, count) in runs {
-                    if remaining < *count as usize {
-                        return v.clone();
+                for (run, &count) in lengths.iter().enumerate() {
+                    if remaining < count as usize {
+                        return values.value(run);
                     }
-                    remaining -= *count as usize;
+                    remaining -= count as usize;
                 }
                 panic!("row index {idx} out of range");
             }
-            EncodedColumn::Dictionary { dict, codes } => dict[codes[idx] as usize].clone(),
+            EncodedColumn::Dictionary { dict, codes } => dict.value(codes[idx] as usize),
         }
     }
 
-    /// Gather the values at `positions` (which must be sorted
-    /// ascending) in one forward pass over the encoding.
-    ///
-    /// This is the late-materialization decode: for RLE the run cursor
-    /// advances monotonically so each run is located once no matter how
-    /// many surviving positions it covers, and for dictionary columns
-    /// only the selected codes are looked up. Cost is
-    /// `O(positions + runs)` instead of `O(positions * runs)` for
-    /// repeated [`EncodedColumn::get`] calls.
-    pub fn gather_sorted(&self, positions: &[u32]) -> Vec<Value> {
-        let mut out = Vec::with_capacity(positions.len());
+    /// Where the rows at `positions` (sorted ascending) live: the
+    /// unencoded values behind the encoding and an index into them per
+    /// position, for readers that decode in place instead of copying.
+    /// For RLE the run cursor advances monotonically, so each run is
+    /// located once no matter how many surviving positions it covers —
+    /// `O(positions + runs)`, not `O(positions * runs)` as repeated
+    /// [`EncodedColumn::get`] calls would be.
+    pub(crate) fn locate<'a>(&'a self, positions: &'a [u32]) -> (&'a ColumnData, Cow<'a, [u32]>) {
         match self {
-            EncodedColumn::Plain(v) => {
-                for &p in positions {
-                    out.push(v[p as usize].clone());
-                }
-            }
-            EncodedColumn::Rle(runs) => {
+            EncodedColumn::Plain(v) => (v, Cow::Borrowed(positions)),
+            EncodedColumn::Rle { values, lengths } => {
+                let mut idx = Vec::with_capacity(positions.len());
                 let mut run = 0usize;
-                // First row index of `runs[run]`.
+                // First row index of run `run`.
                 let mut run_start = 0usize;
                 for &p in positions {
                     let p = p as usize;
                     debug_assert!(p >= run_start, "positions must be sorted");
-                    while run < runs.len() && p >= run_start + runs[run].1 as usize {
-                        run_start += runs[run].1 as usize;
+                    while run < lengths.len() && p >= run_start + lengths[run] as usize {
+                        run_start += lengths[run] as usize;
                         run += 1;
                     }
-                    assert!(run < runs.len(), "row index {p} out of range");
-                    out.push(runs[run].0.clone());
+                    assert!(run < lengths.len(), "row index {p} out of range");
+                    idx.push(run as u32);
                 }
+                (values, Cow::Owned(idx))
             }
             EncodedColumn::Dictionary { dict, codes } => {
-                for &p in positions {
-                    out.push(dict[codes[p as usize] as usize].clone());
-                }
+                let idx = positions.iter().map(|&p| codes[p as usize]).collect();
+                (dict, Cow::Owned(idx))
             }
         }
-        out
+    }
+
+    /// Gather the values at `positions` (which must be sorted
+    /// ascending) in one forward pass over the encoding. This is the
+    /// late-materialization decode: only the selected runs and codes are
+    /// looked up, and the result stays typed.
+    pub fn gather_sorted(&self, positions: &[u32]) -> ColumnData {
+        let (values, idx) = self.locate(positions);
+        values.gather(&idx)
+    }
+
+    /// [`EncodedColumn::gather_sorted`] onto the end of a batch column,
+    /// with no intermediate vector: a plain column whose selection is
+    /// one contiguous run of rows is a slice copy, anything else an
+    /// indexed copy. Fails as [`ColumnData::gather_into`] does.
+    pub fn gather_into(&self, positions: &[u32], dest: &mut ColumnVec) -> Result<()> {
+        if let (EncodedColumn::Plain(ColumnData::Typed(src)), [first, .., last]) = (self, positions)
+        {
+            // Sorted and distinct, so spanning `len` rows means no gaps.
+            if (last - first) as usize == positions.len() - 1
+                && dest.extend_from_range(src, *first as usize, positions.len())
+            {
+                return Ok(());
+            }
+        }
+        let (values, idx) = self.locate(positions);
+        values.gather_into(&idx, dest)
     }
 
     /// A readable name of the encoding, surfaced in storage stats.
     pub fn encoding_name(&self) -> &'static str {
         match self {
             EncodedColumn::Plain(_) => "plain",
-            EncodedColumn::Rle(_) => "rle",
+            EncodedColumn::Rle { .. } => "rle",
             EncodedColumn::Dictionary { .. } => "dictionary",
         }
     }
@@ -127,88 +282,370 @@ impl EncodedColumn {
     /// compression-ratio reporting).
     pub fn encoded_size(&self) -> usize {
         match self {
-            EncodedColumn::Plain(v) => v.iter().map(Value::wire_size).sum(),
-            EncodedColumn::Rle(runs) => runs.iter().map(|(v, _)| v.wire_size() + 4).sum(),
+            EncodedColumn::Plain(v) => v.wire_size(),
+            EncodedColumn::Rle { values, lengths } => values.wire_size() + 4 * lengths.len(),
             EncodedColumn::Dictionary { dict, codes } => {
                 // Codes are bit-packed on disk: ceil(log2(|dict|)) bits each.
                 let bits = usize::BITS - (dict.len().max(2) - 1).leading_zeros();
-                dict.iter().map(Value::wire_size).sum::<usize>()
-                    + (codes.len() * bits as usize).div_ceil(8)
+                dict.wire_size() + (codes.len() * bits as usize).div_ceil(8)
             }
         }
+    }
+}
+
+/// An encoding of `n` rows, as row indices into the unencoded values.
+/// It follows from which positions hold equal values and nothing else,
+/// so the routines that work it out take that as a closure and compile
+/// once per column type, the comparison inlined.
+enum Shape {
+    Plain,
+    /// First row and length of each run; a run's value is its first
+    /// row's.
+    Rle {
+        starts: Vec<u32>,
+        lengths: Vec<u32>,
+    },
+    /// Row of each dictionary entry's first occurrence, and every row's
+    /// entry.
+    Dictionary {
+        firsts: Vec<u32>,
+        codes: Vec<u32>,
+    },
+}
+
+/// Which [`Shape`] to work out.
+#[derive(Clone, Copy)]
+enum Plan {
+    /// RLE when runs dominate, dictionary for low cardinality, plain
+    /// otherwise.
+    Auto,
+    Rle,
+    Dictionary,
+}
+
+impl Plan {
+    fn shape(self, n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+        match self {
+            Plan::Rle => rle_shape(n, eq),
+            Plan::Dictionary => dictionary_shape(n, eq),
+            Plan::Auto => {
+                // Count runs and (capped) distinct values over a sample.
+                let sample = n.min(1024);
+                if sample == 0 {
+                    return Shape::Plain;
+                }
+                let runs = 1 + (1..sample).filter(|&i| !eq(i - 1, i)).count();
+                let mut distinct: Vec<usize> = Vec::new();
+                for i in 0..sample {
+                    if distinct.len() > 64 {
+                        break;
+                    }
+                    if !distinct.iter().any(|&d| eq(d, i)) {
+                        distinct.push(i);
+                    }
+                }
+                if runs * 4 <= sample {
+                    rle_shape(n, eq)
+                } else if distinct.len() <= 64 && sample >= 16 {
+                    dictionary_shape(n, eq)
+                } else {
+                    Shape::Plain
+                }
+            }
+        }
+    }
+}
+
+fn rle_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+    let mut starts: Vec<u32> = Vec::new();
+    let mut lengths: Vec<u32> = Vec::new();
+    for i in 0..n {
+        match (starts.last(), lengths.last_mut()) {
+            (Some(&start), Some(count)) if eq(start as usize, i) && *count < u32::MAX => {
+                *count += 1
+            }
+            _ => {
+                starts.push(i as u32);
+                lengths.push(1);
+            }
+        }
+    }
+    Shape::Rle { starts, lengths }
+}
+
+fn dictionary_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut codes = Vec::with_capacity(n);
+    for i in 0..n {
+        // Linear probe: dictionaries only pay off when tiny, and
+        // `Plan::Auto` only picks this path for low cardinality.
+        let code = match firsts.iter().position(|&d| eq(d as usize, i)) {
+            Some(code) => code,
+            None => {
+                firsts.push(i as u32);
+                firsts.len() - 1
+            }
+        };
+        codes.push(code as u32);
+    }
+    Shape::Dictionary { firsts, codes }
+}
+
+/// Encode `values` as `plan` says; `None` when that is plain.
+fn encode(values: &ColumnData, plan: Plan) -> Option<EncodedColumn> {
+    // Equality as `Value`'s `==` has it: NULL equals NULL, `-0.0`
+    // equals `0.0`, NaN equals nothing, values of different types
+    // differ.
+    let shape = match values {
+        ColumnData::Typed(col) => {
+            each_column_type!(col, v => plan.shape(v.len(), |i, j| v.eq_at(i, j)))
+        }
+        ColumnData::Mixed(vals) => plan.shape(vals.len(), |i, j| vals[i] == vals[j]),
+    };
+    match shape {
+        Shape::Plain => None,
+        Shape::Rle { starts, lengths } => Some(EncodedColumn::Rle {
+            values: values.gather(&starts),
+            lengths,
+        }),
+        Shape::Dictionary { firsts, codes } => Some(EncodedColumn::Dictionary {
+            dict: values.gather(&firsts),
+            codes,
+        }),
     }
 }
 
 /// Encode with run-length encoding.
-pub fn encode_rle(values: &[Value]) -> EncodedColumn {
-    let mut runs: Vec<(Value, u32)> = Vec::new();
-    for v in values {
-        match runs.last_mut() {
-            Some((last, count)) if last == v && *count < u32::MAX => *count += 1,
-            _ => runs.push((v.clone(), 1)),
-        }
-    }
-    EncodedColumn::Rle(runs)
+pub fn encode_rle(values: &ColumnData) -> EncodedColumn {
+    encode(values, Plan::Rle).unwrap_or_else(|| EncodedColumn::Plain(values.clone()))
 }
 
-/// Encode with dictionary encoding. Returns `None` when the dictionary
-/// would exceed `u32` codes (never in practice here).
-pub fn encode_dictionary(values: &[Value]) -> EncodedColumn {
-    let mut dict: Vec<Value> = Vec::new();
-    let mut codes = Vec::with_capacity(values.len());
-    for v in values {
-        // Linear probe: dictionaries only pay off when tiny, and
-        // `encode_auto` only picks this path for low cardinality.
-        let code = match dict.iter().position(|d| d == v) {
-            Some(i) => i as u32,
-            None => {
-                dict.push(v.clone());
-                (dict.len() - 1) as u32
-            }
-        };
-        codes.push(code);
-    }
-    EncodedColumn::Dictionary { dict, codes }
+/// Encode with dictionary encoding.
+pub fn encode_dictionary(values: &ColumnData) -> EncodedColumn {
+    encode(values, Plan::Dictionary).unwrap_or_else(|| EncodedColumn::Plain(values.clone()))
 }
 
 /// Pick an encoding by inspecting the data: RLE when runs dominate,
-/// dictionary for low-cardinality columns, plain otherwise.
-pub fn encode_auto(values: &[Value], _dtype: DataType) -> EncodedColumn {
-    if values.is_empty() {
-        return EncodedColumn::Plain(Vec::new());
-    }
-    // Count runs and (capped) distinct values in one pass over a sample.
-    let sample = &values[..values.len().min(1024)];
-    let mut runs = 1usize;
-    for w in sample.windows(2) {
-        if w[0] != w[1] {
-            runs += 1;
-        }
-    }
-    let mut distinct: Vec<&Value> = Vec::new();
-    for v in sample {
-        if distinct.len() > 64 {
-            break;
-        }
-        if !distinct.contains(&v) {
-            distinct.push(v);
-        }
-    }
-    if runs * 4 <= sample.len() {
-        encode_rle(values)
-    } else if distinct.len() <= 64 && sample.len() >= 16 {
-        encode_dictionary(values)
-    } else {
-        EncodedColumn::Plain(values.to_vec())
-    }
+/// dictionary for low-cardinality columns, plain (the values moved in,
+/// not copied) otherwise.
+pub fn encode_auto(values: ColumnData) -> EncodedColumn {
+    encode(&values, Plan::Auto).unwrap_or(EncodedColumn::Plain(values))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use common::DataType;
 
-    fn ints(vals: &[i64]) -> Vec<Value> {
-        vals.iter().map(|&i| Value::Int64(i)).collect()
+    impl ColumnData {
+        pub(crate) fn from_values(values: &[Value]) -> ColumnData {
+            let mut out = ColumnData::with_capacity(values.len());
+            for v in values {
+                out.push(v.clone());
+            }
+            out
+        }
+
+        pub(crate) fn to_values(&self) -> Vec<Value> {
+            (0..self.len()).map(|i| self.value(i)).collect()
+        }
+    }
+
+    /// The `Vec<Value>` encodings the typed ones replaced, kept verbatim
+    /// as the reference: same encoding choice, same decoded values, same
+    /// sizes.
+    mod reference {
+        use common::Value;
+
+        /// An encoded column of values.
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum RefColumn {
+            Plain(Vec<Value>),
+            Rle(Vec<(Value, u32)>),
+            Dictionary { dict: Vec<Value>, codes: Vec<u32> },
+        }
+
+        impl RefColumn {
+            /// Number of rows in the column.
+            pub fn len(&self) -> usize {
+                match self {
+                    RefColumn::Plain(v) => v.len(),
+                    RefColumn::Rle(runs) => runs.iter().map(|(_, c)| *c as usize).sum(),
+                    RefColumn::Dictionary { codes, .. } => codes.len(),
+                }
+            }
+
+            /// Decode the full column.
+            pub fn decode(&self) -> Vec<Value> {
+                match self {
+                    RefColumn::Plain(v) => v.clone(),
+                    RefColumn::Rle(runs) => {
+                        let mut out = Vec::with_capacity(self.len());
+                        for (v, count) in runs {
+                            for _ in 0..*count {
+                                out.push(v.clone());
+                            }
+                        }
+                        out
+                    }
+                    RefColumn::Dictionary { dict, codes } => {
+                        codes.iter().map(|&c| dict[c as usize].clone()).collect()
+                    }
+                }
+            }
+
+            /// Random access to row `idx` (used by point visibility checks).
+            pub fn get(&self, idx: usize) -> Value {
+                match self {
+                    RefColumn::Plain(v) => v[idx].clone(),
+                    RefColumn::Rle(runs) => {
+                        let mut remaining = idx;
+                        for (v, count) in runs {
+                            if remaining < *count as usize {
+                                return v.clone();
+                            }
+                            remaining -= *count as usize;
+                        }
+                        panic!("row index {idx} out of range");
+                    }
+                    RefColumn::Dictionary { dict, codes } => dict[codes[idx] as usize].clone(),
+                }
+            }
+
+            /// Gather the values at `positions` (which must be sorted
+            /// ascending) in one forward pass over the encoding.
+            ///
+            /// This is the late-materialization decode: for RLE the run cursor
+            /// advances monotonically so each run is located once no matter how
+            /// many surviving positions it covers, and for dictionary columns
+            /// only the selected codes are looked up. Cost is
+            /// `O(positions + runs)` instead of `O(positions * runs)` for
+            /// repeated `get` calls.
+            pub fn gather_sorted(&self, positions: &[u32]) -> Vec<Value> {
+                let mut out = Vec::with_capacity(positions.len());
+                match self {
+                    RefColumn::Plain(v) => {
+                        for &p in positions {
+                            out.push(v[p as usize].clone());
+                        }
+                    }
+                    RefColumn::Rle(runs) => {
+                        let mut run = 0usize;
+                        // First row index of `runs[run]`.
+                        let mut run_start = 0usize;
+                        for &p in positions {
+                            let p = p as usize;
+                            debug_assert!(p >= run_start, "positions must be sorted");
+                            while run < runs.len() && p >= run_start + runs[run].1 as usize {
+                                run_start += runs[run].1 as usize;
+                                run += 1;
+                            }
+                            assert!(run < runs.len(), "row index {p} out of range");
+                            out.push(runs[run].0.clone());
+                        }
+                    }
+                    RefColumn::Dictionary { dict, codes } => {
+                        for &p in positions {
+                            out.push(dict[codes[p as usize] as usize].clone());
+                        }
+                    }
+                }
+                out
+            }
+
+            /// A readable name of the encoding, surfaced in storage stats.
+            pub fn encoding_name(&self) -> &'static str {
+                match self {
+                    RefColumn::Plain(_) => "plain",
+                    RefColumn::Rle(_) => "rle",
+                    RefColumn::Dictionary { .. } => "dictionary",
+                }
+            }
+
+            /// Approximate encoded size in bytes (for storage stats and
+            /// compression-ratio reporting).
+            pub fn encoded_size(&self) -> usize {
+                match self {
+                    RefColumn::Plain(v) => v.iter().map(Value::wire_size).sum(),
+                    RefColumn::Rle(runs) => runs.iter().map(|(v, _)| v.wire_size() + 4).sum(),
+                    RefColumn::Dictionary { dict, codes } => {
+                        // Codes are bit-packed on disk: ceil(log2(|dict|)) bits each.
+                        let bits = usize::BITS - (dict.len().max(2) - 1).leading_zeros();
+                        dict.iter().map(Value::wire_size).sum::<usize>()
+                            + (codes.len() * bits as usize).div_ceil(8)
+                    }
+                }
+            }
+        }
+
+        /// Encode with run-length encoding.
+        pub fn encode_rle(values: &[Value]) -> RefColumn {
+            let mut runs: Vec<(Value, u32)> = Vec::new();
+            for v in values {
+                match runs.last_mut() {
+                    Some((last, count)) if last == v && *count < u32::MAX => *count += 1,
+                    _ => runs.push((v.clone(), 1)),
+                }
+            }
+            RefColumn::Rle(runs)
+        }
+
+        /// Encode with dictionary encoding. Returns `None` when the dictionary
+        /// would exceed `u32` codes (never in practice here).
+        pub fn encode_dictionary(values: &[Value]) -> RefColumn {
+            let mut dict: Vec<Value> = Vec::new();
+            let mut codes = Vec::with_capacity(values.len());
+            for v in values {
+                // Linear probe: dictionaries only pay off when tiny, and
+                // `encode_auto` only picks this path for low cardinality.
+                let code = match dict.iter().position(|d| d == v) {
+                    Some(i) => i as u32,
+                    None => {
+                        dict.push(v.clone());
+                        (dict.len() - 1) as u32
+                    }
+                };
+                codes.push(code);
+            }
+            RefColumn::Dictionary { dict, codes }
+        }
+
+        /// Pick an encoding by inspecting the data: RLE when runs dominate,
+        /// dictionary for low-cardinality columns, plain otherwise.
+        pub fn encode_auto(values: &[Value]) -> RefColumn {
+            if values.is_empty() {
+                return RefColumn::Plain(Vec::new());
+            }
+            // Count runs and (capped) distinct values in one pass over a sample.
+            let sample = &values[..values.len().min(1024)];
+            let mut runs = 1usize;
+            for w in sample.windows(2) {
+                if w[0] != w[1] {
+                    runs += 1;
+                }
+            }
+            let mut distinct: Vec<&Value> = Vec::new();
+            for v in sample {
+                if distinct.len() > 64 {
+                    break;
+                }
+                if !distinct.contains(&v) {
+                    distinct.push(v);
+                }
+            }
+            if runs * 4 <= sample.len() {
+                encode_rle(values)
+            } else if distinct.len() <= 64 && sample.len() >= 16 {
+                encode_dictionary(values)
+            } else {
+                RefColumn::Plain(values.to_vec())
+            }
+        }
+    }
+
+    fn ints(vals: &[i64]) -> ColumnData {
+        let vals: Vec<Value> = vals.iter().map(|&i| Value::Int64(i)).collect();
+        ColumnData::from_values(&vals)
     }
 
     #[test]
@@ -216,12 +653,13 @@ mod tests {
         let vals = ints(&[1, 1, 1, 2, 2, 3, 3, 3, 3]);
         let enc = encode_rle(&vals);
         assert_eq!(enc.len(), 9);
-        assert_eq!(enc.decode(), vals);
+        assert_eq!(*enc.decode(), vals);
         assert_eq!(enc.get(2), Value::Int64(1));
         assert_eq!(enc.get(3), Value::Int64(2));
         assert_eq!(enc.get(8), Value::Int64(3));
-        if let EncodedColumn::Rle(runs) = &enc {
-            assert_eq!(runs.len(), 3);
+        if let EncodedColumn::Rle { values, lengths } = &enc {
+            assert_eq!(*values, ints(&[1, 2, 3]));
+            assert_eq!(lengths, &[3, 2, 4]);
         } else {
             panic!("expected RLE");
         }
@@ -233,8 +671,8 @@ mod tests {
             .iter()
             .map(|s| Value::Varchar(s.to_string()))
             .collect();
-        let enc = encode_dictionary(&vals);
-        assert_eq!(enc.decode(), vals);
+        let enc = encode_dictionary(&ColumnData::from_values(&vals));
+        assert_eq!(enc.decode().to_values(), vals);
         assert_eq!(enc.get(3), Value::Varchar("c".into()));
         if let EncodedColumn::Dictionary { dict, .. } = &enc {
             assert_eq!(dict.len(), 3);
@@ -246,10 +684,10 @@ mod tests {
     #[test]
     fn auto_picks_rle_for_sorted_runs() {
         let vals = ints(&[7; 1000]);
-        let enc = encode_auto(&vals, DataType::Int64);
+        let enc = encode_auto(vals.clone());
         assert_eq!(enc.encoding_name(), "rle");
         assert!(enc.encoded_size() < 100);
-        assert_eq!(enc.decode(), vals);
+        assert_eq!(*enc.decode(), vals);
     }
 
     #[test]
@@ -257,28 +695,29 @@ mod tests {
         let vals: Vec<Value> = (0..500)
             .map(|i| Value::Varchar(format!("cat{}", i % 5)))
             .collect();
-        let enc = encode_auto(&vals, DataType::Varchar);
+        let enc = encode_auto(ColumnData::from_values(&vals));
         assert_eq!(enc.encoding_name(), "dictionary");
-        assert_eq!(enc.decode(), vals);
+        assert_eq!(enc.decode().to_values(), vals);
     }
 
     #[test]
     fn auto_picks_plain_for_high_entropy() {
         let vals = ints(&(0..500).collect::<Vec<i64>>());
-        let enc = encode_auto(&vals, DataType::Int64);
+        let enc = encode_auto(vals.clone());
         assert_eq!(enc.encoding_name(), "plain");
-        assert_eq!(enc.decode(), vals);
+        assert_eq!(*enc.decode(), vals);
     }
 
     #[test]
     fn nulls_supported_in_all_encodings() {
         let vals = vec![Value::Null, Value::Null, Value::Int64(1), Value::Null];
+        let col = ColumnData::from_values(&vals);
         for enc in [
-            encode_rle(&vals),
-            encode_dictionary(&vals),
-            EncodedColumn::Plain(vals.clone()),
+            encode_rle(&col),
+            encode_dictionary(&col),
+            EncodedColumn::Plain(col.clone()),
         ] {
-            assert_eq!(enc.decode(), vals);
+            assert_eq!(enc.decode().to_values(), vals);
         }
     }
 
@@ -291,7 +730,7 @@ mod tests {
             encode_dictionary(&vals),
             EncodedColumn::Plain(vals.clone()),
         ] {
-            let gathered = enc.gather_sorted(&positions);
+            let gathered = enc.gather_sorted(&positions).to_values();
             let expected: Vec<Value> = positions.iter().map(|&p| enc.get(p as usize)).collect();
             assert_eq!(gathered, expected, "encoding {}", enc.encoding_name());
         }
@@ -299,8 +738,136 @@ mod tests {
 
     #[test]
     fn empty_column() {
-        let enc = encode_auto(&[], DataType::Int64);
+        let enc = encode_auto(ColumnData::with_capacity(0));
         assert!(enc.is_empty());
-        assert_eq!(enc.decode(), Vec::<Value>::new());
+        assert_eq!(enc.decode().to_values(), Vec::<Value>::new());
+    }
+
+    #[test]
+    fn the_form_follows_the_values_not_the_history() {
+        // NULLs first: the first value still decides the type.
+        let late = [Value::Null, Value::Null, Value::Float64(1.5)];
+        assert!(matches!(
+            ColumnData::from_values(&late),
+            ColumnData::Typed(ColumnVec::Float64(_))
+        ));
+        // Two types: mixed, whichever came first, values as they were
+        // (no widening inside the store).
+        let mixed = [Value::Int64(1), Value::Null, Value::Float64(2.0)];
+        let col = ColumnData::from_values(&mixed);
+        assert!(matches!(col, ColumnData::Mixed(_)));
+        assert_eq!(col.to_values(), mixed);
+        // A one-type subset of a mixed column is typed again.
+        assert!(matches!(
+            col.gather(&[0, 1]),
+            ColumnData::Typed(ColumnVec::Int64(_))
+        ));
+        // Concatenation: all-NULL pieces take the other side's type.
+        let mut merged = ColumnData::from_values(&[Value::Null]);
+        merged.extend(&ColumnData::from_values(&late));
+        merged.extend(&ColumnData::from_values(&[Value::Null]));
+        assert!(matches!(merged, ColumnData::Typed(ColumnVec::Float64(_))));
+        assert_eq!(merged.len(), 5);
+        merged.extend(&ColumnData::from_values(&[Value::Varchar("x".into())]));
+        assert!(matches!(merged, ColumnData::Mixed(_)));
+        assert_eq!(merged.value(5), Value::Varchar("x".into()));
+    }
+
+    /// Columns of the shapes that stress the encodings, the bounds and
+    /// the sketch: `kind` picks homogeneous floats / ints / strings /
+    /// booleans, low-cardinality values (dictionary; the sketch never
+    /// fills), long runs, NULL-heavy, all-NULL, NaN- and signed-zero-
+    /// bearing floats, or a mix of types; `picks` supplies the entropy.
+    pub(crate) const COLUMN_KINDS: u8 = 11;
+
+    pub(crate) fn column(kind: u8, picks: &[(u8, i64)]) -> Vec<Value> {
+        let mut run_value = 0i64;
+        picks
+            .iter()
+            .map(|&(p, x)| match (kind, p) {
+                (0, _) => Value::Float64(x as f64 / 8.0),
+                (1, _) => Value::Int64(x),
+                (2, _) => Value::Varchar(format!("s{}", x % 97)),
+                (3, _) => Value::Int64(x % 5),
+                (4, 0..=5) => Value::Null,
+                (4, _) => Value::Float64(x as f64),
+                (5, 0) => Value::Float64(f64::NAN),
+                (5, _) => Value::Float64(x as f64),
+                (6, _) => Value::Boolean(x % 2 == 0),
+                (7, _) => {
+                    // A new run value on one pick in eight.
+                    if p == 0 {
+                        run_value = x;
+                    }
+                    Value::Varchar(format!("r{run_value}"))
+                }
+                (8, _) => Value::Null,
+                (9, 0..=2) => Value::Float64(-0.0),
+                (9, 3..=5) => Value::Float64(0.0),
+                (9, _) => Value::Float64((x % 3) as f64),
+                (_, 0) => Value::Null,
+                (_, 1) => Value::Boolean(x % 2 == 0),
+                (_, 2) => Value::Varchar(format!("{x}")),
+                (_, 3) => Value::Float64(x as f64 / 3.0),
+                (_, _) => Value::Int64(x),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig {
+            cases: 256,
+            ..proptest::prelude::ProptestConfig::default()
+        })]
+
+        #[test]
+        fn typed_encodings_match_the_reference(
+            kind in 0u8..COLUMN_KINDS,
+            picks in proptest::collection::vec((0u8..8, -1000i64..1000), 0..400),
+            keep in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 400),
+            dest in 0usize..4,
+        ) {
+            let values = column(kind, &picks);
+            let want = reference::encode_auto(&values);
+            let got = encode_auto(ColumnData::from_values(&values));
+            // Everything through `Debug`, so that NaN equals itself and
+            // `-0.0` does not equal `0.0`.
+            let same = |a: &[Value], b: &[Value]| format!("{a:?}") == format!("{b:?}");
+            proptest::prop_assert_eq!(got.encoding_name(), want.encoding_name());
+            proptest::prop_assert_eq!(got.len(), want.len());
+            proptest::prop_assert_eq!(got.encoded_size(), want.encoded_size());
+            proptest::prop_assert!(same(&got.decode().to_values(), &want.decode()));
+            let by_get = |get: &dyn Fn(usize) -> Value| (0..values.len()).map(get).collect::<Vec<_>>();
+            proptest::prop_assert!(same(&by_get(&|i| got.get(i)), &by_get(&|i| want.get(i))));
+            let mixed = values.iter().filter_map(Value::data_type).any(|t| {
+                Some(t) != values.iter().find_map(Value::data_type)
+            });
+            proptest::prop_assert_eq!(
+                matches!(*got.decode(), ColumnData::Mixed(_)),
+                mixed,
+                "the mixed form is for mixed values only"
+            );
+
+            // A sorted selection, a contiguous one, and everything.
+            let some: Vec<u32> = (0..values.len() as u32).filter(|&i| keep[i as usize]).collect();
+            let middle: Vec<u32> = (values.len() as u32 / 4..values.len() as u32 * 3 / 4).collect();
+            let all: Vec<u32> = (0..values.len() as u32).collect();
+            for sel in [&some, &middle, &all] {
+                let picked = want.gather_sorted(sel);
+                proptest::prop_assert!(same(&got.gather_sorted(sel).to_values(), &picked));
+                // Onto a batch column that already holds a value: the
+                // outcome of pushing the reference's values one by one.
+                let dtype = [DataType::Boolean, DataType::Int64, DataType::Float64, DataType::Varchar][dest];
+                let (mut typed, mut pushed) = (ColumnVec::new(dtype), ColumnVec::new(dtype));
+                typed.push_nulls(1);
+                pushed.push_nulls(1);
+                let outcome = got.gather_into(sel, &mut typed);
+                let expected = picked.into_iter().try_for_each(|v| pushed.push(v));
+                proptest::prop_assert_eq!(format!("{outcome:?}"), format!("{expected:?}"));
+                if outcome.is_ok() {
+                    proptest::prop_assert_eq!(format!("{typed:?}"), format!("{pushed:?}"));
+                }
+            }
+        }
     }
 }

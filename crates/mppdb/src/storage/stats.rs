@@ -19,6 +19,9 @@ use std::cmp::Ordering;
 use common::expr::BinaryOp;
 use common::{Expr, Value};
 
+use crate::storage::batch::{each_column_type, Native};
+use crate::storage::encoding::ColumnData;
+
 /// Sketch size: the k smallest distinct value hashes kept per column.
 const KMV_K: usize = 64;
 
@@ -46,28 +49,52 @@ fn cmp_values(a: &Value, b: &Value) -> Option<Ordering> {
 }
 
 impl ColumnStats {
-    /// One pass over the column: the running bounds are borrowed (cloned
-    /// once, at the end) and the sketch turns most values away on one
-    /// comparison.
-    fn compute(values: &[Value]) -> ColumnStats {
-        // `None` until the first non-null value, and again for good once
-        // the zone map proves unusable.
-        let mut bounds: Option<(&Value, &Value)> = None;
+    /// Statistics of one unencoded column, straight from its typed
+    /// vector: the order and the hash are the native type's, which are
+    /// `Value::sql_cmp` and the segmentation hash of the same values.
+    /// Only the mixed-type form goes through `Value`s.
+    fn compute(column: &ColumnData) -> ColumnStats {
+        match column {
+            ColumnData::Typed(col) => each_column_type!(col, v => ColumnStats::over(
+                v.iter_valid(),
+                v.null_count() as u64,
+                PartialOrd::partial_cmp,
+                Native::hash,
+                Native::to_value,
+            )),
+            ColumnData::Mixed(vals) => ColumnStats::over(
+                vals.iter().filter(|v| !v.is_null()),
+                vals.iter().filter(|v| v.is_null()).count() as u64,
+                cmp_values,
+                |v| common::hash::segmentation_hash(std::slice::from_ref(v)),
+                Value::clone,
+            ),
+        }
+    }
+
+    /// One pass over the non-null values: the running bounds are
+    /// borrowed (made into `Value`s once, at the end) and the sketch
+    /// turns most values away on one comparison.
+    fn over<'a, T: 'a>(
+        non_null: impl Iterator<Item = &'a T>,
+        null_count: u64,
+        cmp: impl Fn(&T, &T) -> Option<Ordering>,
+        hash: impl Fn(&T) -> u64,
+        to_value: impl Fn(&T) -> Value,
+    ) -> ColumnStats {
+        // `None` until the first value, and again for good once the zone
+        // map proves unusable.
+        let mut bounds: Option<(&T, &T)> = None;
         let mut usable = true;
-        let mut null_count = 0u64;
         let mut sketch = KmvSketch::new();
-        for v in values {
-            if v.is_null() {
-                null_count += 1;
-                continue;
-            }
-            sketch.observe(common::hash::segmentation_hash(std::slice::from_ref(v)));
+        for v in non_null {
+            sketch.observe(hash(v));
             if !usable {
                 continue;
             }
             bounds = match bounds {
                 None => Some((v, v)),
-                Some((lo, hi)) => match (cmp_values(v, lo), cmp_values(v, hi)) {
+                Some((lo, hi)) => match (cmp(v, lo), cmp(v, hi)) {
                     (Some(below), Some(above)) => Some((
                         if below == Ordering::Less { v } else { lo },
                         if above == Ordering::Greater { v } else { hi },
@@ -83,8 +110,8 @@ impl ColumnStats {
             };
         }
         ColumnStats {
-            min: bounds.map(|(lo, _)| lo.clone()),
-            max: bounds.map(|(_, hi)| hi.clone()),
+            min: bounds.map(|(lo, _)| to_value(lo)),
+            max: bounds.map(|(_, hi)| to_value(hi)),
             null_count,
             ndv: sketch.estimate(),
         }
@@ -103,9 +130,9 @@ pub struct ContainerStats {
 }
 
 impl ContainerStats {
-    /// Compute stats from the raw (pre-encoding) column vectors and the
-    /// per-row segmentation hashes. Timed under `stats.build_us`.
-    pub fn compute(column_values: &[Vec<Value>], hashes: &[u64]) -> ContainerStats {
+    /// Compute stats from the unencoded columns and the per-row
+    /// segmentation hashes. Timed under `stats.build_us`.
+    pub fn compute(columns: &[ColumnData], hashes: &[u64]) -> ContainerStats {
         let started = std::time::Instant::now();
         let (hash_min, hash_max) = hashes
             .iter()
@@ -114,10 +141,7 @@ impl ContainerStats {
             row_count: hashes.len() as u64,
             hash_min,
             hash_max,
-            columns: column_values
-                .iter()
-                .map(|vals| ColumnStats::compute(vals))
-                .collect(),
+            columns: columns.iter().map(ColumnStats::compute).collect(),
         };
         obs::global().record_time("stats.build_us", started.elapsed());
         stats
@@ -452,6 +476,7 @@ fn comparison_selectivity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::storage::encoding::tests::{column, COLUMN_KINDS};
     use common::Expr as E;
 
     fn col_vals(vals: &[i64]) -> Vec<Value> {
@@ -459,7 +484,8 @@ mod tests {
     }
 
     fn stats_for(vals: Vec<Vec<Value>>, hashes: &[u64]) -> ContainerStats {
-        ContainerStats::compute(&vals, hashes)
+        let columns: Vec<ColumnData> = vals.iter().map(|v| ColumnData::from_values(v)).collect();
+        ContainerStats::compute(&columns, hashes)
     }
 
     fn idx(i: usize) -> E {
@@ -574,6 +600,7 @@ mod tests {
     #[test]
     fn ndv_sketch_is_deterministic_and_plausible() {
         let many: Vec<Value> = (0..10_000).map(Value::Int64).collect();
+        let many = ColumnData::from_values(&many);
         let a = ColumnStats::compute(&many);
         let b = ColumnStats::compute(&many);
         assert_eq!(a.ndv, b.ndv, "no ambient entropy");
@@ -583,13 +610,14 @@ mod tests {
             a.ndv
         );
         let few: Vec<Value> = (0..10_000).map(|i| Value::Int64(i % 7)).collect();
+        let few = ColumnData::from_values(&few);
         assert_eq!(ColumnStats::compute(&few).ndv, 7, "small NDV is exact");
     }
 
-    /// The routine `ColumnStats::compute` replaced, kept verbatim as the
-    /// reference: an owned min/max cloned on every improvement, two
-    /// `sql_cmp`s per value, and a sketch that binary-searches every
-    /// hash.
+    /// The `Vec<Value>` routine `ColumnStats::compute` replaced, kept
+    /// verbatim as the reference: an owned min/max cloned on every
+    /// improvement, two `sql_cmp`s per value, and a sketch that
+    /// binary-searches every hash.
     fn reference_stats(values: &[Value]) -> ColumnStats {
         let mut min: Option<Value> = None;
         let mut max: Option<Value> = None;
@@ -642,31 +670,6 @@ mod tests {
         }
     }
 
-    /// Columns of the shapes that stress the bounds and the sketch:
-    /// `kind` picks homogeneous floats / ints / strings, low-cardinality
-    /// values (sketch never fills), NULL-heavy, NaN-bearing, or a mix of
-    /// type classes; `picks` supplies the entropy.
-    fn column(kind: u8, picks: &[(u8, i64)]) -> Vec<Value> {
-        picks
-            .iter()
-            .map(|&(p, x)| match (kind, p) {
-                (0, _) => Value::Float64(x as f64 / 8.0),
-                (1, _) => Value::Int64(x),
-                (2, _) => Value::Varchar(format!("s{}", x % 97)),
-                (3, _) => Value::Int64(x % 5),
-                (4, 0..=5) => Value::Null,
-                (4, _) => Value::Float64(x as f64),
-                (5, 0) => Value::Float64(f64::NAN),
-                (5, _) => Value::Float64(x as f64),
-                (_, 0) => Value::Null,
-                (_, 1) => Value::Boolean(x % 2 == 0),
-                (_, 2) => Value::Varchar(format!("{x}")),
-                (_, 3) => Value::Float64(x as f64 / 3.0),
-                (_, _) => Value::Int64(x),
-            })
-            .collect()
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig {
             cases: 256,
@@ -675,11 +678,11 @@ mod tests {
 
         #[test]
         fn stats_match_the_reference_routine(
-            kind in 0u8..7,
+            kind in 0u8..COLUMN_KINDS,
             picks in proptest::collection::vec((0u8..8, -1000i64..1000), 0..400),
         ) {
             let values = column(kind, &picks);
-            let got = ColumnStats::compute(&values);
+            let got = ColumnStats::compute(&ColumnData::from_values(&values));
             let want = reference_stats(&values);
             // Through `Debug`, so that a NaN bound equals itself.
             proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));

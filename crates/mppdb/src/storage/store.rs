@@ -1,6 +1,7 @@
 //! The per-node, per-table MVCC store: WOS + ROS with pending-until-
 //! commit visibility and delete vectors.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use common::agg::{AggFunc, GroupedAccs};
@@ -9,7 +10,7 @@ use common::{DataType, Expr, Result, Row, Value};
 
 use crate::segmentation::HashRange;
 use crate::storage::batch::ColumnBatch;
-use crate::storage::encoding::{encode_auto, EncodedColumn};
+use crate::storage::encoding::{encode_auto, ColumnData, EncodedColumn};
 use crate::storage::stats::{
     analyzable, container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
 };
@@ -81,19 +82,31 @@ struct RosPayload {
 }
 
 impl RosPayload {
-    /// The one ROS creation path: statistics from the raw column
-    /// vectors, then encoding.
-    fn build(
-        column_values: Vec<Vec<Value>>,
-        hashes: Vec<u64>,
-    ) -> (Arc<RosPayload>, ContainerStats) {
-        let stats = ContainerStats::compute(&column_values, &hashes);
-        let columns = column_values
-            .into_iter()
-            // Data type is only advisory for encoding choice.
-            .map(|vals| encode_auto(&vals, DataType::Varchar))
-            .collect();
+    /// The one ROS creation path: statistics from the unencoded typed
+    /// columns, then encoding.
+    fn build(columns: Vec<ColumnData>, hashes: Vec<u64>) -> (Arc<RosPayload>, ContainerStats) {
+        let stats = ContainerStats::compute(&columns, &hashes);
+        let columns = columns.into_iter().map(encode_auto).collect();
         (Arc::new(RosPayload { columns, hashes }), stats)
+    }
+
+    /// Transpose rows into unencoded columns and build from those.
+    fn from_rows(
+        column_count: usize,
+        rows: impl ExactSizeIterator<Item = (impl IntoIterator<Item = Value>, u64)>,
+    ) -> (Arc<RosPayload>, ContainerStats) {
+        let n = rows.len();
+        let mut hashes = Vec::with_capacity(n);
+        let mut columns: Vec<ColumnData> = (0..column_count)
+            .map(|_| ColumnData::with_capacity(n))
+            .collect();
+        for (row, hash) in rows {
+            hashes.push(hash);
+            for (column, v) in columns.iter_mut().zip(row) {
+                column.push(v);
+            }
+        }
+        RosPayload::build(columns, hashes)
     }
 }
 
@@ -257,17 +270,17 @@ fn filter_single_column(
     match col {
         EncodedColumn::Plain(values) => {
             for &p in sel {
-                scratch.set(col_idx, values[p as usize].clone());
+                scratch.set(col_idx, values.value(p as usize));
                 n.decoded += 1;
                 if pred.matches(scratch)? {
                     out.push(p);
                 }
             }
         }
-        EncodedColumn::Rle(runs) => {
+        EncodedColumn::Rle { values, lengths } => {
             let mut i = 0usize; // cursor into sel
             let mut run_start = 0usize;
-            for (value, len) in runs {
+            for (run, len) in lengths.iter().enumerate() {
                 if i == sel.len() {
                     break;
                 }
@@ -280,7 +293,7 @@ fn filter_single_column(
                 if begin == i {
                     continue; // no selected row in this run
                 }
-                scratch.set(col_idx, value.clone());
+                scratch.set(col_idx, values.value(run));
                 n.decoded += 1;
                 if pred.matches(scratch)? {
                     out.extend_from_slice(&sel[begin..i]);
@@ -296,7 +309,7 @@ fn filter_single_column(
                 let keep = match memo[code] {
                     Some(k) => k,
                     None => {
-                        scratch.set(col_idx, dict[code].clone());
+                        scratch.set(col_idx, dict.value(code));
                         n.decoded += 1;
                         let k = pred.matches(scratch)?;
                         memo[code] = Some(k);
@@ -411,15 +424,15 @@ fn apply_filter(
             filter_single_column(&c.payload.columns[*single], *single, expr, scratch, &sel, n)
         }
         multi => {
-            let gathered: Vec<Vec<Value>> = multi
+            let located: Vec<_> = multi
                 .iter()
-                .map(|&ci| c.payload.columns[ci].gather_sorted(&sel))
+                .map(|&ci| c.payload.columns[ci].locate(&sel))
                 .collect();
-            n.decoded += (gathered.len() * sel.len()) as u64;
+            n.decoded += (located.len() * sel.len()) as u64;
             let mut kept = Vec::with_capacity(sel.len());
             for (k, &p) in sel.iter().enumerate() {
-                for (col_vals, &ci) in gathered.iter().zip(multi) {
-                    scratch.set(ci, col_vals[k].clone());
+                for ((values, idx), &ci) in located.iter().zip(multi) {
+                    scratch.set(ci, values.value(idx[k] as usize));
                 }
                 if expr.matches(scratch)? {
                     kept.push(p);
@@ -459,15 +472,12 @@ struct BatchSink<'a> {
 impl ScanSink for BatchSink<'_> {
     fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
         for (out_c, &table_c) in self.projection.iter().enumerate() {
-            let values = c.payload.columns[table_c].gather_sorted(sel);
-            *decoded += values.len() as u64;
-            for v in values {
-                self.batch.push(out_c, v)?;
-            }
+            c.payload.columns[table_c].gather_into(sel, self.batch.column_mut(out_c))?;
+            *decoded += sel.len() as u64;
         }
-        for &p in sel {
-            self.batch.push_hash(c.payload.hashes[p as usize]);
-        }
+        let hashes = &c.payload.hashes;
+        self.batch
+            .extend_hashes(sel.iter().map(|&p| hashes[p as usize]));
         Ok(())
     }
 
@@ -493,12 +503,16 @@ struct AggSink<'a> {
 }
 
 impl AggSink<'_> {
-    fn fold<'v>(&mut self, value_of: impl Fn(usize) -> &'v Value) -> Result<()> {
-        let key: Vec<Value> = self.group_by.iter().map(|&g| value_of(g).clone()).collect();
+    fn fold<'v>(&mut self, value_of: impl Fn(usize) -> Cow<'v, Value>) -> Result<()> {
+        let key: Vec<Value> = self
+            .group_by
+            .iter()
+            .map(|&g| value_of(g).into_owned())
+            .collect();
         let group = self.accs.entry(key);
         for ((_, col), acc) in self.funcs.iter().zip(group.iter_mut()) {
             match col {
-                Some(i) => acc.update(value_of(*i))?,
+                Some(i) => acc.update(&value_of(*i))?,
                 // COUNT(*) is the only input-less aggregate.
                 None => acc.update(&Value::Int64(1))?,
             }
@@ -555,25 +569,25 @@ impl ScanSink for AggSink<'_> {
     }
 
     fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
-        let gathered: Vec<(usize, Vec<Value>)> = self
+        let located: Vec<_> = self
             .needed
             .iter()
-            .map(|&ci| (ci, c.payload.columns[ci].gather_sorted(sel)))
+            .map(|&ci| (ci, c.payload.columns[ci].locate(sel)))
             .collect();
-        *decoded += (gathered.len() * sel.len()) as u64;
+        *decoded += (located.len() * sel.len()) as u64;
         for k in 0..sel.len() {
             // `needed` holds every ordinal the fold reads, so the
-            // lookup always finds the gathered column.
-            self.fold(|ci| match gathered.iter().find(|(g, _)| *g == ci) {
-                Some((_, vals)) => &vals[k],
-                None => &Value::Null,
+            // lookup always finds the located column.
+            self.fold(|ci| match located.iter().find(|(g, _)| *g == ci) {
+                Some((_, (values, idx))) => Cow::Owned(values.value(idx[k] as usize)),
+                None => Cow::Owned(Value::Null),
             })?;
         }
         Ok(())
     }
 
     fn wos(&mut self, _loc: RowLoc, row: &Row, _hash: u64) -> Result<()> {
-        self.fold(|ci| row.get(ci))
+        self.fold(|ci| Cow::Borrowed(row.get(ci)))
     }
 }
 
@@ -582,21 +596,18 @@ struct VisitSink<F>(F);
 
 impl<F: FnMut(RowLoc, &Row, u64)> ScanSink for VisitSink<F> {
     fn ros(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
-        let mut column_values: Vec<std::vec::IntoIter<Value>> = c
+        let located: Vec<_> = c
             .payload
             .columns
             .iter()
-            .map(|col| col.gather_sorted(sel).into_iter())
+            .map(|col| col.locate(sel))
             .collect();
-        *decoded += (column_values.len() * sel.len()) as u64;
-        for &idx in sel {
+        *decoded += (located.len() * sel.len()) as u64;
+        for (k, &idx) in sel.iter().enumerate() {
             let row = Row::new(
-                column_values
-                    .iter_mut()
-                    // Every iterator gathered exactly `sel.len()`
-                    // values above; a short column is corruption.
-                    // fabriclint: allow(panic-hygiene): gather produced sel.len() values per column
-                    .map(|it| it.next().expect("gather length mismatch"))
+                located
+                    .iter()
+                    .map(|(values, at)| values.value(at[k] as usize))
                     .collect(),
             );
             let loc = RowLoc::Ros {
@@ -730,19 +741,12 @@ impl NodeTableStore {
             return;
         }
         let n = rows.len();
-        let mut hashes = Vec::with_capacity(n);
-        let mut column_values: Vec<Vec<Value>> = (0..self.column_count)
-            .map(|_| Vec::with_capacity(n))
-            .collect();
-        for (row, hash) in rows {
-            debug_assert_eq!(row.len(), self.column_count);
-            hashes.push(hash);
-            for (c, v) in row.into_values().into_iter().enumerate() {
-                column_values[c].push(v);
-            }
-        }
+        debug_assert!(rows.iter().all(|(r, _)| r.len() == self.column_count));
+        let rows = rows
+            .into_iter()
+            .map(|(row, hash)| (row.into_values(), hash));
         self.push_container(
-            RosPayload::build(column_values, hashes),
+            RosPayload::from_rows(self.column_count, rows),
             vec![CommitState::Pending(txn); n],
             vec![DeleteState::NotDeleted; n],
         );
@@ -1198,22 +1202,14 @@ impl NodeTableStore {
             return 0;
         }
         let n = moving.len();
-        let mut hashes = Vec::with_capacity(n);
-        let mut commits = Vec::with_capacity(n);
-        let mut deletes = Vec::with_capacity(n);
-        let mut column_values: Vec<Vec<Value>> = (0..self.column_count)
-            .map(|_| Vec::with_capacity(n))
-            .collect();
-        for &i in &moving {
+        let commits = moving.iter().map(|&i| self.wos[i].commit).collect();
+        let deletes = moving.iter().map(|&i| self.wos[i].delete).collect();
+        let rows = moving.iter().map(|&i| {
             let r = &self.wos[i];
-            hashes.push(r.hash);
-            commits.push(r.commit);
-            deletes.push(r.delete);
-            for (c, v) in r.row.values().iter().enumerate() {
-                column_values[c].push(v.clone());
-            }
-        }
-        self.push_container(RosPayload::build(column_values, hashes), commits, deletes);
+            (r.row.values().iter().cloned(), r.hash)
+        });
+        let built = RosPayload::from_rows(self.column_count, rows);
+        self.push_container(built, commits, deletes);
         // Drop moved rows from the WOS (keep pending ones).
         let mut keep = Vec::with_capacity(self.wos.len() - n);
         for (i, r) in self.wos.drain(..).enumerate() {
@@ -1303,13 +1299,12 @@ impl NodeTableStore {
         let mut hashes = Vec::with_capacity(n);
         let mut commits = Vec::with_capacity(n);
         let mut deletes = Vec::with_capacity(n);
-        let mut column_values: Vec<Vec<Value>> = (0..self.column_count)
-            .map(|_| Vec::with_capacity(n))
+        let mut column_values: Vec<ColumnData> = (0..self.column_count)
+            .map(|_| ColumnData::with_capacity(n))
             .collect();
         for c in &inputs {
-            let sel: Vec<u32> = (0..c.len() as u32).collect();
             for (col, vals) in c.payload.columns.iter().zip(column_values.iter_mut()) {
-                vals.extend(col.gather_sorted(&sel));
+                vals.extend(&col.decode());
             }
             hashes.extend_from_slice(&c.payload.hashes);
             commits.extend_from_slice(&c.commits);
@@ -1388,22 +1383,11 @@ impl NodeTableStore {
         if rows.is_empty() {
             return;
         }
-        let n = rows.len();
-        let mut hashes = Vec::with_capacity(n);
-        let mut commits = Vec::with_capacity(n);
-        let mut deletes = Vec::with_capacity(n);
-        let mut column_values: Vec<Vec<Value>> = (0..self.column_count)
-            .map(|_| Vec::with_capacity(n))
-            .collect();
-        for r in rows {
-            hashes.push(r.hash);
-            commits.push(r.commit);
-            deletes.push(r.delete);
-            for (c, v) in r.row.into_values().into_iter().enumerate() {
-                column_values[c].push(v);
-            }
-        }
-        self.push_container(RosPayload::build(column_values, hashes), commits, deletes);
+        let commits = rows.iter().map(|r| r.commit).collect();
+        let deletes = rows.iter().map(|r| r.delete).collect();
+        let rows = rows.into_iter().map(|r| (r.row.into_values(), r.hash));
+        let built = RosPayload::from_rows(self.column_count, rows);
+        self.push_container(built, commits, deletes);
     }
 
     /// Drop every row (WOS and ROS) whose hash falls in `range`. ROS
@@ -1439,7 +1423,7 @@ impl NodeTableStore {
                 commits.push(c.commits[i as usize]);
                 deletes.push(c.deletes[i as usize]);
             }
-            let column_values: Vec<Vec<Value>> = c
+            let column_values: Vec<ColumnData> = c
                 .payload
                 .columns
                 .iter()
@@ -1477,9 +1461,7 @@ impl NodeTableStore {
             ros_rows += c.len();
             for col in &c.payload.columns {
                 encoded += col.encoded_size();
-            }
-            for idx in 0..c.len() {
-                raw += c.row(idx).wire_size();
+                raw += col.decode().wire_size();
             }
         }
         StorageStats {
