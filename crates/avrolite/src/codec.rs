@@ -35,17 +35,32 @@ impl Codec {
     }
 
     pub fn compress(&self, data: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.compress_into(data, &mut out);
+        out
+    }
+
+    /// Append the compressed form of `data` to `out`.
+    pub fn compress_into(&self, data: &[u8], out: &mut Vec<u8>) {
         match self {
-            Codec::Null => data.to_vec(),
-            Codec::Rle => rle_compress(data),
+            Codec::Null => out.extend_from_slice(data),
+            Codec::Rle => rle_compress(data, out),
         }
     }
 
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.decompress_into(data, &mut out)?;
+        Ok(out)
+    }
+
+    /// Append the decompressed form of `data` to `out`.
+    pub fn decompress_into(&self, data: &[u8], out: &mut Vec<u8>) -> Result<()> {
         match self {
-            Codec::Null => Ok(data.to_vec()),
-            Codec::Rle => rle_decompress(data),
+            Codec::Null => out.extend_from_slice(data),
+            Codec::Rle => rle_decompress(data, out)?,
         }
+        Ok(())
     }
 }
 
@@ -58,8 +73,9 @@ impl Codec {
 /// encoder only ever needs the next place such a run starts; on
 /// incompressible blocks (random floats) [`next_run_start`] finds there
 /// is none seven bytes at a time.
-fn rle_compress(data: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() / 2 + 16);
+fn rle_compress(data: &[u8], out: &mut Vec<u8>) {
+    // Incompressible input grows by one control byte per 128 literals.
+    out.reserve(data.len() + data.len() / 128 + 1);
     let mut literal_start = 0;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {
@@ -78,13 +94,12 @@ fn rle_compress(data: &[u8]) -> Vec<u8> {
         while i + run < data.len() && data[i + run] == byte && run < 130 {
             run += 1;
         }
-        flush_literals(&mut out, literal_start, i, data);
+        flush_literals(out, literal_start, i, data);
         out.push((run - 3 + 0x80) as u8);
         out.push(byte);
         literal_start = i + run;
     }
-    flush_literals(&mut out, literal_start, data.len(), data);
-    out
+    flush_literals(out, literal_start, data.len(), data);
 }
 
 /// The first `i >= from` where three equal bytes start, if any.
@@ -110,8 +125,8 @@ fn next_run_start(data: &[u8], from: usize) -> Option<usize> {
     (i..data.len().saturating_sub(2)).find(|&k| data[k] == data[k + 1] && data[k] == data[k + 2])
 }
 
-fn rle_decompress(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(data.len() * 2);
+fn rle_decompress(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
+    out.reserve(data.len());
     let mut i = 0;
     while i < data.len() {
         let ctrl = data[i];
@@ -132,7 +147,7 @@ fn rle_decompress(data: &[u8]) -> Result<Vec<u8>> {
             out.resize(out.len() + count, byte);
         }
     }
-    Ok(out)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -225,9 +240,9 @@ mod tests {
             // Every alignment of the same block against the 8-byte window.
             let data = block(kind, &picks);
             let data = &data[shift.min(data.len())..];
-            let compressed = rle_compress(data);
+            let compressed = Codec::Rle.compress(data);
             proptest::prop_assert_eq!(&compressed, &reference_rle_compress(data));
-            proptest::prop_assert_eq!(rle_decompress(&compressed).unwrap(), data);
+            proptest::prop_assert_eq!(Codec::Rle.decompress(&compressed).unwrap(), data);
         }
     }
 
@@ -238,13 +253,13 @@ mod tests {
                 let mut data: Vec<u8> = (0..prefix as u8).collect();
                 data.extend(std::iter::repeat_n(0xAB, n));
                 assert_eq!(
-                    rle_compress(&data),
+                    Codec::Rle.compress(&data),
                     reference_rle_compress(&data),
                     "{prefix}+{n}"
                 );
                 data.extend([1, 2]);
                 assert_eq!(
-                    rle_compress(&data),
+                    Codec::Rle.compress(&data),
                     reference_rle_compress(&data),
                     "{prefix}+{n}+2"
                 );

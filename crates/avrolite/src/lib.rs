@@ -13,6 +13,11 @@
 //! * an object-container-style file: header with schema JSON and codec,
 //!   data blocks of `(row count, byte length, payload)` followed by a
 //!   sync marker, with an optional run-length ("packbits") block codec.
+//!
+//! The encoding is parsed in one place, [`decode_block`], which hands
+//! each field to a [`FieldSink`]: a columnar loader appends fields to
+//! typed vectors and never builds a row; [`Reader`] is the sink that
+//! does.
 
 pub mod codec;
 pub mod container;
@@ -20,7 +25,7 @@ pub mod schema;
 pub mod varint;
 
 pub use codec::Codec;
-pub use container::{Reader, Writer};
+pub use container::{decode_block, Container, FieldSink, Reader, Writer};
 pub use schema::{AvroSchema, AvroType};
 
 use common::{Result, Row};

@@ -14,7 +14,7 @@ use common::expr::Expr;
 use common::{Row, Schema};
 use dfslite::{colfile, DfsClusterSim};
 use netsim::record::NodeRef;
-use sparklet::rdd::PartitionSource;
+use sparklet::rdd::{Partition, PartitionSource};
 use sparklet::{
     DataFrame, DataSourceProvider, Options, Rdd, SaveMode, ScanRelation, SparkContext, SparkError,
     SparkResult,
@@ -62,7 +62,7 @@ impl PartitionSource<Row> for DfsScanSource {
         self.files.len()
     }
 
-    fn compute(&self, partition: usize) -> SparkResult<Vec<Row>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<Row>> {
         let reader = NodeRef::Compute(partition % self.compute_nodes);
         let bytes = self
             .dfs
@@ -98,7 +98,7 @@ impl PartitionSource<Row> for DfsScanSource {
                 None => row,
             });
         }
-        Ok(out)
+        Ok(out.into())
     }
 }
 

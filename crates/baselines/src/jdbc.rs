@@ -23,7 +23,7 @@ use common::expr::Expr;
 use common::{Row, Schema};
 use mppdb::{Cluster, QuerySpec};
 use netsim::record::{NetClass, NodeRef};
-use sparklet::rdd::PartitionSource;
+use sparklet::rdd::{Partition, PartitionSource};
 use sparklet::{
     DataFrame, DataSourceProvider, Options, Rdd, SaveMode, ScanRelation, SparkContext, SparkError,
     SparkResult,
@@ -75,7 +75,7 @@ impl PartitionSource<Row> for JdbcScanSource {
         self.ranges.len()
     }
 
-    fn compute(&self, partition: usize) -> SparkResult<Vec<Row>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<Row>> {
         // Everything goes through the single host — the "all queries
         // through one node" behaviour the paper calls out.
         let mut session = self
@@ -108,7 +108,7 @@ impl PartitionSource<Row> for JdbcScanSource {
             result.text_wire_bytes(),
             result.rows.len() as u64,
         );
-        Ok(result.rows)
+        Ok(result.rows.into())
     }
 }
 

@@ -23,7 +23,7 @@
 use common::hash::segmentation_hash;
 use common::{row, DataType, Expr, Row, Schema, Value};
 use criterion::{criterion_group, criterion_main, Criterion};
-use mppdb::storage::{BatchScan, NodeTableStore};
+use mppdb::storage::{BatchScan, ColumnData, NodeTableStore};
 use mppdb::HashRange;
 
 const AS_OF: u64 = 2;
@@ -157,16 +157,14 @@ const WIDE_COLUMNS: usize = 100;
 
 fn build_wide_store(n: usize) -> NodeTableStore {
     let mut store = NodeTableStore::new(WIDE_COLUMNS);
-    let rows: Vec<(Row, u64)> = (0..n)
-        .map(|i| {
-            let hash = segmentation_hash(&[Value::Int64(i as i64)]);
-            let values = (0..WIDE_COLUMNS)
-                .map(|c| Value::Float64(((i * WIDE_COLUMNS + c) as f64).sin()))
-                .collect();
-            (Row::new(values), hash)
-        })
-        .collect();
-    store.insert_pending_direct(rows, 1);
+    let rows = (0..n).map(|i| {
+        let hash = segmentation_hash(&[Value::Int64(i as i64)]);
+        let values =
+            (0..WIDE_COLUMNS).map(move |c| Value::Float64(((i * WIDE_COLUMNS + c) as f64).sin()));
+        (values, hash)
+    });
+    let (columns, hashes) = ColumnData::transpose(WIDE_COLUMNS, rows);
+    store.insert_pending_direct(columns, hashes, 1);
     store.commit(1, 1);
     store
 }

@@ -211,7 +211,7 @@ mod tests {
     /// aggregate — and skipping actually eliminated whole containers.
     #[test]
     fn pushdown_ablation_meets_reduction_targets() {
-        let bed = TestBed::new(4, 8);
+        let bed = TestBed::alone(4, 8);
         let report = run(&bed);
         assert!(
             report.scan_reduction >= 5.0,

@@ -245,6 +245,7 @@ mod tests {
     /// failed jobs, exactly one map flip, and bounded P99 inflation.
     #[test]
     fn node_add_under_load_keeps_availability() {
+        let _alone = crate::fabric::obs_counters::exclusive();
         let cell = run();
         assert_eq!(
             cell.failed_probes, 0,

@@ -173,6 +173,7 @@ mod tests {
     /// strictly fewer rows (WOS drained, containers zone-map-skipped).
     #[test]
     fn mover_makes_steady_state_scans_strictly_faster() {
+        let _alone = crate::fabric::obs_counters::exclusive();
         let (off, on) = run();
         assert_eq!(off.batches as usize, BATCHES);
         assert_eq!(on.batches as usize, BATCHES);

@@ -18,12 +18,63 @@ pub struct TestBed {
     pub dfs: Option<Arc<DfsClusterSim>>,
     pub db_nodes: usize,
     pub compute_nodes: usize,
+    /// A bed moves the process-wide obs counters for as long as it
+    /// lives; see [`obs_counters`].
+    #[cfg(test)]
+    _counters: obs_counters::Hold,
+}
+
+/// The obs counters are one per process and the crate's tests run on
+/// parallel threads of one, so a test that asserts on counter *deltas*
+/// must be the only one driving a fabric while it runs. It holds the
+/// lock here exclusively; every other test that drives one holds it
+/// shared (a [`TestBed`] takes it by itself).
+#[cfg(test)]
+pub(crate) mod obs_counters {
+    use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    static LOCK: RwLock<()> = RwLock::new(());
+
+    pub enum Hold {
+        Shared(#[allow(dead_code)] RwLockReadGuard<'static, ()>),
+        Exclusive(#[allow(dead_code)] RwLockWriteGuard<'static, ()>),
+    }
+
+    // A test that failed while holding the lock left nothing behind
+    // that the next one reads.
+    pub fn shared() -> Hold {
+        Hold::Shared(LOCK.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    pub fn exclusive() -> Hold {
+        Hold::Exclusive(LOCK.write().unwrap_or_else(PoisonError::into_inner))
+    }
 }
 
 impl TestBed {
     /// Build a `db_nodes:compute_nodes` bed with the connector and the
     /// JDBC baseline registered.
     pub fn new(db_nodes: usize, compute_nodes: usize) -> TestBed {
+        TestBed::build(
+            db_nodes,
+            compute_nodes,
+            #[cfg(test)]
+            obs_counters::shared(),
+        )
+    }
+
+    /// A bed for a test that asserts on obs counter deltas: no other
+    /// test drives a fabric while it lives.
+    #[cfg(test)]
+    pub(crate) fn alone(db_nodes: usize, compute_nodes: usize) -> TestBed {
+        TestBed::build(db_nodes, compute_nodes, obs_counters::exclusive())
+    }
+
+    fn build(
+        db_nodes: usize,
+        compute_nodes: usize,
+        #[cfg(test)] counters: obs_counters::Hold,
+    ) -> TestBed {
         let db = Cluster::new(ClusterConfig {
             node_count: db_nodes,
             ..ClusterConfig::default()
@@ -48,6 +99,8 @@ impl TestBed {
             dfs: None,
             db_nodes,
             compute_nodes,
+            #[cfg(test)]
+            _counters: counters,
         }
     }
 

@@ -18,6 +18,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Feed bytes into the running FNV-1a state.
+#[inline]
 fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         state ^= b as u64;
@@ -26,54 +27,72 @@ fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
     state
 }
 
-/// Hash a string value (type tag, then its bytes) into the state.
-fn fnv1a_str(state: u64, s: &str) -> u64 {
+/// The state a segmentation hash starts from. A row's hash is this
+/// state folded over its segmentation columns' values in order, with the
+/// `fold_*` function of each value's type; the row routines
+/// ([`segmentation_hash`], [`hash_row_columns`]) and every column-wise
+/// routine go through the same folds, so they cannot drift apart.
+pub const HASH_SEED: u64 = FNV_OFFSET;
+
+/// Fold a SQL NULL into the state.
+#[inline]
+pub fn fold_null(state: u64) -> u64 {
+    fnv1a(state, &[0x00])
+}
+
+/// Fold a `BOOLEAN` into the state.
+#[inline]
+pub fn fold_bool(state: u64, b: bool) -> u64 {
+    fnv1a(state, &[0x01, b as u8])
+}
+
+/// Fold a `BIGINT` into the state.
+#[inline]
+pub fn fold_i64(state: u64, i: i64) -> u64 {
+    fnv1a(fnv1a(state, &[0x02]), &i.to_le_bytes())
+}
+
+/// Fold a `FLOAT` into the state. NaNs collapse to one bit pattern, so
+/// that every NaN hashes alike; every other value hashes by its bits.
+#[inline]
+pub fn fold_f64(state: u64, f: f64) -> u64 {
+    let bits = if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    };
+    fnv1a(fnv1a(state, &[0x03]), &bits.to_le_bytes())
+}
+
+/// Fold a `VARCHAR` (type tag, then its bytes) into the state.
+#[inline]
+pub fn fold_str(state: u64, s: &str) -> u64 {
     fnv1a(fnv1a(state, &[0x04]), s.as_bytes())
 }
 
-/// Hash a single value into the running FNV-1a state.
-fn fnv1a_value(state: u64, value: &Value) -> u64 {
+/// Fold a single value into the state.
+#[inline]
+pub fn fold_value(state: u64, value: &Value) -> u64 {
     match value {
-        Value::Null => fnv1a(state, &[0x00]),
-        Value::Boolean(b) => fnv1a(state, &[0x01, *b as u8]),
-        Value::Int64(i) => fnv1a(fnv1a(state, &[0x02]), &i.to_le_bytes()),
-        Value::Float64(f) => {
-            // Canonicalize so that integral floats hash like themselves
-            // across runs; NaNs collapse to one bit pattern.
-            let bits = if f.is_nan() {
-                f64::NAN.to_bits()
-            } else {
-                f.to_bits()
-            };
-            fnv1a(fnv1a(state, &[0x03]), &bits.to_le_bytes())
-        }
-        Value::Varchar(s) => fnv1a_str(state, s),
+        Value::Null => fold_null(state),
+        Value::Boolean(b) => fold_bool(state, *b),
+        Value::Int64(i) => fold_i64(state, *i),
+        Value::Float64(f) => fold_f64(state, *f),
+        Value::Varchar(s) => fold_str(state, s),
     }
 }
 
 /// Hash the given values (the segmentation expression's column values)
 /// onto the 64-bit ring.
 pub fn segmentation_hash(values: &[Value]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for v in values {
-        state = fnv1a_value(state, v);
-    }
-    state
-}
-
-/// [`segmentation_hash`] of the one value `Value::Varchar(s)`, for
-/// callers that hold the string borrowed.
-pub fn segmentation_hash_str(s: &str) -> u64 {
-    fnv1a_str(FNV_OFFSET, s)
+    values.iter().fold(HASH_SEED, fold_value)
 }
 
 /// Hash a row's segmentation columns (by ordinal).
 pub fn hash_row_columns(row: &Row, columns: &[usize]) -> u64 {
-    let mut state = FNV_OFFSET;
-    for &c in columns {
-        state = fnv1a_value(state, row.get(c));
-    }
-    state
+    columns
+        .iter()
+        .fold(HASH_SEED, |state, &c| fold_value(state, row.get(c)))
 }
 
 /// Hash an arbitrary byte string onto the ring (used for synthetic
@@ -110,11 +129,27 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_string_hashes_like_the_owned_value() {
+    fn typed_folds_hash_like_the_values() {
+        let seed = segmentation_hash(&[Value::Int64(7)]);
         for s in ["", "a", "héllo wörld"] {
             assert_eq!(
-                segmentation_hash_str(s),
-                segmentation_hash(&[Value::Varchar(s.to_string())])
+                fold_str(seed, s),
+                segmentation_hash(&[Value::Int64(7), Value::Varchar(s.to_string())])
+            );
+        }
+        assert_eq!(fold_null(HASH_SEED), segmentation_hash(&[Value::Null]));
+        assert_eq!(
+            fold_bool(HASH_SEED, true),
+            segmentation_hash(&[Value::Boolean(true)])
+        );
+        assert_eq!(
+            fold_i64(seed, -3),
+            hash_row_columns(&row![7i64, -3i64], &[0, 1])
+        );
+        for f in [0.0, -0.0, 1.5, f64::NAN, -f64::NAN, f64::INFINITY] {
+            assert_eq!(
+                fold_f64(HASH_SEED, f),
+                segmentation_hash(&[Value::Float64(f)])
             );
         }
     }

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use avrolite::{AvroSchema, Codec, Writer};
-use common::Value;
+use common::{hash, Value};
 use mppdb::catalog::{Segmentation, TableDef};
 use mppdb::{Cluster, CopyOptions, CopySource, DbError, DbResult, QuerySpec, Session};
 use netsim::record::{NetClass, NodeRef};
@@ -386,7 +386,7 @@ fn run_traced(
         run_task_phases(
             &cluster_for_tasks,
             tc,
-            rows,
+            &rows,
             avro_ref,
             tables_ref,
             job_ref,
@@ -564,17 +564,18 @@ fn prehash_dataframe(
     let mut buckets: Vec<Vec<common::Row>> = vec![Vec::new(); partitions];
     let mut cursor = vec![0usize; n];
     for row in rows {
-        // Hash exactly what the insert path will hash: the coerced row.
-        let coerced: Vec<Value> = row
-            .values()
-            .iter()
-            .zip(def.schema.fields())
-            .map(|(v, f)| v.clone().coerce(f.dtype).unwrap_or(Value::Null))
-            .collect();
-        let owner = map.owner_of_hash(common::hash::hash_row_columns(
-            &common::Row::new(coerced),
-            &def.seg_columns,
-        ));
+        // Hash exactly what the insert path will hash, the coerced row,
+        // without building it: an integer in a FLOAT column hashes as
+        // the float it widens to, a value the column cannot hold as the
+        // NULL it would be stored as.
+        let hash = def.seg_columns.iter().fold(hash::HASH_SEED, |state, &c| {
+            match (row.get(c), def.schema.field(c).dtype) {
+                (Value::Int64(i), common::DataType::Float64) => hash::fold_f64(state, *i as f64),
+                (v, dtype) if v.fits(dtype) => hash::fold_value(state, v),
+                _ => hash::fold_null(state),
+            }
+        });
+        let owner = map.owner_of_hash(hash);
         // Node ids stay stable across membership changes, so the owner
         // id can exceed the member count; bucket math runs on the
         // owner's *member index*, which matches the round-robin
@@ -624,7 +625,7 @@ fn prehash_dataframe(
 fn run_task_phases(
     cluster: &Arc<Cluster>,
     tc: &sparklet::TaskContext,
-    rows: Vec<common::Row>,
+    rows: &[common::Row],
     avro_schema: &AvroSchema,
     tables: &JobTables,
     job_name: &str,
@@ -708,7 +709,7 @@ fn run_task_phases(
             cluster,
             session,
             tc,
-            &rows,
+            rows,
             avro_schema,
             tables,
             node,
@@ -997,8 +998,8 @@ fn task_done(session: &mut Session, tables: &JobTables, p: usize) -> DbResult<bo
 
 /// Phase 1 body (inside an open transaction): encode, ship, COPY, and
 /// conditionally flip the done flag. Returns whether the transaction
-/// should commit. Takes the rows by reference because the enclosing
-/// retry loop may run it more than once.
+/// should commit. The rows are the task's partition as its source
+/// holds it: encoding only reads them.
 #[allow(clippy::too_many_arguments)]
 fn phase1_save(
     cluster: &Arc<Cluster>,
@@ -1014,7 +1015,7 @@ fn phase1_save(
     let row_count = rows.len() as u64;
 
     // Encode the partition in the Avro binary format (Sec. 3.2.2).
-    let mut writer = Writer::new(avro_schema.clone(), Codec::Rle);
+    let mut writer = Writer::new(avro_schema.clone(), Codec::Rle).with_rows_hint(rows.len());
     let mut encode_errors = 0u64;
     for row in rows {
         // Rows that cannot be encoded count as rejected.

@@ -27,7 +27,7 @@ use dfslite::{colfile, DfsClusterSim};
 use mppdb::catalog::{Segmentation, TableDef};
 use mppdb::{Cluster, CopyOptions, CopySource, QuerySpec};
 use netsim::record::NodeRef;
-use sparklet::rdd::PartitionSource;
+use sparklet::rdd::{Partition, PartitionSource};
 use sparklet::{DataFrame, Rdd, SparkContext, SparkError, SparkResult};
 
 use crate::error::ConnectorError;
@@ -193,7 +193,7 @@ impl PartitionSource<Row> for StagedFiles {
         self.files.len()
     }
 
-    fn compute(&self, partition: usize) -> SparkResult<Vec<Row>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<Row>> {
         let reader = NodeRef::Compute(partition % self.compute_nodes);
         let bytes = self
             .dfs
@@ -201,7 +201,7 @@ impl PartitionSource<Row> for StagedFiles {
             .map_err(|e| SparkError::DataSource(e.to_string()))?;
         let (_, rows) =
             colfile::read_all(&bytes).map_err(|e| SparkError::DataSource(e.to_string()))?;
-        Ok(rows)
+        Ok(rows.into())
     }
 }
 

@@ -34,7 +34,7 @@ use mppdb::segmentation::{HashRange, SegmentMap};
 use mppdb::{Cluster, QuerySpec};
 use netsim::record::{NetClass, NodeRef};
 use obs::names;
-use sparklet::rdd::PartitionSource;
+use sparklet::rdd::{Partition, PartitionSource};
 use sparklet::{Rdd, ScanRelation, SparkContext, SparkError, SparkResult};
 
 use crate::error::{ConnectorError, ConnectorResult};
@@ -551,7 +551,7 @@ impl PartitionSource<Row> for V2sSource {
         self.plans.len()
     }
 
-    fn compute(&self, partition: usize) -> SparkResult<Vec<Row>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<Row>> {
         let _ = self.epoch; // pinned inside each spec
         let mut rows = Vec::new();
         for (node, range) in &self.plans[partition].pieces {
@@ -571,7 +571,7 @@ impl PartitionSource<Row> for V2sSource {
                     .into_rows(),
             );
         }
-        Ok(rows)
+        Ok(rows.into())
     }
 }
 

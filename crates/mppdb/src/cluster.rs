@@ -20,7 +20,7 @@ use crate::segmentation::{merge_ranges, HashRange, SegmentMap};
 use crate::session::Session;
 use crate::sql::ast::SelectStmt;
 use crate::storage::store::{HandOver, RowLoc};
-use crate::storage::{BatchScan, NodeTableStore, StorageStats};
+use crate::storage::{BatchScan, ColumnData, ColumnVec, NodeTableStore, StorageStats};
 use crate::txn::{LockManager, LockMode, TxnHandle};
 use crate::udf::ScalarUdf;
 
@@ -107,6 +107,84 @@ impl NodeState {
 pub struct MapVersion {
     pub effective_epoch: u64,
     pub map: Arc<SegmentMap>,
+}
+
+/// A row's owner under the current map and under the pending one, if
+/// any: rows that agree on both land on the same nodes.
+type RouteKey = (usize, Option<usize>);
+
+/// The routing of one insert: the table, the maps in force when it
+/// began, and which nodes its rows go to.
+struct Routes {
+    def: TableDef,
+    map: Arc<SegmentMap>,
+    /// The pending rebalance's target map, if any.
+    pending: Option<Arc<SegmentMap>>,
+    states: Vec<Arc<NodeState>>,
+    k_safety: usize,
+    /// Nodes that are a current-map replica of some routed row (a down
+    /// pending-only target is safely skipped: its migration re-copies
+    /// after restore).
+    current_target: Vec<bool>,
+    /// Target lists worked out so far.
+    known: Vec<(RouteKey, Vec<usize>)>,
+}
+
+impl Routes {
+    /// The columns whose values make a row's hash: the segmentation
+    /// columns, or — unsegmented, for bookkeeping only — all of them.
+    fn hashed_columns(&self) -> Vec<usize> {
+        if self.def.is_segmented() {
+            self.def.seg_columns.clone()
+        } else {
+            (0..self.def.schema.len()).collect()
+        }
+    }
+
+    /// The nodes a row with segmentation hash `h` lands on: its owner
+    /// and the owner's buddies, then whichever nodes the pending map adds
+    /// to those; for an unsegmented table every slot that is not retired
+    /// (retired nodes are gone for good).
+    fn targets_of(&mut self, h: u64) -> &[usize] {
+        let key = if self.def.is_segmented() {
+            let next = self.pending.as_ref().map(|next| next.owner_of_hash(h));
+            (self.map.owner_of_hash(h), next)
+        } else {
+            (0, None)
+        };
+        let at = match self.known.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
+                let targets = self.work_out(key);
+                self.known.push((key, targets));
+                self.known.len() - 1
+            }
+        };
+        &self.known[at].1
+    }
+
+    fn work_out(&mut self, (owner, next_owner): RouteKey) -> Vec<usize> {
+        let mut targets: Vec<usize> = if self.def.is_segmented() {
+            std::iter::once(owner)
+                .chain(self.map.buddies(owner, self.k_safety))
+                .collect()
+        } else {
+            (0..self.states.len())
+                .filter(|&i| !self.states[i].retired.load(Ordering::Acquire))
+                .collect()
+        };
+        for &t in &targets {
+            self.current_target[t] = true;
+        }
+        if let (Some(next), Some(next_owner)) = (&self.pending, next_owner) {
+            for t in std::iter::once(next_owner).chain(next.buddies(next_owner, self.k_safety)) {
+                if !targets.contains(&t) {
+                    targets.push(t);
+                }
+            }
+        }
+        targets
+    }
 }
 
 /// A multi-node MPP database running in-process.
@@ -737,9 +815,73 @@ impl Cluster {
         Ok(Row::new(values))
     }
 
-    /// Insert rows under an open transaction, routing by segmentation
-    /// and replicating per k-safety. `direct` loads straight into ROS
-    /// (the COPY DIRECT path). `initiator` is the session's node; rows
+    /// Open an insert into `table` under `txn`: take the table lock and
+    /// read the maps every row of the insert is routed under.
+    fn begin_insert(&self, txn: &mut TxnHandle, table: &str) -> DbResult<Routes> {
+        let def = self.table_def(table)?;
+        self.lock_table(txn, &def.name, LockMode::Shared)?;
+        txn.touched.insert(def.name.clone());
+        let map = self.segment_map();
+        // During a pending rebalance every row is *dual-written*: it
+        // lands on its current-map replicas AND its target-map replicas,
+        // so rows inserted after a range was copied still reach the new
+        // owner before the flip.
+        let pending = self.rebalance_target_map();
+        let states = self.node_states();
+        Ok(Routes {
+            k_safety: self.config.k_safety,
+            current_target: vec![false; states.len()],
+            known: Vec::new(),
+            def,
+            map,
+            pending,
+            states,
+        })
+    }
+
+    /// Whether `target` takes its share of an insert. A down target is
+    /// skipped when a live replica holds the rows, and fails the insert
+    /// when none can: without replication a down current-map target of
+    /// a segmented table is fatal; an unsegmented table tolerates
+    /// missing replicas as long as one node holds the data; a down
+    /// rebalance-target is never fatal (its kill bumped the generation,
+    /// which forces a re-copy on resume).
+    fn takes_rows(&self, routes: &Routes, target: usize) -> DbResult<bool> {
+        if self.is_node_up(target) {
+            return Ok(true);
+        }
+        if self.config.k_safety == 0 && routes.def.is_segmented() && routes.current_target[target] {
+            return Err(DbError::NodeUnavailable(target));
+        }
+        Ok(false)
+    }
+
+    /// Charge the internal shuffle of `rows` rows to `target`, unless
+    /// they stay on the initiator.
+    fn charge_shuffle(
+        &self,
+        initiator: usize,
+        task: Option<u64>,
+        target: usize,
+        rows: usize,
+        bytes: impl FnOnce() -> usize,
+    ) {
+        if target != initiator {
+            self.recorder.transfer(
+                task,
+                NodeRef::Db(initiator),
+                NodeRef::Db(target),
+                NetClass::DbInternal,
+                bytes() as u64,
+                rows as u64,
+            );
+        }
+    }
+
+    /// Insert rows into the WOS under an open transaction, routing by
+    /// segmentation and replicating per k-safety: SQL `INSERT`, `UPDATE`,
+    /// non-DIRECT COPY and the routed hand-over. The WOS is a row store,
+    /// so the rows stay rows. `initiator` is the session's node; rows
     /// routed elsewhere are internal shuffle traffic.
     pub(crate) fn insert_rows(
         &self,
@@ -748,7 +890,124 @@ impl Cluster {
         task: Option<u64>,
         table: &str,
         rows: Vec<Row>,
-        direct: bool,
+    ) -> DbResult<u64> {
+        let mut routes = self.begin_insert(txn, table)?;
+        let n = rows.len() as u64;
+        let mut batches: Vec<Vec<(Row, u64)>> = vec![Vec::new(); routes.states.len()];
+        let hashed = routes.hashed_columns();
+        for row in rows {
+            let row = Self::coerce_row(&routes.def, row)?;
+            let h = hash::hash_row_columns(&row, &hashed);
+            // The row moves into its last target: only replication and
+            // dual-writes pay for copies.
+            if let Some((&last, rest)) = routes.targets_of(h).split_last() {
+                for &t in rest {
+                    batches[t].push((row.clone(), h));
+                }
+                batches[last].push((row, h));
+            }
+        }
+
+        self.recorder
+            .work(task, NodeRef::Db(initiator), "route_hash", n, 0);
+
+        for (target, batch) in batches.into_iter().enumerate() {
+            if batch.is_empty() || !self.takes_rows(&routes, target)? {
+                continue;
+            }
+            self.charge_shuffle(initiator, task, target, batch.len(), || {
+                batch.iter().map(|(r, _)| r.wire_size()).sum()
+            });
+            let mut stores = routes.states[target].stores.write();
+            stores
+                .get_mut(&routes.def.name)
+                .ok_or_else(|| DbError::UnknownTable(routes.def.name.clone()))?
+                .insert_pending(batch, txn.id);
+        }
+        Ok(n)
+    }
+
+    /// Load `rows` rows, held as one typed vector per table column,
+    /// straight into ROS containers under an open transaction (COPY
+    /// DIRECT). What [`Cluster::insert_rows`] does row by row happens
+    /// here on columns, and no row is built: the segmentation hash is
+    /// folded column by column — FNV-1a runs over a row's values in
+    /// column order, so the hashes are those of
+    /// [`hash::hash_row_columns`] bit for bit — each row index is routed
+    /// like a row, and every live target gathers its rows, in load
+    /// order, into the columns of one new container. The values must be
+    /// storable under the table's schema (COPY validates them as it
+    /// builds the vectors).
+    pub(crate) fn insert_columns(
+        &self,
+        txn: &mut TxnHandle,
+        initiator: usize,
+        task: Option<u64>,
+        table: &str,
+        columns: Vec<ColumnVec>,
+        rows: usize,
+    ) -> DbResult<u64> {
+        let mut routes = self.begin_insert(txn, table)?;
+        debug_assert_eq!(columns.len(), routes.def.schema.len());
+        debug_assert!(columns.iter().all(|c| c.len() == rows));
+        if u32::try_from(rows).is_err() {
+            return Err(DbError::Execution(format!(
+                "one DIRECT load holds at most {} rows",
+                u32::MAX
+            )));
+        }
+
+        let mut hashes = vec![hash::HASH_SEED; rows];
+        for c in routes.hashed_columns() {
+            columns[c].fold_hash(&mut hashes);
+        }
+        // Per target, the indices of its rows, ascending.
+        let mut picks: Vec<Vec<u32>> = vec![Vec::new(); routes.states.len()];
+        for (i, &h) in hashes.iter().enumerate() {
+            for &t in routes.targets_of(h) {
+                picks[t].push(i as u32);
+            }
+        }
+
+        self.recorder
+            .work(task, NodeRef::Db(initiator), "route_hash", rows as u64, 0);
+
+        let columns: Vec<ColumnData> = columns.into_iter().map(ColumnData::Typed).collect();
+        for (target, picked) in picks.iter().enumerate() {
+            if picked.is_empty() || !self.takes_rows(&routes, target)? {
+                continue;
+            }
+            // Ascending indices of distinct rows: all of them is every row.
+            let taken: Vec<ColumnData> = if picked.len() == rows {
+                columns.clone()
+            } else {
+                columns.iter().map(|c| c.gather(picked)).collect()
+            };
+            self.charge_shuffle(initiator, task, target, picked.len(), || {
+                taken.iter().map(ColumnData::wire_size).sum()
+            });
+            let hashes = picked.iter().map(|&i| hashes[i as usize]).collect();
+            let mut stores = routes.states[target].stores.write();
+            stores
+                .get_mut(&routes.def.name)
+                .ok_or_else(|| DbError::UnknownTable(routes.def.name.clone()))?
+                .insert_pending_direct(taken, hashes, txn.id);
+        }
+        Ok(rows as u64)
+    }
+
+    /// The row routine [`Cluster::insert_columns`] replaced, kept
+    /// verbatim (`direct` always on) as the reference of the load
+    /// differential in `copy`: coerce, hash and route row by row, one
+    /// `(Row, hash)` batch per node, transposed into a container.
+    #[cfg(test)]
+    pub(crate) fn insert_rows_direct_reference(
+        &self,
+        txn: &mut TxnHandle,
+        initiator: usize,
+        task: Option<u64>,
+        table: &str,
+        rows: Vec<Row>,
     ) -> DbResult<u64> {
         let def = self.table_def(table)?;
         self.lock_table(txn, &def.name, LockMode::Shared)?;
@@ -848,11 +1107,7 @@ impl Cluster {
             let store = stores
                 .get_mut(&def.name)
                 .ok_or_else(|| DbError::UnknownTable(def.name.clone()))?;
-            if direct {
-                store.insert_pending_direct(batch, txn.id);
-            } else {
-                store.insert_pending(batch, txn.id);
-            }
+            store.insert_pending_direct_rows(batch, txn.id);
         }
         Ok(n)
     }
@@ -895,7 +1150,7 @@ impl Cluster {
         if !placed_alike {
             drop(pending);
             let rows = self.scan_primary_live(&source_def, as_of, Some(txn.id))?;
-            return self.insert_rows(txn, initiator, task, &target_def.name, rows, false);
+            return self.insert_rows(txn, initiator, task, &target_def.name, rows);
         }
 
         txn.touched.insert(target_def.name.clone());
@@ -1185,7 +1440,7 @@ mod tests {
         assert_eq!(c.current_epoch(), 0);
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..1000).map(|i| row![i as i64, i as f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         let epoch = c.commit_txn(txn);
         assert_eq!(epoch, 1);
         assert_eq!(c.current_epoch(), 1);
@@ -1208,7 +1463,7 @@ mod tests {
         make_table(&c, "t");
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64, 0.0f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
         let total: usize = c
             .table_stats("t")
@@ -1224,7 +1479,7 @@ mod tests {
         let c = cluster4();
         make_table(&c, "t");
         let mut txn = c.begin_txn();
-        c.insert_rows(&mut txn, 0, None, "t", vec![row![1i64, 1.0f64]], false)
+        c.insert_rows(&mut txn, 0, None, "t", vec![row![1i64, 1.0f64]])
             .unwrap();
         c.abort_txn(txn);
         assert_eq!(c.current_epoch(), 0);
@@ -1239,7 +1494,7 @@ mod tests {
         c.recorder().clear();
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..100).map(|i| row![i as i64, 0.0f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
         // ~3/4 of rows belong to other nodes and shuffle internally.
         let bytes = c.recorder().total_bytes(NetClass::DbInternal);
@@ -1278,7 +1533,7 @@ mod tests {
         make_table(&c, "t");
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..50).map(|i| row![i as i64, i as f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
 
         let pred = common::Expr::col("id")
@@ -1297,7 +1552,7 @@ mod tests {
         make_table(&c, "t");
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..500).map(|i| row![i as i64, 0.0f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
         let moved = c.moveout_all();
         assert_eq!(moved, 500);

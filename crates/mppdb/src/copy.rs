@@ -8,11 +8,12 @@
 //! are *rejected* rather than failing the load, up to a caller-supplied
 //! tolerance; a sample of rejected rows is returned (Sec. 3.2).
 
-use common::{csv, Row};
+use common::{csv, Row, Schema};
 use netsim::record::NodeRef;
 
 use crate::cluster::Cluster;
 use crate::error::{DbError, DbResult};
+use crate::storage::ColumnVec;
 use crate::txn::TxnHandle;
 
 /// Bulk-load input.
@@ -65,6 +66,158 @@ pub struct CopyResult {
 /// How many rejected rows are sampled into the result.
 pub const REJECT_SAMPLE: usize = 10;
 
+/// Rows turned away so far, with the first few reasons.
+#[derive(Default)]
+struct Rejects {
+    count: u64,
+    sample: Vec<(u64, String)>,
+}
+
+impl Rejects {
+    fn reject(&mut self, line: u64, reason: String) {
+        self.count += 1;
+        if self.sample.len() < REJECT_SAMPLE {
+            self.sample.push((line, reason));
+        }
+    }
+}
+
+/// The rows a COPY accepted, in the form its destination stores: the
+/// WOS is a row store and takes them as they are; a DIRECT load writes
+/// column containers, so its rows are never kept as rows — every source
+/// appends to one typed vector per table column.
+enum Accepted {
+    Rows(Vec<Row>),
+    Columns(ColumnBuilders),
+}
+
+/// One typed vector per table column, all `rows` long between rows.
+struct ColumnBuilders {
+    columns: Vec<ColumnVec>,
+    rows: usize,
+}
+
+impl ColumnBuilders {
+    fn new(schema: &Schema) -> ColumnBuilders {
+        ColumnBuilders {
+            columns: schema
+                .fields()
+                .iter()
+                .map(|f| ColumnVec::new(f.dtype))
+                .collect(),
+            rows: 0,
+        }
+    }
+
+    /// Take back whatever a turned-away row left in the first `filled`
+    /// columns.
+    fn unwind(&mut self, filled: usize) {
+        for col in &mut self.columns[..filled] {
+            col.truncate(self.rows);
+        }
+    }
+
+    /// Append a row that passed `Schema::validate_row`, widening as
+    /// `ColumnVec::push` does.
+    fn push_row(&mut self, row: Row) -> common::Result<()> {
+        for (filled, (col, value)) in self.columns.iter_mut().zip(row.into_values()).enumerate() {
+            if let Err(e) = col.push(value) {
+                self.unwind(filled);
+                return Err(e);
+            }
+        }
+        self.rows += 1;
+        Ok(())
+    }
+}
+
+impl Accepted {
+    /// Check `row` against the schema and keep it, or say why not.
+    fn push(&mut self, schema: &Schema, row: Row) -> common::Result<()> {
+        schema.validate_row(&row)?;
+        match self {
+            Accepted::Rows(rows) => rows.push(row),
+            Accepted::Columns(builders) => builders.push_row(row)?,
+        }
+        Ok(())
+    }
+}
+
+/// Decoded Avro fields go straight onto the column builders. The checks
+/// are `Schema::validate_row`'s, field by field as the fields arrive: a
+/// NULL in a NOT NULL column or a value of another type turns the row
+/// away, with the reason the row check would give, and what the row had
+/// already appended is taken back when it ends.
+struct ColumnSink<'a> {
+    schema: &'a Schema,
+    builders: &'a mut ColumnBuilders,
+    rejects: &'a mut Rejects,
+    /// Rows seen, good or bad: the 1-based line number of the last one.
+    line: u64,
+    /// Why the row being decoded is turned away, and how many of its
+    /// fields were appended before that.
+    bad: Option<(String, usize)>,
+}
+
+/// Append `$v` to the `$variant` vector of `$field`, unless the row is
+/// already turned away. The column has the field's type (`run_copy`
+/// checks the schemas before it decodes); if it had another, the row
+/// would be turned away as `Schema::validate_row` would.
+macro_rules! append {
+    ($sink:ident, $field:ident, $variant:ident($v:expr)) => {
+        if $sink.bad.is_none() {
+            match &mut $sink.builders.columns[$field] {
+                ColumnVec::$variant(col) => col.push($v),
+                col => {
+                    let mismatch = common::Error::TypeMismatch {
+                        expected: col.dtype().sql_name().to_string(),
+                        found: common::DataType::$variant.sql_name().to_string(),
+                    };
+                    $sink.bad = Some((mismatch.to_string(), $field));
+                }
+            }
+        }
+    };
+}
+
+impl avrolite::FieldSink for ColumnSink<'_> {
+    fn null(&mut self, field: usize) {
+        if self.bad.is_some() {
+            return;
+        }
+        let f = self.schema.field(field);
+        if f.nullable {
+            self.builders.columns[field].push_nulls(1);
+        } else {
+            let null =
+                common::Error::SchemaMismatch(format!("NULL in non-nullable column {}", f.name));
+            self.bad = Some((null.to_string(), field));
+        }
+    }
+    fn boolean(&mut self, field: usize, v: bool) {
+        append!(self, field, Boolean(v));
+    }
+    fn long(&mut self, field: usize, v: i64) {
+        append!(self, field, Int64(v));
+    }
+    fn double(&mut self, field: usize, v: f64) {
+        append!(self, field, Float64(v));
+    }
+    fn string(&mut self, field: usize, v: &str) {
+        append!(self, field, Varchar(v.to_string()));
+    }
+    fn end_row(&mut self) {
+        self.line += 1;
+        match self.bad.take() {
+            None => self.builders.rows += 1,
+            Some((reason, filled)) => {
+                self.builders.unwind(filled);
+                self.rejects.reject(self.line, reason);
+            }
+        }
+    }
+}
+
 pub(crate) fn run_copy(
     cluster: &Cluster,
     txn: &mut TxnHandle,
@@ -87,16 +240,13 @@ pub(crate) fn run_copy(
             rows.iter().map(|r| r.wire_size() as u64).sum::<u64>(),
         ),
     };
-    let mut good: Vec<Row> = Vec::new();
-    let mut rejected = 0u64;
-    let mut sample: Vec<(u64, String)> = Vec::new();
-    let reject =
-        |line: u64, reason: String, rejected: &mut u64, sample: &mut Vec<(u64, String)>| {
-            *rejected += 1;
-            if sample.len() < REJECT_SAMPLE {
-                sample.push((line, reason));
-            }
-        };
+    let schema = &def.schema;
+    let mut good = if options.direct {
+        Accepted::Columns(ColumnBuilders::new(schema))
+    } else {
+        Accepted::Rows(Vec::new())
+    };
+    let mut rejects = Rejects::default();
 
     match source {
         CopySource::Csv { text, delimiter } => {
@@ -107,12 +257,10 @@ pub(crate) fn run_copy(
                     continue;
                 }
                 line_no += 1;
-                match csv::parse_row(line, &def.schema, delimiter) {
-                    Ok(row) => match def.schema.validate_row(&row) {
-                        Ok(()) => good.push(row),
-                        Err(e) => reject(line_no, e.to_string(), &mut rejected, &mut sample),
-                    },
-                    Err(e) => reject(line_no, e.to_string(), &mut rejected, &mut sample),
+                if let Err(e) =
+                    csv::parse_row(line, schema, delimiter).and_then(|row| good.push(schema, row))
+                {
+                    rejects.reject(line_no, e.to_string());
                 }
             }
             cluster
@@ -121,36 +269,59 @@ pub(crate) fn run_copy(
         }
         CopySource::Avro(bytes) => {
             let size = bytes.len() as u64;
-            let reader = avrolite::Reader::new(&bytes).map_err(DbError::Data)?;
-            if !reader.schema().to_schema().compatible_with(&def.schema) {
-                return Err(DbError::Data(common::Error::SchemaMismatch(format!(
-                    "avro schema {} does not match table {}",
-                    reader.schema().to_json(),
-                    def.name
-                ))));
-            }
-            let mut line_no = 0u64;
-            for row in reader {
-                line_no += 1;
-                match def.schema.validate_row(&row) {
-                    Ok(()) => good.push(row),
-                    Err(e) => reject(line_no, e.to_string(), &mut rejected, &mut sample),
+            let container = avrolite::Container::open(&bytes).map_err(DbError::Data)?;
+            let compatible = container.schema().to_schema().compatible_with(schema);
+            let line_no = match &mut good {
+                Accepted::Columns(builders) if compatible => {
+                    let mut sink = ColumnSink {
+                        schema,
+                        builders,
+                        rejects: &mut rejects,
+                        line: 0,
+                        bad: None,
+                    };
+                    container.decode_into(&mut sink).map_err(DbError::Data)?;
+                    sink.line
                 }
-            }
+                // The WOS takes rows; and a file of another schema is
+                // read through only to find damage, which is reported
+                // first.
+                good => {
+                    let reader = avrolite::Reader::new(&bytes).map_err(DbError::Data)?;
+                    if !compatible {
+                        return Err(DbError::Data(common::Error::SchemaMismatch(format!(
+                            "avro schema {} does not match table {}",
+                            reader.schema().to_json(),
+                            def.name
+                        ))));
+                    }
+                    let mut line_no = 0u64;
+                    for row in reader {
+                        line_no += 1;
+                        if let Err(e) = good.push(schema, row) {
+                            rejects.reject(line_no, e.to_string());
+                        }
+                    }
+                    line_no
+                }
+            };
             cluster
                 .recorder()
                 .work(task, NodeRef::Db(node), "copy_parse_avro", line_no, size);
         }
         CopySource::Rows(rows) => {
             for (i, row) in rows.into_iter().enumerate() {
-                match def.schema.validate_row(&row) {
-                    Ok(()) => good.push(row),
-                    Err(e) => reject(i as u64 + 1, e.to_string(), &mut rejected, &mut sample),
+                if let Err(e) = good.push(schema, row) {
+                    rejects.reject(i as u64 + 1, e.to_string());
                 }
             }
         }
     }
 
+    let Rejects {
+        count: rejected,
+        sample,
+    } = rejects;
     if rejected > options.rejected_max {
         obs::global().add(obs::names::DB_COPY_REJECTS, rejected);
         return Err(DbError::CopyRejected {
@@ -168,7 +339,12 @@ pub(crate) fn run_copy(
         return Err(DbError::ConnectionLost { node });
     }
 
-    let loaded = cluster.insert_rows(txn, node, task, table, good, options.direct)?;
+    let loaded = match good {
+        Accepted::Rows(rows) => cluster.insert_rows(txn, node, task, table, rows)?,
+        Accepted::Columns(ColumnBuilders { columns, rows }) => {
+            cluster.insert_columns(txn, node, task, table, columns, rows)?
+        }
+    };
     obs::global().emit(obs::EventKind::CopyLoad, |e| {
         e.node = Some(node as u64);
         e.task = task;
@@ -190,6 +366,8 @@ pub(crate) fn run_copy(
         rejected_sample: sample,
     })
 }
+
+mod differential;
 
 #[cfg(test)]
 mod tests {

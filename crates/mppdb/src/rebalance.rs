@@ -531,7 +531,7 @@ mod tests {
         .unwrap();
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..rows).map(|i| row![i as i64, i as f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
         c
     }
@@ -627,7 +627,7 @@ mod tests {
         // owners.
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (200..400).map(|i| row![i as i64, 0.0f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "t", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
         c.commit_txn(txn);
         let stats = c.table_stats("t").unwrap();
         assert!(
@@ -665,7 +665,7 @@ mod tests {
             .unwrap();
         let mut txn = c.begin_txn();
         let rows: Vec<Row> = (0..50).map(|i| row![i as i64, 0.0f64]).collect();
-        c.insert_rows(&mut txn, 0, None, "u", rows, false).unwrap();
+        c.insert_rows(&mut txn, 0, None, "u", rows).unwrap();
         c.commit_txn(txn);
         let node = c.add_node().unwrap();
         let stats = c.table_stats("u").unwrap();

@@ -192,9 +192,7 @@ impl Session {
 
     /// Insert rows (routed by segmentation, replicated per k-safety).
     pub fn insert(&mut self, table: &str, rows: Vec<Row>) -> DbResult<u64> {
-        self.with_txn(|cluster, txn, node, tag| {
-            cluster.insert_rows(txn, node, tag, table, rows, false)
-        })
+        self.with_txn(|cluster, txn, node, tag| cluster.insert_rows(txn, node, tag, table, rows))
     }
 
     /// Insert every row of `source` into `target`: the hand-over a bulk

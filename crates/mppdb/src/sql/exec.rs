@@ -338,7 +338,7 @@ fn execute_update(
         }
         let deleted = cluster.delete_where(txn, node, tag, table, pred.as_ref())?;
         debug_assert_eq!(deleted as usize, updated.len());
-        cluster.insert_rows(txn, node, tag, table, updated, false)?;
+        cluster.insert_rows(txn, node, tag, table, updated)?;
         Ok(deleted)
     })?;
     Ok(SqlResult::Affected(n))

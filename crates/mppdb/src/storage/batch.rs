@@ -19,7 +19,9 @@
 //! netsim `Recorder` volumes do not shift when a path switches from
 //! rows to batches.
 
-use common::{DataType, Error, Result, Row, Value};
+use std::cmp::Ordering;
+
+use common::{hash, DataType, Error, Result, Row, Value};
 
 /// A growable bitmap; bit `i` set means position `i` is valid (non-NULL).
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -73,6 +75,16 @@ impl Bitmap {
     /// Number of set (valid) bits.
     pub fn count_valid(&self) -> usize {
         self.words.iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Number of set bits at positions `start..`.
+    fn count_valid_from(&self, start: usize) -> usize {
+        let Some((first, rest)) = self.words.get(start / 64..).and_then(<[u64]>::split_first)
+        else {
+            return 0;
+        };
+        (first >> (start % 64)).count_ones() as usize
+            + rest.iter().map(|w| w.count_ones() as usize).sum::<usize>()
     }
 
     pub fn truncate(&mut self, len: usize) {
@@ -185,8 +197,13 @@ pub trait Native: Clone + Default + PartialEq + PartialOrd {
     /// `Value::text_wire_size` of this value, less the framing.
     fn text_size(&self) -> usize;
 
-    /// [`common::hash::segmentation_hash`] of this value alone.
-    fn hash(&self) -> u64;
+    /// Fold this value into a running segmentation hash: the
+    /// [`common::hash`] fold of its type.
+    fn fold(&self, state: u64) -> u64;
+
+    /// A total order in which values that are `==` compare equal
+    /// (`-0.0` with `0.0`; a NaN equals nothing, so it may sit anywhere).
+    fn total_order(&self, other: &Self) -> Ordering;
 }
 
 /// `Value::text_wire_size`'s per-value protocol framing.
@@ -204,8 +221,11 @@ impl Native for bool {
     fn text_size(&self) -> usize {
         5
     }
-    fn hash(&self) -> u64 {
-        common::hash::segmentation_hash(&[Value::Boolean(*self)])
+    fn fold(&self, state: u64) -> u64 {
+        hash::fold_bool(state, *self)
+    }
+    fn total_order(&self, other: &bool) -> Ordering {
+        self.cmp(other)
     }
 }
 
@@ -221,8 +241,11 @@ impl Native for i64 {
     fn text_size(&self) -> usize {
         Value::Int64(*self).text_wire_size() - TEXT_FRAMING
     }
-    fn hash(&self) -> u64 {
-        common::hash::segmentation_hash(&[Value::Int64(*self)])
+    fn fold(&self, state: u64) -> u64 {
+        hash::fold_i64(state, *self)
+    }
+    fn total_order(&self, other: &i64) -> Ordering {
+        self.cmp(other)
     }
 }
 
@@ -238,8 +261,12 @@ impl Native for f64 {
     fn text_size(&self) -> usize {
         17
     }
-    fn hash(&self) -> u64 {
-        common::hash::segmentation_hash(&[Value::Float64(*self)])
+    fn fold(&self, state: u64) -> u64 {
+        hash::fold_f64(state, *self)
+    }
+    fn total_order(&self, other: &f64) -> Ordering {
+        // Adding zero turns `-0.0` into `0.0` and changes nothing else.
+        f64::total_cmp(&(self + 0.0), &(other + 0.0))
     }
 }
 
@@ -255,8 +282,11 @@ impl Native for String {
     fn text_size(&self) -> usize {
         self.len()
     }
-    fn hash(&self) -> u64 {
-        common::hash::segmentation_hash_str(self)
+    fn fold(&self, state: u64) -> u64 {
+        hash::fold_str(state, self)
+    }
+    fn total_order(&self, other: &String) -> Ordering {
+        self.cmp(other)
     }
 }
 
@@ -304,12 +334,12 @@ impl<T: Native> TypedVec<T> {
         self.validity.reserve(n);
     }
 
-    fn push(&mut self, value: T) {
+    pub fn push(&mut self, value: T) {
         self.data.push(value);
         self.validity.push(true);
     }
 
-    fn push_nulls(&mut self, n: usize) {
+    pub fn push_nulls(&mut self, n: usize) {
         self.data.resize(self.data.len() + n, T::default());
         self.validity.extend_constant(false, n);
         self.nulls += n;
@@ -345,10 +375,44 @@ impl<T: Native> TypedVec<T> {
         }
     }
 
+    /// The order of two positions under [`Native::total_order`], NULLs
+    /// first: positions that are [`TypedVec::eq_at`] compare equal.
+    pub fn cmp_at(&self, i: usize, j: usize) -> Ordering {
+        match (self.get(i), self.get(j)) {
+            (Some(a), Some(b)) => a.total_order(b),
+            (a, b) => a.is_some().cmp(&b.is_some()),
+        }
+    }
+
+    /// Fold position `i` into `hashes[i]`, for every position: one
+    /// column's step of the row-wise segmentation hash. The rows' chains
+    /// are independent of each other, so neighbouring ones overlap.
+    pub fn fold_hash(&self, hashes: &mut [u64]) {
+        debug_assert_eq!(hashes.len(), self.len());
+        if self.nulls == 0 {
+            for (h, v) in hashes.iter_mut().zip(&self.data) {
+                *h = v.fold(*h);
+            }
+        } else {
+            for (i, (h, v)) in hashes.iter_mut().zip(&self.data).enumerate() {
+                *h = if self.validity.get(i) {
+                    v.fold(*h)
+                } else {
+                    hash::fold_null(*h)
+                };
+            }
+        }
+    }
+
+    /// Costs the length of the tail dropped, not of the vector: a load
+    /// takes back one rejected row at a time.
     fn truncate(&mut self, len: usize) {
+        if len >= self.len() {
+            return;
+        }
+        self.nulls -= (self.len() - len) - self.validity.count_valid_from(len);
         self.data.truncate(len);
         self.validity.truncate(len);
-        self.nulls = self.data.len() - self.validity.count_valid();
     }
 
     fn append(&mut self, other: TypedVec<T>) {
@@ -529,6 +593,11 @@ impl ColumnVec {
     pub fn gather_from(&mut self, src: &ColumnVec, idx: &[u32]) -> bool {
         same_column_type!(self, src, (a, b) => a.gather_from(b, idx), _ => return false);
         true
+    }
+
+    /// [`TypedVec::fold_hash`] of whichever type this holds.
+    pub fn fold_hash(&self, hashes: &mut [u64]) {
+        each_column_type!(self, v => v.fold_hash(hashes))
     }
 
     /// Binary wire size: byte-identical to summing `Value::wire_size`.

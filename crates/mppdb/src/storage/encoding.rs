@@ -22,10 +22,11 @@
 //! no usable zone map, see `storage::stats`).
 
 use std::borrow::Cow;
+use std::cmp::Ordering;
 
 use common::{Result, Value};
 
-use crate::storage::batch::{each_column_type, ColumnVec};
+use crate::storage::batch::{each_column_type, ColumnVec, Native};
 
 /// The values of one column, unencoded: what a load hands to
 /// [`encode_auto`], what the run values and dictionary entries of an
@@ -46,6 +47,26 @@ impl ColumnData {
         let mut col = ColumnVec::new(common::DataType::Boolean);
         col.reserve(n);
         ColumnData::Typed(col)
+    }
+
+    /// Rows with their segmentation hashes as `column_count` columns
+    /// (each filled through [`ColumnData::push`]) beside the hashes.
+    pub fn transpose(
+        column_count: usize,
+        rows: impl ExactSizeIterator<Item = (impl IntoIterator<Item = Value>, u64)>,
+    ) -> (Vec<ColumnData>, Vec<u64>) {
+        let n = rows.len();
+        let mut hashes = Vec::with_capacity(n);
+        let mut columns: Vec<ColumnData> = (0..column_count)
+            .map(|_| ColumnData::with_capacity(n))
+            .collect();
+        for (row, hash) in rows {
+            hashes.push(hash);
+            for (column, v) in columns.iter_mut().zip(row) {
+                column.push(v);
+            }
+        }
+        (columns, hashes)
     }
 
     pub fn len(&self) -> usize {
@@ -323,30 +344,31 @@ enum Plan {
     Dictionary,
 }
 
+/// Most distinct values a dictionary is chosen for.
+const DICTIONARY_MAX: usize = 64;
+
 impl Plan {
-    fn shape(self, n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+    /// `eq` says which positions hold equal values; `order` is a total
+    /// order of the positions in which equal ones compare equal.
+    fn shape(
+        self,
+        n: usize,
+        eq: impl Fn(usize, usize) -> bool,
+        order: impl Fn(usize, usize) -> Ordering,
+    ) -> Shape {
         match self {
             Plan::Rle => rle_shape(n, eq),
             Plan::Dictionary => dictionary_shape(n, eq),
             Plan::Auto => {
-                // Count runs and (capped) distinct values over a sample.
+                // Count runs, then (capped) distinct values, over a sample.
                 let sample = n.min(1024);
                 if sample == 0 {
                     return Shape::Plain;
                 }
                 let runs = 1 + (1..sample).filter(|&i| !eq(i - 1, i)).count();
-                let mut distinct: Vec<usize> = Vec::new();
-                for i in 0..sample {
-                    if distinct.len() > 64 {
-                        break;
-                    }
-                    if !distinct.iter().any(|&d| eq(d, i)) {
-                        distinct.push(i);
-                    }
-                }
                 if runs * 4 <= sample {
                     rle_shape(n, eq)
-                } else if distinct.len() <= 64 && sample >= 16 {
+                } else if sample >= 16 && few_distinct(sample, &eq, order) {
                     dictionary_shape(n, eq)
                 } else {
                     Shape::Plain
@@ -354,6 +376,35 @@ impl Plan {
             }
         }
     }
+}
+
+/// Whether positions `0..sample` hold at most [`DICTIONARY_MAX`] distinct
+/// values.
+fn few_distinct(
+    sample: usize,
+    eq: impl Fn(usize, usize) -> bool,
+    order: impl Fn(usize, usize) -> Ordering,
+) -> bool {
+    // A high-cardinality column shows in its first values: when they are
+    // pairwise distinct — no two neighbours equal once ordered — the
+    // answer takes one sort, not a probe of each against all before it.
+    if sample > DICTIONARY_MAX {
+        let mut head: Vec<usize> = (0..=DICTIONARY_MAX).collect();
+        head.sort_unstable_by(|&i, &j| order(i, j));
+        if head.windows(2).all(|w| !eq(w[0], w[1])) {
+            return false;
+        }
+    }
+    let mut distinct: Vec<usize> = Vec::new();
+    for i in 0..sample {
+        if !distinct.iter().any(|&d| eq(d, i)) {
+            if distinct.len() == DICTIONARY_MAX {
+                return false;
+            }
+            distinct.push(i);
+        }
+    }
+    true
 }
 
 fn rle_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
@@ -391,6 +442,27 @@ fn dictionary_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
     Shape::Dictionary { firsts, codes }
 }
 
+/// A total order of values in which `==` ones compare equal: by type,
+/// then as the typed vectors order their own.
+fn value_order(a: &Value, b: &Value) -> Ordering {
+    fn rank(v: &Value) -> u8 {
+        match v {
+            Value::Null => 0,
+            Value::Boolean(_) => 1,
+            Value::Int64(_) => 2,
+            Value::Float64(_) => 3,
+            Value::Varchar(_) => 4,
+        }
+    }
+    match (a, b) {
+        (Value::Boolean(x), Value::Boolean(y)) => x.total_order(y),
+        (Value::Int64(x), Value::Int64(y)) => x.total_order(y),
+        (Value::Float64(x), Value::Float64(y)) => x.total_order(y),
+        (Value::Varchar(x), Value::Varchar(y)) => x.total_order(y),
+        _ => rank(a).cmp(&rank(b)),
+    }
+}
+
 /// Encode `values` as `plan` says; `None` when that is plain.
 fn encode(values: &ColumnData, plan: Plan) -> Option<EncodedColumn> {
     // Equality as `Value`'s `==` has it: NULL equals NULL, `-0.0`
@@ -398,9 +470,13 @@ fn encode(values: &ColumnData, plan: Plan) -> Option<EncodedColumn> {
     // differ.
     let shape = match values {
         ColumnData::Typed(col) => {
-            each_column_type!(col, v => plan.shape(v.len(), |i, j| v.eq_at(i, j)))
+            each_column_type!(col, v => plan.shape(v.len(), |i, j| v.eq_at(i, j), |i, j| v.cmp_at(i, j)))
         }
-        ColumnData::Mixed(vals) => plan.shape(vals.len(), |i, j| vals[i] == vals[j]),
+        ColumnData::Mixed(vals) => plan.shape(
+            vals.len(),
+            |i, j| vals[i] == vals[j],
+            |i, j| value_order(&vals[i], &vals[j]),
+        ),
     };
     match shape {
         Shape::Plain => None,

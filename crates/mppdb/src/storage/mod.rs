@@ -9,6 +9,7 @@ pub mod stats;
 pub mod store;
 
 pub use batch::{Bitmap, ColumnBatch, ColumnVec};
+pub use encoding::ColumnData;
 pub use mover::{MoverOp, MoverPassReport, MOVER_POOL};
 pub use stats::{ColumnStats, ContainerStats};
 pub use store::{

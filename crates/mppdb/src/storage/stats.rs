@@ -17,6 +17,7 @@
 use std::cmp::Ordering;
 
 use common::expr::BinaryOp;
+use common::hash::HASH_SEED;
 use common::{Expr, Value};
 
 use crate::storage::batch::{each_column_type, Native};
@@ -59,7 +60,7 @@ impl ColumnStats {
                 v.iter_valid(),
                 v.null_count() as u64,
                 PartialOrd::partial_cmp,
-                Native::hash,
+                |v| v.fold(HASH_SEED),
                 Native::to_value,
             )),
             ColumnData::Mixed(vals) => ColumnStats::over(
@@ -72,48 +73,65 @@ impl ColumnStats {
         }
     }
 
-    /// One pass over the non-null values: the running bounds are
-    /// borrowed (made into `Value`s once, at the end) and the sketch
-    /// turns most values away on one comparison.
+    /// One pass over the non-null values, a few at a time: a value's
+    /// hash is a chain of dependent multiplications, and the chains of a
+    /// chunk's values run side by side when nothing between them waits
+    /// for a result. The running bounds are borrowed (made into `Value`s
+    /// once, at the end).
     fn over<'a, T: 'a>(
-        non_null: impl Iterator<Item = &'a T>,
+        mut non_null: impl Iterator<Item = &'a T>,
         null_count: u64,
         cmp: impl Fn(&T, &T) -> Option<Ordering>,
         hash: impl Fn(&T) -> u64,
         to_value: impl Fn(&T) -> Value,
     ) -> ColumnStats {
+        const CHUNK: usize = 16;
         // `None` until the first value, and again for good once the zone
         // map proves unusable.
         let mut bounds: Option<(&T, &T)> = None;
         let mut usable = true;
-        let mut sketch = KmvSketch::new();
-        for v in non_null {
-            sketch.observe(hash(v));
-            if !usable {
-                continue;
+        let mut sketch = KmvCollector::new();
+        let mut chunk: Vec<&T> = Vec::with_capacity(CHUNK);
+        let mut hashes = [0u64; CHUNK];
+        loop {
+            chunk.clear();
+            chunk.extend(non_null.by_ref().take(CHUNK));
+            if chunk.is_empty() {
+                break;
             }
-            bounds = match bounds {
-                None => Some((v, v)),
-                Some((lo, hi)) => match (cmp(v, lo), cmp(v, hi)) {
-                    (Some(below), Some(above)) => Some((
-                        if below == Ordering::Less { v } else { lo },
-                        if above == Ordering::Greater { v } else { hi },
-                    )),
-                    // Incomparable with the running bounds (mixed
-                    // type classes, or a NaN): the zone map is
-                    // unusable for this column.
-                    _ => {
-                        usable = false;
-                        None
-                    }
-                },
-            };
+            for (h, v) in hashes.iter_mut().zip(&chunk) {
+                *h = hash(v);
+            }
+            for &h in &hashes[..chunk.len()] {
+                sketch.observe(h);
+            }
+            for &v in &chunk {
+                if !usable {
+                    break;
+                }
+                bounds = match bounds {
+                    None => Some((v, v)),
+                    Some((lo, hi)) => match (cmp(v, lo), cmp(v, hi)) {
+                        (Some(below), Some(above)) => Some((
+                            if below == Ordering::Less { v } else { lo },
+                            if above == Ordering::Greater { v } else { hi },
+                        )),
+                        // Incomparable with the running bounds (mixed
+                        // type classes, or a NaN): the zone map is
+                        // unusable for this column.
+                        _ => {
+                            usable = false;
+                            None
+                        }
+                    },
+                };
+            }
         }
         ColumnStats {
             min: bounds.map(|(lo, _)| to_value(lo)),
             max: bounds.map(|(_, hi)| to_value(hi)),
             null_count,
-            ndv: sketch.estimate(),
+            ndv: sketch.finish().estimate(),
         }
     }
 }
@@ -160,29 +178,73 @@ struct KmvSketch {
     mins: Vec<u64>,
 }
 
-impl KmvSketch {
-    fn new() -> KmvSketch {
-        KmvSketch {
-            mins: Vec::with_capacity(KMV_K + 1),
+/// Collects a [`KmvSketch`] without keeping it sorted: hashes that may
+/// be among the `KMV_K` smallest pile up unordered, and when the pile is
+/// full one selection settles which stay — an append per candidate,
+/// where a sorted insert paid a search and a shift.
+struct KmvCollector {
+    /// Holds every one of the `KMV_K` smallest distinct hashes seen so
+    /// far; up to `KMV_PILE` entries, possibly repeated.
+    candidates: Vec<u64>,
+    /// The `KMV_K`-th smallest distinct hash as of the last settling,
+    /// once that many were seen: nothing at or above it can be wanted.
+    limit: Option<u64>,
+}
+
+/// Candidates between two settlings: the column of a load's container,
+/// some hundred values, settles once, when it ends.
+const KMV_PILE: usize = 16 * KMV_K;
+
+impl KmvCollector {
+    fn new() -> KmvCollector {
+        KmvCollector {
+            candidates: Vec::with_capacity(KMV_PILE),
+            limit: None,
         }
     }
 
     fn observe(&mut self, h: u64) {
-        // A full sketch keeps nothing at or above its k-th minimum.
-        if self.mins.len() == KMV_K && h >= self.mins[KMV_K - 1] {
+        if self.limit.is_some_and(|limit| h >= limit) {
             return;
         }
-        match self.mins.binary_search(&h) {
-            Ok(_) => {}
-            Err(pos) => {
-                if pos < KMV_K {
-                    self.mins.insert(pos, h);
-                    self.mins.truncate(KMV_K);
-                }
-            }
+        self.candidates.push(h);
+        if self.candidates.len() == KMV_PILE {
+            self.settle();
         }
     }
 
+    /// Keep the `KMV_K` smallest distinct candidates, sorted.
+    fn settle(&mut self) {
+        let pile = &mut self.candidates;
+        // The `KMV_K` smallest, repeats counted, come to the front in
+        // linear time; when no two of them are equal they are the
+        // `KMV_K` smallest distinct ones, and the rest never needs
+        // sorting.
+        let front_settles = pile.len() > KMV_K && {
+            pile.select_nth_unstable(KMV_K - 1);
+            let front = &mut pile[..KMV_K];
+            front.sort_unstable();
+            front.windows(2).all(|w| w[0] != w[1])
+        };
+        if !front_settles {
+            pile.sort_unstable();
+            pile.dedup();
+        }
+        pile.truncate(KMV_K);
+        if pile.len() == KMV_K {
+            self.limit = pile.last().copied();
+        }
+    }
+
+    fn finish(mut self) -> KmvSketch {
+        self.settle();
+        KmvSketch {
+            mins: self.candidates,
+        }
+    }
+}
+
+impl KmvSketch {
     fn estimate(&self) -> u64 {
         if self.mins.len() < KMV_K {
             return self.mins.len() as u64;
@@ -686,6 +748,31 @@ mod tests {
             let want = reference_stats(&values);
             // Through `Debug`, so that a NaN bound equals itself.
             proptest::prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
+    }
+
+    /// Columns longer than the collector's pile: it settles mid-column,
+    /// turns hashes away by the limit, and meets repeats among the
+    /// smallest. (The property test's columns end before the first
+    /// settling.)
+    #[test]
+    fn long_columns_settle_like_the_reference() {
+        for (n, distinct) in [
+            (KMV_PILE - 1, i64::MAX),
+            (KMV_PILE, i64::MAX),
+            (KMV_PILE + 1, 100),
+            (3 * KMV_PILE + 7, 1_000),
+            (5_000, i64::MAX),
+            (5_000, 700),
+            (5_000, KMV_K as i64 + 1),
+            (5_000, KMV_K as i64),
+            (5_000, 3),
+        ] {
+            let values: Vec<Value> = (0..n as i64)
+                .map(|i| Value::Int64(i.wrapping_mul(0x9E37_79B9_7F4A_7C15_u64 as i64) % distinct))
+                .collect();
+            let got = ColumnStats::compute(&ColumnData::from_values(&values));
+            assert_eq!(got, reference_stats(&values), "{n} values of {distinct}");
         }
     }
 

@@ -90,22 +90,13 @@ impl RosPayload {
         (Arc::new(RosPayload { columns, hashes }), stats)
     }
 
-    /// Transpose rows into unencoded columns and build from those.
+    /// Transpose rows into unencoded columns and build from those: how
+    /// the WOS (a row store) and recovery's row exports become ROS.
     fn from_rows(
         column_count: usize,
         rows: impl ExactSizeIterator<Item = (impl IntoIterator<Item = Value>, u64)>,
     ) -> (Arc<RosPayload>, ContainerStats) {
-        let n = rows.len();
-        let mut hashes = Vec::with_capacity(n);
-        let mut columns: Vec<ColumnData> = (0..column_count)
-            .map(|_| ColumnData::with_capacity(n))
-            .collect();
-        for (row, hash) in rows {
-            hashes.push(hash);
-            for (column, v) in columns.iter_mut().zip(row) {
-                column.push(v);
-            }
-        }
+        let (columns, hashes) = ColumnData::transpose(column_count, rows);
         RosPayload::build(columns, hashes)
     }
 }
@@ -734,22 +725,33 @@ impl NodeTableStore {
         }
     }
 
-    /// Stage rows directly as an encoded ROS container (the COPY DIRECT
-    /// path, bypassing the WOS for bulk loads).
-    pub fn insert_pending_direct(&mut self, rows: Vec<(Row, u64)>, txn: u64) {
-        if rows.is_empty() {
+    /// Stage columns directly as an encoded ROS container (the COPY
+    /// DIRECT path, bypassing the WOS for bulk loads): one unencoded
+    /// column per table column and the segmentation hash of every row.
+    pub fn insert_pending_direct(&mut self, columns: Vec<ColumnData>, hashes: Vec<u64>, txn: u64) {
+        if hashes.is_empty() {
             return;
         }
-        let n = rows.len();
-        debug_assert!(rows.iter().all(|(r, _)| r.len() == self.column_count));
-        let rows = rows
-            .into_iter()
-            .map(|(row, hash)| (row.into_values(), hash));
+        let n = hashes.len();
+        debug_assert_eq!(columns.len(), self.column_count);
+        debug_assert!(columns.iter().all(|c| c.len() == n));
         self.push_container(
-            RosPayload::from_rows(self.column_count, rows),
+            RosPayload::build(columns, hashes),
             vec![CommitState::Pending(txn); n],
             vec![DeleteState::NotDeleted; n],
         );
+    }
+
+    /// The row entry the column one replaced: rows transposed through
+    /// [`ColumnData::push`]. The reference of the load differential, and
+    /// how tests that think in rows stage a container.
+    #[cfg(test)]
+    pub(crate) fn insert_pending_direct_rows(&mut self, rows: Vec<(Row, u64)>, txn: u64) {
+        let rows = rows
+            .into_iter()
+            .map(|(row, hash)| (row.into_values(), hash));
+        let (columns, hashes) = ColumnData::transpose(self.column_count, rows);
+        self.insert_pending_direct(columns, hashes, txn);
     }
 
     /// Append a container under the next id.
@@ -1572,7 +1574,7 @@ mod tests {
     #[test]
     fn direct_load_creates_container() {
         let mut s = NodeTableStore::new(2);
-        s.insert_pending_direct(rows3(), 1);
+        s.insert_pending_direct_rows(rows3(), 1);
         assert_eq!(s.stats().ros_containers, 1);
         assert!(s.scan(10, None, None).is_empty());
         s.commit(1, 2);
@@ -1582,10 +1584,10 @@ mod tests {
     #[test]
     fn direct_load_abort_removes_container() {
         let mut s = NodeTableStore::new(2);
-        s.insert_pending_direct(rows3(), 1);
+        s.insert_pending_direct_rows(rows3(), 1);
         s.abort(1);
         assert_eq!(s.stats().ros_containers, 0);
-        s.insert_pending_direct(rows3(), 2);
+        s.insert_pending_direct_rows(rows3(), 2);
         s.commit(2, 2);
         assert_eq!(s.scan(2, None, None).len(), 3);
     }
@@ -1601,14 +1603,14 @@ mod tests {
     #[test]
     fn adopted_container_shares_the_payload_not_the_visibility() {
         let mut src = NodeTableStore::new(2);
-        src.insert_pending_direct(rows3(), 1);
+        src.insert_pending_direct_rows(rows3(), 1);
         src.commit(1, 1);
         // Row 2 is deleted in the source, a fourth row belongs to a
         // transaction still open, a fifth sits in the WOS.
         let second = src.scan(1, None, None)[1].loc;
         src.delete_pending(&[second], 2);
         src.commit(2, 2);
-        src.insert_pending_direct(vec![(row![4i64, "d"], 400)], 9);
+        src.insert_pending_direct_rows(vec![(row![4i64, "d"], 400)], 9);
         src.insert_pending(vec![(row![5i64, "e"], 500)], 3);
         src.commit(3, 3);
 
@@ -1643,7 +1645,7 @@ mod tests {
     #[test]
     fn aborted_adoption_drops_only_the_reference() {
         let mut src = NodeTableStore::new(2);
-        src.insert_pending_direct(rows3(), 1);
+        src.insert_pending_direct_rows(rows3(), 1);
         src.commit(1, 1);
         let mut dst = NodeTableStore::new(2);
         dst.adopt_pending(src.hand_over(1, None), 7);
@@ -1665,7 +1667,7 @@ mod tests {
             let rows = (0..3)
                 .map(|i| (row![base + i, "x"], (base + i) as u64 * 10))
                 .collect();
-            src.insert_pending_direct(rows, txn);
+            src.insert_pending_direct_rows(rows, txn);
             src.commit(txn, txn);
         }
         let mut dst = NodeTableStore::new(2);

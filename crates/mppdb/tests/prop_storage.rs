@@ -4,7 +4,7 @@
 //! epoch, before and after tuple-mover moveouts.
 
 use common::{row, Row};
-use mppdb::storage::NodeTableStore;
+use mppdb::storage::{ColumnData, NodeTableStore};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -73,7 +73,9 @@ proptest! {
                     let ids: Vec<i64> =
                         rows.iter().map(|(r, _)| r.get(0).as_i64().unwrap()).collect();
                     if *direct {
-                        store.insert_pending_direct(rows, txn);
+                        let rows = rows.into_iter().map(|(r, h)| (r.into_values(), h));
+                        let (columns, hashes) = ColumnData::transpose(1, rows);
+                        store.insert_pending_direct(columns, hashes, txn);
                     } else {
                         store.insert_pending(rows, txn);
                     }

@@ -10,7 +10,7 @@
 use common::agg::AggFunc;
 use common::{DataType, Error, Expr, Row, Schema, Value};
 use mppdb::segmentation::HashRange;
-use mppdb::storage::{BatchScan, NodeTableStore, RowLoc};
+use mppdb::storage::{BatchScan, ColumnData, NodeTableStore, RowLoc};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -129,7 +129,9 @@ fn random_store(rng: &mut StdRng, schema: &Schema) -> (NodeTableStore, u64, u64)
         if rng.random_bool(0.5) {
             store.insert_pending(rows, txn);
         } else {
-            store.insert_pending_direct(rows, txn);
+            let rows = rows.into_iter().map(|(r, h)| (r.into_values(), h));
+            let (columns, hashes) = ColumnData::transpose(ncols, rows);
+            store.insert_pending_direct(columns, hashes, txn);
         }
         if rng.random_bool(0.15) {
             store.abort(txn);

@@ -11,7 +11,7 @@ use crate::dataframe::{DataFrame, DataFrameReader};
 use crate::datasource::DataSourceProvider;
 use crate::error::{SparkError, SparkResult};
 use crate::failure::FailureInjector;
-use crate::rdd::Rdd;
+use crate::rdd::{Partition, Rdd};
 use crate::scheduler::{Scheduler, SchedulerConf, TaskContext};
 
 /// Engine configuration.
@@ -183,17 +183,21 @@ impl SparkContext {
         T: Send + Sync + 'static,
         R: Send,
     {
-        self.run_job_traced(rdd, obs::TraceCtx::NONE, f)
+        self.run_job_traced(rdd, obs::TraceCtx::NONE, |tc, items| {
+            f(tc, items.into_vec())
+        })
     }
 
     /// [`SparkContext::run_job`] under a trace: every task attempt gets
     /// a `sched.task` span parented at `trace`, and the task closure
-    /// sees its span as [`TaskContext::trace`] for further parenting.
+    /// sees its span as [`TaskContext::trace`] for further parenting. The
+    /// task gets its partition as the source computed it: one that only
+    /// reads it borrows a shared partition instead of copying it.
     pub fn run_job_traced<T, R>(
         &self,
         rdd: &Rdd<T>,
         trace: obs::TraceCtx,
-        f: impl Fn(&TaskContext, Vec<T>) -> SparkResult<R> + Sync,
+        f: impl Fn(&TaskContext, Partition<T>) -> SparkResult<R> + Sync,
     ) -> SparkResult<Vec<R>>
     where
         T: Send + Sync + 'static,

@@ -36,5 +36,5 @@ pub use dataframe::{DataFrame, DataFrameReader, DataFrameWriter};
 pub use datasource::{DataSourceProvider, Options, SaveMode, ScanRelation};
 pub use error::{SparkError, SparkResult};
 pub use failure::{FailureInjector, FailureMode};
-pub use rdd::Rdd;
+pub use rdd::{Partition, Rdd};
 pub use scheduler::{job_label, JobStats, TaskContext};

@@ -13,11 +13,59 @@ use crate::context::SparkContext;
 use crate::error::SparkResult;
 use crate::scheduler::TaskContext;
 
+/// One computed partition. A source that keeps its partitions (a
+/// parallelized collection, a shuffle's buckets) hands them out shared
+/// and a task that only reads — an S2V save encodes its rows — copies
+/// nothing; a source that computes them (map, filter, a scan) hands them
+/// out owned. Either way it reads as a slice, and [`Partition::into_vec`]
+/// gives the items by value, cloning only a shared one.
+pub struct Partition<T>(Repr<T>);
+
+enum Repr<T> {
+    Owned(Vec<T>),
+    /// With the way to copy the items, so that consuming a partition
+    /// asks no `Clone` of the item types that are never shared.
+    Shared(Arc<Vec<T>>, fn(&[T]) -> Vec<T>),
+}
+
+impl<T> Partition<T> {
+    pub fn shared(items: Arc<Vec<T>>) -> Partition<T>
+    where
+        T: Clone,
+    {
+        Partition(Repr::Shared(items, <[T]>::to_vec))
+    }
+
+    pub fn into_vec(self) -> Vec<T> {
+        match self.0 {
+            Repr::Owned(items) => items,
+            Repr::Shared(items, copy) => Arc::try_unwrap(items).unwrap_or_else(|kept| copy(&kept)),
+        }
+    }
+}
+
+impl<T> From<Vec<T>> for Partition<T> {
+    fn from(items: Vec<T>) -> Partition<T> {
+        Partition(Repr::Owned(items))
+    }
+}
+
+impl<T> std::ops::Deref for Partition<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match &self.0 {
+            Repr::Owned(items) => items,
+            Repr::Shared(items, _) => items,
+        }
+    }
+}
+
 /// A source of partitioned data. Implementations must be deterministic:
 /// `compute(i)` returns the same rows every time (lineage recompute).
 pub trait PartitionSource<T>: Send + Sync {
     fn num_partitions(&self) -> usize;
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>>;
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>>;
 }
 
 /// An immutable distributed dataset.
@@ -43,8 +91,8 @@ impl<T: Clone + Send + Sync> PartitionSource<T> for Parallelized<T> {
     fn num_partitions(&self) -> usize {
         self.partitions.len()
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
-        Ok(self.partitions[partition].as_ref().clone())
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
+        Ok(Partition::shared(Arc::clone(&self.partitions[partition])))
     }
 }
 
@@ -57,13 +105,13 @@ impl<U: Send + Sync, T: Send + Sync> PartitionSource<T> for MapSource<U, T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
-        Ok(self
-            .parent
-            .compute(partition)?
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
+        let items = self.parent.compute(partition)?.into_vec();
+        Ok(items
             .into_iter()
             .map(|u| (self.f)(u))
-            .collect())
+            .collect::<Vec<T>>()
+            .into())
     }
 }
 
@@ -76,13 +124,13 @@ impl<T: Send + Sync> PartitionSource<T> for FilterSource<T> {
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
-        Ok(self
-            .parent
-            .compute(partition)?
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
+        let items = self.parent.compute(partition)?.into_vec();
+        Ok(items
             .into_iter()
             .filter(|t| (self.f)(t))
-            .collect())
+            .collect::<Vec<T>>()
+            .into())
     }
 }
 
@@ -98,8 +146,8 @@ impl<U: Send + Sync, T: Send + Sync> PartitionSource<T> for MapPartitionsSource<
     fn num_partitions(&self) -> usize {
         self.parent.num_partitions()
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
-        (self.f)(partition, self.parent.compute(partition)?)
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
+        Ok((self.f)(partition, self.parent.compute(partition)?.into_vec())?.into())
     }
 }
 
@@ -112,7 +160,7 @@ impl<T: Send + Sync> PartitionSource<T> for UnionSource<T> {
     fn num_partitions(&self) -> usize {
         self.left.num_partitions() + self.right.num_partitions()
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
         let n = self.left.num_partitions();
         if partition < n {
             self.left.compute(partition)
@@ -135,15 +183,15 @@ impl<T: Send + Sync> PartitionSource<T> for CoalesceSource<T> {
     fn num_partitions(&self) -> usize {
         self.n
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
         let parents = self.parent.num_partitions();
         let lo = parents * partition / self.n;
         let hi = parents * (partition + 1) / self.n;
         let mut out = Vec::new();
         for p in lo..hi {
-            out.extend(self.parent.compute(p)?);
+            out.extend(self.parent.compute(p)?.into_vec());
         }
-        Ok(out)
+        Ok(out.into())
     }
 }
 
@@ -161,7 +209,7 @@ impl<T: Clone + Send + Sync> RepartitionSource<T> {
             let mut buckets: Vec<Vec<T>> = (0..self.n).map(|_| Vec::new()).collect();
             let mut idx = 0usize;
             for p in 0..self.parent.num_partitions() {
-                for item in self.parent.compute(p)? {
+                for item in self.parent.compute(p)?.into_vec() {
                     buckets[idx % self.n].push(item);
                     idx += 1;
                 }
@@ -179,8 +227,8 @@ impl<T: Clone + Send + Sync> PartitionSource<T> for RepartitionSource<T> {
     fn num_partitions(&self) -> usize {
         self.n
     }
-    fn compute(&self, partition: usize) -> SparkResult<Vec<T>> {
-        Ok(self.buckets()?[partition].as_ref().clone())
+    fn compute(&self, partition: usize) -> SparkResult<Partition<T>> {
+        Ok(Partition::shared(Arc::clone(&self.buckets()?[partition])))
     }
 }
 
@@ -394,7 +442,7 @@ mod tests {
             .map(|x| x + 1);
         let a = rdd.source().compute(2).unwrap();
         let b = rdd.source().compute(2).unwrap();
-        assert_eq!(a, b);
+        assert_eq!(*a, *b);
     }
 
     #[test]
