@@ -7,7 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::hash;
-use common::{Row, Value};
+use common::{Expr, Row, Value};
 use netsim::record::{NetClass, NodeRef, Recorder};
 use parking_lot::{Mutex, RwLock};
 
@@ -19,6 +19,7 @@ use crate::resource::ResourcePool;
 use crate::segmentation::{merge_ranges, HashRange, SegmentMap};
 use crate::session::Session;
 use crate::sql::ast::SelectStmt;
+use crate::storage::stats::analyzable;
 use crate::storage::store::{HandOver, RowLoc};
 use crate::storage::{BatchScan, ColumnData, ColumnVec, NodeTableStore, StorageStats};
 use crate::txn::{LockManager, LockMode, TxnHandle};
@@ -65,6 +66,26 @@ impl ClusterConfig {
             ..ClusterConfig::default()
         }
     }
+}
+
+/// What a mutation makes of a row its predicate fails to evaluate on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum OnPredicateError {
+    /// The row does not match (DELETE).
+    Skip,
+    /// The statement fails (UPDATE).
+    Fail,
+}
+
+/// What [`Cluster::match_live`] found.
+#[derive(Debug, Default)]
+pub(crate) struct LiveMatches {
+    /// Per live node, where its matching copies are, in scan order.
+    copies: Vec<(usize, Vec<RowLoc>)>,
+    /// Logical rows matched: copies on their first live holder.
+    pub(crate) primaries: u64,
+    /// Those rows, in node then scan order, when the caller asked.
+    pub(crate) rows: Vec<Row>,
 }
 
 pub(crate) struct NodeState {
@@ -1149,8 +1170,15 @@ impl Cluster {
             && source_def.is_segmented() == target_def.is_segmented();
         if !placed_alike {
             drop(pending);
-            let rows = self.scan_primary_live(&source_def, as_of, Some(txn.id))?;
-            return self.insert_rows(txn, initiator, task, &target_def.name, rows);
+            let all = self.match_live(
+                &source_def,
+                as_of,
+                Some(txn.id),
+                None,
+                OnPredicateError::Skip,
+                true,
+            )?;
+            return self.insert_rows(txn, initiator, task, &target_def.name, all.rows);
         }
 
         txn.touched.insert(target_def.name.clone());
@@ -1164,7 +1192,7 @@ impl Cluster {
                 continue;
             }
             if !self.is_node_up(node) {
-                // The rule `delete_where` applies: recovery rebuilds a
+                // The rule `match_live` applies: recovery rebuilds a
                 // dead replica from a live copy, which a segmented k=0
                 // member does not have.
                 if target_def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
@@ -1175,7 +1203,7 @@ impl Cluster {
             let mut stores = state.stores.write();
             let contents = match (&replica, stores.get(&source_def.name)) {
                 (Some(first), _) => first.clone(),
-                (None, Some(store)) => store.hand_over(as_of, Some(txn.id)),
+                (None, Some(store)) => store.hand_over(as_of, txn.id),
                 (None, None) => continue,
             };
             if target_def.is_segmented() {
@@ -1190,7 +1218,7 @@ impl Cluster {
             stores
                 .get_mut(&target_def.name)
                 .ok_or_else(|| DbError::UnknownTable(target_def.name.clone()))?
-                .adopt_pending(contents, txn.id);
+                .adopt_pending(contents);
         }
         Ok(inserted)
     }
@@ -1207,129 +1235,156 @@ impl Cluster {
         first == Some(node)
     }
 
-    /// Scan every logical row of `def` exactly once, visible at `as_of`
-    /// (plus the transaction's own pending work), reading each row from
-    /// its first *live* holder — the same attribution `delete_where`
-    /// uses, so read-then-delete flows (UPDATE) agree with it when
-    /// nodes are down.
-    pub(crate) fn scan_primary_live(
+    /// The one traversal behind DELETE, UPDATE and the routed copy:
+    /// what of `def` is visible at `as_of` (plus `my_txn`'s own pending
+    /// work) and matches `predicate` (bound to the table schema), on
+    /// every live node.
+    ///
+    /// Every copy is matched — buddy copies and any copy a pending
+    /// rebalance already staged on its target must be deleted with
+    /// their primary — but a logical row counts (and is read) once, on
+    /// its first *live* holder, so reads and deletes agree when nodes
+    /// are down. A predicate [`analyzable`] proves error-free is pushed
+    /// into the store scan (zone-map skips, column-at-a-time filter,
+    /// only the matches decoded, and none of them when the caller wants
+    /// no rows); any other is evaluated on the decoded rows here, where
+    /// `on_error` decides what a failed evaluation means.
+    pub(crate) fn match_live(
         &self,
         def: &TableDef,
         as_of: u64,
         my_txn: Option<u64>,
-    ) -> DbResult<Vec<Row>> {
-        let mut out = Vec::new();
+        predicate: Option<&Expr>,
+        on_error: OnPredicateError,
+        want_rows: bool,
+    ) -> DbResult<LiveMatches> {
         let map = self.segment_map();
         let states = self.node_states();
+        let mut live = Vec::with_capacity(states.len());
         for (node, state) in states.iter().enumerate() {
             if state.retired.load(Ordering::Acquire) {
                 continue;
             }
-            if !self.is_node_up(node) {
-                // Same recoverability rule as `delete_where`: only
-                // segmented k=0 data held by a *current-map member* has
-                // no surviving live copy (a down rebalance target is
-                // re-copied on resume).
-                if def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
-                    return Err(DbError::NodeUnavailable(node));
-                }
+            if self.is_node_up(node) {
+                live.push((node, state));
                 continue;
             }
+            // A dead replica misses the delete marks now; recovery
+            // rebuilds it from a live buddy (k >= 1) or a live peer
+            // (unsegmented), re-acquiring them; a down rebalance target
+            // re-copies on resume. Only a segmented k=0 current-map
+            // member has no surviving copy to read or recover from —
+            // found out before any store is read or marked.
+            if def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
+                return Err(DbError::NodeUnavailable(node));
+            }
+        }
+
+        let pushed = predicate.filter(|p| analyzable(p));
+        let residual = predicate.filter(|_| pushed.is_none());
+        let scan = BatchScan {
+            as_of,
+            my_txn,
+            predicate: pushed,
+            ..BatchScan::default()
+        };
+        let mut out = LiveMatches::default();
+        for (node, state) in live {
             let stores = state.stores.read();
             let Some(store) = stores.get(&def.name) else {
                 continue;
             };
-            let scan = BatchScan {
-                as_of,
-                my_txn,
-                ..BatchScan::default()
-            };
-            store
-                .for_each_visible(&scan, |_loc, row, hash| {
-                    if self.is_live_primary(def, &map, node, hash) {
-                        out.push(row.clone());
-                    }
+            let mut locs = Vec::new();
+            if residual.is_none() && !want_rows {
+                store.for_each_visible_loc(&scan, |loc, hash| {
+                    locs.push(loc);
+                    out.primaries += self.is_live_primary(def, &map, node, hash) as u64;
                 })
-                .map_err(DbError::Data)?;
+            } else {
+                let mut failed = None;
+                let counters = store.for_each_visible(&scan, |loc, row, hash| {
+                    if failed.is_some() {
+                        return;
+                    }
+                    let primary = self.is_live_primary(def, &map, node, hash);
+                    match residual.map_or(Ok(true), |p| p.matches(row)) {
+                        Ok(true) => {
+                            locs.push(loc);
+                            if primary {
+                                out.primaries += 1;
+                                if want_rows {
+                                    out.rows.push(row.clone());
+                                }
+                            }
+                        }
+                        Ok(false) => {}
+                        // Every copy of a row evaluates alike, so its
+                        // primary speaks for the others.
+                        Err(e) if primary && on_error == OnPredicateError::Fail => failed = Some(e),
+                        Err(_) => {}
+                    }
+                });
+                failed.map_or(counters, Err)
+            }
+            .map_err(DbError::Data)?;
+            if !locs.is_empty() {
+                out.copies.push((node, locs));
+            }
         }
         Ok(out)
     }
 
+    /// Stage the delete of every copy a [`Cluster::match_live`] found.
+    /// The caller holds the table's exclusive lock since before the
+    /// match, so the locations are still good. Returns the number of
+    /// logical rows deleted.
+    pub(crate) fn stage_deletes(
+        &self,
+        txn: &mut TxnHandle,
+        task: Option<u64>,
+        def: &TableDef,
+        matches: &LiveMatches,
+    ) -> u64 {
+        txn.touched.insert(def.name.clone());
+        for (node, locs) in &matches.copies {
+            let Some(state) = self.node_state(*node) else {
+                continue;
+            };
+            if let Some(store) = state.stores.write().get_mut(&def.name) {
+                store.delete_pending(locs, txn.id);
+            }
+            self.recorder.work(
+                task,
+                NodeRef::Db(*node),
+                "delete_mark",
+                locs.len() as u64,
+                0,
+            );
+        }
+        matches.primaries
+    }
+
     /// Delete rows matching `predicate` (already bound to the table
-    /// schema). Returns the count of (logical) rows deleted.
+    /// schema); a row the predicate cannot be evaluated on is kept.
+    /// Returns the count of (logical) rows deleted.
     pub(crate) fn delete_where(
         &self,
         txn: &mut TxnHandle,
-        initiator: usize,
         task: Option<u64>,
         table: &str,
-        predicate: Option<&common::Expr>,
+        predicate: Option<&Expr>,
     ) -> DbResult<u64> {
         let def = self.table_def(table)?;
         self.lock_table(txn, &def.name, LockMode::Exclusive)?;
-        txn.touched.insert(def.name.clone());
-        let as_of = self.current_epoch();
-
-        let mut deleted = 0u64;
-        let map = self.segment_map();
-        let states = self.node_states();
-        for (node, state) in states.iter().enumerate() {
-            if state.retired.load(Ordering::Acquire) {
-                continue;
-            }
-            if !self.is_node_up(node) {
-                // A dead replica misses the delete marks now; recovery
-                // rebuilds it from a live buddy (k >= 1) or a live peer
-                // (unsegmented), re-acquiring them; a down rebalance
-                // target re-copies on resume. Only a segmented k=0
-                // current-map member has no surviving copy to recover
-                // from.
-                if def.is_segmented() && self.config.k_safety == 0 && map.is_member(node) {
-                    return Err(DbError::NodeUnavailable(node));
-                }
-                continue;
-            }
-            let stores = state.stores.read();
-            let Some(store) = stores.get(&def.name) else {
-                continue;
-            };
-            // Match against every replica — buddy copies AND any copy a
-            // pending rebalance already staged on its target must be
-            // deleted too, but only primaries count.
-            // Rows are borrowed in place — matching never clones them —
-            // and without a predicate no row is decoded at all.
-            let mut matched: Vec<(RowLoc, bool)> = Vec::new();
-            let mut hit = |loc, hash| {
-                matched.push((loc, self.is_live_primary(&def, &map, node, hash)));
-            };
-            let scan = BatchScan {
-                as_of,
-                my_txn: Some(txn.id),
-                ..BatchScan::default()
-            };
-            match predicate {
-                Some(p) => store.for_each_visible(&scan, |loc, row, hash| {
-                    if p.matches(row).unwrap_or(false) {
-                        hit(loc, hash);
-                    }
-                }),
-                None => store.for_each_visible_loc(&scan, hit),
-            }
-            .map_err(DbError::Data)?;
-            drop(stores);
-            let locs: Vec<RowLoc> = matched.iter().map(|(l, _)| *l).collect();
-            deleted += matched.iter().filter(|(_, primary)| *primary).count() as u64;
-            if !locs.is_empty() {
-                let mut stores = state.stores.write();
-                if let Some(store) = stores.get_mut(&def.name) {
-                    store.delete_pending(&locs, txn.id);
-                }
-                self.recorder
-                    .work(task, NodeRef::Db(node), "delete_mark", locs.len() as u64, 0);
-            }
-        }
-        let _ = initiator;
-        Ok(deleted)
+        let found = self.match_live(
+            &def,
+            self.current_epoch(),
+            Some(txn.id),
+            predicate,
+            OnPredicateError::Skip,
+            false,
+        )?;
+        Ok(self.stage_deletes(txn, task, &def, &found))
     }
 
     // ----- maintenance & introspection -------------------------------
@@ -1399,6 +1454,9 @@ impl Cluster {
         pools
     }
 }
+
+#[cfg(test)]
+mod mutation_differential;
 
 #[cfg(test)]
 mod tests {
@@ -1541,7 +1599,7 @@ mod tests {
             .bind(&schema())
             .unwrap();
         let mut txn = c.begin_txn();
-        let deleted = c.delete_where(&mut txn, 0, None, "t", Some(&pred)).unwrap();
+        let deleted = c.delete_where(&mut txn, None, "t", Some(&pred)).unwrap();
         c.commit_txn(txn);
         assert_eq!(deleted, 10);
     }

@@ -512,7 +512,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::catalog::{Segmentation, TableDef};
-    use crate::cluster::ClusterConfig;
+    use crate::cluster::{ClusterConfig, OnPredicateError};
     use common::{row, DataType, Row, Schema};
 
     fn schema() -> Schema {
@@ -539,8 +539,9 @@ mod tests {
     fn all_ids(c: &Arc<Cluster>, epoch: u64) -> Vec<i64> {
         let def = c.table_def("t").unwrap();
         let mut ids: Vec<i64> = c
-            .scan_primary_live(&def, epoch, None)
+            .match_live(&def, epoch, None, None, OnPredicateError::Skip, true)
             .unwrap()
+            .rows
             .into_iter()
             .map(|r| match r.values()[0] {
                 common::Value::Int64(v) => v,

@@ -5,7 +5,7 @@
 //! locality story meaningful: a task that connects to node `n` and asks
 //! only for node-`n`-local hash ranges induces no internal shuffle.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use common::Row;
 
@@ -312,11 +312,7 @@ impl Session {
             .resource_pool(&self.pool)
             .map(|p| p.max_concurrency())
             .unwrap_or(1)
-            .min(
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1),
-            );
+            .min(host_parallelism());
         let ctx = ExecCtx {
             cluster: &self.cluster,
             node: self.node,
@@ -343,6 +339,13 @@ impl Session {
     pub fn resolve_epoch(&self, requested: Option<u64>) -> DbResult<u64> {
         resolve_epoch(&self.cluster, requested)
     }
+}
+
+/// The host's core count, read once per process: on Linux
+/// `available_parallelism` re-reads the cgroup files on every call.
+fn host_parallelism() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 impl Drop for Session {

@@ -6,6 +6,7 @@ use common::{DataType, Expr, Field, Row, Schema, Value};
 use netsim::record::NodeRef;
 
 use crate::catalog::{Segmentation, TableDef};
+use crate::cluster::OnPredicateError;
 use crate::error::{DbError, DbResult};
 use crate::query::{QueryResult, QuerySpec};
 use crate::session::Session;
@@ -237,8 +238,8 @@ pub(crate) fn execute_statement(session: &mut Session, stmt: Statement) -> DbRes
             let pred = predicate
                 .map(|p| lower_scalar(&p).and_then(|e| e.bind(&def.schema).map_err(DbError::Data)))
                 .transpose()?;
-            let n = session.with_txn(|cluster, txn, node, tag| {
-                cluster.delete_where(txn, node, tag, &table, pred.as_ref())
+            let n = session.with_txn(|cluster, txn, _node, tag| {
+                cluster.delete_where(txn, tag, &table, pred.as_ref())
             })?;
             Ok(SqlResult::Affected(n))
         }
@@ -315,29 +316,25 @@ fn execute_update(
 
     let n = session.with_txn(|cluster, txn, node, tag| {
         cluster.lock_table(txn, table, crate::txn::LockMode::Exclusive)?;
-        // Collect the matched primary rows before deleting them.
-        let as_of = cluster.current_epoch();
-        let mut updated: Vec<Row> = Vec::new();
-        // Read each logical row from its first *live* holder — the same
-        // attribution `delete_where` uses — so the read and delete sides
-        // agree even when nodes are down.
-        for row in cluster.scan_primary_live(&def, as_of, Some(txn.id))? {
-            let matched = match &pred {
-                Some(p) => p.matches(&row).map_err(DbError::Data)?,
-                None => true,
-            };
-            if !matched {
-                continue;
-            }
-            let mut values = row.into_values();
-            let original = Row::new(values.clone());
+        // One pass finds the matched rows and where their copies are;
+        // nothing is staged until every new row has been computed.
+        let found = cluster.match_live(
+            &def,
+            cluster.current_epoch(),
+            Some(txn.id),
+            pred.as_ref(),
+            OnPredicateError::Fail,
+            true,
+        )?;
+        let mut updated: Vec<Row> = Vec::with_capacity(found.rows.len());
+        for original in &found.rows {
+            let mut values = original.values().to_vec();
             for (idx, expr) in &assigns {
-                values[*idx] = expr.eval(&original).map_err(DbError::Data)?;
+                values[*idx] = expr.eval(original).map_err(DbError::Data)?;
             }
             updated.push(Row::new(values));
         }
-        let deleted = cluster.delete_where(txn, node, tag, table, pred.as_ref())?;
-        debug_assert_eq!(deleted as usize, updated.len());
+        let deleted = cluster.stage_deletes(txn, tag, &def, &found);
         cluster.insert_rows(txn, node, tag, table, updated)?;
         Ok(deleted)
     })?;
@@ -540,8 +537,9 @@ fn apply_order_by(
 }
 
 /// Pushdown-eligible single-table select: plain column projection (or
-/// `*`), a lowerable predicate, optional COUNT(*). Returns `None` when
-/// the shape doesn't fit and the general path must run.
+/// `*`) and a lowerable predicate. Returns `None` when the shape doesn't
+/// fit and the general path must run (every aggregate does: the caller
+/// only comes here for a select that has none).
 fn try_pushdown_select(
     session: &mut Session,
     select: &SelectStmt,
@@ -550,40 +548,6 @@ fn try_pushdown_select(
     depth: usize,
 ) -> DbResult<Option<QueryResult>> {
     let _ = depth;
-    // COUNT(*) alone?
-    if select.items.len() == 1 {
-        if let SelectItem::Expr {
-            expr: ExprAst::FuncCall { name, args, .. },
-            alias: out_alias,
-        } = &select.items[0]
-        {
-            {
-                if name.eq_ignore_ascii_case("count")
-                    && args.len() == 1
-                    && matches!(args[0], ExprAst::Star)
-                {
-                    let mut spec = QuerySpec::scan(table).count();
-                    spec.as_of_epoch = select.at_epoch;
-                    if let Some(p) = &select.predicate {
-                        match lower_scalar_qualified(p, alias) {
-                            Ok(e) => spec.predicate = Some(e),
-                            Err(_) => return Ok(None),
-                        }
-                    }
-                    let r = session.query(&spec)?;
-                    let name = out_alias.clone().unwrap_or_else(|| "count".to_string());
-                    return Ok(Some(QueryResult {
-                        schema: Schema::from_pairs(&[(name.as_str(), DataType::Int64)]),
-                        rows: vec![Row::new(vec![Value::Int64(r.count as i64)])],
-                        count: 1,
-                        epoch: r.epoch,
-                        batch: None,
-                    }));
-                }
-            }
-        }
-    }
-
     // Plain projection?
     let mut projection: Option<Vec<String>> = Some(Vec::new());
     for item in &select.items {

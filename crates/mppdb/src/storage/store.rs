@@ -15,24 +15,12 @@ use crate::storage::stats::{
     analyzable, container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
 };
 
-/// Commit state of a stored row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CommitState {
-    /// Written by a still-open transaction; visible only to it.
-    Pending(u64),
-    /// Committed at the given epoch.
-    Committed(u64),
-}
+#[cfg(test)]
+mod model_tests;
+mod visibility;
 
-/// Delete state of a stored row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DeleteState {
-    NotDeleted,
-    /// Delete staged by an open transaction.
-    Pending(u64),
-    /// Delete committed at the given epoch.
-    Committed(u64),
-}
+pub use visibility::CommitState;
+use visibility::{row_visible, DeleteState, Visibility};
 
 /// Location of a row within a node-table store, stable while the store's
 /// lock is held (the tuple mover may relocate rows between statements).
@@ -102,7 +90,7 @@ impl RosPayload {
 }
 
 /// A ROS container: a (possibly shared) payload, its statistics, and
-/// this table's own per-row visibility.
+/// this table's own view of which rows exist.
 #[derive(Debug)]
 struct RosContainer {
     id: u64,
@@ -110,11 +98,10 @@ struct RosContainer {
     /// Zone maps, null counts, and NDV sketches computed with the
     /// payload and as immutable: a superset description of the rows any
     /// snapshot of any table holding the payload can see. Kept beside
-    /// the visibility vectors, not behind the payload's pointer: a scan
-    /// that skips the container by its zone maps touches nothing else.
+    /// the visibility, not behind the payload's pointer: a scan that
+    /// skips the container by its zone maps touches nothing else.
     stats: ContainerStats,
-    commits: Vec<CommitState>,
-    deletes: Vec<DeleteState>,
+    visibility: Visibility,
 }
 
 impl RosContainer {
@@ -123,35 +110,29 @@ impl RosContainer {
     }
 
     fn len(&self) -> usize {
-        self.commits.len()
+        self.visibility.len()
     }
 }
 
-/// Delete state of a payload row the adopting table never held: deleted
-/// before the first commit epoch, so invisible at every snapshot and to
-/// every transaction.
-const NEVER_VISIBLE: DeleteState = DeleteState::Committed(0);
-
-/// What one store hands over to another: the payloads holding its
-/// visible ROS rows, each with its statistics and the delete vector the
-/// adopter starts from, and its visible WOS rows with their stored
-/// hashes.
-#[derive(Debug, Clone, Default)]
+/// What one store hands over to another under the adopting transaction:
+/// the payloads holding its visible ROS rows, each with its statistics
+/// and the visibility the adopter starts from, and its visible WOS rows
+/// with their stored hashes.
+#[derive(Debug, Clone)]
 pub(crate) struct HandOver {
-    containers: Vec<(Arc<RosPayload>, ContainerStats, Vec<DeleteState>)>,
+    txn: u64,
+    containers: Vec<(Arc<RosPayload>, ContainerStats, Visibility)>,
     wos: Vec<(Row, u64)>,
 }
 
 impl HandOver {
     /// Segmentation hashes of the rows handed over.
     pub(crate) fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
-        let ros = self.containers.iter().flat_map(|(payload, _, deletes)| {
-            payload
-                .hashes
-                .iter()
-                .zip(deletes)
-                .filter(|(_, d)| **d == DeleteState::NotDeleted)
-                .map(|(h, _)| *h)
+        let ros = self.containers.iter().flat_map(|(payload, _, visibility)| {
+            visibility
+                .visible_ranges(u64::MAX, Some(self.txn))
+                .flatten()
+                .map(|idx| payload.hashes[idx])
         });
         ros.chain(self.wos.iter().map(|(_, h)| *h))
     }
@@ -522,7 +503,7 @@ impl ScanSink for AggSink<'_> {
             && scan
                 .hash_range
                 .is_none_or(|r| r.contains(c.stats.hash_min) && r.contains(c.stats.hash_max))
-            && container_fully_visible(c, scan.as_of)
+            && c.visibility.fully_visible(scan.as_of)
             && self.funcs.iter().all(|(f, col)| match (f, col) {
                 (AggFunc::Min | AggFunc::Max, Some(i)) => {
                     let cs = &c.stats.columns[*i];
@@ -672,37 +653,6 @@ pub struct NodeTableStore {
     column_count: usize,
 }
 
-fn row_visible(commit: CommitState, delete: DeleteState, as_of: u64, my_txn: Option<u64>) -> bool {
-    let inserted = match commit {
-        CommitState::Committed(e) => e <= as_of,
-        CommitState::Pending(t) => Some(t) == my_txn,
-    };
-    if !inserted {
-        return false;
-    }
-    match delete {
-        DeleteState::NotDeleted => true,
-        // A delete staged by my own transaction hides the row from me;
-        // one staged by another transaction is not yet real.
-        DeleteState::Pending(t) => Some(t) != my_txn,
-        DeleteState::Committed(e) => e > as_of,
-    }
-}
-
-/// True when every row of the container is visible at `as_of` for any
-/// reader: all inserts committed at or before the snapshot epoch and no
-/// delete even staged. Under this (deliberately strict) condition the
-/// container's stats describe exactly the visible rows, so aggregates
-/// may be answered from them without decoding.
-fn container_fully_visible(c: &RosContainer, as_of: u64) -> bool {
-    c.commits
-        .iter()
-        .all(|s| matches!(s, CommitState::Committed(e) if *e <= as_of))
-        && c.deletes
-            .iter()
-            .all(|s| matches!(s, DeleteState::NotDeleted))
-}
-
 impl NodeTableStore {
     pub fn new(column_count: usize) -> NodeTableStore {
         NodeTableStore {
@@ -737,8 +687,7 @@ impl NodeTableStore {
         debug_assert!(columns.iter().all(|c| c.len() == n));
         self.push_container(
             RosPayload::build(columns, hashes),
-            vec![CommitState::Pending(txn); n],
-            vec![DeleteState::NotDeleted; n],
+            Visibility::staged(n, txn),
         );
     }
 
@@ -758,8 +707,7 @@ impl NodeTableStore {
     fn push_container(
         &mut self,
         (payload, stats): (Arc<RosPayload>, ContainerStats),
-        commits: Vec<CommitState>,
-        deletes: Vec<DeleteState>,
+        visibility: Visibility,
     ) {
         let id = self.next_container_id;
         self.next_container_id += 1;
@@ -767,73 +715,76 @@ impl NodeTableStore {
             id,
             payload,
             stats,
-            commits,
-            deletes,
+            visibility,
         });
     }
 
-    /// Everything in this store visible at `as_of` (plus `my_txn`'s own
-    /// pending work), for another table's store to adopt: each ROS
-    /// container with a visible row contributes its payload by
-    /// reference (and a copy of its statistics), rows this snapshot
-    /// cannot see marked [`NEVER_VISIBLE`]; WOS rows are cloned with
-    /// their stored hash. Costs O(visibility vectors + WOS rows): no
-    /// column is decoded.
-    pub(crate) fn hand_over(&self, as_of: u64, my_txn: Option<u64>) -> HandOver {
-        let mut out = HandOver::default();
-        for c in &self.ros {
-            let deletes: Vec<DeleteState> = (0..c.len())
-                .map(|i| {
-                    if row_visible(c.commits[i], c.deletes[i], as_of, my_txn) {
-                        DeleteState::NotDeleted
-                    } else {
-                        NEVER_VISIBLE
-                    }
-                })
-                .collect();
-            if deletes.contains(&DeleteState::NotDeleted) {
-                out.containers
-                    .push((Arc::clone(&c.payload), c.stats.clone(), deletes));
-            }
+    /// Everything in this store that `txn` sees at `as_of` (its own
+    /// pending work included), for another table's store to adopt under
+    /// the same transaction: each ROS container with a visible row
+    /// contributes its payload by reference (and a copy of its
+    /// statistics), rows the snapshot cannot see marked never-visible;
+    /// WOS rows are cloned with their stored hash. Costs O(visibility
+    /// runs + WOS rows): no column is decoded.
+    pub(crate) fn hand_over(&self, as_of: u64, txn: u64) -> HandOver {
+        let containers = self
+            .ros
+            .iter()
+            .filter_map(|c| {
+                let visibility = c.visibility.handed_to(as_of, txn)?;
+                Some((Arc::clone(&c.payload), c.stats.clone(), visibility))
+            })
+            .collect();
+        let wos = self
+            .wos
+            .iter()
+            .filter(|r| row_visible(r.commit, r.delete, as_of, Some(txn)))
+            .map(|r| (r.row.clone(), r.hash))
+            .collect();
+        HandOver {
+            txn,
+            containers,
+            wos,
         }
-        for r in &self.wos {
-            if row_visible(r.commit, r.delete, as_of, my_txn) {
-                out.wos.push((r.row.clone(), r.hash));
-            }
-        }
-        out
     }
 
-    /// Stage handed-over contents under an open transaction: one new
-    /// container per payload, sharing it, with this table's own
-    /// `Pending(txn)` commit vector; WOS rows land in the WOS. Commit
+    /// Stage handed-over contents under the transaction they were
+    /// handed to: one new container per payload, sharing it, with this
+    /// table's own pending visibility; WOS rows land in the WOS. Commit
     /// stamps them like any staged insert; abort drops only this
     /// store's references.
-    pub(crate) fn adopt_pending(&mut self, contents: HandOver, txn: u64) {
-        for (payload, stats, deletes) in contents.containers {
+    pub(crate) fn adopt_pending(&mut self, contents: HandOver) {
+        for (payload, stats, visibility) in contents.containers {
             debug_assert_eq!(payload.columns.len(), self.column_count);
-            let commits = vec![CommitState::Pending(txn); deletes.len()];
-            self.push_container((payload, stats), commits, deletes);
+            self.push_container((payload, stats), visibility);
         }
-        self.insert_pending(contents.wos, txn);
+        self.insert_pending(contents.wos, contents.txn);
     }
 
     /// Stage deletes for the given row locations.
     pub fn delete_pending(&mut self, locs: &[RowLoc], txn: u64) {
+        // Container ids ascend with position (mergeout and
+        // `remove_hash_range` keep the first input's id and place), and
+        // a scan reports a container's rows together: look each one up
+        // once per run of equal ids.
+        let mut current: Option<usize> = None;
         for loc in locs {
             match loc {
                 RowLoc::Wos(i) => self.wos[*i].delete = DeleteState::Pending(txn),
                 RowLoc::Ros { container, idx } => {
-                    // A RowLoc only ever comes from this store's own
-                    // scan, so the container must exist; a miss is
-                    // storage corruption, not a recoverable error.
-                    let c = self
-                        .ros
-                        .iter_mut()
-                        .find(|c| c.id == *container)
-                        // fabriclint: allow(panic-hygiene): RowLoc invariant, corruption must not be retried
-                        .expect("delete references unknown container");
-                    c.deletes[*idx] = DeleteState::Pending(txn);
+                    let at = match current {
+                        Some(at) if self.ros[at].id == *container => at,
+                        // A RowLoc only ever comes from this store's own
+                        // scan, so the container must exist; a miss is
+                        // storage corruption, not a recoverable error.
+                        _ => self
+                            .ros
+                            .binary_search_by_key(container, |c| c.id)
+                            // fabriclint: allow(panic-hygiene): RowLoc invariant, corruption must not be retried
+                            .expect("delete references unknown container"),
+                    };
+                    current = Some(at);
+                    self.ros[at].visibility.stage_delete(*idx, txn);
                 }
             }
         }
@@ -849,18 +800,20 @@ impl NodeTableStore {
                 r.delete = DeleteState::Committed(epoch);
             }
         }
+        self.commit_ros(txn, epoch);
+    }
+
+    /// The ROS half of [`NodeTableStore::commit`]: only containers with
+    /// something pending are read. Returns how many that was.
+    fn commit_ros(&mut self, txn: u64, epoch: u64) -> usize {
+        let mut touched = 0;
         for c in &mut self.ros {
-            for s in &mut c.commits {
-                if *s == CommitState::Pending(txn) {
-                    *s = CommitState::Committed(epoch);
-                }
-            }
-            for s in &mut c.deletes {
-                if *s == DeleteState::Pending(txn) {
-                    *s = DeleteState::Committed(epoch);
-                }
+            if c.visibility.has_pending() {
+                c.visibility.commit(txn, epoch);
+                touched += 1;
             }
         }
+        touched
     }
 
     /// Discard all of `txn`'s pending work.
@@ -871,18 +824,28 @@ impl NodeTableStore {
                 r.delete = DeleteState::NotDeleted;
             }
         }
-        // Containers staged by the txn: all rows pending. Mixed
-        // containers cannot occur (a container is created whole). An
-        // adopted container gives up only its reference to the payload.
-        self.ros
-            .retain(|c| c.commits.first() != Some(&CommitState::Pending(txn)));
-        for c in &mut self.ros {
-            for s in &mut c.deletes {
-                if *s == DeleteState::Pending(txn) {
-                    *s = DeleteState::NotDeleted;
-                }
+        self.abort_ros(txn);
+    }
+
+    /// The ROS half of [`NodeTableStore::abort`]: only containers with
+    /// something pending are read. Returns how many that was.
+    fn abort_ros(&mut self, txn: u64) -> usize {
+        let mut touched = 0;
+        self.ros.retain_mut(|c| {
+            if !c.visibility.has_pending() {
+                return true;
             }
-        }
+            touched += 1;
+            // A container the txn staged goes whole (an adopted one
+            // gives up only its reference to the payload); from any
+            // other, only the deletes it staged.
+            if c.visibility.staged_by(txn) {
+                return false;
+            }
+            c.visibility.abort_deletes(txn);
+            true
+        });
+        touched
     }
 
     /// Scan rows visible at `as_of` (plus `my_txn`'s own pending work),
@@ -905,7 +868,8 @@ impl NodeTableStore {
         let mut out = Vec::new();
         for c in &self.ros {
             for idx in 0..c.len() {
-                if !row_visible(c.commits[idx], c.deletes[idx], as_of, my_txn) {
+                let (commit, delete) = c.visibility.get(idx);
+                if !row_visible(commit, delete, as_of, my_txn) {
                     continue;
                 }
                 let h = c.payload.hashes[idx];
@@ -974,6 +938,9 @@ impl NodeTableStore {
         // has no row window: it would desynchronize `window_pos`, which
         // counts range survivors across all containers.
         let may_skip = !scan.no_skip && scan.row_range.is_none();
+        // With neither a hash range nor a row window every visible row
+        // is in the piece, and no hash is read to find that out.
+        let whole_store = scan.hash_range.is_none() && scan.row_range.is_none();
         // Position in the stable scan order of range survivors, for the
         // row window; spans containers and the WOS.
         let mut window_pos = 0u64;
@@ -1007,14 +974,16 @@ impl NodeTableStore {
             }
             // Stage 1+2: selection vector only, no column touched.
             let mut sel: Vec<u32> = Vec::new();
-            let rows = c.commits.iter().zip(&c.deletes).zip(&c.payload.hashes);
-            for (idx, ((&commit, &delete), &hash)) in rows.enumerate() {
-                if !row_visible(commit, delete, scan.as_of, scan.my_txn) {
+            for range in c.visibility.visible_ranges(scan.as_of, scan.my_txn) {
+                n.examined += range.len() as u64;
+                if whole_store {
+                    sel.extend(range.start as u32..range.end as u32);
                     continue;
                 }
-                n.examined += 1;
-                if in_piece(hash) {
-                    sel.push(idx as u32);
+                for idx in range {
+                    if in_piece(c.payload.hashes[idx]) {
+                        sel.push(idx as u32);
+                    }
                 }
             }
             n.scanned += sel.len() as u64;
@@ -1193,33 +1162,18 @@ impl NodeTableStore {
     /// tuple mover's "moveout" operation). Pending rows stay put.
     /// Returns the number of rows moved.
     pub fn moveout(&mut self) -> usize {
-        let moving: Vec<usize> = self
-            .wos
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| matches!(r.commit, CommitState::Committed(_)))
-            .map(|(i, _)| i)
-            .collect();
+        let (moving, staying): (Vec<WosRow>, Vec<WosRow>) = std::mem::take(&mut self.wos)
+            .into_iter()
+            .partition(|r| matches!(r.commit, CommitState::Committed(_)));
+        self.wos = staying;
         if moving.is_empty() {
             return 0;
         }
         let n = moving.len();
-        let commits = moving.iter().map(|&i| self.wos[i].commit).collect();
-        let deletes = moving.iter().map(|&i| self.wos[i].delete).collect();
-        let rows = moving.iter().map(|&i| {
-            let r = &self.wos[i];
-            (r.row.values().iter().cloned(), r.hash)
-        });
+        let visibility = Visibility::from_states(moving.iter().map(|r| (r.commit, r.delete)));
+        let rows = moving.into_iter().map(|r| (r.row.into_values(), r.hash));
         let built = RosPayload::from_rows(self.column_count, rows);
-        self.push_container(built, commits, deletes);
-        // Drop moved rows from the WOS (keep pending ones).
-        let mut keep = Vec::with_capacity(self.wos.len() - n);
-        for (i, r) in self.wos.drain(..).enumerate() {
-            if !moving.contains(&i) {
-                keep.push(r);
-            }
-        }
-        self.wos = keep;
+        self.push_container(built, visibility);
         n
     }
 
@@ -1237,12 +1191,7 @@ impl NodeTableStore {
     /// carried over verbatim, so epoch-pinned snapshots older than the
     /// delete still see those rows.
     fn merge_eligible(c: &RosContainer) -> bool {
-        c.commits
-            .iter()
-            .all(|s| matches!(s, CommitState::Committed(_)))
-            && c.deletes
-                .iter()
-                .all(|s| !matches!(s, DeleteState::Pending(_)))
+        !c.visibility.has_pending()
     }
 
     /// The tuple mover's "mergeout": compact adjacent runs of at least
@@ -1299,8 +1248,6 @@ impl NodeTableStore {
         let inputs = std::mem::take(run);
         let n: usize = inputs.iter().map(|c| c.len()).sum();
         let mut hashes = Vec::with_capacity(n);
-        let mut commits = Vec::with_capacity(n);
-        let mut deletes = Vec::with_capacity(n);
         let mut column_values: Vec<ColumnData> = (0..self.column_count)
             .map(|_| ColumnData::with_capacity(n))
             .collect();
@@ -1309,8 +1256,6 @@ impl NodeTableStore {
                 vals.extend(&col.decode());
             }
             hashes.extend_from_slice(&c.payload.hashes);
-            commits.extend_from_slice(&c.commits);
-            deletes.extend_from_slice(&c.deletes);
         }
         outcome.merges += 1;
         outcome.containers_in += inputs.len();
@@ -1320,8 +1265,7 @@ impl NodeTableStore {
             id: inputs[0].id,
             payload,
             stats,
-            commits,
-            deletes,
+            visibility: Visibility::concat(inputs.iter().map(|c| &c.visibility)),
         });
     }
 
@@ -1333,11 +1277,12 @@ impl NodeTableStore {
         for c in &self.ros {
             for idx in 0..c.len() {
                 if hash_range.is_none_or(|r| r.contains(c.payload.hashes[idx])) {
+                    let (commit, delete) = c.visibility.get(idx);
                     out.push(ExportedRow {
                         row: c.row(idx),
                         hash: c.payload.hashes[idx],
-                        commit: c.commits[idx],
-                        delete: c.deletes[idx],
+                        commit,
+                        delete,
                     });
                 }
             }
@@ -1385,11 +1330,10 @@ impl NodeTableStore {
         if rows.is_empty() {
             return;
         }
-        let commits = rows.iter().map(|r| r.commit).collect();
-        let deletes = rows.iter().map(|r| r.delete).collect();
+        let visibility = Visibility::from_states(rows.iter().map(|r| (r.commit, r.delete)));
         let rows = rows.into_iter().map(|r| (r.row.into_values(), r.hash));
         let built = RosPayload::from_rows(self.column_count, rows);
-        self.push_container(built, commits, deletes);
+        self.push_container(built, visibility);
     }
 
     /// Drop every row (WOS and ROS) whose hash falls in `range`. ROS
@@ -1417,14 +1361,7 @@ impl NodeTableStore {
             if keep.is_empty() {
                 continue;
             }
-            let mut hashes = Vec::with_capacity(keep.len());
-            let mut commits = Vec::with_capacity(keep.len());
-            let mut deletes = Vec::with_capacity(keep.len());
-            for &i in &keep {
-                hashes.push(c.payload.hashes[i as usize]);
-                commits.push(c.commits[i as usize]);
-                deletes.push(c.deletes[i as usize]);
-            }
+            let hashes = keep.iter().map(|&i| c.payload.hashes[i as usize]).collect();
             let column_values: Vec<ColumnData> = c
                 .payload
                 .columns
@@ -1436,8 +1373,7 @@ impl NodeTableStore {
                 id: c.id,
                 payload,
                 stats,
-                commits,
-                deletes,
+                visibility: c.visibility.gather(&keep),
             });
         }
         self.ros = out;
@@ -1615,7 +1551,7 @@ mod tests {
         src.commit(3, 3);
 
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(3, Some(7)), 7);
+        dst.adopt_pending(src.hand_over(3, 7));
         assert!(Arc::ptr_eq(&src.ros[0].payload, &dst.ros[0].payload));
         assert_eq!(dst.ros.len(), 1, "txn 9's container holds nothing visible");
         assert!(visible(&dst, u64::MAX).is_empty(), "pending until commit");
@@ -1648,14 +1584,14 @@ mod tests {
         src.insert_pending_direct_rows(rows3(), 1);
         src.commit(1, 1);
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(1, None), 7);
+        dst.adopt_pending(src.hand_over(1, 7));
         assert_eq!(Arc::strong_count(&src.ros[0].payload), 2);
         dst.abort(7);
         assert_eq!(dst.stats(), NodeTableStore::new(2).stats());
         assert_eq!(Arc::strong_count(&src.ros[0].payload), 1);
         assert_eq!(visible(&src, 1).len(), 3);
         // The retry adopts again and commits.
-        dst.adopt_pending(src.hand_over(1, None), 8);
+        dst.adopt_pending(src.hand_over(1, 8));
         dst.commit(8, 2);
         assert_eq!(visible(&dst, 2), visible(&src, 2));
     }
@@ -1671,7 +1607,7 @@ mod tests {
             src.commit(txn, txn);
         }
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(4, None), 5);
+        dst.adopt_pending(src.hand_over(4, 5));
         dst.commit(5, 5);
         let (before, stats) = (visible(&src, 5), src.stats());
         let infos = |s: &NodeTableStore| -> Vec<Vec<ColumnStats>> {

@@ -34,6 +34,11 @@ cargo build --workspace --all-features -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The run-length container visibility against the per-row model it
+# replaced: the 256 cases above, over eight more seed sets.
+echo "== visibility property, 8 more seed sets"
+cargo test -q -p mppdb --lib store::model_tests -- --ignored
+
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
 # generator-side oracles, so a product change that breaks a benchmark
