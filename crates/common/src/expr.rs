@@ -170,7 +170,7 @@ impl Expr {
             },
             Expr::Neg(e) => match e.eval(row)? {
                 Value::Null => Ok(Value::Null),
-                Value::Int64(i) => Ok(Value::Int64(-i)),
+                Value::Int64(i) => Ok(Value::Int64(i.wrapping_neg())),
                 Value::Float64(f) => Ok(Value::Float64(-f)),
                 other => Err(Error::TypeMismatch {
                     expected: "numeric".into(),

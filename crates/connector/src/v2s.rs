@@ -56,6 +56,9 @@ pub struct DbRelation {
     table: String,
     schema: Schema,
     kind: RelationKind,
+    /// Whether `table` resolved to a table when the relation was opened
+    /// (a view has no node-side aggregate path).
+    is_table: bool,
     /// Epoch pinned at open time — the paper's "same epoch (e.g., last
     /// epoch)" shared by every task's query.
     epoch: u64,
@@ -111,7 +114,9 @@ impl DbRelation {
         let map = cluster.segment_map_at(epoch);
         let policy =
             CallPolicy::for_job(&cluster, opts).under(obs::global().trace_start("v2s.load"));
-        let (table, schema, kind) = match cluster.table_def(&opts.table) {
+        let resolved = cluster.table_def(&opts.table);
+        let is_table = resolved.is_ok();
+        let (table, schema, kind) = match resolved {
             Ok(def) if def.is_segmented() => (def.name, def.schema, RelationKind::Segmented),
             Ok(def) => (def.name, def.schema, RelationKind::RowOrdered),
             // A view: discover the schema by executing it with LIMIT 1.
@@ -137,6 +142,7 @@ impl DbRelation {
             table,
             schema,
             kind,
+            is_table,
             epoch,
             map,
             num_partitions: opts.num_partitions.unwrap_or(cluster.node_count()),
@@ -435,27 +441,27 @@ fn exec_piece(
         bytes,
         rows,
     );
-    let pushdown = format!(
-        "{}{}{}",
-        if spec.count_only {
-            "count"
-        } else if spec.aggregate.is_some() {
-            "aggregate"
-        } else {
-            "scan"
-        },
-        if spec.projection.is_some() {
-            ", projected"
-        } else {
-            ""
-        },
-        if spec.predicate.is_some() {
-            ", filtered"
-        } else {
-            ""
-        },
-    );
     obs::global().emit(obs::EventKind::V2sPiece, |e| {
+        let pushdown = format!(
+            "{}{}{}",
+            if spec.count_only {
+                "count"
+            } else if spec.aggregate.is_some() {
+                "aggregate"
+            } else {
+                "scan"
+            },
+            if spec.projection.is_some() {
+                ", projected"
+            } else {
+                ""
+            },
+            if spec.predicate.is_some() {
+                ", filtered"
+            } else {
+                ""
+            },
+        );
         e.task = Some(ctx.partition as u64);
         e.node = Some(connect_node as u64);
         e.rows = rows;
@@ -669,8 +675,7 @@ impl ScanRelation for DbRelation {
     ) -> SparkResult<(Schema, Vec<Row>)> {
         // Views have no node-side aggregate path, and `agg_pushdown=off`
         // forces the materialize-then-aggregate baseline for ablations.
-        let is_table = self.cluster.table_def(&self.table).is_ok();
-        if !self.agg_pushdown || !is_table {
+        if !self.agg_pushdown || !self.is_table {
             let rows = self.scan(ctx, None, filters)?.collect()?;
             return agg::aggregate_rows(&self.schema, &rows, request).map_err(SparkError::from);
         }

@@ -319,6 +319,12 @@ impl<T: Native> TypedVec<T> {
         self.validity.get(idx).then(|| &self.data[idx])
     }
 
+    /// Every position's stored value (a NULL's is `T::default()`) and,
+    /// when the column holds a NULL, the bitmap that tells which are.
+    pub(crate) fn parts(&self) -> (&[T], Option<&Bitmap>) {
+        (&self.data, (self.nulls > 0).then_some(&self.validity))
+    }
+
     /// The non-null values, in position order.
     pub fn iter_valid(&self) -> impl Iterator<Item = &T> {
         let (validity, all_valid) = (&self.validity, self.nulls == 0);

@@ -229,6 +229,16 @@ impl EncodedColumn {
         }
     }
 
+    /// The unencoded values behind the encoding: one per row, per run,
+    /// or per dictionary entry.
+    pub(crate) fn values(&self) -> &ColumnData {
+        match self {
+            EncodedColumn::Plain(values)
+            | EncodedColumn::Rle { values, .. }
+            | EncodedColumn::Dictionary { dict: values, .. } => values,
+        }
+    }
+
     /// Where the rows at `positions` (sorted ascending) live: the
     /// unencoded values behind the encoding and an index into them per
     /// position, for readers that decode in place instead of copying.

@@ -5,6 +5,7 @@
 pub mod batch;
 pub mod encoding;
 pub mod mover;
+mod predicate;
 pub mod stats;
 pub mod store;
 

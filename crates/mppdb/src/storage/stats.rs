@@ -382,7 +382,7 @@ fn analyze(expr: &Expr, stats: &ContainerStats) -> Option<bool> {
 
 /// Mirror a comparison so the column lands on the left: `5 < c` is
 /// `c > 5`.
-fn flip(op: BinaryOp) -> BinaryOp {
+pub(crate) fn flip(op: BinaryOp) -> BinaryOp {
     match op {
         BinaryOp::Lt => BinaryOp::Gt,
         BinaryOp::LtEq => BinaryOp::GtEq,

@@ -5,14 +5,14 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use common::agg::{AggFunc, GroupedAccs};
-use common::expr::BinaryOp;
 use common::{DataType, Expr, Result, Row, Value};
 
 use crate::segmentation::HashRange;
 use crate::storage::batch::ColumnBatch;
 use crate::storage::encoding::{encode_auto, ColumnData, EncodedColumn};
+use crate::storage::predicate::PredPlan;
 use crate::storage::stats::{
-    analyzable, container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
+    container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
 };
 
 #[cfg(test)]
@@ -219,200 +219,6 @@ pub struct ContainerInfo {
     /// Encoding name per column, parallel to `columns`.
     pub encodings: Vec<&'static str>,
     pub columns: Vec<ColumnStats>,
-}
-
-/// Evaluate a bound predicate over one referenced column of a
-/// container, encoding-aware: RLE evaluates once per touched run and
-/// dictionary once per touched code (lazily, in row order, so the
-/// first evaluation error surfaces at the same row as row-at-a-time
-/// evaluation would). Returns the surviving subset of `sel`.
-///
-/// The RLE arm walks runs, not rows: a rejected run's selected rows
-/// are dropped wholesale (counted in `rows_skipped`) without touching
-/// them individually — the run-granular analog of container skipping.
-fn filter_single_column(
-    col: &EncodedColumn,
-    col_idx: usize,
-    pred: &Expr,
-    scratch: &mut Row,
-    sel: &[u32],
-    n: &mut ScanCounters,
-) -> Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(sel.len());
-    match col {
-        EncodedColumn::Plain(values) => {
-            for &p in sel {
-                scratch.set(col_idx, values.value(p as usize));
-                n.decoded += 1;
-                if pred.matches(scratch)? {
-                    out.push(p);
-                }
-            }
-        }
-        EncodedColumn::Rle { values, lengths } => {
-            let mut i = 0usize; // cursor into sel
-            let mut run_start = 0usize;
-            for (run, len) in lengths.iter().enumerate() {
-                if i == sel.len() {
-                    break;
-                }
-                let run_end = run_start + *len as usize;
-                let begin = i;
-                while i < sel.len() && (sel[i] as usize) < run_end {
-                    i += 1;
-                }
-                run_start = run_end;
-                if begin == i {
-                    continue; // no selected row in this run
-                }
-                scratch.set(col_idx, values.value(run));
-                n.decoded += 1;
-                if pred.matches(scratch)? {
-                    out.extend_from_slice(&sel[begin..i]);
-                } else {
-                    n.rows_skipped += (i - begin) as u64;
-                }
-            }
-        }
-        EncodedColumn::Dictionary { dict, codes } => {
-            let mut memo: Vec<Option<bool>> = vec![None; dict.len()];
-            for &p in sel {
-                let code = codes[p as usize] as usize;
-                let keep = match memo[code] {
-                    Some(k) => k,
-                    None => {
-                        scratch.set(col_idx, dict.value(code));
-                        n.decoded += 1;
-                        let k = pred.matches(scratch)?;
-                        memo[code] = Some(k);
-                        k
-                    }
-                };
-                if keep {
-                    out.push(p);
-                }
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Per-scan predicate plan: the filter steps stage 3 applies to each
-/// container's selection vector, each with its referenced table
-/// ordinals (sorted).
-///
-/// When the predicate is a conjunction of at least two provably
-/// error-free ([`analyzable`]) conjuncts, each conjunct is its own step
-/// — that is what makes evaluating them in any order, short-circuiting
-/// on an empty selection, semantics-preserving. Otherwise the whole
-/// predicate tree is the single step.
-struct PredPlan<'a> {
-    steps: Vec<(&'a Expr, Vec<usize>)>,
-}
-
-impl<'a> PredPlan<'a> {
-    fn new(pred: &'a Expr, allow_reorder: bool) -> PredPlan<'a> {
-        let mut parts: Vec<&Expr> = Vec::new();
-        split_conjuncts(pred, &mut parts);
-        if !(allow_reorder && parts.len() > 1 && parts.iter().all(|e| analyzable(e))) {
-            parts = vec![pred];
-        }
-        let steps = parts
-            .into_iter()
-            .map(|e| {
-                let mut cols = Vec::new();
-                e.referenced_indices(&mut cols);
-                cols.sort_unstable();
-                (e, cols)
-            })
-            .collect();
-        PredPlan { steps }
-    }
-
-    /// Step evaluation order for one container: most selective first
-    /// (zone-map estimate), then fewest referenced columns, then
-    /// textual order.
-    fn order_for(&self, stats: &ContainerStats) -> Vec<usize> {
-        let cj = &self.steps;
-        if cj.len() == 1 {
-            return vec![0];
-        }
-        let sel: Vec<f64> = cj
-            .iter()
-            .map(|(e, _)| estimate_selectivity(e, stats))
-            .collect();
-        let mut order: Vec<usize> = (0..cj.len()).collect();
-        order.sort_by(|&a, &b| {
-            sel[a]
-                .partial_cmp(&sel[b])
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(cj[a].1.len().cmp(&cj[b].1.len()))
-                .then(a.cmp(&b))
-        });
-        if order.iter().enumerate().any(|(i, &j)| i != j) {
-            obs::global().add("planner.conjuncts_reordered", 1);
-        }
-        order
-    }
-}
-
-fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            split_conjuncts(left, out);
-            split_conjuncts(right, out);
-        }
-        other => out.push(other),
-    }
-}
-
-/// Stage-3 filter step: narrow `sel` by one expression, dispatching on
-/// how many columns it references (constant / single-column encoding-
-/// aware / multi-column gather).
-fn apply_filter(
-    c: &RosContainer,
-    expr: &Expr,
-    cols: &[usize],
-    scratch: &mut Row,
-    sel: Vec<u32>,
-    n: &mut ScanCounters,
-) -> Result<Vec<u32>> {
-    match cols {
-        [] => {
-            // Constant expression: evaluate once. A conjunct only reads
-            // the ordinals it references, so leftover scratch values
-            // from earlier conjuncts are invisible to it.
-            if expr.matches(scratch)? {
-                Ok(sel)
-            } else {
-                Ok(Vec::new())
-            }
-        }
-        [single] => {
-            filter_single_column(&c.payload.columns[*single], *single, expr, scratch, &sel, n)
-        }
-        multi => {
-            let located: Vec<_> = multi
-                .iter()
-                .map(|&ci| c.payload.columns[ci].locate(&sel))
-                .collect();
-            n.decoded += (located.len() * sel.len()) as u64;
-            let mut kept = Vec::with_capacity(sel.len());
-            for (k, &p) in sel.iter().enumerate() {
-                for ((values, idx), &ci) in located.iter().zip(multi) {
-                    scratch.set(ci, values.value(idx[k] as usize));
-                }
-                if expr.matches(scratch)? {
-                    kept.push(p);
-                }
-            }
-            Ok(kept)
-        }
-    }
 }
 
 /// Where one traversal's survivors go ([`NodeTableStore::scan_with`]).
@@ -703,6 +509,26 @@ impl NodeTableStore {
         self.insert_pending_direct(columns, hashes, txn);
     }
 
+    /// Stage a container with each column encoded as `encode` says, not
+    /// as [`encode_auto`] would choose: how the predicate differential
+    /// reaches every encoding of every column shape.
+    #[cfg(test)]
+    pub(crate) fn insert_pending_encoded(
+        &mut self,
+        columns: Vec<ColumnData>,
+        hashes: Vec<u64>,
+        txn: u64,
+        encode: impl FnMut(&ColumnData) -> EncodedColumn,
+    ) {
+        let stats = ContainerStats::compute(&columns, &hashes);
+        let visibility = Visibility::staged(hashes.len(), txn);
+        let columns = columns.iter().map(encode).collect();
+        self.push_container(
+            (Arc::new(RosPayload { columns, hashes }), stats),
+            visibility,
+        );
+    }
+
     /// Append a container under the next id.
     fn push_container(
         &mut self,
@@ -914,11 +740,12 @@ impl NodeTableStore {
     /// 0. skip it when its zone maps prove the predicate matches no row
     ///    and cannot error (or let the sink answer it from statistics);
     /// 1. build a selection vector of visible positions, probing the
-    ///    hash vector against the range without decoding any column;
+    ///    hash vector against the range (unless the container's hash
+    ///    span lies inside it) without decoding any column;
     /// 2. apply the row window over the surviving positions;
-    /// 3. evaluate the predicate column-at-a-time, decoding only the
-    ///    referenced columns (once per RLE run / dictionary code where
-    ///    the encoding allows);
+    /// 3. evaluate the predicate column-at-a-time ([`PredPlan`]), reading
+    ///    only the referenced columns (once per RLE run / dictionary
+    ///    code where the encoding allows);
     /// 4. hand the final selection vector to the sink, which decodes
     ///    only what it needs.
     ///
@@ -929,18 +756,13 @@ impl NodeTableStore {
     /// as row-at-a-time evaluation (memoization is lazy, in row order).
     fn scan_with<S: ScanSink>(&self, scan: &BatchScan<'_>, sink: &mut S) -> Result<ScanCounters> {
         let mut n = ScanCounters::default();
-        // Scratch row for column-at-a-time predicate evaluation: bound
-        // predicates only read the ordinals they reference, so the
-        // unreferenced positions can stay NULL.
-        let mut scratch = Row::new(vec![Value::Null; self.column_count]);
-        let plan = scan.predicate.map(|p| PredPlan::new(p, !scan.no_skip));
+        let mut plan = scan
+            .predicate
+            .map(|p| PredPlan::new(p, !scan.no_skip, self.column_count));
         // Skipping a container by metadata is sound only when the scan
         // has no row window: it would desynchronize `window_pos`, which
         // counts range survivors across all containers.
         let may_skip = !scan.no_skip && scan.row_range.is_none();
-        // With neither a hash range nor a row window every visible row
-        // is in the piece, and no hash is read to find that out.
-        let whole_store = scan.hash_range.is_none() && scan.row_range.is_none();
         // Position in the stable scan order of range survivors, for the
         // row window; spans containers and the WOS.
         let mut window_pos = 0u64;
@@ -973,10 +795,18 @@ impl NodeTableStore {
                 }
             }
             // Stage 1+2: selection vector only, no column touched.
+            // Without a row window, a container whose hash span lies
+            // inside the piece's range (any container, when there is no
+            // range) has every visible row in the piece, and no hash is
+            // read to find that out.
+            let covered = scan.row_range.is_none()
+                && scan
+                    .hash_range
+                    .is_none_or(|r| r.contains(c.stats.hash_min) && r.contains(c.stats.hash_max));
             let mut sel: Vec<u32> = Vec::new();
             for range in c.visibility.visible_ranges(scan.as_of, scan.my_txn) {
                 n.examined += range.len() as u64;
-                if whole_store {
+                if covered {
                     sel.extend(range.start as u32..range.end as u32);
                     continue;
                 }
@@ -990,17 +820,9 @@ impl NodeTableStore {
             if sel.is_empty() {
                 continue;
             }
-            // Stage 3: predicate over referenced columns only, the
-            // plan's steps most-selective-first per this container's
-            // zone maps.
-            if let Some(plan) = &plan {
-                for i in plan.order_for(&c.stats) {
-                    let (expr, cols) = &plan.steps[i];
-                    sel = apply_filter(c, expr, cols, &mut scratch, sel, &mut n)?;
-                    if sel.is_empty() {
-                        break;
-                    }
-                }
+            // Stage 3: predicate over referenced columns only.
+            if let Some(plan) = &mut plan {
+                plan.narrow(&c.payload.columns, &c.stats, &mut sel, &mut n)?;
             }
             if !sel.is_empty() {
                 sink.ros(c, &sel, &mut n.decoded)?;

@@ -39,6 +39,11 @@ cargo test -q --workspace
 echo "== visibility property, 8 more seed sets"
 cargo test -q -p mppdb --lib store::model_tests -- --ignored
 
+# The typed predicate kernels against the interpreter: the 256 cases
+# above, over eight more seed sets.
+echo "== predicate kernel differential, 8 more seed sets"
+cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
+
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
 # generator-side oracles, so a product change that breaks a benchmark
