@@ -93,6 +93,12 @@ impl ColumnData {
         };
         let n = col.len();
         if col.null_count() < n {
+            debug_assert!(
+                false,
+                "a {:?} value in a {:?} column: rows are coerced before they reach storage",
+                value.data_type(),
+                col.dtype()
+            );
             let mut vals: Vec<Value> = (0..n).map(|i| col.value(i)).collect();
             vals.push(value);
             *self = ColumnData::Mixed(vals);
