@@ -993,7 +993,7 @@ impl Cluster {
         self.recorder
             .work(task, NodeRef::Db(initiator), "route_hash", rows as u64, 0);
 
-        let columns: Vec<ColumnData> = columns.into_iter().map(ColumnData::Typed).collect();
+        let columns: Vec<ColumnData> = columns.into_iter().map(ColumnData).collect();
         for (target, picked) in picks.iter().enumerate() {
             if picked.is_empty() || !self.takes_rows(&routes, target)? {
                 continue;

@@ -15,38 +15,34 @@
 //!
 //! `encode_auto` samples cardinality and run structure to choose.
 //!
-//! The store is handed rows, not a schema, and accepts any value in any
-//! column. A column whose non-null values are not all of one type has no
-//! native vector to live in and keeps the [`ColumnData::Mixed`] form; it
-//! is chosen by that property of the data alone (such a column also has
-//! no usable zone map, see `storage::stats`).
+//! The store is handed rows, not a schema: a column's type is that of
+//! its first non-null value, and every row reaches storage coerced to
+//! its table's types (`Cluster::coerce_row`, COPY's `validate_row`), so
+//! a second type in one column is a bug in the caller, not data.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use common::{Result, Value};
 
-use crate::storage::batch::{each_column_type, ColumnVec, Native};
+use crate::storage::batch::{each_column_type, ColumnVec};
 
 /// The values of one column, unencoded: what a load hands to
 /// [`encode_auto`], what the run values and dictionary entries of an
 /// encoded column are kept in, and what a gather returns.
+///
+/// Every non-null value has the vector's type. A column with no
+/// non-null value at all has no type of its own and is stored as an
+/// all-NULL vector of whichever type it was created with.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ColumnData {
-    /// Every non-null value has the vector's type. A column with no
-    /// non-null value at all has no type of its own and is stored as an
-    /// all-NULL vector of whichever type it was created with.
-    Typed(ColumnVec),
-    /// Non-null values of more than one type.
-    Mixed(Vec<Value>),
-}
+pub struct ColumnData(pub(crate) ColumnVec);
 
 impl ColumnData {
     /// An empty column with room for `n` values.
     pub fn with_capacity(n: usize) -> ColumnData {
         let mut col = ColumnVec::new(common::DataType::Boolean);
         col.reserve(n);
-        ColumnData::Typed(col)
+        ColumnData(col)
     }
 
     /// Rows with their segmentation hashes as `column_count` columns
@@ -70,10 +66,7 @@ impl ColumnData {
     }
 
     pub fn len(&self) -> usize {
-        match self {
-            ColumnData::Typed(col) => col.len(),
-            ColumnData::Mixed(vals) => vals.len(),
-        }
+        self.0.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -81,42 +74,30 @@ impl ColumnData {
     }
 
     /// Append one value, as it is (no widening). The first non-null
-    /// value decides the vector's type; the first one of another type
-    /// turns the column into the mixed form.
+    /// value decides the vector's type; one of another type after it
+    /// panics.
     pub fn push(&mut self, value: Value) {
-        let col = match self {
-            ColumnData::Typed(col) => col,
-            ColumnData::Mixed(vals) => return vals.push(value),
-        };
+        let col = &mut self.0;
         let Some(value) = col.push_exact(value) else {
             return;
         };
-        let n = col.len();
+        let (n, Some(dtype)) = (col.len(), value.data_type()) else {
+            return;
+        };
         if col.null_count() < n {
-            debug_assert!(
-                false,
-                "a {:?} value in a {:?} column: rows are coerced before they reach storage",
-                value.data_type(),
-                col.dtype()
-            );
-            let mut vals: Vec<Value> = (0..n).map(|i| col.value(i)).collect();
-            vals.push(value);
-            *self = ColumnData::Mixed(vals);
-        } else if let Some(dtype) = value.data_type() {
-            let mut typed = ColumnVec::new(dtype);
-            typed.reserve(col.capacity().max(n + 1));
-            typed.push_nulls(n);
-            typed.push_exact(value);
-            *col = typed;
+            panic!("{dtype:?} value in a {:?} column", col.dtype());
         }
+        let mut typed = ColumnVec::new(dtype);
+        typed.reserve(col.capacity().max(n + 1));
+        typed.push_nulls(n);
+        typed.push_exact(value);
+        *col = typed;
     }
 
     /// Append every value of `other`.
     pub fn extend(&mut self, other: &ColumnData) {
-        if let (ColumnData::Typed(a), ColumnData::Typed(b)) = (&mut *self, other) {
-            if a.extend_from_range(b, 0, b.len()) {
-                return;
-            }
+        if self.0.extend_from_range(&other.0, 0, other.len()) {
+            return;
         }
         for i in 0..other.len() {
             self.push(other.value(i));
@@ -125,30 +106,15 @@ impl ColumnData {
 
     /// Decode position `idx` into a [`Value`] (clones strings).
     pub fn value(&self, idx: usize) -> Value {
-        match self {
-            ColumnData::Typed(col) => col.value(idx),
-            ColumnData::Mixed(vals) => vals[idx].clone(),
-        }
+        self.0.value(idx)
     }
 
     /// The values at `idx` (any order, repeats allowed) as a column of
     /// their own.
     pub fn gather(&self, idx: &[u32]) -> ColumnData {
-        match self {
-            ColumnData::Typed(col) => {
-                let mut out = ColumnVec::new(col.dtype());
-                out.gather_from(col, idx);
-                ColumnData::Typed(out)
-            }
-            ColumnData::Mixed(vals) => {
-                // Through `push`: a subset of one type is typed again.
-                let mut out = ColumnData::with_capacity(idx.len());
-                for &i in idx {
-                    out.push(vals[i as usize].clone());
-                }
-                out
-            }
-        }
+        let mut out = ColumnVec::new(self.0.dtype());
+        out.gather_from(&self.0, idx);
+        ColumnData(out)
     }
 
     /// Append the values at `idx` to `dest`: typed vector to typed
@@ -156,10 +122,8 @@ impl ColumnData {
     /// [`ColumnVec::push`]'s rules (NULLs fit, `Int64` widens to
     /// `Float64`, anything else is a type mismatch at its position).
     pub fn gather_into(&self, idx: &[u32], dest: &mut ColumnVec) -> Result<()> {
-        if let ColumnData::Typed(src) = self {
-            if dest.gather_from(src, idx) {
-                return Ok(());
-            }
+        if dest.gather_from(&self.0, idx) {
+            return Ok(());
         }
         for &i in idx {
             dest.push(self.value(i as usize))?;
@@ -169,10 +133,7 @@ impl ColumnData {
 
     /// Sum of `Value::wire_size` over the column.
     pub fn wire_size(&self) -> usize {
-        match self {
-            ColumnData::Typed(col) => col.wire_size(),
-            ColumnData::Mixed(vals) => vals.iter().map(Value::wire_size).sum(),
-        }
+        self.0.wire_size()
     }
 }
 
@@ -293,8 +254,7 @@ impl EncodedColumn {
     /// one contiguous run of rows is a slice copy, anything else an
     /// indexed copy. Fails as [`ColumnData::gather_into`] does.
     pub fn gather_into(&self, positions: &[u32], dest: &mut ColumnVec) -> Result<()> {
-        if let (EncodedColumn::Plain(ColumnData::Typed(src)), [first, .., last]) = (self, positions)
-        {
+        if let (EncodedColumn::Plain(ColumnData(src)), [first, .., last]) = (self, positions) {
             // Sorted and distinct, so spanning `len` rows means no gaps.
             if (last - first) as usize == positions.len() - 1
                 && dest.extend_from_range(src, *first as usize, positions.len())
@@ -458,42 +418,12 @@ fn dictionary_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
     Shape::Dictionary { firsts, codes }
 }
 
-/// A total order of values in which `==` ones compare equal: by type,
-/// then as the typed vectors order their own.
-fn value_order(a: &Value, b: &Value) -> Ordering {
-    fn rank(v: &Value) -> u8 {
-        match v {
-            Value::Null => 0,
-            Value::Boolean(_) => 1,
-            Value::Int64(_) => 2,
-            Value::Float64(_) => 3,
-            Value::Varchar(_) => 4,
-        }
-    }
-    match (a, b) {
-        (Value::Boolean(x), Value::Boolean(y)) => x.total_order(y),
-        (Value::Int64(x), Value::Int64(y)) => x.total_order(y),
-        (Value::Float64(x), Value::Float64(y)) => x.total_order(y),
-        (Value::Varchar(x), Value::Varchar(y)) => x.total_order(y),
-        _ => rank(a).cmp(&rank(b)),
-    }
-}
-
 /// Encode `values` as `plan` says; `None` when that is plain.
 fn encode(values: &ColumnData, plan: Plan) -> Option<EncodedColumn> {
     // Equality as `Value`'s `==` has it: NULL equals NULL, `-0.0`
     // equals `0.0`, NaN equals nothing, values of different types
     // differ.
-    let shape = match values {
-        ColumnData::Typed(col) => {
-            each_column_type!(col, v => plan.shape(v.len(), |i, j| v.eq_at(i, j), |i, j| v.cmp_at(i, j)))
-        }
-        ColumnData::Mixed(vals) => plan.shape(
-            vals.len(),
-            |i, j| vals[i] == vals[j],
-            |i, j| value_order(&vals[i], &vals[j]),
-        ),
-    };
+    let shape = each_column_type!(&values.0, v => plan.shape(v.len(), |i, j| v.eq_at(i, j), |i, j| v.cmp_at(i, j)));
     match shape {
         Shape::Plain => None,
         Shape::Rle { starts, lengths } => Some(EncodedColumn::Rle {
@@ -836,41 +766,34 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn the_form_follows_the_values_not_the_history() {
+    fn the_first_value_decides_the_type() {
         // NULLs first: the first value still decides the type.
         let late = [Value::Null, Value::Null, Value::Float64(1.5)];
         assert!(matches!(
             ColumnData::from_values(&late),
-            ColumnData::Typed(ColumnVec::Float64(_))
-        ));
-        // Two types: mixed, whichever came first, values as they were
-        // (no widening inside the store).
-        let mixed = [Value::Int64(1), Value::Null, Value::Float64(2.0)];
-        let col = ColumnData::from_values(&mixed);
-        assert!(matches!(col, ColumnData::Mixed(_)));
-        assert_eq!(col.to_values(), mixed);
-        // A one-type subset of a mixed column is typed again.
-        assert!(matches!(
-            col.gather(&[0, 1]),
-            ColumnData::Typed(ColumnVec::Int64(_))
+            ColumnData(ColumnVec::Float64(_))
         ));
         // Concatenation: all-NULL pieces take the other side's type.
         let mut merged = ColumnData::from_values(&[Value::Null]);
         merged.extend(&ColumnData::from_values(&late));
         merged.extend(&ColumnData::from_values(&[Value::Null]));
-        assert!(matches!(merged, ColumnData::Typed(ColumnVec::Float64(_))));
+        assert!(matches!(merged, ColumnData(ColumnVec::Float64(_))));
         assert_eq!(merged.len(), 5);
-        merged.extend(&ColumnData::from_values(&[Value::Varchar("x".into())]));
-        assert!(matches!(merged, ColumnData::Mixed(_)));
-        assert_eq!(merged.value(5), Value::Varchar("x".into()));
+    }
+
+    #[test]
+    #[should_panic(expected = "Int64 value in a Float64 column")]
+    fn a_second_type_is_a_broken_invariant() {
+        // No widening inside the store: rows arrive coerced.
+        ColumnData::from_values(&[Value::Float64(2.0), Value::Null, Value::Int64(1)]);
     }
 
     /// Columns of the shapes that stress the encodings, the bounds and
     /// the sketch: `kind` picks homogeneous floats / ints / strings /
     /// booleans, low-cardinality values (dictionary; the sketch never
-    /// fills), long runs, NULL-heavy, all-NULL, NaN- and signed-zero-
-    /// bearing floats, or a mix of types; `picks` supplies the entropy.
-    pub(crate) const COLUMN_KINDS: u8 = 11;
+    /// fills), long runs, NULL-heavy, all-NULL, or NaN- and signed-zero-
+    /// bearing floats; `picks` supplies the entropy.
+    pub(crate) const COLUMN_KINDS: u8 = 10;
 
     pub(crate) fn column(kind: u8, picks: &[(u8, i64)]) -> Vec<Value> {
         let mut run_value = 0i64;
@@ -894,14 +817,9 @@ pub(crate) mod tests {
                     Value::Varchar(format!("r{run_value}"))
                 }
                 (8, _) => Value::Null,
-                (9, 0..=2) => Value::Float64(-0.0),
-                (9, 3..=5) => Value::Float64(0.0),
-                (9, _) => Value::Float64((x % 3) as f64),
-                (_, 0) => Value::Null,
-                (_, 1) => Value::Boolean(x % 2 == 0),
-                (_, 2) => Value::Varchar(format!("{x}")),
-                (_, 3) => Value::Float64(x as f64 / 3.0),
-                (_, _) => Value::Int64(x),
+                (_, 0..=2) => Value::Float64(-0.0),
+                (_, 3..=5) => Value::Float64(0.0),
+                (_, _) => Value::Float64((x % 3) as f64),
             })
             .collect()
     }
@@ -931,14 +849,6 @@ pub(crate) mod tests {
             proptest::prop_assert!(same(&got.decode().to_values(), &want.decode()));
             let by_get = |get: &dyn Fn(usize) -> Value| (0..values.len()).map(get).collect::<Vec<_>>();
             proptest::prop_assert!(same(&by_get(&|i| got.get(i)), &by_get(&|i| want.get(i))));
-            let mixed = values.iter().filter_map(Value::data_type).any(|t| {
-                Some(t) != values.iter().find_map(Value::data_type)
-            });
-            proptest::prop_assert_eq!(
-                matches!(*got.decode(), ColumnData::Mixed(_)),
-                mixed,
-                "the mixed form is for mixed values only"
-            );
 
             // A sorted selection, a contiguous one, and everything.
             let some: Vec<u32> = (0..values.len() as u32).filter(|&i| keep[i as usize]).collect();

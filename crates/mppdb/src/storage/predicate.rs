@@ -5,12 +5,12 @@
 //! into steps, and every step whose shape cannot error — exactly the
 //! shapes [`analyzable`] accepts — compiled into a [`Kernel`], a small
 //! program whose leaves read a container's typed vectors in place. A
-//! step that can error (arithmetic, `LIKE`, `Neg`), and any step over a
-//! [`ColumnData::Mixed`] column, is evaluated by [`Expr::matches`] over
-//! a scratch row instead; that interpreter is also what WOS rows use and
-//! what the differential tests hold the kernels to. Because a kernel
-//! never takes a shape that can error, which error a scan reports, and
-//! at which row, is the interpreter's alone.
+//! step that can error (arithmetic, `LIKE`, `Neg`) is evaluated by
+//! [`Expr::matches`] over a scratch row instead; that interpreter is
+//! also what WOS rows use and what the differential tests hold the
+//! kernels to. Because a kernel never takes a shape that can error,
+//! which error a scan reports, and at which row, is the interpreter's
+//! alone.
 //!
 //! Either way a step walks the encoded column the same way ([`walk`]):
 //! once per selected row of a plain column, once per touched run of an
@@ -230,15 +230,14 @@ impl Step<'_> {
     /// The step's kernel over one container: its program and the leaves
     /// reading `values` (the unencoded values behind each referenced
     /// column, parallel to `cols`). `None` sends the step to the
-    /// interpreter: it has no kernel, or a column has no one type.
+    /// interpreter: it has no kernel.
     fn bind<'a>(&'a self, values: &[&'a ColumnData]) -> Option<(&'a Node, Vec<Leaf<'a>>)> {
         let kernel = self.kernel.as_ref();
         #[cfg(test)]
         let kernel = kernel.filter(|_| !probe::INTERPRET_ONLY.get());
-        let bound = kernel.and_then(|kernel| {
-            let leaves: Option<Vec<Leaf<'a>>> =
-                kernel.leaves.iter().map(|l| l.bind(values)).collect();
-            Some((&kernel.root, leaves?))
+        let bound = kernel.map(|kernel| {
+            let leaves = kernel.leaves.iter().map(|l| l.bind(values)).collect();
+            (&kernel.root, leaves)
         });
         #[cfg(test)]
         probe::tally(bound.is_some());
@@ -592,18 +591,14 @@ enum Leaf<'a> {
 }
 
 impl<'a> LeafSpec<'a> {
-    /// The leaf over `values` (one per column slot); `None` when it
-    /// reads a column that has no one type.
-    fn bind(&self, values: &[&'a ColumnData]) -> Option<Leaf<'a>> {
-        let typed = |slot: usize| match values[slot] {
-            ColumnData::Typed(col) => Some(col),
-            ColumnData::Mixed(_) => None,
-        };
-        Some(match self {
+    /// The leaf over `values` (one per column slot).
+    fn bind(&self, values: &[&'a ColumnData]) -> Leaf<'a> {
+        let typed = |slot: usize| &values[slot].0;
+        match self {
             LeafSpec::Fixed(answer) => Leaf::Fixed(Fixed(*answer)),
             LeafSpec::Cmp { slot, keeps, lit } => {
                 let (slot, keeps) = (*slot, *keeps);
-                match (typed(slot)?, *lit) {
+                match (typed(slot), *lit) {
                     (ColumnVec::Boolean(v), Value::Boolean(lit)) => {
                         Leaf::Bool(Cmp::new(slot, v, lit, keeps))
                     }
@@ -628,16 +623,16 @@ impl<'a> LeafSpec<'a> {
                 }
             }
             LeafSpec::CmpColumns { left, keeps, right } => Leaf::Columns(CmpColumns {
-                left: (*left, typed(*left)?),
-                right: (*right, typed(*right)?),
+                left: (*left, typed(*left)),
+                right: (*right, typed(*right)),
                 keeps: *keeps,
             }),
             LeafSpec::IsNull { slot, negated } => Leaf::IsNull(IsNull {
                 slot: *slot,
-                validity: each_column_type!(typed(*slot)?, v => v.parts().1),
+                validity: each_column_type!(typed(*slot), v => v.parts().1),
                 negated: *negated,
             }),
-        })
+        }
     }
 }
 

@@ -21,16 +21,14 @@ use crate::storage::store::{BatchScan, NodeTableStore, RowLoc, ScanCounters};
 
 const TWO_53: i64 = 1 << 53;
 
-/// Column ordinals of the generated table. `MIXED` holds values of
-/// several types in some containers and integers in the others; `HOLLOW`
-/// is all-NULL in some containers and floats in the others.
+/// Column ordinals of the generated table. `HOLLOW` is all-NULL in some
+/// containers and floats in the others.
 const BOOL: usize = 0;
 const INT: usize = 1;
 const FLOAT: usize = 2;
 const TEXT: usize = 3;
-const MIXED: usize = 4;
-const HOLLOW: usize = 5;
-const COLUMNS: usize = 6;
+const HOLLOW: usize = 4;
+const COLUMNS: usize = 5;
 
 fn pick<T: Clone>(rng: &mut StdRng, from: &[T]) -> T {
     from[rng.random_range(0..from.len())].clone()
@@ -81,7 +79,7 @@ fn text(rng: &mut StdRng) -> Value {
 fn value_of(rng: &mut StdRng, col: usize) -> Value {
     match col {
         BOOL => Value::Boolean(rng.random_bool(0.5)),
-        INT | MIXED => int(rng),
+        INT => int(rng),
         FLOAT | HOLLOW => float(rng),
         _ => text(rng),
     }
@@ -106,7 +104,6 @@ fn column(rng: &mut StdRng, col: usize, rows: usize, odd: bool) -> ColumnData {
             Some(last) if rng.random_bool(0.5) => last.clone(),
             _ if col == HOLLOW && odd => Value::Null,
             _ if rng.random_bool(0.15) => Value::Null,
-            _ if col == MIXED && odd => any_value(rng),
             _ => value_of(rng, col),
         };
         values.push(v);

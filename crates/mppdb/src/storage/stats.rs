@@ -30,9 +30,8 @@ const KMV_K: usize = 64;
 #[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     /// Smallest / largest non-null value, when every non-null value in
-    /// the column is mutually comparable (one `sql_cmp` type class).
-    /// `None` for an all-null column or a mixed-type one — mixed
-    /// columns carry no usable zone map.
+    /// the column is mutually comparable. `None` for an all-null column
+    /// or one holding a NaN — such columns carry no usable zone map.
     pub min: Option<Value>,
     pub max: Option<Value>,
     pub null_count: u64,
@@ -40,37 +39,12 @@ pub struct ColumnStats {
     pub ndv: u64,
 }
 
-/// [`Value::sql_cmp`], with the float pair — which `sql_cmp` reaches
-/// last, through two fallible conversions — decided on the native type.
-fn cmp_values(a: &Value, b: &Value) -> Option<Ordering> {
-    match (a, b) {
-        (Value::Float64(x), Value::Float64(y)) => x.partial_cmp(y),
-        _ => a.sql_cmp(b),
-    }
-}
-
 impl ColumnStats {
     /// Statistics of one unencoded column, straight from its typed
     /// vector: the order and the hash are the native type's, which are
     /// `Value::sql_cmp` and the segmentation hash of the same values.
-    /// Only the mixed-type form goes through `Value`s.
     fn compute(column: &ColumnData) -> ColumnStats {
-        match column {
-            ColumnData::Typed(col) => each_column_type!(col, v => ColumnStats::over(
-                v.iter_valid(),
-                v.null_count() as u64,
-                PartialOrd::partial_cmp,
-                |v| v.fold(HASH_SEED),
-                Native::to_value,
-            )),
-            ColumnData::Mixed(vals) => ColumnStats::over(
-                vals.iter().filter(|v| !v.is_null()),
-                vals.iter().filter(|v| v.is_null()).count() as u64,
-                cmp_values,
-                |v| common::hash::segmentation_hash(std::slice::from_ref(v)),
-                Value::clone,
-            ),
-        }
+        each_column_type!(&column.0, v => ColumnStats::over(v.iter_valid(), v.null_count() as u64))
     }
 
     /// One pass over the non-null values, a few at a time: a value's
@@ -78,12 +52,9 @@ impl ColumnStats {
     /// chunk's values run side by side when nothing between them waits
     /// for a result. The running bounds are borrowed (made into `Value`s
     /// once, at the end).
-    fn over<'a, T: 'a>(
+    fn over<'a, T: Native + 'a>(
         mut non_null: impl Iterator<Item = &'a T>,
         null_count: u64,
-        cmp: impl Fn(&T, &T) -> Option<Ordering>,
-        hash: impl Fn(&T) -> u64,
-        to_value: impl Fn(&T) -> Value,
     ) -> ColumnStats {
         const CHUNK: usize = 16;
         // `None` until the first value, and again for good once the zone
@@ -100,7 +71,7 @@ impl ColumnStats {
                 break;
             }
             for (h, v) in hashes.iter_mut().zip(&chunk) {
-                *h = hash(v);
+                *h = v.fold(HASH_SEED);
             }
             for &h in &hashes[..chunk.len()] {
                 sketch.observe(h);
@@ -111,14 +82,13 @@ impl ColumnStats {
                 }
                 bounds = match bounds {
                     None => Some((v, v)),
-                    Some((lo, hi)) => match (cmp(v, lo), cmp(v, hi)) {
+                    Some((lo, hi)) => match (v.partial_cmp(lo), v.partial_cmp(hi)) {
                         (Some(below), Some(above)) => Some((
                             if below == Ordering::Less { v } else { lo },
                             if above == Ordering::Greater { v } else { hi },
                         )),
-                        // Incomparable with the running bounds (mixed
-                        // type classes, or a NaN): the zone map is
-                        // unusable for this column.
+                        // Incomparable with the running bounds (a NaN):
+                        // the zone map is unusable for this column.
                         _ => {
                             usable = false;
                             None
@@ -128,8 +98,8 @@ impl ColumnStats {
             }
         }
         ColumnStats {
-            min: bounds.map(|(lo, _)| to_value(lo)),
-            max: bounds.map(|(_, hi)| to_value(hi)),
+            min: bounds.map(|(lo, _)| lo.to_value()),
+            max: bounds.map(|(_, hi)| hi.to_value()),
             null_count,
             ndv: sketch.finish().estimate(),
         }
@@ -405,7 +375,7 @@ fn range_cannot_match(op: BinaryOp, cs: &ColumnStats, row_count: u64, lit: &Valu
         return true;
     }
     let (Some(min), Some(max)) = (&cs.min, &cs.max) else {
-        // Mixed-type column: no zone map, no claim.
+        // A NaN among the values: no zone map, no claim.
         return false;
     };
     let (Some(lo), Some(hi)) = (lit.sql_cmp(min), lit.sql_cmp(max)) else {
@@ -578,9 +548,9 @@ mod tests {
     }
 
     #[test]
-    fn mixed_type_column_has_no_zone_map() {
+    fn nan_bearing_column_has_no_zone_map() {
         let s = stats_for(
-            vec![vec![Value::Int64(1), Value::Varchar("x".into())]],
+            vec![vec![Value::Float64(1.0), Value::Float64(f64::NAN)]],
             &[1, 2],
         );
         assert_eq!(s.columns[0].min, None);

@@ -662,7 +662,7 @@ fn scan_dc_column_stats(cluster: &Cluster) -> (Schema, Vec<Row>) {
     ]);
     // Zone-map endpoints render as text: the column's min/max can be
     // any SQL type, and NULL marks a stat the store could not keep
-    // (all-null or mixed-type column).
+    // (all-null or NaN-bearing column).
     let render = |v: &Option<Value>| match v {
         Some(v) => Value::Varchar(v.to_string()),
         None => Value::Null,
