@@ -1,16 +1,15 @@
 //! Ablation (DESIGN.md §5): S2V's Avro-encoded COPY stream vs a CSV
 //! COPY stream vs JDBC INSERT batches, for the same save.
 
-use bench::datasets::{self, specs};
-use bench::experiments::{run_s2v_save, LAB_D1_ROWS};
-use bench::report::{self, ReportRow};
-use bench::{simulate, SimParams, TestBed};
+use crate::datasets::{self, specs};
+use crate::experiments::{run_s2v_save, LAB_D1_ROWS};
+use crate::report::ReportRow;
+use crate::{simulate, SimParams, TestBed};
 use mppdb::{CopyOptions, CopySource};
 use netsim::record::{NetClass, NodeRef};
 use sparklet::{Options, SaveMode};
 
-fn main() {
-    let before = report::begin();
+pub fn run() -> Vec<ReportRow> {
     let bed = TestBed::new(4, 8);
     let (schema, rows) = datasets::d1(LAB_D1_ROWS, 100, 42);
     let spec = specs::d1_100m(LAB_D1_ROWS as u64);
@@ -66,14 +65,9 @@ fn main() {
         .unwrap();
     let insert = simulate(&bed.db.recorder().drain(), &params).seconds;
 
-    report::publish(
-        "ablation_encoding",
-        "Ablation — S2V transport encoding",
-        &[
-            ReportRow::new("Avro + COPY (the connector)", None, avro),
-            ReportRow::new("CSV + COPY", None, csv),
-            ReportRow::new("INSERT batches (JDBC-style)", None, insert),
-        ],
-        &before,
-    );
+    vec![
+        ReportRow::new("Avro + COPY (the connector)", None, avro),
+        ReportRow::new("CSV + COPY", None, csv),
+        ReportRow::new("INSERT batches (JDBC-style)", None, insert),
+    ]
 }

@@ -5,14 +5,13 @@
 //! Both variants load the same table with the same parallelism; only
 //! the routing differs (the JDBC baseline is the "no locality" arm).
 
-use bench::datasets::{self, specs};
-use bench::experiments::{seed_table, LAB_D1_ROWS};
-use bench::report::{self, ReportRow};
-use bench::{simulate, SimParams, TestBed};
+use crate::datasets::{self, specs};
+use crate::experiments::{seed_table, LAB_D1_ROWS};
+use crate::report::ReportRow;
+use crate::{simulate, SimParams, TestBed};
 use netsim::record::NetClass;
 
-fn main() {
-    let before = report::begin();
+pub fn run() -> Vec<ReportRow> {
     let bed = TestBed::new(4, 8);
     let (schema, rows) = datasets::d1_with_int_column(LAB_D1_ROWS, 100, 42);
     seed_table(&bed, schema, rows, "ablate");
@@ -72,18 +71,13 @@ fn main() {
         .sum();
     let b = simulate(&events, &params).seconds;
 
-    report::publish(
-        "ablation_locality",
-        "Ablation — locality-aware range queries",
-        &[
-            ReportRow::new("locality-aware (connector)", None, a),
-            ReportRow::new("single-host funnel (JDBC-style)", None, b),
-        ],
-        &before,
-    );
     println!(
         "internal shuffle: locality-aware {} bytes, single-host {} bytes (lab scale)",
         shuffle_a, shuffle_b
     );
     println!("locality speedup: {:.1}x", b / a);
+    vec![
+        ReportRow::new("locality-aware (connector)", None, a),
+        ReportRow::new("single-host funnel (JDBC-style)", None, b),
+    ]
 }

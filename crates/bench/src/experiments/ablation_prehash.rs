@@ -3,10 +3,10 @@
 //! trading an engine-side shuffle for the elimination of all
 //! database-internal distribution traffic.
 
-use bench::datasets::{self, specs};
-use bench::experiments::LAB_D1_ROWS;
-use bench::report::{self, ReportRow};
-use bench::{simulate, SimParams, TestBed};
+use crate::datasets::{self, specs};
+use crate::experiments::LAB_D1_ROWS;
+use crate::report::ReportRow;
+use crate::{simulate, SimParams, TestBed};
 use netsim::record::{EventKind, NetClass, NodeRef};
 use sparklet::{Options, SaveMode};
 
@@ -26,8 +26,7 @@ fn db_internal_bytes(events: &[netsim::record::Event]) -> u64 {
         .sum()
 }
 
-fn main() {
-    let before = report::begin();
+pub fn run() -> Vec<ReportRow> {
     let bed = TestBed::new(4, 8);
     let (schema, rows) = datasets::d1(LAB_D1_ROWS, 100, 42);
     let spec = specs::d1_100m(LAB_D1_ROWS as u64);
@@ -55,10 +54,5 @@ fn main() {
         println!("{label}: database-internal shuffle {shuffle_gb:.1} GB (paper scale)");
         out.push(ReportRow::new(label, None, secs));
     }
-    report::publish(
-        "ablation_prehash",
-        "Ablation — pre-hashed S2V (Sec. 5)",
-        &out,
-        &before,
-    );
+    out
 }

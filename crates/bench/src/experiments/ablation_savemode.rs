@@ -1,14 +1,13 @@
 //! Ablation (DESIGN.md §5): overwrite's atomic staging-table rename vs
 //! append's staging→target copy (the drawback Sec. 5 discusses).
 
-use bench::datasets::{self, specs};
-use bench::experiments::LAB_D1_ROWS;
-use bench::report::{self, ReportRow};
-use bench::{simulate, SimParams, TestBed};
+use crate::datasets::{self, specs};
+use crate::experiments::LAB_D1_ROWS;
+use crate::report::ReportRow;
+use crate::{simulate, SimParams, TestBed};
 use sparklet::{Options, SaveMode};
 
-fn main() {
-    let before = report::begin();
+pub fn run() -> Vec<ReportRow> {
     let bed = TestBed::new(4, 8);
     let (schema, rows) = datasets::d1(LAB_D1_ROWS, 100, 42);
     let spec = specs::d1_100m(LAB_D1_ROWS as u64);
@@ -35,11 +34,6 @@ fn main() {
         let secs = simulate(&bed.db.recorder().drain(), &params).seconds;
         out.push(ReportRow::new(label, None, secs));
     }
-    report::publish(
-        "ablation_savemode",
-        "Ablation — S2V final-commit mode",
-        &out,
-        &before,
-    );
     println!("(the paper's Sec. 5 notes append's final copy is the drawback)");
+    out
 }

@@ -4,10 +4,10 @@
 //! slower than our single-stage approach because it requires an
 //! intermediate write of a full copy of the data".
 
-use bench::datasets::{self, specs};
-use bench::experiments::{run_s2v_save, run_v2s_load, LAB_D1_ROWS};
-use bench::report::{self, ReportRow};
-use bench::{simulate, SimParams, TestBed};
+use crate::datasets::{self, specs};
+use crate::experiments::{run_s2v_save, run_v2s_load, LAB_D1_ROWS};
+use crate::report::ReportRow;
+use crate::{simulate, SimParams, TestBed};
 use connector::{load_via_dfs, ConnectorOptions, SaveRequest, TwoStageConfig, WriteMethod};
 use netsim::record::Event;
 
@@ -19,8 +19,7 @@ fn merged_events(bed: &TestBed) -> Vec<Event> {
     events
 }
 
-fn main() {
-    let before = report::begin();
+pub fn run() -> Vec<ReportRow> {
     let bed = TestBed::new(4, 8).with_dfs(4, 256 << 10);
     let (schema, rows) = datasets::d1(LAB_D1_ROWS, 100, 42);
     let spec = specs::d1_100m(LAB_D1_ROWS as u64);
@@ -59,21 +58,16 @@ fn main() {
     assert_eq!(loaded.count().unwrap() as usize, LAB_D1_ROWS);
     let staged_load = simulate(&merged_events(&bed), &params).seconds;
 
-    report::publish(
-        "ablation_two_stage",
-        "Ablation — direct connector vs two-stage DFS landing zone",
-        &[
-            ReportRow::new("save: direct (S2V @128)", None, direct_save),
-            ReportRow::new("save: two-stage via DFS", None, staged_save),
-            ReportRow::new("load: direct (V2S @32)", None, direct_load),
-            ReportRow::new("load: two-stage via DFS", None, staged_load),
-        ],
-        &before,
-    );
     println!(
         "two-stage penalty: save {:.2}x, load {:.2}x — the paper's predicted \
          intermediate-copy cost",
         staged_save / direct_save,
         staged_load / direct_load
     );
+    vec![
+        ReportRow::new("save: direct (S2V @128)", None, direct_save),
+        ReportRow::new("save: two-stage via DFS", None, staged_save),
+        ReportRow::new("load: direct (V2S @32)", None, direct_load),
+        ReportRow::new("load: two-stage via DFS", None, staged_load),
+    ]
 }

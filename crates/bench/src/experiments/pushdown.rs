@@ -202,6 +202,13 @@ pub fn report_rows(bed: &TestBed, report: &PushdownReport) -> Vec<ReportRow> {
     rows
 }
 
+/// The whole ablation on a fresh 4:8 bed, as report rows.
+pub fn report() -> Vec<ReportRow> {
+    let bed = TestBed::new(4, 8);
+    let result = run(&bed);
+    report_rows(&bed, &result)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

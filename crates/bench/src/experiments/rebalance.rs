@@ -20,7 +20,7 @@ use connector::DefaultSource;
 use mppdb::{Cluster, ClusterConfig, FaultPlan, QuerySpec};
 use sparklet::{Options, SaveMode, SparkConf, SparkContext};
 
-use crate::report::ReportRow;
+use crate::report::{Kind, ReportRow};
 
 /// Rows seeded before the membership change.
 pub const SEED_ROWS: usize = 24_000;
@@ -218,22 +218,51 @@ pub fn p99_inflation(cell: &RebalanceCell) -> f64 {
 }
 
 pub fn report_rows(cell: &RebalanceCell) -> Vec<ReportRow> {
+    let latency = |label: &str, us: f64| {
+        ReportRow::new(label, None, us)
+            .with_unit("us")
+            .with_kind(Kind::Measured)
+    };
+    let count = |label: &str, n: u64, unit| {
+        ReportRow::new(label, None, n as f64)
+            .with_unit(unit)
+            .with_kind(Kind::Counted)
+    };
     vec![
-        ReportRow::new("probe P50 — quiet baseline", None, cell.baseline_p50_us).with_unit("us"),
-        ReportRow::new("probe P99 — quiet baseline", None, cell.baseline_p99_us).with_unit("us"),
-        ReportRow::new("probe P50 — during rebalance", None, cell.during_p50_us).with_unit("us"),
-        ReportRow::new("probe P99 — during rebalance", None, cell.during_p99_us).with_unit("us"),
-        ReportRow::new("probe P50 — after flip", None, cell.after_p50_us).with_unit("us"),
-        ReportRow::new("probe P99 — after flip", None, cell.after_p99_us).with_unit("us"),
-        ReportRow::new("P99 inflation (during/baseline)", None, p99_inflation(cell)).with_unit("x"),
-        ReportRow::new("probes issued", None, cell.probes as f64).with_unit(""),
-        ReportRow::new("probes failed", None, cell.failed_probes as f64).with_unit(""),
-        ReportRow::new("save jobs during rebalance", None, cell.jobs as f64).with_unit(""),
-        ReportRow::new("save jobs failed", None, cell.failed_jobs as f64).with_unit(""),
-        ReportRow::new("migrations copied", None, cell.migrations as f64).with_unit(""),
-        ReportRow::new("rows migrated", None, cell.rows_copied as f64).with_unit("rows"),
-        ReportRow::new("map flips", None, cell.flips as f64).with_unit(""),
+        latency("probe P50 — quiet baseline", cell.baseline_p50_us),
+        latency("probe P99 — quiet baseline", cell.baseline_p99_us),
+        latency("probe P50 — during rebalance", cell.during_p50_us),
+        latency("probe P99 — during rebalance", cell.during_p99_us),
+        latency("probe P50 — after flip", cell.after_p50_us),
+        latency("probe P99 — after flip", cell.after_p99_us),
+        ReportRow::new("P99 inflation (during/baseline)", None, p99_inflation(cell))
+            .with_unit("x")
+            .with_kind(Kind::Measured),
+        count("probes issued", cell.probes, ""),
+        count("probes failed", cell.failed_probes, ""),
+        count("save jobs during rebalance", cell.jobs, ""),
+        count("save jobs failed", cell.failed_jobs, ""),
+        count("migrations copied", cell.migrations, ""),
+        count("rows migrated", cell.rows_copied, "rows"),
+        count("map flips", cell.flips, ""),
     ]
+}
+
+/// The whole ablation as report rows, with its headline beside them.
+pub fn report() -> Vec<ReportRow> {
+    let cell = run();
+    println!(
+        "node-add under load: {}/{} probes answered, {}/{} jobs landed, \
+         {} migrations over {} steps, P99 inflation {:.2}x",
+        cell.probes - cell.failed_probes,
+        cell.probes,
+        cell.jobs - cell.failed_jobs,
+        cell.jobs,
+        cell.migrations,
+        cell.steps,
+        p99_inflation(&cell),
+    );
+    report_rows(&cell)
 }
 
 #[cfg(test)]

@@ -5,23 +5,52 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
+/// What a row's value is. It names the JSON key and the table column
+/// the value is written under, so a wall-clock reading or a count never
+/// appears as a simulated figure.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Out of the netsim replay of recorded volumes at paper scale.
+    Simulated,
+    /// Wall-clock of the functional layer on this machine, or a ratio
+    /// of two such readings.
+    Measured,
+    /// A count of rows, containers, probes, jobs.
+    Counted,
+}
+
+impl Kind {
+    const ALL: [Kind; 3] = [Kind::Simulated, Kind::Measured, Kind::Counted];
+
+    fn key(self) -> &'static str {
+        match self {
+            Kind::Simulated => "simulated",
+            Kind::Measured => "measured",
+            Kind::Counted => "counted",
+        }
+    }
+}
+
 /// One row of an experiment report.
 #[derive(Debug, Clone)]
 pub struct ReportRow {
     pub label: String,
     /// The paper's reported value, when it printed one.
     pub paper: Option<f64>,
-    /// Our simulated value.
-    pub simulated: f64,
+    /// Our value.
+    pub value: f64,
+    pub kind: Kind,
     pub unit: &'static str,
 }
 
 impl ReportRow {
+    /// A simulated value, in seconds.
     pub fn new(label: impl Into<String>, paper: Option<f64>, simulated: f64) -> ReportRow {
         ReportRow {
             label: label.into(),
             paper,
-            simulated,
+            value: simulated,
+            kind: Kind::Simulated,
             unit: "s",
         }
     }
@@ -30,9 +59,15 @@ impl ReportRow {
         self.unit = unit;
         self
     }
+
+    pub fn with_kind(mut self, kind: Kind) -> ReportRow {
+        self.kind = kind;
+        self
+    }
 }
 
-/// Render a titled experiment table.
+/// Render a titled experiment table: one value column per [`Kind`] the
+/// rows hold.
 pub fn render(title: &str, rows: &[ReportRow]) -> String {
     let mut out = String::new();
     out.push_str(&format!("\n== {title} ==\n"));
@@ -42,30 +77,34 @@ pub fn render(title: &str, rows: &[ReportRow]) -> String {
         .max()
         .unwrap_or(10)
         .max("condition".len());
-    out.push_str(&format!(
-        "{:<label_w$}  {:>12}  {:>12}  {:>8}\n",
-        "condition", "paper", "simulated", "ratio"
-    ));
-    out.push_str(&format!(
-        "{:-<label_w$}  {:->12}  {:->12}  {:->8}\n",
-        "", "", "", ""
-    ));
+    let kinds: Vec<Kind> = Kind::ALL
+        .into_iter()
+        .filter(|k| rows.iter().any(|r| r.kind == *k))
+        .collect();
+    let line = |label: &str, paper: &str, value: &dyn Fn(Kind) -> String, ratio: &str| {
+        let values: String = kinds
+            .iter()
+            .map(|&k| format!("  {:>12}", value(k)))
+            .collect();
+        format!("{label:<label_w$}  {paper:>12}{values}  {ratio:>8}\n")
+    };
+    out.push_str(&line("condition", "paper", &|k| k.key().into(), "ratio"));
+    let rule = |n: usize| "-".repeat(n);
+    out.push_str(&line(&rule(label_w), &rule(12), &|_| rule(12), &rule(8)));
     for r in rows {
         let paper = match r.paper {
             Some(p) => format!("{p:.0} {}", r.unit),
             None => "-".to_string(),
         };
         let ratio = match r.paper {
-            Some(p) if p > 0.0 => format!("{:.2}x", r.simulated / p),
+            Some(p) if p > 0.0 => format!("{:.2}x", r.value / p),
             _ => "-".to_string(),
         };
-        out.push_str(&format!(
-            "{:<label_w$}  {:>12}  {:>12}  {:>8}\n",
-            r.label,
-            paper,
-            format!("{:.0} {}", r.simulated, r.unit),
-            ratio
-        ));
+        let value = |k: Kind| match r.kind == k {
+            true => format!("{:.0} {}", r.value, r.unit),
+            false => String::new(),
+        };
+        out.push_str(&line(&r.label, &paper, &value, &ratio));
     }
     out
 }
@@ -158,9 +197,10 @@ pub fn to_json(
             .map(|p| format!("{p}"))
             .unwrap_or_else(|| "null".to_string());
         out.push_str(&format!(
-            "    {{\"label\": \"{}\", \"paper\": {paper}, \"simulated\": {}, \"unit\": \"{}\"}}{}\n",
+            "    {{\"label\": \"{}\", \"paper\": {paper}, \"{}\": {}, \"unit\": \"{}\"}}{}\n",
             json_escape(&r.label),
-            r.simulated,
+            r.kind.key(),
+            r.value,
             json_escape(r.unit),
             if i + 1 < rows.len() { "," } else { "" }
         ));
@@ -211,6 +251,17 @@ fn write_json(
 mod tests {
     use super::*;
 
+    fn measured_and_counted() -> Vec<ReportRow> {
+        vec![
+            ReportRow::new("probe P50", None, 250.0)
+                .with_unit("us")
+                .with_kind(Kind::Measured),
+            ReportRow::new("probes issued", None, 40.0)
+                .with_unit("")
+                .with_kind(Kind::Counted),
+        ]
+    }
+
     #[test]
     fn render_contains_ratio_and_dashes() {
         let rows = vec![
@@ -223,14 +274,30 @@ mod tests {
         assert!(text.contains("0.97x"));
         assert!(text.contains("V2S 4 partitions"));
         assert!(text.contains("   -"));
+        assert!(text.contains("simulated") && !text.contains("measured"));
+
+        // A value sits in the column its kind names.
+        let text = render("Ablation", &measured_and_counted());
+        let lines: Vec<&str> = text.lines().collect();
+        let head = lines.iter().find(|l| l.starts_with("condition")).unwrap();
+        assert!(!head.contains("simulated"), "{text}");
+        let column_end = |name: &str| head.find(name).unwrap() + name.len();
+        let p50 = lines.iter().find(|l| l.starts_with("probe P50")).unwrap();
+        assert_eq!(p50.find("250 us").unwrap() + 6, column_end("measured"));
+        let issued = lines
+            .iter()
+            .find(|l| l.starts_with("probes issued"))
+            .unwrap();
+        assert_eq!(issued.find("40 ").unwrap() + 3, column_end("counted"));
     }
 
     #[test]
     fn json_report_carries_rows_and_counters() {
-        let rows = vec![
+        let mut rows = vec![
             ReportRow::new("a \"quoted\" label", Some(10.0), 9.5),
             ReportRow::new("plain", None, 1.0),
         ];
+        rows.extend(measured_and_counted());
         let mut counters = BTreeMap::new();
         counters.insert("s2v.rows_loaded".to_string(), 8000u64);
         counters.insert("sched.task_retries".to_string(), 3u64);
@@ -244,6 +311,11 @@ mod tests {
         assert!(json.contains("\"experiment\": \"fig6\""));
         assert!(json.contains("\\\"quoted\\\""));
         assert!(json.contains("\"paper\": null"));
+        assert!(json.contains(
+            "{\"label\": \"plain\", \"paper\": null, \"simulated\": 1, \"unit\": \"s\"}"
+        ));
+        assert!(json.contains("\"measured\": 250, \"unit\": \"us\""));
+        assert!(json.contains("\"counted\": 40, \"unit\": \"\""));
         assert!(json.contains("\"s2v.rows_loaded\": 8000"));
         assert!(json.contains("\"sched.task_retries\": 3"));
         assert!(json.contains("\"s2v.phase3\": {\"count\": 4"));

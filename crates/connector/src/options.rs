@@ -244,8 +244,8 @@ impl ConnectorOptions {
         b.build()
     }
 
-    /// Basic options for a table.
-    pub fn for_table(table: &str) -> ConnectorOptions {
+    /// The defaults for a table.
+    fn for_table(table: &str) -> ConnectorOptions {
         ConnectorOptions {
             host: 0,
             table: table.to_string(),
@@ -267,26 +267,6 @@ impl ConnectorOptions {
             ingest: IngestMode::Bulk,
             mover_enabled: true,
         }
-    }
-
-    pub fn with_partitions(mut self, n: usize) -> ConnectorOptions {
-        self.num_partitions = Some(n);
-        self
-    }
-
-    pub fn with_host(mut self, host: usize) -> ConnectorOptions {
-        self.host = host;
-        self
-    }
-
-    pub fn with_tolerance(mut self, fraction: f64) -> ConnectorOptions {
-        self.failed_rows_percent_tolerance = fraction;
-        self
-    }
-
-    pub fn with_prehash(mut self) -> ConnectorOptions {
-        self.prehash = true;
-        self
     }
 
     /// Validate `host` against the actual cluster, returning the node
@@ -791,15 +771,9 @@ mod tests {
     #[test]
     fn host_on_names_the_valid_range() {
         let cluster = mppdb::Cluster::new(mppdb::ClusterConfig::with_nodes(3));
-        let o = ConnectorOptions::for_table("t").with_host(5);
-        let err = o.host_on(&cluster).unwrap_err();
+        let on = |host| ConnectorOptions::builder("t").host(host).build().unwrap();
+        let err = on(5).host_on(&cluster).unwrap_err();
         assert!(err.to_string().contains("db0..db2"), "{err}");
-        assert_eq!(
-            ConnectorOptions::for_table("t")
-                .with_host(2)
-                .host_on(&cluster)
-                .unwrap(),
-            2
-        );
+        assert_eq!(on(2).host_on(&cluster).unwrap(), 2);
     }
 }

@@ -17,7 +17,7 @@
 //! conservative reading of the Redshift description — one transactional
 //! sequence of loads through a single session — so the measured penalty
 //! is an upper bound; engines that fan the final load out across nodes
-//! recover some of it. `cargo run -p bench --bin ablation_two_stage`
+//! recover some of it. `cargo run -p bench -- ablation_two_stage`
 //! quantifies this against the direct connector.
 
 use std::sync::Arc;

@@ -873,9 +873,11 @@ fn s2v_report_carries_rejected_row_samples() {
         .collect();
     let df = ctx.create_dataframe(rows, schema, 3).unwrap();
 
-    let opts = connector::ConnectorOptions::for_table("picky")
-        .with_partitions(3)
-        .with_tolerance(0.2);
+    let opts = connector::ConnectorOptions::builder("picky")
+        .num_partitions(3)
+        .failed_rows_percent_tolerance(0.2)
+        .build()
+        .unwrap();
     let report = connector::SaveRequest::new(&ctx, &cluster, &df, &opts)
         .mode(SaveMode::Append)
         .submit()

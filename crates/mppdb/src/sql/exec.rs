@@ -8,10 +8,11 @@ use netsim::record::NodeRef;
 use crate::catalog::{Segmentation, TableDef};
 use crate::cluster::OnPredicateError;
 use crate::error::{DbError, DbResult};
-use crate::query::{QueryResult, QuerySpec};
+use crate::query::{apply_spec_to_rows, QueryResult, QuerySpec};
 use crate::session::Session;
 use crate::sql::ast::{
     is_aggregate_name, ExprAst, OrderTarget, SegmentationClause, SelectItem, SelectStmt, Statement,
+    TableRef,
 };
 use crate::udf::UdfParams;
 
@@ -108,16 +109,22 @@ fn explain_select(session: &mut Session, select: &SelectStmt) -> DbResult<QueryR
             join.table.table, join.on
         ));
     }
+    // What the executor itself will hand to storage, if anything.
+    let pushed = select
+        .from
+        .as_ref()
+        .and_then(|from| pushdown_spec(select, from, aggregating));
     if let Some(pred) = &select.predicate {
-        match lower_scalar(pred) {
-            Ok(e) if select.joins.is_empty() && !aggregating => {
-                lines.push(format!("filter: {} [pushed down to storage]", e.to_sql()));
-            }
-            Ok(e) => lines.push(format!(
-                "filter: {} [applied after join/aggregate]",
+        let pushed = pushed.as_ref().and_then(|spec| spec.predicate.as_ref());
+        match (pushed, lower_scalar(pred)) {
+            (Some(e), _) => lines.push(format!("filter: {} [pushed down to storage]", e.to_sql())),
+            (None, Ok(e)) => lines.push(format!(
+                "filter: {} [evaluated in the executor]",
                 e.to_sql()
             )),
-            Err(_) => lines.push("filter: (contains functions; evaluated in the executor)".into()),
+            (None, Err(_)) => {
+                lines.push("filter: (contains functions; evaluated in the executor)".into())
+            }
         }
     }
     if aggregating {
@@ -126,22 +133,10 @@ fn explain_select(session: &mut Session, select: &SelectStmt) -> DbResult<QueryR
             select.group_by.len(),
             select.items.len()
         ));
+    } else if pushed.is_some() {
+        lines.push("projection: [pushed down to storage]".to_string());
     } else {
-        let all_plain = select.items.iter().all(|i| {
-            matches!(i, SelectItem::Star)
-                || matches!(
-                    i,
-                    SelectItem::Expr {
-                        expr: ExprAst::Column { .. },
-                        ..
-                    }
-                )
-        });
-        if all_plain && select.joins.is_empty() {
-            lines.push("projection: [pushed down to storage]".to_string());
-        } else {
-            lines.push("projection: evaluated in the executor".to_string());
-        }
+        lines.push("projection: evaluated in the executor".to_string());
     }
     if !select.order_by.is_empty() {
         lines.push(format!("sort: {} key(s)", select.order_by.len()));
@@ -430,14 +425,8 @@ pub(crate) fn execute_select(
             SelectItem::Star => false,
         });
 
-    // Fast path with pushdown: single table, no aggregation, no
-    // ordering (ORDER BY needs the materialized output).
-    if select.joins.is_empty() && !aggregating && select.order_by.is_empty() {
-        if let Some(result) =
-            try_pushdown_select(session, select, from.alias.as_deref(), &from.table, depth)?
-        {
-            return Ok(result);
-        }
+    if let Some(spec) = pushdown_spec(select, from, aggregating) {
+        return session.query(&spec);
     }
 
     // General path: materialize the base relation(s).
@@ -536,26 +525,23 @@ fn apply_order_by(
     Ok(())
 }
 
-/// Pushdown-eligible single-table select: plain column projection (or
-/// `*`) and a lowerable predicate. Returns `None` when the shape doesn't
-/// fit and the general path must run (every aggregate does: the caller
-/// only comes here for a select that has none).
-fn try_pushdown_select(
-    session: &mut Session,
-    select: &SelectStmt,
-    alias: Option<&str>,
-    table: &str,
-    depth: usize,
-) -> DbResult<Option<QueryResult>> {
-    let _ = depth;
-    // Plain projection?
+/// The scan a select is answered by when storage can answer it whole:
+/// a single table, no aggregate, no ordering (ORDER BY needs the
+/// materialized output), a plain column projection (or `*`) and a
+/// lowerable predicate. `None` when the shape doesn't fit and the
+/// general path must run.
+fn pushdown_spec(select: &SelectStmt, from: &TableRef, aggregating: bool) -> Option<QuerySpec> {
+    if !select.joins.is_empty() || aggregating || !select.order_by.is_empty() {
+        return None;
+    }
+    let (table, alias) = (from.table.as_str(), from.alias.as_deref());
     let mut projection: Option<Vec<String>> = Some(Vec::new());
     for item in &select.items {
         match item {
             SelectItem::Star => {
                 projection = None;
                 if select.items.len() != 1 {
-                    return Ok(None); // mixed * and expressions: general path
+                    return None; // mixed * and expressions: general path
                 }
                 break;
             }
@@ -571,7 +557,7 @@ fn try_pushdown_select(
                     p.push(name.clone());
                 }
             }
-            _ => return Ok(None),
+            _ => return None,
         }
     }
 
@@ -580,12 +566,9 @@ fn try_pushdown_select(
     spec.as_of_epoch = select.at_epoch;
     spec.limit = select.limit;
     if let Some(p) = &select.predicate {
-        match lower_scalar_qualified(p, alias) {
-            Ok(e) => spec.predicate = Some(e),
-            Err(_) => return Ok(None),
-        }
+        spec.predicate = Some(lower_scalar_qualified(p, alias).ok()?);
     }
-    session.query(&spec).map(Some)
+    Some(spec)
 }
 
 /// Load a table or view as rows plus a resolution scope.
@@ -1112,58 +1095,5 @@ pub(crate) fn execute_view_scan(session: &mut Session, spec: &QuerySpec) -> DbRe
         vsel.at_epoch = spec.as_of_epoch;
     }
     let base = execute_select(session, &vsel, 1)?;
-
-    let mut rows = base.rows;
-    if let Some((start, end)) = spec.row_range {
-        let start = (start as usize).min(rows.len());
-        let end = (end as usize).min(rows.len());
-        rows = rows[start..end].to_vec();
-    }
-    if let Some(pred) = &spec.predicate {
-        let bound = pred.bind(&base.schema).map_err(DbError::Data)?;
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            if bound.matches(&row).map_err(DbError::Data)? {
-                kept.push(row);
-            }
-        }
-        rows = kept;
-    }
-    let (schema, rows) = match &spec.projection {
-        Some(cols) => {
-            let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-            let schema = base.schema.project(&refs).map_err(DbError::Data)?;
-            let idx: Vec<usize> = cols
-                .iter()
-                .map(|c| base.schema.index_of(c))
-                .collect::<Result<_, _>>()
-                .map_err(DbError::Data)?;
-            (
-                schema,
-                rows.into_iter().map(|r| r.into_projected(&idx)).collect(),
-            )
-        }
-        None => (base.schema, rows),
-    };
-    let count = rows.len() as u64;
-    if spec.count_only {
-        return Ok(QueryResult {
-            schema,
-            rows: Vec::new(),
-            count,
-            epoch: base.epoch,
-            batch: None,
-        });
-    }
-    let mut rows = rows;
-    if let Some(limit) = spec.limit {
-        rows.truncate(limit as usize);
-    }
-    Ok(QueryResult {
-        count: rows.len() as u64,
-        schema,
-        rows,
-        epoch: base.epoch,
-        batch: None,
-    })
+    apply_spec_to_rows(base.schema, base.rows, spec, base.epoch)
 }

@@ -684,7 +684,7 @@ impl NodeTableStore {
     /// the one late-materializing traversal (`scan_with`). It stays,
     /// deliberately sharing no code with that traversal, as the
     /// reference the `scan_differential` and `prop_storage` suites
-    /// compare against and as the `scan_micro` benchmark baseline.
+    /// compare against.
     pub fn scan(
         &self,
         as_of: u64,

@@ -505,6 +505,21 @@ fn explain_describes_the_plan() {
     assert!(p.contains("[pushed down to storage]"), "{p}");
     assert!(p.contains("limit: 3"), "{p}");
 
+    // What the executor does not hand to storage is not claimed: ORDER BY
+    // needs the materialized output, an expression needs the executor.
+    for sql in [
+        "EXPLAIN SELECT id FROM facts WHERE x > 0.5 ORDER BY id",
+        "EXPLAIN SELECT id + 1 FROM facts WHERE x > 0.5",
+    ] {
+        let p = plan(&mut s, sql);
+        assert!(!p.contains("[pushed down to storage]"), "{p}");
+        assert!(
+            p.contains("filter: (x > 0.5) [evaluated in the executor]"),
+            "{p}"
+        );
+        assert!(p.contains("projection: evaluated in the executor"), "{p}");
+    }
+
     // Aggregate + order: executor-side.
     let p = plan(
         &mut s,

@@ -98,6 +98,6 @@ fn main() {
         assert_eq!(count, 20_000);
     }
     println!("\nall three strategies landed identical data, exactly once.");
-    println!("see `cargo run -p bench --bin ablation_prehash` / `ablation_two_stage`");
+    println!("see `cargo run -p bench -- ablation_prehash ablation_two_stage`");
     println!("for the simulated paper-scale cost comparison.");
 }

@@ -65,28 +65,15 @@ for f in target/lockwitness-*.edges; do
 done
 cargo run -q -p fabriclint -- --lock-graph ${witness_args[@]+"${witness_args[@]}"} > /dev/null
 
-# The skipping/pushdown ablation regenerates BENCH_pushdown.json and
-# asserts every cell returns the identical aggregate; its ≥5x scan and
-# ≥10x wire reduction gates also run as bench lib tests above.
-echo "== ablation_pushdown"
-cargo run -q -p bench --bin ablation_pushdown > /dev/null
-
-# The streaming-ingest ablation regenerates BENCH_stream.json; its
-# mover-on-strictly-faster gate also runs as a bench lib test above.
-echo "== ablation_stream"
-cargo run -q -p bench --bin ablation_stream > /dev/null
-
-# The elastic-cluster ablation regenerates BENCH_rebalance.json; its
-# zero-failures / bounded-P99 gate also runs as a bench lib test above.
-echo "== ablation_rebalance"
-cargo run -q -p bench --bin ablation_rebalance > /dev/null
-
-# The tracing overhead bench must always compile: span-layer API
-# drift shows up here before it shows up in a profiling session.
-echo "== cargo bench --bench trace_micro --no-run"
-cargo bench -p bench --bench trace_micro --no-run -q
-
-echo "== cargo bench --no-run"
-cargo bench --workspace --no-run -q
+# Three ablations through the one bench binary, one process each. They
+# regenerate BENCH_pushdown.json (asserting every cell returns the
+# identical aggregate), BENCH_stream.json and BENCH_rebalance.json;
+# their gates (≥5x scan and ≥10x wire reduction, mover-on strictly
+# faster, zero failures and a bounded P99) also run as bench lib tests
+# above.
+for e in pushdown stream rebalance; do
+    echo "== bench $e"
+    cargo run -q -p bench -- "$e" > /dev/null
+done
 
 echo "All checks passed."

@@ -154,8 +154,11 @@ fn event_log_records_exactly_one_final_commit_under_failures() {
     ctx.failures().speculate(0, 2);
     ctx.failures().speculate(4, 1);
 
-    let mut opts = connector::ConnectorOptions::for_table("obs_target").with_partitions(partitions);
-    opts.job_name = Some("obs_final_commit_job".to_string());
+    let opts = connector::ConnectorOptions::builder("obs_target")
+        .num_partitions(partitions)
+        .job_name("obs_final_commit_job")
+        .build()
+        .unwrap();
     let report = connector::SaveRequest::new(&ctx, &db, &df, &opts)
         .mode(SaveMode::Overwrite)
         .submit()

@@ -129,7 +129,10 @@ fn a_speculative_phase_1_never_deadlocks_the_final_commit() {
     let (ctx, _) = setup();
     let rows: Vec<Row> = (0..2_000).map(|i| row![i, i as f64]).collect();
     let df = ctx.create_dataframe(rows, schema(), 2).unwrap();
-    let opts = connector::ConnectorOptions::for_table("raced").with_partitions(2);
+    let opts = connector::ConnectorOptions::builder("raced")
+        .num_partitions(2)
+        .build()
+        .unwrap();
     let before = obs::global().snapshot();
     let saves = 12;
     for mode in [SaveMode::Overwrite, SaveMode::Append] {
