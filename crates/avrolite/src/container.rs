@@ -359,6 +359,11 @@ impl<'a> Container<'a> {
         )
         .map_err(|e| Error::Parse(format!("schema json not utf8: {e}")))?;
         let schema = AvroSchema::from_json(schema_json)?;
+        if schema.fields.is_empty() {
+            // Rows of no fields take no bytes: a block could claim any
+            // number of them.
+            return Err(Error::Parse("avro schema has no fields".into()));
+        }
 
         let codec_len = read_long_at(data, &mut pos)?;
         let codec_name = std::str::from_utf8(

@@ -17,14 +17,16 @@ use crate::value::Value;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// One FNV-1a step: feed one byte into the state.
+#[inline(always)]
+pub fn fnv1a_step(state: u64, byte: u8) -> u64 {
+    (state ^ byte as u64).wrapping_mul(FNV_PRIME)
+}
+
 /// Feed bytes into the running FNV-1a state.
 #[inline]
-fn fnv1a(mut state: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        state ^= b as u64;
-        state = state.wrapping_mul(FNV_PRIME);
-    }
-    state
+fn fnv1a(state: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(state, |s, &b| fnv1a_step(s, b))
 }
 
 /// The state a segmentation hash starts from. A row's hash is this
@@ -40,28 +42,55 @@ pub fn fold_null(state: u64) -> u64 {
     fnv1a(state, &[0x00])
 }
 
-/// Fold a `BOOLEAN` into the state.
-#[inline]
-pub fn fold_bool(state: u64, b: bool) -> u64 {
-    fnv1a(state, &[0x01, b as u8])
+/// The bytes [`fold_bool`] feeds: the type tag, then the value.
+#[inline(always)]
+pub fn bool_bytes(b: bool) -> [u8; 2] {
+    [0x01, b as u8]
 }
 
-/// Fold a `BIGINT` into the state.
-#[inline]
-pub fn fold_i64(state: u64, i: i64) -> u64 {
-    fnv1a(fnv1a(state, &[0x02]), &i.to_le_bytes())
+/// The bytes [`fold_i64`] feeds: the type tag, then the value
+/// little-endian.
+#[inline(always)]
+pub fn i64_bytes(i: i64) -> [u8; 9] {
+    tagged_word(0x02, i as u64)
 }
 
-/// Fold a `FLOAT` into the state. NaNs collapse to one bit pattern, so
-/// that every NaN hashes alike; every other value hashes by its bits.
-#[inline]
-pub fn fold_f64(state: u64, f: f64) -> u64 {
+/// The bytes [`fold_f64`] feeds: the type tag, then the bits
+/// little-endian. NaNs collapse to one bit pattern, so that every NaN
+/// hashes alike; every other value hashes by its bits.
+#[inline(always)]
+pub fn f64_bytes(f: f64) -> [u8; 9] {
     let bits = if f.is_nan() {
         f64::NAN.to_bits()
     } else {
         f.to_bits()
     };
-    fnv1a(fnv1a(state, &[0x03]), &bits.to_le_bytes())
+    tagged_word(0x03, bits)
+}
+
+#[inline(always)]
+fn tagged_word(tag: u8, word: u64) -> [u8; 9] {
+    let mut out = [tag; 9];
+    out[1..].copy_from_slice(&word.to_le_bytes());
+    out
+}
+
+/// Fold a `BOOLEAN` into the state.
+#[inline]
+pub fn fold_bool(state: u64, b: bool) -> u64 {
+    fnv1a(state, &bool_bytes(b))
+}
+
+/// Fold a `BIGINT` into the state.
+#[inline]
+pub fn fold_i64(state: u64, i: i64) -> u64 {
+    fnv1a(state, &i64_bytes(i))
+}
+
+/// Fold a `FLOAT` into the state (see [`f64_bytes`]).
+#[inline]
+pub fn fold_f64(state: u64, f: f64) -> u64 {
+    fnv1a(state, &f64_bytes(f))
 }
 
 /// Fold a `VARCHAR` (type tag, then its bytes) into the state.

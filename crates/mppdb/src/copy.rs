@@ -367,7 +367,7 @@ pub(crate) fn run_copy(
     })
 }
 
-mod differential;
+pub(crate) mod differential;
 
 #[cfg(test)]
 mod tests {

@@ -385,10 +385,13 @@ fn columnar_direct_load_matches_the_row_routine() {
     assert!(kinds.len() >= 4, "outcomes seen: {kinds:?}");
 }
 
-#[test]
-fn column_wise_hash_equals_the_row_hash() {
+/// The column-wise hash of every subset of columns against the row
+/// hash, over prefixes of rows seeded from `base` at every length a lane
+/// kernel has an edge at, and with a NULL at every lane position.
+pub(crate) fn column_wise_hash_matches(base: u64) {
     use rand::RngCore;
-    let mut rng = StdRng::seed_from_u64(20);
+    let seed = 20 + base;
+    let mut rng = StdRng::seed_from_u64(seed);
     let dtypes = [
         DataType::Int64,
         DataType::Float64,
@@ -402,9 +405,14 @@ fn column_wise_hash_equals_the_row_hash() {
                     .iter()
                     .map(|dtype| match (rng.random_range(0..8), dtype) {
                         (0, _) => Value::Null,
+                        (1, DataType::Int64) => Value::Int64(i64::MIN),
+                        (2, DataType::Int64) => Value::Int64(i64::MAX),
                         (_, DataType::Int64) => Value::Int64(rng.next_u64() as i64),
                         // Any bit pattern: NaNs of every payload, both zeros.
                         (1, DataType::Float64) => Value::Float64(-0.0),
+                        (2, DataType::Float64) => Value::Float64(0.0),
+                        (3, DataType::Float64) => Value::Float64(f64::INFINITY),
+                        (4, DataType::Float64) => Value::Float64(f64::NEG_INFINITY),
                         (_, DataType::Float64) => Value::Float64(f64::from_bits(rng.next_u64())),
                         (k, DataType::Varchar) => Value::Varchar("ü".repeat(k)),
                         (k, DataType::Boolean) => Value::Boolean(k % 2 == 0),
@@ -413,23 +421,48 @@ fn column_wise_hash_equals_the_row_hash() {
             )
         })
         .collect();
-    let mut columns: Vec<ColumnVec> = dtypes.iter().map(|&t| ColumnVec::new(t)).collect();
-    for r in &rows {
-        for (col, v) in columns.iter_mut().zip(r.values()) {
-            col.push(v.clone()).unwrap();
+    let check = |rows: &[Row], what: &str| {
+        let mut columns: Vec<ColumnVec> = dtypes.iter().map(|&t| ColumnVec::new(t)).collect();
+        for r in rows {
+            for (col, v) in columns.iter_mut().zip(r.values()) {
+                col.push(v.clone()).unwrap();
+            }
+        }
+        for subset in [vec![0], vec![2, 0], vec![0, 1, 2, 3], vec![1, 1, 3], vec![]] {
+            let mut hashes = vec![common::hash::HASH_SEED; rows.len()];
+            for &c in &subset {
+                columns[c].fold_hash(&mut hashes);
+            }
+            for (r, h) in rows.iter().zip(&hashes) {
+                assert_eq!(
+                    *h,
+                    common::hash::hash_row_columns(r, &subset),
+                    "seed {seed}, {what}: {subset:?} of {r:?}"
+                );
+            }
+        }
+    };
+    let lengths = (0..=17)
+        .chain(63..=66)
+        .chain(1023..=1025)
+        .chain([5_000, 10_000]);
+    for n in lengths {
+        check(&rows[..n], &format!("{n} rows"));
+    }
+    let null_row = Row::new(vec![Value::Null; dtypes.len()]);
+    for n in [8, 13, 16, 17] {
+        for lane in 0..8 {
+            let mut rows = rows[..n].to_vec();
+            rows[lane] = null_row.clone();
+            if lane + 8 < n {
+                rows[lane + 8] = null_row.clone();
+            }
+            check(&rows, &format!("{n} rows, NULL in lane {lane}"));
         }
     }
-    for subset in [vec![0], vec![2, 0], vec![0, 1, 2, 3], vec![1, 1, 3], vec![]] {
-        let mut hashes = vec![common::hash::HASH_SEED; rows.len()];
-        for &c in &subset {
-            columns[c].fold_hash(&mut hashes);
-        }
-        for (r, h) in rows.iter().zip(&hashes) {
-            assert_eq!(
-                *h,
-                common::hash::hash_row_columns(r, &subset),
-                "{subset:?} of {r:?}"
-            );
-        }
-    }
+}
+
+#[test]
+fn column_wise_hash_equals_the_row_hash() {
+    column_wise_hash_matches(0);
 }

@@ -25,7 +25,7 @@ use std::cmp::Ordering;
 
 use common::{Result, Value};
 
-use crate::storage::batch::{each_column_type, ColumnVec};
+use crate::storage::batch::{each_column_type, ColumnVec, Native};
 
 /// The values of one column, unencoded: what a load hands to
 /// [`encode_auto`], what the run values and dictionary entries of an
@@ -291,9 +291,9 @@ impl EncodedColumn {
 }
 
 /// An encoding of `n` rows, as row indices into the unencoded values.
-/// It follows from which positions hold equal values and nothing else,
-/// so the routines that work it out take that as a closure and compile
-/// once per column type, the comparison inlined.
+/// It follows from which rows hold equal values and nothing else, so
+/// the routines that work it out take one key per row, keys `==` where
+/// the values are, and compile once per key type.
 enum Shape {
     Plain,
     /// First row and length of each run; a run's value is its first
@@ -324,28 +324,23 @@ enum Plan {
 const DICTIONARY_MAX: usize = 64;
 
 impl Plan {
-    /// `eq` says which positions hold equal values; `order` is a total
-    /// order of the positions in which equal ones compare equal.
-    fn shape(
-        self,
-        n: usize,
-        eq: impl Fn(usize, usize) -> bool,
-        order: impl Fn(usize, usize) -> Ordering,
-    ) -> Shape {
+    /// `keys[i]` is row `i`'s key; `order` is a total order of the keys
+    /// in which equal ones compare equal.
+    fn shape<K: PartialEq>(self, keys: &[K], order: impl Fn(&K, &K) -> Ordering) -> Shape {
         match self {
-            Plan::Rle => rle_shape(n, eq),
-            Plan::Dictionary => dictionary_shape(n, eq),
+            Plan::Rle => rle_shape(keys),
+            Plan::Dictionary => dictionary_shape(keys),
             Plan::Auto => {
                 // Count runs, then (capped) distinct values, over a sample.
-                let sample = n.min(1024);
-                if sample == 0 {
+                let sample = &keys[..keys.len().min(1024)];
+                if sample.is_empty() {
                     return Shape::Plain;
                 }
-                let runs = 1 + (1..sample).filter(|&i| !eq(i - 1, i)).count();
-                if runs * 4 <= sample {
-                    rle_shape(n, eq)
-                } else if sample >= 16 && few_distinct(sample, &eq, order) {
-                    dictionary_shape(n, eq)
+                let runs = 1 + sample.windows(2).filter(|w| w[0] != w[1]).count();
+                if runs * 4 <= sample.len() {
+                    rle_shape(keys)
+                } else if sample.len() >= 16 && few_distinct(sample, order) {
+                    dictionary_shape(keys)
                 } else {
                     Shape::Plain
                 }
@@ -354,41 +349,36 @@ impl Plan {
     }
 }
 
-/// Whether positions `0..sample` hold at most [`DICTIONARY_MAX`] distinct
-/// values.
-fn few_distinct(
-    sample: usize,
-    eq: impl Fn(usize, usize) -> bool,
-    order: impl Fn(usize, usize) -> Ordering,
-) -> bool {
+/// Whether `sample` holds at most [`DICTIONARY_MAX`] distinct keys.
+fn few_distinct<K: PartialEq>(sample: &[K], order: impl Fn(&K, &K) -> Ordering) -> bool {
     // A high-cardinality column shows in its first values: when they are
     // pairwise distinct — no two neighbours equal once ordered — the
     // answer takes one sort, not a probe of each against all before it.
-    if sample > DICTIONARY_MAX {
-        let mut head: Vec<usize> = (0..=DICTIONARY_MAX).collect();
-        head.sort_unstable_by(|&i, &j| order(i, j));
-        if head.windows(2).all(|w| !eq(w[0], w[1])) {
+    if sample.len() > DICTIONARY_MAX {
+        let mut head: [&K; DICTIONARY_MAX + 1] = std::array::from_fn(|i| &sample[i]);
+        head.sort_unstable_by(|a, b| order(a, b));
+        if head.windows(2).all(|w| w[0] != w[1]) {
             return false;
         }
     }
-    let mut distinct: Vec<usize> = Vec::new();
-    for i in 0..sample {
-        if !distinct.iter().any(|&d| eq(d, i)) {
+    let mut distinct: Vec<&K> = Vec::new();
+    for key in sample {
+        if !distinct.contains(&key) {
             if distinct.len() == DICTIONARY_MAX {
                 return false;
             }
-            distinct.push(i);
+            distinct.push(key);
         }
     }
     true
 }
 
-fn rle_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+fn rle_shape<K: PartialEq>(keys: &[K]) -> Shape {
     let mut starts: Vec<u32> = Vec::new();
     let mut lengths: Vec<u32> = Vec::new();
-    for i in 0..n {
+    for (i, key) in keys.iter().enumerate() {
         match (starts.last(), lengths.last_mut()) {
-            (Some(&start), Some(count)) if eq(start as usize, i) && *count < u32::MAX => {
+            (Some(&start), Some(count)) if keys[start as usize] == *key && *count < u32::MAX => {
                 *count += 1
             }
             _ => {
@@ -400,13 +390,13 @@ fn rle_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
     Shape::Rle { starts, lengths }
 }
 
-fn dictionary_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
+fn dictionary_shape<K: PartialEq>(keys: &[K]) -> Shape {
     let mut firsts: Vec<u32> = Vec::new();
-    let mut codes = Vec::with_capacity(n);
-    for i in 0..n {
+    let mut codes = Vec::with_capacity(keys.len());
+    for (i, key) in keys.iter().enumerate() {
         // Linear probe: dictionaries only pay off when tiny, and
         // `Plan::Auto` only picks this path for low cardinality.
-        let code = match firsts.iter().position(|&d| eq(d as usize, i)) {
+        let code = match firsts.iter().position(|&d| keys[d as usize] == *key) {
             Some(code) => code,
             None => {
                 firsts.push(i as u32);
@@ -421,9 +411,18 @@ fn dictionary_shape(n: usize, eq: impl Fn(usize, usize) -> bool) -> Shape {
 /// Encode `values` as `plan` says; `None` when that is plain.
 fn encode(values: &ColumnData, plan: Plan) -> Option<EncodedColumn> {
     // Equality as `Value`'s `==` has it: NULL equals NULL, `-0.0`
-    // equals `0.0`, NaN equals nothing, values of different types
-    // differ.
-    let shape = each_column_type!(&values.0, v => plan.shape(v.len(), |i, j| v.eq_at(i, j), |i, j| v.cmp_at(i, j)));
+    // equals `0.0`, NaN equals nothing. A column without NULLs is its
+    // own keys; one with NULLs is keyed by `Option`, NULLs first.
+    let shape = each_column_type!(&values.0, v => match v.parts() {
+        (data, None) => plan.shape(data, |a, b| a.total_order(b)),
+        (_, Some(_)) => {
+            let keys: Vec<_> = (0..v.len()).map(|i| v.get(i)).collect();
+            plan.shape(&keys, |a, b| match (a, b) {
+                (Some(a), Some(b)) => a.total_order(b),
+                (a, b) => a.is_some().cmp(&b.is_some()),
+            })
+        }
+    });
     match shape {
         Shape::Plain => None,
         Shape::Rle { starts, lengths } => Some(EncodedColumn::Rle {
@@ -457,7 +456,10 @@ pub fn encode_auto(values: ColumnData) -> EncodedColumn {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::storage::batch::LANES;
     use common::DataType;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     impl ColumnData {
         pub(crate) fn from_values(values: &[Value]) -> ColumnData {
@@ -791,15 +793,25 @@ pub(crate) mod tests {
     /// Columns of the shapes that stress the encodings, the bounds and
     /// the sketch: `kind` picks homogeneous floats / ints / strings /
     /// booleans, low-cardinality values (dictionary; the sketch never
-    /// fills), long runs, NULL-heavy, all-NULL, or NaN- and signed-zero-
-    /// bearing floats; `picks` supplies the entropy.
-    pub(crate) const COLUMN_KINDS: u8 = 10;
+    /// fills), long runs, NULL-heavy, all-NULL, NaN-bearing floats,
+    /// signed zeros tying for the smallest or the largest value, NaNs of
+    /// every payload among ±∞, `BIGINT` extremes with a NULL at every
+    /// lane position, a lone NaN among NULLs, or signed zeros among small
+    /// floats; `picks` supplies the entropy.
+    pub(crate) const COLUMN_KINDS: u8 = 15;
 
     pub(crate) fn column(kind: u8, picks: &[(u8, i64)]) -> Vec<Value> {
         let mut run_value = 0i64;
+        // A NaN with a payload and a sign from the picks.
+        let nan = |p: u8, x: i64| {
+            let sign = (p as u64 & 1) << 63;
+            f64::from_bits(sign | 0x7FF0_0000_0000_0000 | (x as u64 & 0xF_FFFF_FFFF_FFFF) | 1)
+        };
+        let magnitude = |x: i64| (x.abs() + 1) as f64 / 8.0;
         picks
             .iter()
-            .map(|&(p, x)| match (kind, p) {
+            .enumerate()
+            .map(|(i, &(p, x))| match (kind, p) {
                 (0, _) => Value::Float64(x as f64 / 8.0),
                 (1, _) => Value::Int64(x),
                 (2, _) => Value::Varchar(format!("s{}", x % 97)),
@@ -817,6 +829,25 @@ pub(crate) mod tests {
                     Value::Varchar(format!("r{run_value}"))
                 }
                 (8, _) => Value::Null,
+                (9 | 10, 1..=2) => Value::Float64(-0.0),
+                (9 | 10, 3..=5) => Value::Float64(0.0),
+                (9, 0) => Value::Float64(f64::INFINITY),
+                (9, _) => Value::Float64(magnitude(x)),
+                (10, 0) => Value::Float64(f64::NEG_INFINITY),
+                (10, _) => Value::Float64(-magnitude(x)),
+                (11, 0 | 1) => Value::Float64(nan(p, x)),
+                (11, 2) => Value::Float64(f64::INFINITY),
+                (11, 3) => Value::Float64(f64::NEG_INFINITY),
+                (11, 4) => Value::Float64(-0.0),
+                (11, 5) => Value::Null,
+                (11, _) => Value::Float64(x as f64 / 8.0),
+                // One NULL per group of eight, a lane further each group.
+                (12, _) if i / LANES % LANES == i % LANES => Value::Null,
+                (12, 0 | 1) => Value::Int64(i64::MIN),
+                (12, 2 | 3) => Value::Int64(i64::MAX),
+                (12, _) => Value::Int64(x),
+                (13, _) if i == 0 => Value::Float64(nan(p, x)),
+                (13, _) => Value::Null,
                 (_, 0..=2) => Value::Float64(-0.0),
                 (_, 3..=5) => Value::Float64(0.0),
                 (_, _) => Value::Float64((x % 3) as f64),
@@ -824,52 +855,107 @@ pub(crate) mod tests {
             .collect()
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig {
-            cases: 256,
-            ..proptest::prelude::ProptestConfig::default()
-        })]
+    /// Lengths at the lane kernels' edges: a partial last group of every
+    /// size (0–17), the dictionary head (63–66), the encoding sample
+    /// (1,023–1,025), and a column past the sketch's pile (5,000).
+    const EDGE_LENGTHS: [(usize, usize); 4] = [(0, 17), (63, 66), (1023, 1025), (5000, 5000)];
 
-        #[test]
-        fn typed_encodings_match_the_reference(
-            kind in 0u8..COLUMN_KINDS,
-            picks in proptest::collection::vec((0u8..8, -1000i64..1000), 0..400),
-            keep in proptest::collection::vec(proptest::arbitrary::any::<bool>(), 400),
-            dest in 0usize..4,
-        ) {
-            let values = column(kind, &picks);
+    /// `check(what, values, rng)` on generated columns, seeded from
+    /// `base`: one of every kind at every edge length, then 256 of a
+    /// random kind, half of them at an edge length and the rest shorter
+    /// than 400. `rng` is the column's, for whatever else the check draws.
+    pub(crate) fn for_each_generated_column(
+        base: u64,
+        mut check: impl FnMut(&str, Vec<Value>, &mut StdRng),
+    ) {
+        let picks = |rng: &mut StdRng, n: usize| -> Vec<(u8, i64)> {
+            (0..n)
+                .map(|_| (rng.random_range(0..8), rng.random_range(-1000..1000)))
+                .collect()
+        };
+        let mut rng = StdRng::seed_from_u64(base);
+        for kind in 0..COLUMN_KINDS {
+            for n in EDGE_LENGTHS.iter().flat_map(|&(lo, hi)| lo..=hi) {
+                let values = column(kind, &picks(&mut rng, n));
+                check(
+                    &format!("seed set {base}: kind {kind}, {n} values"),
+                    values,
+                    &mut rng,
+                );
+            }
+        }
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(base * 1_000 + case);
+            let n = if rng.random_bool(0.5) {
+                let (lo, hi) = EDGE_LENGTHS[rng.random_range(0..EDGE_LENGTHS.len())];
+                rng.random_range(lo..hi + 1)
+            } else {
+                rng.random_range(0..400)
+            };
+            let kind = rng.random_range(0..COLUMN_KINDS);
+            let values = column(kind, &picks(&mut rng, n));
+            check(
+                &format!("seed set {base}, case {case}: kind {kind}, {n} values"),
+                values,
+                &mut rng,
+            );
+        }
+    }
+
+    /// The typed encodings against the reference on the generated
+    /// columns of `base`.
+    pub(crate) fn encodings_match_the_reference(base: u64) {
+        for_each_generated_column(base, |what, values, rng| {
+            let keep: Vec<bool> = values.iter().map(|_| rng.random_bool(0.5)).collect();
+            let dest = rng.random_range(0..4);
             let want = reference::encode_auto(&values);
             let got = encode_auto(ColumnData::from_values(&values));
             // Everything through `Debug`, so that NaN equals itself and
             // `-0.0` does not equal `0.0`.
             let same = |a: &[Value], b: &[Value]| format!("{a:?}") == format!("{b:?}");
-            proptest::prop_assert_eq!(got.encoding_name(), want.encoding_name());
-            proptest::prop_assert_eq!(got.len(), want.len());
-            proptest::prop_assert_eq!(got.encoded_size(), want.encoded_size());
-            proptest::prop_assert!(same(&got.decode().to_values(), &want.decode()));
-            let by_get = |get: &dyn Fn(usize) -> Value| (0..values.len()).map(get).collect::<Vec<_>>();
-            proptest::prop_assert!(same(&by_get(&|i| got.get(i)), &by_get(&|i| want.get(i))));
+            assert_eq!(got.encoding_name(), want.encoding_name(), "{what}");
+            assert_eq!(got.len(), want.len(), "{what}");
+            assert_eq!(got.encoded_size(), want.encoded_size(), "{what}");
+            assert!(same(&got.decode().to_values(), &want.decode()), "{what}");
+            let by_get =
+                |get: &dyn Fn(usize) -> Value| (0..values.len()).map(get).collect::<Vec<_>>();
+            assert!(
+                same(&by_get(&|i| got.get(i)), &by_get(&|i| want.get(i))),
+                "{what}"
+            );
 
             // A sorted selection, a contiguous one, and everything.
-            let some: Vec<u32> = (0..values.len() as u32).filter(|&i| keep[i as usize]).collect();
+            let some: Vec<u32> = (0..values.len() as u32)
+                .filter(|&i| keep[i as usize])
+                .collect();
             let middle: Vec<u32> = (values.len() as u32 / 4..values.len() as u32 * 3 / 4).collect();
             let all: Vec<u32> = (0..values.len() as u32).collect();
             for sel in [&some, &middle, &all] {
                 let picked = want.gather_sorted(sel);
-                proptest::prop_assert!(same(&got.gather_sorted(sel).to_values(), &picked));
+                assert!(same(&got.gather_sorted(sel).to_values(), &picked), "{what}");
                 // Onto a batch column that already holds a value: the
                 // outcome of pushing the reference's values one by one.
-                let dtype = [DataType::Boolean, DataType::Int64, DataType::Float64, DataType::Varchar][dest];
+                let dtype = [
+                    DataType::Boolean,
+                    DataType::Int64,
+                    DataType::Float64,
+                    DataType::Varchar,
+                ][dest];
                 let (mut typed, mut pushed) = (ColumnVec::new(dtype), ColumnVec::new(dtype));
                 typed.push_nulls(1);
                 pushed.push_nulls(1);
                 let outcome = got.gather_into(sel, &mut typed);
                 let expected = picked.into_iter().try_for_each(|v| pushed.push(v));
-                proptest::prop_assert_eq!(format!("{outcome:?}"), format!("{expected:?}"));
+                assert_eq!(format!("{outcome:?}"), format!("{expected:?}"), "{what}");
                 if outcome.is_ok() {
-                    proptest::prop_assert_eq!(format!("{typed:?}"), format!("{pushed:?}"));
+                    assert_eq!(format!("{typed:?}"), format!("{pushed:?}"), "{what}");
                 }
             }
-        }
+        });
+    }
+
+    #[test]
+    fn typed_encodings_match_the_reference() {
+        encodings_match_the_reference(0);
     }
 }

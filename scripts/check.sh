@@ -44,6 +44,12 @@ cargo test -q -p mppdb --lib store::model_tests -- --ignored
 echo "== predicate kernel differential, 8 more seed sets"
 cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
 
+# The lane kernels of a container build (column-wise hash, statistics,
+# encoding choice) against their row references: the properties above,
+# over eight more seed sets.
+echo "== container-build kernel properties, 8 more seed sets"
+cargo test -q -p mppdb --lib storage::batch::tests -- --ignored
+
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
 # generator-side oracles, so a product change that breaks a benchmark
