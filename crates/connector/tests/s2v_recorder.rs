@@ -13,6 +13,10 @@
 //! The contract phase 5 must keep: Overwrite shows exactly one
 //! `s2v_atomic_rename` and nothing the swap does physically; Append
 //! shows `s2v_append_copy`, its `route_hash` and its transfers.
+//!
+//! Append is pinned on four more beds — `k_safety` 1, an `UNSEGMENTED`
+//! target, WOS staging, `k_safety` 1 with a dead node — and there each
+//! task's events are compared in the order the task recorded them.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -99,6 +103,145 @@ fn assert_golden(mode: SaveMode, golden: &[&str]) {
         }
         panic!("{mode:?} recorder log diverged from its golden (actual log printed above)");
     }
+}
+
+/// A bed beyond the default one for the Append golden: replication, an
+/// unsegmented target, WOS staging, a dead node.
+#[derive(Clone, Copy)]
+struct Bed {
+    k_safety: usize,
+    unsegmented: bool,
+    copy_direct: bool,
+    /// Node killed between the two saves.
+    kill: Option<usize>,
+}
+
+const DEFAULT_BED: Bed = Bed {
+    k_safety: 0,
+    unsegmented: false,
+    copy_direct: true,
+    kill: None,
+};
+
+/// [`second_save_log`] in Append mode on `bed`, keeping each task's
+/// events in the order it recorded them: one sequence per task (the
+/// driver's is one of them), sorted so that task ids drop out.
+fn append_log_per_task(bed: Bed) -> Vec<Vec<String>> {
+    let cluster = Cluster::new(ClusterConfig {
+        k_safety: bed.k_safety,
+        ..ClusterConfig::default()
+    });
+    if bed.unsegmented {
+        cluster
+            .connect(0)
+            .unwrap()
+            .execute("CREATE TABLE t (id INT, a FLOAT, b FLOAT) UNSEGMENTED ALL NODES")
+            .unwrap();
+    }
+    let ctx = SparkContext::new(SparkConf {
+        nodes: 8,
+        cores_per_node: 4,
+        thread_cap: 1,
+        speculation: false,
+        ..SparkConf::default()
+    });
+    DefaultSource::register(&ctx, Arc::clone(&cluster));
+    // Named jobs: a derived name numbers the process's saves, and its
+    // length would move with how many ran before this one.
+    let save = |range, mode, job: &str| {
+        ctx.create_dataframe(rows(range), schema(), 8)
+            .unwrap()
+            .write()
+            .format(DEFAULT_SOURCE)
+            .options(
+                Options::new()
+                    .with("host", 0)
+                    .with("table", "t")
+                    .with("numPartitions", 8)
+                    .with("copy_direct", bed.copy_direct)
+                    .with("job_name", job),
+            )
+            .mode(mode)
+            .save()
+            .unwrap();
+    };
+    save(0..400, SaveMode::Overwrite, "s2v_t_1");
+    if let Some(node) = bed.kill {
+        cluster.kill_node(node);
+    }
+    cluster.recorder().clear();
+    save(1000..1400, SaveMode::Append, "s2v_t_2");
+    let mut tasks: BTreeMap<Option<u64>, Vec<String>> = BTreeMap::new();
+    for event in cluster.recorder().drain() {
+        tasks.entry(event.task).or_default().push(render(event));
+    }
+    let mut sequences: Vec<Vec<String>> = tasks.into_values().collect();
+    sequences.sort();
+    sequences
+}
+
+fn assert_per_task_golden(name: &str, bed: Bed, golden: &[&[&str]]) {
+    let log = append_log_per_task(bed);
+    if log != golden {
+        // Print the log in literal form, so an intended change is a paste.
+        for task in &log {
+            println!("    &[");
+            for line in task {
+                println!("        {line:?},");
+            }
+            println!("    ],");
+        }
+        panic!("{name} recorder log diverged from its golden (actual log printed above)");
+    }
+}
+
+#[test]
+fn append_log_with_k_safety_1_is_pinned() {
+    assert_per_task_golden(
+        "k_safety 1",
+        Bed {
+            k_safety: 1,
+            ..DEFAULT_BED
+        },
+        APPEND_K1,
+    );
+}
+
+#[test]
+fn append_log_into_an_unsegmented_target_is_pinned() {
+    assert_per_task_golden(
+        "unsegmented",
+        Bed {
+            unsegmented: true,
+            ..DEFAULT_BED
+        },
+        APPEND_UNSEGMENTED,
+    );
+}
+
+#[test]
+fn append_log_from_wos_staging_is_pinned() {
+    assert_per_task_golden(
+        "WOS staging",
+        Bed {
+            copy_direct: false,
+            ..DEFAULT_BED
+        },
+        APPEND_WOS,
+    );
+}
+
+#[test]
+fn append_log_with_k_safety_1_and_a_dead_node_is_pinned() {
+    assert_per_task_golden(
+        "k_safety 1, node 3 dead",
+        Bed {
+            k_safety: 1,
+            kill: Some(3),
+            ..DEFAULT_BED
+        },
+        APPEND_K1_DEAD,
+    );
 }
 
 #[test]
@@ -228,4 +371,872 @@ const APPEND: &[&str] = &[
     "1 x xfer External 50 1233",
     "1 x xfer External 50 1234",
     "1 x xfer External 50 1235",
+];
+
+const APPEND_K1: &[&[&str]] = &[
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1230",
+        "xfer External 50 1230",
+        "work copy_parse_avro 50 1230",
+        "work route_hash 50 0",
+        "xfer DbInternal 27 648",
+        "xfer DbInternal 23 552",
+        "xfer DbInternal 22 528",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 19 456",
+        "xfer DbInternal 22 528",
+        "xfer DbInternal 31 744",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 24 576",
+        "xfer DbInternal 20 480",
+        "xfer DbInternal 30 720",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 24 576",
+        "xfer DbInternal 24 576",
+        "xfer DbInternal 26 624",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1232",
+        "xfer External 50 1232",
+        "work copy_parse_avro 50 1232",
+        "work route_hash 50 0",
+        "xfer DbInternal 26 624",
+        "xfer DbInternal 23 552",
+        "xfer DbInternal 24 576",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1233",
+        "xfer External 50 1233",
+        "work copy_parse_avro 50 1233",
+        "work route_hash 50 0",
+        "xfer DbInternal 25 600",
+        "xfer DbInternal 29 696",
+        "xfer DbInternal 25 600",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1234",
+        "xfer External 50 1234",
+        "work copy_parse_avro 50 1234",
+        "work route_hash 50 0",
+        "xfer DbInternal 28 672",
+        "xfer DbInternal 22 528",
+        "xfer DbInternal 22 528",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+        "work scan_local 0 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "work db_commit 1 0",
+        "work scan_local 1 8",
+        "work scan_local 8 232",
+        "work scan_local 2 79",
+        "work filter_eval 2 0",
+        "work scan_hash 196 2256",
+        "xfer DbInternal 94 2256",
+        "work scan_hash 189 2280",
+        "xfer DbInternal 95 2280",
+        "work scan_hash 204 2616",
+        "xfer DbInternal 109 2616",
+        "work scan_hash 211 2448",
+        "work s2v_append_copy 400 9600",
+        "work route_hash 400 0",
+        "xfer DbInternal 196 4704",
+        "xfer DbInternal 189 4536",
+        "xfer DbInternal 204 4896",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "work db_commit 1 0",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1235",
+        "xfer External 50 1235",
+        "work copy_parse_avro 50 1235",
+        "work route_hash 50 0",
+        "xfer DbInternal 18 432",
+        "xfer DbInternal 32 768",
+        "xfer DbInternal 22 528",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "work scan_local 0 0",
+        "work route_hash 8 0",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "work scan_local 1 31",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "work db_commit 1 0",
+        "setup s2v_setup_tables 0 0",
+        "work scan_local 8 232",
+        "setup s2v_teardown_tables 0 0",
+    ],
+];
+
+const APPEND_UNSEGMENTED: &[&[&str]] = &[
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1230",
+        "xfer External 50 1230",
+        "work copy_parse_avro 50 1230",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1232",
+        "xfer External 50 1232",
+        "work copy_parse_avro 50 1232",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1233",
+        "xfer External 50 1233",
+        "work copy_parse_avro 50 1233",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1234",
+        "xfer External 50 1234",
+        "work copy_parse_avro 50 1234",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+        "work scan_local 0 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "work db_commit 1 0",
+        "work scan_local 1 8",
+        "work scan_local 8 232",
+        "work scan_local 2 79",
+        "work filter_eval 2 0",
+        "work scan_local 400 9600",
+        "work s2v_append_copy 400 9600",
+        "work route_hash 400 0",
+        "xfer DbInternal 400 9600",
+        "xfer DbInternal 400 9600",
+        "xfer DbInternal 400 9600",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "work db_commit 1 0",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1235",
+        "xfer External 50 1235",
+        "work copy_parse_avro 50 1235",
+        "work route_hash 50 0",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "xfer DbInternal 50 1200",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "work scan_local 0 0",
+        "work route_hash 8 0",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "work scan_local 1 31",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "work db_commit 1 0",
+        "setup s2v_setup_tables 0 0",
+        "work scan_local 8 232",
+        "setup s2v_teardown_tables 0 0",
+    ],
+];
+
+const APPEND_WOS: &[&[&str]] = &[
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1230",
+        "xfer External 50 1230",
+        "work copy_parse_avro 50 1230",
+        "work route_hash 50 0",
+        "xfer DbInternal 17 408",
+        "xfer DbInternal 12 288",
+        "xfer DbInternal 10 240",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 14 336",
+        "xfer DbInternal 10 240",
+        "xfer DbInternal 10 240",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 8 192",
+        "xfer DbInternal 14 336",
+        "xfer DbInternal 17 408",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 9 216",
+        "xfer DbInternal 11 264",
+        "xfer DbInternal 15 360",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1232",
+        "xfer External 50 1232",
+        "work copy_parse_avro 50 1232",
+        "work route_hash 50 0",
+        "xfer DbInternal 11 264",
+        "xfer DbInternal 12 288",
+        "xfer DbInternal 12 288",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1233",
+        "xfer External 50 1233",
+        "work copy_parse_avro 50 1233",
+        "work route_hash 50 0",
+        "xfer DbInternal 14 336",
+        "xfer DbInternal 15 360",
+        "xfer DbInternal 10 240",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1234",
+        "xfer External 50 1234",
+        "work copy_parse_avro 50 1234",
+        "work route_hash 50 0",
+        "xfer DbInternal 11 264",
+        "xfer DbInternal 11 264",
+        "xfer DbInternal 11 264",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+        "work scan_local 0 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "work db_commit 1 0",
+        "work scan_local 1 8",
+        "work scan_local 8 232",
+        "work scan_local 2 79",
+        "work filter_eval 2 0",
+        "work scan_hash 94 2256",
+        "xfer DbInternal 94 2256",
+        "work scan_hash 95 2280",
+        "xfer DbInternal 95 2280",
+        "work scan_hash 109 2616",
+        "xfer DbInternal 109 2616",
+        "work scan_hash 102 2448",
+        "work s2v_append_copy 400 9600",
+        "work route_hash 400 0",
+        "xfer DbInternal 94 2256",
+        "xfer DbInternal 95 2280",
+        "xfer DbInternal 109 2616",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "work db_commit 1 0",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1235",
+        "xfer External 50 1235",
+        "work copy_parse_avro 50 1235",
+        "work route_hash 50 0",
+        "xfer DbInternal 10 240",
+        "xfer DbInternal 14 336",
+        "xfer DbInternal 8 192",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "work scan_local 0 0",
+        "work route_hash 8 0",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "work scan_local 1 31",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "work db_commit 1 0",
+        "setup s2v_setup_tables 0 0",
+        "work scan_local 8 232",
+        "setup s2v_teardown_tables 0 0",
+    ],
+];
+
+const APPEND_K1_DEAD: &[&[&str]] = &[
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1230",
+        "xfer External 50 1230",
+        "work copy_parse_avro 50 1230",
+        "work route_hash 50 0",
+        "xfer DbInternal 27 648",
+        "xfer DbInternal 23 552",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 24 576",
+        "xfer DbInternal 20 480",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 24 576",
+        "xfer DbInternal 26 624",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1231",
+        "xfer External 50 1231",
+        "work copy_parse_avro 50 1231",
+        "work route_hash 50 0",
+        "xfer DbInternal 28 672",
+        "xfer DbInternal 22 528",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1232",
+        "xfer External 50 1232",
+        "work copy_parse_avro 50 1232",
+        "work route_hash 50 0",
+        "xfer DbInternal 23 552",
+        "xfer DbInternal 24 576",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1233",
+        "xfer External 50 1233",
+        "work copy_parse_avro 50 1233",
+        "work route_hash 50 0",
+        "xfer DbInternal 25 600",
+        "xfer DbInternal 29 696",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1234",
+        "xfer External 50 1234",
+        "work copy_parse_avro 50 1234",
+        "work route_hash 50 0",
+        "xfer DbInternal 28 672",
+        "xfer DbInternal 22 528",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+        "work scan_local 0 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 8",
+        "xfer DbInternal 1 8",
+        "work db_commit 1 0",
+        "work scan_local 1 8",
+        "work scan_local 8 232",
+        "work scan_local 2 79",
+        "work filter_eval 2 0",
+        "work scan_hash 196 2256",
+        "xfer DbInternal 94 2256",
+        "work scan_hash 189 2280",
+        "work scan_hash 204 2616",
+        "xfer DbInternal 109 2616",
+        "work scan_hash 196 2448",
+        "xfer DbInternal 102 2448",
+        "work s2v_append_copy 400 9600",
+        "work route_hash 400 0",
+        "xfer DbInternal 196 4704",
+        "xfer DbInternal 204 4896",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 31",
+        "xfer DbInternal 1 31",
+        "work db_commit 1 0",
+    ],
+    &[
+        "setup s2v_connect 0 0",
+        "work avro_encode 50 1235",
+        "xfer External 50 1235",
+        "work copy_parse_avro 50 1235",
+        "work route_hash 50 0",
+        "xfer DbInternal 18 432",
+        "xfer DbInternal 28 672",
+        "work scan_local 8 65",
+        "work filter_eval 8 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work delete_mark 1 0",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 29",
+        "xfer DbInternal 1 29",
+        "work db_commit 1 0",
+        "work scan_local 8 232",
+    ],
+    &[
+        "work scan_local 0 0",
+        "work route_hash 8 0",
+        "xfer DbInternal 8 232",
+        "xfer DbInternal 8 232",
+        "work scan_local 1 31",
+        "work route_hash 1 0",
+        "xfer DbInternal 1 34",
+        "xfer DbInternal 1 34",
+        "work db_commit 1 0",
+        "setup s2v_setup_tables 0 0",
+        "work scan_local 8 232",
+        "setup s2v_teardown_tables 0 0",
+    ],
 ];
