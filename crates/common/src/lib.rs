@@ -11,13 +11,16 @@
 //!   SQL layer of `mppdb` and by the data-source pushdown API of `sparklet`,
 //! * [`hash::segmentation_hash`] — the 64-bit hash that drives table
 //!   segmentation (the "hash ring" of the paper, Sec. 3.1.2),
-//! * [`csv`] — a small CSV codec used by bulk load and the HDFS baseline.
+//! * [`csv`] — a small CSV codec used by bulk load and the HDFS baseline,
+//! * [`pool`] — the reused worker threads scheduler tasks, scan fan-out
+//!   and hedged reads run on.
 
 pub mod agg;
 pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod hash;
+pub mod pool;
 pub mod row;
 pub mod schema;
 pub mod value;

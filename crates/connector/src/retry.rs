@@ -383,8 +383,9 @@ fn observe<T>(
 /// Run an idempotent read with a tail-latency hedge: start `run` on
 /// `primary`; if no answer within `delay`, start it on `buddy` too and
 /// take whichever finishes first. The loser cannot be interrupted
-/// mid-call — it is abandoned on a detached thread and its eventual
-/// result discarded (counted under `hedge.cancelled`).
+/// mid-call — it is abandoned on its detached pooled thread, which it
+/// keeps until it returns, and its eventual result discarded (counted
+/// under `hedge.cancelled`).
 ///
 /// Each attempt runs under a `hedge.attempt` span parented at `trace`
 /// (attempt 1 = primary, attempt 2 = buddy); the span is finished by
@@ -403,7 +404,7 @@ fn hedged_read<T: Send + 'static>(
         let tx = tx.clone();
         let run = Arc::clone(&run);
         let span = obs::global().span_start(obs::names::HEDGE_ATTEMPT, trace);
-        std::thread::spawn(move || {
+        common::pool::spawn(move || {
             let result = run(node);
             obs::global().span_finish(span, |s| {
                 s.attempt = attempt;

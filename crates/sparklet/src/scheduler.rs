@@ -2,7 +2,8 @@
 //!
 //! An action becomes a *job*; a job launches one independent, stateless
 //! task per partition. Tasks run on a bounded pool of executor slots
-//! (real threads here), retry on failure up to a budget, may be
+//! (threads of [`common::pool`] here, reused from job to job, the way
+//! Spark's long-lived executors are), retry on failure up to a budget, may be
 //! speculatively duplicated, and the whole job can be killed mid-run.
 //! Tasks do not communicate — everything the paper's Sec. 2.2 says
 //! about MapReduce-class schedulers holds by construction.
@@ -208,14 +209,10 @@ impl Scheduler {
             .min(self.conf.thread_cap)
             .max(1);
 
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    self.worker_loop(
-                        partitions, job_id, trace, &state, &wakeup, failures, task_fn,
-                    )
-                });
-            }
+        common::pool::run_all(workers, &|_| {
+            self.worker_loop(
+                partitions, job_id, trace, &state, &wakeup, failures, task_fn,
+            )
         });
 
         let mut final_state = state.into_inner();
