@@ -50,6 +50,11 @@ cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
 echo "== container-build kernel properties, 8 more seed sets"
 cargo test -q -p mppdb --lib storage::batch::tests -- --ignored
 
+# The worker pool under 10,000 jobs of random width, with nested jobs
+# and panicking calls: every call runs once, every panic comes back.
+echo "== worker pool stress, 10k random jobs"
+cargo test -q -p common --lib pool -- --ignored
+
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
 # generator-side oracles, so a product change that breaks a benchmark
