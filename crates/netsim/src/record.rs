@@ -10,7 +10,9 @@
 //! Recording is always on but cheap: one mutex-guarded `Vec` push per
 //! transfer or work item (transfers are whole-partition, not per-row).
 
+use std::cell::RefCell;
 use std::fmt;
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -89,19 +91,30 @@ pub struct Event {
 #[derive(Debug, Default)]
 pub struct Recorder {
     events: Mutex<Vec<Event>>,
-    muted: std::sync::atomic::AtomicBool,
 }
 
-/// RAII guard muting a recorder; recording resumes on drop.
+thread_local! {
+    /// The recorders muted on this thread, by address, once per live
+    /// [`MuteGuard`].
+    static MUTED: RefCell<Vec<usize>> = const { RefCell::new(Vec::new()) };
+}
+
+/// RAII guard muting a recorder on the thread that took it; recording
+/// resumes on drop. Not `Send`: it unmutes the thread it muted.
 pub struct MuteGuard<'a> {
     recorder: &'a Recorder,
+    _thread: PhantomData<*const ()>,
 }
 
 impl Drop for MuteGuard<'_> {
     fn drop(&mut self) {
-        self.recorder
-            .muted
-            .store(false, std::sync::atomic::Ordering::Release);
+        let addr = self.recorder.addr();
+        MUTED.with(|muted| {
+            let mut muted = muted.borrow_mut();
+            if let Some(i) = muted.iter().rposition(|&a| a == addr) {
+                muted.swap_remove(i);
+            }
+        });
     }
 }
 
@@ -110,20 +123,30 @@ impl Recorder {
         Arc::new(Recorder::default())
     }
 
+    fn addr(&self) -> usize {
+        self as *const Recorder as usize
+    }
+
     pub fn record(&self, task: Option<u64>, kind: EventKind) {
-        if self.muted.load(std::sync::atomic::Ordering::Acquire) {
+        let addr = self.addr();
+        if MUTED.with(|muted| muted.borrow().contains(&addr)) {
             return;
         }
         self.events.lock().push(Event { task, kind });
     }
 
-    /// Suppress recording until the returned guard drops. Used where a
-    /// substrate operation physically moves data that the modeled
-    /// system would not (e.g. an atomic table rename realized as a row
-    /// copy).
+    /// Suppress what this thread records until the returned guard
+    /// drops; other threads keep recording. Used where a substrate
+    /// operation physically moves data that the modeled system would
+    /// not (e.g. an atomic table rename realized as a row copy), and
+    /// everything it records happens on the calling thread.
     pub fn mute(&self) -> MuteGuard<'_> {
-        self.muted.store(true, std::sync::atomic::Ordering::Release);
-        MuteGuard { recorder: self }
+        let addr = self.addr();
+        MUTED.with(|muted| muted.borrow_mut().push(addr));
+        MuteGuard {
+            recorder: self,
+            _thread: PhantomData,
+        }
     }
 
     pub fn transfer(
@@ -260,6 +283,36 @@ mod tests {
         );
         assert_eq!(rec.total_bytes(NetClass::DbInternal), 700);
         assert_eq!(rec.total_bytes(NetClass::External), 300);
+    }
+
+    #[test]
+    fn a_mute_holds_on_its_own_thread_only() {
+        let rec = Recorder::new();
+        let other = Recorder::new();
+        {
+            let _outer = rec.mute();
+            {
+                let _inner = rec.mute();
+                rec.setup(None, NodeRef::Client, "muted");
+            }
+            rec.setup(None, NodeRef::Client, "still muted");
+            other.setup(None, NodeRef::Client, "another recorder");
+            std::thread::scope(|s| {
+                s.spawn(|| rec.setup(None, NodeRef::Client, "another thread"));
+            });
+        }
+        rec.setup(None, NodeRef::Client, "unmuted");
+        let labels = |r: &Recorder| -> Vec<&'static str> {
+            r.drain()
+                .into_iter()
+                .map(|e| match e.kind {
+                    EventKind::Setup { label, .. } => label,
+                    kind => panic!("unexpected {kind:?}"),
+                })
+                .collect()
+        };
+        assert_eq!(labels(&rec), ["another thread", "unmuted"]);
+        assert_eq!(labels(&other), ["another recorder"]);
     }
 
     #[test]
