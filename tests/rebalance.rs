@@ -428,6 +428,47 @@ fn chaos_ten_rolling_upgrade_schedules_converge() {
     }
 }
 
+/// A DIRECT COPY still open when a node add migrates its range lands on
+/// the new owner in one container with the rows a later save committed.
+/// Aborting the COPY afterwards must take back its rows only: the new
+/// owner serves what the old one served.
+#[test]
+fn aborting_a_migrated_open_load_keeps_the_rows_committed_beside_it() {
+    let _g = lock();
+    let (ctx, db) = setup(0);
+    db.connect(0)
+        .unwrap()
+        .execute("CREATE TABLE elastic_abort (id BIGINT, x DOUBLE) SEGMENTED BY HASH(id) ALL NODES")
+        .unwrap();
+    let mut open = db.connect(1).unwrap();
+    open.begin().unwrap();
+    let pending: Vec<Row> = (1000..1200).map(|i| row![i as i64, i as f64]).collect();
+    open.copy(
+        "elastic_abort",
+        CopySource::Rows(pending),
+        CopyOptions::default(),
+    )
+    .unwrap();
+    save_rows(&ctx, &db, "elastic_abort", 0..200, 4, "abort_save");
+    let pre_epoch = db.current_epoch();
+    let old_owners = ids_at(&db, "elastic_abort", pre_epoch);
+    assert_eq!(old_owners, (0..200).collect::<Vec<i64>>());
+
+    db.add_node().unwrap();
+    open.rollback().unwrap();
+
+    assert_eq!(
+        ids_at(&db, "elastic_abort", pre_epoch),
+        old_owners,
+        "old owners"
+    );
+    assert_eq!(
+        ids_at(&db, "elastic_abort", db.current_epoch()),
+        old_owners,
+        "new owners"
+    );
+}
+
 /// The observability surface of a rebalance: dc_segment_map carries
 /// both map versions with the flip epoch, dc_rebalance records the op
 /// log, and dc_nodes reflects membership and retirement.
