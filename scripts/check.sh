@@ -44,6 +44,11 @@ cargo test -q -p mppdb --lib store::model_tests -- --ignored
 echo "== predicate kernel differential, 8 more seed sets"
 cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
 
+# The columnar COPY, DIRECT and into the WOS, against the row routine it
+# replaced: the 256 cases above, over eight more seed sets.
+echo "== load differential, 8 more seed sets"
+cargo test -q -p mppdb --lib copy::differential -- --ignored
+
 # The lane kernels of a container build (column-wise hash, statistics,
 # encoding choice) against their row references: the properties above,
 # over eight more seed sets.
