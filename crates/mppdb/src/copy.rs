@@ -82,16 +82,9 @@ impl Rejects {
     }
 }
 
-/// The rows a COPY accepted, in the form its destination stores: the
-/// WOS is a row store and takes them as they are; a DIRECT load writes
-/// column containers, so its rows are never kept as rows — every source
-/// appends to one typed vector per table column.
-enum Accepted {
-    Rows(Vec<Row>),
-    Columns(ColumnBuilders),
-}
-
-/// One typed vector per table column, all `rows` long between rows.
+/// The rows a COPY accepted: one typed vector per table column, all
+/// `rows` long between rows. Both destinations store columns, so no
+/// source keeps its rows as rows.
 struct ColumnBuilders {
     columns: Vec<ColumnVec>,
     rows: usize,
@@ -117,9 +110,10 @@ impl ColumnBuilders {
         }
     }
 
-    /// Append a row that passed `Schema::validate_row`, widening as
-    /// `ColumnVec::push` does.
-    fn push_row(&mut self, row: Row) -> common::Result<()> {
+    /// Check `row` against the schema and append it, widening as
+    /// `ColumnVec::push` does, or say why not.
+    fn push(&mut self, schema: &Schema, row: Row) -> common::Result<()> {
+        schema.validate_row(&row)?;
         for (filled, (col, value)) in self.columns.iter_mut().zip(row.into_values()).enumerate() {
             if let Err(e) = col.push(value) {
                 self.unwind(filled);
@@ -127,18 +121,6 @@ impl ColumnBuilders {
             }
         }
         self.rows += 1;
-        Ok(())
-    }
-}
-
-impl Accepted {
-    /// Check `row` against the schema and keep it, or say why not.
-    fn push(&mut self, schema: &Schema, row: Row) -> common::Result<()> {
-        schema.validate_row(&row)?;
-        match self {
-            Accepted::Rows(rows) => rows.push(row),
-            Accepted::Columns(builders) => builders.push_row(row)?,
-        }
         Ok(())
     }
 }
@@ -241,11 +223,7 @@ pub(crate) fn run_copy(
         ),
     };
     let schema = &def.schema;
-    let mut good = if options.direct {
-        Accepted::Columns(ColumnBuilders::new(schema))
-    } else {
-        Accepted::Rows(Vec::new())
-    };
+    let mut good = ColumnBuilders::new(schema);
     let mut rejects = Rejects::default();
 
     match source {
@@ -270,41 +248,25 @@ pub(crate) fn run_copy(
         CopySource::Avro(bytes) => {
             let size = bytes.len() as u64;
             let container = avrolite::Container::open(&bytes).map_err(DbError::Data)?;
-            let compatible = container.schema().to_schema().compatible_with(schema);
-            let line_no = match &mut good {
-                Accepted::Columns(builders) if compatible => {
-                    let mut sink = ColumnSink {
-                        schema,
-                        builders,
-                        rejects: &mut rejects,
-                        line: 0,
-                        bad: None,
-                    };
-                    container.decode_into(&mut sink).map_err(DbError::Data)?;
-                    sink.line
-                }
-                // The WOS takes rows; and a file of another schema is
-                // read through only to find damage, which is reported
-                // first.
-                good => {
-                    let reader = avrolite::Reader::new(&bytes).map_err(DbError::Data)?;
-                    if !compatible {
-                        return Err(DbError::Data(common::Error::SchemaMismatch(format!(
-                            "avro schema {} does not match table {}",
-                            reader.schema().to_json(),
-                            def.name
-                        ))));
-                    }
-                    let mut line_no = 0u64;
-                    for row in reader {
-                        line_no += 1;
-                        if let Err(e) = good.push(schema, row) {
-                            rejects.reject(line_no, e.to_string());
-                        }
-                    }
-                    line_no
-                }
+            if !container.schema().to_schema().compatible_with(schema) {
+                // A file of another schema is read only to find damage,
+                // which is reported first.
+                let reader = avrolite::Reader::new(&bytes).map_err(DbError::Data)?;
+                return Err(DbError::Data(common::Error::SchemaMismatch(format!(
+                    "avro schema {} does not match table {}",
+                    reader.schema().to_json(),
+                    def.name
+                ))));
+            }
+            let mut sink = ColumnSink {
+                schema,
+                builders: &mut good,
+                rejects: &mut rejects,
+                line: 0,
+                bad: None,
             };
+            container.decode_into(&mut sink).map_err(DbError::Data)?;
+            let line_no = sink.line;
             cluster
                 .recorder()
                 .work(task, NodeRef::Db(node), "copy_parse_avro", line_no, size);
@@ -339,12 +301,8 @@ pub(crate) fn run_copy(
         return Err(DbError::ConnectionLost { node });
     }
 
-    let loaded = match good {
-        Accepted::Rows(rows) => cluster.insert_rows(txn, node, task, table, rows)?,
-        Accepted::Columns(ColumnBuilders { columns, rows }) => {
-            cluster.insert_columns(txn, node, task, table, columns, rows)?
-        }
-    };
+    let ColumnBuilders { columns, rows } = good;
+    let loaded = cluster.insert_columns(txn, node, task, table, columns, rows, options.direct)?;
     obs::global().emit(obs::EventKind::CopyLoad, |e| {
         e.node = Some(node as u64);
         e.task = task;

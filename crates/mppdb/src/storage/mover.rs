@@ -3,10 +3,12 @@
 //!
 //! Two passes, both driven from [`Cluster::mover_pass`]:
 //!
-//! * **moveout** — drain committed WOS rows into a fresh encoded ROS
-//!   container ([`NodeTableStore::moveout`]). The container is built
-//!   through the same [`ContainerStats`] path as COPY DIRECT, so moved
-//!   rows immediately benefit from zone-map skipping.
+//! * **moveout** — seal the WOS's committed open containers into one
+//!   fresh encoded ROS container ([`NodeTableStore::moveout`]): their
+//!   typed columns are concatenated, no row is built, and the container
+//!   gets its statistics and encodings through the same
+//!   [`ContainerStats`] path as COPY DIRECT and mergeout, so moved rows
+//!   immediately benefit from zone-map skipping.
 //! * **mergeout** — compact adjacent runs of small, fully-committed ROS
 //!   containers in the same power-of-two size stratum into one
 //!   container ([`NodeTableStore::mergeout`]), bounding the container

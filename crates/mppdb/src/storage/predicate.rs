@@ -1,5 +1,5 @@
 //! Stage 3 of the store traversal: the pushed-down predicate, applied
-//! to one ROS container's selection vector.
+//! to one container's selection vector, sealed or open.
 //!
 //! A bound predicate is planned once per scan ([`PredPlan::new`]): split
 //! into steps, and every step whose shape cannot error — exactly the
@@ -7,8 +7,7 @@
 //! program whose leaves read a container's typed vectors in place. A
 //! step that can error (arithmetic, `LIKE`, `Neg`) is evaluated by
 //! [`Expr::matches`] over a scratch row instead; that interpreter is
-//! also what WOS rows use and what the differential tests hold the
-//! kernels to. Because a kernel never takes a shape that can error,
+//! also what the differential tests hold the kernels to. Because a kernel never takes a shape that can error,
 //! which error a scan reports, and at which row, is the interpreter's
 //! alone.
 //!
@@ -98,15 +97,16 @@ impl<'p> PredPlan<'p> {
 
     /// Narrow `sel` (ascending positions of one container) to the rows
     /// the predicate keeps, the steps most-selective-first by the
-    /// container's zone maps.
-    pub(super) fn narrow(
+    /// container's zone maps (in textual order for an open container,
+    /// which has none).
+    pub(super) fn narrow<'s>(
         &mut self,
         columns: &[EncodedColumn],
-        stats: &ContainerStats,
+        stats: impl Into<Option<&'s ContainerStats>>,
         sel: &mut Vec<u32>,
         n: &mut ScanCounters,
     ) -> Result<()> {
-        for i in self.order_for(stats) {
+        for i in self.order_for(stats.into()) {
             self.steps[i].apply(columns, &mut self.scratch, sel, n)?;
             if sel.is_empty() {
                 break;
@@ -118,11 +118,11 @@ impl<'p> PredPlan<'p> {
     /// Step evaluation order for one container: most selective first
     /// (zone-map estimate), then fewest referenced columns, then
     /// textual order.
-    fn order_for(&self, stats: &ContainerStats) -> Vec<usize> {
+    fn order_for(&self, stats: Option<&ContainerStats>) -> Vec<usize> {
         let steps = &self.steps;
-        if steps.len() == 1 {
-            return vec![0];
-        }
+        let Some(stats) = stats.filter(|_| steps.len() > 1) else {
+            return (0..steps.len()).collect();
+        };
         let sel: Vec<f64> = steps
             .iter()
             .map(|s| estimate_selectivity(s.expr, stats))

@@ -456,7 +456,6 @@ fn kept(store: &NodeTableStore, pred: &Expr) -> (Vec<usize>, ScanCounters) {
         .into_iter()
         .map(|(loc, _)| match loc {
             RowLoc::Ros { idx, .. } => idx,
-            RowLoc::Wos(_) => unreachable!("no WOS rows"),
         })
         .collect();
     (positions, n)
