@@ -17,9 +17,10 @@
 //!   writers with pending-until-commit visibility, so snapshot readers
 //!   never block and the S2V protocol's conditional updates are
 //!   serializable (Sec. 3.2.1).
-//! * **ROS/WOS storage** — committed rows land in a row-oriented write
-//!   buffer (WOS) and are moved out by a tuple mover into read-optimized
-//!   encoded column containers (ROS) with RLE/dictionary/plain encodings.
+//! * **ROS/WOS storage** — rows land in a write buffer (WOS) of open,
+//!   unencoded column containers, which a tuple mover seals into
+//!   read-optimized encoded containers (ROS) with RLE/dictionary/plain
+//!   encodings.
 //! * **k-safety** — segments are replicated to `k` buddy nodes and scans
 //!   fail over when a node is down.
 //! * **COPY** — a bulk-load utility accepting CSV and Avro sources with
