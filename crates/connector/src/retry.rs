@@ -812,14 +812,14 @@ mod tests {
 
     #[test]
     fn hedged_read_prefers_fast_primary() {
-        let before = obs::global().snapshot().counters;
         let run = Arc::new(|node: usize| -> ConnectorResult<usize> { Ok(node) });
         let got = hedged(50, "t.fast", run).unwrap();
         assert_eq!(got, 0, "primary answered before the hedge delay");
-        let after = obs::global().snapshot().counters;
-        let delta =
-            |k: &str| after.get(k).copied().unwrap_or(0) - before.get(k).copied().unwrap_or(0);
-        assert_eq!(delta("hedge.launched"), 0);
+        // By this read's own event, not the process-wide `hedge.launched`
+        // counter, which the sibling tests' hedges move concurrently.
+        let snap = obs::global().snapshot();
+        let mut hedges = snap.events_of(obs::EventKind::Hedge);
+        assert!(!hedges.any(|e| e.detail.starts_with("t.fast:")));
     }
 
     #[test]
@@ -837,6 +837,9 @@ mod tests {
             started.elapsed() < Duration::from_millis(100),
             "did not wait for the stalled primary"
         );
+        let snap = obs::global().snapshot();
+        let mut hedges = snap.events_of(obs::EventKind::Hedge);
+        assert!(hedges.any(|e| e.detail.starts_with("t.stall:")));
         // Let the abandoned primary drain so its send outlives no one.
         std::thread::sleep(Duration::from_millis(130));
     }
