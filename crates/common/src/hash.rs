@@ -57,13 +57,16 @@ pub fn i64_bytes(i: i64) -> [u8; 9] {
 
 /// The bytes [`fold_f64`] feeds: the type tag, then the bits
 /// little-endian. NaNs collapse to one bit pattern, so that every NaN
-/// hashes alike; every other value hashes by its bits.
+/// hashes alike, and `-0.0` to `0.0`, which it equals: a column encoding
+/// keeps one of two equal values for both, and a row must hash the same
+/// before and after. Every other value hashes by its bits.
 #[inline(always)]
 pub fn f64_bytes(f: f64) -> [u8; 9] {
     let bits = if f.is_nan() {
         f64::NAN.to_bits()
     } else {
-        f.to_bits()
+        // Adding zero turns `-0.0` into `0.0` and changes nothing else.
+        (f + 0.0).to_bits()
     };
     tagged_word(0x03, bits)
 }
@@ -197,6 +200,14 @@ mod tests {
         let a = segmentation_hash(&[Value::Float64(f64::NAN)]);
         let b = segmentation_hash(&[Value::Float64(-f64::NAN)]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn signed_zero_canonicalization() {
+        let a = segmentation_hash(&[Value::Float64(0.0)]);
+        let b = segmentation_hash(&[Value::Float64(-0.0)]);
+        assert_eq!(a, b);
+        assert_ne!(a, segmentation_hash(&[Value::Float64(f64::MIN_POSITIVE)]));
     }
 
     #[test]

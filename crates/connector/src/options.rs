@@ -166,11 +166,13 @@ impl ConnectorOptions {
             }
         }
         let host_raw = options.get("host").unwrap_or("0");
-        // Accept both bare indices ("2") and db-style names ("db2").
-        let host = host_raw
-            .trim_start_matches("db")
-            .parse::<usize>()
-            .map_err(|_| {
+        // Accept both bare indices ("2") and db-style names ("db2"): one
+        // prefix, then ASCII digits only (`usize::from_str` takes a `+`).
+        let digits = host_raw.strip_prefix("db").unwrap_or(host_raw);
+        let host = Some(digits)
+            .filter(|d| !d.is_empty() && d.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|d| d.parse::<usize>().ok())
+            .ok_or_else(|| {
                 ConnectorError::Usage(format!("option host={host_raw} is not a node address"))
             })?;
         let mut b = ConnectorOptions::builder(options.require("table")?).host(host);

@@ -208,6 +208,29 @@ impl Routes {
     }
 }
 
+/// An insert priced instead of run: rows known only by their
+/// segmentation hash and wire size, routed as [`Cluster::insert_columns`]
+/// routes rows and tallied per target node. Nothing is locked, stored or
+/// recorded before [`Cluster::charge_routed`].
+pub(crate) struct RouteTally {
+    routes: Routes,
+    /// Per node: the wire bytes and rows routed to it.
+    shares: Vec<(u64, u64)>,
+    /// Rows routed.
+    rows: u64,
+}
+
+impl RouteTally {
+    /// Route one row.
+    pub(crate) fn add(&mut self, hash: u64, wire: u64) {
+        self.rows += 1;
+        for &t in self.routes.targets_of(hash) {
+            self.shares[t].0 += wire;
+            self.shares[t].1 += 1;
+        }
+    }
+}
+
 /// A multi-node MPP database running in-process.
 pub struct Cluster {
     /// Process-unique id, distinguishing clusters that share a process
@@ -888,20 +911,7 @@ impl Cluster {
         let def = self.table_def(table)?;
         self.lock_table(txn, &def.name, LockMode::Shared)?;
         txn.touched.insert(def.name.clone());
-        let states = self.node_states();
-        let mut routes = Routes {
-            k_safety: self.config.k_safety,
-            current_target: vec![false; states.len()],
-            known: Vec::new(),
-            map: self.segment_map(),
-            // During a pending rebalance every row is *dual-written*: it
-            // lands on its current-map replicas AND its target-map
-            // replicas, so rows inserted after a range was copied still
-            // reach the new owner before the flip.
-            pending: self.rebalance_target_map(),
-            states,
-            def,
-        };
+        let mut routes = self.routes(def);
         debug_assert_eq!(columns.len(), routes.def.schema.len());
         debug_assert!(columns.iter().all(|c| c.len() == rows));
         if u32::try_from(rows).is_err() {
@@ -928,19 +938,7 @@ impl Cluster {
 
         let columns: Vec<ColumnData> = columns.into_iter().map(ColumnData).collect();
         for (target, picked) in picks.iter().enumerate() {
-            if picked.is_empty() {
-                continue;
-            }
-            // A down target is skipped when a live replica holds its rows.
-            // Without replication a down current-map target of a
-            // segmented table is fatal; an unsegmented table needs one
-            // live holder; a down rebalance target never is (its kill
-            // bumped the generation, which forces a re-copy on resume).
-            if !self.is_node_up(target) {
-                let segmented = routes.def.is_segmented();
-                if self.config.k_safety == 0 && segmented && routes.current_target[target] {
-                    return Err(DbError::NodeUnavailable(target));
-                }
+            if picked.is_empty() || !self.takes_rows(&routes, target)? {
                 continue;
             }
             // Ascending indices of distinct rows: all of them is every row.
@@ -949,17 +947,9 @@ impl Cluster {
             } else {
                 columns.iter().map(|c| c.gather(picked)).collect()
             };
-            if target != initiator {
-                let bytes: usize = taken.iter().map(ColumnData::wire_size).sum();
-                self.recorder.transfer(
-                    task,
-                    NodeRef::Db(initiator),
-                    NodeRef::Db(target),
-                    NetClass::DbInternal,
-                    bytes as u64,
-                    picked.len() as u64,
-                );
-            }
+            self.ship(task, initiator, target, picked.len() as u64, || {
+                taken.iter().map(ColumnData::wire_size).sum::<usize>() as u64
+            });
             let hashes = picked.iter().map(|&i| hashes[i as usize]).collect();
             let mut stores = routes.states[target].stores.write();
             let store = stores
@@ -972,6 +962,94 @@ impl Cluster {
             }
         }
         Ok(rows as u64)
+    }
+
+    /// The routing of rows into `def` under the maps in force now.
+    fn routes(&self, def: TableDef) -> Routes {
+        let states = self.node_states();
+        Routes {
+            k_safety: self.config.k_safety,
+            current_target: vec![false; states.len()],
+            known: Vec::new(),
+            map: self.segment_map(),
+            // During a pending rebalance every row is *dual-written*: it
+            // lands on its current-map replicas AND its target-map
+            // replicas, so rows inserted after a range was copied still
+            // reach the new owner before the flip.
+            pending: self.rebalance_target_map(),
+            states,
+            def,
+        }
+    }
+
+    /// Whether `target` takes the rows `routes` gave it. A down target
+    /// is skipped when a live replica holds its rows. Without
+    /// replication a down current-map target of a segmented table is
+    /// fatal; an unsegmented table needs one live holder; a down
+    /// rebalance target never is (its kill bumped the generation, which
+    /// forces a re-copy on resume).
+    fn takes_rows(&self, routes: &Routes, target: usize) -> DbResult<bool> {
+        if self.is_node_up(target) {
+            return Ok(true);
+        }
+        if self.config.k_safety == 0 && routes.def.is_segmented() && routes.current_target[target] {
+            return Err(DbError::NodeUnavailable(target));
+        }
+        Ok(false)
+    }
+
+    /// Record `rows` rows of `bytes()` wire bytes shipped from the
+    /// initiator to the node that stores them: internal shuffle traffic,
+    /// nothing (and `bytes` not called) when they stay on the initiator.
+    fn ship(
+        &self,
+        task: Option<u64>,
+        initiator: usize,
+        target: usize,
+        rows: u64,
+        bytes: impl FnOnce() -> u64,
+    ) {
+        if target != initiator {
+            self.recorder.transfer(
+                task,
+                NodeRef::Db(initiator),
+                NodeRef::Db(target),
+                NetClass::DbInternal,
+                bytes(),
+                rows,
+            );
+        }
+    }
+
+    /// Start pricing an insert into `table` ([`RouteTally`]) under the
+    /// maps in force now.
+    pub(crate) fn route_tally(&self, table: &str) -> DbResult<RouteTally> {
+        let routes = self.routes(self.table_def(table)?);
+        Ok(RouteTally {
+            shares: vec![(0, 0); routes.states.len()],
+            rows: 0,
+            routes,
+        })
+    }
+
+    /// Record a tallied insert as [`Cluster::insert_columns`] records the
+    /// same rows — `route_hash` on the initiator, then each target's
+    /// share shipped to it — and fail where it fails, at a down target
+    /// that must take rows.
+    pub(crate) fn charge_routed(
+        &self,
+        task: Option<u64>,
+        initiator: usize,
+        tally: RouteTally,
+    ) -> DbResult<()> {
+        self.recorder
+            .work(task, NodeRef::Db(initiator), "route_hash", tally.rows, 0);
+        for (target, &(bytes, rows)) in tally.shares.iter().enumerate() {
+            if rows > 0 && self.takes_rows(&tally.routes, target)? {
+                self.ship(task, initiator, target, rows, || bytes);
+            }
+        }
+        Ok(())
     }
 
     /// The row routine [`Cluster::insert_columns`] replaced, kept

@@ -21,6 +21,8 @@ use crate::error::{DbError, DbResult};
 use crate::segmentation::HashRange;
 use crate::storage::{BatchScan, ColumnBatch, NodeTableStore, ScanCounters};
 
+mod charge_differential;
+
 /// A single-table read request.
 #[derive(Debug, Clone)]
 pub struct QuerySpec {
@@ -387,6 +389,51 @@ pub(crate) fn execute_table_scan(
         epoch: as_of,
         batch,
     })
+}
+
+/// [`crate::Session::charge_copy`]: a full scan of `source` through the
+/// one piece driver — so every piece is recorded as a scan records it —
+/// whose survivors are known by hash and wire size only, then `between`,
+/// then the routed insert of those rows into `target`.
+pub(crate) fn charge_copy(
+    ctx: ExecCtx<'_>,
+    target: &str,
+    source: &str,
+    between: impl FnOnce(u64, u64),
+) -> DbResult<()> {
+    let def = ctx.cluster.table_def(source)?;
+    let as_of = resolve_epoch(ctx.cluster, None)?;
+    let mut tally = ctx.cluster.route_tally(target)?;
+    let (mut rows, mut bytes) = (0u64, 0u64);
+    scan_pieces(
+        ctx,
+        &def,
+        as_of,
+        &QuerySpec::scan(source),
+        None,
+        |store, piece| {
+            let mut sizes = Vec::new();
+            let counters =
+                store.for_each_wire_size(piece, |hash, wire| sizes.push((hash, wire)))?;
+            let wire: u64 = sizes.iter().map(|&(_, w)| w).sum();
+            Ok(PieceResult {
+                wire: (wire, sizes.len() as u64),
+                payload: sizes,
+                counters,
+                payload_bytes: wire,
+            })
+        },
+        |sizes| {
+            rows += sizes.len() as u64;
+            for (hash, wire) in sizes {
+                tally.add(hash, wire);
+                bytes += wire;
+            }
+            Ok(())
+        },
+    )?;
+    between(rows, bytes);
+    ctx.cluster.charge_routed(ctx.task, ctx.node, tally)
 }
 
 /// Approximate stored width of a column, for scan-cost accounting.

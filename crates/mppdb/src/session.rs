@@ -206,6 +206,33 @@ impl Session {
         })
     }
 
+    /// Record on the cluster's cost log what `INSERT INTO target SELECT *
+    /// FROM source` costs as the scan of `source` and the routed insert
+    /// of its rows into `target` — the copy a hand-over replaces — while
+    /// moving no row and reading no value: only hashes, validity bits
+    /// and string lengths. `between` runs between the two halves with
+    /// the rows and wire bytes copied, for a caller that charges a step
+    /// of its own there. The rows are routed by the hashes `source`
+    /// stores, so the charge is the copy's own when the two tables share
+    /// schema and segmentation, as a staging table and its target do.
+    pub fn charge_copy(
+        &mut self,
+        target: &str,
+        source: &str,
+        between: impl FnOnce(u64, u64),
+    ) -> DbResult<()> {
+        self.ensure_connected()?;
+        // The walk reads no value, so it runs on this thread.
+        let ctx = ExecCtx {
+            cluster: &self.cluster,
+            node: self.node,
+            task: self.task_tag,
+            txn: self.txn.as_ref().map(|t| t.id),
+            parallelism: 1,
+        };
+        crate::query::charge_copy(ctx, target, source, between)
+    }
+
     /// Bulk load (the COPY utility).
     pub fn copy(
         &mut self,

@@ -524,6 +524,18 @@ impl<T: Native> TypedVec<T> {
         self.len() * TEXT_FRAMING + self.sum_valid(T::FIXED_TEXT, T::text_size)
     }
 
+    /// Add the wire size of position `idx[k]` to `out[k]`, for every `k`.
+    fn add_wire_sizes(&self, idx: &[u32], out: &mut [u64]) {
+        if T::FIXED_WIRE && self.nulls == 0 {
+            let width = T::default().wire_size() as u64;
+            out.iter_mut().for_each(|o| *o += width);
+            return;
+        }
+        for (o, &i) in out.iter_mut().zip(idx) {
+            *o += self.get(i as usize).map_or(1, T::wire_size) as u64;
+        }
+    }
+
     /// Sum of `size` over the non-null values; a multiplication when
     /// every value has the same size.
     fn sum_valid(&self, fixed: bool, size: impl Fn(&T) -> usize) -> usize {
@@ -679,6 +691,12 @@ impl ColumnVec {
     /// `Value::text_wire_size`.
     pub fn text_wire_size(&self) -> usize {
         each_column_type!(self, v => v.text_wire_size())
+    }
+
+    /// Add `Value::wire_size` of position `idx[k]` to `out[k]`, for
+    /// every `k`: validity bits and string lengths are read, no value is.
+    pub(crate) fn add_wire_sizes(&self, idx: &[u32], out: &mut [u64]) {
+        each_column_type!(self, v => v.add_wire_sizes(idx, out))
     }
 
     pub fn truncate(&mut self, len: usize) {

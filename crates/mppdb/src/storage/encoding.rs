@@ -273,6 +273,13 @@ impl EncodedColumn {
         values.gather_into(&idx, dest)
     }
 
+    /// Add `Value::wire_size` of the row at `positions[k]` (sorted
+    /// ascending) to `out[k]`, for every `k`, copying no value.
+    pub(crate) fn add_wire_sizes(&self, positions: &[u32], out: &mut [u64]) {
+        let (values, idx) = self.locate(positions);
+        values.0.add_wire_sizes(&idx, out);
+    }
+
     /// A readable name of the encoding, surfaced in storage stats.
     pub fn encoding_name(&self) -> &'static str {
         match self {

@@ -412,6 +412,24 @@ impl<F: FnMut(RowLoc, u64)> ScanSink for LocSink<F> {
     }
 }
 
+/// Call a visitor with every survivor's hash and `Row::wire_size`, sized
+/// from validity bits and string lengths: no value is copied or counted
+/// as decoded.
+struct WireSink<F>(F);
+
+impl<F: FnMut(u64, u64)> ScanSink for WireSink<F> {
+    fn consume(&mut self, c: &RosContainer, sel: &[u32], _decoded: &mut u64) -> Result<()> {
+        let mut wire = vec![0u64; sel.len()];
+        for column in &c.payload.columns {
+            column.add_wire_sizes(sel, &mut wire);
+        }
+        for (&idx, w) in sel.iter().zip(wire) {
+            (self.0)(c.payload.hashes[idx as usize], w);
+        }
+        Ok(())
+    }
+}
+
 /// Aggregate storage statistics for one node-table store.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StorageStats {
@@ -907,6 +925,16 @@ impl NodeTableStore {
         f: impl FnMut(RowLoc, u64),
     ) -> Result<ScanCounters> {
         self.scan_with(scan, &mut LocSink(f))
+    }
+
+    /// Visit every survivor's segmentation hash and `Row::wire_size`
+    /// ([`WireSink`]): all that pricing a copy of the rows takes.
+    pub(crate) fn for_each_wire_size(
+        &self,
+        scan: &BatchScan<'_>,
+        f: impl FnMut(u64, u64),
+    ) -> Result<ScanCounters> {
+        self.scan_with(scan, &mut WireSink(f))
     }
 
     /// Estimated rows a scan of this store leaves after filtering, from

@@ -49,6 +49,12 @@ cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
 echo "== load differential, 8 more seed sets"
 cargo test -q -p mppdb --lib copy::differential -- --ignored
 
+# The charge the S2V append commit records for its hand-over against
+# the scan and insert it stands for: the 256 cases above, over eight
+# more seed sets.
+echo "== append charge differential, 8 more seed sets"
+cargo test -q -p mppdb --lib query::charge_differential -- --ignored
+
 # The lane kernels of a container build (column-wise hash, statistics,
 # encoding choice) against their row references: the properties above,
 # over eight more seed sets.
