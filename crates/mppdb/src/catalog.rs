@@ -28,7 +28,8 @@ pub struct TableDef {
     /// Ordinals of the segmentation columns (empty when unsegmented).
     pub seg_columns: Vec<usize>,
     /// Temp tables are bookkeeping objects (e.g. S2V staging/status
-    /// tables); they behave like tables but are flagged in the catalog.
+    /// tables); they behave like tables, a rebalance migrating them with
+    /// the rest, but are flagged in the catalog.
     pub is_temp: bool,
     /// Version of the segment map that was authoritative when the
     /// cluster created the table. While it is still the newest version

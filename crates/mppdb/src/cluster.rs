@@ -634,26 +634,15 @@ impl Cluster {
                     // complete even when every pre-flip holder is gone.
                     for (owner, sub) in map.segments_intersecting(&range) {
                         let source = self.live_holders(&map, owner).find(|&n| n != node);
-                        match source {
-                            Some(src) => {
-                                // fabriclint: allow(panic-hygiene): src came from the map's member list
-                                let src_state = self.node_state(src).expect("registered node");
-                                let stores = src_state.stores.read();
-                                if let Some(store) = stores.get(&def.name) {
-                                    rebuilt.import_rows(store.export_rows(Some(&sub)));
-                                }
-                            }
-                            None => {
-                                // Every other replica of this piece is
-                                // down too; fall back to our own disk.
-                                // fabriclint: allow(panic-hygiene): node is the restoring member itself
-                                let own = self.node_state(node).expect("registered node");
-                                let stores = own.stores.read();
-                                if let Some(store) = stores.get(&def.name) {
-                                    rebuilt.import_rows(store.export_rows(Some(&sub)));
-                                }
-                                recovered_all = false;
-                            }
+                        // Every other replica of this piece is down too:
+                        // fall back to our own disk.
+                        recovered_all &= source.is_some();
+                        let src = source.unwrap_or(node);
+                        // fabriclint: allow(panic-hygiene): src is a map member or the restoring node itself
+                        let src_state = self.node_state(src).expect("registered node");
+                        let stores = src_state.stores.read();
+                        if let Some(store) = stores.get(&def.name) {
+                            rebuilt.adopt(store.export_range(Some(&sub)));
                         }
                     }
                 }
@@ -675,7 +664,7 @@ impl Cluster {
                 let src_state = self.node_state(src).expect("registered node");
                 let stores = src_state.stores.read();
                 if let Some(store) = stores.get(&def.name) {
-                    rebuilt.import_rows(store.export_rows(None));
+                    rebuilt.adopt(store.export_range(None));
                 } else {
                     continue;
                 }
@@ -1249,17 +1238,17 @@ impl Cluster {
             };
             if target_def.is_segmented() {
                 inserted += contents
-                    .hashes()
+                    .hashes(txn.id)
                     .filter(|&h| self.is_live_primary(&target_def, &map, node, h))
                     .count() as u64;
             } else if replica.is_none() {
-                inserted = contents.hashes().count() as u64;
+                inserted = contents.hashes(txn.id).count() as u64;
                 replica = Some(contents.clone());
             }
             stores
                 .get_mut(&target_def.name)
                 .ok_or_else(|| DbError::UnknownTable(target_def.name.clone()))?
-                .adopt_pending(contents);
+                .adopt(contents);
         }
         Ok(inserted)
     }

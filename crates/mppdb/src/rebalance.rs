@@ -17,15 +17,18 @@
 //!    later ranges migrate.
 //! 3. **Copy.** Each migration copies one hash range to one target
 //!    node under a short commit-lock critical section: the source's
-//!    rows are exported with commit/delete state verbatim
-//!    (pending transactions included — `commit_txn`/`abort_txn` stamp
-//!    every registered node, so they resolve on the target exactly as
-//!    on the source), the target's range is cleared first
-//!    (idempotency), and the rows land as one encoded ROS container
-//!    rebuilt through the `ContainerStats` path so the migrated data
-//!    stays zone-map-skippable. The target's kill-generation is
-//!    recorded per migration; a kill between copy and flip invalidates
-//!    the record and forces a re-copy on resume.
+//!    containers holding rows in range are exported as slices with
+//!    commit/delete state verbatim (pending transactions included —
+//!    `commit_txn`/`abort_txn` stamp every registered node, so they
+//!    resolve on the target exactly as on the source), the target's
+//!    range is cleared first (idempotency), and each slice lands in its
+//!    container's form: a sealed one rebuilt through the
+//!    `ContainerStats` path (or shared whole) so the migrated data stays
+//!    zone-map-skippable, an open one in the WOS. Temp tables (S2V
+//!    staging) migrate too, so rows staged before a flip are found after
+//!    it. The target's kill-generation is recorded per migration; a kill
+//!    between copy and flip invalidates the record and forces a re-copy
+//!    on resume.
 //! 4. **Flip.** When every migration is durable, the target map is
 //!    published at the *next* epoch boundary under the commit lock:
 //!    epoch `E` advances to `E+1` and the map version becomes
@@ -298,9 +301,6 @@ impl Cluster {
                 .into_iter()
                 .filter_map(|name| {
                     let def = catalog.table(&name).ok()?;
-                    if def.is_temp {
-                        return None;
-                    }
                     Some((def.name.clone(), def.is_segmented()))
                 })
                 .collect()
@@ -484,7 +484,7 @@ impl Cluster {
             let exported = {
                 let stores = src_state.stores.read();
                 match stores.get(table) {
-                    Some(store) => store.export_rows(if segmented { Some(&sub) } else { None }),
+                    Some(store) => store.export_range(segmented.then_some(&sub)),
                     None => continue,
                 }
             };
@@ -496,7 +496,7 @@ impl Cluster {
             // copy replaces rather than duplicates.
             store.remove_hash_range(&sub);
             copied += exported.len();
-            store.import_rows_ros(exported);
+            store.adopt(exported);
         }
         Ok(copied)
     }
@@ -571,8 +571,8 @@ mod tests {
         assert_eq!(c.segment_map_at(c.current_epoch()).version(), 1);
         let stats = c.table_stats("t").unwrap();
         assert!(
-            stats[4].ros_rows > 0,
-            "migrated rows must land as ROS on the new node"
+            stats[4].ros_rows + stats[4].wos_rows > 0,
+            "migrated rows must land on the new node"
         );
     }
 
@@ -671,7 +671,8 @@ mod tests {
         let node = c.add_node().unwrap();
         let stats = c.table_stats("u").unwrap();
         assert_eq!(
-            stats[node].ros_rows, 50,
+            stats[node].ros_rows + stats[node].wos_rows,
+            50,
             "new node must hold the full unsegmented replica"
         );
     }

@@ -22,7 +22,9 @@ mod model_tests;
 mod visibility;
 
 pub use visibility::CommitState;
-use visibility::{row_visible, DeleteState, Visibility};
+#[cfg(test)]
+use visibility::DeleteState;
+use visibility::{row_visible, Visibility};
 
 /// Location of a row within a node-table store: its container, open or
 /// sealed, and its index there. Stable while the store's lock is held
@@ -41,21 +43,11 @@ pub struct VisibleRow {
     pub hash: u64,
 }
 
-/// One row's full MVCC state, exported for node recovery. Opaque
-/// outside the store: recovery moves batches between stores wholesale.
-#[derive(Debug, Clone)]
-pub(crate) struct ExportedRow {
-    row: Row,
-    hash: u64,
-    commit: CommitState,
-    delete: DeleteState,
-}
-
 /// The row data of a container. Never mutated once built, so a
-/// hand-over ([`NodeTableStore::adopt_pending`]) shares it between tables
-/// by reference count; every operation that changes a container's rows
-/// (moveout, mergeout, `remove_hash_range`) builds a new payload and
-/// leaves the shared one as it was.
+/// hand-over or an export ([`NodeTableStore::adopt`]) shares it between
+/// stores by reference count; every operation that changes a
+/// container's rows (moveout, mergeout, `remove_hash_range`) builds a
+/// new payload and leaves the shared one as it was.
 #[derive(Debug, Clone)]
 struct RosPayload {
     columns: Vec<EncodedColumn>,
@@ -119,28 +111,49 @@ impl RosContainer {
             None => RosPayload::open(columns, hashes),
         }
     }
+
+    /// Positions of the rows whose hash `keep` accepts, ascending.
+    fn positions(&self, keep: impl Fn(u64) -> bool) -> Vec<u32> {
+        (0..self.len() as u32)
+            .filter(|&i| keep(self.payload.hashes[i as usize]))
+            .collect()
+    }
+
+    /// [`RosContainer::gathered`], except that keeping no row is `None`
+    /// and keeping every row shares the payload and its statistics.
+    fn slice(&self, keep: &[u32]) -> Option<Built> {
+        match keep.len() {
+            0 => None,
+            n if n == self.len() => Some((Arc::clone(&self.payload), self.stats.clone())),
+            _ => Some(self.gathered(keep)),
+        }
+    }
 }
 
-/// What one store hands over to another under the adopting transaction:
-/// the payloads holding its visible rows, each with its statistics and
-/// the visibility the adopter starts from.
+/// Containers on their way from one store to another: payloads, each
+/// with its statistics and the visibility the receiving store starts
+/// from. A sealed payload lands in the ROS, an open one in the WOS.
 #[derive(Debug, Clone)]
 pub(crate) struct HandOver {
-    txn: u64,
     containers: Vec<(Built, Visibility)>,
 }
 
 impl HandOver {
-    /// Segmentation hashes of the rows handed over.
-    pub(crate) fn hashes(&self) -> impl Iterator<Item = u64> + '_ {
+    /// Segmentation hashes of the rows `txn` sees in what is carried.
+    pub(crate) fn hashes(&self, txn: u64) -> impl Iterator<Item = u64> + '_ {
         self.containers
             .iter()
-            .flat_map(|((payload, _), visibility)| {
+            .flat_map(move |((payload, _), visibility)| {
                 visibility
-                    .visible_ranges(u64::MAX, Some(self.txn))
+                    .visible_ranges(u64::MAX, Some(txn))
                     .flatten()
                     .map(|idx| payload.hashes[idx])
             })
+    }
+
+    /// Rows carried, whatever their visibility.
+    pub(crate) fn len(&self) -> usize {
+        self.containers.iter().map(|(_, v)| v.len()).sum()
     }
 }
 
@@ -584,21 +597,35 @@ impl NodeTableStore {
                 .flatten()
                 .map(|i| i as u32)
                 .collect();
-            let built = match seen.len() {
-                0 => continue,
-                n if n == c.len() => (Arc::clone(&c.payload), None),
-                _ => c.gathered(&seen),
-            };
-            containers.push((built, Visibility::staged(seen.len(), txn)));
+            if let Some(built) = c.slice(&seen) {
+                containers.push((built, Visibility::staged(seen.len(), txn)));
+            }
         }
-        HandOver { txn, containers }
+        HandOver { containers }
     }
 
-    /// Stage handed-over contents under the transaction they were
-    /// handed to: one new container per payload, sharing it, with this
-    /// table's own pending visibility. Commit stamps them like any
-    /// staged insert; abort drops only this store's references.
-    pub(crate) fn adopt_pending(&mut self, contents: HandOver) {
+    /// Every container's rows whose hash `range` holds (all, for
+    /// `None`), states verbatim: what a rebalance copies to a new owner
+    /// and a recovering node pulls from a live peer. A container wholly
+    /// in range travels by reference; a slice keeps its container's form,
+    /// a sealed one with statistics rebuilt. Pending rows travel too
+    /// (commit and abort stamp every node), still whole per transaction.
+    pub(crate) fn export_range(&self, range: Option<&HashRange>) -> HandOver {
+        let mut containers = Vec::new();
+        for c in self.ros.iter().chain(&self.wos) {
+            let keep = c.positions(|h| range.is_none_or(|r| r.contains(h)));
+            if let Some(built) = c.slice(&keep) {
+                containers.push((built, c.visibility.gather(&keep)));
+            }
+        }
+        HandOver { containers }
+    }
+
+    /// Land carried containers as they come: one new container per
+    /// payload, sharing it, with the visibility it carries (after a
+    /// hand-over, pending under the adopting transaction, so abort
+    /// drops only this store's reference).
+    pub(crate) fn adopt(&mut self, contents: HandOver) {
         for (built, visibility) in contents.containers {
             debug_assert_eq!(built.0.columns.len(), self.column_count);
             self.push_container(built, visibility);
@@ -672,7 +699,7 @@ impl NodeTableStore {
                 touched += 1;
                 // A container the txn staged goes whole (an adopted one
                 // gives up only its reference to the payload); any other
-                // loses only what the txn staged in it.
+                // loses only the deletes the txn staged in it.
                 if c.visibility.staged_by(txn) {
                     return false;
                 }
@@ -1101,83 +1128,6 @@ impl NodeTableStore {
         }
     }
 
-    /// Export every row (ROS and WOS) whose hash falls in `hash_range`,
-    /// with commit/delete epochs and pending-transaction state intact —
-    /// the recovery stream a rebuilding node pulls from a live peer.
-    pub(crate) fn export_rows(&self, hash_range: Option<&HashRange>) -> Vec<ExportedRow> {
-        let mut out = Vec::new();
-        for c in self.ros.iter().chain(&self.wos) {
-            for idx in 0..c.len() {
-                if hash_range.is_none_or(|r| r.contains(c.payload.hashes[idx])) {
-                    let (commit, delete) = c.visibility.get(idx);
-                    out.push(ExportedRow {
-                        row: c.row(idx),
-                        hash: c.payload.hashes[idx],
-                        commit,
-                        delete,
-                    });
-                }
-            }
-        }
-        out
-    }
-
-    /// Install exported rows verbatim in the WOS. States are preserved,
-    /// so epoch-pinned reads see the same history on the rebuilt replica
-    /// as on its peer, and commits/aborts of transactions still open
-    /// during recovery stamp the replica correctly afterwards. Each run of
-    /// rows pending under one transaction, or committed, lands as one
-    /// open container, which abort drops or moveout seals whole.
-    pub(crate) fn import_rows(&mut self, rows: Vec<ExportedRow>) {
-        let pending = |r: &ExportedRow| match r.commit {
-            CommitState::Pending(txn) => Some(txn),
-            CommitState::Committed(_) => None,
-        };
-        let runs: Vec<usize> = rows
-            .chunk_by(|a, b| pending(a) == pending(b))
-            .map(<[ExportedRow]>::len)
-            .collect();
-        let mut rows = rows.into_iter();
-        for len in runs {
-            let (columns, hashes, visibility) = self.transpose_exported(rows.by_ref().take(len));
-            self.push_container(RosPayload::open(columns, hashes), visibility);
-        }
-    }
-
-    /// Exported rows as unencoded columns, their hashes and their states;
-    /// the values are moved, not copied.
-    fn transpose_exported(
-        &self,
-        rows: impl ExactSizeIterator<Item = ExportedRow>,
-    ) -> (Vec<ColumnData>, Vec<u64>, Visibility) {
-        let mut states = Vec::with_capacity(rows.len());
-        let values = rows.map(|r| {
-            states.push((r.commit, r.delete));
-            (r.row.into_values(), r.hash)
-        });
-        let (columns, hashes) = ColumnData::transpose(self.column_count, values);
-        (columns, hashes, Visibility::from_states(states))
-    }
-
-    /// Install exported rows as one encoded ROS container, commit and
-    /// delete states verbatim — the rebalancer's bulk landing path.
-    /// Unlike [`NodeTableStore::import_rows`] (which stages into the
-    /// WOS), migrated segments arrive as ROS so the new owner serves
-    /// them with the same zone-map skipping, encodings, and container
-    /// statistics as the source — statistics go through the identical
-    /// [`ContainerStats`] path as every other ROS creation site.
-    /// Rows with pending commits land too: the rebalancer copies under
-    /// the commit lock, and `commit_txn`/`abort_txn` stamp every
-    /// registered node, so in-flight transactions resolve on the new
-    /// owner exactly as on the old.
-    pub(crate) fn import_rows_ros(&mut self, rows: Vec<ExportedRow>) {
-        if rows.is_empty() {
-            return;
-        }
-        let (columns, hashes, visibility) = self.transpose_exported(rows.into_iter());
-        self.push_container(RosPayload::build(columns, hashes), visibility);
-    }
-
     /// Drop every row (ROS and WOS) whose hash falls in `range`.
     /// Containers that lose rows are rebuilt in place — same id, same
     /// position, a new payload of the same form, a sealed one with
@@ -1190,24 +1140,19 @@ impl NodeTableStore {
         let mut removed = 0;
         for list in [&mut self.ros, &mut self.wos] {
             for c in std::mem::take(list) {
-                let keep: Vec<u32> = (0..c.len() as u32)
-                    .filter(|&i| !range.contains(c.payload.hashes[i as usize]))
-                    .collect();
+                let keep = c.positions(|h| !range.contains(h));
+                removed += c.len() - keep.len();
                 if keep.len() == c.len() {
                     list.push(c);
-                    continue;
+                } else if let Some((payload, stats)) = c.slice(&keep) {
+                    let visibility = c.visibility.gather(&keep);
+                    list.push(RosContainer {
+                        id: c.id,
+                        payload,
+                        stats,
+                        visibility,
+                    });
                 }
-                removed += c.len() - keep.len();
-                if keep.is_empty() {
-                    continue;
-                }
-                let (payload, stats) = c.gathered(&keep);
-                list.push(RosContainer {
-                    id: c.id,
-                    payload,
-                    stats,
-                    visibility: c.visibility.gather(&keep),
-                });
             }
         }
         removed
@@ -1397,7 +1342,7 @@ mod tests {
         src.commit(3, 3);
 
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(3, 7));
+        dst.adopt(src.hand_over(3, 7));
         assert!(Arc::ptr_eq(&src.ros[0].payload, &dst.ros[0].payload));
         assert_eq!(dst.ros.len(), 1, "txn 9's container holds nothing visible");
         assert!(visible(&dst, u64::MAX).is_empty(), "pending until commit");
@@ -1430,23 +1375,23 @@ mod tests {
         src.insert_pending_direct_rows(rows3(), 1);
         src.commit(1, 1);
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(1, 7));
+        dst.adopt(src.hand_over(1, 7));
         assert_eq!(Arc::strong_count(&src.ros[0].payload), 2);
         dst.abort(7);
         assert_eq!(dst.stats(), NodeTableStore::new(2).stats());
         assert_eq!(Arc::strong_count(&src.ros[0].payload), 1);
         assert_eq!(visible(&src, 1).len(), 3);
         // The retry adopts again and commits.
-        dst.adopt_pending(src.hand_over(1, 8));
+        dst.adopt(src.hand_over(1, 8));
         dst.commit(8, 2);
         assert_eq!(visible(&dst, 2), visible(&src, 2));
     }
 
-    /// The rebalancer lands an open transaction's pending rows beside
-    /// committed ones in one container: aborting it takes back its own
-    /// rows only, wherever they sit, and leaves nothing pending.
+    /// An export lands an open transaction's pending container beside
+    /// committed ones, each as it was: aborting takes back that whole
+    /// container and leaves nothing pending.
     #[test]
-    fn abort_after_a_mixed_import_keeps_the_committed_rows() {
+    fn abort_after_an_export_drops_the_pending_container_only() {
         for pending_first in [true, false] {
             let mut src = NodeTableStore::new(2);
             let open = vec![(row![1i64, "a"], 100)];
@@ -1460,17 +1405,77 @@ mod tests {
             }
             src.commit(8, 1);
             let mut dst = NodeTableStore::new(2);
-            dst.import_rows_ros(src.export_rows(None));
+            dst.adopt(src.export_range(None));
             src.abort(7);
             dst.abort(7);
             assert_eq!(visible(&src, 1), vec![(2, 200)], "{pending_first}");
             assert_eq!(visible(&dst, 1), visible(&src, 1), "{pending_first}");
             assert_eq!(dst.scan(1, Some(7), None).len(), 1, "{pending_first}");
+            assert_eq!(dst.ros.len(), 1, "{pending_first}");
             assert!(
                 NodeTableStore::merge_eligible(&dst.ros[0]),
                 "{pending_first}: nothing pending, so the mover may take it"
             );
         }
+    }
+
+    /// One sealed container of the rows `ids`, row `i` hashed `10 * i`,
+    /// committed at epoch 1.
+    fn sealed(ids: std::ops::Range<i64>) -> NodeTableStore {
+        let mut s = NodeTableStore::new(2);
+        let rows = ids.map(|i| (row![i, format!("v{}", i % 3)], i as u64 * 10));
+        s.insert_pending_direct_rows(rows.collect(), 1);
+        s.commit(1, 1);
+        s
+    }
+
+    #[test]
+    fn a_container_wholly_in_range_travels_by_reference() {
+        let (src, mut dst) = (sealed(0..10), NodeTableStore::new(2));
+        let exported = src.export_range(Some(&HashRange::new(0, Some(100))));
+        assert_eq!(exported.len(), 10);
+        dst.adopt(exported);
+        assert!(Arc::ptr_eq(&src.ros[0].payload, &dst.ros[0].payload));
+        assert_eq!(dst.ros[0].stats, src.ros[0].stats);
+        assert_eq!(visible(&dst, 1), visible(&src, 1));
+    }
+
+    #[test]
+    fn a_partial_sealed_slice_lands_sealed_with_its_own_statistics() {
+        let (mut src, mut dst) = (sealed(0..10), NodeTableStore::new(2));
+        // Row 4 is deleted at epoch 2, on the receiver too.
+        src.delete_pending(&[src.scan(1, None, None)[4].loc], 2);
+        src.commit(2, 2);
+        dst.adopt(src.export_range(Some(&HashRange::new(25, Some(65)))));
+        assert_eq!((dst.ros.len(), dst.wos.len()), (1, 0));
+        assert_eq!(visible(&dst, 1), vec![(3, 30), (4, 40), (5, 50), (6, 60)]);
+        assert_eq!(visible(&dst, 2), vec![(3, 30), (5, 50), (6, 60)]);
+        assert_eq!(dst.ros[0].stats, sealed(3..7).ros[0].stats);
+    }
+
+    #[test]
+    fn an_open_slice_lands_in_the_wos() {
+        let (mut src, mut dst) = (NodeTableStore::new(2), NodeTableStore::new(2));
+        src.insert_pending(rows3(), 1);
+        src.commit(1, 1);
+        dst.adopt(src.export_range(Some(&HashRange::new(150, None))));
+        assert_eq!((dst.ros.len(), dst.wos.len()), (0, 1));
+        assert_eq!(visible(&dst, 1), vec![(2, 200), (3, 300)]);
+        assert_eq!(dst.moveout(), 2, "committed, so the mover seals it");
+    }
+
+    #[test]
+    fn a_pending_slice_aborts_whole_on_the_receiver() {
+        let (mut src, mut dst) = (sealed(0..10), NodeTableStore::new(2));
+        src.insert_pending_direct_rows(vec![(row![10i64, "p"], 45)], 9);
+        src.insert_pending(vec![(row![11i64, "q"], 55)], 9);
+        dst.adopt(src.export_range(Some(&HashRange::new(25, Some(65)))));
+        assert_eq!((dst.ros.len(), dst.wos.len()), (2, 1));
+        assert_eq!(dst.scan(1, Some(9), None).len(), 6, "read-your-writes");
+        dst.abort(9);
+        assert_eq!((dst.ros.len(), dst.wos.len()), (1, 0));
+        assert_eq!(visible(&dst, 1), vec![(3, 30), (4, 40), (5, 50), (6, 60)]);
+        assert!(NodeTableStore::merge_eligible(&dst.ros[0]));
     }
 
     #[test]
@@ -1484,7 +1489,7 @@ mod tests {
             src.commit(txn, txn);
         }
         let mut dst = NodeTableStore::new(2);
-        dst.adopt_pending(src.hand_over(4, 5));
+        dst.adopt(src.hand_over(4, 5));
         dst.commit(5, 5);
         let (before, stats) = (visible(&src, 5), src.stats());
         let infos = |s: &NodeTableStore| -> Vec<Vec<ColumnStats>> {

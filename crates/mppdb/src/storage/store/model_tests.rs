@@ -3,13 +3,15 @@
 //! [`Model`] is a store as it was: two plain vectors per ROS container,
 //! one `CommitState` and one `DeleteState` per row, a WOS that is one
 //! list of such rows, and the routines that walked them (`commit`,
-//! `hand_over`, `moveout`, `flush_merge_run`, `remove_hash_range`,
-//! `export_rows` + `import_rows_ros` or `import_rows`) kept as they were,
-//! and `abort` stated row by row rather than read off a container's
-//! first row. Every case drives a seeded sequence of operations through a
-//! [`NodeTableStore`] and the model and compares, after each one, every
-//! row's state, the visible positions at every epoch and for every open
-//! transaction, the pending count, and what a scan returns.
+//! `hand_over`, `moveout`, `flush_merge_run`, `remove_hash_range`) kept
+//! as they were, `abort` stated row by row rather than read off a
+//! container's first row, and `export_range` + `adopt` stated as the
+//! in-range rows of each ROS container landing as one container and
+//! those of the WOS landing in the WOS. Every case drives a seeded
+//! sequence of operations through a [`NodeTableStore`] and the model and
+//! compares, after each one, every row's state, the visible positions at
+//! every epoch and for every open transaction, the pending count, and
+//! what a scan returns.
 
 #![cfg(test)]
 
@@ -264,28 +266,29 @@ impl Model {
         }
     }
 
-    /// Every row whose hash `range` holds, ROS containers first, then
-    /// the WOS, with its states.
-    fn export(&self, range: Option<&HashRange>) -> Vec<RowStates> {
-        let all = self.ros.iter().chain([&self.wos]);
-        all.flat_map(|c| c.rows())
-            .filter(|r| range.is_none_or(|range| range.contains(r.0)))
-            .collect()
+    /// The rows whose hash `range` holds, with their states: each ROS
+    /// container's as one container (none when it has none), the WOS's
+    /// as the WOS.
+    fn export(&self, range: Option<&HashRange>) -> Model {
+        let in_range = |c: &ModelContainer| {
+            ModelContainer::from_rows(c.rows().filter(|r| range.is_none_or(|g| g.contains(r.0))))
+        };
+        let ros = self.ros.iter().map(in_range);
+        Model {
+            ros: ros.filter(|c| !c.hashes.is_empty()).collect(),
+            wos: in_range(&self.wos),
+        }
     }
 
     fn export_import_to_self(&mut self, range: &HashRange) {
-        let landed = ModelContainer::from_rows(self.export(Some(range)));
-        if !landed.hashes.is_empty() {
-            self.ros.push(landed);
-        }
+        let landed = self.export(Some(range));
+        self.ros.extend(landed.ros);
+        landed.wos.rows().for_each(|row| self.wos.push(row));
     }
 
-    /// A store rebuilt by recovery: the exported rows, in the WOS.
+    /// A store rebuilt by recovery: the export, landed alone.
     fn recovered(&self, range: Option<&HashRange>) -> Model {
-        Model {
-            ros: Vec::new(),
-            wos: ModelContainer::from_rows(self.export(range)),
-        }
+        self.export(range)
     }
 
     /// Hashes a scan at `as_of` for `my_txn` returns, in scan order.
@@ -471,21 +474,21 @@ fn run_case(seed: u64) {
             91..=96 => {
                 let as_of = rng.random_range(0..epoch + 1);
                 let contents = store.hand_over(as_of, txn);
-                store.adopt_pending(contents);
+                store.adopt(contents);
                 model.hand_over_to_self(as_of, txn);
                 format!("hand-over to {txn} at {as_of}")
             }
             97..=100 => {
                 let range = random_range(&mut rng);
-                let exported = store.export_rows(Some(&range));
-                store.import_rows_ros(exported);
+                let exported = store.export_range(Some(&range));
+                store.adopt(exported);
                 model.export_import_to_self(&range);
-                "export + import".to_string()
+                "export + adopt".to_string()
             }
             _ => {
                 let range = rng.random_bool(0.5).then(|| random_range(&mut rng));
                 let mut rebuilt = NodeTableStore::new(1);
-                rebuilt.import_rows(store.export_rows(range.as_ref()));
+                rebuilt.adopt(store.export_range(range.as_ref()));
                 store = rebuilt;
                 model = model.recovered(range.as_ref());
                 "recovery".to_string()

@@ -2,9 +2,9 @@
 //! delete states stored as what is actually there, not once per row.
 //!
 //! A container is created whole, so its commit states are one run until
-//! a mergeout or moveout concatenates containers or an import lands
-//! exported rows with their states; deletes are the exception, so
-//! none are stored until the first one and a `DELETE FROM t` is one run.
+//! a mergeout or moveout concatenates committed containers; deletes are
+//! the exception, so none are stored until the first one and a
+//! `DELETE FROM t` is one run.
 //! The count of pending entries lets commit, abort and the mover pass
 //! over a container with nothing in flight without reading it.
 //!
@@ -36,11 +36,6 @@ pub(super) enum DeleteState {
 /// before the first commit epoch, so invisible at every snapshot and to
 /// every transaction.
 const NEVER_VISIBLE: DeleteState = DeleteState::Committed(0);
-
-/// States of a row whose inserting transaction aborted in a container
-/// that keeps other rows: committed and deleted before the first epoch,
-/// so never visible and pending for no one.
-const ABORTED: (CommitState, DeleteState) = (CommitState::Committed(0), NEVER_VISIBLE);
 
 fn inserted(commit: CommitState, as_of: u64, my_txn: Option<u64>) -> bool {
     match commit {
@@ -106,19 +101,6 @@ impl Visibility {
             deletes: Vec::new(),
             pending: len,
         }
-    }
-
-    /// Row states in container order, run-length encoded as they come.
-    pub(super) fn from_states(
-        states: impl IntoIterator<Item = (CommitState, DeleteState)>,
-    ) -> Visibility {
-        let mut out = Visibility::default();
-        for (commit, delete) in states {
-            let at = out.len();
-            out.push_commits(at + 1, commit);
-            out.push_deletes(at, at + 1, delete);
-        }
-        out
     }
 
     /// The containers' states one after the other (mergeout).
@@ -270,16 +252,23 @@ impl Visibility {
     }
 
     /// Whether `txn` staged this container whole: every row is one run
-    /// pending under it. A recovery or rebalance import can put a
-    /// transaction's pending rows beside other rows; that container is
-    /// not its to drop.
+    /// pending under it. A container with a pending insert always is:
+    /// staging, a hand-over and an export each create one whole, and the
+    /// mover only concatenates committed ones.
     pub(super) fn staged_by(&self, txn: u64) -> bool {
         matches!(self.commits.as_slice(), [run] if run.state == CommitState::Pending(txn))
     }
 
-    /// Forget what `txn` staged in a container it did not stage whole:
-    /// its deletes, and its inserts, which become [`ABORTED`] rows.
+    /// Forget the deletes `txn` staged in a container it did not stage
+    /// whole. It has no insert pending there (see
+    /// [`Visibility::staged_by`]).
     pub(super) fn abort(&mut self, txn: u64) {
+        debug_assert!(
+            self.commits
+                .iter()
+                .all(|r| r.state != CommitState::Pending(txn)),
+            "txn {txn} has an insert pending in a container it did not stage whole"
+        );
         let pending = &mut self.pending;
         self.deletes.retain(|run| {
             let mine = run.state == DeleteState::Pending(txn);
@@ -288,19 +277,6 @@ impl Visibility {
             }
             !mine
         });
-        if self
-            .commits
-            .iter()
-            .any(|r| r.state == CommitState::Pending(txn))
-        {
-            let states: Vec<_> = (0..self.len())
-                .map(|i| match self.get(i) {
-                    (CommitState::Pending(t), _) if t == txn => ABORTED,
-                    states => states,
-                })
-                .collect();
-            *self = Visibility::from_states(states);
-        }
         self.check();
     }
 
@@ -351,9 +327,19 @@ impl Visibility {
     }
 
     /// The states of the rows at `keep` (ascending), for a container
-    /// rebuilt from those rows.
+    /// rebuilt from those rows, run-length encoded as they come.
     pub(super) fn gather(&self, keep: &[u32]) -> Visibility {
-        Visibility::from_states(keep.iter().map(|&i| self.get(i as usize)))
+        if keep.len() == self.len() {
+            return self.clone();
+        }
+        let mut out = Visibility::default();
+        for &i in keep {
+            let (commit, delete) = self.get(i as usize);
+            let at = out.len();
+            out.push_commits(at + 1, commit);
+            out.push_deletes(at, at + 1, delete);
+        }
+        out
     }
 
     /// What a table adopting this container's payload under `txn` starts

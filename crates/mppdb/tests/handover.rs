@@ -337,3 +337,50 @@ fn a_node_down_at_the_hand_over_is_rebuilt_with_the_new_contents() {
     let mut s = db.connect(0).unwrap();
     assert!(s.insert_from_table("dst", "src").is_err());
 }
+
+/// An S2V save whose phase 1 staged its rows under the old segment map
+/// and whose phase 5 commits them after a rebalance flipped to a new
+/// one. The staging table is temp; it migrates with its target, so the
+/// staged rows the new node now owns are read there and none is lost.
+#[test]
+fn rows_staged_before_a_rebalance_flip_reach_the_target_in_both_save_modes() {
+    let _serial = serial();
+    let (mut read, mut want) = (Vec::new(), Vec::new());
+    for k in [0, 1] {
+        for overwrite in [false, true] {
+            let what = format!("k={k}, overwrite={overwrite}");
+            let db = cluster(k);
+            let mut s = db.connect(0).unwrap();
+            for (t, temp) in [("dst", ""), ("stg", "TEMP ")] {
+                s.execute(&format!(
+                    "CREATE {temp}TABLE {t} (id BIGINT, grp VARCHAR, val DOUBLE) \
+                     SEGMENTED BY HASH(id) ALL NODES"
+                ))
+                .unwrap();
+            }
+            s.insert("dst", rows(0..100)).unwrap();
+            copy_direct(&mut s, "stg", 100..500);
+            db.add_node().unwrap();
+
+            let mut s = db.connect(0).unwrap();
+            s.begin().unwrap();
+            if overwrite {
+                s.execute("DELETE FROM dst").unwrap();
+            }
+            s.insert_from_table("dst", "stg").unwrap();
+            s.commit().unwrap();
+            let expect = if overwrite {
+                rows(100..500)
+            } else {
+                rows(0..500)
+            };
+            read.push((what.clone(), contents(&db, "dst", db.current_epoch())));
+            want.push((what, expect));
+        }
+    }
+    let counts = |cells: &[(String, Vec<Row>)]| -> Vec<(String, usize)> {
+        cells.iter().map(|(w, r)| (w.clone(), r.len())).collect()
+    };
+    assert_eq!(counts(&read), counts(&want));
+    assert_eq!(read, want);
+}
