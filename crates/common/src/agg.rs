@@ -250,16 +250,14 @@ impl Acc {
         }
         match self {
             Acc::Count(c) => *c += n as i64,
-            Acc::Sum(_) => {
+            // A float sum of `n` copies is not `v * n`: each addition
+            // rounds on its own.
+            Acc::Sum(_) | Acc::Avg { .. } => {
                 for _ in 0..n {
                     self.update(v)?;
                 }
             }
             Acc::Min(_) | Acc::Max(_) => self.update(v)?,
-            Acc::Avg { sum, count } => {
-                *sum += v.as_f64()? * n as f64;
-                *count += n as i64;
-            }
         }
         Ok(())
     }
@@ -399,22 +397,69 @@ impl GroupedAccs {
         self.groups.len()
     }
 
-    /// The accumulator row for `key`, created on first sight. Linear
-    /// probing: pushed-down GROUP BYs are small by contract.
-    pub fn entry(&mut self, key: Vec<Value>) -> &mut Vec<Acc> {
-        if let Some(i) = self.groups.iter().position(|(k, _)| *k == key) {
-            return &mut self.groups[i].1;
+    /// The index of `key`'s group, created on first sight (the key is
+    /// cloned only then). Linear probing: pushed-down GROUP BYs are
+    /// small by contract.
+    pub fn group_index(&mut self, key: &[Value]) -> usize {
+        self.find_or_insert(|k| k == key, || key.to_vec())
+    }
+
+    /// The accumulators of the group at `index` (from
+    /// [`GroupedAccs::group_index`]), one per call.
+    pub fn group_accs(&mut self, index: usize) -> &mut [Acc] {
+        &mut self.groups[index].1
+    }
+
+    /// The accumulator row for `key`, created on first sight.
+    pub fn entry(&mut self, key: &[Value]) -> &mut [Acc] {
+        let index = self.group_index(key);
+        self.group_accs(index)
+    }
+
+    /// The index of the first group whose key `is_key` accepts, or of a
+    /// new group keyed `make_key()`.
+    fn find_or_insert(
+        &mut self,
+        is_key: impl Fn(&[Value]) -> bool,
+        make_key: impl FnOnce() -> Vec<Value>,
+    ) -> usize {
+        if let Some(i) = self.groups.iter().position(|(k, _)| is_key(k)) {
+            return i;
         }
         let accs = self.funcs.iter().map(|f| Acc::new(*f)).collect();
-        self.groups.push((key, accs));
-        // fabriclint: allow(panic-hygiene): the group was pushed just above
-        &mut self.groups.last_mut().expect("group just pushed").1
+        self.groups.push((make_key(), accs));
+        self.groups.len() - 1
+    }
+
+    /// Fold rows in, one at a time in order: row `r`'s group is keyed by
+    /// its values at `key_idx`, and call `c` reads its value at
+    /// `col_idx[c]` (`None` for `COUNT(*)`). The row-at-a-time reference
+    /// of every fold.
+    pub fn fold_rows(
+        &mut self,
+        rows: &[Row],
+        key_idx: &[usize],
+        col_idx: &[Option<usize>],
+    ) -> Result<()> {
+        for row in rows {
+            let is_key = |k: &[Value]| k.iter().zip(key_idx).all(|(v, &i)| v == row.get(i));
+            let make_key = || key_idx.iter().map(|&i| row.get(i).clone()).collect();
+            let group = self.find_or_insert(is_key, make_key);
+            for (acc, idx) in self.groups[group].1.iter_mut().zip(col_idx) {
+                match idx {
+                    Some(i) => acc.update(row.get(*i))?,
+                    // COUNT(*) is the only input-less aggregate.
+                    None => acc.update(&Value::Int64(1))?,
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Merge another table (same funcs, same group-key arity) in.
     pub fn merge(&mut self, other: &GroupedAccs) -> Result<()> {
         for (key, accs) in &other.groups {
-            let mine = self.entry(key.clone());
+            let mine = self.entry(key);
             for (a, b) in mine.iter_mut().zip(accs) {
                 a.merge(b)?;
             }
@@ -427,7 +472,7 @@ impl GroupedAccs {
     /// request has no grouping columns.
     pub fn ensure_global_group(&mut self) {
         if self.groups.is_empty() {
-            self.entry(Vec::new());
+            self.entry(&[]);
         }
     }
 
@@ -452,11 +497,9 @@ impl GroupedAccs {
         if values.len() < key_width {
             return Err(Error::Eval("truncated aggregate partial row".into()));
         }
-        let key = values[..key_width].to_vec();
-        let funcs = self.funcs.clone();
         let mut at = key_width;
-        let mut incoming = Vec::with_capacity(funcs.len());
-        for f in &funcs {
+        let mut incoming = Vec::with_capacity(self.funcs.len());
+        for f in &self.funcs {
             let w = f.partial_width();
             if values.len() < at + w {
                 return Err(Error::Eval("truncated aggregate partial row".into()));
@@ -464,7 +507,7 @@ impl GroupedAccs {
             incoming.push(Acc::from_partial(*f, &values[at..at + w])?);
             at += w;
         }
-        let mine = self.entry(key);
+        let mine = self.entry(&values[..key_width]);
         for (a, b) in mine.iter_mut().zip(&incoming) {
             a.merge(b)?;
         }
@@ -504,16 +547,7 @@ pub fn aggregate_rows(
         .map(|c| c.column.as_deref().map(|n| schema.index_of(n)).transpose())
         .collect::<Result<_>>()?;
     let mut table = GroupedAccs::new(request.calls.iter().map(|c| c.func).collect());
-    for row in rows {
-        let key: Vec<Value> = key_idx.iter().map(|&i| row.get(i).clone()).collect();
-        let accs = table.entry(key);
-        for (acc, idx) in accs.iter_mut().zip(&col_idx) {
-            match idx {
-                Some(i) => acc.update(row.get(*i))?,
-                None => acc.update(&Value::Int64(1))?,
-            }
-        }
-    }
+    table.fold_rows(rows, &key_idx, &col_idx)?;
     if request.group_by.is_empty() {
         table.ensure_global_group();
     }
@@ -611,7 +645,7 @@ mod tests {
         for piece in all.chunks(2) {
             let mut t = GroupedAccs::new(funcs.clone());
             for row in piece {
-                let accs = t.entry(vec![row.get(0).clone()]);
+                let accs = t.entry(std::slice::from_ref(row.get(0)));
                 accs[0].update(&Value::Int64(1)).unwrap();
                 accs[1].update(row.get(2)).unwrap();
                 accs[2].update(row.get(1)).unwrap();
@@ -638,6 +672,140 @@ mod tests {
         }
         repeated.update_repeated(&Value::Float64(2.0), 5).unwrap();
         assert_eq!(one_by_one.finalize(), repeated.finalize());
+    }
+
+    fn fold(func: AggFunc, inputs: &[Value]) -> Acc {
+        let mut acc = Acc::new(func);
+        for v in inputs {
+            acc.update(v).unwrap();
+        }
+        acc
+    }
+
+    fn float_bits(v: &Value) -> u64 {
+        match v {
+            Value::Float64(f) => f.to_bits(),
+            other => panic!("not a FLOAT: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn sum_keeps_the_sign_of_a_first_negative_zero() {
+        let first = fold(AggFunc::Sum, &[Value::Float64(-0.0)]);
+        assert_eq!(float_bits(&first.finalize()), (-0.0f64).to_bits());
+        // Taken as-is, not added to a zero: 0.0 + -0.0 is 0.0.
+        let later = fold(AggFunc::Sum, &[Value::Float64(0.0), Value::Float64(-0.0)]);
+        assert_eq!(float_bits(&later.finalize()), 0.0f64.to_bits());
+        // AVG starts from a zero sum, so its sign is lost.
+        let avg = fold(AggFunc::Avg, &[Value::Float64(-0.0)]);
+        assert_eq!(float_bits(&avg.finalize()), 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn a_leading_nan_sticks_under_min_and_max() {
+        let inputs = [
+            Value::Float64(f64::NAN),
+            Value::Float64(-1.0),
+            Value::Float64(f64::INFINITY),
+            Value::Null,
+        ];
+        for func in [AggFunc::Min, AggFunc::Max] {
+            let acc = fold(func, &inputs);
+            assert!(
+                matches!(acc.finalize(), Value::Float64(f) if f.is_nan()),
+                "{func:?}"
+            );
+        }
+        // A NaN after the first value is never taken: it orders with
+        // nothing.
+        let later = [Value::Float64(2.0), Value::Float64(f64::NAN)];
+        assert_eq!(fold(AggFunc::Min, &later).finalize(), Value::Float64(2.0));
+        assert_eq!(fold(AggFunc::Max, &later).finalize(), Value::Float64(2.0));
+        // Equal values keep the first: -0.0 stays the minimum over 0.0.
+        let zeros = [Value::Float64(-0.0), Value::Float64(0.0)];
+        let min = fold(AggFunc::Min, &zeros).finalize();
+        assert_eq!(float_bits(&min), (-0.0f64).to_bits());
+    }
+
+    #[test]
+    fn integer_sum_wraps() {
+        let acc = fold(AggFunc::Sum, &[Value::Int64(i64::MAX), Value::Int64(1)]);
+        assert_eq!(acc.finalize(), Value::Int64(i64::MIN));
+        let acc = fold(AggFunc::Sum, &[Value::Int64(i64::MIN), Value::Int64(-1)]);
+        assert_eq!(acc.finalize(), Value::Int64(i64::MAX));
+    }
+
+    #[test]
+    fn integer_avg_widens_each_row() {
+        // 2^53 + 1 + 1 is exact in i64, but widened row by row each +1
+        // rounds away.
+        let big = 1i64 << 53;
+        let inputs = [Value::Int64(big), Value::Int64(1), Value::Int64(1)];
+        let Acc::Avg { sum, count } = fold(AggFunc::Avg, &inputs) else {
+            panic!("AVG state");
+        };
+        assert_eq!((sum.to_bits(), count), ((big as f64).to_bits(), 3));
+        assert_ne!(sum, (big + 2) as f64);
+        // And nothing wraps: two i64::MAX average to i64::MAX as f64.
+        let max = [Value::Int64(i64::MAX), Value::Int64(i64::MAX)];
+        let avg = fold(AggFunc::Avg, &max).finalize();
+        assert_eq!(avg, Value::Float64(i64::MAX as f64));
+    }
+
+    #[test]
+    fn update_repeated_equals_n_updates() {
+        let values = [
+            Value::Null,
+            Value::Int64(i64::MAX),
+            Value::Int64(-3),
+            Value::Float64(0.1),
+            Value::Float64(1.0),
+            Value::Float64(-0.0),
+            Value::Float64(f64::NAN),
+            Value::Varchar("v".into()),
+        ];
+        // Prior states that make rounding order show: a big sum takes a
+        // small addend once but not twice.
+        let priors = [None, Some(Value::Int64(5)), Some(Value::Float64(1e16))];
+        let funcs = [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ];
+        for func in funcs {
+            for prior in &priors {
+                for v in &values {
+                    for n in 0..4u64 {
+                        let mut one_by_one = fold(func, prior.as_slice());
+                        let mut repeated = one_by_one.clone();
+                        let expect = (0..n).try_for_each(|_| one_by_one.update(v));
+                        let got = repeated.update_repeated(v, n);
+                        let tag = format!("{func:?} prior={prior:?} v={v:?} n={n}");
+                        assert_eq!(format!("{got:?}"), format!("{expect:?}"), "result: {tag}");
+                        if expect.is_ok() {
+                            // Debug output tells -0.0 from 0.0 and
+                            // spells NaN.
+                            assert_eq!(format!("{repeated:?}"), format!("{one_by_one:?}"), "{tag}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fold_rows_groups_keys_by_value_equality() {
+        let mut t = GroupedAccs::new(vec![AggFunc::Count]);
+        t.fold_rows(&rows(), &[0], &[None]).unwrap();
+        t.fold_rows(&rows(), &[0], &[None]).unwrap();
+        assert_eq!(t.to_partial_rows(), vec![row!["a", 4i64], row!["b", 4i64]]);
+        // NaN keys are never equal: every NaN row is a group of its own.
+        let nan = vec![row![f64::NAN], row![f64::NAN]];
+        let mut t = GroupedAccs::new(vec![AggFunc::Count]);
+        t.fold_rows(&nan, &[0], &[None]).unwrap();
+        assert_eq!(t.len(), 2);
     }
 
     #[test]

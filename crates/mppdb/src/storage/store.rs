@@ -17,6 +17,7 @@ use crate::storage::stats::{
     container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
 };
 
+mod fold;
 #[cfg(test)]
 mod model_tests;
 mod visibility;
@@ -293,21 +294,6 @@ struct AggSink<'a> {
     stats_answered: u64,
 }
 
-impl AggSink<'_> {
-    fn fold(&mut self, value_of: impl Fn(usize) -> Value) -> Result<()> {
-        let key: Vec<Value> = self.group_by.iter().map(|&g| value_of(g)).collect();
-        let group = self.accs.entry(key);
-        for ((_, col), acc) in self.funcs.iter().zip(group.iter_mut()) {
-            match col {
-                Some(i) => acc.update(&value_of(*i))?,
-                // COUNT(*) is the only input-less aggregate.
-                None => acc.update(&Value::Int64(1))?,
-            }
-        }
-        Ok(())
-    }
-}
-
 impl ScanSink for AggSink<'_> {
     /// Every row must be visible in this snapshot (no pending/aborted
     /// commits, no deletes), the hash range must cover the container's
@@ -335,7 +321,7 @@ impl ScanSink for AggSink<'_> {
             return Ok(false);
         }
         let n = stats.row_count;
-        let group = self.accs.entry(Vec::new());
+        let group = self.accs.entry(&[]);
         for ((f, col), acc) in self.funcs.iter().zip(group.iter_mut()) {
             match (f, col) {
                 (AggFunc::Count, None) => acc.update_repeated(&Value::Int64(1), n)?,
@@ -361,21 +347,15 @@ impl ScanSink for AggSink<'_> {
     }
 
     fn consume(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
-        let located: Vec<_> = self
-            .needed
-            .iter()
-            .map(|&ci| (ci, c.payload.columns[ci].locate(sel)))
-            .collect();
-        *decoded += (located.len() * sel.len()) as u64;
-        for k in 0..sel.len() {
-            // `needed` holds every ordinal the fold reads, so the
-            // lookup always finds the located column.
-            self.fold(|ci| match located.iter().find(|(g, _)| *g == ci) {
-                Some((_, (values, idx))) => values.value(idx[k] as usize),
-                None => Value::Null,
-            })?;
-        }
-        Ok(())
+        fold::fold_container(
+            &mut self.accs,
+            self.funcs,
+            self.group_by,
+            &self.needed,
+            &c.payload.columns,
+            sel,
+            decoded,
+        )
     }
 }
 

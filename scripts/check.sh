@@ -61,6 +61,11 @@ cargo test -q -p mppdb --lib query::charge_differential -- --ignored
 echo "== container-build kernel properties, 8 more seed sets"
 cargo test -q -p mppdb --lib storage::batch::tests -- --ignored
 
+# The column-at-a-time aggregate fold against the row fold over the
+# same scan's rows: the 256 cases above, over eight more seed sets.
+echo "== aggregate differential, 8 more seed sets"
+cargo test -q -p mppdb --test agg_differential -- --ignored
+
 # The worker pool under 10,000 jobs of random width, with nested jobs
 # and panicking calls: every call runs once, every panic comes back.
 echo "== worker pool stress, 10k random jobs"
