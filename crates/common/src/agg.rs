@@ -490,7 +490,7 @@ impl GroupedAccs {
             .collect()
     }
 
-    /// Absorb one partial-state row produced by [`to_partial_rows`]
+    /// Absorb one partial-state row produced by [`Self::to_partial_rows`]
     /// with `key_width` leading group columns.
     pub fn absorb_partial_row(&mut self, row: &Row, key_width: usize) -> Result<()> {
         let values = row.values();

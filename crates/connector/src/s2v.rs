@@ -179,7 +179,6 @@ fn run_traced(
     mode: SaveMode,
     trace: obs::TraceCtx,
 ) -> ConnectorResult<S2vReport> {
-    let save_started = Instant::now();
     let target = sanitize(&opts.table);
     let job_name = opts
         .job_name
@@ -516,7 +515,6 @@ fn run_traced(
     obs::global().add("s2v.jobs", 1);
     obs::global().add("s2v.rows_loaded", rows_loaded);
     obs::global().add("s2v.rows_rejected", rows_rejected);
-    obs::global().record_time("s2v.save_us", save_started.elapsed());
 
     Ok(S2vReport {
         job_name,
@@ -652,7 +650,7 @@ fn run_task_phases(
         .recorder()
         .setup(Some(p as u64), NodeRef::Db(preferred), "s2v_connect");
 
-    // One S2vPhase event (+ span finish + timer + report accumulation)
+    // One S2vPhase event (+ span finish + report accumulation)
     // per phase exit; `detail` says how the phase ended so the event
     // log (and span tree) reads as the Fig. 5 walk of each attempt.
     let mark = |span: obs::TraceCtx,
@@ -676,7 +674,6 @@ fn run_task_phases(
             e.dur_us = dur.as_micros() as u64;
             e.detail = detail;
         });
-        obs::global().record_time(names::S2V_PHASE_TIMERS[phase - 1], dur);
         acc.record(phase, dur);
     };
 

@@ -701,7 +701,7 @@ fn s2v_prehash_argument_validation() {
         .unwrap_err();
     assert!(err.to_string().contains("prehash"), "{err}");
     // A down node breaks owner alignment.
-    cluster.set_node_down(3);
+    cluster.kill_node(3);
     let err = df
         .write()
         .format(DEFAULT_SOURCE)
@@ -710,7 +710,7 @@ fn s2v_prehash_argument_validation() {
         .save()
         .unwrap_err();
     assert!(err.to_string().contains("prehash"), "{err}");
-    cluster.set_node_up(3);
+    cluster.restore_node(3);
 }
 
 #[test]
@@ -838,7 +838,7 @@ fn v2s_fails_over_to_buddy_replicas_under_k_safety() {
         .unwrap();
 
     // Down a node; its segment's hash ranges are served by the buddy.
-    cluster.set_node_down(1);
+    cluster.kill_node(1);
     let loaded = ctx
         .read()
         .format(DEFAULT_SOURCE)
@@ -850,7 +850,7 @@ fn v2s_fails_over_to_buddy_replicas_under_k_safety() {
     let mut rows = loaded.collect().unwrap();
     rows.sort_by_key(|r| r.get(0).as_i64().unwrap());
     assert_eq!(rows, d1_rows(500), "buddy replicas serve the full snapshot");
-    cluster.set_node_up(1);
+    cluster.restore_node(1);
 }
 
 #[test]

@@ -470,7 +470,6 @@ pub(crate) const EMIT_METHODS: &[&str] = &[
     "incr",
     "add",
     "record_time",
-    "span",
     "counter_value",
     "trace_start",
     "span_start",

@@ -512,17 +512,6 @@ impl Cluster {
             .filter(move |&n| self.is_node_up(n))
     }
 
-    /// Mark a node down. Alias of [`Cluster::kill_node`], kept for the
-    /// pre-fault-domain call sites.
-    pub fn set_node_down(&self, node: usize) {
-        self.kill_node(node);
-    }
-
-    /// Alias of [`Cluster::restore_node`].
-    pub fn set_node_up(&self, node: usize) {
-        self.restore_node(node);
-    }
-
     /// Kill a node: new connections are refused, and every session
     /// pinned to it fails its next operation with
     /// [`DbError::ConnectionLost`]. Idempotent.
@@ -1605,10 +1594,10 @@ mod tests {
     #[test]
     fn down_node_refuses_connections() {
         let c = cluster4();
-        c.set_node_down(2);
+        c.kill_node(2);
         assert!(matches!(c.connect(2), Err(DbError::NodeUnavailable(2))));
         assert_eq!(c.up_nodes(), vec![0, 1, 3]);
-        c.set_node_up(2);
+        c.restore_node(2);
         assert!(c.connect(2).is_ok());
     }
 

@@ -412,7 +412,7 @@ fn update_and_delete_equal_the_routines_they_replaced_256_cases() {
                 run(&mut s, "DELETE FROM t WHERE id >= 224 OR id = 50").unwrap();
             }
             if let Some(node) = down {
-                c.set_node_down(node);
+                c.kill_node(node);
             }
             let result = run(&mut s, &sql).map_err(|e| e.to_string());
             let after = seen_by(&mut s);
@@ -427,7 +427,7 @@ fn update_and_delete_equal_the_routines_they_replaced_256_cases() {
             }
             drop(s);
             if let Some(node) = down {
-                c.set_node_up(node);
+                c.restore_node(node);
             }
             let storage = format!("{:?}", c.table_stats(TABLE).unwrap());
             outcomes.push((result, after, history(&c), storage));
@@ -554,13 +554,13 @@ fn a_delete_that_fails_on_a_down_node_stages_nothing() {
     let mut s = c.connect(0).unwrap();
     s.begin().unwrap();
     let before = seen_by(&mut s);
-    c.set_node_down(2);
+    c.kill_node(2);
     let err = product(&mut s, "DELETE FROM t WHERE id < 60").unwrap_err();
     assert_eq!(
         err.to_string(),
         crate::DbError::NodeUnavailable(2).to_string()
     );
-    c.set_node_up(2);
+    c.restore_node(2);
     assert!(seen_by(&mut s) == before, "no row was marked");
     s.commit().unwrap();
 }

@@ -183,7 +183,7 @@ fn cluster(bed: Bed) -> Arc<Cluster> {
         assert!(c.rebalance_in_progress());
     }
     if let Some(node) = bed.down_node {
-        c.set_node_down(node);
+        c.kill_node(node);
     }
     if bed.mid_copy_fault {
         c.faults().inject_once(FaultSite::MidCopy);

@@ -732,9 +732,14 @@ fn execute_aggregate(
             .iter()
             .map(|e| eval_ast(session, e, scope, &row))
             .collect::<DbResult<_>>()?;
+        // Type and text of each value, the text length-prefixed so no
+        // value's text can run into the next one's.
         let key_str = key
             .iter()
-            .map(|v| format!("{}:{v}|", v.type_name()))
+            .map(|v| {
+                let text = v.to_string();
+                format!("{}:{}:{text}", v.type_name(), text.len())
+            })
             .collect::<String>();
         let slot = *index.entry(key_str).or_insert_with(|| {
             groups.push((key.clone(), Vec::new()));

@@ -190,7 +190,7 @@ fn k_safety_failover_serves_all_segments() {
 
     // Down a node that is not the session's; its segment fails over to
     // the buddy.
-    c.set_node_down(2);
+    c.kill_node(2);
     let after = s.query(&QuerySpec::scan("t").count()).unwrap();
     assert_eq!(after.count, 400, "buddy replica must serve segment 2");
 
@@ -200,7 +200,7 @@ fn k_safety_failover_serves_all_segments() {
     s0.execute("CREATE TABLE t (id INT, v FLOAT)").unwrap();
     s0.insert("t", (0..50).map(|i| row![i as i64, 0.0f64]).collect())
         .unwrap();
-    c0.set_node_down(2);
+    c0.kill_node(2);
     let err = s0.query(&QuerySpec::scan("t").count()).unwrap_err();
     assert!(matches!(err, DbError::DataUnavailable { segment: 2 }));
 }
@@ -422,6 +422,41 @@ fn order_by_and_insert_select() {
 }
 
 #[test]
+fn group_by_keeps_keys_apart_whatever_their_text() {
+    let c = cluster();
+    let mut s = c.connect(0).unwrap();
+    s.execute("CREATE TABLE pairs (a VARCHAR, b VARCHAR)")
+        .unwrap();
+    // Two distinct (a, b) keys whose text, joined without lengths,
+    // spells the same string.
+    s.execute("INSERT INTO pairs VALUES ('p|VARCHAR:q', ''), ('p', 'q|VARCHAR:')")
+        .unwrap();
+    let r = s
+        .execute("SELECT a, b, COUNT(*) FROM pairs GROUP BY a, b ORDER BY a")
+        .unwrap()
+        .rows()
+        .unwrap();
+    let groups: Vec<(&str, &str, &Value)> = r
+        .rows
+        .iter()
+        .map(|x| {
+            (
+                x.get(0).as_str().unwrap(),
+                x.get(1).as_str().unwrap(),
+                x.get(2),
+            )
+        })
+        .collect();
+    assert_eq!(
+        groups,
+        vec![
+            ("p", "q|VARCHAR:", &Value::Int64(1)),
+            ("p|VARCHAR:q", "", &Value::Int64(1)),
+        ]
+    );
+}
+
+#[test]
 fn system_tables_expose_the_catalog() {
     let c = cluster();
     let mut s = c.connect(0).unwrap();
@@ -457,7 +492,7 @@ fn system_tables_expose_the_catalog() {
     assert_eq!(tables.rows[1].get(2), &Value::Boolean(true));
 
     // v_nodes tracks liveness and the open session count (≥ ours).
-    c.set_node_down(3);
+    c.kill_node(3);
     let nodes = s
         .execute("SELECT node FROM v_nodes WHERE is_up = FALSE")
         .unwrap()
@@ -465,7 +500,7 @@ fn system_tables_expose_the_catalog() {
         .unwrap();
     assert_eq!(nodes.rows.len(), 1);
     assert_eq!(nodes.rows[0].get(0), &Value::Int64(3));
-    c.set_node_up(3);
+    c.restore_node(3);
     let mine = s
         .execute("SELECT open_sessions FROM v_nodes WHERE node = 0")
         .unwrap()

@@ -1,7 +1,7 @@
 //! A process-wide data collector, modeled on Vertica's Data Collector
 //! (the monitoring layer behind its `dc_*` system tables).
 //!
-//! Three kinds of telemetry:
+//! Five kinds of telemetry:
 //!
 //! * **Events** ([`Event`]) — structured records (an [`EventKind`],
 //!   fixed fields, a monotonic timestamp and sequence number) kept in
@@ -10,9 +10,9 @@
 //!   all shards and re-sorts by sequence number.
 //! * **Counters** — named monotonic `u64`s (`rows loaded`, `task
 //!   retries`, ...), updated with a single atomic add.
-//! * **Timers** — named log2-bucketed histograms of span durations,
-//!   recorded via [`Collector::record_time`] or the RAII
-//!   [`Span`] guard.
+//! * **Timers** — named log-linear histograms ([`Histo`]) of durations
+//!   in microseconds, recorded via [`Collector::record_time`] and
+//!   reported as [`TimerStats`].
 //! * **Histograms** ([`Histo`]) — named log-linear value histograms
 //!   with exact-rank quantile extraction at ~1.6% bucket resolution
 //!   (and *exactly* for values below [`HISTO_LINEAR_MAX`]), recorded
@@ -143,75 +143,20 @@ pub struct TimerStats {
     pub sum_us: u64,
     pub min_us: u64,
     pub max_us: u64,
-    /// Approximate percentiles from log2 buckets (upper bound of the
-    /// bucket holding the percentile).
+    /// Percentiles from [`Histo::quantile`]: exact below
+    /// [`HISTO_LINEAR_MAX`] µs, within 1/64 above it.
     pub p50_us: u64,
     pub p99_us: u64,
 }
 
-#[derive(Debug)]
-struct Timer {
-    count: u64,
-    sum_us: u64,
-    min_us: u64,
-    max_us: u64,
-    /// `buckets[i]` counts durations with `dur_us < 2^i` (first
-    /// matching bucket).
-    buckets: [u64; 64],
-}
-
-impl Default for Timer {
-    fn default() -> Timer {
-        Timer {
-            count: 0,
-            sum_us: 0,
-            min_us: 0,
-            max_us: 0,
-            buckets: [0; 64],
-        }
-    }
-}
-
-impl Timer {
-    fn record(&mut self, dur_us: u64) {
-        self.count += 1;
-        self.sum_us += dur_us;
-        if self.count == 1 || dur_us < self.min_us {
-            self.min_us = dur_us;
-        }
-        if dur_us > self.max_us {
-            self.max_us = dur_us;
-        }
-        let bucket = (64 - dur_us.leading_zeros()).min(63) as usize;
-        self.buckets[bucket] += 1;
-    }
-
-    fn percentile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let target = ((self.count as f64) * q).ceil() as u64;
-        let mut seen = 0;
-        for (i, n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= target {
-                // Upper bound of bucket i, clamped to the observed max.
-                let bound = if i >= 63 { u64::MAX } else { (1u64 << i) - 1 };
-                return bound.min(self.max_us).max(self.min_us);
-            }
-        }
-        self.max_us
-    }
-
-    fn stats(&self) -> TimerStats {
-        TimerStats {
-            count: self.count,
-            sum_us: self.sum_us,
-            min_us: self.min_us,
-            max_us: self.max_us,
-            p50_us: self.percentile(0.50),
-            p99_us: self.percentile(0.99),
-        }
+fn timer_stats(histo: &Histo) -> TimerStats {
+    TimerStats {
+        count: histo.count,
+        sum_us: histo.sum,
+        min_us: histo.min,
+        max_us: histo.max,
+        p50_us: histo.quantile(0.50),
+        p99_us: histo.quantile(0.99),
     }
 }
 
@@ -401,6 +346,50 @@ impl Histo {
     }
 }
 
+/// Named histograms, made on first use: the collector keeps one map
+/// for timers (microseconds) and one for value histograms, both
+/// recorded by the one body below. The lock is a named field, not a
+/// parameter, so fabriclint's lock-order pass can resolve it.
+struct HistoMap {
+    by_name: RwLock<HashMap<&'static str, Arc<Mutex<Histo>>>>,
+}
+
+impl HistoMap {
+    fn new() -> HistoMap {
+        HistoMap {
+            by_name: RwLock::new(HashMap::new()),
+        }
+    }
+
+    fn record_value(&self, name: &'static str, value: u64) {
+        let histo = {
+            let read = self.by_name.read();
+            match read.get(name) {
+                Some(h) => Arc::clone(h),
+                None => {
+                    drop(read);
+                    Arc::clone(
+                        self.by_name
+                            .write()
+                            .entry(name)
+                            .or_insert_with(|| Arc::new(Mutex::new(Histo::default()))),
+                    )
+                }
+            }
+        };
+        histo.lock().record(value);
+    }
+
+    /// Every histogram's name with `f` of a point-in-time view of it.
+    fn map_each<T>(&self, f: impl Fn(&Histo) -> T) -> BTreeMap<String, T> {
+        self.by_name
+            .read()
+            .iter()
+            .map(|(name, h)| (name.to_string(), f(&h.lock())))
+            .collect()
+    }
+}
+
 /// A point-in-time copy of everything the collector holds.
 #[derive(Debug, Clone, Default)]
 pub struct Snapshot {
@@ -448,15 +437,11 @@ pub struct Collector {
     shards: Vec<Mutex<std::collections::VecDeque<Event>>>,
     dropped: AtomicU64,
     counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    timers: RwLock<HashMap<&'static str, Arc<Mutex<Timer>>>>,
-    histos: RwLock<HashMap<&'static str, Arc<Mutex<Histo>>>>,
+    timers: HistoMap,
+    histos: HistoMap,
     traces: Mutex<trace::TraceStore>,
     next_shard: AtomicUsize,
 }
-
-/// `Registry` is the collector's public face for snapshot consumers
-/// (benches snapshot "the registry"); it is the same type.
-pub type Registry = Collector;
 
 impl Default for Collector {
     fn default() -> Collector {
@@ -475,8 +460,8 @@ impl Collector {
                 .collect(),
             dropped: AtomicU64::new(0),
             counters: RwLock::new(HashMap::new()),
-            timers: RwLock::new(HashMap::new()),
-            histos: RwLock::new(HashMap::new()),
+            timers: HistoMap::new(),
+            histos: HistoMap::new(),
             traces: Mutex::new(trace::TraceStore::default()),
             next_shard: AtomicUsize::new(0),
         }
@@ -564,55 +549,18 @@ impl Collector {
             .unwrap_or(0)
     }
 
-    /// Record one span duration into a named timer histogram.
+    /// Record one duration, in microseconds, into a named timer.
     pub fn record_time(&self, name: &'static str, dur: Duration) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.timers.record_value(name, dur.as_micros() as u64);
         }
-        let timer = {
-            let read = self.timers.read();
-            match read.get(name) {
-                Some(t) => Arc::clone(t),
-                None => {
-                    drop(read);
-                    Arc::clone(
-                        self.timers
-                            .write()
-                            .entry(name)
-                            .or_insert_with(|| Arc::new(Mutex::new(Timer::default()))),
-                    )
-                }
-            }
-        };
-        timer.lock().record(dur.as_micros() as u64);
     }
 
     /// Record one value into a named log-linear histogram.
     pub fn record_histo(&self, name: &'static str, value: u64) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.histos.record_value(name, value);
         }
-        let histo = {
-            let read = self.histos.read();
-            match read.get(name) {
-                Some(h) => Arc::clone(h),
-                None => {
-                    drop(read);
-                    Arc::clone(
-                        self.histos
-                            .write()
-                            .entry(name)
-                            .or_insert_with(|| Arc::new(Mutex::new(Histo::default()))),
-                    )
-                }
-            }
-        };
-        histo.lock().record(value);
-    }
-
-    /// A point-in-time copy of one named histogram, if it exists.
-    pub fn histo(&self, name: &str) -> Option<Histo> {
-        self.histos.read().get(name).map(|h| h.lock().clone())
     }
 
     /// Start a new trace rooted at a span called `name`. Returns
@@ -667,18 +615,7 @@ impl Collector {
         self.traces.lock().trace_ids()
     }
 
-    /// Start a RAII span; its wall time is recorded when the guard
-    /// drops (or sooner via [`Span::finish`]).
-    pub fn span<'a>(&'a self, name: &'static str) -> Span<'a> {
-        Span {
-            collector: self,
-            name,
-            start: Instant::now(),
-            done: false,
-        }
-    }
-
-    /// Copy out events, counters, and timers.
+    /// Copy out events, counters, timers, and histograms.
     pub fn snapshot(&self) -> Snapshot {
         let mut events: Vec<Event> = Vec::new();
         for shard in &self.shards {
@@ -691,23 +628,11 @@ impl Collector {
             .iter()
             .map(|(name, v)| (name.to_string(), v.load(Ordering::Relaxed)))
             .collect();
-        let timers = self
-            .timers
-            .read()
-            .iter()
-            .map(|(name, t)| (name.to_string(), t.lock().stats()))
-            .collect();
-        let histos = self
-            .histos
-            .read()
-            .iter()
-            .map(|(name, h)| (name.to_string(), h.lock().clone()))
-            .collect();
         Snapshot {
             events,
             counters,
-            timers,
-            histos,
+            timers: self.timers.map_each(timer_stats),
+            histos: self.histos.map_each(Histo::clone),
             dropped_events: self.dropped.load(Ordering::Relaxed),
             dropped_spans: self.traces.lock().dropped_spans,
         }
@@ -720,40 +645,10 @@ impl Collector {
             shard.lock().clear();
         }
         self.counters.write().clear();
-        self.timers.write().clear();
-        self.histos.write().clear();
+        self.timers.by_name.write().clear();
+        self.histos.by_name.write().clear();
         self.traces.lock().clear();
         self.dropped.store(0, Ordering::Relaxed);
-    }
-}
-
-/// RAII timer guard from [`Collector::span`].
-pub struct Span<'a> {
-    collector: &'a Collector,
-    name: &'static str,
-    start: Instant,
-    done: bool,
-}
-
-impl Span<'_> {
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
-    /// Record now and return the measured duration.
-    pub fn finish(mut self) -> Duration {
-        let dur = self.start.elapsed();
-        self.collector.record_time(self.name, dur);
-        self.done = true;
-        dur
-    }
-}
-
-impl Drop for Span<'_> {
-    fn drop(&mut self) {
-        if !self.done {
-            self.collector.record_time(self.name, self.start.elapsed());
-        }
     }
 }
 
@@ -810,33 +705,27 @@ mod tests {
         assert_eq!(delta["x.jobs"], 1);
     }
 
+    /// Timers are `Histo`s of microseconds: exact ranks below
+    /// `HISTO_LINEAR_MAX`, and the same quantiles a value histogram
+    /// gives for the same samples.
     #[test]
     fn timers_track_distribution() {
         let c = Collector::new();
         for us in [10u64, 20, 30, 40, 5000] {
             c.record_time("t", Duration::from_micros(us));
+            c.record_histo("h", us);
         }
-        let stats = c.snapshot().timers["t"];
+        let snap = c.snapshot();
+        let stats = snap.timers["t"];
         assert_eq!(stats.count, 5);
         assert_eq!(stats.sum_us, 5100);
         assert_eq!(stats.min_us, 10);
         assert_eq!(stats.max_us, 5000);
-        assert!(stats.p50_us >= 10 && stats.p50_us < 5000, "{stats:?}");
-        assert!(stats.p99_us >= stats.p50_us);
-        assert!(stats.p99_us <= 5000);
-    }
-
-    #[test]
-    fn span_guard_records_on_drop_and_finish() {
-        let c = Collector::new();
-        {
-            let _s = c.span("implicit");
-        }
-        let d = c.span("explicit").finish();
-        let snap = c.snapshot();
-        assert_eq!(snap.timers["implicit"].count, 1);
-        assert_eq!(snap.timers["explicit"].count, 1);
-        assert!(snap.timers["explicit"].sum_us <= d.as_micros() as u64 + 1);
+        assert_eq!(stats.p50_us, 30, "rank 3 of [10, 20, 30, 40, 5000]");
+        assert_eq!(stats.p99_us, 5000);
+        let histo = &snap.histos["h"];
+        assert_eq!(stats.p50_us, histo.quantile(0.50));
+        assert_eq!(stats.p99_us, histo.quantile(0.99));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Single-source registry of every data-collector counter and timer
-//! name in the workspace.
+//! Single-source registry of every data-collector counter, timer,
+//! span, histogram and event-tag name in the workspace.
 //!
 //! Emit sites across the fabric record into the process-wide collector
 //! by string name. Before this module those names were free-floating
@@ -17,10 +17,13 @@
 //! hoisted into `pub const`s so the duplication is a compile-time
 //! symbol, not a copy-pasted string.
 //!
-//! Timer names (kind [`NameKind::Timer`]) surface in `dc_counters` as
-//! six derived rows (`<name>.count`, `.sum_us`, `.min_us`, `.max_us`,
+//! Timer names (kind [`NameKind::Timer`]) are recorded via
+//! `record_time` into the same log-linear histogram a span or a
+//! `record_histo` name gets, and surface in `dc_counters` as six
+//! derived rows (`<name>.count`, `.sum_us`, `.min_us`, `.max_us`,
 //! `.p50_us`, `.p99_us`); [`is_registered`] accepts those derived
-//! spellings too.
+//! spellings too. A duration a span already covers gets no timer of
+//! its own: the span's histogram carries it.
 //!
 //! Span names (kind [`NameKind::Span`]) are recorded via
 //! `trace_start`/`span_start` and surface twice: as `dc_spans` rows and
@@ -57,14 +60,6 @@ pub const RETRY_GAVE_UP: &str = "retry.gave_up";
 pub const S2V_FINALIZE: &str = "s2v.finalize";
 /// Op tag for save-to-Vertica setup (target/staging table DDL).
 pub const S2V_SETUP: &str = "s2v.setup";
-/// Per-phase save-to-Vertica timers, indexed by `phase - 1`.
-pub const S2V_PHASE_TIMERS: [&str; 5] = [
-    "s2v.phase1_us",
-    "s2v.phase2_us",
-    "s2v.phase3_us",
-    "s2v.phase4_us",
-    "s2v.phase5_us",
-];
 /// A speculative duplicate of a straggler task was launched.
 pub const SCHED_SPECULATIVE_TASKS: &str = "sched.speculative_tasks";
 /// Op tag for Vertica-to-Spark connect attempts.
@@ -81,7 +76,7 @@ pub const V2S_PLAN: &str = "v2s.plan";
 pub enum NameKind {
     /// Monotonic counter via `incr`/`add`.
     Counter,
-    /// Duration histogram via `record_time`/`span`.
+    /// Duration histogram in microseconds via `record_time`.
     Timer,
     /// Synthesized by a snapshot consumer, not recorded at an emit site.
     Builtin,
@@ -485,19 +480,9 @@ pub static DEFS: &[NameDef] = &[
         help: "span and op tag for S2V phase 1 (save into staging)",
     },
     NameDef {
-        name: "s2v.phase1_us",
-        kind: NameKind::Timer,
-        help: "S2V phase 1 wall time",
-    },
-    NameDef {
         name: "s2v.phase2",
         kind: NameKind::Span,
         help: "span and op tag for S2V phase 2 (staging validation)",
-    },
-    NameDef {
-        name: "s2v.phase2_us",
-        kind: NameKind::Timer,
-        help: "S2V phase 2 wall time",
     },
     NameDef {
         name: "s2v.phase3",
@@ -505,29 +490,14 @@ pub static DEFS: &[NameDef] = &[
         help: "span and op tag for S2V phase 3 (swap into target)",
     },
     NameDef {
-        name: "s2v.phase3_us",
-        kind: NameKind::Timer,
-        help: "S2V phase 3 wall time",
-    },
-    NameDef {
         name: "s2v.phase4",
         kind: NameKind::Span,
         help: "span and op tag for S2V phase 4 (commit fan-in)",
     },
     NameDef {
-        name: "s2v.phase4_us",
-        kind: NameKind::Timer,
-        help: "S2V phase 4 wall time",
-    },
-    NameDef {
         name: "s2v.phase5",
         kind: NameKind::Span,
         help: "span and op tag for S2V phase 5 (cleanup)",
-    },
-    NameDef {
-        name: "s2v.phase5_us",
-        kind: NameKind::Timer,
-        help: "S2V phase 5 wall time",
     },
     NameDef {
         name: "s2v.rows_loaded",
@@ -538,11 +508,6 @@ pub static DEFS: &[NameDef] = &[
         name: "s2v.rows_rejected",
         kind: NameKind::Counter,
         help: "rows rejected by S2V saves",
-    },
-    NameDef {
-        name: "s2v.save_us",
-        kind: NameKind::Timer,
-        help: "end-to-end S2V save wall time",
     },
     NameDef {
         name: S2V_SETUP,
@@ -811,9 +776,9 @@ mod tests {
             lookup(RETRY_GAVE_UP).map(|d| d.kind),
             Some(NameKind::Counter)
         );
-        assert!(is_registered("s2v.save_us"));
-        assert!(is_registered("s2v.save_us.p99_us"));
-        assert!(!is_registered("s2v.save_us.p98_us"));
+        assert!(is_registered("v2s.piece_us"));
+        assert!(is_registered("v2s.piece_us.p99_us"));
+        assert!(!is_registered("v2s.piece_us.p98_us"));
         assert!(!is_registered("hedge.winz"));
         // Derived suffixes only apply to timers, not counters.
         assert!(!is_registered("hedge.wins.count"));

@@ -89,7 +89,7 @@ fn main() {
 
     // --- 4: node failure under k-safety --------------------------------
     println!("\ntaking database node 2 down...");
-    db.set_node_down(2);
+    db.kill_node(2);
     let loaded = ctx
         .read()
         .format(DEFAULT_SOURCE)
@@ -101,7 +101,7 @@ fn main() {
     let n = loaded.count().unwrap();
     println!("V2S under a down node (k-safety 1): read {n} rows from buddy replicas");
     assert_eq!(n, 5_000);
-    db.set_node_up(2);
+    db.restore_node(2);
 
     println!("\nall failure scenarios survived with exactly-once semantics.");
 }
