@@ -844,9 +844,10 @@ mod tests {
     use super::*;
     use common::row;
 
-    /// The three properties of the lane kernel and its callers — the
-    /// column-wise hash, the statistics and the encoding choice against
-    /// their row references — over eight more seed sets each.
+    /// The four properties of the lane kernel and its callers — the
+    /// column-wise hash, the statistics, the encoding choice and the
+    /// container build against their row references — over eight more
+    /// seed sets each.
     /// `scripts/check.sh` runs this once with `--ignored`.
     #[test]
     #[ignore = "eight more seed sets of the kernel properties; check.sh runs them"]
@@ -855,6 +856,7 @@ mod tests {
             crate::copy::differential::column_wise_hash_matches(base);
             crate::storage::stats::tests::stats_match_the_reference(base);
             crate::storage::encoding::tests::encodings_match_the_reference(base);
+            crate::storage::store::tests::built_containers_match_the_reference(base);
         }
     }
 

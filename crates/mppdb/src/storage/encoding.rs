@@ -26,6 +26,7 @@ use std::cmp::Ordering;
 use common::{Result, Value};
 
 use crate::storage::batch::{each_column_type, ColumnVec, Native};
+use crate::storage::stats::{ColumnStats, KMV_K};
 
 /// The values of one column, unencoded: what a load hands to
 /// [`encode_auto`], what the run values and dictionary entries of an
@@ -337,13 +338,16 @@ enum Plan {
 /// Most distinct values a dictionary is chosen for.
 const DICTIONARY_MAX: usize = 64;
 
+/// Fewest rows a dictionary is chosen for.
+const DICTIONARY_MIN_ROWS: usize = 16;
+
 impl Plan {
     /// `keys[i]` is row `i`'s key; `order` is a total order of the keys
     /// in which equal ones compare equal.
     fn shape<K: PartialEq>(self, keys: &[K], order: impl Fn(&K, &K) -> Ordering) -> Shape {
         match self {
             Plan::Rle => rle_shape(keys),
-            Plan::Dictionary => dictionary_shape(keys),
+            Plan::Dictionary => dictionary_shape(keys, order),
             Plan::Auto => {
                 // Count runs, then (capped) distinct values, over a sample.
                 let sample = &keys[..keys.len().min(1024)];
@@ -353,8 +357,8 @@ impl Plan {
                 let runs = 1 + sample.windows(2).filter(|w| w[0] != w[1]).count();
                 if runs * 4 <= sample.len() {
                     rle_shape(keys)
-                } else if sample.len() >= 16 && few_distinct(sample, order) {
-                    dictionary_shape(keys)
+                } else if sample.len() >= DICTIONARY_MIN_ROWS && few_distinct(sample, &order) {
+                    dictionary_shape(keys, order)
                 } else {
                     Shape::Plain
                 }
@@ -404,20 +408,52 @@ fn rle_shape<K: PartialEq>(keys: &[K]) -> Shape {
     Shape::Rle { starts, lengths }
 }
 
-fn dictionary_shape<K: PartialEq>(keys: &[K]) -> Shape {
+fn dictionary_shape<K: PartialEq>(keys: &[K], order: impl Fn(&K, &K) -> Ordering) -> Shape {
     let mut firsts: Vec<u32> = Vec::new();
     let mut codes = Vec::with_capacity(keys.len());
     for (i, key) in keys.iter().enumerate() {
-        // Linear probe: dictionaries only pay off when tiny, and
-        // `Plan::Auto` only picks this path for low cardinality.
+        // Linear probe while the dictionary is tiny, as `Plan::Auto`'s
+        // sample promised; a column whose tail outgrows it is grouped by
+        // a sort instead, or the probe would cost O(n²).
         let code = match firsts.iter().position(|&d| keys[d as usize] == *key) {
             Some(code) => code,
+            None if firsts.len() == DICTIONARY_MAX => return sorted_dictionary_shape(keys, order),
             None => {
                 firsts.push(i as u32);
                 firsts.len() - 1
             }
         };
         codes.push(code as u32);
+    }
+    Shape::Dictionary { firsts, codes }
+}
+
+/// [`dictionary_shape`] in O(n log n): the same entries in the same
+/// first-seen order, and the same codes.
+fn sorted_dictionary_shape<K: PartialEq>(keys: &[K], order: impl Fn(&K, &K) -> Ordering) -> Shape {
+    // Stable, so each run of keys equal under `order` starts at its
+    // first row. Such a run is `==` throughout, except a NaN's, which
+    // equals nothing and stays an entry per row.
+    let mut sorted: Vec<u32> = (0..keys.len() as u32).collect();
+    sorted.sort_by(|&a, &b| order(&keys[a as usize], &keys[b as usize]));
+    // Each row's first `==` row, no later than itself.
+    let mut first: Vec<u32> = (0..keys.len() as u32).collect();
+    for run in sorted.chunk_by(|&a, &b| order(&keys[a as usize], &keys[b as usize]).is_eq()) {
+        let head = &keys[run[0] as usize];
+        for &row in run.iter().filter(|&&row| keys[row as usize] == *head) {
+            first[row as usize] = run[0];
+        }
+    }
+    let mut firsts: Vec<u32> = Vec::new();
+    let mut codes: Vec<u32> = Vec::with_capacity(keys.len());
+    for (i, &f) in first.iter().enumerate() {
+        let code = if f as usize == i {
+            firsts.push(f);
+            firsts.len() as u32 - 1
+        } else {
+            codes[f as usize]
+        };
+        codes.push(code);
     }
     Shape::Dictionary { firsts, codes }
 }
@@ -467,6 +503,27 @@ pub fn encode_auto(values: ColumnData) -> EncodedColumn {
     encode(&values, Plan::Auto).unwrap_or(EncodedColumn::Plain(values))
 }
 
+/// [`encode_auto`], told the column's statistics. A column of
+/// [`DICTIONARY_MIN_ROWS`] to `KMV_K - 1` rows whose `ndv` equals its
+/// length is its own dictionary, which is what `Plan::Auto` finds after
+/// probing it: below `KMV_K` hashes the sketch's count of distinct
+/// non-NULL values is exact, and `==` values hash alike, so the column
+/// holds no NULL and no two `==` values. Every other column is
+/// [`encode_auto`]'s.
+pub(crate) fn encode_with_stats(values: ColumnData, stats: &ColumnStats) -> EncodedColumn {
+    let n = values.len();
+    let sizes = DICTIONARY_MIN_ROWS..KMV_K.min(DICTIONARY_MAX + 1);
+    if sizes.contains(&n) && stats.ndv == n as u64 {
+        let codes = (0..n as u32).collect();
+        EncodedColumn::Dictionary {
+            dict: values,
+            codes,
+        }
+    } else {
+        encode_auto(values)
+    }
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -492,7 +549,7 @@ pub(crate) mod tests {
     /// The `Vec<Value>` encodings the typed ones replaced, kept verbatim
     /// as the reference: same encoding choice, same decoded values, same
     /// sizes.
-    mod reference {
+    pub(crate) mod reference {
         use common::Value;
 
         /// An encoded column of values.
@@ -810,9 +867,11 @@ pub(crate) mod tests {
     /// fills), long runs, NULL-heavy, all-NULL, NaN-bearing floats,
     /// signed zeros tying for the smallest or the largest value, NaNs of
     /// every payload among ±∞, `BIGINT` extremes with a NULL at every
-    /// lane position, a lone NaN among NULLs, or signed zeros among small
-    /// floats; `picks` supplies the entropy.
-    pub(crate) const COLUMN_KINDS: u8 = 15;
+    /// lane position, a lone NaN among NULLs, signed zeros among small
+    /// floats, or four values over the encoding sample and a mostly
+    /// distinct tail (with NaNs, NULLs and both zeros) after it; `picks`
+    /// supplies the entropy.
+    pub(crate) const COLUMN_KINDS: u8 = 16;
 
     pub(crate) fn column(kind: u8, picks: &[(u8, i64)]) -> Vec<Value> {
         let mut run_value = 0i64;
@@ -862,6 +921,12 @@ pub(crate) mod tests {
                 (12, _) => Value::Int64(x),
                 (13, _) if i == 0 => Value::Float64(nan(p, x)),
                 (13, _) => Value::Null,
+                (15, _) if i < 1024 => Value::Float64(x.rem_euclid(4) as f64),
+                (15, 0) => Value::Float64(nan(p, x)),
+                (15, 1) => Value::Null,
+                (15, 2) => Value::Float64(-0.0),
+                (15, 3) => Value::Float64(0.0),
+                (15, _) => Value::Float64(i as f64 + 0.5),
                 (_, 0..=2) => Value::Float64(-0.0),
                 (_, 3..=5) => Value::Float64(0.0),
                 (_, _) => Value::Float64((x % 3) as f64),

@@ -22,7 +22,7 @@ use crate::storage::batch::{each_column_type, Native, TypedVec, LANES};
 use crate::storage::encoding::ColumnData;
 
 /// Sketch size: the k smallest distinct value hashes kept per column.
-const KMV_K: usize = 64;
+pub(crate) const KMV_K: usize = 64;
 
 /// Statistics for one column of one ROS container.
 #[derive(Debug, Clone, PartialEq)]

@@ -11,7 +11,7 @@ use common::{DataType, Expr, Result, Row, Value};
 
 use crate::segmentation::HashRange;
 use crate::storage::batch::ColumnBatch;
-use crate::storage::encoding::{encode_auto, ColumnData, EncodedColumn};
+use crate::storage::encoding::{encode_with_stats, ColumnData, EncodedColumn};
 use crate::storage::predicate::PredPlan;
 use crate::storage::stats::{
     container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
@@ -60,10 +60,12 @@ type Built = (Arc<RosPayload>, Option<ContainerStats>);
 
 impl RosPayload {
     /// The one ROS creation path: statistics from the unencoded typed
-    /// columns, then encoding.
+    /// columns, then encoding, which the statistics decide for a small
+    /// all-distinct column.
     fn build(columns: Vec<ColumnData>, hashes: Vec<u64>) -> Built {
         let stats = ContainerStats::compute(&columns, &hashes);
-        let columns = columns.into_iter().map(encode_auto).collect();
+        let columns = columns.into_iter().zip(&stats.columns);
+        let columns = columns.map(|(c, s)| encode_with_stats(c, s)).collect();
         (Arc::new(RosPayload { columns, hashes }), Some(stats))
     }
 
@@ -517,8 +519,8 @@ impl NodeTableStore {
     }
 
     /// Stage a container with each column encoded as `encode` says, not
-    /// as [`encode_auto`] would choose: how the predicate differential
-    /// reaches every encoding of every column shape.
+    /// as [`RosPayload::build`] would choose: how the predicate
+    /// differential reaches every encoding of every column shape.
     #[cfg(test)]
     pub(crate) fn insert_pending_encoded(
         &mut self,
@@ -1184,7 +1186,7 @@ impl NodeTableStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use common::row;
 
@@ -1194,6 +1196,38 @@ mod tests {
             (row![2i64, "b"], 200),
             (row![3i64, "c"], 300),
         ]
+    }
+
+    /// The columns [`RosPayload::build`] seals against the reference
+    /// `encode_auto` on the generated columns of `base`, each in a
+    /// container beside its own reversal, under hashes of any value.
+    pub(crate) fn built_containers_match_the_reference(base: u64) {
+        use crate::storage::encoding::tests::{for_each_generated_column, reference};
+        use rand::RngCore;
+        // Through `Debug`, so that NaN equals itself and `-0.0` does not
+        // equal `0.0`.
+        let same = |a: Vec<Value>, b: Vec<Value>| format!("{a:?}") == format!("{b:?}");
+        for_each_generated_column(base, |what, values, rng| {
+            let reversed: Vec<Value> = values.iter().rev().cloned().collect();
+            let hashes = values.iter().map(|_| rng.next_u64()).collect();
+            let columns = [&values, &reversed].map(|v| ColumnData::from_values(v));
+            let (payload, _) = RosPayload::build(columns.into(), hashes);
+            for (got, values) in payload.columns.iter().zip([&values, &reversed]) {
+                let want = reference::encode_auto(values);
+                assert_eq!(got.encoding_name(), want.encoding_name(), "{what}");
+                assert_eq!(got.len(), want.len(), "{what}");
+                assert_eq!(got.encoded_size(), want.encoded_size(), "{what}");
+                assert!(same(got.decode().to_values(), want.decode()), "{what}");
+                let rows = 0..values.len();
+                let by_get = rows.clone().map(|i| got.get(i)).collect();
+                assert!(same(by_get, rows.map(|i| want.get(i)).collect()), "{what}");
+            }
+        });
+    }
+
+    #[test]
+    fn built_containers_match_the_reference_routine() {
+        built_containers_match_the_reference(0);
     }
 
     #[test]

@@ -101,13 +101,16 @@ cargo run -q -p fabriclint -- --lock-graph ${witness_args[@]+"${witness_args[@]}
 
 # Three ablations through the one bench binary, one process each. They
 # regenerate BENCH_pushdown.json (asserting every cell returns the
-# identical aggregate), BENCH_stream.json and BENCH_rebalance.json;
-# their gates (≥5x scan and ≥10x wire reduction, mover-on strictly
+# identical aggregate), BENCH_stream.json and BENCH_rebalance.json into
+# a temporary directory, so the committed reference files stay as they
+# are; their gates (≥5x scan and ≥10x wire reduction, mover-on strictly
 # faster, zero failures and a bounded P99) also run as bench lib tests
 # above.
+bench_out="$(mktemp -d)"
 for e in pushdown stream rebalance; do
     echo "== bench $e"
-    cargo run -q -p bench -- "$e" > /dev/null
+    BENCH_OUT_DIR="$bench_out" cargo run -q -p bench -- "$e" > /dev/null
 done
+rm -rf "$bench_out"
 
 echo "All checks passed."
