@@ -282,17 +282,20 @@ const OVERWRITE: &[&str] = &[
     "1 x work copy_parse_avro 50 1235",
     "11 x work db_commit 1 0",
     "36 x work delete_mark 1 0",
+    "1 x work filter_eval 1 0",
     "1 x work filter_eval 2 0",
-    "8 x work filter_eval 8 0",
+    "16 x work filter_eval 8 0",
     "11 x work route_hash 1 0",
     "8 x work route_hash 50 0",
     "1 x work route_hash 8 0",
     "2 x work scan_local 0 0",
-    "1 x work scan_local 1 31",
+    "1 x work scan_local 1 32",
     "1 x work scan_local 1 8",
     "1 x work scan_local 2 79",
-    "10 x work scan_local 8 232",
+    "8 x work scan_local 8 16",
+    "1 x work scan_local 8 232",
     "8 x work scan_local 8 65",
+    "1 x work scan_local 8 8",
     "24 x xfer DbInternal 1 29",
     "3 x xfer DbInternal 1 31",
     "3 x xfer DbInternal 1 34",
@@ -332,8 +335,9 @@ const APPEND: &[&str] = &[
     "1 x work copy_parse_avro 50 1235",
     "11 x work db_commit 1 0",
     "36 x work delete_mark 1 0",
+    "1 x work filter_eval 1 0",
     "1 x work filter_eval 2 0",
-    "8 x work filter_eval 8 0",
+    "16 x work filter_eval 8 0",
     "11 x work route_hash 1 0",
     "1 x work route_hash 400 0",
     "8 x work route_hash 50 0",
@@ -344,11 +348,13 @@ const APPEND: &[&str] = &[
     "1 x work scan_hash 94 2256",
     "1 x work scan_hash 95 2280",
     "2 x work scan_local 0 0",
-    "1 x work scan_local 1 31",
+    "1 x work scan_local 1 32",
     "1 x work scan_local 1 8",
     "1 x work scan_local 2 79",
-    "10 x work scan_local 8 232",
+    "8 x work scan_local 8 16",
+    "1 x work scan_local 8 232",
     "8 x work scan_local 8 65",
+    "1 x work scan_local 8 8",
     "24 x xfer DbInternal 1 29",
     "3 x xfer DbInternal 1 31",
     "3 x xfer DbInternal 1 34",
@@ -394,7 +400,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -416,7 +423,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -438,7 +446,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -460,7 +469,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -482,7 +492,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -504,7 +515,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -526,7 +538,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 8",
+        "work filter_eval 8 0",
         "work scan_local 0 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 8",
@@ -534,7 +547,7 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 8",
         "work db_commit 1 0",
         "work scan_local 1 8",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
         "work scan_local 2 79",
         "work filter_eval 2 0",
         "work scan_hash 196 2256",
@@ -579,7 +592,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "work scan_local 0 0",
@@ -587,7 +601,8 @@ const APPEND_K1: &[&[&str]] = &[
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
-        "work scan_local 1 31",
+        "work scan_local 1 32",
+        "work filter_eval 1 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 34",
         "xfer DbInternal 1 34",
@@ -620,7 +635,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -642,7 +658,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -664,7 +681,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -686,7 +704,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -708,7 +727,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -730,7 +750,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -752,7 +773,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 8",
+        "work filter_eval 8 0",
         "work scan_local 0 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 8",
@@ -760,7 +782,7 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 8",
         "work db_commit 1 0",
         "work scan_local 1 8",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
         "work scan_local 2 79",
         "work filter_eval 2 0",
         "work scan_local 400 9600",
@@ -799,7 +821,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "work scan_local 0 0",
@@ -807,7 +830,8 @@ const APPEND_UNSEGMENTED: &[&[&str]] = &[
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
-        "work scan_local 1 31",
+        "work scan_local 1 32",
+        "work filter_eval 1 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 34",
         "xfer DbInternal 1 34",
@@ -840,7 +864,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -862,7 +887,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -884,7 +910,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -906,7 +933,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -928,7 +956,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -950,7 +979,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -972,7 +1002,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 8",
+        "work filter_eval 8 0",
         "work scan_local 0 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 8",
@@ -980,7 +1011,7 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 8",
         "work db_commit 1 0",
         "work scan_local 1 8",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
         "work scan_local 2 79",
         "work filter_eval 2 0",
         "work scan_hash 94 2256",
@@ -1025,7 +1056,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "work scan_local 0 0",
@@ -1033,7 +1065,8 @@ const APPEND_WOS: &[&[&str]] = &[
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
-        "work scan_local 1 31",
+        "work scan_local 1 32",
+        "work filter_eval 1 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 34",
         "xfer DbInternal 1 34",
@@ -1063,7 +1096,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1082,7 +1116,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1101,7 +1136,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1120,7 +1156,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1139,7 +1176,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1158,7 +1196,8 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "setup s2v_connect 0 0",
@@ -1177,14 +1216,15 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 8",
+        "work filter_eval 8 0",
         "work scan_local 0 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 8",
         "xfer DbInternal 1 8",
         "work db_commit 1 0",
         "work scan_local 1 8",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
         "work scan_local 2 79",
         "work filter_eval 2 0",
         "work scan_hash 196 2256",
@@ -1223,14 +1263,16 @@ const APPEND_K1_DEAD: &[&[&str]] = &[
         "xfer DbInternal 1 29",
         "xfer DbInternal 1 29",
         "work db_commit 1 0",
-        "work scan_local 8 232",
+        "work scan_local 8 16",
+        "work filter_eval 8 0",
     ],
     &[
         "work scan_local 0 0",
         "work route_hash 8 0",
         "xfer DbInternal 8 232",
         "xfer DbInternal 8 232",
-        "work scan_local 1 31",
+        "work scan_local 1 32",
+        "work filter_eval 1 0",
         "work route_hash 1 0",
         "xfer DbInternal 1 34",
         "xfer DbInternal 1 34",

@@ -8,14 +8,16 @@
 //! predicate to the store scan every batch examined 9 rows and decoded
 //! 27 values more than the one before it: the protocol's `UPDATE
 //! s2v_job_final_status … WHERE job_name = …` decoded every row of a
-//! table that gains one row per batch, twice on every node. What is
-//! left is one row and its three values per batch: the job's `SELECT
-//! COUNT(*) FROM s2v_job_final_status WHERE job_name = …`, which still
-//! loads the table as rows until SQL aggregates lower onto `QuerySpec`
-//! (ROADMAP 3(a)) — when that lands the two batches cost the same and
-//! `PER_BATCH` below becomes `(0, 0)`. The engine runs one worker thread
-//! with speculation off, so the number of tasks reaching each phase is
-//! fixed.
+//! table that gains one row per batch, twice on every node. Then, until
+//! SQL aggregates lowered onto the pushed-down aggregate scan, the job's
+//! `SELECT COUNT(*) FROM s2v_job_final_status WHERE job_name = …` loaded
+//! that table as rows: one row and its three values more per batch.
+//! Now the count is a pushed-down aggregate scan whose predicate, like
+//! the UPDATE's, skips an earlier job's rows by their containers' zone
+//! maps instead of examining them, so the two batches cost the same and
+//! `PER_BATCH` below is `(0, 0)`. The engine runs one worker
+//! thread with speculation off, so the number of tasks reaching each
+//! phase is fixed.
 
 use std::sync::Arc;
 
@@ -27,7 +29,7 @@ use sparklet::{SaveMode, SparkConf, SparkContext};
 const BATCH_ROWS: usize = 200;
 
 /// (rows examined, values decoded) a batch adds to every later batch.
-const PER_BATCH: (u64, u64) = (1, 3);
+const PER_BATCH: (u64, u64) = (0, 0);
 
 #[test]
 fn scan_work_per_batch_grows_only_by_the_final_status_count() {

@@ -71,7 +71,13 @@ cargo test -q -p mppdb --lib storage::batch::tests -- --ignored
 # The column-at-a-time aggregate fold against the row fold over the
 # same scan's rows: the 256 cases above, over eight more seed sets.
 echo "== aggregate differential, 8 more seed sets"
-cargo test -q -p mppdb --test agg_differential -- --ignored
+cargo test -q -p mppdb --test agg_differential aggregate_fold -- --ignored
+
+# SQL aggregates, lowered onto the pushed-down aggregate scan, against
+# the row fold over the rows the same read returns: the 256 generated
+# statements above, over eight more seed sets.
+echo "== SQL aggregate differential, 8 more seed sets"
+cargo test -q -p mppdb --test agg_differential sql_aggregates -- --ignored
 
 # The worker pool under 10,000 jobs of random width, with nested jobs
 # and panicking calls: every call runs once, every panic comes back.
