@@ -9,9 +9,11 @@
 //! is no idle timer and no option: a small job stops paying for a fresh
 //! OS thread, and that is all the pool changes.
 //!
-//! [`run_all`] is the scoped form — the caller only waits, so every call
-//! runs on a pooled thread that holds no lock guard — and [`spawn`] the
-//! detached one.
+//! [`run_all`] is the scoped form and [`spawn`] the detached one. A
+//! scoped fan-out's caller does a share of the work: it runs call 0
+//! itself while pooled threads run the rest, so a fan-out of one hands
+//! nothing to another thread. Call 0 thus runs under whatever the caller
+//! holds, and a caller must hold no lock guard across [`run_all`].
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -113,11 +115,12 @@ impl Latch {
     }
 }
 
-/// Run `f(0)`, …, `f(n - 1)`, each on a pooled thread of its own, and
-/// return once every call has returned. The caller only waits. A panic
-/// in a call is re-raised here with its payload — the first one, if
-/// several calls panicked — after all of them have returned, as
-/// `std::thread::scope` waits for every thread before it panics.
+/// Run `f(0)`, …, `f(n - 1)` and return once every call has returned:
+/// `f(0)` on the calling thread, each other call on a pooled thread of
+/// its own. A panic in a call is re-raised here with its payload — the
+/// first one, if several calls panicked — after all of them have
+/// returned, as `std::thread::scope` waits for every thread before it
+/// panics. The caller must hold no lock guard across the call.
 pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
     if n == 0 {
         return;
@@ -129,7 +132,7 @@ pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
         }),
         all_returned: Condvar::new(),
     });
-    for i in 0..n {
+    for i in 1..n {
         let call_latch = Arc::clone(&latch);
         let call: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
             let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(i)));
@@ -147,6 +150,8 @@ pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
             break;
         }
     }
+    let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(0)));
+    latch.count_down(1, outcome.err());
     let mut pending = latch.pending_calls.lock();
     while pending.calls > 0 {
         latch.all_returned.wait(&mut pending);
@@ -246,6 +251,40 @@ mod tests {
     }
 
     #[test]
+    fn call_0_runs_on_the_callers_thread_and_its_panic_waits_for_the_rest() {
+        let _serial = serial();
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(Vec::new());
+        run_all(3, &|i| ran_on.lock().push((i, std::thread::current().id())));
+        let mut ran_on = ran_on.into_inner();
+        ran_on.sort_by_key(|&(i, _)| i);
+        assert_eq!(ran_on[0], (0, caller));
+        assert!(ran_on[1..].iter().all(|&(_, id)| id != caller));
+
+        let finished = AtomicUsize::new(0);
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            run_all(3, &|i| {
+                assert_eq!(i == 0, std::thread::current().id() == caller);
+                if i == 0 {
+                    panic!("call 0 on the caller");
+                }
+                std::thread::sleep(Duration::from_millis(30));
+                finished.fetch_add(1, Ordering::AcqRel);
+            })
+        }));
+        let payload = caught.expect_err("call 0's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"call 0 on the caller")
+        );
+        assert_eq!(
+            finished.load(Ordering::Acquire),
+            2,
+            "raised before the rest returned"
+        );
+    }
+
+    #[test]
     fn a_nested_run_all_completes() {
         let _serial = serial();
         let leaves = AtomicUsize::new(0);
@@ -293,7 +332,8 @@ mod tests {
         });
         settle();
         assert_eq!(parked(), MAX_PARKED);
-        assert!(exited() - exited_before >= 8);
+        // The caller runs call 0: `n - 1` calls took pooled threads.
+        assert!(exited() - exited_before >= 7);
     }
 
     #[test]

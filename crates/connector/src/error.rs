@@ -52,6 +52,18 @@ impl ConnectorError {
         ConnectorError::Db { op, source }
     }
 
+    /// Whether the statement ended on its cancel token: a hedged read's
+    /// loser.
+    pub fn is_cancelled(&self) -> bool {
+        matches!(
+            self,
+            ConnectorError::Db {
+                source: DbError::Cancelled,
+                ..
+            }
+        )
+    }
+
     /// Whether retrying the same operation can plausibly succeed.
     ///
     /// Transient: connectivity loss, refused/overloaded nodes, lock

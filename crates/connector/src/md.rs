@@ -28,6 +28,8 @@ use pmml::{Evaluator, PmmlDocument};
 pub const MODEL_TABLE: &str = "pmml_models";
 /// DFS directory holding model documents.
 pub const MODEL_DFS_PREFIX: &str = "/pmml/";
+/// The scoring UDx's SQL name.
+const PMML_PREDICT: &str = "PMMLPredict";
 
 /// Metadata of a deployed model.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,6 +70,23 @@ impl ModelDeployment {
         format!("{MODEL_DFS_PREFIX}{name}.xml")
     }
 
+    /// Delete `name`'s catalog row, and only its row: the name goes into
+    /// the statement as a literal with each quote doubled.
+    fn delete_catalog_row(session: &mut mppdb::Session, name: &str) -> DbResult<()> {
+        let literal = name.replace('\'', "''");
+        session.execute(&format!(
+            "DELETE FROM {MODEL_TABLE} WHERE name = '{literal}'"
+        ))?;
+        Ok(())
+    }
+
+    /// Make `PMMLPredict` parse `name` afresh on its next call.
+    fn forget_evaluator(&self, name: &str) {
+        if let Some(udf) = self.cluster.udf(PMML_PREDICT) {
+            udf.forget(name);
+        }
+    }
+
     /// `DeployPMMLModel()`: store the document in the DFS and its
     /// metadata in the catalog table.
     pub fn deploy_pmml_model(&self, doc: &PmmlDocument, overwrite: bool) -> DbResult<()> {
@@ -84,8 +103,9 @@ impl ModelDeployment {
         self.cluster
             .dfs()
             .store(&path, xml.clone().into_bytes(), overwrite)?;
+        self.forget_evaluator(&name);
         let mut session = self.cluster.connect(0)?;
-        session.execute(&format!("DELETE FROM {MODEL_TABLE} WHERE name = '{name}'"))?;
+        Self::delete_catalog_row(&mut session, &name)?;
         session.insert(
             MODEL_TABLE,
             vec![Row::new(vec![
@@ -117,9 +137,9 @@ impl ModelDeployment {
     /// Remove a model and its metadata.
     pub fn drop_model(&self, name: &str) -> DbResult<()> {
         self.cluster.dfs().delete(&Self::dfs_path(name))?;
+        self.forget_evaluator(name);
         let mut session = self.cluster.connect(0)?;
-        session.execute(&format!("DELETE FROM {MODEL_TABLE} WHERE name = '{name}'"))?;
-        Ok(())
+        Self::delete_catalog_row(&mut session, name)
     }
 
     /// List deployed models from the metadata table.
@@ -147,7 +167,8 @@ impl ModelDeployment {
 ///
 /// Holds a weak cluster reference (it lives *in* the cluster's UDF
 /// registry) and a per-model evaluator cache so the PMML document is
-/// parsed once, not per row.
+/// parsed once, not per row. Deploying or dropping a model evicts its
+/// entry ([`ScalarUdf::forget`]).
 pub struct PmmlPredictUdf {
     cluster: Weak<Cluster>,
     cache: Mutex<HashMap<String, Arc<Evaluator>>>,
@@ -194,7 +215,11 @@ impl PmmlPredictUdf {
 
 impl ScalarUdf for PmmlPredictUdf {
     fn name(&self) -> &str {
-        "PMMLPredict"
+        PMML_PREDICT
+    }
+
+    fn forget(&self, model_name: &str) {
+        self.cache.lock().remove(model_name);
     }
 
     fn eval(&self, args: &[Value], params: &UdfParams) -> DbResult<Value> {

@@ -17,12 +17,18 @@
 //! closures that may outlive the call, which is why the two signatures
 //! stay distinct and why writes never hedge — a second in-flight writer
 //! would break the exactly-once commit protocol.
+//!
+//! A hedged read's primary runs on the calling thread — in a V2S load,
+//! the task's own — and its buddy is armed on the process-wide hedge
+//! timer (`timer`), which asks the worker pool for a thread only when
+//! the hedge delay passes. The first success wins and cancels the other
+//! arm through its [`Cancel`] token.
 
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use mppdb::segmentation::SegmentMap;
-use mppdb::{Cluster, Session};
+use mppdb::{Cancel, Cluster, Session};
 
 use crate::error::{ConnectorError, ConnectorResult};
 use crate::health::{tracker_for, BreakerState, Deadline, HealthTracker};
@@ -90,9 +96,16 @@ pub(crate) enum Hedge {
     After(Duration),
 }
 
-/// One execution of a call against the node it is handed. Owned and
-/// `'static` so a hedge attempt can run it on a detached thread.
-pub type NodeCall<T> = Arc<dyn Fn(usize) -> ConnectorResult<T> + Send + Sync>;
+/// One execution of a call against the node it is handed, under the
+/// cancel token it is handed: the call opens its session with that token
+/// ([`Cluster::connect_cancellable`]), so a hedged read's losing arm
+/// stops at the engine's next check. Owned and `'static` so the buddy
+/// arm can run it on a pooled thread.
+///
+/// The primary arm runs on the caller's thread, so a call that ignores
+/// its token delays its caller until it returns, even when the buddy has
+/// already won. No call in the connector ignores it.
+pub type NodeCall<T> = Arc<dyn Fn(usize, &Cancel) -> ConnectorResult<T> + Send + Sync>;
 
 /// Everything that decides how one job's database calls behave. Built
 /// once by [`CallPolicy::for_job`], then cloned and re-parented
@@ -262,7 +275,6 @@ impl CallPolicy {
                         });
                     }
                     obs::global().incr("retry.attempts");
-                    obs::global().record_time("retry.backoff_us", backoff);
                     std::thread::sleep(backoff);
                     attempt += 1;
                 }
@@ -312,10 +324,11 @@ impl CallPolicy {
         match hedge {
             Some((delay, buddy)) => {
                 let health = Arc::clone(&self.health);
-                let run: NodeCall<T> = Arc::new(move |n| observe(&health, n, || exec(n)));
+                let run: NodeCall<T> =
+                    Arc::new(move |n, cancel| observe(&health, n, || exec(n, cancel)));
                 hedged_read(op, delay, primary, buddy, trace, run)
             }
-            None => observe(&self.health, primary, || exec(primary)),
+            None => observe(&self.health, primary, || exec(primary, &Cancel::default())),
         }
     }
 }
@@ -364,7 +377,9 @@ impl Steered<'_> {
 
 /// Run `call` against `node` and feed the outcome to the tracker:
 /// success is a latency sample, a transient error a failure, and a
-/// fatal error nothing — a syntax error says nothing about node health.
+/// fatal error nothing — a syntax error says nothing about node health,
+/// and a cancelled hedge loser (`DbError::Cancelled` is fatal) neither
+/// trips a breaker nor adds a sample to the P99.
 fn observe<T>(
     health: &HealthTracker,
     node: usize,
@@ -380,17 +395,19 @@ fn observe<T>(
     result
 }
 
-/// Run an idempotent read with a tail-latency hedge: start `run` on
-/// `primary`; if no answer within `delay`, start it on `buddy` too and
-/// take whichever finishes first. The loser cannot be interrupted
-/// mid-call — it is abandoned on its detached pooled thread, which it
-/// keeps until it returns, and its eventual result discarded (counted
-/// under `hedge.cancelled`).
+/// Run an idempotent read with a tail-latency hedge: run `run` on
+/// `primary` on this thread, with a launch of the same call on `buddy`
+/// armed on the hedge timer for `delay`. A primary that answers within
+/// the delay disarms it, and no other thread is involved. Otherwise the
+/// buddy runs on a pooled thread, and the first success wins: a buddy
+/// that succeeds cancels the primary, whose session stops at its next
+/// check, and this returns the buddy's answer once the primary has
+/// returned; a primary that succeeds cancels the buddy. A loser that
+/// ends on its cancel counts under `hedge.cancelled`.
 ///
-/// Each attempt runs under a `hedge.attempt` span parented at `trace`
-/// (attempt 1 = primary, attempt 2 = buddy); the span is finished by
-/// the worker thread when its attempt returns, so an abandoned loser
-/// closes its span late rather than never.
+/// Each arm runs under a `hedge.attempt` span parented at `trace`
+/// (attempt 1 = primary, attempt 2 = buddy), finished when its arm
+/// returns.
 fn hedged_read<T: Send + 'static>(
     op: &'static str,
     delay: Duration,
@@ -399,67 +416,185 @@ fn hedged_read<T: Send + 'static>(
     trace: obs::TraceCtx,
     run: NodeCall<T>,
 ) -> ConnectorResult<T> {
-    let (tx, rx) = mpsc::channel();
-    let launch = |node: usize, attempt: u32, role: &'static str| {
-        let tx = tx.clone();
-        let run = Arc::clone(&run);
-        let span = obs::global().span_start(obs::names::HEDGE_ATTEMPT, trace);
-        common::pool::spawn(move || {
-            let result = run(node);
-            obs::global().span_finish(span, |s| {
-                s.attempt = attempt;
-                s.node = Some(node as u64);
-                s.failed = result.is_err();
-                s.detail = format!("{op} {role}");
+    let (primary_cancel, buddy_cancel) = (Cancel::default(), Cancel::default());
+    // The buddy's only way back: if its launch is dropped unrun, the
+    // sender goes with it and `recv` below disconnects.
+    let (tx, rx) = mpsc::sync_channel(1);
+    let launch = {
+        let (run, primary_cancel, buddy_cancel) = (
+            Arc::clone(&run),
+            primary_cancel.clone(),
+            buddy_cancel.clone(),
+        );
+        move || {
+            if buddy_cancel.is_cancelled() {
+                // The primary won while this launch was on its way.
+                return;
+            }
+            obs::global().emit(obs::EventKind::Hedge, |e| {
+                e.node = Some(buddy as u64);
+                e.dur_us = delay.as_micros() as u64;
+                e.detail = format!("{op}: hedging node {primary} with buddy {buddy}");
             });
-            // The receiver may be gone (winner already returned).
-            let _ = tx.send((node, result));
-        });
+            obs::global().incr("hedge.launched");
+            let result = run_arm(&run, op, buddy, &buddy_cancel, trace, 2, "hedge");
+            if result.is_ok() {
+                primary_cancel.cancel();
+            }
+            // The caller may be gone (its primary won).
+            let _ = tx.send(result);
+        }
     };
-    launch(primary, 1, "primary");
-    match rx.recv_timeout(delay) {
-        Ok((_, result)) => return result,
-        Err(mpsc::RecvTimeoutError::Timeout) => {}
-        Err(mpsc::RecvTimeoutError::Disconnected) => {
-            return Err(ConnectorError::Engine(format!(
-                "{op}: hedged read worker died"
-            )))
-        }
+    let armed = timer::arm(delay, Box::new(launch));
+    let result = run_arm(&run, op, primary, &primary_cancel, trace, 1, "primary");
+    if timer::disarm(armed) {
+        return result;
     }
-    // Primary is past the hedge delay: launch the buddy attempt.
-    obs::global().emit(obs::EventKind::Hedge, |e| {
-        e.node = Some(buddy as u64);
-        e.dur_us = delay.as_micros() as u64;
-        e.detail = format!("{op}: hedging node {primary} with buddy {buddy}");
+    // The buddy launched, or its launch is on its way. A primary that
+    // succeeded before the buddy cancelled it wins.
+    if result.is_ok() && !primary_cancel.is_cancelled() {
+        buddy_cancel.cancel();
+        obs::global().incr("hedge.primary_wins");
+        return result;
+    }
+    match rx.recv() {
+        Ok(Ok(value)) => {
+            obs::global().incr("hedge.wins");
+            Ok(value)
+        }
+        // Both arms failed; the primary was not cancelled, as only a
+        // buddy's success cancels it.
+        Ok(Err(_)) | Err(_) => result,
+    }
+}
+
+/// One arm of a hedged read: `run` on `node` under a `hedge.attempt`
+/// span, counting an arm that ends on its cancel under `hedge.cancelled`.
+fn run_arm<T>(
+    run: &NodeCall<T>,
+    op: &'static str,
+    node: usize,
+    cancel: &Cancel,
+    trace: obs::TraceCtx,
+    attempt: u32,
+    role: &'static str,
+) -> ConnectorResult<T> {
+    let span = obs::global().span_start(obs::names::HEDGE_ATTEMPT, trace);
+    let result = run(node, cancel);
+    obs::global().span_finish(span, |s| {
+        s.attempt = attempt;
+        s.node = Some(node as u64);
+        s.failed = result.is_err();
+        s.detail = format!("{op} {role}");
     });
-    obs::global().incr("hedge.launched");
-    launch(buddy, 2, "hedge");
-    // Only the workers hold senders now: if both die without
-    // answering, `recv` disconnects instead of blocking forever.
-    drop(tx);
-    let mut first_err: Option<ConnectorError> = None;
-    for loser_in_flight in [true, false] {
-        match rx.recv() {
-            Ok((node, Ok(value))) => {
-                obs::global().incr(if node == buddy {
-                    "hedge.wins"
-                } else {
-                    "hedge.primary_wins"
-                });
-                if loser_in_flight {
-                    // It cannot be interrupted; abandon it.
-                    obs::global().incr("hedge.cancelled");
+    if result.as_ref().is_err_and(ConnectorError::is_cancelled) {
+        obs::global().incr("hedge.cancelled");
+    }
+    result
+}
+
+/// The process-wide hedge timer: the armed buddy launches, ordered by
+/// deadline, and one thread that waits for the earliest. Arming and
+/// disarming take the timer's lock and nothing else. A launch whose
+/// deadline passes is taken out under the lock and handed to the worker
+/// pool after it is released, so the pool is asked for a thread only
+/// when a hedge fires, and never under the lock.
+mod timer {
+    use std::collections::BTreeMap;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::LazyLock;
+    use std::time::{Duration, Instant};
+
+    use parking_lot::{Condvar, Mutex};
+
+    pub(super) type Launch = Box<dyn FnOnce() + Send>;
+
+    /// An armed launch's key: its deadline, then its arming order.
+    pub(super) type Armed = (Instant, u64);
+
+    struct Timer {
+        armed: Mutex<Launches>,
+        /// Signalled when an arming moves the earliest deadline forward.
+        earlier: Condvar,
+    }
+
+    struct Launches {
+        by_deadline: BTreeMap<Armed, Launch>,
+        next_id: u64,
+    }
+
+    static TIMER: LazyLock<&'static Timer> = LazyLock::new(|| {
+        let timer: &'static Timer = Box::leak(Box::new(Timer {
+            armed: Mutex::new(Launches {
+                by_deadline: BTreeMap::new(),
+                next_id: 0,
+            }),
+            earlier: Condvar::new(),
+        }));
+        // Without its thread no hedge fires: every read then waits for
+        // its primary, as with hedging off.
+        let _ = std::thread::Builder::new()
+            .name("fabric-hedge-timer".to_string())
+            .spawn(move || loop {
+                let launch = timer.next_due();
+                // A launch the pool cannot take is dropped unrun, which
+                // its read sees as a buddy that never answered.
+                let _ = panic::catch_unwind(AssertUnwindSafe(|| common::pool::spawn(launch)));
+            });
+        timer
+    });
+
+    /// The timer's one clock read.
+    fn now() -> Instant {
+        Instant::now()
+    }
+
+    /// Hand `launch` to the pool once `delay` has passed, unless it is
+    /// disarmed first.
+    pub(super) fn arm(delay: Duration, launch: Launch) -> Armed {
+        let deadline = now() + delay;
+        let mut armed = TIMER.armed.lock();
+        let key = (deadline, armed.next_id);
+        armed.next_id += 1;
+        armed.by_deadline.insert(key, launch);
+        if armed.by_deadline.first_key_value().map(|(k, _)| k) == Some(&key) {
+            TIMER.earlier.notify_one();
+        }
+        key
+    }
+
+    /// Take an armed launch back: true if it had not fired yet, so it
+    /// never will; false if it has been handed to the pool.
+    pub(super) fn disarm(key: Armed) -> bool {
+        TIMER.armed.lock().by_deadline.remove(&key).is_some()
+    }
+
+    /// Launches armed and neither fired nor disarmed.
+    #[cfg(test)]
+    pub(super) fn pending() -> usize {
+        TIMER.armed.lock().by_deadline.len()
+    }
+
+    impl Timer {
+        /// Wait for the earliest deadline to pass and take its launch.
+        fn next_due(&self) -> Launch {
+            let mut armed = self.armed.lock();
+            loop {
+                let earliest = armed.by_deadline.first_key_value().map(|(k, _)| *k);
+                match earliest {
+                    Some(key) if key.0 <= now() => {
+                        if let Some(launch) = armed.by_deadline.remove(&key) {
+                            return launch;
+                        }
+                    }
+                    Some((deadline, _)) => {
+                        self.earlier.wait_until(&mut armed, deadline);
+                    }
+                    None => self.earlier.wait(&mut armed),
                 }
-                return Ok(value);
             }
-            Ok((_, Err(e))) => {
-                first_err.get_or_insert(e);
-            }
-            Err(_) => break,
         }
     }
-    Err(first_err
-        .unwrap_or_else(|| ConnectorError::Engine(format!("{op}: hedged read lost both attempts"))))
 }
 
 /// A retrying, failing-over database connection for the write side:
@@ -812,7 +947,7 @@ mod tests {
 
     #[test]
     fn hedged_read_prefers_fast_primary() {
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> { Ok(node) });
+        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> { Ok(node) });
         let got = hedged(50, "t.fast", run).unwrap();
         assert_eq!(got, 0, "primary answered before the hedge delay");
         // By this read's own event, not the process-wide `hedge.launched`
@@ -823,12 +958,39 @@ mod tests {
     }
 
     #[test]
-    fn hedged_read_buddy_wins_when_primary_stalls() {
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
-            if node == 0 {
-                std::thread::sleep(Duration::from_millis(120));
+    fn a_fast_primary_runs_on_the_callers_thread_and_launches_no_buddy() {
+        let caller = std::thread::current().id();
+        let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let run = Arc::new({
+            let ran_on = Arc::clone(&ran_on);
+            move |node: usize, _: &Cancel| -> ConnectorResult<usize> {
+                ran_on.lock().push((node, std::thread::current().id()));
+                Ok(node)
             }
-            Ok(node)
+        });
+        assert_eq!(hedged(5, "t.caller", run).unwrap(), 0);
+        // Past the hedge delay: a buddy armed and not disarmed would have
+        // run by now.
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(*ran_on.lock(), vec![(0, caller)]);
+        let snap = obs::global().snapshot();
+        let mut hedges = snap.events_of(obs::EventKind::Hedge);
+        assert!(!hedges.any(|e| e.detail.starts_with("t.caller:")));
+    }
+
+    #[test]
+    fn hedged_read_buddy_wins_when_primary_stalls() {
+        let primary_cancelled = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let run = Arc::new({
+            let primary_cancelled = Arc::clone(&primary_cancelled);
+            move |node: usize, cancel: &Cancel| -> ConnectorResult<usize> {
+                if node == 0 {
+                    let waited = cancel.sleep(Duration::from_millis(120));
+                    primary_cancelled.store(waited.is_err(), Ordering::Release);
+                    waited.map_err(|e| ConnectorError::db("t.stall", e))?;
+                }
+                Ok(node)
+            }
         });
         let started = Instant::now();
         let got = hedged(10, "t.stall", run).unwrap();
@@ -837,16 +999,32 @@ mod tests {
             started.elapsed() < Duration::from_millis(100),
             "did not wait for the stalled primary"
         );
+        assert!(
+            primary_cancelled.load(Ordering::Acquire),
+            "the buddy cancelled it"
+        );
         let snap = obs::global().snapshot();
         let mut hedges = snap.events_of(obs::EventKind::Hedge);
         assert!(hedges.any(|e| e.detail.starts_with("t.stall:")));
-        // Let the abandoned primary drain so its send outlives no one.
-        std::thread::sleep(Duration::from_millis(130));
+    }
+
+    #[test]
+    fn a_primary_that_ignores_its_token_delays_the_buddys_answer_until_it_returns() {
+        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
+            if node == 0 {
+                std::thread::sleep(Duration::from_millis(60));
+            }
+            Ok(node)
+        });
+        let started = Instant::now();
+        let got = hedged(5, "t.deaf", run).unwrap();
+        assert_eq!(got, 1, "the buddy succeeded first");
+        assert!(started.elapsed() >= Duration::from_millis(60));
     }
 
     #[test]
     fn hedged_read_surfaces_error_when_both_fail() {
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
+        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
             Err(ConnectorError::Engine(format!("node {node} boom")))
         });
         let err = hedged(5, "t.both", run).unwrap_err();
@@ -856,7 +1034,7 @@ mod tests {
     #[test]
     fn hedged_read_falls_through_to_buddy_after_primary_error() {
         // Primary errors *slowly* (after the hedge delay), buddy is good.
-        let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
+        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
             if node == 0 {
                 std::thread::sleep(Duration::from_millis(15));
                 Err(ConnectorError::Engine("slow failure".into()))
@@ -866,5 +1044,96 @@ mod tests {
         });
         let got = hedged(5, "t.slow_err", run).unwrap();
         assert_eq!(got, 1);
+    }
+
+    /// xorshift64*: the stress test's seeded choices.
+    fn next(state: &mut u64) -> u64 {
+        *state ^= *state >> 12;
+        *state ^= *state << 25;
+        *state ^= *state >> 27;
+        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    /// One arm of a stress read: how long it runs, whether it waits on
+    /// its token or ignores it, and whether it fails.
+    #[derive(Clone, Copy)]
+    struct StressArm {
+        latency: Duration,
+        cooperative: bool,
+        fails: bool,
+    }
+
+    impl StressArm {
+        fn draw(seed: &mut u64) -> StressArm {
+            StressArm {
+                latency: Duration::from_micros(next(seed) % 4_000),
+                cooperative: !next(seed).is_multiple_of(4),
+                fails: next(seed).is_multiple_of(5),
+            }
+        }
+
+        fn run(&self, node: usize, cancel: &Cancel) -> ConnectorResult<usize> {
+            if self.cooperative {
+                cancel
+                    .sleep(self.latency)
+                    .map_err(|e| ConnectorError::db("t.stress", e))?;
+            } else {
+                std::thread::sleep(self.latency);
+            }
+            if self.fails {
+                return Err(ConnectorError::Engine(format!("node {node} failed")));
+            }
+            Ok(node)
+        }
+    }
+
+    /// 10,000 hedged reads from eight threads, with random hedge delays,
+    /// arm latencies, cooperative and uncooperative arms, and failures:
+    /// every read returns once, succeeds whenever an arm succeeded
+    /// before it returned, answers with a successful arm's value, never
+    /// surfaces a cancelled arm's error, and leaves nothing armed.
+    #[test]
+    #[ignore]
+    fn stress_hedged_reads_random_delays_latencies_and_failures() {
+        const THREADS: u64 = 8;
+        const READS: u64 = 10_000;
+        let returned = std::sync::atomic::AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let returned = &returned;
+                scope.spawn(move || {
+                    let mut seed = 0x9e37_79b9_7f4a_7c15u64 ^ (t + 1).wrapping_mul(0xff51);
+                    for _ in 0..READS / THREADS {
+                        let delay = Duration::from_micros(next(&mut seed) % 3_000);
+                        let arms = [StressArm::draw(&mut seed), StressArm::draw(&mut seed)];
+                        // Per node: whether its arm has returned a success.
+                        let succeeded: Arc<[std::sync::atomic::AtomicBool; 2]> =
+                            Arc::new(Default::default());
+                        let run: NodeCall<usize> = Arc::new({
+                            let succeeded = Arc::clone(&succeeded);
+                            move |node: usize, cancel: &Cancel| {
+                                let result = arms[node].run(node, cancel);
+                                if result.is_ok() {
+                                    succeeded[node].store(true, Ordering::Release);
+                                }
+                                result
+                            }
+                        });
+                        let result = hedged_read("t.stress", delay, 0, 1, obs::TraceCtx::NONE, run);
+                        returned.fetch_add(1, Ordering::AcqRel);
+                        let any = succeeded.iter().any(|s| s.load(Ordering::Acquire));
+                        match result {
+                            Ok(node) => assert!(succeeded[node].load(Ordering::Acquire)),
+                            Err(e) => {
+                                assert!(!any, "an arm succeeded, yet the read failed: {e}");
+                                assert!(!e.is_cancelled(), "a cancelled arm's error surfaced");
+                            }
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(returned.load(Ordering::Acquire), READS);
+        assert_eq!(timer::pending(), 0, "a launch is still armed");
     }
 }

@@ -246,7 +246,6 @@ impl StreamWriter {
 
     /// Run one micro-batch as a full exactly-once S2V job.
     fn flush_batch(&mut self, rows: Vec<Row>, aged: bool) -> ConnectorResult<()> {
-        let started = Instant::now();
         let parts = self
             .opts
             .num_partitions
@@ -267,7 +266,6 @@ impl StreamWriter {
         let report = s2v::run(&self.ctx, &self.cluster, &df, &bopts, mode)?;
         obs::global().incr("stream.batches");
         obs::global().add("stream.rows", report.rows_loaded);
-        obs::global().record_time("stream.batch_us", started.elapsed());
         if aged {
             obs::global().incr("stream.age_flushes");
         }

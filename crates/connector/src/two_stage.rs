@@ -129,8 +129,8 @@ pub(crate) fn run_via_dfs(
     // would load twice.
     let connect = {
         let db = Arc::clone(db);
-        move |node| {
-            db.connect(node)
+        move |node, cancel: &mppdb::Cancel| {
+            db.connect_cancellable(node, cancel.clone())
                 .map_err(|e| ConnectorError::db("two_stage.connect", e))
         }
     };

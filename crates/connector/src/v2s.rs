@@ -18,9 +18,10 @@
 //! inconsistent view.
 //!
 //! Because every V2S query is an idempotent snapshot read, this is the
-//! one place hedging is safe: when a piece's primary node runs past the
-//! observed P99 (a grey failure), a buddy-node attempt launches and the
-//! first result wins. Every catalog probe and piece goes through the
+//! one place hedging is safe: a piece's primary attempt runs on its
+//! task's own thread, and when it runs past the observed P99 (a grey
+//! failure) a buddy-node attempt launches; the first success wins and
+//! cancels the other. Every catalog probe and piece goes through the
 //! load's one [`CallPolicy`], so pieces steer away from nodes whose
 //! circuit breakers are open before timeouts ever fire.
 
@@ -273,8 +274,8 @@ fn and_filters(filters: &[Expr]) -> Option<Expr> {
 }
 
 /// The exec closure for a catalog/status query: connect to the given
-/// node and run the spec. Owned clones only, so hedge attempts can run
-/// it on detached threads.
+/// node under the attempt's cancel token and run the spec. Owned clones
+/// only, so a hedge buddy can run it on a pooled thread.
 fn catalog_exec(
     cluster: &Arc<Cluster>,
     op: &'static str,
@@ -282,9 +283,9 @@ fn catalog_exec(
     trace: obs::TraceCtx,
 ) -> NodeCall<mppdb::QueryResult> {
     let cluster = Arc::clone(cluster);
-    Arc::new(move |node| {
+    Arc::new(move |node, cancel| {
         let mut session = cluster
-            .connect(node)
+            .connect_cancellable(node, cancel.clone())
             .map_err(|e| ConnectorError::db(op, e))?;
         session.set_trace(trace);
         session.query(&spec).map_err(|e| ConnectorError::db(op, e))
@@ -372,8 +373,8 @@ struct V2sSource {
     policy: CallPolicy,
 }
 
-/// Everything one piece execution needs, owned, so hedge attempts can
-/// run on detached threads.
+/// Everything one piece execution needs, owned, so a hedge buddy can
+/// run on a pooled thread.
 struct PieceCtx {
     cluster: Arc<Cluster>,
     relation_table: String,
@@ -390,16 +391,17 @@ struct PieceCtx {
     map_version: std::sync::atomic::AtomicU64,
 }
 
-/// Execute one piece query against `connect_node` — the hot body shared
-/// by the primary and any hedge attempt.
+/// Execute one piece query against `connect_node` under `cancel` — the
+/// hot body shared by the primary and any hedge buddy.
 fn exec_piece(
     ctx: &PieceCtx,
     connect_node: usize,
+    cancel: &mppdb::Cancel,
     trace: obs::TraceCtx,
 ) -> ConnectorResult<mppdb::QueryResult> {
     let mut session = ctx
         .cluster
-        .connect(connect_node)
+        .connect_cancellable(connect_node, cancel.clone())
         .map_err(|e| ConnectorError::db(names::V2S_CONNECT, e))?;
     session.set_task_tag(Some(ctx.partition as u64));
     session.set_trace(trace);
@@ -523,7 +525,7 @@ impl V2sSource {
                 span,
                 Arc::new({
                     let ctx = Arc::clone(&ctx);
-                    move |n| exec_piece(&ctx, n, span)
+                    move |n, cancel| exec_piece(&ctx, n, cancel, span)
                 }),
             );
             // The engine rejected the plan's map version: the cluster

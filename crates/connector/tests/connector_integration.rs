@@ -1,10 +1,11 @@
 //! End-to-end connector tests: the paper's correctness claims.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use common::{row, DataType, Expr, Row, Schema, Value};
 use connector::{DefaultSource, ModelDeployment, DEFAULT_SOURCE};
-use mppdb::{Cluster, ClusterConfig, QuerySpec};
+use mppdb::{Cluster, ClusterConfig, LatencyProfile, QuerySpec};
 use netsim::record::NetClass;
 use sparklet::{FailureMode, Options, SaveMode, SparkConf, SparkContext};
 
@@ -812,6 +813,129 @@ fn md_serves_external_pmml_producers() {
         .unwrap();
     assert!((r.rows[0].get(0).as_f64().unwrap() - (0.5 + 0.8 - 0.5)).abs() < 1e-12);
     assert!((r.rows[1].get(0).as_f64().unwrap() - (0.5 + 0.4 - 0.1)).abs() < 1e-12);
+}
+
+/// `PMMLPredict(x USING PARAMETERS model_name='m')` over a one-row
+/// table whose `x` is 1.
+fn score_m(cluster: &Arc<Cluster>) -> mppdb::DbResult<f64> {
+    let rows = cluster
+        .connect(0)?
+        .execute("SELECT PMMLPredict(x USING PARAMETERS model_name='m') FROM one")?
+        .rows()?;
+    Ok(rows.rows[0].get(0).as_f64().unwrap())
+}
+
+#[test]
+fn redeploying_or_dropping_a_model_reaches_pmml_predict() {
+    use sparklet::mllib::LinearRegressionModel;
+    use sparklet::pmml_export::linear_to_pmml;
+    let cluster = Cluster::new(ClusterConfig::default());
+    let mut s = cluster.connect(0).unwrap();
+    s.execute("CREATE TABLE one (x FLOAT)").unwrap();
+    s.execute("INSERT INTO one VALUES (1.0)").unwrap();
+    let md = ModelDeployment::new(Arc::clone(&cluster)).unwrap();
+    let model = |intercept| {
+        let m = LinearRegressionModel {
+            intercept,
+            weights: vec![1.0],
+        };
+        linear_to_pmml(&m, "m", Some(&["x".to_string()]), "y")
+    };
+    md.deploy_pmml_model(&model(5.0), false).unwrap();
+    assert_eq!(score_m(&cluster).unwrap(), 6.0);
+    md.deploy_pmml_model(&model(100.0), true).unwrap();
+    assert_eq!(
+        score_m(&cluster).unwrap(),
+        101.0,
+        "the redeployed model scores"
+    );
+    md.drop_model("m").unwrap();
+    let err = score_m(&cluster).unwrap_err();
+    assert!(err.to_string().contains("no deployed model"), "{err}");
+}
+
+#[test]
+fn a_model_name_with_quotes_touches_only_its_own_catalog_row() {
+    use sparklet::mllib::LinearRegressionModel;
+    use sparklet::pmml_export::linear_to_pmml;
+    let cluster = Cluster::new(ClusterConfig::default());
+    let md = ModelDeployment::new(Arc::clone(&cluster)).unwrap();
+    let hostile = "zz' OR name <> 'zz";
+    for name in ["alpha", "beta", hostile] {
+        let m = LinearRegressionModel {
+            intercept: 0.0,
+            weights: vec![1.0],
+        };
+        md.deploy_pmml_model(&linear_to_pmml(&m, name, None, "y"), false)
+            .unwrap();
+    }
+    let listed = |md: &ModelDeployment| -> Vec<String> {
+        md.list_models()
+            .unwrap()
+            .into_iter()
+            .map(|m| m.name)
+            .collect()
+    };
+    assert_eq!(listed(&md), ["alpha", "beta", hostile]);
+    md.drop_model(hostile).unwrap();
+    assert_eq!(listed(&md), ["alpha", "beta"]);
+}
+
+/// A grey node: its scans take 50 × 5 ms. A hedged V2S read's pieces
+/// whose primary is that node are won by their buddies, and each slowed
+/// primary — which runs on its task's thread, so the load waits for it —
+/// stops on its cancel token instead of finishing its 250 ms scan, and
+/// gives its session back before the load returns.
+#[test]
+fn a_hedged_v2s_reads_slowed_primary_is_cancelled_when_its_buddy_wins() {
+    let (ctx, cluster) = setup();
+    let df = ctx.create_dataframe(d1_rows(400), d1_schema(), 8).unwrap();
+    df.write()
+        .format(DEFAULT_SOURCE)
+        .options(save_options("grey", 8))
+        .mode(SaveMode::Overwrite)
+        .save()
+        .unwrap();
+    cluster.faults().set_latency_profile(LatencyProfile {
+        scan: Duration::from_millis(5),
+        ..LatencyProfile::default()
+    });
+    cluster.faults().slow_node(1, 50.0);
+    let sessions_before = cluster.open_sessions(1);
+    let before = obs::global().snapshot();
+    let started = Instant::now();
+    let count = ctx
+        .read()
+        .format(DEFAULT_SOURCE)
+        .option("table", "grey")
+        .option("numPartitions", 8)
+        .option("hedge", true)
+        .option("hedge_delay_ms", 5)
+        .load()
+        .unwrap()
+        .count()
+        .unwrap();
+    let elapsed = started.elapsed();
+    assert_eq!(
+        cluster.open_sessions(1),
+        sessions_before,
+        "no loser holds a session"
+    );
+    let delta = obs::global().snapshot().counters_since(&before);
+    cluster.faults().disarm();
+    assert_eq!(count, 400);
+    assert!(
+        delta.get("hedge.wins").copied().unwrap_or(0) >= 1,
+        "{delta:?}"
+    );
+    assert!(
+        delta.get("hedge.cancelled").copied().unwrap_or(0) >= 1,
+        "{delta:?}"
+    );
+    assert!(
+        elapsed < Duration::from_millis(125),
+        "the slowed primaries stopped when their buddies won: {elapsed:?}"
+    );
 }
 
 #[test]

@@ -17,7 +17,7 @@ use crate::error::{DbError, DbResult};
 use crate::fault::{FaultInjector, FaultSite, LatencySite};
 use crate::resource::ResourcePool;
 use crate::segmentation::{merge_ranges, HashRange, SegmentMap};
-use crate::session::Session;
+use crate::session::{Cancel, Session};
 use crate::sql::ast::SelectStmt;
 use crate::storage::stats::analyzable;
 use crate::storage::store::{HandOver, RowLoc};
@@ -435,6 +435,17 @@ impl Cluster {
 
     /// Open a client session against `node` (the JDBC connect analog).
     pub fn connect(self: &Arc<Cluster>, node: usize) -> DbResult<Session> {
+        self.connect_cancellable(node, Cancel::default())
+    }
+
+    /// [`Cluster::connect`] with a cancel token the session's statements
+    /// obey — the connect too: an injected connect latency ends early
+    /// with [`DbError::Cancelled`] when `cancel` fires.
+    pub fn connect_cancellable(
+        self: &Arc<Cluster>,
+        node: usize,
+        cancel: Cancel,
+    ) -> DbResult<Session> {
         let state = self
             .node_state(node)
             .ok_or(DbError::NodeUnavailable(node))?;
@@ -444,7 +455,8 @@ impl Cluster {
         if self.faults.should_fire(FaultSite::Connect, node) {
             return Err(DbError::ConnectionRefused { node });
         }
-        self.faults.apply_latency(LatencySite::Connect, node);
+        self.faults
+            .apply_latency(LatencySite::Connect, node, &cancel)?;
         // Optimistic increment with bound check.
         let prev = state.open_sessions.fetch_add(1, Ordering::AcqRel);
         if prev >= self.config.max_client_sessions {
@@ -459,7 +471,7 @@ impl Cluster {
             e.detail = format!("{} open", prev + 1);
         });
         obs::global().incr("db.sessions_opened");
-        Ok(Session::new(Arc::clone(self), node))
+        Ok(Session::new(Arc::clone(self), node, cancel))
     }
 
     pub(crate) fn close_session(&self, node: usize) {

@@ -210,9 +210,12 @@ pub(crate) fn run_copy(
     options: &CopyOptions,
 ) -> DbResult<CopyResult> {
     let def = cluster.table_def(table)?;
-    cluster
-        .faults()
-        .apply_latency(crate::fault::LatencySite::Copy, node);
+    // Writes are never hedged, so nothing cancels a COPY.
+    cluster.faults().apply_latency(
+        crate::fault::LatencySite::Copy,
+        node,
+        &crate::session::Cancel::default(),
+    )?;
     let copy_started = std::time::Instant::now();
     let (format, input_bytes) = match &source {
         CopySource::Csv { text, .. } => ("csv", text.len() as u64),

@@ -58,6 +58,12 @@ pub enum DbError {
     /// loss) and left pending. Transient: `run_rebalance` resumes the
     /// plan idempotently.
     RebalanceInterrupted { node: usize },
+    /// The statement was cancelled through its session's
+    /// [`Cancel`](crate::session::Cancel) token (the JDBC
+    /// `Statement.cancel()` analog): a hedged read's loser. Not transient
+    /// — the caller asked for the stop, and nothing about the node is
+    /// learned from it.
+    Cancelled,
 }
 
 impl DbError {
@@ -88,7 +94,8 @@ impl DbError {
             | DbError::CopyRejected { .. }
             | DbError::Udf(_)
             | DbError::Dfs(_)
-            | DbError::BadEpoch { .. } => false,
+            | DbError::BadEpoch { .. }
+            | DbError::Cancelled => false,
         }
     }
 }
@@ -154,6 +161,7 @@ impl fmt::Display for DbError {
                     "rebalance migration to node {node} interrupted; plan left pending"
                 )
             }
+            DbError::Cancelled => write!(f, "statement cancelled"),
         }
     }
 }

@@ -38,6 +38,9 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::error::DbResult;
+use crate::session::Cancel;
+
 /// A database touchpoint where a fault can fire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultSite {
@@ -451,13 +454,19 @@ impl FaultInjector {
         (delay, faulted)
     }
 
-    /// Consulted by the engine at each latency touchpoint: sleeps for
-    /// whatever grey-failure delay is due at `site` on `node`. Injected
-    /// slowdowns and stalls are recorded as faults; nominal profile
-    /// time is not.
-    pub(crate) fn apply_latency(&self, site: LatencySite, node: usize) {
+    /// Consulted by the engine at each latency touchpoint: waits out
+    /// whatever grey-failure delay is due at `site` on `node`, or less
+    /// when `cancel` fires first, which ends the wait with
+    /// [`DbError::Cancelled`]. Injected slowdowns and stalls are
+    /// recorded as faults; nominal profile time is not.
+    pub(crate) fn apply_latency(
+        &self,
+        site: LatencySite,
+        node: usize,
+        cancel: &Cancel,
+    ) -> DbResult<()> {
         if !self.may_delay.load(Ordering::Relaxed) {
-            return;
+            return Ok(());
         }
         let (delay, faulted) = self.delay_for(site, node);
         if faulted {
@@ -473,16 +482,16 @@ impl FaultInjector {
             });
             obs::global().incr(site.counter());
             obs::global().incr(obs::names::FAULT_INJECTED);
-            obs::global().record_time("fault.delay_us", delay);
         }
-        if !delay.is_zero() {
-            // Tell the lock-order witness a deliberate stall is about
-            // to happen: sleeping while holding an instrumented lock
-            // turns an injected grey failure into a real convoy, which
-            // the witness reports as a `lockwitness.hazards` count.
-            parking_lot::witness::note_sleep(obs::names::FAULT_DELAY);
-            std::thread::sleep(delay);
+        if delay.is_zero() {
+            return Ok(());
         }
+        // Tell the lock-order witness a deliberate stall is about to
+        // happen: waiting while holding an instrumented lock turns an
+        // injected grey failure into a real convoy, which the witness
+        // reports as a `lockwitness.hazards` count.
+        parking_lot::witness::note_sleep(obs::names::FAULT_DELAY);
+        cancel.sleep(delay)
     }
 }
 

@@ -58,6 +58,6 @@ pub use fault::{FaultInjector, FaultPlan, FaultSite, LatencyProfile, LatencySite
 pub use query::{estimate_scan_rows, QueryResult, QuerySpec};
 pub use rebalance::{RebalanceOp, RebalanceReport};
 pub use segmentation::{HashRange, Segment, SegmentMap, SegmentMove};
-pub use session::Session;
+pub use session::{Cancel, Session};
 pub use storage::{ColumnBatch, ColumnVec, MergeOutcome, MoverOp, MoverPassReport};
 pub use udf::ScalarUdf;

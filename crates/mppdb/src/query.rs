@@ -19,6 +19,7 @@ use crate::catalog::TableDef;
 use crate::cluster::Cluster;
 use crate::error::{DbError, DbResult};
 use crate::segmentation::HashRange;
+use crate::session::Cancel;
 use crate::storage::{BatchScan, ColumnBatch, NodeTableStore, ScanCounters};
 
 mod charge_differential;
@@ -288,6 +289,9 @@ pub(crate) struct ExecCtx<'a> {
     /// Upper bound on scan threads for this statement (the session's
     /// resource-pool concurrency capped by the host's parallelism).
     pub parallelism: usize,
+    /// The session's cancel token: the scan stops between pieces, and
+    /// each store scan between containers, once it fires.
+    pub cancel: &'a Cancel,
 }
 
 pub(crate) fn resolve_epoch(cluster: &Cluster, requested: Option<u64>) -> DbResult<u64> {
@@ -355,12 +359,15 @@ pub(crate) fn execute_table_scan(
         as_of,
         spec,
         predicate.as_ref(),
-        |store, piece| {
-            let out = store.scan_batch(&BatchScan {
-                projection: projection_idx.as_deref(),
-                dtypes: &dtypes,
-                ..*piece
-            })?;
+        |store, piece, cancel| {
+            let out = store.scan_batch_until(
+                &BatchScan {
+                    projection: projection_idx.as_deref(),
+                    dtypes: &dtypes,
+                    ..*piece
+                },
+                Some(cancel),
+            )?;
             // Only surviving rows materialize their full projected
             // width, and only they cross between database nodes; a
             // count-only request ships just the count.
@@ -428,10 +435,10 @@ pub(crate) fn charge_copy(
         as_of,
         &QuerySpec::scan(source),
         None,
-        |store, piece| {
+        |store, piece, cancel| {
             let mut sizes = Vec::new();
-            let counters =
-                store.for_each_wire_size(piece, |hash, wire| sizes.push((hash, wire)))?;
+            let counters = store
+                .for_each_wire_size(piece, Some(cancel), |hash, wire| sizes.push((hash, wire)))?;
             let wire: u64 = sizes.iter().map(|&(_, w)| w).sum();
             Ok(PieceResult {
                 wire: (wire, sizes.len() as u64),
@@ -585,17 +592,19 @@ fn enumerate_pieces(
 /// record each piece and hand its payload to `merge`.
 ///
 /// `scan` receives the piece's pushed-down [`BatchScan`] (snapshot,
-/// hash range or row window, predicate; no projection) and picks the
-/// store sink. Two accounting rules hold for every sink: `filter_eval`
-/// is recorded iff a predicate exists and the piece scanned at least
-/// one row, and a piece whose scan fails records nothing.
+/// hash range or row window, predicate; no projection) and the session's
+/// cancel token, and picks the store sink. Two accounting rules hold for
+/// every sink: `filter_eval` is recorded iff a predicate exists and the
+/// piece scanned at least one row, and a piece whose scan fails records
+/// nothing — nor does a cancelled statement, which fails with
+/// [`DbError::Cancelled`] before any piece is recorded.
 fn scan_pieces<P: Send>(
     ctx: ExecCtx<'_>,
     def: &TableDef,
     as_of: u64,
     spec: &QuerySpec,
     predicate: Option<&Expr>,
-    scan: impl Fn(&NodeTableStore, &BatchScan<'_>) -> common::Result<PieceResult<P>> + Sync,
+    scan: impl Fn(&NodeTableStore, &BatchScan<'_>, &Cancel) -> common::Result<PieceResult<P>> + Sync,
     mut merge: impl FnMut(P) -> common::Result<()>,
 ) -> DbResult<()> {
     let cluster = ctx.cluster;
@@ -620,31 +629,31 @@ fn scan_pieces<P: Send>(
             no_skip: spec.no_skip,
             ..BatchScan::default()
         };
-        scan(store, &piece).map_err(DbError::Data)
+        scan(store, &piece, ctx.cancel).map_err(DbError::Data)
     };
 
-    // Fan the pieces across pooled worker threads, bounded by the
-    // statement's resource-pool concurrency. Workers only scan; all
-    // recording and merging happens below on this thread, in segment
-    // order, so the recorder log and the output order are identical to a
-    // serial scan — including which error surfaces first.
-    let workers = ctx.parallelism.min(pieces.len());
-    let results: Vec<Option<DbResult<PieceResult<P>>>> = if workers <= 1 {
-        pieces.iter().map(|p| Some(scan_piece(p))).collect()
-    } else {
-        let next = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<DbResult<PieceResult<P>>>>> =
-            Mutex::new((0..pieces.len()).map(|_| None).collect());
-        common::pool::run_all(workers, &|_| loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            if i >= pieces.len() {
-                break;
-            }
-            let r = scan_piece(&pieces[i]);
-            slots.lock()[i] = Some(r);
-        });
-        slots.into_inner()
-    };
+    // Fan the pieces across pooled worker threads — this one among them
+    // — bounded by the statement's resource-pool concurrency. Workers
+    // only scan, and take no further piece once the statement is
+    // cancelled; all recording and merging happens below on this
+    // thread, in segment order, so the recorder log and the output
+    // order are identical to a serial scan — including which error
+    // surfaces first. No lock guard is held across the fan-out.
+    let next = AtomicUsize::new(0);
+    let slots: Mutex<Vec<Option<DbResult<PieceResult<P>>>>> =
+        Mutex::new((0..pieces.len()).map(|_| None).collect());
+    common::pool::run_all(ctx.parallelism.min(pieces.len()), &|_| loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= pieces.len() || ctx.cancel.is_cancelled() {
+            break;
+        }
+        let r = scan_piece(&pieces[i]);
+        slots.lock()[i] = Some(r);
+    });
+    // A cancelled store scan stops between containers with what it has:
+    // no piece of a cancelled statement is used.
+    ctx.cancel.check()?;
+    let results = slots.into_inner();
 
     // Columnar scan cost: every visible row is examined, but only the
     // *referenced* columns are decoded for it; what the survivors
@@ -740,8 +749,8 @@ fn execute_aggregate_scan(
         as_of,
         spec,
         predicate,
-        |store, piece| {
-            let out = store.scan_aggregate(piece, &funcs, &group_idx)?;
+        |store, piece, cancel| {
+            let out = store.scan_aggregate_until(piece, &funcs, &group_idx, Some(cancel))?;
             // Only accumulator states cross between database nodes —
             // the whole point of the pushdown.
             let partial_rows = out.accs.to_partial_rows();

@@ -5,9 +5,12 @@
 //! locality story meaningful: a task that connects to node `n` and asks
 //! only for node-`n`-local hash ranges induces no internal shuffle.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use common::Row;
+use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::Cluster;
 use crate::copy::{run_copy, CopyOptions, CopyResult, CopySource};
@@ -17,6 +20,54 @@ use crate::sql::exec::{execute_statement, SqlResult};
 use crate::sql::parser::parse_statement;
 use crate::txn::TxnHandle;
 use netsim::record::NodeRef;
+
+/// A statement cancel token, the analog of JDBC `Statement.cancel()`.
+/// Clones share one flag. A session opened with a token
+/// ([`Cluster::connect_cancellable`]) obeys it at three places: an
+/// injected connect or scan latency wait ends early, a statement's scan
+/// stops between pieces, and a store scan stops between containers.
+/// The statement then fails with [`DbError::Cancelled`].
+#[derive(Clone, Default)]
+pub struct Cancel(Arc<CancelState>);
+
+#[derive(Default)]
+struct CancelState {
+    cancelled: AtomicBool,
+    /// Held only to wait on `wake`, and by `cancel` to signal it.
+    waiting: Mutex<()>,
+    wake: Condvar,
+}
+
+impl Cancel {
+    /// Cancel every statement running under this token, now and later.
+    pub fn cancel(&self) {
+        let _waiting = self.0.waiting.lock();
+        self.0.cancelled.store(true, Ordering::Release);
+        self.0.wake.notify_all();
+    }
+
+    pub fn is_cancelled(&self) -> bool {
+        self.0.cancelled.load(Ordering::Acquire)
+    }
+
+    /// `Err(Cancelled)` once the token is cancelled.
+    pub(crate) fn check(&self) -> DbResult<()> {
+        if self.is_cancelled() {
+            return Err(DbError::Cancelled);
+        }
+        Ok(())
+    }
+
+    /// Sleep for `delay`, ending early with `Err(Cancelled)` when the
+    /// token is cancelled first.
+    pub fn sleep(&self, delay: Duration) -> DbResult<()> {
+        let until = Instant::now() + delay;
+        let mut waiting = self.0.waiting.lock();
+        while !self.is_cancelled() && !self.0.wake.wait_until(&mut waiting, until).timed_out() {}
+        drop(waiting);
+        self.check()
+    }
+}
 
 /// An open client session against one node.
 pub struct Session {
@@ -34,10 +85,12 @@ pub struct Session {
     /// Parent for the session's `db.copy` / `db.query` spans; NONE (the
     /// default) keeps the session untraced.
     trace: obs::TraceCtx,
+    /// The token every statement of this session obeys.
+    cancel: Cancel,
 }
 
 impl Session {
-    pub(crate) fn new(cluster: Arc<Cluster>, node: usize) -> Session {
+    pub(crate) fn new(cluster: Arc<Cluster>, node: usize, cancel: Cancel) -> Session {
         let generation = cluster.node_generation(node);
         Session {
             cluster,
@@ -47,6 +100,7 @@ impl Session {
             task_tag: None,
             pool: "general".to_string(),
             trace: obs::TraceCtx::NONE,
+            cancel,
         }
     }
 
@@ -229,6 +283,7 @@ impl Session {
             task: self.task_tag,
             txn: self.txn.as_ref().map(|t| t.id),
             parallelism: 1,
+            cancel: &self.cancel,
         };
         crate::query::charge_copy(ctx, target, source, between)
     }
@@ -304,9 +359,11 @@ impl Session {
             Some(pool) => Some(pool.try_admit()?),
             None => None,
         };
-        self.cluster
-            .faults()
-            .apply_latency(crate::fault::LatencySite::Scan, self.node);
+        self.cluster.faults().apply_latency(
+            crate::fault::LatencySite::Scan,
+            self.node,
+            &self.cancel,
+        )?;
         // System tables are read-only catalog views.
         if let Some((schema, rows)) = crate::system::scan_system_table(&self.cluster, &spec.table) {
             if spec.hash_range.is_some() {
@@ -346,6 +403,7 @@ impl Session {
             task: self.task_tag,
             txn: txn_id,
             parallelism,
+            cancel: &self.cancel,
         };
         execute_table_scan(ctx, spec, want_batch)
     }

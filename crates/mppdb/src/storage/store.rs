@@ -10,6 +10,7 @@ use common::agg::{AggFunc, GroupedAccs};
 use common::{DataType, Expr, Result, Row, Value};
 
 use crate::segmentation::HashRange;
+use crate::session::Cancel;
 use crate::storage::batch::ColumnBatch;
 use crate::storage::encoding::{encode_with_stats, ColumnData, EncodedColumn};
 use crate::storage::predicate::PredPlan;
@@ -756,7 +757,16 @@ impl NodeTableStore {
     /// Survivor order matches [`NodeTableStore::scan`] exactly. Predicate
     /// errors surface at the same row as row-at-a-time evaluation
     /// (memoization is lazy, in row order).
-    fn scan_with<S: ScanSink>(&self, scan: &BatchScan<'_>, sink: &mut S) -> Result<ScanCounters> {
+    ///
+    /// Once `cancel` fires the traversal stops between containers and
+    /// returns what it has gathered; the caller checks the token and
+    /// discards that partial output.
+    fn scan_with<S: ScanSink>(
+        &self,
+        scan: &BatchScan<'_>,
+        cancel: Option<&Cancel>,
+        sink: &mut S,
+    ) -> Result<ScanCounters> {
         let mut n = ScanCounters::default();
         let mut plan = scan
             .predicate
@@ -779,6 +789,9 @@ impl NodeTableStore {
         };
 
         for c in self.ros.iter().chain(&self.wos) {
+            if cancel.is_some_and(Cancel::is_cancelled) {
+                break;
+            }
             if let (true, Some(stats)) = (may_skip, &c.stats) {
                 // Stage 0: zone maps. Stats cover a superset of the
                 // visible rows, so "no row matches" holds for every
@@ -850,6 +863,16 @@ impl NodeTableStore {
     /// Vectorized scan into a [`ColumnBatch`]: the traversal's survivors
     /// with only the projected columns decoded.
     pub fn scan_batch(&self, scan: &BatchScan<'_>) -> Result<ScanOutput> {
+        self.scan_batch_until(scan, None)
+    }
+
+    /// [`NodeTableStore::scan_batch`] for a statement that may be
+    /// cancelled: see `scan_with`.
+    pub(crate) fn scan_batch_until(
+        &self,
+        scan: &BatchScan<'_>,
+        cancel: Option<&Cancel>,
+    ) -> Result<ScanOutput> {
         let all_columns: Vec<usize> = (0..self.column_count).collect();
         let projection: &[usize] = scan.projection.unwrap_or(&all_columns);
         debug_assert_eq!(projection.len(), scan.dtypes.len());
@@ -857,7 +880,7 @@ impl NodeTableStore {
             batch: ColumnBatch::new(scan.dtypes),
             projection,
         };
-        let counters = self.scan_with(scan, &mut sink)?;
+        let counters = self.scan_with(scan, cancel, &mut sink)?;
         Ok(ScanOutput {
             batch: sink.batch,
             counters,
@@ -879,6 +902,18 @@ impl NodeTableStore {
         scan: &BatchScan<'_>,
         funcs: &[(AggFunc, Option<usize>)],
         group_by: &[usize],
+    ) -> Result<AggScanOutput> {
+        self.scan_aggregate_until(scan, funcs, group_by, None)
+    }
+
+    /// [`NodeTableStore::scan_aggregate`] for a statement that may be
+    /// cancelled: see `scan_with`.
+    pub(crate) fn scan_aggregate_until(
+        &self,
+        scan: &BatchScan<'_>,
+        funcs: &[(AggFunc, Option<usize>)],
+        group_by: &[usize],
+        cancel: Option<&Cancel>,
     ) -> Result<AggScanOutput> {
         // Ordinals the fold must decode: grouping columns plus
         // aggregate inputs, deduplicated.
@@ -905,7 +940,7 @@ impl NodeTableStore {
                 }),
             stats_answered: 0,
         };
-        let counters = self.scan_with(scan, &mut sink)?;
+        let counters = self.scan_with(scan, cancel, &mut sink)?;
         obs::global().add("agg.pushdown.stats_answered", sink.stats_answered);
         Ok(AggScanOutput {
             accs: sink.accs,
@@ -922,7 +957,7 @@ impl NodeTableStore {
         scan: &BatchScan<'_>,
         f: impl FnMut(RowLoc, &Row, u64),
     ) -> Result<ScanCounters> {
-        self.scan_with(scan, &mut VisitSink(f))
+        self.scan_with(scan, None, &mut VisitSink(f))
     }
 
     /// [`NodeTableStore::for_each_visible`] for visitors that need only
@@ -933,7 +968,7 @@ impl NodeTableStore {
         scan: &BatchScan<'_>,
         f: impl FnMut(RowLoc, u64),
     ) -> Result<ScanCounters> {
-        self.scan_with(scan, &mut LocSink(f))
+        self.scan_with(scan, None, &mut LocSink(f))
     }
 
     /// Visit every survivor's segmentation hash and `Row::wire_size`
@@ -941,9 +976,10 @@ impl NodeTableStore {
     pub(crate) fn for_each_wire_size(
         &self,
         scan: &BatchScan<'_>,
+        cancel: Option<&Cancel>,
         f: impl FnMut(u64, u64),
     ) -> Result<ScanCounters> {
-        self.scan_with(scan, &mut WireSink(f))
+        self.scan_with(scan, cancel, &mut WireSink(f))
     }
 
     /// Estimated rows a scan of this store leaves after filtering, from

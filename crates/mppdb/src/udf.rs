@@ -54,6 +54,11 @@ pub trait ScalarUdf: Send + Sync {
 
     /// Evaluate one invocation.
     fn eval(&self, args: &[Value], params: &UdfParams) -> DbResult<Value>;
+
+    /// Drop whatever the function caches under `key` — a deployed
+    /// model's name, say — because what it was built from changed. The
+    /// default caches nothing.
+    fn forget(&self, _key: &str) {}
 }
 
 #[cfg(test)]

@@ -262,12 +262,7 @@ pub static DEFS: &[NameDef] = &[
     NameDef {
         name: FAULT_DELAY,
         kind: NameKind::Event,
-        help: "operation tag for injected-latency sleeps (lock witness hazard tag)",
-    },
-    NameDef {
-        name: "fault.delay_us",
-        kind: NameKind::Timer,
-        help: "injected grey-failure delay per firing",
+        help: "operation tag for injected-latency waits (lock witness hazard tag)",
     },
     NameDef {
         name: FAULT_INJECTED,
@@ -327,12 +322,12 @@ pub static DEFS: &[NameDef] = &[
     NameDef {
         name: HEDGE_ATTEMPT,
         kind: NameKind::Span,
-        help: "span for one arm (primary or buddy) of a hedged read",
+        help: "span for one arm of a hedged read: the primary on the caller's thread, the buddy on a pooled one",
     },
     NameDef {
         name: "hedge.cancelled",
         kind: NameKind::Counter,
-        help: "hedged-read losers abandoned in flight",
+        help: "hedged-read losers cancelled",
     },
     NameDef {
         name: "hedge.launched",
@@ -438,11 +433,6 @@ pub static DEFS: &[NameDef] = &[
         name: "retry.attempts",
         kind: NameKind::Counter,
         help: "retry attempts after a transient failure",
-    },
-    NameDef {
-        name: "retry.backoff_us",
-        kind: NameKind::Timer,
-        help: "backoff sleeps between retry attempts",
     },
     NameDef {
         name: RETRY_GAVE_UP,
@@ -613,11 +603,6 @@ pub static DEFS: &[NameDef] = &[
         name: "stream.age_flushes",
         kind: NameKind::Counter,
         help: "streaming micro-batches flushed by the flush_ms age limit rather than batch_rows",
-    },
-    NameDef {
-        name: "stream.batch_us",
-        kind: NameKind::Timer,
-        help: "wall time to flush one streaming micro-batch through the COPY protocol",
     },
     NameDef {
         name: "stream.batches",

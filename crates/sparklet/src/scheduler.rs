@@ -182,6 +182,7 @@ impl Scheduler {
             }
         }
 
+        let queued = queue.len();
         let state = Mutex::new(JobState::<R> {
             queue,
             results: (0..partitions).map(|_| None).collect(),
@@ -202,10 +203,13 @@ impl Scheduler {
         });
         let wakeup = Condvar::new();
 
-        let workers = self
-            .conf
-            .total_slots
-            .min(partitions * 2)
+        // One worker per attempt queued at launch — the partitions and
+        // their scripted speculative copies — within the slots and the
+        // thread cap. A retry or a straggler's copy is queued later and
+        // taken by a worker whose attempt has finished. The caller runs
+        // worker 0 and holds no lock guard across the fan-out.
+        let workers = queued
+            .min(self.conf.total_slots)
             .min(self.conf.thread_cap)
             .max(1);
 

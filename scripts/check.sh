@@ -84,6 +84,13 @@ cargo test -q -p mppdb --test agg_differential sql_aggregates -- --ignored
 echo "== worker pool stress, 10k random jobs"
 cargo test -q -p common --lib pool -- --ignored
 
+# The hedge timer under 10,000 hedged reads from eight threads, with
+# random delays, arm latencies, cooperative and uncooperative arms and
+# failures: every read returns once, succeeds whenever an arm did, never
+# surfaces a cancelled arm's error, and leaves nothing armed.
+echo "== hedge timer stress, 10k hedged reads"
+cargo test -q -p connector --lib retry -- --ignored
+
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
 # generator-side oracles, so a product change that breaks a benchmark

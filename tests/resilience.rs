@@ -293,7 +293,7 @@ fn resilience_counters_surface_in_dc_counters() {
         .build()
         .unwrap();
     let policy = connector::CallPolicy::for_job(&db, &opts);
-    let run = Arc::new(|node: usize| -> ConnectorResult<usize> {
+    let run = Arc::new(|node: usize, _: &mppdb::Cancel| -> ConnectorResult<usize> {
         if node == 0 {
             std::thread::sleep(Duration::from_millis(40));
         }
