@@ -20,9 +20,13 @@ use std::sync::{Arc, Weak};
 use common::{Row, Value};
 use mppdb::catalog::{Segmentation, TableDef};
 use mppdb::udf::{ScalarUdf, UdfParams};
-use mppdb::{Cluster, DbError, DbResult, QuerySpec};
+use mppdb::{Cluster, DbError, DbResult, QuerySpec, Session};
 use parking_lot::Mutex;
 use pmml::{Evaluator, PmmlDocument};
+
+use crate::error::{ConnectorError, ConnectorResult};
+use crate::options::ConnectorOptions;
+use crate::retry::{CallPolicy, RetryConn};
 
 /// Catalog table holding model metadata.
 pub const MODEL_TABLE: &str = "pmml_models";
@@ -30,6 +34,8 @@ pub const MODEL_TABLE: &str = "pmml_models";
 pub const MODEL_DFS_PREFIX: &str = "/pmml/";
 /// The scoring UDx's SQL name.
 const PMML_PREDICT: &str = "PMMLPredict";
+/// Op tag of the catalog statements deploy, drop and list run.
+const MD_CATALOG: &str = "md.catalog";
 
 /// Metadata of a deployed model.
 #[derive(Debug, Clone, PartialEq)]
@@ -70,9 +76,20 @@ impl ModelDeployment {
         format!("{MODEL_DFS_PREFIX}{name}.xml")
     }
 
+    /// Run `f` against the catalog through the connector's retrying,
+    /// failing-over connection: node 0 preferred, any live node taken.
+    /// `f` may run again on another session after a transient failure,
+    /// so it must be idempotent.
+    fn on_catalog<T>(&self, f: impl FnMut(&mut Session) -> ConnectorResult<T>) -> DbResult<T> {
+        let policy = CallPolicy::for_job(&self.cluster, &ConnectorOptions::for_table(MODEL_TABLE));
+        RetryConn::new(Arc::clone(&self.cluster), 0, policy)
+            .run(MD_CATALOG, f)
+            .map_err(into_db_error)
+    }
+
     /// Delete `name`'s catalog row, and only its row: the name goes into
     /// the statement as a literal with each quote doubled.
-    fn delete_catalog_row(session: &mut mppdb::Session, name: &str) -> DbResult<()> {
+    fn delete_catalog_row(session: &mut Session, name: &str) -> DbResult<()> {
         let literal = name.replace('\'', "''");
         session.execute(&format!(
             "DELETE FROM {MODEL_TABLE} WHERE name = '{literal}'"
@@ -104,17 +121,17 @@ impl ModelDeployment {
             .dfs()
             .store(&path, xml.clone().into_bytes(), overwrite)?;
         self.forget_evaluator(&name);
-        let mut session = self.cluster.connect(0)?;
-        Self::delete_catalog_row(&mut session, &name)?;
-        session.insert(
-            MODEL_TABLE,
-            vec![Row::new(vec![
-                Value::Varchar(name.clone()),
-                Value::Varchar(doc.model.model_type().to_string()),
-                Value::Int64(xml.len() as i64),
-                Value::Int64(num_features),
-            ])],
-        )?;
+        let row = Row::new(vec![
+            Value::Varchar(name.clone()),
+            Value::Varchar(doc.model.model_type().to_string()),
+            Value::Int64(xml.len() as i64),
+            Value::Int64(num_features),
+        ]);
+        self.on_catalog(|session| {
+            Self::delete_catalog_row(session, &name)?;
+            session.insert(MODEL_TABLE, vec![row.clone()])?;
+            Ok(())
+        })?;
         obs::global().emit(obs::EventKind::MdScore, |e| {
             e.bytes = xml.len() as u64;
             e.detail = format!(
@@ -138,14 +155,13 @@ impl ModelDeployment {
     pub fn drop_model(&self, name: &str) -> DbResult<()> {
         self.cluster.dfs().delete(&Self::dfs_path(name))?;
         self.forget_evaluator(name);
-        let mut session = self.cluster.connect(0)?;
-        Self::delete_catalog_row(&mut session, name)
+        self.on_catalog(|session| Ok(Self::delete_catalog_row(session, name)?))
     }
 
     /// List deployed models from the metadata table.
     pub fn list_models(&self) -> DbResult<Vec<ModelInfo>> {
-        let mut session = self.cluster.connect(0)?;
-        let result = session.query(&QuerySpec::scan(MODEL_TABLE))?;
+        let result =
+            self.on_catalog(|session| Ok(session.query(&QuerySpec::scan(MODEL_TABLE))?))?;
         let mut models: Vec<ModelInfo> = result
             .rows
             .iter()
@@ -160,6 +176,16 @@ impl ModelDeployment {
             .collect::<DbResult<_>>()?;
         models.sort_by(|a, b| a.name.cmp(&b.name));
         Ok(models)
+    }
+}
+
+/// The database error behind a failed catalog call: the last attempt's,
+/// when the retries ran out.
+fn into_db_error(e: ConnectorError) -> DbError {
+    match e {
+        ConnectorError::Db { source, .. } => source,
+        ConnectorError::RetriesExhausted { last, .. } => into_db_error(*last),
+        other => DbError::Execution(other.to_string()),
     }
 }
 

@@ -71,6 +71,9 @@ pub struct ConnectorOptions {
     /// S2V: bulk-load directly into read-optimized storage.
     pub copy_direct: bool,
     /// S2V: unique job name; auto-derived from the table when absent.
+    /// Lowercase ASCII letters, digits and `_` only: the protocol's SQL
+    /// would fold any other spelling onto one of those, and with it onto
+    /// another job's exactly-once ledger row.
     pub job_name: Option<String>,
     /// Resource pool every connector session joins (the paper isolates
     /// data movement in a dedicated pool, Sec. 4.1). Must exist.
@@ -247,7 +250,7 @@ impl ConnectorOptions {
     }
 
     /// The defaults for a table.
-    fn for_table(table: &str) -> ConnectorOptions {
+    pub(crate) fn for_table(table: &str) -> ConnectorOptions {
         ConnectorOptions {
             host: 0,
             table: table.to_string(),
@@ -468,6 +471,15 @@ impl ConnectorOptionsBuilder {
             return Err(ConnectorError::Usage(
                 "hedge_delay_ms must be at least 1".into(),
             ));
+        }
+        if let Some(name) = &o.job_name {
+            let canonical = crate::s2v::sanitize(name);
+            if canonical != *name {
+                return Err(ConnectorError::Usage(format!(
+                    "job_name {name:?} is not canonical: the save would run as \
+                     {canonical:?}, which other spellings share; use {canonical:?}"
+                )));
+            }
         }
         if let IngestMode::Stream {
             batch_rows,

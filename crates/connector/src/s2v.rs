@@ -121,7 +121,12 @@ enum TaskEnd {
     ToleranceExceeded { loaded: u64, rejected: u64 },
 }
 
-fn sanitize(name: &str) -> String {
+/// The form a table or job name takes in the S2V protocol's SQL: ASCII
+/// letters lowercased, digits kept, every other character made `_`. Two
+/// job names with one form would share an exactly-once ledger row, so
+/// [`ConnectorOptions`](crate::ConnectorOptions) refuses a `job_name`
+/// that is not already in it.
+pub(crate) fn sanitize(name: &str) -> String {
     name.chars()
         .map(|c| {
             if c.is_ascii_alphanumeric() {

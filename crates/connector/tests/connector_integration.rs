@@ -1016,3 +1016,95 @@ fn s2v_report_carries_rejected_row_samples() {
         assert!(reason.contains("NULL"), "sample: {reason}");
     }
 }
+
+/// The S2V protocol runs a job under its name's canonical form, and the
+/// form is the key of the job's exactly-once ledger row: a second job
+/// spelt `etl-1`, `ETL_1` or `etl.1` after `etl_1` would find `etl_1`'s
+/// row, skip its load and report success. Such spellings are refused.
+#[test]
+fn job_names_that_fold_onto_another_jobs_ledger_row_are_refused() {
+    let (ctx, cluster) = setup();
+    let save = |rows: Vec<Row>, job: &str| {
+        ctx.create_dataframe(rows, d1_schema(), 4)
+            .unwrap()
+            .write()
+            .format(DEFAULT_SOURCE)
+            .options(save_options("ledger", 4).with("job_name", job))
+            .mode(SaveMode::Append)
+            .save()
+    };
+    let count = || {
+        cluster
+            .connect(0)
+            .unwrap()
+            .query(&QuerySpec::scan("ledger").count())
+            .unwrap()
+            .count
+    };
+    save(d1_rows(40), "etl_1").unwrap();
+    assert_eq!(count(), 40);
+    for alias in ["etl-1", "ETL_1", "etl.1"] {
+        let err = save(d1_rows(100)[40..].to_vec(), alias).unwrap_err();
+        assert!(err.to_string().contains("\"etl_1\""), "{alias}: {err}");
+        assert_eq!(count(), 40, "{alias} loaded nothing");
+        let built = connector::ConnectorOptions::builder("ledger")
+            .job_name(alias)
+            .build();
+        assert!(
+            matches!(built, Err(connector::ConnectorError::Usage(_))),
+            "{alias}: {built:?}"
+        );
+    }
+    save(d1_rows(100)[40..].to_vec(), "etl_2").unwrap();
+    assert_eq!(count(), 100, "a job of its own loads");
+}
+
+/// Model deployment reaches the catalog through any live node: with
+/// node 0 down, a model deploys, lists, scores and drops, and after
+/// node 0 is back it deploys again.
+#[test]
+fn model_deployment_fails_over_when_node_0_is_down() {
+    use sparklet::mllib::LinearRegressionModel;
+    use sparklet::pmml_export::linear_to_pmml;
+    let cluster = Cluster::new(ClusterConfig {
+        k_safety: 1,
+        ..ClusterConfig::default()
+    });
+    let mut s = cluster.connect(1).unwrap();
+    s.execute("CREATE TABLE one (x FLOAT)").unwrap();
+    s.execute("INSERT INTO one VALUES (1.0)").unwrap();
+    let md = ModelDeployment::new(Arc::clone(&cluster)).unwrap();
+    let model = |intercept| {
+        let m = LinearRegressionModel {
+            intercept,
+            weights: vec![1.0],
+        };
+        linear_to_pmml(&m, "m", Some(&["x".to_string()]), "y")
+    };
+    let score = |s: &mut mppdb::Session| {
+        s.execute("SELECT PMMLPredict(x USING PARAMETERS model_name='m') FROM one")
+            .and_then(|r| r.rows())
+            .map(|r| r.rows[0].get(0).as_f64().unwrap())
+    };
+    let names = |md: &ModelDeployment| -> Vec<String> {
+        md.list_models()
+            .unwrap()
+            .into_iter()
+            .map(|m| m.name)
+            .collect()
+    };
+
+    cluster.kill_node(0);
+    md.deploy_pmml_model(&model(5.0), false).unwrap();
+    assert_eq!(names(&md), ["m"]);
+    assert_eq!(score(&mut s).unwrap(), 6.0);
+    md.drop_model("m").unwrap();
+    assert!(names(&md).is_empty());
+    assert!(score(&mut s).is_err(), "the dropped model no longer scores");
+
+    cluster.restore_node(0);
+    md.deploy_pmml_model(&model(100.0), false).unwrap();
+    assert_eq!(names(&md), ["m"]);
+    let mut s0 = cluster.connect(0).unwrap();
+    assert_eq!(score(&mut s0).unwrap(), 101.0);
+}

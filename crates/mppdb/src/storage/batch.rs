@@ -411,9 +411,24 @@ impl<T: Native> TypedVec<T> {
         self.get(idx).map_or(Value::Null, T::to_value)
     }
 
-    /// Move positions `start..start + tile.len()` out, one onto the end
-    /// of each row of `tile` (at most 64 rows).
-    fn take_tile(&mut self, start: usize, tile: &mut [Vec<Value>]) {
+    /// Move positions `start..` out into every `width`-th slot of
+    /// `slots`, one per row of a row-major tile (at most 64 rows); a
+    /// NULL position leaves its slot as it is.
+    fn take_tile(&mut self, start: usize, slots: &mut [Value], width: usize) {
+        let valid = self.validity.bits_at(start);
+        let rows = slots.iter_mut().step_by(width);
+        for (k, (value, slot)) in self.data[start..].iter_mut().zip(rows).enumerate() {
+            if valid >> k & 1 == 1 {
+                *slot = std::mem::take(value).into_value();
+            }
+        }
+    }
+
+    /// [`TypedVec::take_tile`] as it was before rows shared a block:
+    /// positions `start..start + tile.len()` pushed onto the end of each
+    /// row of `tile`. The reference of the window property.
+    #[cfg(test)]
+    fn take_tile_rows(&mut self, start: usize, tile: &mut [Vec<Value>]) {
         let valid = self.validity.bits_at(start);
         let slots = &mut self.data[start..start + tile.len()];
         for (k, (slot, row)) in slots.iter_mut().zip(tile).enumerate() {
@@ -781,11 +796,34 @@ impl ColumnBatch {
     }
 
     /// Materialize all rows, moving values out of the batch (strings
-    /// are not cloned). This is the batch → row boundary. The transpose
-    /// runs in tiles of [`ROW_TILE`] rows: every column visits the tile
-    /// before the next tile starts, so each row is written once while
-    /// it is still in cache.
+    /// are not cloned). This is the batch → row boundary. The rows are
+    /// windows onto one row-major block ([`common::row::split_block`]):
+    /// a batch makes one allocation for its values, not one per row.
+    /// The transpose runs in tiles of [`ROW_TILE`] rows: every column
+    /// visits the tile before the next tile starts, so each row is
+    /// written once while it is still in cache.
     pub fn into_rows(self) -> Vec<Row> {
+        let n = self.num_rows();
+        let width = self.columns.len();
+        let mut columns = self.columns;
+        let mut block: Vec<Value> = Vec::with_capacity(n * width);
+        for start in (0..n).step_by(ROW_TILE) {
+            let tile_start = block.len();
+            let rows = (start + ROW_TILE).min(n) - start;
+            block.resize_with(tile_start + rows * width, || Value::Null);
+            let tile = &mut block[tile_start..];
+            for (c, col) in columns.iter_mut().enumerate() {
+                debug_assert_eq!(col.len(), n);
+                each_column_type!(col, v => v.take_tile(start, &mut tile[c..], width));
+            }
+        }
+        common::row::split_block(block, n)
+    }
+
+    /// [`ColumnBatch::into_rows`] as it was before rows shared a block:
+    /// one owned row per row, filled tile by tile.
+    #[cfg(test)]
+    fn into_owned_rows(self) -> Vec<Row> {
         let n = self.num_rows();
         let ncols = self.columns.len();
         let mut columns = self.columns;
@@ -795,8 +833,7 @@ impl ColumnBatch {
             let end = (start + ROW_TILE).min(n);
             tile.extend((start..end).map(|_| Vec::with_capacity(ncols)));
             for col in &mut columns {
-                debug_assert_eq!(col.len(), n);
-                each_column_type!(col, v => v.take_tile(start, &mut tile));
+                each_column_type!(col, v => v.take_tile_rows(start, &mut tile));
             }
             rows.extend(tile.drain(..).map(Row::new));
         }
@@ -1088,5 +1125,181 @@ mod tests {
         a.truncate(2);
         assert_eq!(a.num_rows(), 2);
         assert_eq!(a.row(1), row![2i64]);
+    }
+}
+
+/// Rows that are windows onto a shared block against the owned rows of
+/// the per-row transposition they replaced
+/// ([`ColumnBatch::into_owned_rows`]).
+#[cfg(test)]
+mod windows {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    const TYPES: [DataType; 4] = [
+        DataType::Boolean,
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Varchar,
+    ];
+
+    fn random_value(rng: &mut StdRng, dtype: DataType, null_pct: u32) -> Value {
+        if rng.random_range(0..100) < null_pct {
+            return Value::Null;
+        }
+        match dtype {
+            DataType::Boolean => Value::Boolean(rng.random_bool(0.5)),
+            DataType::Int64 => Value::Int64(rng.random_range(-1_000..1_000)),
+            DataType::Float64 => Value::Float64(match rng.random_range(0..20) {
+                0 => f64::NAN,
+                1 => -0.0,
+                _ => rng.random_range(-4_000..4_000) as f64 / 8.0,
+            }),
+            DataType::Varchar => {
+                let len = rng.random_range(0..6);
+                Value::Varchar(
+                    (0..len)
+                        .map(|_| rng.random_range(0..10).to_string())
+                        .collect(),
+                )
+            }
+        }
+    }
+
+    /// A batch of zero to five columns, each a projection of a generated
+    /// column (a column may appear twice), of zero to three tiles of rows.
+    fn random_batch(rng: &mut StdRng) -> ColumnBatch {
+        let rows = match rng.random_range(0..4) {
+            0 => 0,
+            1 => rng.random_range(1..ROW_TILE + 2),
+            _ => rng.random_range(0..3 * ROW_TILE + 5),
+        };
+        let sources: Vec<(DataType, Vec<Value>)> = (0..rng.random_range(1..4))
+            .map(|_| {
+                let dtype = TYPES[rng.random_range(0..TYPES.len())];
+                let null_pct = [0, 10, 50, 100][rng.random_range(0..4)];
+                let values = (0..rows)
+                    .map(|_| random_value(rng, dtype, null_pct))
+                    .collect();
+                (dtype, values)
+            })
+            .collect();
+        let projection: Vec<usize> = (0..rng.random_range(0..6))
+            .map(|_| rng.random_range(0..sources.len()))
+            .collect();
+        let dtypes: Vec<DataType> = projection.iter().map(|&s| sources[s].0).collect();
+        let mut batch = ColumnBatch::new(&dtypes);
+        for (c, &s) in projection.iter().enumerate() {
+            for v in &sources[s].1 {
+                batch.push(c, v.clone()).unwrap();
+            }
+        }
+        (0..rows).for_each(|r| batch.push_hash(r as u64));
+        batch
+    }
+
+    /// Ordinals of `width` columns, one repeated when there are any.
+    fn random_projection(rng: &mut StdRng, width: usize) -> Vec<usize> {
+        if width == 0 {
+            return Vec::new();
+        }
+        let mut indices: Vec<usize> = (0..rng.random_range(1..width + 2))
+            .map(|_| rng.random_range(0..width))
+            .collect();
+        if rng.random_bool(0.5) {
+            indices.push(indices[0]);
+        }
+        indices
+    }
+
+    /// `got` and `want` read alike: `==` (equal unless a NaN makes
+    /// `want` unequal even to itself), `Debug`, length and both wire
+    /// sizes.
+    fn assert_alike(got: &Row, want: &Row, what: &str) {
+        let nan = |v: &Value| matches!(v, Value::Float64(f) if f.is_nan());
+        let equal = !want.values().iter().any(nan);
+        assert_eq!(got == want, equal, "{what}: ==");
+        assert_eq!(want == got, equal, "{what}: == reversed");
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{what}: Debug");
+        assert_eq!(format!("{got:#?}"), format!("{want:#?}"), "{what}: {{:#?}}");
+        assert_eq!(
+            (got.len(), got.is_empty()),
+            (want.len(), want.is_empty()),
+            "{what}"
+        );
+        assert_eq!(got.wire_size(), want.wire_size(), "{what}: wire size");
+        assert_eq!(
+            got.text_wire_size(),
+            want.text_wire_size(),
+            "{what}: text wire size"
+        );
+    }
+
+    /// 256 random batches of seed set `base`: every row of `into_rows`
+    /// against the reference row, under every `Row` operation.
+    fn windows_match_owned_rows(base: u64) {
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(base * 1_000 + case);
+            let batch = random_batch(&mut rng);
+            let what = format!(
+                "seed set {base}, case {case}: {} x {}",
+                batch.num_rows(),
+                batch.num_columns()
+            );
+            let want = batch.clone().into_owned_rows();
+            let mut got = batch.into_rows();
+            assert_eq!(got.len(), want.len(), "{what}");
+            for (r, (g, w)) in got.iter().zip(&want).enumerate() {
+                let what = format!("{what}, row {r}");
+                assert_alike(g, w, &what);
+                assert_alike(&g.clone(), w, &format!("{what}, clone"));
+                let indices = random_projection(&mut rng, w.len());
+                assert_alike(&g.project(&indices), &w.project(&indices), &what);
+                assert_alike(
+                    &g.clone().into_projected(&indices),
+                    &w.clone().into_projected(&indices),
+                    &format!("{what}, into_projected {indices:?}"),
+                );
+                assert_eq!(
+                    format!("{:?}", g.clone().into_values()),
+                    format!("{:?}", w.clone().into_values()),
+                    "{what}: into_values"
+                );
+            }
+            // `set` changes its own row only: every other row of the
+            // block, and the clone it was taken from, read as before.
+            if let Some(r) = (!want.is_empty()).then(|| rng.random_range(0..want.len())) {
+                let width = want[r].len();
+                if width > 0 {
+                    let c = rng.random_range(0..width);
+                    let value = Value::Varchar("set".into());
+                    let before = got[r].clone();
+                    let mut expect = want[r].clone();
+                    got[r].set(c, value.clone());
+                    expect.set(c, value);
+                    assert_alike(&got[r], &expect, &format!("{what}, row {r} after set"));
+                    assert_alike(&before, &want[r], &format!("{what}, row {r}'s clone"));
+                    got[r] = before;
+                }
+                for (k, (g, w)) in got.iter().zip(&want).enumerate() {
+                    assert_alike(g, w, &format!("{what}, row {k} after row {r}'s set"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn windows_behave_like_owned_rows() {
+        windows_match_owned_rows(0);
+    }
+
+    /// `scripts/check.sh` runs this once with `--ignored`.
+    #[test]
+    #[ignore = "eight more seed sets of the window property; check.sh runs them"]
+    fn windows_behave_like_owned_rows_eight_more_seed_sets() {
+        for base in 1..=8 {
+            windows_match_owned_rows(base);
+        }
     }
 }

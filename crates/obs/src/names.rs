@@ -365,6 +365,11 @@ pub static DEFS: &[NameDef] = &[
         help: "injected sleeps taken while holding a lock",
     },
     NameDef {
+        name: "md.catalog",
+        kind: NameKind::Event,
+        help: "op tag for the model catalog statements of deploy, drop and list",
+    },
+    NameDef {
         name: "md.models_deployed",
         kind: NameKind::Counter,
         help: "PMML models deployed for in-database scoring",

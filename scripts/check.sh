@@ -68,6 +68,12 @@ cargo test -q -p mppdb --lib query::charge_differential -- --ignored
 echo "== container-build kernel properties, 8 more seed sets"
 cargo test -q -p mppdb --lib storage::batch::tests -- --ignored
 
+# Rows that are windows onto a batch's shared block against the owned
+# rows of the per-row transposition: the 256 cases above, over eight
+# more seed sets.
+echo "== row window property, 8 more seed sets"
+cargo test -q -p mppdb --lib storage::batch::windows -- --ignored
+
 # The column-at-a-time aggregate fold against the row fold over the
 # same scan's rows: the 256 cases above, over eight more seed sets.
 echo "== aggregate differential, 8 more seed sets"
