@@ -325,10 +325,10 @@ mod tests {
     #[test]
     fn histos_since_subtracts_prior_work() {
         let c = obs::Collector::new();
-        c.record_histo("v2s.piece_bytes", 10);
+        c.record_histo(obs::names::V2S_PIECE_BYTES, 10);
         let before = c.snapshot();
-        c.record_histo("v2s.piece_bytes", 50);
-        c.record_histo("v2s.piece_bytes", 50);
+        c.record_histo(obs::names::V2S_PIECE_BYTES, 50);
+        c.record_histo(obs::names::V2S_PIECE_BYTES, 50);
         let after = c.snapshot();
         let histos = histos_since(&after, &before);
         let s = &histos["v2s.piece_bytes"];

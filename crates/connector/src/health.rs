@@ -201,10 +201,10 @@ impl HealthTracker {
         });
         if closed {
             self.breaker_event(node, "closed");
-            obs::global().incr("breaker.close");
+            obs::global().incr(obs::names::BREAKER_CLOSE);
         }
         self.recent.lock().record(latency.as_micros() as u64);
-        obs::global().incr("health.successes");
+        obs::global().incr(obs::names::HEALTH_SUCCESSES);
     }
 
     /// Record a failed (transient-errored) operation against `node`.
@@ -226,9 +226,9 @@ impl HealthTracker {
         });
         if opened {
             self.breaker_event(node, "opened");
-            obs::global().incr("breaker.open");
+            obs::global().incr(obs::names::BREAKER_OPEN);
         }
-        obs::global().incr("health.failures");
+        obs::global().incr(obs::names::HEALTH_FAILURES);
     }
 
     fn breaker_event(&self, node: usize, what: &str) {
@@ -267,7 +267,7 @@ impl HealthTracker {
         });
         if promoted {
             self.breaker_event(node, "half-open");
-            obs::global().incr("breaker.half_open");
+            obs::global().incr(obs::names::BREAKER_HALF_OPEN);
         }
         if !admitted {
             obs::global().incr(obs::names::BREAKER_REJECTED);

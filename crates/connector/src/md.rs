@@ -139,7 +139,6 @@ impl ModelDeployment {
                 doc.model.model_type()
             );
         });
-        obs::global().add("md.models_deployed", 1);
         Ok(())
     }
 
@@ -261,7 +260,7 @@ impl ScalarUdf for PmmlPredictUdf {
         let score = evaluator
             .predict(&features)
             .map_err(|e| DbError::Udf(e.to_string()))?;
-        obs::global().add("md.predictions", 1);
+        obs::global().add(obs::names::MD_PREDICTIONS, 1);
         Ok(Value::Float64(score))
     }
 }

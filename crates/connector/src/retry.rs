@@ -199,7 +199,6 @@ impl CallPolicy {
             order,
             next: 0,
             stranded: true,
-            rejected: 0,
         })
     }
 
@@ -240,7 +239,7 @@ impl CallPolicy {
             match attempt_fn(attempt) {
                 Ok(v) => {
                     if attempt > 1 {
-                        obs::global().incr("retry.recovered");
+                        obs::global().incr(obs::names::RETRY_RECOVERED);
                     }
                     return Ok(v);
                 }
@@ -274,7 +273,7 @@ impl CallPolicy {
                             elapsed_ms: started.elapsed().as_millis() as u64,
                         });
                     }
-                    obs::global().incr("retry.attempts");
+                    obs::global().incr(obs::names::RETRY_ATTEMPTS);
                     std::thread::sleep(backoff);
                     attempt += 1;
                 }
@@ -344,8 +343,6 @@ struct Steered<'a> {
     next: usize,
     /// No node has been yielded yet.
     stranded: bool,
-    /// Nodes skipped because their breaker rejected.
-    rejected: usize,
 }
 
 impl Iterator for Steered<'_> {
@@ -358,7 +355,6 @@ impl Iterator for Steered<'_> {
                 self.stranded = false;
                 return Some(node);
             }
-            self.rejected += 1;
         }
         std::mem::take(&mut self.stranded).then(|| self.order[0])
     }
@@ -436,7 +432,7 @@ fn hedged_read<T: Send + 'static>(
                 e.dur_us = delay.as_micros() as u64;
                 e.detail = format!("{op}: hedging node {primary} with buddy {buddy}");
             });
-            obs::global().incr("hedge.launched");
+            obs::global().incr(obs::names::HEDGE_LAUNCHED);
             let result = run_arm(&run, op, buddy, &buddy_cancel, trace, 2, "hedge");
             if result.is_ok() {
                 primary_cancel.cancel();
@@ -454,12 +450,11 @@ fn hedged_read<T: Send + 'static>(
     // succeeded before the buddy cancelled it wins.
     if result.is_ok() && !primary_cancel.is_cancelled() {
         buddy_cancel.cancel();
-        obs::global().incr("hedge.primary_wins");
         return result;
     }
     match rx.recv() {
         Ok(Ok(value)) => {
-            obs::global().incr("hedge.wins");
+            obs::global().incr(obs::names::HEDGE_WINS);
             Ok(value)
         }
         // Both arms failed; the primary was not cancelled, as only a
@@ -488,7 +483,7 @@ fn run_arm<T>(
         s.detail = format!("{op} {role}");
     });
     if result.as_ref().is_err_and(ConnectorError::is_cancelled) {
-        obs::global().incr("hedge.cancelled");
+        obs::global().incr(obs::names::HEDGE_CANCELLED);
     }
     result
 }
@@ -652,7 +647,7 @@ impl RetryConn {
                 match self.cluster.connect(node) {
                     Ok(mut session) => {
                         if node != self.preferred {
-                            obs::global().incr("failover.connects");
+                            obs::global().incr(obs::names::FAILOVER_CONNECTS);
                         }
                         if let Some(pool) = &self.pool {
                             session
@@ -672,9 +667,6 @@ impl RetryConn {
                         last = Some(e);
                     }
                 }
-            }
-            if steered.rejected > 0 {
-                obs::global().add("health.steered_connects", steered.rejected as u64);
             }
         }
         self.session

@@ -161,7 +161,7 @@ pub(crate) fn run(
     opts: &ConnectorOptions,
     mode: SaveMode,
 ) -> ConnectorResult<S2vReport> {
-    let trace = obs::global().trace_start("s2v.job");
+    let trace = obs::global().trace_start(names::S2V_JOB);
     let result = run_traced(ctx, cluster, df, opts, mode, trace);
     obs::global().span_finish(trace, |s| match &result {
         Ok(r) => {
@@ -222,7 +222,7 @@ fn run_traced(
     if exists {
         let def = cluster
             .table_def(&target)
-            .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?;
+            .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?;
         if !def.schema.compatible_with(df.schema()) {
             return Err(ConnectorError::Usage(format!(
                 "DataFrame schema {} incompatible with target table {}",
@@ -234,9 +234,9 @@ fn run_traced(
         cluster
             .create_table(
                 TableDef::new(&target, df.schema().clone(), Segmentation::ByHash(vec![]))
-                    .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?,
+                    .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?,
             )
-            .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?;
+            .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?;
     }
 
     // Decide the parallelism (a coalesce when reducing, per Sec. 3.2).
@@ -256,7 +256,7 @@ fn run_traced(
     };
     let target_def = cluster
         .table_def(&target)
-        .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?;
+        .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?;
 
     // Sec. 5 future-work optimization: pre-hash the DataFrame to the
     // target's segmentation so partition `p` holds exactly the rows
@@ -275,18 +275,18 @@ fn run_traced(
                     target_def.schema.clone(),
                     target_def.segmentation.clone(),
                 )
-                .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?
+                .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?
                 .temp(),
             )
-            .map_err(|e| ConnectorError::db(names::S2V_SETUP, e))?;
+            .map_err(|e| ConnectorError::db(names::S2V_SETUP.name(), e))?;
     }
     // The setup DDL/DML is guarded by existence checks, so a retry after
     // a commit-then-lost-ack replays as a no-op instead of "table
     // exists" / duplicate status rows.
     let setup_span = obs::global().span_start(names::S2V_SETUP, trace);
     driver.set_trace(setup_span);
-    driver.run(names::S2V_SETUP, |session| {
-        let db = |e: DbError| ConnectorError::db(names::S2V_SETUP, e);
+    driver.run(names::S2V_SETUP.name(), |session| {
+        let db = |e: DbError| ConnectorError::db(names::S2V_SETUP.name(), e);
         if !session.cluster().has_table(&tables.status) {
             session
                 .execute(&format!(
@@ -434,8 +434,8 @@ fn run_traced(
     driver.set_trace(finalize_span);
     let (committer_task, rows_loaded, rows_rejected) = match committed {
         Some(c) => c,
-        None => driver.run(names::S2V_FINALIZE, |session| {
-            let db = |e: DbError| ConnectorError::db(names::S2V_FINALIZE, e);
+        None => driver.run(names::S2V_FINALIZE.name(), |session| {
+            let db = |e: DbError| ConnectorError::db(names::S2V_FINALIZE.name(), e);
             let status = session
                 .execute(&format!(
                     "SELECT status FROM {FINAL_STATUS_TABLE} WHERE job_name = '{job_name}'"
@@ -475,16 +475,16 @@ fn run_traced(
     };
 
     // Harvest the rejected-row samples before the temp tables go away.
-    let rejected_samples = driver.run(names::S2V_FINALIZE, |session| {
+    let rejected_samples = driver.run(names::S2V_FINALIZE.name(), |session| {
         let sample_rows = session
             .execute(&format!(
                 "SELECT task_id, reject_sample FROM {} WHERE rows_rejected > 0 \
                  ORDER BY task_id",
                 tables.status
             ))
-            .map_err(|e| ConnectorError::db(names::S2V_FINALIZE, e))?
+            .map_err(|e| ConnectorError::db(names::S2V_FINALIZE.name(), e))?
             .rows()
-            .map_err(|e| ConnectorError::db(names::S2V_FINALIZE, e))?;
+            .map_err(|e| ConnectorError::db(names::S2V_FINALIZE.name(), e))?;
         Ok(sample_rows
             .rows
             .iter()
@@ -503,7 +503,7 @@ fn run_traced(
 
     // Temp protocol tables are deleted on success; the final status
     // table is permanent.
-    let teardown_span = obs::global().span_start("s2v.teardown", trace);
+    let teardown_span = obs::global().span_start(names::S2V_TEARDOWN, trace);
     for t in [&tables.staging, &tables.status, &tables.committer] {
         cluster
             .drop_table(t)
@@ -517,9 +517,8 @@ fn run_traced(
         .recorder()
         .setup(None, NodeRef::Db(host), "s2v_teardown_tables");
 
-    obs::global().add("s2v.jobs", 1);
-    obs::global().add("s2v.rows_loaded", rows_loaded);
-    obs::global().add("s2v.rows_rejected", rows_rejected);
+    obs::global().add(names::S2V_JOBS, 1);
+    obs::global().add(names::S2V_ROWS_LOADED, rows_loaded);
 
     Ok(S2vReport {
         job_name,
@@ -689,7 +688,7 @@ fn run_task_phases(
     let mut maybe_saved = tc.attempt > 1 || tc.speculative;
     conn.run("s2v.phase1", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase1", e);
-        let span = obs::global().span_start("s2v.phase1", tc.trace);
+        let span = obs::global().span_start(names::S2V_PHASE1, tc.trace);
         session.set_trace(span);
         let started = Instant::now();
         let node = session.node();
@@ -755,7 +754,7 @@ fn run_task_phases(
     // ----- Phase 2: are all tasks done? -------------------------------
     let not_done = conn.run("s2v.phase2", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase2", e);
-        let span = obs::global().span_start("s2v.phase2", tc.trace);
+        let span = obs::global().span_start(names::S2V_PHASE2, tc.trace);
         let started = Instant::now();
         let node = session.node();
         let not_done = session
@@ -785,7 +784,7 @@ fn run_task_phases(
     // ----- Phase 3: race to become the last committer -----------------
     conn.run("s2v.phase3", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase3", e);
-        let span = obs::global().span_start("s2v.phase3", tc.trace);
+        let span = obs::global().span_start(names::S2V_PHASE3, tc.trace);
         let started = Instant::now();
         let node = session.node();
         session.begin().map_err(db)?;
@@ -827,7 +826,7 @@ fn run_task_phases(
     // ----- Phase 4: did we win? ---------------------------------------
     let winner = conn.run("s2v.phase4", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase4", e);
-        let span = obs::global().span_start("s2v.phase4", tc.trace);
+        let span = obs::global().span_start(names::S2V_PHASE4, tc.trace);
         let started = Instant::now();
         let node = session.node();
         let winner = session
@@ -853,7 +852,7 @@ fn run_task_phases(
     // ----- Phase 5: tolerance check + final atomic commit -------------
     conn.run("s2v.phase5", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase5", e);
-        let span = obs::global().span_start("s2v.phase5", tc.trace);
+        let span = obs::global().span_start(names::S2V_PHASE5, tc.trace);
         session.set_trace(span);
         let started = Instant::now();
         let node = session.node();
@@ -985,7 +984,7 @@ fn run_task_phases(
             false,
             format!("phase 5 final commit by task {p}, {loaded} loaded"),
         );
-        obs::global().add("s2v.final_commits", 1);
+        obs::global().add(names::S2V_FINAL_COMMITS, 1);
         Ok(TaskEnd::Committed { loaded, rejected })
     })
 }

@@ -187,7 +187,7 @@ impl StreamWriter {
         let mut flushed = 0;
         while self.buf.len() >= self.batch_rows {
             let batch: Vec<Row> = self.buf.drain(..self.batch_rows).collect();
-            self.flush_batch(batch, false)?;
+            self.flush_batch(batch)?;
             flushed += 1;
         }
         if self.buf.is_empty() {
@@ -216,7 +216,7 @@ impl StreamWriter {
         }
         let batch = std::mem::take(&mut self.buf);
         self.buf_since = None;
-        self.flush_batch(batch, true)?;
+        self.flush_batch(batch)?;
         Ok(true)
     }
 
@@ -226,7 +226,7 @@ impl StreamWriter {
     pub fn finish(mut self) -> ConnectorResult<SaveReport> {
         if !self.ignored && !self.buf.is_empty() {
             let batch = std::mem::take(&mut self.buf);
-            self.flush_batch(batch, false)?;
+            self.flush_batch(batch)?;
         }
         Ok(SaveReport {
             method: WriteMethod::Copy,
@@ -245,7 +245,7 @@ impl StreamWriter {
     }
 
     /// Run one micro-batch as a full exactly-once S2V job.
-    fn flush_batch(&mut self, rows: Vec<Row>, aged: bool) -> ConnectorResult<()> {
+    fn flush_batch(&mut self, rows: Vec<Row>) -> ConnectorResult<()> {
         let parts = self
             .opts
             .num_partitions
@@ -264,11 +264,8 @@ impl StreamWriter {
             SaveMode::Append
         };
         let report = s2v::run(&self.ctx, &self.cluster, &df, &bopts, mode)?;
-        obs::global().incr("stream.batches");
-        obs::global().add("stream.rows", report.rows_loaded);
-        if aged {
-            obs::global().incr("stream.age_flushes");
-        }
+        obs::global().incr(obs::names::STREAM_BATCHES);
+        obs::global().add(obs::names::STREAM_ROWS, report.rows_loaded);
         self.batches += 1;
         self.rows_loaded += report.rows_loaded;
         self.rows_rejected += report.rows_rejected;

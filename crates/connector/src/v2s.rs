@@ -114,7 +114,7 @@ impl DbRelation {
         let epoch = cluster.current_epoch();
         let map = cluster.segment_map_at(epoch);
         let policy =
-            CallPolicy::for_job(&cluster, opts).under(obs::global().trace_start("v2s.load"));
+            CallPolicy::for_job(&cluster, opts).under(obs::global().trace_start(names::V2S_LOAD));
         let resolved = cluster.table_def(&opts.table);
         let is_table = resolved.is_ok();
         let (table, schema, kind) = match resolved {
@@ -128,9 +128,9 @@ impl DbRelation {
                 let open_span = obs::global().span_start(names::V2S_OPEN, policy.trace);
                 let probe = policy.under(open_span).read(
                     &cluster,
-                    names::V2S_OPEN,
+                    names::V2S_OPEN.name(),
                     &policy.candidates(&cluster, &map, host),
-                    catalog_exec(&cluster, names::V2S_OPEN, spec, open_span),
+                    catalog_exec(&cluster, names::V2S_OPEN.name(), spec, open_span),
                 );
                 obs::global().span_finish(open_span, |s| {
                     s.failed = probe.is_err();
@@ -234,9 +234,9 @@ impl DbRelation {
                 let plan_span = obs::global().span_start(names::V2S_PLAN, self.policy.trace);
                 let total = self.policy.under(plan_span).read(
                     &self.cluster,
-                    names::V2S_PLAN,
+                    names::V2S_PLAN.name(),
                     &self.policy.candidates(&self.cluster, &self.map, self.host),
-                    catalog_exec(&self.cluster, names::V2S_PLAN, spec, plan_span),
+                    catalog_exec(&self.cluster, names::V2S_PLAN.name(), spec, plan_span),
                 );
                 obs::global().span_finish(plan_span, |s| {
                     s.failed = total.is_err();
@@ -485,13 +485,13 @@ fn exec_piece(
         );
     });
     if connect_node != ctx.preferred {
-        obs::global().add("failover.reads", 1);
+        obs::global().add(names::FAILOVER_READS, 1);
     }
-    obs::global().add("v2s.pieces", 1);
-    obs::global().add("v2s.rows", rows);
-    obs::global().add("v2s.bytes", bytes);
-    obs::global().record_histo("v2s.piece_bytes", bytes);
-    obs::global().record_time("v2s.piece_us", piece_started.elapsed());
+    obs::global().add(names::V2S_PIECES, 1);
+    obs::global().add(names::V2S_ROWS, rows);
+    obs::global().add(names::V2S_BYTES, bytes);
+    obs::global().record_histo(names::V2S_PIECE_BYTES, bytes);
+    obs::global().record_time(names::V2S_PIECE_US, piece_started.elapsed());
     Ok(result)
 }
 
@@ -515,11 +515,11 @@ impl V2sSource {
             spec: spec.clone(),
             map_version: std::sync::atomic::AtomicU64::new(spec.map_version.unwrap_or(0)),
         });
-        self.policy.run(names::V2S_PIECE, |attempt| {
+        self.policy.run(names::V2S_PIECE.name(), |attempt| {
             let span = obs::global().span_start(names::V2S_PIECE, self.policy.trace);
             let result = self.policy.read_attempt(
                 &self.cluster,
-                names::V2S_PIECE,
+                names::V2S_PIECE.name(),
                 &candidates,
                 attempt,
                 span,
@@ -540,7 +540,7 @@ impl V2sSource {
             {
                 ctx.map_version
                     .store(*current, std::sync::atomic::Ordering::Release);
-                obs::global().incr("v2s.map_refresh");
+                obs::global().incr(names::V2S_MAP_REFRESH);
             }
             obs::global().span_finish(span, |s| {
                 s.task = Some(partition as u64);
@@ -739,7 +739,7 @@ impl ScanRelation for DbRelation {
                     accs.absorb_partial_row(row, key_width)
                         .map_err(SparkError::from)?;
                 }
-                obs::global().add("agg.pushdown.partials_merged", 1);
+                obs::global().add(names::AGG_PUSHDOWN_PARTIALS_MERGED, 1);
             }
         }
         if key_width == 0 {

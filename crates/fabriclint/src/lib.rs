@@ -2,10 +2,10 @@
 //!
 //! The chaos/resilience gates in this repo are only as good as a set
 //! of conventions no compiler checks: seeded schedules must not read
-//! ambient time or entropy, `obs` counter names must match the
-//! single-source registry, every error variant must carry a transient
-//! /fatal classification, hot paths must not panic, and `unsafe` must
-//! justify itself. This crate makes those conventions machine-checked.
+//! ambient time or entropy, every `obs` registry row must be used and
+//! every name a test or report reads must be registered, every error
+//! variant must carry a transient/fatal classification, hot paths must
+//! not panic, and `unsafe` must justify itself. This crate makes those conventions machine-checked.
 //!
 //! Five rules, all driven by the hand-rolled lexer in [`lexer`] (no
 //! registry access, no syn):
@@ -13,11 +13,13 @@
 //! * **determinism** — banned identifiers (`SystemTime`, `UNIX_EPOCH`,
 //!   `thread_rng`, …) anywhere outside explicitly allowlisted seed
 //!   plumbing; replayable chaos schedules depend on it.
-//! * **obs-registry** — every counter/timer name recorded through
-//!   `obs::global()` must appear in `obs::names::DEFS` and vice versa
-//!   (no phantom emits, no dead registry rows); dotted literals that
-//!   share a registered family (`hedge.`, `shed.`, …) but are not
-//!   registered are flagged as likely typos.
+//! * **obs-registry** — every row of the `names!` table in
+//!   `obs::names` must be mentioned elsewhere, by handle or by name (no
+//!   dead rows); dotted literals that share a registered family
+//!   (`hedge.`, `shed.`, …) but are not registered are flagged as
+//!   likely typos in a read. Emits need no check: the collector takes
+//!   typed handles, so the compiler refuses an unregistered name or
+//!   one of the wrong kind.
 //! * **error-taxonomy** — every `DbError`/`ConnectorError` variant is
 //!   classified by an `is_transient()` in its defining file and is
 //!   constructed somewhere in the workspace.
@@ -223,159 +225,61 @@ impl Allowlist {
 // Registry parsing (obs names.rs)
 // ---------------------------------------------------------------------
 
+/// One row of the `names!` table: `Kind IDENT = "name", "help";`.
 #[derive(Debug, Clone)]
 struct RegEntry {
-    name: String,
     kind: String,
+    ident: String,
+    name: String,
     line: u32,
 }
 
-#[derive(Debug, Default)]
-struct Registry {
-    /// `pub const NAME: &str = "value";` bindings in names.rs. Array
-    /// consts (`[&str; N]`) map to all their element values.
-    consts: HashMap<String, Vec<String>>,
-    entries: Vec<RegEntry>,
-}
-
-impl Registry {
-    fn is_registered(&self, name: &str) -> bool {
-        if self.entries.iter().any(|e| e.name == name) {
-            return true;
-        }
-        for suffix in [
-            ".count", ".sum_us", ".min_us", ".max_us", ".p50_us", ".p99_us",
-        ] {
-            if let Some(base) = name.strip_suffix(suffix) {
-                return self
-                    .entries
-                    .iter()
-                    .any(|e| e.name == base && e.kind == "Timer");
-            }
-        }
-        false
-    }
-
-    fn families(&self) -> HashSet<String> {
-        self.entries
-            .iter()
-            .filter_map(|e| e.name.split('.').next())
-            .map(String::from)
-            .collect()
-    }
-}
-
-fn parse_registry(path: &str, lexed: &Lexed, findings: &mut Vec<Finding>) -> Registry {
+/// The rows of the `names!` table in `names.rs`.
+fn parse_registry(lexed: &Lexed) -> Vec<RegEntry> {
     let toks = &lexed.tokens;
-    let mut reg = Registry::default();
-    // Consts: `const NAME: &str = "value";` and array consts
-    // `const NAME: [&str; N] = ["a", "b"];` (the `;` inside the type
-    // annotation is skipped by matching the brackets).
-    let mut i = 0;
-    while i < toks.len() {
-        if toks[i].is_ident("const") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
-            let name = toks[i + 1].text.clone();
-            let mut j = i + 2;
-            while j < toks.len() && !toks[j].is_punct('=') && !toks[j].is_punct(';') {
-                if toks[j].is_punct('[') {
-                    j = match_delim(toks, j, '[', ']');
-                }
-                j += 1;
-            }
-            if j + 1 < toks.len() && toks[j].is_punct('=') {
-                match toks[j + 1].kind {
-                    TokKind::Str => {
-                        reg.consts.insert(name, vec![toks[j + 1].text.clone()]);
-                    }
-                    TokKind::Punct if toks[j + 1].is_punct('[') => {
-                        let close = match_delim(toks, j + 1, '[', ']');
-                        let values: Vec<String> = toks[(j + 2)..close]
-                            .iter()
-                            .filter(|t| t.kind == TokKind::Str)
-                            .map(|t| t.text.clone())
-                            .collect();
-                        if !values.is_empty() {
-                            reg.consts.insert(name, values);
-                        }
-                        j = close;
-                    }
-                    _ => {}
-                }
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    // The DEFS table: `static DEFS: &[NameDef] = &[ NameDef { .. }, … ]`.
-    let Some(defs_at) = toks.iter().position(|t| t.is_ident("DEFS")) else {
-        return reg;
+    let Some(open) = toks
+        .windows(3)
+        .position(|w| w[0].is_ident("names") && w[1].is_punct('!') && w[2].is_punct('{'))
+    else {
+        return Vec::new();
     };
-    let Some(open) = (defs_at..toks.len()).find(|&k| toks[k].is_punct('[')) else {
-        return reg;
-    };
-    // The `&[NameDef]` type annotation comes first; skip to the array.
-    let type_close = match_delim(toks, open, '[', ']');
-    let Some(arr_open) = (type_close..toks.len()).find(|&k| toks[k].is_punct('[')) else {
-        return reg;
-    };
-    let arr_close = match_delim(toks, arr_open, '[', ']');
-    let mut k = arr_open + 1;
-    while k < arr_close {
-        if toks[k].is_ident("NameDef") && k + 1 < arr_close && toks[k + 1].is_punct('{') {
-            let entry_line = toks[k].line;
-            let close = match_delim(toks, k + 1, '{', '}');
-            let mut name: Option<String> = None;
-            let mut kind = String::new();
-            let mut f = k + 2;
-            while f < close {
-                if toks[f].kind == TokKind::Ident && f + 1 < close && toks[f + 1].is_punct(':') {
-                    let field = toks[f].text.clone();
-                    let v = f + 2;
-                    match field.as_str() {
-                        "name" if v < close => match toks[v].kind {
-                            TokKind::Str => name = Some(toks[v].text.clone()),
-                            TokKind::Ident => {
-                                match reg.consts.get(&toks[v].text).and_then(|vals| vals.first()) {
-                                    Some(value) => name = Some(value.clone()),
-                                    None => findings.push(Finding {
-                                        file: path.to_string(),
-                                        line: toks[v].line,
-                                        rule: Rule::ObsRegistry,
-                                        message: format!(
-                                            "DEFS entry references unknown const `{}`",
-                                            toks[v].text
-                                        ),
-                                    }),
-                                }
-                            }
-                            _ => {}
-                        },
-                        "kind" => {
-                            let mut w = v;
-                            while w < close && !toks[w].is_punct(',') {
-                                if toks[w].kind == TokKind::Ident {
-                                    kind = toks[w].text.clone();
-                                }
-                                w += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                f += 1;
-            }
-            if let Some(name) = name {
-                reg.entries.push(RegEntry {
-                    name,
-                    kind,
-                    line: entry_line,
+    let close = match_delim(toks, open + 2, '{', '}');
+    let mut rows = Vec::new();
+    for row in toks[(open + 3)..close].split(|t| t.is_punct(';')) {
+        if let [kind, ident, eq, name, ..] = row {
+            if kind.kind == TokKind::Ident
+                && ident.kind == TokKind::Ident
+                && eq.is_punct('=')
+                && name.kind == TokKind::Str
+            {
+                rows.push(RegEntry {
+                    kind: kind.text.clone(),
+                    ident: ident.text.clone(),
+                    name: name.text.clone(),
+                    line: ident.line,
                 });
             }
-            k = close;
         }
-        k += 1;
     }
-    reg
+    rows
+}
+
+/// Whether `name` is a registered row, or one of the six derived
+/// `dc_counters` spellings of a timer row (`<timer>.p99_us`, ...).
+fn is_registered(rows: &[RegEntry], name: &str) -> bool {
+    let row = |n: &str| rows.iter().find(|e| e.name == n);
+    if row(name).is_some() {
+        return true;
+    }
+    [
+        ".count", ".sum_us", ".min_us", ".max_us", ".p50_us", ".p99_us",
+    ]
+    .iter()
+    .any(|suffix| {
+        name.strip_suffix(suffix)
+            .and_then(row)
+            .is_some_and(|e| e.kind == "Timer")
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -440,17 +344,11 @@ fn is_counter_shaped(s: &str) -> bool {
 
 #[derive(Debug, Default)]
 struct FileFacts {
-    /// Names recorded through `obs::global()` in this file, with the
-    /// emit method used (the method picks the kind cross-check).
-    used_names: Vec<(String, u32, String)>,
-    /// SCREAMING_CASE idents inside emit-call arguments (name consts),
-    /// with the emit method used.
-    used_consts: Vec<(String, u32, String)>,
     /// Counter-shaped string literals anywhere in the file.
     dotted_literals: Vec<(String, u32)>,
     /// Every string literal value (dead-row cross-check).
     str_values: HashSet<String>,
-    /// Every identifier (detects references to name consts).
+    /// Every identifier (detects references to name handles).
     idents: HashSet<String>,
     /// Taxonomy enums defined here: (enum, variants with lines).
     enums: Vec<EnumDecl>,
@@ -466,26 +364,16 @@ struct FileFacts {
 /// A taxonomy enum declaration: (name, decl line, variants with lines).
 type EnumDecl = (String, u32, Vec<(String, u32)>);
 
+/// The collector methods that record: the flow pass counts a call of
+/// one as an emit.
 pub(crate) const EMIT_METHODS: &[&str] = &[
     "incr",
     "add",
     "record_time",
-    "counter_value",
     "trace_start",
     "span_start",
     "record_histo",
 ];
-
-/// Registry kinds each trace/histogram emit method may target; methods
-/// not listed here keep the registration-only check. A finished span
-/// feeds a same-named histogram, so `record_histo` also accepts Span.
-fn allowed_kinds(method: &str) -> Option<&'static [&'static str]> {
-    match method {
-        "trace_start" | "span_start" => Some(&["Span"]),
-        "record_histo" => Some(&["Histo", "Span"]),
-        _ => None,
-    }
-}
 
 fn is_test_path(path: &str) -> bool {
     path.starts_with("tests/")
@@ -580,43 +468,6 @@ fn analyze_file(file: &SourceFile, cfg: &Config) -> FileFacts {
                         ),
                     });
                 }
-                // obs emit calls: global().method("name", …)
-                if t.text == "global"
-                    && i + 5 < toks.len()
-                    && toks[i + 1].is_punct('(')
-                    && toks[i + 2].is_punct(')')
-                    && toks[i + 3].is_punct('.')
-                    && toks[i + 4].kind == TokKind::Ident
-                    && EMIT_METHODS.contains(&toks[i + 4].text.as_str())
-                    && toks[i + 5].is_punct('(')
-                {
-                    let method = toks[i + 4].text.clone();
-                    let close = match_delim(toks, i + 5, '(', ')');
-                    let arg_end = first_arg_end(toks, i + 5, close);
-                    for arg in &toks[(i + 6)..arg_end] {
-                        match arg.kind {
-                            TokKind::Str => {
-                                facts
-                                    .used_names
-                                    .push((arg.text.clone(), arg.line, method.clone()));
-                            }
-                            TokKind::Ident
-                                if arg.text.len() > 1
-                                    && arg
-                                        .text
-                                        .chars()
-                                        .all(|c| c.is_ascii_uppercase() || c == '_') =>
-                            {
-                                facts.used_consts.push((
-                                    arg.text.clone(),
-                                    arg.line,
-                                    method.clone(),
-                                ));
-                            }
-                            _ => {}
-                        }
-                    }
-                }
                 // Taxonomy enum declarations.
                 if t.text == "enum"
                     && i + 1 < toks.len()
@@ -660,22 +511,6 @@ fn analyze_file(file: &SourceFile, cfg: &Config) -> FileFacts {
         i += 1;
     }
     facts
-}
-
-/// End (exclusive) of the first argument of a call whose `(` is at
-/// `open` and `)` at `close`: the top-level `,`, or `close` itself.
-fn first_arg_end(toks: &[Tok], open: usize, close: usize) -> usize {
-    let mut depth = 0i32;
-    for (k, t) in toks.iter().enumerate().take(close).skip(open + 1) {
-        if t.is_punct('(') || t.is_punct('[') || t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct(')') || t.is_punct(']') || t.is_punct('}') {
-            depth -= 1;
-        } else if depth == 0 && t.is_punct(',') {
-            return k;
-        }
-    }
-    close
 }
 
 /// Parse `enum Name { A, B(..), C { .. } }` starting at the `enum`
@@ -866,12 +701,11 @@ pub fn lint_files_with_graph(
     let flow = flow::run(files, cfg);
     let graph = flow.graph;
     let mut findings: Vec<Finding> = flow.findings;
-    let mut registry = Registry::default();
-    for f in files {
-        if f.path == cfg.names_path {
-            registry = parse_registry(&f.path, &lex(&f.text), &mut findings);
-        }
-    }
+    let registry = files
+        .iter()
+        .find(|f| f.path == cfg.names_path)
+        .map(|f| parse_registry(&lex(&f.text)))
+        .unwrap_or_default();
 
     let facts: Vec<(&SourceFile, FileFacts)> =
         files.iter().map(|f| (f, analyze_file(f, cfg))).collect();
@@ -880,103 +714,18 @@ pub fn lint_files_with_graph(
         findings.extend(ff.findings.iter().cloned());
     }
 
-    let have_registry = !registry.entries.is_empty();
-    let families = registry.families();
-    let mut flagged_sites: HashSet<(String, u32, String)> = HashSet::new();
-
-    if have_registry {
-        // Direction A: every recorded name must be registered — and
-        // for trace/histogram methods, registered with the right kind
-        // (a `span_start` against a Counter row is as wrong as an
-        // unregistered name: the span would shadow an existing metric).
-        let kind_of = |name: &str| -> Option<String> {
-            registry
-                .entries
-                .iter()
-                .find(|e| e.name == name)
-                .map(|e| e.kind.clone())
-        };
-        let check_kind =
-            |file: &str, line: u32, name: &str, method: &str, findings: &mut Vec<Finding>| {
-                let Some(allowed) = allowed_kinds(method) else {
-                    return;
-                };
-                if let Some(kind) = kind_of(name) {
-                    if !allowed.contains(&kind.as_str()) {
-                        findings.push(Finding {
-                            file: file.to_string(),
-                            line,
-                            rule: Rule::ObsRegistry,
-                            message: format!(
-                                "`{method}` on \"{name}\" which is registered as \
-                                 NameKind::{kind}; expected {}",
-                                allowed.join(" or ")
-                            ),
-                        });
-                    }
-                }
-            };
+    if !registry.is_empty() {
+        // Dead rows: a row whose handle or name no other file mentions.
+        let mut idents: HashSet<&str> = HashSet::new();
+        let mut strs: HashSet<&str> = HashSet::new();
         for (file, ff) in &facts {
-            for (name, line, method) in &ff.used_names {
-                if !registry.is_registered(name) {
-                    flagged_sites.insert((file.path.clone(), *line, name.clone()));
-                    findings.push(Finding {
-                        file: file.path.clone(),
-                        line: *line,
-                        rule: Rule::ObsRegistry,
-                        message: format!(
-                            "counter name \"{name}\" is not registered in obs::names::DEFS"
-                        ),
-                    });
-                } else {
-                    check_kind(&file.path, *line, name, method, &mut findings);
-                }
-            }
-            for (ident, line, method) in &ff.used_consts {
-                match registry.consts.get(ident) {
-                    None => findings.push(Finding {
-                        file: file.path.clone(),
-                        line: *line,
-                        rule: Rule::ObsRegistry,
-                        message: format!(
-                            "`{ident}` in an obs emit call is not a const from obs::names"
-                        ),
-                    }),
-                    Some(values) => {
-                        for value in values {
-                            if !registry.is_registered(value) {
-                                findings.push(Finding {
-                                    file: file.path.clone(),
-                                    line: *line,
-                                    rule: Rule::ObsRegistry,
-                                    message: format!(
-                                        "const `{ident}` (\"{value}\") is not registered \
-                                         in obs::names::DEFS"
-                                    ),
-                                });
-                            } else {
-                                check_kind(&file.path, *line, value, method, &mut findings);
-                            }
-                        }
-                    }
-                }
+            if file.path != cfg.names_path {
+                idents.extend(ff.idents.iter().map(String::as_str));
+                strs.extend(ff.str_values.iter().map(String::as_str));
             }
         }
-        // Direction B: every registry row must be used somewhere.
-        let mut occurrences: HashSet<&str> = HashSet::new();
-        for (file, ff) in &facts {
-            if file.path == cfg.names_path {
-                continue;
-            }
-            occurrences.extend(ff.str_values.iter().map(String::as_str));
-            for (cname, cvalues) in &registry.consts {
-                if ff.idents.contains(cname) {
-                    occurrences.extend(cvalues.iter().map(String::as_str));
-                }
-            }
-        }
-        for e in &registry.entries {
-            if !occurrences.contains(e.name.as_str()) {
+        for e in &registry {
+            if !idents.contains(e.ident.as_str()) && !strs.contains(e.name.as_str()) {
                 findings.push(Finding {
                     file: cfg.names_path.clone(),
                     line: e.line,
@@ -989,16 +738,14 @@ pub fn lint_files_with_graph(
             }
         }
         // Drift: family-matching literals that are not registered.
+        let families: HashSet<&str> = registry
+            .iter()
+            .filter_map(|e| e.name.split('.').next())
+            .collect();
         for (file, ff) in &facts {
             for (name, line) in &ff.dotted_literals {
-                if registry.is_registered(name) {
-                    continue;
-                }
                 let family = name.split('.').next().unwrap_or("");
-                if !families.contains(family) {
-                    continue;
-                }
-                if flagged_sites.contains(&(file.path.clone(), *line, name.clone())) {
+                if !families.contains(family) || is_registered(&registry, name) {
                     continue;
                 }
                 findings.push(Finding {

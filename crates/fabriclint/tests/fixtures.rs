@@ -16,19 +16,18 @@ fn file(path: &str, text: &str) -> SourceFile {
     }
 }
 
-/// A minimal obs name registry: one const-named counter, one
-/// literal-named counter, and a timer.
+/// A minimal obs name registry in the `names!` table grammar: two
+/// counters and a timer.
 fn names_file() -> SourceFile {
     file(
         "crates/obs/src/names.rs",
         r#"
-pub const FIX_HITS: &str = "fix.hits";
-
-pub static DEFS: &[NameDef] = &[
-    NameDef { name: FIX_HITS, kind: NameKind::Counter, help: "h" },
-    NameDef { name: "fix.misses", kind: NameKind::Counter, help: "h" },
-    NameDef { name: "fix.wait_us", kind: NameKind::Timer, help: "h" },
-];
+names! {
+    Counter FIX_HITS = "fix.hits",
+        "h";
+    Counter FIX_MISSES = "fix.misses", "h";
+    Timer FIX_WAIT_US = "fix.wait_us", "h";
+}
 "#,
     )
 }
@@ -41,8 +40,8 @@ fn uses_all_names() -> SourceFile {
         r#"
 fn emit() {
     obs::global().incr(FIX_HITS);
-    obs::global().incr("fix.misses");
-    obs::global().record_time("fix.wait_us", d);
+    obs::global().incr(names::FIX_MISSES);
+    obs::global().record_time(obs::names::FIX_WAIT_US, d);
 }
 "#,
     )
@@ -98,27 +97,8 @@ fn determinism_accepts_seeded_code_and_inline_allows() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn obs_registry_flags_unregistered_emit() {
-    let bad = file(
-        "crates/app/src/emit.rs",
-        r#"
-fn emit() {
-    obs::global().incr(FIX_HITS);
-    obs::global().incr("fix.misses");
-    obs::global().record_time("fix.wait_us", d);
-    obs::global().incr("fix.phantom");
-}
-"#,
-    );
-    let f = lint(&[names_file(), bad]);
-    assert_eq!(rules(&f), vec![Rule::ObsRegistry]);
-    assert!(f[0].message.contains("fix.phantom"));
-    assert!(f[0].message.contains("not registered"));
-}
-
-#[test]
 fn obs_registry_flags_dead_defs_rows() {
-    // Nothing references "fix.misses" or "fix.wait_us".
+    // Nothing mentions FIX_MISSES or FIX_WAIT_US, by handle or by name.
     let partial = file(
         "crates/app/src/emit.rs",
         "fn emit() { obs::global().incr(FIX_HITS); }",
@@ -128,10 +108,27 @@ fn obs_registry_flags_dead_defs_rows() {
     assert!(f.iter().all(|x| x.rule == Rule::ObsRegistry
         && x.file == "crates/obs/src/names.rs"
         && x.message.contains("dead DEFS row")));
+    assert_eq!(f[0].line, 5, "the finding points at the row: {f:?}");
+    assert!(f[0].message.contains("fix.misses") && f[1].message.contains("fix.wait_us"));
+
+    // A row read by its name string alone is not dead.
+    let read = file(
+        "crates/app/src/read.rs",
+        r#"fn read(d: &Delta) { d.get("fix.misses"); d.get("fix.wait_us"); }"#,
+    );
+    let f = lint(&[
+        names_file(),
+        file(
+            "crates/app/src/emit.rs",
+            "fn emit() { obs::global().incr(FIX_HITS); }",
+        ),
+        read,
+    ]);
+    assert!(f.is_empty(), "{f:?}");
 }
 
 #[test]
-fn obs_registry_flags_family_drift_and_unknown_consts() {
+fn obs_registry_flags_family_drift() {
     // "fix.hitz" is counter-shaped, shares the registered family, and
     // is not registered: the classic drifted/typoed assertion literal.
     let drift = file(
@@ -141,15 +138,6 @@ fn obs_registry_flags_family_drift_and_unknown_consts() {
     let f = lint(&[names_file(), uses_all_names(), drift]);
     assert_eq!(rules(&f), vec![Rule::ObsRegistry]);
     assert!(f[0].message.contains("fix.hitz") && f[0].message.contains("family"));
-
-    // A SCREAMING const in an emit call that names.rs does not define.
-    let unknown = file(
-        "crates/app/src/emit2.rs",
-        "fn emit() { obs::global().incr(FIX_TYPO); }",
-    );
-    let f = lint(&[names_file(), uses_all_names(), unknown]);
-    assert_eq!(rules(&f), vec![Rule::ObsRegistry]);
-    assert!(f[0].message.contains("FIX_TYPO"));
 }
 
 #[test]
@@ -158,169 +146,20 @@ fn obs_registry_accepts_derived_timer_rows_and_if_else_emits() {
         "crates/app/src/read.rs",
         r#"
 fn read() {
-    let p99 = counter_value("fix.wait_us.p99_us");
-    obs::global().incr(if fast { FIX_HITS } else { "fix.misses" });
-    obs::global().record_time("fix.wait_us", d);
+    let p99 = delta.get("fix.wait_us.p99_us");
+    obs::global().incr(if fast { FIX_HITS } else { FIX_MISSES });
+    obs::global().record_time(FIX_WAIT_US, d);
 }
 "#,
     );
     assert!(lint(&[names_file(), good]).is_empty());
-}
-
-/// A registry with one span, one histogram, and one counter — for the
-/// trace-emit cross-checks.
-fn span_names_file() -> SourceFile {
-    file(
-        "crates/obs/src/names.rs",
-        r#"
-pub const FIX_HITS: &str = "fix.hits";
-
-pub static DEFS: &[NameDef] = &[
-    NameDef { name: FIX_HITS, kind: NameKind::Counter, help: "h" },
-    NameDef { name: "fix.job", kind: NameKind::Span, help: "h" },
-    NameDef { name: "fix.piece_bytes", kind: NameKind::Histo, help: "h" },
-];
-"#,
-    )
-}
-
-#[test]
-fn obs_registry_cross_checks_span_emit_sites() {
-    // The idiomatic spellings: spans against Span rows, record_histo
-    // against Histo rows (or a Span row, whose histogram is implicit).
-    let good = file(
-        "crates/app/src/trace.rs",
-        r#"
-fn run() {
-    obs::global().incr(FIX_HITS);
-    let root = obs::global().trace_start("fix.job");
-    let child = obs::global().span_start("fix.job", root);
-    obs::global().record_histo("fix.piece_bytes", n);
-    obs::global().record_histo("fix.job", n);
-}
-"#,
+    // The derived spellings belong to timers only.
+    let counter_p99 = file(
+        "crates/app/src/read2.rs",
+        r#"fn read() { delta.get("fix.hits.p99_us"); }"#,
     );
-    assert!(lint(&[span_names_file(), good]).is_empty());
-
-    // An unregistered span name is flagged like an unregistered counter.
-    let phantom = file(
-        "crates/app/src/trace.rs",
-        r#"
-fn run() {
-    obs::global().incr(FIX_HITS);
-    let root = obs::global().trace_start("fix.job");
-    obs::global().record_histo("fix.piece_bytes", n);
-    let c = obs::global().span_start("fix.phantom", root);
-}
-"#,
-    );
-    let f = lint(&[span_names_file(), phantom]);
-    assert_eq!(rules(&f), vec![Rule::ObsRegistry]);
-    assert!(f[0].message.contains("fix.phantom"));
-
-    // A span emit against a non-Span row is a kind mismatch.
-    let mismatch = file(
-        "crates/app/src/trace.rs",
-        r#"
-fn run() {
-    let root = obs::global().trace_start(FIX_HITS);
-    let child = obs::global().span_start("fix.job", root);
-    obs::global().record_histo("fix.piece_bytes", n);
-}
-"#,
-    );
-    let f = lint(&[span_names_file(), mismatch]);
+    let f = lint(&[names_file(), uses_all_names(), counter_p99]);
     assert_eq!(rules(&f), vec![Rule::ObsRegistry], "{f:?}");
-    assert!(
-        f[0].message.contains("NameKind::Counter") && f[0].message.contains("expected Span"),
-        "{:?}",
-        f[0]
-    );
-
-    // A dead Span row is still a dead row.
-    let unused = file("crates/app/src/other.rs", "fn emit() { obs::global().incr(FIX_HITS); obs::global().record_histo(\"fix.piece_bytes\", n); }");
-    let f = lint(&[span_names_file(), unused]);
-    assert_eq!(f.len(), 1, "{f:?}");
-    assert!(f[0].message.contains("dead DEFS row") && f[0].message.contains("fix.job"));
-}
-
-#[test]
-fn obs_registry_catches_phantom_planner_emits() {
-    // The planner family ships registered rows; a typoed or freshly
-    // invented `planner.*` emit must not slip past the registry check
-    // just because siblings in the family exist.
-    let planner_names = file(
-        "crates/obs/src/names.rs",
-        r#"
-pub static DEFS: &[NameDef] = &[
-    NameDef { name: "planner.conjuncts_reordered", kind: NameKind::Counter, help: "h" },
-    NameDef { name: "planner.estimated_rows", kind: NameKind::Counter, help: "h" },
-];
-"#,
-    );
-    // Assembled at runtime so the *real* workspace lint (which scans
-    // this test's source text too) does not see the phantom literal.
-    let phantom = format!("plan{}.phantom", "ner");
-    let emits = file(
-        "crates/app/src/planner.rs",
-        &format!(
-            r#"
-fn plan() {{
-    obs::global().incr("planner.conjuncts_reordered");
-    obs::global().add("planner.estimated_rows", est);
-    obs::global().incr("{phantom}");
-}}
-"#
-        ),
-    );
-    let f = lint(&[planner_names, emits]);
-    assert_eq!(rules(&f), vec![Rule::ObsRegistry], "{f:?}");
-    assert!(
-        f[0].message.contains(&phantom) && f[0].message.contains("registered"),
-        "{:?}",
-        f[0]
-    );
-}
-
-#[test]
-fn obs_registry_catches_phantom_rebalance_emits() {
-    // The elastic-cluster family: counters land in DEFS alongside a
-    // timer, and an invented `rebalance.*` emit is flagged even though
-    // registered siblings exist — new rebalance instrumentation cannot
-    // drift past the registry.
-    let rebalance_names = file(
-        "crates/obs/src/names.rs",
-        r#"
-pub static DEFS: &[NameDef] = &[
-    NameDef { name: "rebalance.flips", kind: NameKind::Counter, help: "h" },
-    NameDef { name: "rebalance.migration_us", kind: NameKind::Timer, help: "h" },
-    NameDef { name: "rebalance.rows_copied", kind: NameKind::Counter, help: "h" },
-];
-"#,
-    );
-    // Assembled at runtime so the *real* workspace lint (which scans
-    // this test's source text too) does not see the phantom literal.
-    let phantom = format!("rebal{}.migrations_done", "ance");
-    let emits = file(
-        "crates/mppdb/src/rebalance.rs",
-        &format!(
-            r#"
-fn flip() {{
-    obs::global().incr("rebalance.flips");
-    obs::global().add("rebalance.rows_copied", rows);
-    obs::global().record_time("rebalance.migration_us", dur);
-    obs::global().incr("{phantom}");
-}}
-"#
-        ),
-    );
-    let f = lint(&[rebalance_names, emits]);
-    assert_eq!(rules(&f), vec![Rule::ObsRegistry], "{f:?}");
-    assert!(
-        f[0].message.contains(&phantom) && f[0].message.contains("registered"),
-        "{:?}",
-        f[0]
-    );
 }
 
 // ---------------------------------------------------------------------

@@ -470,7 +470,7 @@ impl Cluster {
             e.node = Some(node as u64);
             e.detail = format!("{} open", prev + 1);
         });
-        obs::global().incr("db.sessions_opened");
+        obs::global().incr(obs::names::DB_SESSIONS_OPENED);
         Ok(Session::new(Arc::clone(self), node, cancel))
     }
 
@@ -483,7 +483,7 @@ impl Cluster {
             e.node = Some(node as u64);
             e.detail = format!("{} open", before.saturating_sub(1));
         });
-        obs::global().incr("db.sessions_closed");
+        obs::global().incr(obs::names::DB_SESSIONS_CLOSED);
     }
 
     pub fn open_sessions(&self, node: usize) -> usize {
@@ -537,7 +537,6 @@ impl Cluster {
                 e.node = Some(node as u64);
                 e.detail = format!("node {node} killed");
             });
-            obs::global().incr("db.node_kills");
         }
     }
 
@@ -565,7 +564,6 @@ impl Cluster {
             e.node = Some(node as u64);
             e.detail = format!("node {node} restored");
         });
-        obs::global().incr("db.node_restores");
     }
 
     /// The node's kill generation (bumped on every kill); sessions pin
@@ -734,7 +732,7 @@ impl Cluster {
         obs::global().emit(obs::EventKind::TxnBegin, |e| {
             e.task = Some(id);
         });
-        obs::global().incr("db.txn_begin");
+        obs::global().incr(obs::names::DB_TXN_BEGIN);
         TxnHandle::new(id)
     }
 
@@ -779,13 +777,13 @@ impl Cluster {
             e.dur_us = commit_started.elapsed().as_micros() as u64;
             e.detail = format!("epoch {epoch}, {} tables", txn.touched.len());
         });
-        obs::global().incr("db.txn_commit");
+        obs::global().incr(obs::names::DB_TXN_COMMIT);
         obs::global().emit(obs::EventKind::EpochAdvance, |e| {
             e.task = Some(txn.id);
             e.detail = format!("epoch {epoch}");
         });
-        obs::global().incr("db.epoch_advance");
-        obs::global().record_time("db.commit_us", commit_started.elapsed());
+        obs::global().incr(obs::names::DB_EPOCH_ADVANCE);
+        obs::global().record_time(obs::names::DB_COMMIT_US, commit_started.elapsed());
         // Post-commit maintenance: moveout of large WOS'es, recorded
         // like any other tuple-mover operation.
         for table in &txn.touched {
@@ -815,7 +813,7 @@ impl Cluster {
             e.task = Some(txn.id);
             e.detail = format!("{} tables", txn.touched.len());
         });
-        obs::global().incr("db.txn_abort");
+        obs::global().incr(obs::names::DB_TXN_ABORT);
     }
 
     // ----- DML ------------------------------------------------------

@@ -288,7 +288,6 @@ pub(crate) fn run_copy(
         sample,
     } = rejects;
     if rejected > options.rejected_max {
-        obs::global().add(obs::names::DB_COPY_REJECTS, rejected);
         return Err(DbError::CopyRejected {
             rejected,
             tolerance: options.rejected_max,
@@ -317,10 +316,9 @@ pub(crate) fn run_copy(
             if options.direct { ", direct" } else { "" }
         );
     });
-    obs::global().add("db.copy_rows", loaded);
-    obs::global().add("db.copy_bytes", input_bytes);
-    obs::global().add(obs::names::DB_COPY_REJECTS, rejected);
-    obs::global().record_time("db.copy_us", copy_started.elapsed());
+    obs::global().add(obs::names::DB_COPY_ROWS, loaded);
+    obs::global().add(obs::names::DB_COPY_BYTES, input_bytes);
+    obs::global().record_time(obs::names::DB_COPY_US, copy_started.elapsed());
     Ok(CopyResult {
         loaded,
         rejected,

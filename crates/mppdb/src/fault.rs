@@ -77,13 +77,13 @@ impl FaultSite {
         }
     }
 
-    fn counter(self) -> &'static str {
+    fn counter(self) -> obs::names::Counter {
         match self {
-            FaultSite::Connect => "fault.connect_refused",
-            FaultSite::MidCopy => "fault.mid_copy",
-            FaultSite::PostCommit => "fault.post_commit",
-            FaultSite::Moveout => "fault.moveout",
-            FaultSite::Rebalance => "fault.rebalance",
+            FaultSite::Connect => obs::names::FAULT_CONNECT_REFUSED,
+            FaultSite::MidCopy => obs::names::FAULT_MID_COPY,
+            FaultSite::PostCommit => obs::names::FAULT_POST_COMMIT,
+            FaultSite::Moveout => obs::names::FAULT_MOVEOUT,
+            FaultSite::Rebalance => obs::names::FAULT_REBALANCE,
         }
     }
 }
@@ -110,11 +110,11 @@ impl LatencySite {
         }
     }
 
-    fn counter(self) -> &'static str {
+    fn counter(self) -> obs::names::Counter {
         match self {
-            LatencySite::Connect => "fault.slow_connect",
-            LatencySite::Copy => "fault.slow_copy",
-            LatencySite::Scan => "fault.slow_scan",
+            LatencySite::Connect => obs::names::FAULT_SLOW_CONNECT,
+            LatencySite::Copy => obs::names::FAULT_SLOW_COPY,
+            LatencySite::Scan => obs::names::FAULT_SLOW_SCAN,
         }
     }
 }

@@ -740,7 +740,7 @@ fn execute_aggregate_scan(
     } else {
         req.output_schema(&def.schema).map_err(DbError::Data)?
     };
-    obs::global().add("agg.pushdown.queries", 1);
+    obs::global().add(obs::names::AGG_PUSHDOWN_QUERIES, 1);
 
     let mut accs = GroupedAccs::new(funcs.iter().map(|(f, _)| *f).collect());
     scan_pieces(
@@ -817,6 +817,6 @@ pub fn estimate_scan_rows(
         }
     }
     let est = (est / replicas.max(1) as f64).round() as u64;
-    obs::global().add("planner.estimated_rows", est);
+    obs::global().add(obs::names::PLANNER_ESTIMATED_ROWS, est);
     Ok(est)
 }

@@ -203,7 +203,7 @@ impl Cluster {
                 done: HashMap::new(),
             });
         }
-        obs::global().incr("rebalance.node_adds");
+        obs::global().incr(obs::names::REBALANCE_NODE_ADDS);
         obs::global().emit(obs::EventKind::FaultInject, |e| {
             e.node = Some(node as u64);
             e.detail = format!("node {node} added; rebalance planned");
@@ -257,7 +257,6 @@ impl Cluster {
                 done: HashMap::new(),
             });
         }
-        obs::global().incr("rebalance.node_removes");
         obs::global().emit(obs::EventKind::FaultInject, |e| {
             e.node = Some(node as u64);
             e.detail = format!("node {node} leaving; rebalance planned");
@@ -280,7 +279,7 @@ impl Cluster {
         let k = self.config().k_safety;
         let was_resumed = !pending.done.is_empty();
         if was_resumed {
-            obs::global().incr("rebalance.resumes");
+            obs::global().incr(obs::names::REBALANCE_RESUMES);
         }
         let mut report = RebalanceReport {
             map_version: target.version(),
@@ -322,7 +321,7 @@ impl Cluster {
                 let gen_now = self.node_generation(mv.node);
                 if pending.done.get(&key) == Some(&gen_now) {
                     report.skipped += 1;
-                    obs::global().incr("rebalance.migrations_skipped");
+                    obs::global().incr(obs::names::REBALANCE_MIGRATIONS_SKIPPED);
                     self.rebalance.log(RebalanceOp {
                         seq: 0,
                         op: "skip",
@@ -355,9 +354,8 @@ impl Cluster {
                 report.migrations += 1;
                 report.rows_copied += rows;
                 let dur = started.elapsed();
-                obs::global().incr("rebalance.migrations");
-                obs::global().add("rebalance.rows_copied", rows as u64);
-                obs::global().record_time("rebalance.migration_us", dur);
+                obs::global().incr(obs::names::REBALANCE_MIGRATIONS);
+                obs::global().add(obs::names::REBALANCE_ROWS_COPIED, rows as u64);
                 self.rebalance.log(RebalanceOp {
                     seq: 0,
                     op: "copy",
@@ -421,8 +419,8 @@ impl Cluster {
         *pending_guard = None;
         drop(pending_guard);
 
-        obs::global().incr("rebalance.flips");
-        obs::global().incr("db.epoch_advance");
+        obs::global().incr(obs::names::REBALANCE_FLIPS);
+        obs::global().incr(obs::names::DB_EPOCH_ADVANCE);
         obs::global().emit(obs::EventKind::EpochAdvance, |e| {
             e.detail = format!(
                 "epoch {flip_epoch}: segment map v{} authoritative",

@@ -108,7 +108,7 @@ impl ResourcePool {
         if queued {
             if st.waiting >= self.max_queue {
                 drop(st);
-                return Err(self.shed("queue full", "shed.queue_full", started));
+                return Err(self.shed("queue full", obs::names::SHED_QUEUE_FULL, started));
             }
             st.waiting += 1;
             let deadline = self.queue_timeout.map(|t| started + t);
@@ -120,7 +120,11 @@ impl ResourcePool {
                         {
                             st.waiting -= 1;
                             drop(st);
-                            return Err(self.shed("queue timeout", "shed.timeout", started));
+                            return Err(self.shed(
+                                "queue timeout",
+                                obs::names::SHED_TIMEOUT,
+                                started,
+                            ));
                         }
                     }
                     None => self.released.wait(&mut st),
@@ -141,17 +145,17 @@ impl ResourcePool {
                 if queued { ", queued" } else { "" }
             );
         });
-        obs::global().add("db.pool_admissions", 1);
+        obs::global().add(obs::names::DB_POOL_ADMISSIONS, 1);
         if queued {
-            obs::global().add("db.pool_queued", 1);
+            obs::global().add(obs::names::DB_POOL_QUEUED, 1);
         }
-        obs::global().record_time("db.pool_admit_wait_us", waited);
+        obs::global().record_time(obs::names::DB_POOL_ADMIT_WAIT_US, waited);
         Ok(PoolGuard {
             pool: Arc::clone(self),
         })
     }
 
-    fn shed(&self, why: &str, counter: &'static str, started: Instant) -> DbError {
+    fn shed(&self, why: &str, counter: obs::names::Counter, started: Instant) -> DbError {
         self.shed_total.fetch_add(1, Ordering::Relaxed);
         let waited = started.elapsed();
         obs::global().emit(obs::EventKind::PoolAdmit, |e| {
@@ -159,7 +163,7 @@ impl ResourcePool {
             e.detail = format!("pool {} shed ({why})", self.name);
         });
         obs::global().incr(counter);
-        obs::global().incr("shed.total");
+        obs::global().incr(obs::names::SHED_TOTAL);
         DbError::Overloaded {
             pool: self.name.clone(),
         }

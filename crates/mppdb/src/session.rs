@@ -295,7 +295,7 @@ impl Session {
         source: CopySource,
         options: CopyOptions,
     ) -> DbResult<CopyResult> {
-        let span = obs::global().span_start("db.copy", self.trace);
+        let span = obs::global().span_start(obs::names::DB_COPY, self.trace);
         let node = self.node;
         let result = self.with_txn(|cluster, txn, node, tag| {
             run_copy(cluster, txn, node, tag, table, source, &options)
@@ -334,7 +334,7 @@ impl Session {
     }
 
     fn query_inner(&mut self, spec: &QuerySpec, want_batch: bool) -> DbResult<QueryResult> {
-        let span = obs::global().span_start("db.query", self.trace);
+        let span = obs::global().span_start(obs::names::DB_QUERY, self.trace);
         let node = self.node;
         let result = self.query_unspanned(spec, want_batch);
         obs::global().span_finish(span, |s| {

@@ -140,7 +140,7 @@ impl Cluster {
             Some(pool) => match pool.try_admit() {
                 Ok(guard) => Some(guard),
                 Err(_) => {
-                    obs::global().incr("tm.sheds");
+                    obs::global().incr(obs::names::TM_SHEDS);
                     report.sheds += 1;
                     return report;
                 }
@@ -169,7 +169,7 @@ impl Cluster {
             .acquire(txn, table, LockMode::Shared, self.config().lock_timeout)
             .is_err()
         {
-            obs::global().incr("tm.sheds");
+            obs::global().incr(obs::names::TM_SHEDS);
             report.sheds += 1;
             return;
         }
@@ -194,10 +194,13 @@ impl Cluster {
             let outcome = store.mergeout(self.config().mergeout_min_containers);
             if outcome.merges > 0 {
                 let dur = started.elapsed();
-                obs::global().add("tm.mergeout_runs", outcome.merges as u64);
-                obs::global().add("tm.rows_merged", outcome.rows as u64);
-                obs::global().add("tm.containers_merged", outcome.containers_in as u64);
-                obs::global().record_time("tm.mergeout_us", dur);
+                obs::global().add(obs::names::TM_MERGEOUT_RUNS, outcome.merges as u64);
+                obs::global().add(obs::names::TM_ROWS_MERGED, outcome.rows as u64);
+                obs::global().add(
+                    obs::names::TM_CONTAINERS_MERGED,
+                    outcome.containers_in as u64,
+                );
+                obs::global().record_time(obs::names::TM_MERGEOUT_US, dur);
                 self.mover.log(MoverOp {
                     seq: 0,
                     op: "mergeout",
@@ -236,9 +239,9 @@ impl Cluster {
             return 0;
         }
         let dur = started.elapsed();
-        obs::global().incr("tm.moveout_runs");
-        obs::global().add("tm.rows_moved", moved as u64);
-        obs::global().record_time("tm.moveout_us", dur);
+        obs::global().incr(obs::names::TM_MOVEOUT_RUNS);
+        obs::global().add(obs::names::TM_ROWS_MOVED, moved as u64);
+        obs::global().record_time(obs::names::TM_MOVEOUT_US, dur);
         self.mover.log(MoverOp {
             seq: 0,
             op: "moveout",
@@ -270,10 +273,13 @@ impl Cluster {
                 let outcome = store.mergeout(self.config().mergeout_min_containers);
                 if outcome.merges > 0 {
                     let dur = started.elapsed();
-                    obs::global().add("tm.mergeout_runs", outcome.merges as u64);
-                    obs::global().add("tm.rows_merged", outcome.rows as u64);
-                    obs::global().add("tm.containers_merged", outcome.containers_in as u64);
-                    obs::global().record_time("tm.mergeout_us", dur);
+                    obs::global().add(obs::names::TM_MERGEOUT_RUNS, outcome.merges as u64);
+                    obs::global().add(obs::names::TM_ROWS_MERGED, outcome.rows as u64);
+                    obs::global().add(
+                        obs::names::TM_CONTAINERS_MERGED,
+                        outcome.containers_in as u64,
+                    );
+                    obs::global().record_time(obs::names::TM_MERGEOUT_US, dur);
                     self.mover.log(MoverOp {
                         seq: 0,
                         op: "mergeout",

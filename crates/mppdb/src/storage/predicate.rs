@@ -136,7 +136,7 @@ impl<'p> PredPlan<'p> {
                 .then(a.cmp(&b))
         });
         if order.iter().enumerate().any(|(i, &j)| i != j) {
-            obs::global().add("planner.conjuncts_reordered", 1);
+            obs::global().add(obs::names::PLANNER_CONJUNCTS_REORDERED, 1);
         }
         order
     }

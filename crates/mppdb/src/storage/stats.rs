@@ -132,7 +132,7 @@ impl ContainerStats {
             hash_max,
             columns: columns.iter().map(ColumnStats::compute).collect(),
         };
-        obs::global().record_time("stats.build_us", started.elapsed());
+        obs::global().record_time(obs::names::STATS_BUILD_US, started.elapsed());
         stats
     }
 

@@ -853,10 +853,10 @@ impl NodeTableStore {
             }
         }
 
-        obs::global().add("scan.containers_skipped", n.containers_skipped);
-        obs::global().add("scan.rows_examined", n.examined);
-        obs::global().add("scan.rows_skipped", n.rows_skipped);
-        obs::global().add("scan.values_decoded", n.decoded);
+        obs::global().add(obs::names::SCAN_CONTAINERS_SKIPPED, n.containers_skipped);
+        obs::global().add(obs::names::SCAN_ROWS_EXAMINED, n.examined);
+        obs::global().add(obs::names::SCAN_ROWS_SKIPPED, n.rows_skipped);
+        obs::global().add(obs::names::SCAN_VALUES_DECODED, n.decoded);
         Ok(n)
     }
 
@@ -941,7 +941,7 @@ impl NodeTableStore {
             stats_answered: 0,
         };
         let counters = self.scan_with(scan, cancel, &mut sink)?;
-        obs::global().add("agg.pushdown.stats_answered", sink.stats_answered);
+        obs::global().add(obs::names::AGG_PUSHDOWN_STATS_ANSWERED, sink.stats_answered);
         Ok(AggScanOutput {
             accs: sink.accs,
             counters,

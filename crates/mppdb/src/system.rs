@@ -755,9 +755,9 @@ mod tests {
     fn dc_span_tables_expose_trace_and_critical_path() {
         let cluster = Cluster::new(ClusterConfig::default());
         let c = obs::global();
-        let root = c.trace_start("s2v.job");
+        let root = c.trace_start(obs::names::S2V_JOB);
         assert!(root.is_some());
-        let child = c.span_start("s2v.phase3", root);
+        let child = c.span_start(obs::names::S2V_PHASE3, root);
         c.span_finish(child, |s| {
             s.node = Some(2);
             s.attempt = 1;
@@ -796,7 +796,7 @@ mod tests {
         // A registered name nothing else in this test binary records,
         // so the quantiles stay exact.
         for v in [1, 2, 3, 60] {
-            obs::global().record_histo("v2s.piece_bytes", v);
+            obs::global().record_histo(obs::names::V2S_PIECE_BYTES, v);
         }
         let (schema, rows) = scan_system_table(&cluster, "dc_histograms").unwrap();
         assert_eq!(schema.fields()[0].name, "name");

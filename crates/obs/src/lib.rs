@@ -8,12 +8,12 @@
 //!   sharded in-memory ring buffers. Each thread writes to its own
 //!   shard, so hot paths never contend on one lock; a snapshot drains
 //!   all shards and re-sorts by sequence number.
-//! * **Counters** — named monotonic `u64`s (`rows loaded`, `task
+//! * **Counters** — monotonic `u64`s (`rows loaded`, `task
 //!   retries`, ...), updated with a single atomic add.
-//! * **Timers** — named log-linear histograms ([`Histo`]) of durations
+//! * **Timers** — log-linear histograms ([`Histo`]) of durations
 //!   in microseconds, recorded via [`Collector::record_time`] and
 //!   reported as [`TimerStats`].
-//! * **Histograms** ([`Histo`]) — named log-linear value histograms
+//! * **Histograms** ([`Histo`]) — log-linear value histograms
 //!   with exact-rank quantile extraction at ~1.6% bucket resolution
 //!   (and *exactly* for values below [`HISTO_LINEAR_MAX`]), recorded
 //!   via [`Collector::record_histo`]. Finished trace spans also feed a
@@ -23,6 +23,12 @@
 //!   context ([`TraceCtx`]), started with [`Collector::trace_start`]
 //!   and grown with [`Collector::span_start`] /
 //!   [`Collector::span_finish`].
+//!
+//! Counters, timers, histograms and spans are named by the typed
+//! handles of [`names`], one per registered name: the handle's type is
+//! its kind, and its value is the index of the collector's slot for it.
+//! A counter slot is an atomic; a histogram slot is made on its first
+//! record. A snapshot shows a slot once something recorded into it.
 //!
 //! The process-wide instance is [`global()`]; isolated instances
 //! ([`Collector::new`]) exist for tests. Collection can be switched
@@ -34,16 +40,17 @@
 //! `dc_events` / `dc_counters` system tables, making observability
 //! SQL-queryable exactly as in the paper's database.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 
 pub mod names;
 pub mod trace;
 
+use names::{Counter, Histogram, NameKind, Span, Timer};
 pub use trace::{SpanId, SpanRecord, TraceCtx, TraceId};
 
 /// Number of event shards; writers pick one per thread.
@@ -346,48 +353,15 @@ impl Histo {
     }
 }
 
-/// Named histograms, made on first use: the collector keeps one map
-/// for timers (microseconds) and one for value histograms, both
-/// recorded by the one body below. The lock is a named field, not a
-/// parameter, so fabriclint's lock-order pass can resolve it.
-struct HistoMap {
-    by_name: RwLock<HashMap<&'static str, Arc<Mutex<Histo>>>>,
-}
-
-impl HistoMap {
-    fn new() -> HistoMap {
-        HistoMap {
-            by_name: RwLock::new(HashMap::new()),
-        }
-    }
-
-    fn record_value(&self, name: &'static str, value: u64) {
-        let histo = {
-            let read = self.by_name.read();
-            match read.get(name) {
-                Some(h) => Arc::clone(h),
-                None => {
-                    drop(read);
-                    Arc::clone(
-                        self.by_name
-                            .write()
-                            .entry(name)
-                            .or_insert_with(|| Arc::new(Mutex::new(Histo::default()))),
-                    )
-                }
-            }
-        };
-        histo.lock().record(value);
-    }
-
-    /// Every histogram's name with `f` of a point-in-time view of it.
-    fn map_each<T>(&self, f: impl Fn(&Histo) -> T) -> BTreeMap<String, T> {
-        self.by_name
-            .read()
-            .iter()
-            .map(|(name, h)| (name.to_string(), f(&h.lock())))
-            .collect()
-    }
+/// One counter's slot. `recorded` is set by the first record, so a
+/// counter that was only ever `add`ed 0 still shows in a snapshot. Both
+/// are statistics publishing no other data, hence `Relaxed`: a snapshot
+/// shows a counter whose value it sees nonzero even if it does not yet
+/// see the flag.
+#[derive(Default)]
+struct CounterSlot {
+    value: AtomicU64,
+    recorded: AtomicBool,
 }
 
 /// A point-in-time copy of everything the collector holds.
@@ -430,15 +404,54 @@ impl Snapshot {
 }
 
 /// The data collector. See the crate docs for the model.
+///
+/// Its recording methods take the typed handles of [`names`], so the
+/// compiler refuses a name that is not registered or is of the wrong
+/// kind. Each refused call below has a twin that differs only in the
+/// argument and compiles.
+///
+/// A string is not a name:
+///
+/// ```compile_fail,E0308
+/// obs::Collector::new().incr("sched.jobs");
+/// ```
+///
+/// ```
+/// obs::Collector::new().incr(obs::names::SCHED_JOBS);
+/// ```
+///
+/// A span is not a counter:
+///
+/// ```compile_fail,E0308
+/// obs::Collector::new().incr(obs::names::S2V_JOB);
+/// ```
+///
+/// ```
+/// obs::Collector::new().incr(obs::names::S2V_JOBS);
+/// ```
+///
+/// A counter is not a span:
+///
+/// ```compile_fail,E0308
+/// let c = obs::Collector::new();
+/// c.span_start(obs::names::S2V_JOBS, c.trace_start(obs::names::S2V_JOB));
+/// ```
+///
+/// ```
+/// let c = obs::Collector::new();
+/// c.span_start(obs::names::S2V_PHASE1, c.trace_start(obs::names::S2V_JOB));
+/// ```
 pub struct Collector {
     enabled: AtomicBool,
     start: Instant,
     seq: AtomicU64,
     shards: Vec<Mutex<std::collections::VecDeque<Event>>>,
     dropped: AtomicU64,
-    counters: RwLock<HashMap<&'static str, Arc<AtomicU64>>>,
-    timers: HistoMap,
-    histos: HistoMap,
+    /// One slot per [`names::DEFS`] row, indexed by a handle.
+    counters: Box<[CounterSlot]>,
+    /// Timer, histogram and span slots, likewise indexed; a `Histo` is
+    /// about 30 KB, so each is made on its first record.
+    histos: Box<[OnceLock<Mutex<Histo>>]>,
     traces: Mutex<trace::TraceStore>,
     next_shard: AtomicUsize,
 }
@@ -459,9 +472,8 @@ impl Collector {
                 .map(|_| Mutex::new(std::collections::VecDeque::new()))
                 .collect(),
             dropped: AtomicU64::new(0),
-            counters: RwLock::new(HashMap::new()),
-            timers: HistoMap::new(),
-            histos: HistoMap::new(),
+            counters: names::DEFS.iter().map(|_| CounterSlot::default()).collect(),
+            histos: names::DEFS.iter().map(|_| OnceLock::new()).collect(),
             traces: Mutex::new(trace::TraceStore::default()),
             next_shard: AtomicUsize::new(0),
         }
@@ -516,86 +528,75 @@ impl Collector {
         shard.push_back(event);
     }
 
-    fn counter(&self, name: &'static str) -> Arc<AtomicU64> {
-        if let Some(c) = self.counters.read().get(name) {
-            return Arc::clone(c);
-        }
-        Arc::clone(
-            self.counters
-                .write()
-                .entry(name)
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Add `delta` to a named counter.
-    pub fn add(&self, name: &'static str, delta: u64) {
+    /// Add `delta` to a counter.
+    pub fn add(&self, counter: Counter, delta: u64) {
         if !self.is_enabled() {
             return;
         }
-        self.counter(name).fetch_add(delta, Ordering::Relaxed);
+        let slot = &self.counters[counter.index()];
+        if !slot.recorded.load(Ordering::Relaxed) {
+            slot.recorded.store(true, Ordering::Relaxed);
+        }
+        slot.value.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Add 1 to a named counter.
-    pub fn incr(&self, name: &'static str) {
-        self.add(name, 1);
+    /// Add 1 to a counter.
+    pub fn incr(&self, counter: Counter) {
+        self.add(counter, 1);
     }
 
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .read()
-            .get(name)
-            .map(|c| c.load(Ordering::Relaxed))
-            .unwrap_or(0)
-    }
-
-    /// Record one duration, in microseconds, into a named timer.
-    pub fn record_time(&self, name: &'static str, dur: Duration) {
+    /// Record one duration, in microseconds, into a timer.
+    pub fn record_time(&self, timer: Timer, dur: Duration) {
         if self.is_enabled() {
-            self.timers.record_value(name, dur.as_micros() as u64);
+            self.record_value(timer.index(), dur.as_micros() as u64);
         }
     }
 
-    /// Record one value into a named log-linear histogram.
-    pub fn record_histo(&self, name: &'static str, value: u64) {
+    /// Record one value into a log-linear histogram.
+    pub fn record_histo(&self, histogram: Histogram, value: u64) {
         if self.is_enabled() {
-            self.histos.record_value(name, value);
+            self.record_value(histogram.index(), value);
         }
     }
 
-    /// Start a new trace rooted at a span called `name`. Returns
+    fn record_value(&self, slot: usize, value: u64) {
+        let histo = self.histos[slot].get_or_init(|| Mutex::new(Histo::default()));
+        histo.lock().record(value);
+    }
+
+    /// Start a new trace rooted at a span `span`. Returns
     /// [`TraceCtx::NONE`] when collection is disabled, which turns all
     /// downstream span operations into no-ops.
-    pub fn trace_start(&self, name: &'static str) -> TraceCtx {
+    pub fn trace_start(&self, span: Span) -> TraceCtx {
         if !self.is_enabled() {
             return TraceCtx::NONE;
         }
         let now = self.start.elapsed().as_micros() as u64;
-        self.traces.lock().start_trace(name, now)
+        self.traces.lock().start_trace(span, now)
     }
 
     /// Start a child span of `parent`. A `NONE` parent (untraced call
     /// path, or disabled collection at trace start) yields `NONE`.
-    pub fn span_start(&self, name: &'static str, parent: TraceCtx) -> TraceCtx {
+    pub fn span_start(&self, span: Span, parent: TraceCtx) -> TraceCtx {
         if parent.is_none() || !self.is_enabled() {
             return TraceCtx::NONE;
         }
         let now = self.start.elapsed().as_micros() as u64;
-        self.traces.lock().start_span(name, parent, now)
+        self.traces.lock().start_span(span, parent, now)
     }
 
     /// Finish the span `ctx` points at, stamping its end time and
     /// letting `fill` set tags (node, rows, failed, ...). The span's
-    /// duration also lands in the histogram named after the span, so
-    /// every span name has P50/P95/P99 without separate bookkeeping.
+    /// duration also lands in its span's histogram slot, so every span
+    /// name has P50/P95/P99 without separate bookkeeping.
     pub fn span_finish(&self, ctx: TraceCtx, fill: impl FnOnce(&mut SpanRecord)) {
         if ctx.is_none() || !self.is_enabled() {
             return;
         }
         let now = self.start.elapsed().as_micros() as u64;
         let finished = self.traces.lock().finish_span(ctx, now, fill);
-        if let Some((name, dur_us)) = finished {
-            self.record_histo(name, dur_us);
+        if let Some((span, dur_us)) = finished {
+            self.record_value(span.index(), dur_us);
         }
     }
 
@@ -622,33 +623,29 @@ impl Collector {
             events.extend(shard.lock().iter().cloned());
         }
         events.sort_by_key(|e| e.seq);
-        let counters = self
-            .counters
-            .read()
-            .iter()
-            .map(|(name, v)| (name.to_string(), v.load(Ordering::Relaxed)))
-            .collect();
-        Snapshot {
+        let mut snap = Snapshot {
             events,
-            counters,
-            timers: self.timers.map_each(timer_stats),
-            histos: self.histos.map_each(Histo::clone),
             dropped_events: self.dropped.load(Ordering::Relaxed),
             dropped_spans: self.traces.lock().dropped_spans,
+            ..Snapshot::default()
+        };
+        for (def, slot) in names::DEFS.iter().zip(self.counters.iter()) {
+            let value = slot.value.load(Ordering::Relaxed);
+            if value > 0 || slot.recorded.load(Ordering::Relaxed) {
+                snap.counters.insert(def.name.to_string(), value);
+            }
         }
-    }
-
-    /// Discard all retained events, counters, timers, histograms, and
-    /// traces.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().clear();
+        for (def, slot) in names::DEFS.iter().zip(self.histos.iter()) {
+            let Some(histo) = slot.get() else { continue };
+            let histo = histo.lock();
+            if def.kind == NameKind::Timer {
+                snap.timers
+                    .insert(def.name.to_string(), timer_stats(&histo));
+            } else {
+                snap.histos.insert(def.name.to_string(), histo.clone());
+            }
         }
-        self.counters.write().clear();
-        self.timers.by_name.write().clear();
-        self.histos.by_name.write().clear();
-        self.traces.lock().clear();
-        self.dropped.store(0, Ordering::Relaxed);
+        snap
     }
 }
 
@@ -667,7 +664,12 @@ pub fn global() -> &'static Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use names::{
+        DB_COMMIT_US, DB_COPY_ROWS, HEDGE_ATTEMPT, RETRY_ATTEMPT, S2V_JOB, SCHED_JOBS,
+        V2S_PIECE_BYTES,
+    };
     use std::sync::atomic::AtomicU32;
+    use std::sync::Arc;
 
     #[test]
     fn events_are_sequenced_and_carry_fields() {
@@ -694,15 +696,15 @@ mod tests {
     #[test]
     fn counters_accumulate_and_delta() {
         let c = Collector::new();
-        c.add("x.rows", 5);
+        c.add(DB_COPY_ROWS, 5);
         let before = c.snapshot();
-        c.add("x.rows", 7);
-        c.incr("x.jobs");
+        c.add(DB_COPY_ROWS, 7);
+        c.incr(SCHED_JOBS);
         let after = c.snapshot();
-        assert_eq!(after.counters["x.rows"], 12);
+        assert_eq!(after.counters["db.copy_rows"], 12);
         let delta = after.counters_since(&before);
-        assert_eq!(delta["x.rows"], 7);
-        assert_eq!(delta["x.jobs"], 1);
+        assert_eq!(delta["db.copy_rows"], 7);
+        assert_eq!(delta["sched.jobs"], 1);
     }
 
     /// Timers are `Histo`s of microseconds: exact ranks below
@@ -712,18 +714,18 @@ mod tests {
     fn timers_track_distribution() {
         let c = Collector::new();
         for us in [10u64, 20, 30, 40, 5000] {
-            c.record_time("t", Duration::from_micros(us));
-            c.record_histo("h", us);
+            c.record_time(DB_COMMIT_US, Duration::from_micros(us));
+            c.record_histo(V2S_PIECE_BYTES, us);
         }
         let snap = c.snapshot();
-        let stats = snap.timers["t"];
+        let stats = snap.timers["db.commit_us"];
         assert_eq!(stats.count, 5);
         assert_eq!(stats.sum_us, 5100);
         assert_eq!(stats.min_us, 10);
         assert_eq!(stats.max_us, 5000);
         assert_eq!(stats.p50_us, 30, "rank 3 of [10, 20, 30, 40, 5000]");
         assert_eq!(stats.p99_us, 5000);
-        let histo = &snap.histos["h"];
+        let histo = &snap.histos["v2s.piece_bytes"];
         assert_eq!(stats.p50_us, histo.quantile(0.50));
         assert_eq!(stats.p99_us, histo.quantile(0.99));
     }
@@ -736,16 +738,16 @@ mod tests {
         c.emit(EventKind::TxnBegin, |_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
-        c.add("n", 3);
-        c.record_time("t", Duration::from_micros(9));
+        c.add(SCHED_JOBS, 3);
+        c.record_time(DB_COMMIT_US, Duration::from_micros(9));
         assert_eq!(ran.load(Ordering::Relaxed), 0, "fill closure must not run");
         let snap = c.snapshot();
         assert!(snap.events.is_empty());
         assert!(snap.counters.is_empty());
         assert!(snap.timers.is_empty());
         c.set_enabled(true);
-        c.incr("n");
-        assert_eq!(c.counter_value("n"), 1);
+        c.incr(SCHED_JOBS);
+        assert_eq!(c.snapshot().counters["sched.jobs"], 1);
     }
 
     #[test]
@@ -773,7 +775,7 @@ mod tests {
                             e.node = Some(t);
                             e.rows = i;
                         });
-                        c.add("rows", 1);
+                        c.add(DB_COPY_ROWS, 1);
                     }
                 })
             })
@@ -783,24 +785,8 @@ mod tests {
         }
         let snap = c.snapshot();
         assert_eq!(snap.events.len(), 8 * 500);
-        assert_eq!(snap.counters["rows"], 8 * 500);
+        assert_eq!(snap.counters["db.copy_rows"], 8 * 500);
         assert!(snap.events.windows(2).all(|w| w[0].seq < w[1].seq));
-    }
-
-    #[test]
-    fn clear_resets_everything() {
-        let c = Collector::new();
-        c.emit(EventKind::TxnBegin, |_| {});
-        c.add("n", 2);
-        c.record_time("t", Duration::from_micros(1));
-        let ctx = c.trace_start("root");
-        c.span_finish(ctx, |_| {});
-        c.record_histo("h", 9);
-        c.clear();
-        let snap = c.snapshot();
-        assert!(snap.events.is_empty() && snap.counters.is_empty() && snap.timers.is_empty());
-        assert!(snap.histos.is_empty());
-        assert!(c.all_spans().is_empty());
     }
 
     /// Quantiles are *exact* against a sorted reference for values in
@@ -880,9 +866,9 @@ mod tests {
     #[test]
     fn spans_build_a_tree_and_feed_histograms() {
         let c = Collector::new();
-        let root = c.trace_start("job");
-        let child = c.span_start("phase", root);
-        let grand = c.span_start("attempt", child);
+        let root = c.trace_start(S2V_JOB);
+        let child = c.span_start(RETRY_ATTEMPT, root);
+        let grand = c.span_start(HEDGE_ATTEMPT, child);
         c.span_finish(grand, |s| {
             s.node = Some(2);
             s.attempt = 1;
@@ -892,7 +878,7 @@ mod tests {
         c.span_finish(root, |_| {});
         let spans = c.trace_spans(root.trace);
         assert_eq!(spans.len(), 3);
-        assert_eq!(spans[0].name, "job");
+        assert_eq!(spans[0].name, "s2v.job");
         assert_eq!(spans[0].parent, None);
         assert_eq!(spans[1].parent, Some(root.span));
         assert_eq!(spans[2].parent, Some(child.span));
@@ -902,7 +888,7 @@ mod tests {
         assert!(trace::validate(&spans).is_empty());
         // Every finished span landed in a same-named histogram.
         let snap = c.snapshot();
-        for name in ["job", "phase", "attempt"] {
+        for name in ["s2v.job", "retry.attempt", "hedge.attempt"] {
             assert_eq!(snap.histos[name].count(), 1, "{name}");
         }
         assert_eq!(c.trace_ids(), vec![root.trace]);
@@ -916,14 +902,14 @@ mod tests {
         let c = Collector::new();
         c.set_enabled(false);
         let ran = AtomicU32::new(0);
-        let root = c.trace_start("job");
+        let root = c.trace_start(S2V_JOB);
         assert!(root.is_none());
-        let child = c.span_start("phase", root);
+        let child = c.span_start(RETRY_ATTEMPT, root);
         assert!(child.is_none());
         c.span_finish(child, |_| {
             ran.fetch_add(1, Ordering::Relaxed);
         });
-        c.record_histo("h", 5);
+        c.record_histo(V2S_PIECE_BYTES, 5);
         assert_eq!(ran.load(Ordering::Relaxed), 0, "fill must not run");
         let snap = c.snapshot();
         assert!(c.all_spans().is_empty());
@@ -932,7 +918,7 @@ mod tests {
         // Spans started while enabled but finished while disabled stay
         // unclosed rather than recording.
         c.set_enabled(true);
-        let root = c.trace_start("job");
+        let root = c.trace_start(S2V_JOB);
         c.set_enabled(false);
         c.span_finish(root, |_| {});
         let spans = c.trace_spans(root.trace);
@@ -942,10 +928,10 @@ mod tests {
     #[test]
     fn span_cap_drops_and_counts() {
         let c = Collector::new();
-        let root = c.trace_start("job");
+        let root = c.trace_start(S2V_JOB);
         let mut dropped = 0;
         for _ in 0..9000 {
-            let ctx = c.span_start("s", root);
+            let ctx = c.span_start(RETRY_ATTEMPT, root);
             if ctx.is_none() {
                 dropped += 1;
             } else {
@@ -955,7 +941,58 @@ mod tests {
         assert!(dropped > 0);
         assert_eq!(c.snapshot().dropped_spans, dropped);
         // Children of a dropped span are no-ops, not errors.
-        let ctx = c.span_start("s", TraceCtx::NONE);
+        let ctx = c.span_start(RETRY_ATTEMPT, TraceCtx::NONE);
         assert!(ctx.is_none());
+    }
+
+    /// What a snapshot shows of the slots: a slot appears once recorded
+    /// and never before, `add(c, 0)` counts as a record, each kind lands
+    /// in its own map, and concurrent records into one histogram slot
+    /// lose nothing.
+    #[test]
+    fn snapshot_shows_exactly_the_recorded_slots() {
+        let c = Collector::new();
+        let snap = c.snapshot();
+        assert!(snap.counters.is_empty() && snap.timers.is_empty() && snap.histos.is_empty());
+
+        c.add(SCHED_JOBS, 0);
+        let snap = c.snapshot();
+        assert_eq!(snap.counters.len(), 1);
+        assert_eq!(snap.counters["sched.jobs"], 0);
+        assert!(snap.timers.is_empty() && snap.histos.is_empty());
+
+        c.record_time(DB_COMMIT_US, Duration::from_micros(7));
+        c.record_histo(V2S_PIECE_BYTES, 9);
+        let root = c.trace_start(S2V_JOB);
+        c.span_start(RETRY_ATTEMPT, root); // started, never finished
+        c.span_finish(root, |_| {});
+        let snap = c.snapshot();
+        assert_eq!(snap.counters.keys().collect::<Vec<_>>(), ["sched.jobs"]);
+        assert_eq!(snap.timers.keys().collect::<Vec<_>>(), ["db.commit_us"]);
+        assert_eq!(snap.timers["db.commit_us"].sum_us, 7);
+        assert_eq!(
+            snap.histos.keys().collect::<Vec<_>>(),
+            ["s2v.job", "v2s.piece_bytes"]
+        );
+        assert_eq!(snap.histos["s2v.job"].count(), 1);
+        assert_eq!(snap.histos["v2s.piece_bytes"].sum(), 9);
+
+        let c = Arc::new(Collector::new());
+        let threads: Vec<_> = (0..8u64)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    for i in 0..1_000u64 {
+                        c.record_histo(V2S_PIECE_BYTES, t * 1_000 + i);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let histo = &c.snapshot().histos["v2s.piece_bytes"];
+        assert_eq!(histo.count(), 8_000);
+        assert_eq!(histo.sum(), (0..8_000u64).sum::<u64>());
     }
 }

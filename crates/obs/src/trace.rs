@@ -28,6 +28,8 @@
 
 use std::collections::HashMap;
 
+use crate::names::Span;
+
 /// Identifies one trace (one job). Id 0 is reserved for "not traced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(pub u64);
@@ -124,10 +126,12 @@ struct TraceBuf {
     next_span: u64,
     /// Sorted by span id: ids are allocated and pushed under one lock.
     spans: Vec<SpanRecord>,
+    /// Each span's handle, parallel to `spans`: its histogram slot.
+    handles: Vec<Span>,
 }
 
 impl TraceStore {
-    pub(crate) fn start_trace(&mut self, name: &'static str, start_us: u64) -> TraceCtx {
+    pub(crate) fn start_trace(&mut self, name: Span, start_us: u64) -> TraceCtx {
         self.next_trace += 1;
         let trace = TraceId(self.next_trace);
         if self.order.len() >= MAX_TRACES {
@@ -141,18 +145,14 @@ impl TraceStore {
             trace.0,
             TraceBuf {
                 next_span: 2,
-                spans: vec![blank(trace, root, None, name, start_us)],
+                spans: vec![blank(trace, root, None, name.name(), start_us)],
+                handles: vec![name],
             },
         );
         TraceCtx { trace, span: root }
     }
 
-    pub(crate) fn start_span(
-        &mut self,
-        name: &'static str,
-        parent: TraceCtx,
-        start_us: u64,
-    ) -> TraceCtx {
+    pub(crate) fn start_span(&mut self, name: Span, parent: TraceCtx, start_us: u64) -> TraceCtx {
         let Some(buf) = self.traces.get_mut(&parent.trace.0) else {
             // Trace evicted (or forged ctx): drop silently.
             self.dropped_spans += 1;
@@ -164,22 +164,28 @@ impl TraceStore {
         }
         let span = SpanId(buf.next_span);
         buf.next_span += 1;
-        buf.spans
-            .push(blank(parent.trace, span, Some(parent.span), name, start_us));
+        buf.spans.push(blank(
+            parent.trace,
+            span,
+            Some(parent.span),
+            name.name(),
+            start_us,
+        ));
+        buf.handles.push(name);
         TraceCtx {
             trace: parent.trace,
             span,
         }
     }
 
-    /// Close a span, returning `(name, dur_us)` so the collector can
-    /// feed the per-span-name histogram outside the store lock.
+    /// Close a span, returning `(handle, dur_us)` so the collector can
+    /// feed the span's histogram slot outside the store lock.
     pub(crate) fn finish_span(
         &mut self,
         ctx: TraceCtx,
         end_us: u64,
         fill: impl FnOnce(&mut SpanRecord),
-    ) -> Option<(&'static str, u64)> {
+    ) -> Option<(Span, u64)> {
         let buf = self.traces.get_mut(&ctx.trace.0)?;
         let idx = buf
             .spans
@@ -191,7 +197,7 @@ impl TraceStore {
         }
         span.end_us = Some(end_us.max(span.start_us));
         fill(span);
-        Some((span.name, span.dur_us()))
+        Some((buf.handles[idx], span.dur_us()))
     }
 
     pub(crate) fn spans_of(&self, trace: TraceId) -> Vec<SpanRecord> {
@@ -214,15 +220,6 @@ impl TraceStore {
 
     pub(crate) fn trace_ids(&self) -> Vec<TraceId> {
         self.order.iter().map(|&id| TraceId(id)).collect()
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.order.clear();
-        self.traces.clear();
-        self.dropped_spans = 0;
-        // next_trace keeps counting: trace ids stay unique for the
-        // process lifetime so stale TraceCtx values cannot alias a
-        // post-clear trace.
     }
 }
 

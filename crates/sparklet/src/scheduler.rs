@@ -229,7 +229,7 @@ impl Scheduler {
             speculative: final_state.speculative,
             killed: final_state.killed,
         });
-        obs::global().incr("sched.jobs");
+        obs::global().incr(obs::names::SCHED_JOBS);
         obs::global().emit(obs::EventKind::JobFinish, |e| {
             e.job = Some(job_label(job_id));
             e.task = Some(partitions as u64);
@@ -290,7 +290,7 @@ impl Scheduler {
                 e.detail = format!("straggler past {threshold_us}us, attempt {next}");
             });
             obs::global().incr(obs::names::SCHED_SPECULATIVE_TASKS);
-            obs::global().incr("sched.stragglers_detected");
+            obs::global().incr(obs::names::SCHED_STRAGGLERS_DETECTED);
         }
     }
 
@@ -343,7 +343,7 @@ impl Scheduler {
             };
 
             let (partition, attempt_no, speculative, enqueued) = attempt;
-            let task_span = obs::global().span_start("sched.task", trace);
+            let task_span = obs::global().span_start(obs::names::SCHED_TASK, trace);
             let ctx = TaskContext {
                 partition,
                 attempt: attempt_no,
@@ -353,7 +353,7 @@ impl Scheduler {
                 trace: task_span,
             };
             let slot_wait = enqueued.elapsed();
-            obs::global().record_time("sched.slot_wait_us", slot_wait);
+            obs::global().record_time(obs::names::SCHED_SLOT_WAIT_US, slot_wait);
             obs::global().emit(obs::EventKind::TaskLaunch, |e| {
                 e.job = Some(job_label(job_id));
                 e.task = Some(partition as u64);
@@ -364,7 +364,7 @@ impl Scheduler {
                     if speculative { " speculative" } else { "" }
                 );
             });
-            obs::global().incr("sched.tasks_launched");
+            obs::global().incr(obs::names::SCHED_TASKS_LAUNCHED);
             let run_started = Instant::now();
 
             // Failure injection wraps the user function. Panics in
@@ -410,7 +410,7 @@ impl Scheduler {
                     String::new()
                 };
             });
-            obs::global().record_time("sched.task_run_us", run_time);
+            obs::global().record_time(obs::names::SCHED_TASK_RUN_US, run_time);
             obs::global().emit(obs::EventKind::TaskFinish, |e| {
                 e.job = Some(job_label(job_id));
                 e.task = Some(partition as u64);
@@ -421,7 +421,7 @@ impl Scheduler {
                     if outcome.is_ok() { "ok" } else { "failed" }
                 );
             });
-            obs::global().incr("sched.tasks_finished");
+            obs::global().incr(obs::names::SCHED_TASKS_FINISHED);
 
             let mut st = state.lock();
             st.outstanding -= 1;
@@ -438,7 +438,6 @@ impl Scheduler {
                         e.job = Some(job_label(job_id));
                         e.detail = format!("after {} completed tasks", st.completions);
                     });
-                    obs::global().incr("sched.jobs_killed");
                 }
             }
             match outcome {
@@ -462,7 +461,7 @@ impl Scheduler {
                                 ev.task = Some(partition as u64);
                                 ev.detail = format!("attempt {next} after: {e}");
                             });
-                            obs::global().incr("sched.task_retries");
+                            obs::global().incr(obs::names::SCHED_TASK_RETRIES);
                         } else if st.live[partition] == 0 {
                             st.fatal = Some(SparkError::TaskFailed {
                                 partition,

@@ -8,7 +8,9 @@ cargo fmt --all --check
 
 # The workspace linter runs first among the custom gates: it is
 # dependency-free, builds in seconds, and fails on any determinism /
-# obs-registry / error-taxonomy / panic-hygiene / SAFETY violation —
+# obs-registry (a dead name row, or a read of an unregistered name:
+# the compiler refuses a wrong name at an emit) / error-taxonomy /
+# panic-hygiene / SAFETY violation —
 # or, via the flow-sensitive passes, any static lock-order cycle,
 # blocking call under a live guard, or dropped Deadline/TraceCtx — not
 # explicitly excepted in fabriclint.allow or an inline allow comment. The JSON report lands

@@ -93,6 +93,20 @@ fn full_analytics_loop() {
         assert!((actual - predicted).abs() < 1e-6);
     }
 
+    // Each row the query returns is scored once: md.predictions counts
+    // the model's evaluations.
+    let before = obs::global().snapshot();
+    let scored = s
+        .execute(
+            "SELECT PMMLPredict(x USING PARAMETERS model_name='line') FROM samples WHERE x < 100",
+        )
+        .unwrap()
+        .rows()
+        .unwrap();
+    let delta = obs::global().snapshot().counters_since(&before);
+    assert_eq!(scored.rows.len(), 100);
+    assert_eq!(delta.get("md.predictions"), Some(&100), "{delta:?}");
+
     // 5. The model round-trips through its PMML document.
     let doc = md.get_pmml("line").unwrap();
     let eval = pmml::Evaluator::from_document(&doc).unwrap();
