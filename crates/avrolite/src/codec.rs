@@ -48,6 +48,17 @@ impl Codec {
         }
     }
 
+    /// The most bytes [`Codec::compress_into`] appends for `len` bytes
+    /// of input.
+    pub fn compressed_bound(&self, len: usize) -> usize {
+        match self {
+            Codec::Null => len,
+            // Incompressible input grows by one control byte per 128
+            // literals.
+            Codec::Rle => len + len / 128 + 1,
+        }
+    }
+
     pub fn decompress(&self, data: &[u8]) -> Result<Vec<u8>> {
         let mut out = Vec::new();
         self.decompress_into(data, &mut out)?;
@@ -74,8 +85,7 @@ impl Codec {
 /// incompressible blocks (random floats) [`next_run_start`] finds there
 /// is none seven bytes at a time.
 fn rle_compress(data: &[u8], out: &mut Vec<u8>) {
-    // Incompressible input grows by one control byte per 128 literals.
-    out.reserve(data.len() + data.len() / 128 + 1);
+    out.reserve(Codec::Rle.compressed_bound(data.len()));
     let mut literal_start = 0;
 
     let flush_literals = |out: &mut Vec<u8>, from: usize, to: usize, data: &[u8]| {

@@ -63,6 +63,12 @@ pub(crate) fn encode_row_raw(schema: &AvroSchema, row: &Row, out: &mut Vec<u8>) 
 /// [`Reader`] collects them into [`Row`]s. `field` is the ordinal in
 /// the schema; [`FieldSink::end_row`] follows a row's last field.
 pub trait FieldSink {
+    /// A block of at most `rows` rows follows: enough to reserve for it
+    /// once. The bound is the block header's row count, capped by the
+    /// block's bytes (every field takes at least its union branch byte),
+    /// so a header that lies about its row count reserves nothing for
+    /// the lie.
+    fn block(&mut self, _rows: usize) {}
     fn null(&mut self, field: usize);
     fn boolean(&mut self, field: usize, v: bool);
     fn long(&mut self, field: usize, v: i64);
@@ -160,6 +166,8 @@ pub fn decode_block<S: FieldSink>(
     rows: i64,
     sink: &mut S,
 ) -> Result<()> {
+    let fits = block.len().checked_div(schema.fields.len()).unwrap_or(0);
+    sink.block(usize::try_from(rows).unwrap_or(0).min(fits));
     let used = decode_rows(schema, block, rows, sink)?;
     if used != block.len() {
         return Err(Error::Parse(format!(
@@ -219,7 +227,21 @@ pub(crate) fn decode_row_raw(schema: &AvroSchema, input: &[u8]) -> Result<(Row, 
     Ok((sink.rows.pop().expect("one row decoded"), used))
 }
 
+/// A block header: the row count and the payload length, as varints.
+fn block_header(rows: usize, payload: usize) -> Vec<u8> {
+    let mut header = Vec::with_capacity(20);
+    write_long(rows as i64, &mut header);
+    write_long(payload as i64, &mut header);
+    header
+}
+
 /// Streaming writer producing a container file in memory.
+///
+/// A payload-sized buffer is allocated once, at its final size, and no
+/// payload is copied whole: a block's raw rows are compressed straight
+/// into the file. Each block's header goes into room left before its
+/// payload, sized for the header of the codec's worst case; the payload
+/// moves only when the actual header is shorter.
 pub struct Writer {
     schema: AvroSchema,
     codec: Codec,
@@ -229,9 +251,6 @@ pub struct Writer {
     out: Vec<u8>,
     pending: Vec<u8>,
     pending_rows: usize,
-    /// The compressed form of the block being flushed; kept between
-    /// blocks for its allocation.
-    compressed: Vec<u8>,
     rows_written: u64,
 }
 
@@ -254,7 +273,6 @@ impl Writer {
             out,
             pending: Vec::new(),
             pending_rows: 0,
-            compressed: Vec::new(),
             rows_written: 0,
         }
     }
@@ -308,19 +326,17 @@ impl Writer {
         if self.pending_rows == 0 {
             return;
         }
-        let payload = match self.codec {
-            Codec::Null => &self.pending,
-            codec => {
-                self.compressed.clear();
-                codec.compress_into(&self.pending, &mut self.compressed);
-                &self.compressed
-            }
-        };
-        // Two varints of at most ten bytes, the payload, the marker.
-        self.out.reserve(20 + payload.len() + SYNC.len());
-        write_long(self.pending_rows as i64, &mut self.out);
-        write_long(payload.len() as i64, &mut self.out);
-        self.out.extend_from_slice(payload);
+        // The worst case is reserved first, so that the file does not
+        // regrow in the middle of the block.
+        let bound = self.codec.compressed_bound(self.pending.len());
+        let room = block_header(self.pending_rows, bound).len();
+        self.out.reserve(room + bound + SYNC.len());
+        let start = self.out.len();
+        self.out.resize(start + room, 0);
+        self.codec.compress_into(&self.pending, &mut self.out);
+        let header = block_header(self.pending_rows, self.out.len() - start - room);
+        // Moves the payload only when the header is shorter than `room`.
+        self.out.splice(start..start + room, header);
         self.out.extend_from_slice(SYNC);
         self.pending.clear();
         self.pending_rows = 0;
@@ -463,6 +479,8 @@ mod tests {
     use super::*;
     use common::row;
     use common::{DataType, Schema};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn schema() -> AvroSchema {
         AvroSchema::from_schema(
@@ -770,6 +788,116 @@ mod tests {
                     assert!(w.finish() == want, "{n} rows, {codec:?}, hint {hint:?}");
                 }
             }
+        }
+    }
+
+    /// The payload-length varint of every block in the container
+    /// `bytes`, by its width in bytes.
+    fn payload_length_widths(bytes: &[u8]) -> Vec<usize> {
+        let container = Container::open(bytes).unwrap();
+        let (data, mut pos) = (container.blocks, 0);
+        let mut widths = Vec::new();
+        while pos < data.len() {
+            pos += read_long(&data[pos..]).unwrap().1;
+            let (len, n) = read_long(&data[pos..]).unwrap();
+            widths.push(n);
+            pos += n + len as usize + SYNC.len();
+        }
+        widths
+    }
+
+    /// A row of `schema()` with each field NULL at rate `nulls`; strings
+    /// of up to `chars` characters, and values drawn from a handful when
+    /// `few`, so that blocks compress.
+    fn random_row(rng: &mut StdRng, nulls: f64, chars: usize, few: bool) -> Row {
+        let pick = |rng: &mut StdRng, n: i64| {
+            if few {
+                rng.random_range(0..3)
+            } else {
+                rng.random_range(-n..n)
+            }
+        };
+        let values = [
+            Value::Int64(pick(rng, i64::MAX)),
+            Value::Float64(pick(rng, 1 << 40) as f64 / 7.0),
+            Value::Boolean(rng.random_bool(0.5)),
+            Value::Varchar(
+                (0..rng.random_range(0..chars + 1))
+                    .map(|_| ['a', 'é', '✓'][pick(rng, 3).unsigned_abs() as usize % 3])
+                    .collect(),
+            ),
+        ];
+        Row::new(
+            values
+                .into_iter()
+                .map(|v| {
+                    if rng.random_bool(nulls) {
+                        Value::Null
+                    } else {
+                        v
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// 256 random cases of seed set `base`: rows of the four types with
+    /// NULLs, 1 to 64 rows a block, a rows hint absent, too small, exact
+    /// or huge, and either codec. `Writer`'s bytes must be the reference
+    /// writer's; between them, the cases must reach blocks whose
+    /// payload length takes one, two and three bytes under each codec.
+    fn writer_bytes_match_the_reference(base: u64) {
+        let mut widths = [std::collections::BTreeSet::new(), Default::default()];
+        for case in 0..256 {
+            let mut rng = StdRng::seed_from_u64(base * 1_000 + case);
+            let nulls = [0.0, 0.1, 0.5, 1.0][rng.random_range(0..4)];
+            let chars = [0, 6, 120, 700][rng.random_range(0..4)];
+            let few = rng.random_bool(0.3);
+            let n = rng.random_range(0..200);
+            let rows: Vec<Row> = (0..n)
+                .map(|_| random_row(&mut rng, nulls, chars, few))
+                .collect();
+            let block_rows = rng.random_range(1..65);
+            let hint = [None, Some(n / 3), Some(n), Some(1 << 40)][rng.random_range(0..4)];
+            let codec = [Codec::Null, Codec::Rle][case as usize % 2];
+
+            let mut w = Writer::new(schema(), codec).with_block_rows(block_rows);
+            if let Some(hint) = hint {
+                w = w.with_rows_hint(hint);
+            }
+            for r in &rows {
+                w.write_row(r).unwrap();
+            }
+            let got = w.finish();
+            let what = format!(
+                "seed set {base}, case {case}: {n} rows, {block_rows} a block, \
+                 hint {hint:?}, {codec:?}"
+            );
+            assert!(
+                got == reference::write(&schema(), codec, block_rows, &rows),
+                "{what}"
+            );
+            widths[case as usize % 2].extend(payload_length_widths(&got));
+        }
+        for (codec, seen) in ["null", "rle"].iter().zip(&widths) {
+            assert!(
+                [1, 2, 3].iter().all(|w| seen.contains(w)),
+                "seed set {base}, {codec}: payload-length widths {seen:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn writer_bytes_match_the_reference_on_random_rows() {
+        writer_bytes_match_the_reference(0);
+    }
+
+    /// `scripts/check.sh` runs this once with `--ignored`.
+    #[test]
+    #[ignore = "eight more seed sets of the property above; check.sh runs them"]
+    fn writer_bytes_match_the_reference_on_random_rows_eight_more_seed_sets() {
+        for base in 1..=8 {
+            writer_bytes_match_the_reference(base);
         }
     }
 

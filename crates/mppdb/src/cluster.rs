@@ -924,13 +924,23 @@ impl Cluster {
         self.recorder
             .work(task, NodeRef::Db(initiator), "route_hash", rows as u64, 0);
 
-        let columns: Vec<ColumnData> = columns.into_iter().map(ColumnData).collect();
-        for (target, picked) in picks.iter().enumerate() {
-            if picked.is_empty() || !self.takes_rows(&routes, target)? {
+        let mut columns: Vec<ColumnData> = columns.into_iter().map(ColumnData).collect();
+        // Asked once per target, so that the last target to read the
+        // columns is known before the first reads them.
+        let takes: Vec<DbResult<bool>> = picks
+            .iter()
+            .enumerate()
+            .map(|(target, picked)| Ok(!picked.is_empty() && self.takes_rows(&routes, target)?))
+            .collect();
+        let last = takes.iter().rposition(|t| matches!(t, Ok(true)));
+        for (target, (picked, takes)) in picks.iter().zip(takes).enumerate() {
+            if !takes? {
                 continue;
             }
             // Ascending indices of distinct rows: all of them is every row.
-            let taken: Vec<ColumnData> = if picked.len() == rows {
+            let taken: Vec<ColumnData> = if picked.len() == rows && Some(target) == last {
+                std::mem::take(&mut columns)
+            } else if picked.len() == rows {
                 columns.clone()
             } else {
                 columns.iter().map(|c| c.gather(picked)).collect()

@@ -163,6 +163,11 @@ macro_rules! append {
 }
 
 impl avrolite::FieldSink for ColumnSink<'_> {
+    fn block(&mut self, rows: usize) {
+        for col in &mut self.builders.columns {
+            col.reserve(rows);
+        }
+    }
     fn null(&mut self, field: usize) {
         if self.bad.is_some() {
             return;
@@ -441,6 +446,43 @@ mod tests {
             .query(&crate::query::QuerySpec::scan("t").count())
             .unwrap();
         assert_eq!(q.count, 100);
+    }
+
+    /// Decode the container `bytes` through a [`ColumnSink`] onto fresh
+    /// builders for `schema`, as `run_copy` does.
+    fn sink_decode(schema: &Schema, bytes: &[u8]) -> (ColumnBuilders, common::Result<()>) {
+        let mut builders = ColumnBuilders::new(schema);
+        let mut rejects = Rejects::default();
+        let mut sink = ColumnSink {
+            schema,
+            builders: &mut builders,
+            rejects: &mut rejects,
+            line: 0,
+            bad: None,
+        };
+        let decoded = avrolite::Container::open(bytes).and_then(|c| c.decode_into(&mut sink));
+        (builders, decoded)
+    }
+
+    #[test]
+    fn column_sink_reserves_each_column_once_per_block() {
+        let schema = setup().table_def("t").unwrap().schema;
+        for codec in [avrolite::Codec::Null, avrolite::Codec::Rle] {
+            for rows in [4usize, 100, 2_500] {
+                let avro_schema = avrolite::AvroSchema::from_schema("t", &schema);
+                let mut w = avrolite::Writer::new(avro_schema, codec);
+                for i in 0..rows as i64 {
+                    w.write_row(&common::row![i, i as f64 / 2.0]).unwrap();
+                }
+                let (builders, decoded) = sink_decode(&schema, &w.finish());
+                decoded.unwrap();
+                assert_eq!(builders.rows, rows);
+                for col in &builders.columns {
+                    // Reserved at the block's row count and never grown.
+                    assert_eq!(col.capacity(), rows, "{codec:?}, {rows} rows");
+                }
+            }
+        }
     }
 
     #[test]

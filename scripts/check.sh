@@ -58,6 +58,12 @@ cargo test -q -p mppdb --lib storage::predicate::tests -- --ignored
 echo "== load differential, 8 more seed sets"
 cargo test -q -p mppdb --lib copy::differential -- --ignored
 
+# The Avro writer, building each block inside the file it returns,
+# against the reference writer's bytes: the 256 cases above, over eight
+# more seed sets.
+echo "== avro writer byte identity, 8 more seed sets"
+cargo test -q -p avrolite --lib writer_bytes_match_the_reference -- --ignored
+
 # The charge the S2V append commit records for its hand-over against
 # the scan and insert it stands for: the 256 cases above, over eight
 # more seed sets.
