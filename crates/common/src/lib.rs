@@ -13,9 +13,12 @@
 //!   segmentation (the "hash ring" of the paper, Sec. 3.1.2),
 //! * [`csv`] — a small CSV codec used by bulk load and the HDFS baseline,
 //! * [`pool`] — the reused worker threads scheduler tasks, scan fan-out
-//!   and hedged reads run on.
+//!   and hedged reads run on,
+//! * [`clock`] — the one source of time: reads, sleeps, timed waits and
+//!   timers, real or moved by hand in tests.
 
 pub mod agg;
+pub mod clock;
 pub mod csv;
 pub mod error;
 pub mod expr;

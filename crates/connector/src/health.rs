@@ -38,6 +38,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+use common::clock::Clock;
 use mppdb::Cluster;
 use parking_lot::Mutex;
 
@@ -45,26 +46,28 @@ use parking_lot::Mutex;
 // Deadline
 // ---------------------------------------------------------------------
 
-/// An overall wall-clock budget, propagated by value (it is `Copy`)
-/// from the driver entry point down through retries, hedges, and COPY
-/// phases.
+/// An overall time budget on one clock, propagated by value (it is
+/// `Copy`) from the driver entry point down through retries, hedges,
+/// and COPY phases.
 #[derive(Debug, Clone, Copy)]
 pub struct Deadline {
+    clock: Clock,
     started: Instant,
     budget: Duration,
 }
 
 impl Deadline {
-    /// A deadline expiring `budget` from now.
-    pub fn within(budget: Duration) -> Deadline {
+    /// A deadline expiring `budget` from now on `clock`.
+    pub fn within(clock: Clock, budget: Duration) -> Deadline {
         Deadline {
-            started: Instant::now(),
+            clock,
+            started: clock.now(),
             budget,
         }
     }
 
     pub fn remaining(&self) -> Duration {
-        self.budget.saturating_sub(self.started.elapsed())
+        self.budget.saturating_sub(self.clock.since(self.started))
     }
 
     pub fn expired(&self) -> bool {
@@ -72,7 +75,7 @@ impl Deadline {
     }
 
     pub fn elapsed_ms(&self) -> u64 {
-        self.started.elapsed().as_millis() as u64
+        self.clock.since(self.started).as_millis() as u64
     }
 }
 
@@ -124,18 +127,18 @@ struct NodeHealth {
 impl NodeHealth {
     /// Sort key for steering: closed, half-open, open-past-cooldown,
     /// open.
-    fn rank(&self, cooldown: Duration) -> u8 {
+    fn rank(&self, clock: Clock, cooldown: Duration) -> u8 {
         match self.state {
             BreakerState::Closed => 0,
             BreakerState::HalfOpen => 1,
-            BreakerState::Open if self.cooled(cooldown) => 2,
+            BreakerState::Open if self.cooled(clock, cooldown) => 2,
             BreakerState::Open => 3,
         }
     }
 
-    fn cooled(&self, cooldown: Duration) -> bool {
+    fn cooled(&self, clock: Clock, cooldown: Duration) -> bool {
         self.opened_at
-            .map(|t| t.elapsed() >= cooldown)
+            .map(|t| clock.since(t) >= cooldown)
             .unwrap_or(true)
     }
 }
@@ -161,19 +164,18 @@ const HEDGE_P99_MULTIPLIER: u32 = 3;
 /// P99 shifted as old samples were overwritten.
 pub struct HealthTracker {
     cfg: HealthConfig,
+    /// What cooldowns and call latencies are measured on.
+    pub(crate) clock: Clock,
     nodes: Mutex<Vec<NodeHealth>>,
     recent: Mutex<obs::Histo>,
 }
 
 impl HealthTracker {
     /// A tracker pre-sized for `node_count` nodes.
-    pub fn new(node_count: usize) -> HealthTracker {
-        HealthTracker::with_config(node_count, HealthConfig::default())
-    }
-
-    pub fn with_config(node_count: usize, cfg: HealthConfig) -> HealthTracker {
+    pub fn with_config(node_count: usize, cfg: HealthConfig, clock: Clock) -> HealthTracker {
         HealthTracker {
             cfg,
+            clock,
             nodes: Mutex::new((0..node_count).map(|_| NodeHealth::default()).collect()),
             recent: Mutex::new(obs::Histo::new()),
         }
@@ -219,7 +221,7 @@ impl HealthTracker {
             };
             if open {
                 nh.state = BreakerState::Open;
-                nh.opened_at = Some(Instant::now());
+                nh.opened_at = Some(self.clock.now());
                 nh.probes_left = 0;
             }
             open
@@ -254,7 +256,7 @@ impl HealthTracker {
     pub fn acquire(&self, node: usize) -> bool {
         let (admitted, promoted) = self.with_node(node, |nh| match nh.state {
             BreakerState::Closed => (true, false),
-            BreakerState::Open if nh.cooled(self.cfg.open_cooldown) => {
+            BreakerState::Open if nh.cooled(self.clock, self.cfg.open_cooldown) => {
                 nh.state = BreakerState::HalfOpen;
                 nh.probes_left = self.cfg.half_open_probes.saturating_sub(1);
                 (true, true)
@@ -280,7 +282,11 @@ impl HealthTracker {
     /// open. Ties keep the caller's (locality-aware) order.
     pub fn reorder(&self, order: &mut [usize]) {
         let nodes = self.nodes.lock();
-        order.sort_by_key(|&n| nodes.get(n).map_or(0, |nh| nh.rank(self.cfg.open_cooldown)));
+        order.sort_by_key(|&n| {
+            nodes
+                .get(n)
+                .map_or(0, |nh| nh.rank(self.clock, self.cfg.open_cooldown))
+        });
     }
 
     /// P99 of successful-op latencies across all nodes — the histogram
@@ -316,36 +322,50 @@ pub fn tracker_for(cluster: &Cluster) -> Arc<HealthTracker> {
             map.remove(&oldest);
         }
     }
-    Arc::clone(
-        map.entry(cluster.id())
-            .or_insert_with(|| Arc::new(HealthTracker::new(cluster.node_count()))),
-    )
+    Arc::clone(map.entry(cluster.id()).or_insert_with(|| {
+        Arc::new(HealthTracker::with_config(
+            cluster.node_count(),
+            HealthConfig::default(),
+            cluster.clock(),
+        ))
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn fast_cfg() -> HealthConfig {
-        HealthConfig {
-            open_cooldown: Duration::from_millis(5),
+    const COOLDOWN: Duration = Duration::from_millis(5);
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// A tracker with a 5ms cooldown on a clock only the test moves.
+    fn tracker(node_count: usize) -> (HealthTracker, Clock) {
+        let clock = Clock::manual();
+        let cfg = HealthConfig {
+            open_cooldown: COOLDOWN,
             ..HealthConfig::default()
-        }
+        };
+        (HealthTracker::with_config(node_count, cfg, clock), clock)
     }
 
     #[test]
     fn deadline_counts_down_and_expires() {
-        let d = Deadline::within(Duration::from_millis(20));
+        let clock = Clock::manual();
+        let d = Deadline::within(clock, Duration::from_millis(20));
+        assert_eq!(d.remaining(), Duration::from_millis(20));
+        clock.advance(Duration::from_millis(20) - NS);
         assert!(!d.expired());
-        assert!(d.remaining() <= Duration::from_millis(20));
-        std::thread::sleep(Duration::from_millis(25));
+        assert_eq!(d.remaining(), NS);
+        assert_eq!(d.elapsed_ms(), 19);
+        clock.advance(NS);
         assert!(d.expired());
         assert_eq!(d.remaining(), Duration::ZERO);
+        assert_eq!(d.elapsed_ms(), 20);
     }
 
     #[test]
     fn consecutive_failures_open_the_breaker() {
-        let t = HealthTracker::with_config(2, fast_cfg());
+        let (t, clock) = tracker(2);
         t.record_failure(1);
         t.record_failure(1);
         assert_eq!(t.state(1), BreakerState::Closed, "below threshold");
@@ -353,19 +373,20 @@ mod tests {
         assert_eq!(t.state(1), BreakerState::Open);
         // The other node is untouched.
         assert_eq!(t.state(0), BreakerState::Closed);
+        clock.advance(COOLDOWN - NS);
         assert!(!t.acquire(1), "open breaker rejects before cooldown");
-        std::thread::sleep(Duration::from_millis(6));
+        clock.advance(NS);
         assert!(t.acquire(1), "cooldown lapsed: probe admitted");
         assert_eq!(t.state(1), BreakerState::HalfOpen);
     }
 
     #[test]
     fn half_open_probe_budget_is_bounded_and_success_closes() {
-        let t = HealthTracker::with_config(1, fast_cfg());
+        let (t, clock) = tracker(1);
         for _ in 0..3 {
             t.record_failure(0);
         }
-        std::thread::sleep(Duration::from_millis(6));
+        clock.advance(COOLDOWN);
         assert!(t.acquire(0), "first probe");
         assert!(t.acquire(0), "second probe (budget 2)");
         assert!(!t.acquire(0), "probe budget exhausted");
@@ -376,20 +397,23 @@ mod tests {
 
     #[test]
     fn half_open_failure_reopens() {
-        let t = HealthTracker::with_config(1, fast_cfg());
+        let (t, clock) = tracker(1);
         for _ in 0..3 {
             t.record_failure(0);
         }
-        std::thread::sleep(Duration::from_millis(6));
+        clock.advance(COOLDOWN);
         assert!(t.acquire(0));
         t.record_failure(0);
         assert_eq!(t.state(0), BreakerState::Open);
+        clock.advance(COOLDOWN - NS);
         assert!(!t.acquire(0), "cooldown restarted");
+        clock.advance(NS);
+        assert!(t.acquire(0), "and lapses a full cooldown after the reopen");
     }
 
     #[test]
     fn reorder_puts_sick_nodes_last_and_is_stable() {
-        let t = HealthTracker::with_config(4, fast_cfg());
+        let (t, _) = tracker(4);
         for _ in 0..3 {
             t.record_failure(2);
         }
@@ -400,7 +424,7 @@ mod tests {
 
     #[test]
     fn hedge_delay_requires_samples_and_floors() {
-        let t = HealthTracker::new(2);
+        let (t, _) = tracker(2);
         assert_eq!(t.hedge_delay(), None, "no samples, no hedging");
         for _ in 0..MIN_P99_SAMPLES {
             t.record_success(0, Duration::from_micros(200));
@@ -421,7 +445,7 @@ mod tests {
         // rank ceil(0.99 × 640) = 634 lands in the slow group and the
         // quantile clamps to the observed max — exactly 8ms, no decay
         // or overwrite drift.
-        let t = HealthTracker::new(2);
+        let (t, _) = tracker(2);
         for _ in 0..600 {
             t.record_success(0, Duration::from_millis(1));
         }

@@ -19,14 +19,15 @@
 //! would break the exactly-once commit protocol.
 //!
 //! A hedged read's primary runs on the calling thread — in a V2S load,
-//! the task's own — and its buddy is armed on the process-wide hedge
-//! timer (`timer`), which asks the worker pool for a thread only when
+//! the task's own — and its buddy is armed on the cluster clock's timer
+//! ([`Clock::after`]), which asks the worker pool for a thread only when
 //! the hedge delay passes. The first success wins and cancels the other
 //! arm through its [`Cancel`] token.
 
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::clock::Clock;
 use mppdb::segmentation::SegmentMap;
 use mppdb::{Cancel, Cluster, Session};
 
@@ -131,7 +132,7 @@ impl CallPolicy {
     pub fn for_job(cluster: &Cluster, opts: &ConnectorOptions) -> CallPolicy {
         CallPolicy {
             retry: opts.retry.clone(),
-            deadline: opts.deadline.map(Deadline::within),
+            deadline: opts.deadline.map(|b| Deadline::within(cluster.clock(), b)),
             health: tracker_for(cluster),
             failover: opts.failover,
             hedge: match (opts.hedge, opts.hedge_delay) {
@@ -221,9 +222,9 @@ impl CallPolicy {
         op: &'static str,
         mut attempt_fn: impl FnMut(u32) -> ConnectorResult<T>,
     ) -> ConnectorResult<T> {
-        let policy = &self.retry;
-        let overall = self.deadline;
-        let started = Instant::now();
+        // Backoffs sleep on the cluster's clock, which its tracker keeps.
+        let (policy, overall, clock) = (&self.retry, self.deadline, self.health.clock);
+        let started = clock.now();
         let mut attempt = 1u32;
         loop {
             if let Some(d) = overall.filter(Deadline::expired) {
@@ -235,7 +236,7 @@ impl CallPolicy {
                     elapsed_ms: d.elapsed_ms(),
                 });
             }
-            let attempt_started = Instant::now();
+            let attempt_started = clock.now();
             match attempt_fn(attempt) {
                 Ok(v) => {
                     if attempt > 1 {
@@ -256,12 +257,12 @@ impl CallPolicy {
                     let backoff = policy.backoff_for(op, attempt + 1);
                     // Remaining budget: the tighter of the per-op policy
                     // deadline and the job-wide deadline.
-                    let policy_remaining = policy.deadline.saturating_sub(started.elapsed());
+                    let policy_remaining = policy.deadline.saturating_sub(clock.since(started));
                     let remaining = match overall {
                         Some(d) => policy_remaining.min(d.remaining()),
                         None => policy_remaining,
                     };
-                    let attempt_overran = attempt_started.elapsed() > ATTEMPT_TIMEOUT;
+                    let attempt_overran = clock.since(attempt_started) > ATTEMPT_TIMEOUT;
                     if backoff >= remaining || attempt_overran {
                         obs::global().incr(obs::names::RETRY_GAVE_UP);
                         if overall.map(|d| backoff >= d.remaining()).unwrap_or(false) {
@@ -270,11 +271,11 @@ impl CallPolicy {
                         return Err(ConnectorError::DeadlineExceeded {
                             op,
                             attempts: attempt,
-                            elapsed_ms: started.elapsed().as_millis() as u64,
+                            elapsed_ms: clock.since(started).as_millis() as u64,
                         });
                     }
                     obs::global().incr(obs::names::RETRY_ATTEMPTS);
-                    std::thread::sleep(backoff);
+                    clock.sleep(backoff);
                     attempt += 1;
                 }
             }
@@ -325,7 +326,7 @@ impl CallPolicy {
                 let health = Arc::clone(&self.health);
                 let run: NodeCall<T> =
                     Arc::new(move |n, cancel| observe(&health, n, || exec(n, cancel)));
-                hedged_read(op, delay, primary, buddy, trace, run)
+                hedged_read(self.health.clock, op, delay, primary, buddy, trace, run)
             }
             None => observe(&self.health, primary, || exec(primary, &Cancel::default())),
         }
@@ -381,10 +382,10 @@ fn observe<T>(
     node: usize,
     call: impl FnOnce() -> ConnectorResult<T>,
 ) -> ConnectorResult<T> {
-    let started = Instant::now();
+    let started = health.clock.now();
     let result = call();
     match &result {
-        Ok(_) => health.record_success(node, started.elapsed()),
+        Ok(_) => health.record_success(node, health.clock.since(started)),
         Err(e) if e.is_transient() => health.record_failure(node),
         Err(_) => {}
     }
@@ -393,7 +394,7 @@ fn observe<T>(
 
 /// Run an idempotent read with a tail-latency hedge: run `run` on
 /// `primary` on this thread, with a launch of the same call on `buddy`
-/// armed on the hedge timer for `delay`. A primary that answers within
+/// armed on `clock`'s timer for `delay`. A primary that answers within
 /// the delay disarms it, and no other thread is involved. Otherwise the
 /// buddy runs on a pooled thread, and the first success wins: a buddy
 /// that succeeds cancels the primary, whose session stops at its next
@@ -405,6 +406,7 @@ fn observe<T>(
 /// (attempt 1 = primary, attempt 2 = buddy), finished when its arm
 /// returns.
 fn hedged_read<T: Send + 'static>(
+    clock: Clock,
     op: &'static str,
     delay: Duration,
     primary: usize,
@@ -441,9 +443,9 @@ fn hedged_read<T: Send + 'static>(
             let _ = tx.send(result);
         }
     };
-    let armed = timer::arm(delay, Box::new(launch));
+    let armed = clock.after(delay, Box::new(launch));
     let result = run_arm(&run, op, primary, &primary_cancel, trace, 1, "primary");
-    if timer::disarm(armed) {
+    if clock.disarm(armed) {
         return result;
     }
     // The buddy launched, or its launch is on its way. A primary that
@@ -486,110 +488,6 @@ fn run_arm<T>(
         obs::global().incr(obs::names::HEDGE_CANCELLED);
     }
     result
-}
-
-/// The process-wide hedge timer: the armed buddy launches, ordered by
-/// deadline, and one thread that waits for the earliest. Arming and
-/// disarming take the timer's lock and nothing else. A launch whose
-/// deadline passes is taken out under the lock and handed to the worker
-/// pool after it is released, so the pool is asked for a thread only
-/// when a hedge fires, and never under the lock.
-mod timer {
-    use std::collections::BTreeMap;
-    use std::panic::{self, AssertUnwindSafe};
-    use std::sync::LazyLock;
-    use std::time::{Duration, Instant};
-
-    use parking_lot::{Condvar, Mutex};
-
-    pub(super) type Launch = Box<dyn FnOnce() + Send>;
-
-    /// An armed launch's key: its deadline, then its arming order.
-    pub(super) type Armed = (Instant, u64);
-
-    struct Timer {
-        armed: Mutex<Launches>,
-        /// Signalled when an arming moves the earliest deadline forward.
-        earlier: Condvar,
-    }
-
-    struct Launches {
-        by_deadline: BTreeMap<Armed, Launch>,
-        next_id: u64,
-    }
-
-    static TIMER: LazyLock<&'static Timer> = LazyLock::new(|| {
-        let timer: &'static Timer = Box::leak(Box::new(Timer {
-            armed: Mutex::new(Launches {
-                by_deadline: BTreeMap::new(),
-                next_id: 0,
-            }),
-            earlier: Condvar::new(),
-        }));
-        // Without its thread no hedge fires: every read then waits for
-        // its primary, as with hedging off.
-        let _ = std::thread::Builder::new()
-            .name("fabric-hedge-timer".to_string())
-            .spawn(move || loop {
-                let launch = timer.next_due();
-                // A launch the pool cannot take is dropped unrun, which
-                // its read sees as a buddy that never answered.
-                let _ = panic::catch_unwind(AssertUnwindSafe(|| common::pool::spawn(launch)));
-            });
-        timer
-    });
-
-    /// The timer's one clock read.
-    fn now() -> Instant {
-        Instant::now()
-    }
-
-    /// Hand `launch` to the pool once `delay` has passed, unless it is
-    /// disarmed first.
-    pub(super) fn arm(delay: Duration, launch: Launch) -> Armed {
-        let deadline = now() + delay;
-        let mut armed = TIMER.armed.lock();
-        let key = (deadline, armed.next_id);
-        armed.next_id += 1;
-        armed.by_deadline.insert(key, launch);
-        if armed.by_deadline.first_key_value().map(|(k, _)| k) == Some(&key) {
-            TIMER.earlier.notify_one();
-        }
-        key
-    }
-
-    /// Take an armed launch back: true if it had not fired yet, so it
-    /// never will; false if it has been handed to the pool.
-    pub(super) fn disarm(key: Armed) -> bool {
-        TIMER.armed.lock().by_deadline.remove(&key).is_some()
-    }
-
-    /// Launches armed and neither fired nor disarmed.
-    #[cfg(test)]
-    pub(super) fn pending() -> usize {
-        TIMER.armed.lock().by_deadline.len()
-    }
-
-    impl Timer {
-        /// Wait for the earliest deadline to pass and take its launch.
-        fn next_due(&self) -> Launch {
-            let mut armed = self.armed.lock();
-            loop {
-                let earliest = armed.by_deadline.first_key_value().map(|(k, _)| *k);
-                match earliest {
-                    Some(key) if key.0 <= now() => {
-                        if let Some(launch) = armed.by_deadline.remove(&key) {
-                            return launch;
-                        }
-                    }
-                    Some((deadline, _)) => {
-                        self.earlier.wait_until(&mut armed, deadline);
-                    }
-                    None => self.earlier.wait(&mut armed),
-                }
-            }
-        }
-    }
 }
 
 /// A retrying, failing-over database connection for the write side:
@@ -718,14 +616,23 @@ mod tests {
     use super::*;
     use crate::health::HealthConfig;
     use mppdb::ClusterConfig;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
-    /// A policy outside any job: its own tracker, no job deadline.
+    /// A policy outside any job, on a clock only the test moves: its
+    /// own tracker, no job deadline.
     fn policy(retry: RetryPolicy) -> CallPolicy {
+        policy_on(Clock::manual(), retry)
+    }
+
+    fn policy_on(clock: Clock, retry: RetryPolicy) -> CallPolicy {
         CallPolicy {
             retry,
             deadline: None,
-            health: Arc::new(HealthTracker::new(1)),
+            health: Arc::new(HealthTracker::with_config(
+                1,
+                HealthConfig::default(),
+                clock,
+            )),
             failover: true,
             hedge: Hedge::Off,
             trace: obs::TraceCtx::NONE,
@@ -779,51 +686,78 @@ mod tests {
         assert_eq!(r.unwrap(), 3);
     }
 
+    /// The backoffs `run` sleeps before attempts 2.. of op "t", until
+    /// the next one would not fit in `budget`.
+    fn backoffs_within(p: &RetryPolicy, budget: Duration) -> Vec<Duration> {
+        let mut slept = Vec::new();
+        for attempt in 2.. {
+            let backoff = p.backoff_for("t", attempt);
+            if backoff >= budget - slept.iter().sum::<Duration>() {
+                return slept;
+            }
+            slept.push(backoff);
+        }
+        unreachable!()
+    }
+
     #[test]
     fn deadline_bounds_total_time() {
-        let p = policy(RetryPolicy {
+        let retry = RetryPolicy {
             max_attempts: 1000,
             base_backoff: Duration::from_millis(5),
             max_backoff: Duration::from_millis(5),
             deadline: Duration::from_millis(12),
-        });
-        let started = Instant::now();
+        };
+        let slept = backoffs_within(&retry, retry.deadline);
+        let p = policy(retry);
+        let started = p.health.clock.now();
         let r: ConnectorResult<()> = p.run("t", |_| Err(ConnectorError::NoLiveNodes));
-        assert!(matches!(r, Err(ConnectorError::DeadlineExceeded { .. })));
-        assert!(started.elapsed() < Duration::from_secs(2));
+        // Instant attempts: every backoff that fits is slept, and the
+        // attempt after the last gives up instead of sleeping past 12ms.
+        let elapsed: Duration = slept.iter().sum();
+        assert_eq!(slept.len(), 3, "{slept:?}");
+        assert_eq!(p.health.clock.since(started), elapsed);
+        assert_eq!(
+            r,
+            Err(ConnectorError::DeadlineExceeded {
+                op: "t",
+                attempts: slept.len() as u32 + 1,
+                elapsed_ms: elapsed.as_millis() as u64,
+            })
+        );
     }
 
     #[test]
     fn overall_deadline_caps_backoff_sleeps() {
-        // Generous per-op policy, tight overall budget: the loop must
-        // never sleep past the overall deadline. Worst case is one
-        // attempt plus the backoffs that fit inside the budget, so the
-        // total wall time is pinned well under the policy's own 30s
-        // deadline.
-        let mut p = policy(RetryPolicy {
+        // Generous per-op policy, tight overall budget: the loop never
+        // sleeps past the overall deadline. It sleeps the backoffs that
+        // fit inside the 20ms budget and skips the final would-be sleep.
+        let retry = RetryPolicy {
             max_attempts: 1000,
             base_backoff: Duration::from_millis(8),
             max_backoff: Duration::from_millis(8),
             deadline: Duration::from_secs(30),
-        });
-        p.deadline = Some(Deadline::within(Duration::from_millis(20)));
-        let started = Instant::now();
+        };
+        let slept = backoffs_within(&retry, Duration::from_millis(20));
+        let mut p = policy(retry);
+        p.deadline = Some(Deadline::within(p.health.clock, Duration::from_millis(20)));
         let r: ConnectorResult<()> = p.run("t", |_| Err(ConnectorError::NoLiveNodes));
-        let elapsed = started.elapsed();
-        assert!(matches!(r, Err(ConnectorError::DeadlineExceeded { .. })));
-        // Budget 20ms, backoff 8ms, instant attempts: at most two full
-        // backoffs fit, and the final would-be sleep is skipped rather
-        // than slept. 100ms of slack absorbs scheduler noise.
-        assert!(
-            elapsed < Duration::from_millis(120),
-            "worst-case wall time {elapsed:?} must stay near the 20ms budget"
+        let elapsed: Duration = slept.iter().sum();
+        assert_eq!(slept.len(), 3, "{slept:?}");
+        assert_eq!(
+            r,
+            Err(ConnectorError::DeadlineExceeded {
+                op: "t",
+                attempts: slept.len() as u32 + 1,
+                elapsed_ms: elapsed.as_millis() as u64,
+            })
         );
     }
 
     #[test]
     fn expired_deadline_fails_before_the_first_attempt() {
         let mut p = policy(RetryPolicy::default());
-        p.deadline = Some(Deadline::within(Duration::ZERO));
+        p.deadline = Some(Deadline::within(p.health.clock, Duration::ZERO));
         let calls = AtomicU32::new(0);
         let r: ConnectorResult<()> = p.run("t", |_| {
             calls.fetch_add(1, Ordering::Relaxed);
@@ -898,6 +832,7 @@ mod tests {
                     open_cooldown: Duration::from_secs(3600),
                     ..HealthConfig::default()
                 },
+                Clock::manual(),
             );
             for &n in open {
                 (0..3).for_each(|_| health.record_failure(n));
@@ -927,20 +862,34 @@ mod tests {
         }
     }
 
-    /// A read over nodes 0 and 1 of a clean cluster that hedges after
-    /// `delay_ms`.
-    fn hedged(delay_ms: u64, op: &'static str, run: NodeCall<usize>) -> ConnectorResult<usize> {
+    const HEDGE_DELAY: Duration = Duration::from_millis(10);
+
+    /// A read over nodes 0 and 1 of a clean cluster on `clock` that
+    /// hedges after `HEDGE_DELAY`.
+    fn hedged(clock: Clock, op: &'static str, run: NodeCall<usize>) -> ConnectorResult<usize> {
         let p = CallPolicy {
-            hedge: Hedge::After(Duration::from_millis(delay_ms)),
-            ..policy(RetryPolicy::default())
+            hedge: Hedge::After(HEDGE_DELAY),
+            ..policy_on(clock, RetryPolicy::default())
         };
-        p.read(&Cluster::new(ClusterConfig::default()), op, &[0, 1], run)
+        let cluster = Cluster::new(ClusterConfig {
+            clock,
+            ..ClusterConfig::default()
+        });
+        p.read(&cluster, op, &[0, 1], run)
+    }
+
+    /// Wait until the read on another thread has armed its buddy.
+    fn until_armed(clock: Clock) {
+        while clock.armed() == 0 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
     fn hedged_read_prefers_fast_primary() {
+        let clock = Clock::manual();
         let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> { Ok(node) });
-        let got = hedged(50, "t.fast", run).unwrap();
+        let got = hedged(clock, "t.fast", run).unwrap();
         assert_eq!(got, 0, "primary answered before the hedge delay");
         // By this read's own event, not the process-wide `hedge.launched`
         // counter, which the sibling tests' hedges move concurrently.
@@ -951,6 +900,7 @@ mod tests {
 
     #[test]
     fn a_fast_primary_runs_on_the_callers_thread_and_launches_no_buddy() {
+        let clock = Clock::manual();
         let caller = std::thread::current().id();
         let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
         let run = Arc::new({
@@ -960,10 +910,10 @@ mod tests {
                 Ok(node)
             }
         });
-        assert_eq!(hedged(5, "t.caller", run).unwrap(), 0);
-        // Past the hedge delay: a buddy armed and not disarmed would have
-        // run by now.
-        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(hedged(clock, "t.caller", run).unwrap(), 0);
+        assert_eq!(clock.armed(), 0, "the primary's answer disarmed the buddy");
+        // Past the hedge delay: a buddy still armed would launch now.
+        clock.advance(HEDGE_DELAY);
         assert_eq!(*ran_on.lock(), vec![(0, caller)]);
         let snap = obs::global().snapshot();
         let mut hedges = snap.events_of(obs::EventKind::Hedge);
@@ -972,24 +922,31 @@ mod tests {
 
     #[test]
     fn hedged_read_buddy_wins_when_primary_stalls() {
-        let primary_cancelled = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let clock = Clock::manual();
+        let primary_cancelled = Arc::new(AtomicBool::new(false));
         let run = Arc::new({
             let primary_cancelled = Arc::clone(&primary_cancelled);
             move |node: usize, cancel: &Cancel| -> ConnectorResult<usize> {
                 if node == 0 {
-                    let waited = cancel.sleep(Duration::from_millis(120));
+                    let waited = cancel.sleep(clock, Duration::from_secs(3600));
                     primary_cancelled.store(waited.is_err(), Ordering::Release);
                     waited.map_err(|e| ConnectorError::db("t.stall", e))?;
                 }
                 Ok(node)
             }
         });
-        let started = Instant::now();
-        let got = hedged(10, "t.stall", run).unwrap();
-        assert_eq!(got, 1, "buddy wins");
-        assert!(
-            started.elapsed() < Duration::from_millis(100),
-            "did not wait for the stalled primary"
+        let started = clock.now();
+        let got = std::thread::scope(|s| {
+            let read = s.spawn(|| hedged(clock, "t.stall", run));
+            until_armed(clock);
+            clock.advance(HEDGE_DELAY);
+            read.join().unwrap()
+        });
+        assert_eq!(got, Ok(1), "buddy wins");
+        assert_eq!(
+            clock.since(started),
+            HEDGE_DELAY,
+            "without the stalled primary's hour"
         );
         assert!(
             primary_cancelled.load(Ordering::Acquire),
@@ -1002,16 +959,34 @@ mod tests {
 
     #[test]
     fn a_primary_that_ignores_its_token_delays_the_buddys_answer_until_it_returns() {
-        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
-            if node == 0 {
-                std::thread::sleep(Duration::from_millis(60));
+        let clock = Clock::manual();
+        // The primary's token, which it keeps for the test and ignores.
+        let token = Arc::new(std::sync::OnceLock::<Cancel>::new());
+        let released = Arc::new(AtomicBool::new(false));
+        let run = Arc::new({
+            let (token, released) = (Arc::clone(&token), Arc::clone(&released));
+            move |node: usize, cancel: &Cancel| -> ConnectorResult<usize> {
+                if node == 0 {
+                    token.get_or_init(|| cancel.clone());
+                    while !released.load(Ordering::Acquire) {
+                        std::thread::yield_now();
+                    }
+                }
+                Ok(node)
             }
-            Ok(node)
         });
-        let started = Instant::now();
-        let got = hedged(5, "t.deaf", run).unwrap();
-        assert_eq!(got, 1, "the buddy succeeded first");
-        assert!(started.elapsed() >= Duration::from_millis(60));
+        std::thread::scope(|s| {
+            let read = s.spawn(|| hedged(clock, "t.deaf", run));
+            until_armed(clock);
+            clock.advance(HEDGE_DELAY);
+            // The buddy's success cancels the primary's token.
+            while !token.get().is_some_and(Cancel::is_cancelled) {
+                std::thread::yield_now();
+            }
+            assert!(!read.is_finished(), "the read waits for its primary");
+            released.store(true, Ordering::Release);
+            assert_eq!(read.join().unwrap(), Ok(1), "the buddy succeeded first");
+        });
     }
 
     #[test]
@@ -1019,23 +994,23 @@ mod tests {
         let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
             Err(ConnectorError::Engine(format!("node {node} boom")))
         });
-        let err = hedged(5, "t.both", run).unwrap_err();
+        let err = hedged(Clock::manual(), "t.both", run).unwrap_err();
         assert!(matches!(err, ConnectorError::Engine(_)));
     }
 
     #[test]
     fn hedged_read_falls_through_to_buddy_after_primary_error() {
         // Primary errors *slowly* (after the hedge delay), buddy is good.
-        let run = Arc::new(|node: usize, _: &Cancel| -> ConnectorResult<usize> {
+        let clock = Clock::manual();
+        let run = Arc::new(move |node: usize, _: &Cancel| -> ConnectorResult<usize> {
             if node == 0 {
-                std::thread::sleep(Duration::from_millis(15));
+                clock.sleep(HEDGE_DELAY * 3);
                 Err(ConnectorError::Engine("slow failure".into()))
             } else {
                 Ok(node)
             }
         });
-        let got = hedged(5, "t.slow_err", run).unwrap();
-        assert_eq!(got, 1);
+        assert_eq!(hedged(clock, "t.slow_err", run), Ok(1));
     }
 
     /// xorshift64*: the stress test's seeded choices.
@@ -1064,13 +1039,13 @@ mod tests {
             }
         }
 
-        fn run(&self, node: usize, cancel: &Cancel) -> ConnectorResult<usize> {
+        fn run(&self, clock: Clock, node: usize, cancel: &Cancel) -> ConnectorResult<usize> {
             if self.cooperative {
                 cancel
-                    .sleep(self.latency)
+                    .sleep(clock, self.latency)
                     .map_err(|e| ConnectorError::db("t.stress", e))?;
             } else {
-                std::thread::sleep(self.latency);
+                clock.sleep(self.latency);
             }
             if self.fails {
                 return Err(ConnectorError::Engine(format!("node {node} failed")));
@@ -1089,6 +1064,7 @@ mod tests {
     fn stress_hedged_reads_random_delays_latencies_and_failures() {
         const THREADS: u64 = 8;
         const READS: u64 = 10_000;
+        let clock = ClusterConfig::default().clock;
         let returned = std::sync::atomic::AtomicU64::new(0);
         std::thread::scope(|scope| {
             for t in 0..THREADS {
@@ -1099,19 +1075,19 @@ mod tests {
                         let delay = Duration::from_micros(next(&mut seed) % 3_000);
                         let arms = [StressArm::draw(&mut seed), StressArm::draw(&mut seed)];
                         // Per node: whether its arm has returned a success.
-                        let succeeded: Arc<[std::sync::atomic::AtomicBool; 2]> =
-                            Arc::new(Default::default());
+                        let succeeded: Arc<[AtomicBool; 2]> = Arc::new(Default::default());
                         let run: NodeCall<usize> = Arc::new({
                             let succeeded = Arc::clone(&succeeded);
                             move |node: usize, cancel: &Cancel| {
-                                let result = arms[node].run(node, cancel);
+                                let result = arms[node].run(clock, node, cancel);
                                 if result.is_ok() {
                                     succeeded[node].store(true, Ordering::Release);
                                 }
                                 result
                             }
                         });
-                        let result = hedged_read("t.stress", delay, 0, 1, obs::TraceCtx::NONE, run);
+                        let result =
+                            hedged_read(clock, "t.stress", delay, 0, 1, obs::TraceCtx::NONE, run);
                         returned.fetch_add(1, Ordering::AcqRel);
                         let any = succeeded.iter().any(|s| s.load(Ordering::Acquire));
                         match result {
@@ -1126,6 +1102,6 @@ mod tests {
             }
         });
         assert_eq!(returned.load(Ordering::Acquire), READS);
-        assert_eq!(timer::pending(), 0, "a launch is still armed");
+        assert_eq!(clock.armed(), 0, "a launch is still armed");
     }
 }

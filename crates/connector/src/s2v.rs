@@ -657,13 +657,14 @@ fn run_task_phases(
     // One S2vPhase event (+ span finish + report accumulation)
     // per phase exit; `detail` says how the phase ended so the event
     // log (and span tree) reads as the Fig. 5 walk of each attempt.
+    let clock = cluster.clock();
     let mark = |span: obs::TraceCtx,
                 phase: usize,
                 node: usize,
                 started: Instant,
                 failed: bool,
                 detail: String| {
-        let dur = started.elapsed();
+        let dur = clock.since(started);
         obs::global().span_finish(span, |s| {
             s.task = Some(p as u64);
             s.attempt = tc.attempt;
@@ -690,7 +691,7 @@ fn run_task_phases(
         let db = |e: DbError| ConnectorError::db("s2v.phase1", e);
         let span = obs::global().span_start(names::S2V_PHASE1, tc.trace);
         session.set_trace(span);
-        let started = Instant::now();
+        let started = clock.now();
         let node = session.node();
         // A duplicate of a partition that is already saved skips the
         // encode and the COPY. This snapshot read only saves work; the
@@ -755,7 +756,7 @@ fn run_task_phases(
     let not_done = conn.run("s2v.phase2", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase2", e);
         let span = obs::global().span_start(names::S2V_PHASE2, tc.trace);
-        let started = Instant::now();
+        let started = clock.now();
         let node = session.node();
         let not_done = session
             .execute(&format!(
@@ -785,7 +786,7 @@ fn run_task_phases(
     conn.run("s2v.phase3", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase3", e);
         let span = obs::global().span_start(names::S2V_PHASE3, tc.trace);
-        let started = Instant::now();
+        let started = clock.now();
         let node = session.node();
         session.begin().map_err(db)?;
         let committer_count = session
@@ -827,7 +828,7 @@ fn run_task_phases(
     let winner = conn.run("s2v.phase4", |session| {
         let db = |e: DbError| ConnectorError::db("s2v.phase4", e);
         let span = obs::global().span_start(names::S2V_PHASE4, tc.trace);
-        let started = Instant::now();
+        let started = clock.now();
         let node = session.node();
         let winner = session
             .execute(&format!("SELECT task_id FROM {} LIMIT 1", tables.committer))
@@ -854,7 +855,7 @@ fn run_task_phases(
         let db = |e: DbError| ConnectorError::db("s2v.phase5", e);
         let span = obs::global().span_start(names::S2V_PHASE5, tc.trace);
         session.set_trace(span);
-        let started = Instant::now();
+        let started = clock.now();
         let node = session.node();
         // Read before the transaction opens, so that it takes no lock:
         // phase 2 saw every task done, and a task's counts are committed

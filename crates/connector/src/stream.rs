@@ -64,7 +64,8 @@ pub struct StreamWriter {
     batch_rows: usize,
     flush_age: Duration,
     buf: Vec<Row>,
-    /// When the oldest buffered row arrived (drives `flush_ms`).
+    /// When the oldest buffered row arrived, on the cluster's clock
+    /// (drives `flush_ms`).
     buf_since: Option<Instant>,
     /// Ignore-mode short circuit: the target existed at open, so the
     /// whole stream is a no-op.
@@ -180,9 +181,7 @@ impl StreamWriter {
         if self.ignored {
             return Ok(0);
         }
-        if self.buf.is_empty() && !rows.is_empty() {
-            self.buf_since = Some(Instant::now());
-        }
+        let arrived = self.cluster.clock().now();
         self.buf.extend(rows);
         let mut flushed = 0;
         while self.buf.len() >= self.batch_rows {
@@ -190,12 +189,10 @@ impl StreamWriter {
             self.flush_batch(batch)?;
             flushed += 1;
         }
-        if self.buf.is_empty() {
-            self.buf_since = None;
-        } else if flushed > 0 {
-            // The remainder started aging when it arrived; keep the
-            // existing stamp only if nothing was flushed around it.
-            self.buf_since = Some(Instant::now());
+        // Rows left by a flush are this call's newest: they age from
+        // their arrival. Without a flush, the oldest row's stamp stands.
+        if flushed > 0 || self.buf_since.is_none() {
+            self.buf_since = (!self.buf.is_empty()).then_some(arrived);
         }
         Ok(flushed)
     }
@@ -210,7 +207,7 @@ impl StreamWriter {
         }
         let old_enough = self
             .buf_since
-            .is_some_and(|since| since.elapsed() >= self.flush_age);
+            .is_some_and(|since| self.cluster.clock().since(since) >= self.flush_age);
         if !old_enough {
             return Ok(false);
         }
@@ -303,4 +300,74 @@ pub(crate) fn save_stream(
         writer.append_rows(chunk.to_vec())?;
     }
     writer.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use common::clock::Clock;
+    use common::{row, DataType};
+    use mppdb::ClusterConfig;
+    use sparklet::SparkConf;
+
+    const FLUSH_AGE: Duration = Duration::from_millis(50);
+    const US: Duration = Duration::from_micros(1);
+
+    /// A writer of 10-row batches that flushes rows 50ms old, on a
+    /// clock only the test moves.
+    fn writer(clock: Clock) -> StreamWriter {
+        let cluster = Cluster::new(ClusterConfig {
+            clock,
+            ..ClusterConfig::default()
+        });
+        let ctx = SparkContext::new(SparkConf {
+            clock,
+            ..SparkConf::default()
+        });
+        let opts = ConnectorOptions::builder("ticks")
+            .num_partitions(2)
+            .stream(10, FLUSH_AGE.as_millis() as u64)
+            .build()
+            .unwrap();
+        let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
+        StreamWriter::open(&ctx, &cluster, schema, &opts, SaveMode::Overwrite).unwrap()
+    }
+
+    fn rows(ids: std::ops::Range<i64>) -> Vec<Row> {
+        ids.map(|i| row![i]).collect()
+    }
+
+    #[test]
+    fn poll_flushes_exactly_at_the_flush_age() {
+        let clock = Clock::manual();
+        let mut w = writer(clock);
+        assert_eq!(w.append_rows(rows(0..3)).unwrap(), 0);
+        clock.advance(FLUSH_AGE - US);
+        assert!(!w.poll().unwrap(), "a microsecond short of the age");
+        assert_eq!(w.buffered(), 3);
+        clock.advance(US);
+        assert!(w.poll().unwrap(), "flushed at the age");
+        assert_eq!((w.batches(), w.buffered()), (1, 0));
+        assert!(!w.poll().unwrap(), "nothing left to flush");
+    }
+
+    #[test]
+    fn a_size_flush_remainder_ages_from_its_own_arrival() {
+        let clock = Clock::manual();
+        let mut w = writer(clock);
+        assert_eq!(w.append_rows(rows(0..4)).unwrap(), 0);
+        clock.advance(Duration::from_millis(30));
+        // 4 + 13 rows: one size flush, and 7 rows that arrived just now.
+        assert_eq!(w.append_rows(rows(4..17)).unwrap(), 1);
+        assert_eq!(w.buffered(), 7);
+        clock.advance(FLUSH_AGE - US);
+        assert!(
+            !w.poll().unwrap(),
+            "the first rows' age is not the remainder's"
+        );
+        clock.advance(US);
+        assert!(w.poll().unwrap());
+        assert_eq!((w.batches(), w.buffered()), (2, 0));
+        assert_eq!(w.finish().unwrap().rows_loaded, 17);
+    }
 }

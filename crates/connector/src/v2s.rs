@@ -26,7 +26,6 @@
 //! circuit breakers are open before timeouts ever fire.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use common::agg::{self, AggRequest, GroupedAccs};
 use common::expr::Expr;
@@ -415,7 +414,8 @@ fn exec_piece(
         NodeRef::Db(connect_node),
         "v2s_connect",
     );
-    let piece_started = Instant::now();
+    let clock = ctx.cluster.clock();
+    let piece_started = clock.now();
     let mut spec = ctx.spec.clone();
     if spec.map_version.is_some() {
         spec.map_version = Some(ctx.map_version.load(std::sync::atomic::Ordering::Acquire));
@@ -468,7 +468,7 @@ fn exec_piece(
         e.node = Some(connect_node as u64);
         e.rows = rows;
         e.bytes = bytes;
-        e.dur_us = piece_started.elapsed().as_micros() as u64;
+        e.dur_us = clock.since(piece_started).as_micros() as u64;
         e.detail = format!(
             "{} from {} ({pushdown}{})",
             match (spec.hash_range, spec.row_range) {
@@ -491,7 +491,7 @@ fn exec_piece(
     obs::global().add(names::V2S_ROWS, rows);
     obs::global().add(names::V2S_BYTES, bytes);
     obs::global().record_histo(names::V2S_PIECE_BYTES, bytes);
-    obs::global().record_time(names::V2S_PIECE_US, piece_started.elapsed());
+    obs::global().record_time(names::V2S_PIECE_US, clock.since(piece_started));
     Ok(result)
 }
 

@@ -12,7 +12,10 @@
 //!
 //! * **determinism** — banned identifiers (`SystemTime`, `UNIX_EPOCH`,
 //!   `thread_rng`, …) anywhere outside explicitly allowlisted seed
-//!   plumbing; replayable chaos schedules depend on it.
+//!   plumbing; replayable chaos schedules depend on it. In `crates/*/src`
+//!   outside test regions, ambient clock reads, sleeps and timed waits
+//!   (`Instant::now`, `.elapsed()`, `thread::sleep`, `.wait_until(`) too:
+//!   time goes through `common::clock`, the one exempt file.
 //! * **obs-registry** — every row of the `names!` table in
 //!   `obs::names` must be mentioned elsewhere, by handle or by name (no
 //!   dead rows); dotted literals that share a registered family
@@ -51,6 +54,19 @@ pub const NAMES_PATH: &str = "crates/obs/src/names.rs";
 
 /// The checked-in baseline of intentional exceptions.
 pub const ALLOW_FILE: &str = "fabriclint.allow";
+
+/// Ambient clock reads, sleeps and timed waits, spelled as tokens:
+/// banned in `crates/*/src` outside test regions and [`CLOCK_EXEMPT`],
+/// since time goes through `common::clock`.
+const CLOCK_CALLS: &[&str] = &["Instant::now", ".elapsed(", "thread::sleep", ".wait_until("];
+
+/// Where [`CLOCK_CALLS`] stay allowed: the clock itself, and the crates
+/// that time the machine rather than the fabric.
+const CLOCK_EXEMPT: &[&str] = &[
+    "crates/common/src/clock.rs",
+    "crates/bench/",
+    "crates/fabriclint/",
+];
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Rule {
@@ -403,6 +419,28 @@ fn analyze_file(file: &SourceFile, cfg: &Config) -> FileFacts {
         .panic_path_prefixes
         .iter()
         .any(|p| file.path.starts_with(p));
+    let clock_scope = file.path.starts_with("crates/")
+        && file.path.contains("/src/")
+        && !CLOCK_EXEMPT.iter().any(|p| file.path.starts_with(p));
+
+    // determinism: ambient clock reads, sleeps and waits.
+    for w in toks
+        .windows(4)
+        .filter(|w| clock_scope && !in_test(w[0].line))
+    {
+        let spelled: String = w.iter().map(|t| t.text.as_str()).collect();
+        if let Some(call) = CLOCK_CALLS.iter().find(|call| spelled.starts_with(**call)) {
+            facts.findings.push(Finding {
+                file: file.path.clone(),
+                line: w[0].line,
+                rule: Rule::Determinism,
+                message: format!(
+                    "`{call}` reads or waits on ambient time; take the owner's \
+                     `common::clock::Clock` instead"
+                ),
+            });
+        }
+    }
 
     let mut i = 0usize;
     while i < toks.len() {

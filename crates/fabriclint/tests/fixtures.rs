@@ -92,6 +92,46 @@ fn determinism_accepts_seeded_code_and_inline_allows() {
     assert!(lint(&[allowed]).is_empty(), "inline allow must suppress");
 }
 
+/// Every ambient clock read, sleep and timed wait, once each.
+const AMBIENT_CLOCK: &str = "fn tick(cv: &Condvar, g: &mut Guard) -> u64 {\n\
+     let t = std::time::Instant::now();\n\
+     std::thread::sleep(D);\n\
+     cv.wait_until(g, t + D);\n\
+     t.elapsed().as_micros() as u64\n\
+     }\n";
+
+#[test]
+fn determinism_flags_ambient_clock_calls_in_product_code() {
+    let f = lint(&[file("crates/app/src/tick.rs", AMBIENT_CLOCK)]);
+    assert_eq!(rules(&f), vec![Rule::Determinism; 4], "{f:?}");
+    let lines: Vec<u32> = f.iter().map(|x| x.line).collect();
+    assert_eq!(lines, vec![2, 3, 4, 5]);
+    assert!(f[0].message.contains("`Instant::now`"), "{f:?}");
+    assert!(f[3].message.contains("`.elapsed(`"), "{f:?}");
+}
+
+#[test]
+fn determinism_leaves_the_clock_tests_and_bench_their_clock_calls() {
+    for path in [
+        "crates/common/src/clock.rs",
+        "crates/bench/src/tick.rs",
+        "crates/app/tests/tick.rs",
+    ] {
+        let f = lint(&[file(path, AMBIENT_CLOCK)]);
+        assert!(f.is_empty(), "{path}: {f:?}");
+    }
+    let test_region =
+        format!("pub fn real() {{}}\n#[cfg(test)]\nmod tests {{\n{AMBIENT_CLOCK}}}\n");
+    let f = lint(&[file("crates/app/src/tick.rs", &test_region)]);
+    assert!(f.is_empty(), "{f:?}");
+    // A clock's own reads are the owner's, not ambient.
+    let owned = file(
+        "crates/app/src/owned.rs",
+        "fn tick(clock: Clock, t: Instant) -> Duration { clock.sleep(D); clock.since(t) }",
+    );
+    assert!(lint(&[owned]).is_empty());
+}
+
 // ---------------------------------------------------------------------
 // obs-registry
 // ---------------------------------------------------------------------
@@ -436,6 +476,22 @@ fn blocking_under_lock_sees_through_calls() {
                 pub fn stall(p: &FixPair, d: Duration) { let f = p.fix_front.lock(); fix_nap(d); }\n";
     let f = lint(&[pair_file(body)]);
     assert_eq!(rules(&f), vec![Rule::BlockingUnderLock], "{f:?}");
+}
+
+#[test]
+fn blocking_under_lock_flags_a_clock_sleep_but_not_a_wait_on_its_own_guard() {
+    let body = "pub fn stall(p: &FixPair, clock: Clock, d: Duration) {\n\
+                    let f = p.fix_front.lock();\n\
+                    clock.sleep(d);\n\
+                }\n";
+    let f = lint(&[pair_file(body)]);
+    assert_eq!(rules(&f), vec![Rule::BlockingUnderLock], "{f:?}");
+    assert!(f[0].message.contains("`sleep`"), "{f:?}");
+    let body = "pub fn park(p: &FixPair, cv: &Condvar, clock: Clock, t: Instant) {\n\
+                    let mut f = p.fix_front.lock();\n\
+                    clock.wait(cv, &mut f, t);\n\
+                }\n";
+    assert!(lint(&[pair_file(body)]).is_empty());
 }
 
 #[test]

@@ -6,6 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use common::clock::Clock;
 use common::hash;
 use common::{Expr, Row, Value};
 use netsim::record::{NetClass, NodeRef, Recorder};
@@ -44,6 +45,10 @@ pub struct ClusterConfig {
     pub mergeout_min_containers: usize,
     /// Lock wait timeout (deadlock resolution).
     pub lock_timeout: Duration,
+    /// Where the cluster and everything it owns read time, sleep and
+    /// wait: lock and admission timeouts, injected latencies, mover
+    /// cadence, and the durations its events and timers record.
+    pub clock: Clock,
 }
 
 impl Default for ClusterConfig {
@@ -55,6 +60,7 @@ impl Default for ClusterConfig {
             moveout_threshold: 16 * 1024,
             mergeout_min_containers: 4,
             lock_timeout: Duration::from_secs(5),
+            clock: Clock::real(),
         }
     }
 }
@@ -293,6 +299,7 @@ impl Cluster {
             )),
         );
         static NEXT_CLUSTER_ID: AtomicU64 = AtomicU64::new(1);
+        let clock = config.clock;
         Arc::new(Cluster {
             id: NEXT_CLUSTER_ID.fetch_add(1, Ordering::Relaxed),
             config,
@@ -304,7 +311,7 @@ impl Cluster {
             catalog: RwLock::new(Catalog::new()),
             epoch: AtomicU64::new(0),
             commit_lock: Mutex::new(()),
-            locks: LockManager::new(),
+            locks: LockManager::new(clock),
             next_txn: AtomicU64::new(1),
             recorder: Recorder::new(),
             udfs: RwLock::new(HashMap::new()),
@@ -318,6 +325,11 @@ impl Cluster {
 
     pub fn config(&self) -> &ClusterConfig {
         &self.config
+    }
+
+    /// The cluster's clock (see [`ClusterConfig::clock`]).
+    pub fn clock(&self) -> Clock {
+        self.config.clock
     }
 
     /// Process-unique cluster id.
@@ -456,7 +468,7 @@ impl Cluster {
             return Err(DbError::ConnectionRefused { node });
         }
         self.faults
-            .apply_latency(LatencySite::Connect, node, &cancel)?;
+            .apply_latency(LatencySite::Connect, node, &cancel, self.clock())?;
         // Optimistic increment with bound check.
         let prev = state.open_sessions.fetch_add(1, Ordering::AcqRel);
         if prev >= self.config.max_client_sessions {
@@ -753,7 +765,8 @@ impl Cluster {
     /// Commit: stamp all pending work with the next epoch, publish it,
     /// release locks, and run the tuple mover where the WOS grew large.
     pub(crate) fn commit_txn(&self, txn: TxnHandle) -> u64 {
-        let commit_started = std::time::Instant::now();
+        let clock = self.clock();
+        let commit_started = clock.now();
         let epoch;
         {
             let _guard = self.commit_lock.lock();
@@ -774,7 +787,7 @@ impl Cluster {
         self.locks.release_all(txn.id);
         obs::global().emit(obs::EventKind::TxnCommit, |e| {
             e.task = Some(txn.id);
-            e.dur_us = commit_started.elapsed().as_micros() as u64;
+            e.dur_us = clock.since(commit_started).as_micros() as u64;
             e.detail = format!("epoch {epoch}, {} tables", txn.touched.len());
         });
         obs::global().incr(obs::names::DB_TXN_COMMIT);
@@ -783,7 +796,7 @@ impl Cluster {
             e.detail = format!("epoch {epoch}");
         });
         obs::global().incr(obs::names::DB_EPOCH_ADVANCE);
-        obs::global().record_time(obs::names::DB_COMMIT_US, commit_started.elapsed());
+        obs::global().record_time(obs::names::DB_COMMIT_US, clock.since(commit_started));
         // Post-commit maintenance: moveout of large WOS'es, recorded
         // like any other tuple-mover operation.
         for table in &txn.touched {

@@ -216,12 +216,14 @@ pub(crate) fn run_copy(
 ) -> DbResult<CopyResult> {
     let def = cluster.table_def(table)?;
     // Writes are never hedged, so nothing cancels a COPY.
+    let clock = cluster.clock();
     cluster.faults().apply_latency(
         crate::fault::LatencySite::Copy,
         node,
         &crate::session::Cancel::default(),
+        clock,
     )?;
-    let copy_started = std::time::Instant::now();
+    let copy_started = clock.now();
     let (format, input_bytes) = match &source {
         CopySource::Csv { text, .. } => ("csv", text.len() as u64),
         CopySource::Avro(bytes) => ("avro", bytes.len() as u64),
@@ -315,7 +317,7 @@ pub(crate) fn run_copy(
         e.task = task;
         e.rows = loaded;
         e.bytes = input_bytes;
-        e.dur_us = copy_started.elapsed().as_micros() as u64;
+        e.dur_us = clock.since(copy_started).as_micros() as u64;
         e.detail = format!(
             "{format} into {table}, {rejected} rejected{}",
             if options.direct { ", direct" } else { "" }
@@ -323,7 +325,7 @@ pub(crate) fn run_copy(
     });
     obs::global().add(obs::names::DB_COPY_ROWS, loaded);
     obs::global().add(obs::names::DB_COPY_BYTES, input_bytes);
-    obs::global().record_time(obs::names::DB_COPY_US, copy_started.elapsed());
+    obs::global().record_time(obs::names::DB_COPY_US, clock.since(copy_started));
     Ok(CopyResult {
         loaded,
         rejected,

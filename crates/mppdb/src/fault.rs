@@ -34,6 +34,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+use common::clock::Clock;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -464,6 +465,7 @@ impl FaultInjector {
         site: LatencySite,
         node: usize,
         cancel: &Cancel,
+        clock: Clock,
     ) -> DbResult<()> {
         if !self.may_delay.load(Ordering::Relaxed) {
             return Ok(());
@@ -491,7 +493,7 @@ impl FaultInjector {
         // injected grey failure into a real convoy, which the witness
         // reports as a `lockwitness.hazards` count.
         parking_lot::witness::note_sleep(obs::names::FAULT_DELAY);
-        cancel.sleep(delay)
+        cancel.sleep(clock, delay)
     }
 }
 

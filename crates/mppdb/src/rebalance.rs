@@ -56,7 +56,6 @@
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -109,11 +108,24 @@ pub(crate) struct PendingRebalance {
 
 /// Per-cluster rebalance state: the pending plan and the bounded op
 /// log.
-#[derive(Default)]
 pub(crate) struct RebalanceState {
     pub(crate) pending: Mutex<Option<PendingRebalance>>,
     ops: Mutex<VecDeque<RebalanceOp>>,
     seq: AtomicU64,
+}
+
+impl Default for RebalanceState {
+    /// Each lock gets a creation site of its own, which the lock-order
+    /// witness keys it by: the plan is held across `commit_lock` and the
+    /// log is taken under it, so one shared `Default` site would read as
+    /// a cycle.
+    fn default() -> RebalanceState {
+        RebalanceState {
+            pending: Mutex::new(None),
+            ops: Mutex::new(VecDeque::new()),
+            seq: AtomicU64::new(0),
+        }
+    }
 }
 
 impl RebalanceState {
@@ -341,7 +353,7 @@ impl Cluster {
                     // resume after the node is restored.
                     return Err(DbError::RebalanceInterrupted { node: mv.node });
                 }
-                let started = Instant::now();
+                let started = self.clock().now();
                 let rows = self.copy_migration(&old, table, *segmented, &mv)?;
                 // A kill during the copy bumped the generation: the
                 // target's staged rows died with it. Leave unrecorded —
@@ -353,7 +365,7 @@ impl Cluster {
                 pending.done.insert(key, gen_now);
                 report.migrations += 1;
                 report.rows_copied += rows;
-                let dur = started.elapsed();
+                let dur = self.clock().since(started);
                 obs::global().incr(obs::names::REBALANCE_MIGRATIONS);
                 obs::global().add(obs::names::REBALANCE_ROWS_COPIED, rows as u64);
                 self.rebalance.log(RebalanceOp {
@@ -383,7 +395,7 @@ impl Cluster {
                         range_end: mv.range.end,
                         map_version: target.version(),
                         epoch: self.current_epoch(),
-                        dur_us: started.elapsed().as_micros() as u64,
+                        dur_us: self.clock().since(started).as_micros() as u64,
                     });
                     return Err(DbError::RebalanceInterrupted { node: mv.node });
                 }

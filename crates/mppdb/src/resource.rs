@@ -17,8 +17,9 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::clock::Clock;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{DbError, DbResult};
@@ -88,34 +89,30 @@ impl ResourcePool {
         self.queue_timeout
     }
 
-    /// Admit one statement, queueing while the pool is full. Panics if
-    /// a bounded pool sheds the statement — callers of bounded pools
-    /// must use [`ResourcePool::try_admit`] and handle
-    /// [`DbError::Overloaded`].
-    pub fn admit(self: &Arc<Self>) -> PoolGuard {
-        // fabriclint: allow(panic-hygiene): documented contract — bounded pools must call try_admit
-        self.try_admit().expect("bounded pools require try_admit")
-    }
-
     /// Admit one statement, queueing while the pool is full (Vertica
     /// queues rather than rejects — up to this pool's admission
-    /// bounds). Returns a guard releasing the slot, or
-    /// [`DbError::Overloaded`] if the statement was shed.
-    pub fn try_admit(self: &Arc<Self>) -> DbResult<PoolGuard> {
-        let started = Instant::now();
+    /// bounds), with the queue timeout measured on `clock`. Returns a
+    /// guard releasing the slot, or [`DbError::Overloaded`] if the
+    /// statement was shed.
+    pub fn try_admit(self: &Arc<Self>, clock: Clock) -> DbResult<PoolGuard> {
+        let started = clock.now();
         let mut st = self.state.lock();
         let queued = st.active >= self.max_concurrency;
         if queued {
             if st.waiting >= self.max_queue {
                 drop(st);
-                return Err(self.shed("queue full", obs::names::SHED_QUEUE_FULL, started));
+                return Err(self.shed(
+                    "queue full",
+                    obs::names::SHED_QUEUE_FULL,
+                    clock.since(started),
+                ));
             }
             st.waiting += 1;
             let deadline = self.queue_timeout.map(|t| started + t);
             while st.active >= self.max_concurrency {
                 match deadline {
                     Some(d) => {
-                        if self.released.wait_until(&mut st, d).timed_out()
+                        if clock.wait(&self.released, &mut st, d)
                             && st.active >= self.max_concurrency
                         {
                             st.waiting -= 1;
@@ -123,7 +120,7 @@ impl ResourcePool {
                             return Err(self.shed(
                                 "queue timeout",
                                 obs::names::SHED_TIMEOUT,
-                                started,
+                                clock.since(started),
                             ));
                         }
                     }
@@ -136,7 +133,7 @@ impl ResourcePool {
         self.high_water.fetch_max(st.active, Ordering::AcqRel);
         let now_active = st.active;
         drop(st);
-        let waited = started.elapsed();
+        let waited = clock.since(started);
         obs::global().emit(obs::EventKind::PoolAdmit, |e| {
             e.dur_us = waited.as_micros() as u64;
             e.detail = format!(
@@ -155,9 +152,8 @@ impl ResourcePool {
         })
     }
 
-    fn shed(&self, why: &str, counter: obs::names::Counter, started: Instant) -> DbError {
+    fn shed(&self, why: &str, counter: obs::names::Counter, waited: Duration) -> DbError {
         self.shed_total.fetch_add(1, Ordering::Relaxed);
-        let waited = started.elapsed();
         obs::global().emit(obs::EventKind::PoolAdmit, |e| {
             e.dur_us = waited.as_micros() as u64;
             e.detail = format!("pool {} shed ({why})", self.name);
@@ -209,9 +205,10 @@ mod tests {
 
     #[test]
     fn admission_tracks_active_and_high_water() {
+        let clock = Clock::manual();
         let pool = Arc::new(ResourcePool::new("p", 1 << 30, 8));
-        let g1 = pool.admit();
-        let g2 = pool.admit();
+        let g1 = pool.try_admit(clock).unwrap();
+        let g2 = pool.try_admit(clock).unwrap();
         assert_eq!(pool.active(), 2);
         drop(g1);
         assert_eq!(pool.active(), 1);
@@ -222,6 +219,7 @@ mod tests {
 
     #[test]
     fn concurrency_bound_enforced() {
+        let clock = Clock::manual();
         let pool = Arc::new(ResourcePool::new("p", 1 << 30, 2));
         let observed_max = Arc::new(AtomicUsize::new(0));
         std::thread::scope(|s| {
@@ -229,9 +227,9 @@ mod tests {
                 let pool = Arc::clone(&pool);
                 let observed = Arc::clone(&observed_max);
                 s.spawn(move || {
-                    let _g = pool.admit();
+                    let _g = pool.try_admit(clock).unwrap();
                     observed.fetch_max(pool.active(), Ordering::AcqRel);
-                    std::thread::sleep(std::time::Duration::from_millis(2));
+                    std::thread::yield_now();
                 });
             }
         });
@@ -241,11 +239,12 @@ mod tests {
 
     #[test]
     fn full_queue_sheds_immediately() {
+        let clock = Clock::manual();
         let pool = Arc::new(
             ResourcePool::new("tiny", 1 << 20, 1).with_admission(0, Duration::from_secs(1)),
         );
-        let g = pool.try_admit().expect("first admission fits");
-        let err = pool.try_admit().expect_err("queue of 0 sheds at once");
+        let g = pool.try_admit(clock).expect("first admission fits");
+        let err = pool.try_admit(clock).expect_err("queue of 0 sheds at once");
         assert_eq!(
             err,
             DbError::Overloaded {
@@ -255,34 +254,42 @@ mod tests {
         assert_eq!(pool.shed_count(), 1);
         drop(g);
         // Slot free again: admission succeeds.
-        assert!(pool.try_admit().is_ok());
+        assert!(pool.try_admit(clock).is_ok());
     }
 
     #[test]
     fn queue_timeout_sheds_after_deadline() {
+        let clock = Clock::manual();
         let pool = Arc::new(
             ResourcePool::new("slowq", 1 << 20, 1).with_admission(4, Duration::from_millis(10)),
         );
-        let _g = pool.try_admit().expect("first admission fits");
-        let started = Instant::now();
-        let err = pool.try_admit().expect_err("waiter times out");
+        let _g = pool.try_admit(clock).expect("first admission fits");
+        let err = std::thread::scope(|s| {
+            let waiter = s.spawn(|| pool.try_admit(clock).map(drop));
+            while clock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            clock.advance(Duration::from_millis(10) - Duration::from_nanos(1));
+            assert_eq!(pool.waiting(), 1, "still queued a nanosecond short");
+            clock.advance(Duration::from_nanos(1));
+            waiter.join().unwrap().expect_err("waiter times out")
+        });
         assert!(matches!(err, DbError::Overloaded { .. }));
-        assert!(
-            started.elapsed() >= Duration::from_millis(9),
-            "shed only after the queue deadline"
-        );
+        assert_eq!(pool.shed_count(), 1);
         assert_eq!(pool.waiting(), 0, "shed waiter leaves the queue");
     }
 
     #[test]
     fn queued_waiter_admitted_when_slot_frees() {
+        let clock = Clock::manual();
         let pool =
             Arc::new(ResourcePool::new("q", 1 << 20, 1).with_admission(4, Duration::from_secs(5)));
-        let g = pool.try_admit().expect("first admission fits");
+        let g = pool.try_admit(clock).expect("first admission fits");
         std::thread::scope(|s| {
-            let p2 = Arc::clone(&pool);
-            let h = s.spawn(move || p2.try_admit().map(drop).is_ok());
-            std::thread::sleep(Duration::from_millis(5));
+            let h = s.spawn(|| pool.try_admit(clock).map(drop).is_ok());
+            while clock.waiters() == 0 {
+                std::thread::yield_now();
+            }
             drop(g);
             assert!(h.join().unwrap(), "waiter admitted once the slot frees");
         });

@@ -7,8 +7,9 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
+use common::clock::Clock;
 use common::Row;
 use parking_lot::{Condvar, Mutex};
 
@@ -58,12 +59,12 @@ impl Cancel {
         Ok(())
     }
 
-    /// Sleep for `delay`, ending early with `Err(Cancelled)` when the
-    /// token is cancelled first.
-    pub fn sleep(&self, delay: Duration) -> DbResult<()> {
-        let until = Instant::now() + delay;
+    /// Wait out `delay` on `clock`, ending early with `Err(Cancelled)`
+    /// when the token is cancelled first.
+    pub fn sleep(&self, clock: Clock, delay: Duration) -> DbResult<()> {
+        let until = clock.now() + delay;
         let mut waiting = self.0.waiting.lock();
-        while !self.is_cancelled() && !self.0.wake.wait_until(&mut waiting, until).timed_out() {}
+        while !self.is_cancelled() && !clock.wait(&self.0.wake, &mut waiting, until) {}
         drop(waiting);
         self.check()
     }
@@ -356,13 +357,14 @@ impl Session {
     fn query_unspanned(&mut self, spec: &QuerySpec, want_batch: bool) -> DbResult<QueryResult> {
         self.ensure_connected()?;
         let _admission = match self.cluster.resource_pool(&self.pool) {
-            Some(pool) => Some(pool.try_admit()?),
+            Some(pool) => Some(pool.try_admit(self.cluster.clock())?),
             None => None,
         };
         self.cluster.faults().apply_latency(
             crate::fault::LatencySite::Scan,
             self.node,
             &self.cancel,
+            self.cluster.clock(),
         )?;
         // System tables are read-only catalog views.
         if let Some((schema, rows)) = crate::system::scan_system_table(&self.cluster, &spec.table) {

@@ -41,15 +41,16 @@
 
 use std::collections::BTreeSet;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::Cluster;
 use crate::fault::FaultSite;
+use crate::storage::store::MergeOutcome;
 use crate::storage::NodeTableStore;
 use crate::txn::LockMode;
 
@@ -107,13 +108,20 @@ impl MoverPassReport {
 }
 
 /// Per-cluster mover state: the bounded operation log and the
-/// background-thread handle.
+/// background thread with its stop signal.
 #[derive(Default)]
 pub(crate) struct MoverState {
     ops: Mutex<VecDeque<MoverOp>>,
     seq: AtomicU64,
-    stop: AtomicBool,
-    thread: Mutex<Option<JoinHandle<()>>>,
+    thread: Mutex<Option<(JoinHandle<()>, Arc<MoverStop>)>>,
+}
+
+/// What a running mover thread waits on between passes: a stop ends the
+/// wait at once instead of after the rest of the interval.
+#[derive(Default)]
+struct MoverStop {
+    stopped: Mutex<bool>,
+    wake: Condvar,
 }
 
 impl MoverState {
@@ -137,7 +145,7 @@ impl Cluster {
         let mut report = MoverPassReport::default();
         // Admission: maintenance must not starve foreground queries.
         let _guard = match self.resource_pool(MOVER_POOL) {
-            Some(pool) => match pool.try_admit() {
+            Some(pool) => match pool.try_admit(self.clock()) {
                 Ok(guard) => Some(guard),
                 Err(_) => {
                     obs::global().incr(obs::names::TM_SHEDS);
@@ -190,32 +198,10 @@ impl Cluster {
                 report.moveout_rows += moved;
                 report.moveout_runs += 1;
             }
-            let started = Instant::now();
-            let outcome = store.mergeout(self.config().mergeout_min_containers);
-            if outcome.merges > 0 {
-                let dur = started.elapsed();
-                obs::global().add(obs::names::TM_MERGEOUT_RUNS, outcome.merges as u64);
-                obs::global().add(obs::names::TM_ROWS_MERGED, outcome.rows as u64);
-                obs::global().add(
-                    obs::names::TM_CONTAINERS_MERGED,
-                    outcome.containers_in as u64,
-                );
-                obs::global().record_time(obs::names::TM_MERGEOUT_US, dur);
-                self.mover.log(MoverOp {
-                    seq: 0,
-                    op: "mergeout",
-                    node: idx,
-                    table: table.to_string(),
-                    rows: outcome.rows as u64,
-                    containers_in: outcome.containers_in as u64,
-                    containers_out: outcome.merges as u64,
-                    epoch: self.current_epoch(),
-                    dur_us: dur.as_micros() as u64,
-                });
-                report.merges += outcome.merges;
-                report.merged_rows += outcome.rows;
-                report.containers_merged += outcome.containers_in;
-            }
+            let outcome = self.mergeout_store_recorded(idx, table, store);
+            report.merges += outcome.merges;
+            report.merged_rows += outcome.rows;
+            report.containers_merged += outcome.containers_in;
         }
         self.locks.release_all(txn);
     }
@@ -233,12 +219,12 @@ impl Cluster {
         if store.wos_committed_rows() == 0 {
             return 0;
         }
-        let started = Instant::now();
+        let started = self.clock().now();
         let moved = store.moveout();
         if moved == 0 {
             return 0;
         }
-        let dur = started.elapsed();
+        let dur = self.clock().since(started);
         obs::global().incr(obs::names::TM_MOVEOUT_RUNS);
         obs::global().add(obs::names::TM_ROWS_MOVED, moved as u64);
         obs::global().record_time(obs::names::TM_MOVEOUT_US, dur);
@@ -256,6 +242,42 @@ impl Cluster {
         moved
     }
 
+    /// Run mergeout on one store (caller holds the store map's write
+    /// lock) and record what it merged, as [`Cluster::moveout_store_recorded`]
+    /// does for moveout.
+    fn mergeout_store_recorded(
+        &self,
+        node: usize,
+        table: &str,
+        store: &mut NodeTableStore,
+    ) -> MergeOutcome {
+        let started = self.clock().now();
+        let outcome = store.mergeout(self.config().mergeout_min_containers);
+        if outcome.merges == 0 {
+            return outcome;
+        }
+        let dur = self.clock().since(started);
+        obs::global().add(obs::names::TM_MERGEOUT_RUNS, outcome.merges as u64);
+        obs::global().add(obs::names::TM_ROWS_MERGED, outcome.rows as u64);
+        obs::global().add(
+            obs::names::TM_CONTAINERS_MERGED,
+            outcome.containers_in as u64,
+        );
+        obs::global().record_time(obs::names::TM_MERGEOUT_US, dur);
+        self.mover.log(MoverOp {
+            seq: 0,
+            op: "mergeout",
+            node,
+            table: table.to_string(),
+            rows: outcome.rows as u64,
+            containers_in: outcome.containers_in as u64,
+            containers_out: outcome.merges as u64,
+            epoch: self.current_epoch(),
+            dur_us: dur.as_micros() as u64,
+        });
+        outcome
+    }
+
     /// Run the tuple mover's mergeout on every node-table store
     /// (unconditionally, no pool/lock gating — the test and bench
     /// counterpart of [`Cluster::moveout_all`]). Returns rows rewritten.
@@ -269,30 +291,7 @@ impl Cluster {
                 let Some(store) = stores.get_mut(&table) else {
                     continue;
                 };
-                let started = Instant::now();
-                let outcome = store.mergeout(self.config().mergeout_min_containers);
-                if outcome.merges > 0 {
-                    let dur = started.elapsed();
-                    obs::global().add(obs::names::TM_MERGEOUT_RUNS, outcome.merges as u64);
-                    obs::global().add(obs::names::TM_ROWS_MERGED, outcome.rows as u64);
-                    obs::global().add(
-                        obs::names::TM_CONTAINERS_MERGED,
-                        outcome.containers_in as u64,
-                    );
-                    obs::global().record_time(obs::names::TM_MERGEOUT_US, dur);
-                    self.mover.log(MoverOp {
-                        seq: 0,
-                        op: "mergeout",
-                        node: idx,
-                        table,
-                        rows: outcome.rows as u64,
-                        containers_in: outcome.containers_in as u64,
-                        containers_out: outcome.merges as u64,
-                        epoch: self.current_epoch(),
-                        dur_us: dur.as_micros() as u64,
-                    });
-                    rows += outcome.rows;
-                }
+                rows += self.mergeout_store_recorded(idx, &table, store).rows;
             }
         }
         rows
@@ -305,35 +304,80 @@ impl Cluster {
     }
 
     /// Start the background mover thread, ticking [`Cluster::mover_pass`]
-    /// every `interval`. Idempotent while running. The thread holds only
-    /// a weak reference, so dropping the last cluster handle also ends
-    /// it; call [`Cluster::stop_mover`] for a deterministic shutdown.
+    /// every `interval` of the cluster's clock. Idempotent while running.
+    /// The thread holds only a weak reference, so dropping the last
+    /// cluster handle also ends it (at its next tick); call
+    /// [`Cluster::stop_mover`] for a prompt, deterministic shutdown.
     pub fn start_mover(self: &Arc<Cluster>, interval: Duration) {
         let mut thread = self.mover.thread.lock();
         if thread.is_some() {
             return;
         }
-        self.mover.stop.store(false, Ordering::Release);
-        let weak = Arc::downgrade(self);
-        *thread = Some(std::thread::spawn(move || loop {
-            std::thread::sleep(interval);
+        let stop = Arc::new(MoverStop::default());
+        let (weak, clock, signal) = (Arc::downgrade(self), self.clock(), Arc::clone(&stop));
+        let mut due = clock.now() + interval;
+        let handle = std::thread::spawn(move || loop {
+            let mut stopped = signal.stopped.lock();
+            while !*stopped && !clock.wait(&signal.wake, &mut stopped, due) {}
+            if *stopped {
+                break;
+            }
+            drop(stopped);
             let Some(cluster) = weak.upgrade() else {
                 break;
             };
-            if cluster.mover.stop.load(Ordering::Acquire) {
-                break;
-            }
             cluster.mover_pass();
-        }));
+            due = clock.now() + interval;
+        });
+        *thread = Some((handle, stop));
     }
 
-    /// Stop the background mover thread and wait for it to exit. No-op
+    /// Stop the background mover thread and wait for it to exit: at
+    /// most the pass it is running, never the rest of an interval. No-op
     /// when it is not running.
     pub fn stop_mover(&self) {
-        self.mover.stop.store(true, Ordering::Release);
-        let thread = self.mover.thread.lock().take();
-        if let Some(thread) = thread {
-            let _ = thread.join();
+        let running = self.mover.thread.lock().take();
+        if let Some((handle, stop)) = running {
+            *stop.stopped.lock() = true;
+            stop.wake.notify_all();
+            let _ = handle.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::ClusterConfig;
+    use common::clock::Clock;
+
+    /// On a manual clock with an hour-long interval, one advance of an
+    /// hour runs one pass, and the stop that follows returns with no
+    /// further advance instead of waiting out the next hour.
+    #[test]
+    fn stop_mover_does_not_wait_out_the_interval() {
+        let clock = Clock::manual();
+        let db = Cluster::new(ClusterConfig {
+            clock,
+            ..ClusterConfig::default()
+        });
+        let mut s = db.connect(0).unwrap();
+        s.execute("CREATE TABLE t (id INT NOT NULL) SEGMENTED BY HASH(id) ALL NODES")
+            .unwrap();
+        s.execute("INSERT INTO t VALUES (1), (2), (3), (4)")
+            .unwrap();
+        db.start_mover(Duration::from_secs(3600));
+        clock.advance(Duration::from_secs(3600));
+        while db.mover_ops().is_empty() {
+            std::thread::yield_now();
+        }
+        db.stop_mover();
+        let ops = db.mover_ops();
+        assert!(ops.iter().all(|op| op.op == "moveout"), "{ops:?}");
+        assert_eq!(
+            ops.iter().map(|op| op.rows).sum::<u64>(),
+            4,
+            "one pass moved the WOS"
+        );
     }
 }

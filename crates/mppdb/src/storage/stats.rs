@@ -14,6 +14,7 @@
 //! answer on every run (fabriclint's determinism rule applies to
 //! storage metadata as much as to the engines).
 
+use common::clock::Clock;
 use common::expr::BinaryOp;
 use common::hash::HASH_SEED;
 use common::{Expr, Value};
@@ -122,7 +123,10 @@ impl ContainerStats {
     /// Compute stats from the unencoded columns and the per-row
     /// segmentation hashes. Timed under `stats.build_us`.
     pub fn compute(columns: &[ColumnData], hashes: &[u64]) -> ContainerStats {
-        let started = std::time::Instant::now();
+        // A build has no owner to hand it a clock: `stats.build_us` is
+        // real time, whatever clock the store runs on.
+        let clock = Clock::real();
+        let started = clock.now();
         let (hash_min, hash_max) = hashes
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), &h| (lo.min(h), hi.max(h)));
@@ -132,7 +136,7 @@ impl ContainerStats {
             hash_max,
             columns: columns.iter().map(ColumnStats::compute).collect(),
         };
-        obs::global().record_time(obs::names::STATS_BUILD_US, started.elapsed());
+        obs::global().record_time(obs::names::STATS_BUILD_US, clock.since(started));
         stats
     }
 

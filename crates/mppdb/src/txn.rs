@@ -18,6 +18,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
+use common::clock::Clock;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{DbError, DbResult};
@@ -58,15 +59,21 @@ struct LockState {
 
 /// Table lock manager with wait timeouts (deadlock resolution by
 /// timeout, as many databases do).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LockManager {
     tables: Mutex<HashMap<String, LockState>>,
     released: Condvar,
+    /// What lock timeouts are measured on.
+    clock: Clock,
 }
 
 impl LockManager {
-    pub fn new() -> LockManager {
-        LockManager::default()
+    pub fn new(clock: Clock) -> LockManager {
+        LockManager {
+            tables: Mutex::new(HashMap::new()),
+            released: Condvar::new(),
+            clock,
+        }
     }
 
     /// Acquire `table`'s lock for `txn` in the given mode. Re-entrant;
@@ -80,7 +87,7 @@ impl LockManager {
         timeout: Duration,
     ) -> DbResult<()> {
         let mut tables = self.tables.lock();
-        let deadline = std::time::Instant::now() + timeout;
+        let deadline = self.clock.now() + timeout;
         loop {
             let state = tables.entry(table.to_string()).or_default();
             let granted = match mode {
@@ -108,7 +115,7 @@ impl LockManager {
             if granted {
                 return Ok(());
             }
-            if self.released.wait_until(&mut tables, deadline).timed_out() {
+            if self.clock.wait(&self.released, &mut tables, deadline) {
                 return Err(DbError::LockTimeout {
                     table: table.to_string(),
                 });
@@ -128,23 +135,6 @@ impl LockManager {
         });
         self.released.notify_all();
     }
-
-    /// Current exclusive owner of a table's lock (diagnostics/tests).
-    pub fn exclusive_owner(&self, table: &str) -> Option<u64> {
-        self.tables
-            .lock()
-            .get(table)
-            .and_then(|state| state.exclusive)
-    }
-
-    /// Number of shared holders (diagnostics/tests).
-    pub fn shared_holders(&self, table: &str) -> usize {
-        self.tables
-            .lock()
-            .get(table)
-            .map(|state| state.shared.len())
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -154,9 +144,51 @@ mod tests {
 
     const T: Duration = Duration::from_millis(20);
 
+    impl LockManager {
+        fn exclusive_owner(&self, table: &str) -> Option<u64> {
+            self.tables
+                .lock()
+                .get(table)
+                .and_then(|state| state.exclusive)
+        }
+
+        fn shared_holders(&self, table: &str) -> usize {
+            self.tables
+                .lock()
+                .get(table)
+                .map_or(0, |state| state.shared.len())
+        }
+    }
+
+    /// A lock manager on a clock of its own, which only the test moves.
+    fn manager() -> (LockManager, Clock) {
+        let clock = Clock::manual();
+        (LockManager::new(clock), clock)
+    }
+
+    /// `acquire` on `t`, timed out by advancing the clock `T` if it has
+    /// to wait.
+    fn acquire_or_time_out(
+        lm: &LockManager,
+        clock: Clock,
+        txn: u64,
+        mode: LockMode,
+    ) -> DbResult<()> {
+        std::thread::scope(|s| {
+            let attempt = s.spawn(|| lm.acquire(txn, "t", mode, T));
+            while !attempt.is_finished() && clock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            if clock.waiters() > 0 {
+                clock.advance(T);
+            }
+            attempt.join().unwrap()
+        })
+    }
+
     #[test]
     fn shared_locks_coexist() {
-        let lm = LockManager::new();
+        let (lm, _) = manager();
         lm.acquire(1, "t", LockMode::Shared, T).unwrap();
         lm.acquire(2, "t", LockMode::Shared, T).unwrap();
         lm.acquire(3, "t", LockMode::Shared, T).unwrap();
@@ -166,10 +198,10 @@ mod tests {
 
     #[test]
     fn exclusive_blocks_everyone() {
-        let lm = LockManager::new();
+        let (lm, clock) = manager();
         lm.acquire(1, "t", LockMode::Exclusive, T).unwrap();
-        assert!(lm.acquire(2, "t", LockMode::Shared, T).is_err());
-        assert!(lm.acquire(2, "t", LockMode::Exclusive, T).is_err());
+        assert!(acquire_or_time_out(&lm, clock, 2, LockMode::Shared).is_err());
+        assert!(acquire_or_time_out(&lm, clock, 2, LockMode::Exclusive).is_err());
         // Re-entrant for the owner, in both modes.
         lm.acquire(1, "t", LockMode::Exclusive, T).unwrap();
         lm.acquire(1, "t", LockMode::Shared, T).unwrap();
@@ -177,48 +209,60 @@ mod tests {
 
     #[test]
     fn shared_blocks_exclusive_until_released() {
-        let lm = LockManager::new();
+        let (lm, clock) = manager();
         lm.acquire(1, "t", LockMode::Shared, T).unwrap();
-        assert!(lm.acquire(2, "t", LockMode::Exclusive, T).is_err());
+        assert!(acquire_or_time_out(&lm, clock, 2, LockMode::Exclusive).is_err());
         lm.release_all(1);
         lm.acquire(2, "t", LockMode::Exclusive, T).unwrap();
     }
 
     #[test]
     fn sole_shared_holder_upgrades() {
-        let lm = LockManager::new();
+        let (lm, clock) = manager();
         lm.acquire(1, "t", LockMode::Shared, T).unwrap();
         lm.acquire(1, "t", LockMode::Exclusive, T).unwrap();
         assert_eq!(lm.exclusive_owner("t"), Some(1));
-        assert!(lm.acquire(2, "t", LockMode::Shared, T).is_err());
+        assert!(acquire_or_time_out(&lm, clock, 2, LockMode::Shared).is_err());
     }
 
     #[test]
     fn contended_upgrade_times_out() {
-        let lm = LockManager::new();
+        let (lm, clock) = manager();
         lm.acquire(1, "t", LockMode::Shared, T).unwrap();
         lm.acquire(2, "t", LockMode::Shared, T).unwrap();
-        let err = lm.acquire(1, "t", LockMode::Exclusive, T).unwrap_err();
+        let started = clock.now();
+        let err = std::thread::scope(|s| {
+            let upgrade = s.spawn(|| lm.acquire(1, "t", LockMode::Exclusive, T));
+            while clock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            clock.advance(T - Duration::from_nanos(1));
+            assert_eq!(clock.waiters(), 1, "still waiting a nanosecond short");
+            clock.advance(Duration::from_nanos(1));
+            upgrade.join().unwrap().unwrap_err()
+        });
         assert!(matches!(err, DbError::LockTimeout { .. }));
+        assert_eq!(clock.since(started), T);
     }
 
     #[test]
     fn release_wakes_waiter() {
-        let lm = Arc::new(LockManager::new());
+        let (lm, clock) = manager();
         lm.acquire(1, "t", LockMode::Exclusive, T).unwrap();
-        let lm2 = Arc::clone(&lm);
-        let waiter = std::thread::spawn(move || {
-            lm2.acquire(2, "t", LockMode::Exclusive, Duration::from_secs(5))
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| lm.acquire(2, "t", LockMode::Exclusive, T));
+            while clock.waiters() == 0 {
+                std::thread::yield_now();
+            }
+            lm.release_all(1);
+            waiter.join().unwrap().unwrap();
         });
-        std::thread::sleep(Duration::from_millis(10));
-        lm.release_all(1);
-        waiter.join().unwrap().unwrap();
         assert_eq!(lm.exclusive_owner("t"), Some(2));
     }
 
     #[test]
     fn release_all_only_releases_own_locks() {
-        let lm = LockManager::new();
+        let (lm, _) = manager();
         lm.acquire(1, "a", LockMode::Exclusive, T).unwrap();
         lm.acquire(2, "b", LockMode::Shared, T).unwrap();
         lm.release_all(1);
@@ -228,15 +272,14 @@ mod tests {
 
     #[test]
     fn many_threads_serialize_on_exclusive() {
-        let lm = Arc::new(LockManager::new());
+        let lm = Arc::new(manager().0);
         let counter = Arc::new(Mutex::new(0u64));
         std::thread::scope(|s| {
             for txn in 0..16u64 {
                 let lm = Arc::clone(&lm);
                 let counter = Arc::clone(&counter);
                 s.spawn(move || {
-                    lm.acquire(txn, "t", LockMode::Exclusive, Duration::from_secs(10))
-                        .unwrap();
+                    lm.acquire(txn, "t", LockMode::Exclusive, T).unwrap();
                     *counter.lock() += 1;
                     lm.release_all(txn);
                 });

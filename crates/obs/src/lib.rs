@@ -45,6 +45,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
+use common::clock::Clock;
 use parking_lot::Mutex;
 
 pub mod names;
@@ -443,6 +444,8 @@ impl Snapshot {
 /// ```
 pub struct Collector {
     enabled: AtomicBool,
+    /// The collector has no owner to hand it a clock: its timestamps are
+    /// real time, whatever clock the recorded work runs on.
     start: Instant,
     seq: AtomicU64,
     shards: Vec<Mutex<std::collections::VecDeque<Event>>>,
@@ -466,7 +469,7 @@ impl Collector {
     pub fn new() -> Collector {
         Collector {
             enabled: AtomicBool::new(true),
-            start: Instant::now(),
+            start: Clock::real().now(),
             seq: AtomicU64::new(0),
             shards: (0..SHARDS)
                 .map(|_| Mutex::new(std::collections::VecDeque::new()))
@@ -489,6 +492,11 @@ impl Collector {
         self.enabled.load(Ordering::Relaxed)
     }
 
+    /// Microseconds since the collector was made.
+    fn now_us(&self) -> u64 {
+        Clock::real().since(self.start).as_micros() as u64
+    }
+
     fn shard_index(&self) -> usize {
         thread_local! {
             static SHARD: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
@@ -509,7 +517,7 @@ impl Collector {
         }
         let mut event = Event {
             seq: self.seq.fetch_add(1, Ordering::Relaxed),
-            ts_us: self.start.elapsed().as_micros() as u64,
+            ts_us: self.now_us(),
             dur_us: 0,
             kind,
             job: None,
@@ -571,7 +579,7 @@ impl Collector {
         if !self.is_enabled() {
             return TraceCtx::NONE;
         }
-        let now = self.start.elapsed().as_micros() as u64;
+        let now = self.now_us();
         self.traces.lock().start_trace(span, now)
     }
 
@@ -581,7 +589,7 @@ impl Collector {
         if parent.is_none() || !self.is_enabled() {
             return TraceCtx::NONE;
         }
-        let now = self.start.elapsed().as_micros() as u64;
+        let now = self.now_us();
         self.traces.lock().start_span(span, parent, now)
     }
 
@@ -593,7 +601,7 @@ impl Collector {
         if ctx.is_none() || !self.is_enabled() {
             return;
         }
-        let now = self.start.elapsed().as_micros() as u64;
+        let now = self.now_us();
         let finished = self.traces.lock().finish_span(ctx, now, fill);
         if let Some((span, dur_us)) = finished {
             self.record_value(span.index(), dur_us);

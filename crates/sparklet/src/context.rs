@@ -3,6 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use common::clock::Clock;
 use common::{Row, Schema};
 use netsim::record::Recorder;
 use parking_lot::RwLock;
@@ -12,7 +13,7 @@ use crate::datasource::DataSourceProvider;
 use crate::error::{SparkError, SparkResult};
 use crate::failure::FailureInjector;
 use crate::rdd::{Partition, Rdd};
-use crate::scheduler::{Scheduler, SchedulerConf, TaskContext};
+use crate::scheduler::{Scheduler, TaskContext};
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -39,6 +40,9 @@ pub struct SparkConf {
     /// Runtime floor (ms) below which nothing is speculated — keeps
     /// µs-scale clean runs free of spurious duplicates.
     pub speculation_min_ms: u64,
+    /// What the scheduler reads time on: slot waits, task runtimes and
+    /// the straggler watchdog's cadence and verdicts.
+    pub clock: Clock,
 }
 
 impl Default for SparkConf {
@@ -52,6 +56,7 @@ impl Default for SparkConf {
             speculation_multiplier: 3.0,
             speculation_quantile: 0.5,
             speculation_min_ms: 25,
+            clock: Clock::real(),
         }
     }
 }
@@ -85,20 +90,10 @@ pub struct SparkContext {
 
 impl SparkContext {
     pub fn new(conf: SparkConf) -> SparkContext {
-        let scheduler = Scheduler::new(SchedulerConf {
-            nodes: conf.nodes,
-            total_slots: conf.total_slots(),
-            max_task_attempts: conf.max_task_attempts,
-            thread_cap: conf.thread_cap,
-            speculation: conf.speculation,
-            speculation_multiplier: conf.speculation_multiplier,
-            speculation_quantile: conf.speculation_quantile,
-            speculation_min_ms: conf.speculation_min_ms,
-        });
         SparkContext {
             inner: Arc::new(Inner {
+                scheduler: Scheduler::new(conf.clone()),
                 conf,
-                scheduler,
                 recorder: Recorder::new(),
                 failures: FailureInjector::new(),
                 formats: RwLock::new(HashMap::new()),

@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::context::SparkConf;
 use crate::error::{SparkError, SparkResult};
 use crate::failure::{FailureInjector, FailureMode};
 
@@ -32,20 +33,6 @@ pub struct TaskContext {
     /// This attempt's `sched.task` span, for parenting any spans the
     /// task body opens. [`obs::TraceCtx::NONE`] in untraced jobs.
     pub trace: obs::TraceCtx,
-}
-
-/// Scheduler configuration derived from the engine conf.
-#[derive(Debug, Clone)]
-pub(crate) struct SchedulerConf {
-    pub nodes: usize,
-    pub total_slots: usize,
-    pub max_task_attempts: u32,
-    /// Upper bound on real worker threads per job.
-    pub thread_cap: usize,
-    pub speculation: bool,
-    pub speculation_multiplier: f64,
-    pub speculation_quantile: f64,
-    pub speculation_min_ms: u64,
 }
 
 /// How often an idle worker re-checks running tasks for stragglers.
@@ -94,7 +81,7 @@ pub struct JobStats {
 }
 
 pub(crate) struct Scheduler {
-    conf: SchedulerConf,
+    conf: SparkConf,
     /// Stats of finished jobs, by job id (bounded; oldest pruned).
     stats: Mutex<HashMap<u64, JobStats>>,
 }
@@ -108,7 +95,7 @@ static NEXT_JOB: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::ne
 const STATS_CAP: usize = 1024;
 
 impl Scheduler {
-    pub fn new(conf: SchedulerConf) -> Scheduler {
+    pub fn new(conf: SparkConf) -> Scheduler {
         Scheduler {
             conf,
             stats: Mutex::new(HashMap::new()),
@@ -162,7 +149,7 @@ impl Scheduler {
         let mut attempts_launched = vec![0u32; partitions];
         let mut live = vec![0u32; partitions];
         let mut speculative = 0u64;
-        let now = Instant::now();
+        let now = self.conf.clock.now();
         for p in 0..partitions {
             queue.push_back((p, 1, false, now));
             attempts_launched[p] = 1;
@@ -209,7 +196,7 @@ impl Scheduler {
         // taken by a worker whose attempt has finished. The caller runs
         // worker 0 and holds no lock guard across the fan-out.
         let workers = queued
-            .min(self.conf.total_slots)
+            .min(self.conf.total_slots())
             .min(self.conf.thread_cap)
             .max(1);
 
@@ -270,7 +257,7 @@ impl Scheduler {
             .filter(|((p, _), started)| {
                 !st.speculated[*p]
                     && st.results[*p].is_none()
-                    && started.elapsed().as_micros() as u64 > threshold_us
+                    && self.conf.clock.since(**started).as_micros() as u64 > threshold_us
             })
             .map(|((p, _), _)| *p)
             .collect();
@@ -283,7 +270,7 @@ impl Scheduler {
             st.live[p] += 1;
             st.speculated[p] = true;
             st.speculative += 1;
-            st.queue.push_back((p, next, true, Instant::now()));
+            st.queue.push_back((p, next, true, self.conf.clock.now()));
             obs::global().emit(obs::EventKind::TaskSpeculative, |e| {
                 e.job = Some(job_label(job_id));
                 e.task = Some(p as u64);
@@ -305,6 +292,7 @@ impl Scheduler {
         failures: &FailureInjector,
         task_fn: &(dyn Fn(&TaskContext) -> SparkResult<R> + Sync),
     ) {
+        let clock = self.conf.clock;
         loop {
             let attempt = {
                 let mut st = state.lock();
@@ -316,7 +304,7 @@ impl Scheduler {
                     if let Some(a) = st.queue.pop_front() {
                         st.outstanding += 1;
                         st.launches += 1;
-                        st.running.insert((a.0, a.1), Instant::now());
+                        st.running.insert((a.0, a.1), clock.now());
                         break a;
                     }
                     if st.outstanding == 0 {
@@ -333,10 +321,8 @@ impl Scheduler {
                     // An idle worker doubles as the straggler watchdog:
                     // wake periodically and compare in-flight runtimes
                     // against the completed-task median.
-                    if wakeup
-                        .wait_until(&mut st, Instant::now() + SPECULATION_POLL)
-                        .timed_out()
-                    {
+                    let poll = clock.now() + SPECULATION_POLL;
+                    if clock.wait(wakeup, &mut st, poll) {
                         self.maybe_speculate(job_id, partitions, &mut st);
                     }
                 }
@@ -352,7 +338,7 @@ impl Scheduler {
                 job_id,
                 trace: task_span,
             };
-            let slot_wait = enqueued.elapsed();
+            let slot_wait = clock.since(enqueued);
             obs::global().record_time(obs::names::SCHED_SLOT_WAIT_US, slot_wait);
             obs::global().emit(obs::EventKind::TaskLaunch, |e| {
                 e.job = Some(job_label(job_id));
@@ -365,7 +351,7 @@ impl Scheduler {
                 );
             });
             obs::global().incr(obs::names::SCHED_TASKS_LAUNCHED);
-            let run_started = Instant::now();
+            let run_started = clock.now();
 
             // Failure injection wraps the user function. Panics in
             // task code are caught and treated as task failures so the
@@ -398,7 +384,7 @@ impl Scheduler {
                 None => run_guarded(),
             };
 
-            let run_time = run_started.elapsed();
+            let run_time = clock.since(run_started);
             obs::global().span_finish(task_span, |s| {
                 s.task = Some(partition as u64);
                 s.attempt = attempt_no;
@@ -455,7 +441,7 @@ impl Scheduler {
                             st.attempts_launched[partition] = next;
                             st.live[partition] += 1;
                             st.retries += 1;
-                            st.queue.push_back((partition, next, false, Instant::now()));
+                            st.queue.push_back((partition, next, false, clock.now()));
                             obs::global().emit(obs::EventKind::TaskRetry, |ev| {
                                 ev.job = Some(job_label(job_id));
                                 ev.task = Some(partition as u64);
@@ -499,19 +485,27 @@ impl FailureInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use common::clock::Clock;
     use std::sync::atomic::{AtomicU64, Ordering};
 
-    fn sched(slots: usize) -> Scheduler {
-        Scheduler::new(SchedulerConf {
-            nodes: 4,
-            total_slots: slots,
+    /// A scheduler with `slots` slots on at most 4 nodes, on a clock of
+    /// its own that only the test moves: its watchdog never finds a
+    /// straggler unless the test advances.
+    fn sched_on(clock: Clock, slots: usize, speculation_min_ms: u64) -> Scheduler {
+        let nodes = slots.min(4);
+        Scheduler::new(SparkConf {
+            nodes,
+            cores_per_node: slots / nodes,
             max_task_attempts: 4,
             thread_cap: 16,
-            speculation: true,
-            speculation_multiplier: 3.0,
-            speculation_quantile: 0.5,
-            speculation_min_ms: 25,
+            speculation_min_ms,
+            clock,
+            ..SparkConf::default()
         })
+    }
+
+    fn sched(slots: usize) -> Scheduler {
+        sched_on(Clock::manual(), slots, 25)
     }
 
     #[test]
@@ -628,35 +622,41 @@ mod tests {
 
     #[test]
     fn straggler_speculation_launches_duplicate() {
-        let s = Scheduler::new(SchedulerConf {
-            nodes: 4,
-            total_slots: 8,
-            max_task_attempts: 4,
-            thread_cap: 16,
-            speculation: true,
-            speculation_multiplier: 3.0,
-            speculation_quantile: 0.5,
-            speculation_min_ms: 10,
-        });
+        let clock = Clock::manual();
+        let s = sched_on(clock, 8, 10);
         let failures = FailureInjector::new();
-        // Partition 3's first attempt is a grey straggler: alive but
-        // ~80ms slow while everyone else is instant. The watchdog
-        // should launch a duplicate, and the duplicate (attempt 2,
-        // fast) wins.
-        let results = s
-            .run_job(4, &failures, &|ctx: &TaskContext| {
-                if ctx.partition == 3 && ctx.attempt == 1 {
-                    std::thread::sleep(std::time::Duration::from_millis(80));
-                }
-                Ok(ctx.partition)
-            })
-            .unwrap();
-        assert_eq!(results, vec![0, 1, 2, 3]);
+        // Partition 3's first attempt is a grey straggler: it blocks
+        // until its speculative copy runs, while everyone else takes no
+        // time at all. Once the other three workers idle on the
+        // watchdog, the clock moves past the 10ms floor: the watchdog
+        // launches exactly one duplicate, which wins and frees the
+        // straggler.
+        let released = std::sync::atomic::AtomicBool::new(false);
+        let results = std::thread::scope(|scope| {
+            let job = scope.spawn(|| {
+                s.run_job(4, &failures, &|ctx: &TaskContext| {
+                    match (ctx.partition, ctx.attempt) {
+                        (3, 1) => {
+                            while !released.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        (3, _) => released.store(true, Ordering::Release),
+                        _ => {}
+                    }
+                    Ok(ctx.partition)
+                })
+            });
+            while clock.waiters() < 3 {
+                std::thread::yield_now();
+            }
+            clock.advance(Duration::from_millis(11));
+            job.join().unwrap()
+        });
+        assert_eq!(results.unwrap(), vec![0, 1, 2, 3]);
         let stats = s.stats.lock().values().copied().next().unwrap();
-        assert!(
-            stats.speculative >= 1,
-            "straggler should trigger speculation, stats: {stats:?}"
-        );
+        assert_eq!(stats.speculative, 1, "{stats:?}");
+        assert_eq!(stats.tasks_launched, 5, "{stats:?}");
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! behind one mutex so counter deltas are attributable.
 
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use vertica_spark_fabric::common::clock::Clock;
 use vertica_spark_fabric::prelude::*;
 use vertica_spark_fabric::{connector, mppdb, obs};
 
@@ -36,12 +37,17 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     RESILIENCE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn setup() -> (SparkContext, std::sync::Arc<mppdb::Cluster>) {
-    let db = Cluster::new(ClusterConfig::default());
+/// An engine and a database on one clock that only the test moves.
+fn setup(clock: Clock) -> (SparkContext, std::sync::Arc<mppdb::Cluster>) {
+    let db = Cluster::new(ClusterConfig {
+        clock,
+        ..ClusterConfig::default()
+    });
     let ctx = SparkContext::new(SparkConf {
         nodes: 4,
         cores_per_node: 4,
         thread_cap: 8,
+        clock,
         ..SparkConf::default()
     });
     DefaultSource::register(&ctx, db.clone());
@@ -78,7 +84,8 @@ fn breaker_state_machine_property_sweep() {
             half_open_probes: 2,
         };
         let cooldown = cfg.open_cooldown;
-        let tracker = HealthTracker::with_config(1, cfg);
+        let clock = Clock::manual();
+        let tracker = HealthTracker::with_config(1, cfg, clock);
         let mut prev = tracker.state(0);
         assert_eq!(prev, BreakerState::Closed, "breakers start closed");
 
@@ -93,7 +100,7 @@ fn breaker_state_machine_property_sweep() {
                 OP_ACQUIRE => {
                     tracker.acquire(0);
                 }
-                OP_SLEEP => std::thread::sleep(cooldown + Duration::from_millis(1)),
+                OP_SLEEP => clock.advance(cooldown + Duration::from_millis(1)),
                 _ => unreachable!(),
             }
             let next = tracker.state(0);
@@ -119,29 +126,33 @@ fn breaker_state_machine_property_sweep() {
 }
 
 /// While open and inside the cooldown, the breaker must reject every
-/// acquire — checked densely rather than at random points.
+/// acquire — checked at every 100µs of it, up to its last nanosecond.
 #[test]
 fn open_breaker_rejects_throughout_cooldown() {
+    let cooldown = Duration::from_millis(20);
     let cfg = HealthConfig {
         failure_threshold: 2,
-        open_cooldown: Duration::from_millis(20),
+        open_cooldown: cooldown,
         half_open_probes: 1,
     };
-    let tracker = HealthTracker::with_config(1, cfg);
+    let clock = Clock::manual();
+    let tracker = HealthTracker::with_config(1, cfg, clock);
     tracker.record_failure(0);
     tracker.record_failure(0);
     assert_eq!(tracker.state(0), BreakerState::Open);
-    let opened = Instant::now();
-    while opened.elapsed() < Duration::from_millis(15) {
+    let (opened, step) = (clock.now(), Duration::from_micros(100));
+    while clock.since(opened) + step < cooldown {
         assert!(
             !tracker.acquire(0),
-            "acquire admitted {}ms into a 20ms cooldown",
-            opened.elapsed().as_millis()
+            "acquire admitted {:?} into a 20ms cooldown",
+            clock.since(opened)
         );
-        std::thread::sleep(Duration::from_millis(1));
+        clock.advance(step);
     }
-    std::thread::sleep(Duration::from_millis(10));
-    assert!(tracker.acquire(0), "probe admitted after the cooldown");
+    clock.advance(cooldown - clock.since(opened) - Duration::from_nanos(1));
+    assert!(!tracker.acquire(0), "a nanosecond short of the cooldown");
+    clock.advance(Duration::from_nanos(1));
+    assert!(tracker.acquire(0), "probe admitted at the cooldown");
     assert_eq!(tracker.state(0), BreakerState::HalfOpen);
 }
 
@@ -183,7 +194,7 @@ fn bounded_pool_sheds_statements_with_typed_error() {
     }
 
     let pool = db.resource_pool("tiny").unwrap();
-    let held = pool.try_admit().unwrap();
+    let held = pool.try_admit(db.clock()).unwrap();
 
     let before = obs::global().snapshot();
     let mut s = db.connect(1).unwrap();
@@ -220,7 +231,8 @@ fn bounded_pool_sheds_statements_with_typed_error() {
 #[test]
 fn save_with_tight_deadline_fails_fast() {
     let _g = lock();
-    let (ctx, db) = setup();
+    let clock = Clock::manual();
+    let (ctx, db) = setup(clock);
     let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
     let data: Vec<Row> = (0..40).map(|i| row![i as i64]).collect();
     let df = ctx.create_dataframe(data, schema, 2).unwrap();
@@ -236,18 +248,21 @@ fn save_with_tight_deadline_fails_fast() {
         .deadline_ms(60)
         .build()
         .unwrap();
-    let started = Instant::now();
+    let started = clock.now();
     let err = connector::SaveRequest::new(&ctx, &db, &df, &opts)
         .mode(SaveMode::Overwrite)
         .submit()
         .unwrap_err();
-    let elapsed = started.elapsed();
+    let elapsed = clock.since(started);
     assert!(
         matches!(err, ConnectorError::DeadlineExceeded { .. }),
         "expected DeadlineExceeded, got {err:?}"
     );
+    // Each backoff fits in what was left of the budget when it began;
+    // the two tasks' backoffs may overlap it by one backoff at most.
+    let max_backoff = connector::RetryPolicy::default().max_backoff;
     assert!(
-        elapsed < Duration::from_secs(3),
+        elapsed < Duration::from_millis(60) + max_backoff,
         "60ms budget, {elapsed:?} elapsed: backoffs must be capped at the deadline"
     );
     let delta = obs::global().snapshot().counters_since(&before);
@@ -269,52 +284,63 @@ fn save_with_tight_deadline_fails_fast() {
 #[test]
 fn resilience_counters_surface_in_dc_counters() {
     let _g = lock();
-    let db = Cluster::new(ClusterConfig::default());
+    let clock = Clock::manual();
+    let db = Cluster::new(ClusterConfig {
+        clock,
+        ..ClusterConfig::default()
+    });
 
     // health.* and breaker.*: one full breaker cycle.
     let cfg = HealthConfig {
         open_cooldown: Duration::from_millis(2),
         ..HealthConfig::default()
     };
-    let tracker = HealthTracker::with_config(2, cfg);
+    let tracker = HealthTracker::with_config(2, cfg, clock);
     tracker.record_success(0, Duration::from_micros(120));
     for _ in 0..3 {
         tracker.record_failure(1); // third failure -> breaker.open
     }
     assert!(!tracker.acquire(1), "inside cooldown"); // breaker.rejected
-    std::thread::sleep(Duration::from_millis(3));
+    clock.advance(Duration::from_millis(2));
     assert!(tracker.acquire(1), "probe"); // breaker.half_open
     tracker.record_success(1, Duration::from_micros(90)); // breaker.close
 
     // hedge.*: a stalled primary forces a buddy launch that wins (the
-    // fixed 5ms delay applies although the tracker has no P99 yet).
+    // fixed 5ms delay applies although the tracker has no P99 yet). The
+    // primary's stall moves the clock past the delay, then waits on its
+    // token until the buddy's answer cancels it.
     let opts = ConnectorOptions::builder("t")
         .hedge_delay_ms(5)
         .build()
         .unwrap();
     let policy = connector::CallPolicy::for_job(&db, &opts);
-    let run = Arc::new(|node: usize, _: &mppdb::Cancel| -> ConnectorResult<usize> {
-        if node == 0 {
-            std::thread::sleep(Duration::from_millis(40));
-        }
-        Ok(node)
-    });
+    let run = Arc::new(
+        move |node: usize, cancel: &mppdb::Cancel| -> ConnectorResult<usize> {
+            if node == 0 {
+                clock.sleep(Duration::from_millis(5));
+                cancel
+                    .sleep(clock, Duration::from_secs(3600))
+                    .map_err(|e| ConnectorError::db("resilience.probe", e))?;
+            }
+            Ok(node)
+        },
+    );
     let got = policy.read(&db, "resilience.probe", &[0, 1], run).unwrap();
     assert_eq!(got, 1, "buddy won the hedge");
 
     // shed.*: a zero-queue pool with its slot held sheds the next admit.
     let pool = Arc::new(ResourcePool::new("dc_tiny", 1 << 20, 1).with_admission(0, Duration::ZERO));
-    let held = pool.try_admit().unwrap();
-    assert!(pool.try_admit().is_err());
+    let held = pool.try_admit(clock).unwrap();
+    assert!(pool.try_admit(clock).is_err());
     drop(held);
 
-    // deadline.*: an already-expired budget fails before attempt one.
+    // deadline.*: an expired budget fails before attempt one.
     let opts = ConnectorOptions::builder("t")
         .deadline_ms(1)
         .build()
         .unwrap();
     let policy = connector::CallPolicy::for_job(&db, &opts);
-    std::thread::sleep(Duration::from_millis(2));
+    clock.advance(Duration::from_millis(1));
     let r: ConnectorResult<()> = policy.run("resilience.deadline", |_| Ok(()));
     assert!(matches!(
         r,
@@ -350,8 +376,6 @@ fn resilience_counters_surface_in_dc_counters() {
             "counter {name} missing from dc_counters"
         );
     }
-    // Let the abandoned hedge primary drain before the binary moves on.
-    std::thread::sleep(Duration::from_millis(50));
 }
 
 // ---------------------------------------------------------------------
@@ -396,8 +420,11 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
         let _o = outer.lock();
         let _i = inner.lock();
     }
-    // And some real fabric work for good measure.
+    // And some real fabric work for good measure, including an online
+    // node add: it holds the rebalance plan's lock across the commit
+    // lock and logs under the latter.
     s.execute("SELECT * FROM v_nodes").unwrap();
+    db.add_node().unwrap();
 
     assert!(
         witness::edge_count() > 0,
