@@ -219,21 +219,30 @@ mod tests {
 
     #[test]
     fn concurrency_bound_enforced() {
+        // Each admitted statement holds its slot until all eight are
+        // admitted or queued, so the pool is full while the last six
+        // arrive: a bound that lets a third in shows up as 3.
         let clock = Clock::manual();
         let pool = Arc::new(ResourcePool::new("p", 1 << 30, 2));
-        let observed_max = Arc::new(AtomicUsize::new(0));
+        let observed_max = AtomicUsize::new(0);
+        let admitted = AtomicUsize::new(0);
         std::thread::scope(|s| {
             for _ in 0..8 {
-                let pool = Arc::clone(&pool);
-                let observed = Arc::clone(&observed_max);
-                s.spawn(move || {
+                s.spawn(|| {
                     let _g = pool.try_admit(clock).unwrap();
-                    observed.fetch_max(pool.active(), Ordering::AcqRel);
-                    std::thread::yield_now();
+                    observed_max.fetch_max(pool.active(), Ordering::AcqRel);
+                    admitted.fetch_add(1, Ordering::AcqRel);
+                    // `admitted` first: a statement leaves `waiting`
+                    // before it counts as admitted, so the sum never
+                    // reads high.
+                    while admitted.load(Ordering::Acquire) + pool.waiting() < 8 {
+                        std::thread::yield_now();
+                    }
                 });
             }
         });
-        assert!(observed_max.load(Ordering::Acquire) <= 2);
+        assert_eq!(observed_max.load(Ordering::Acquire), 2);
+        assert_eq!(pool.high_water_mark(), 2);
         assert_eq!(pool.active(), 0);
     }
 

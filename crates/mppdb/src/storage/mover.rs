@@ -118,7 +118,6 @@ pub(crate) struct MoverState {
 
 /// What a running mover thread waits on between passes: a stop ends the
 /// wait at once instead of after the rest of the interval.
-#[derive(Default)]
 struct MoverStop {
     stopped: Mutex<bool>,
     wake: Condvar,
@@ -313,7 +312,12 @@ impl Cluster {
         if thread.is_some() {
             return;
         }
-        let stop = Arc::new(MoverStop::default());
+        // Not a derived `Default`: the lock witness keys a lock by its
+        // creation site, and every defaulted lock shares one.
+        let stop = Arc::new(MoverStop {
+            stopped: Mutex::new(false),
+            wake: Condvar::new(),
+        });
         let (weak, clock, signal) = (Arc::downgrade(self), self.clock(), Arc::clone(&stop));
         let mut due = clock.now() + interval;
         let handle = std::thread::spawn(move || loop {
