@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::LazyLock;
 use std::time::{Duration, Instant};
 
+use crate::locks;
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
 /// Work armed on a clock's timer.
@@ -206,10 +207,13 @@ struct Launches {
 impl Timer {
     fn new() -> Timer {
         Timer {
-            armed: Mutex::new(Launches {
-                launches: BTreeMap::new(),
-                next_id: 0,
-            }),
+            armed: Mutex::new(
+                &locks::CLOCK_TIMER,
+                Launches {
+                    launches: BTreeMap::new(),
+                    next_id: 0,
+                },
+            ),
             earlier: Condvar::new(),
         }
     }
@@ -258,6 +262,12 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
 
+    /// The class of the locks these tests make for themselves.
+    static TEST: parking_lot::LockClass = parking_lot::LockClass {
+        name: "TEST",
+        rank: 0,
+    };
+
     #[test]
     fn a_manual_clock_moves_only_when_advanced() {
         let clock = Clock::manual();
@@ -276,7 +286,7 @@ mod tests {
     #[test]
     fn a_manual_wait_times_out_only_at_its_deadline() {
         let clock = Clock::manual();
-        let lock = Mutex::new(());
+        let lock = Mutex::new(&TEST, ());
         let cv = Condvar::new();
         let deadline = clock.now() + Duration::from_secs(60);
         let timed_out = std::thread::scope(|s| {
@@ -296,7 +306,7 @@ mod tests {
     #[test]
     fn a_notified_manual_wait_returns_without_an_advance() {
         let clock = Clock::manual();
-        let lock = Mutex::new(false);
+        let lock = Mutex::new(&TEST, false);
         let cv = Condvar::new();
         let deadline = clock.now() + Duration::from_secs(3600);
         std::thread::scope(|s| {

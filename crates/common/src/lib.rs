@@ -14,6 +14,7 @@
 //! * [`csv`] — a small CSV codec used by bulk load and the HDFS baseline,
 //! * [`pool`] — the reused worker threads scheduler tasks, scan fan-out
 //!   and hedged reads run on,
+//! * [`locks`] — the declared, ranked lock classes every lock is created with,
 //! * [`clock`] — the one source of time: reads, sleeps, timed waits and
 //!   timers, real or moved by hand in tests.
 
@@ -23,6 +24,7 @@ pub mod csv;
 pub mod error;
 pub mod expr;
 pub mod hash;
+pub mod locks;
 pub mod pool;
 pub mod row;
 pub mod schema;

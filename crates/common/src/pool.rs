@@ -19,6 +19,7 @@ use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Arc, LazyLock};
 
+use crate::locks;
 use parking_lot::{Condvar, Mutex};
 
 /// Threads kept parked between calls; a thread that returns from its
@@ -34,7 +35,8 @@ struct Slot {
 }
 
 /// Threads waiting for a call, most recently parked last.
-static PARKED: LazyLock<Mutex<Vec<Arc<Slot>>>> = LazyLock::new(|| Mutex::new(Vec::new()));
+static PARKED: LazyLock<Mutex<Vec<Arc<Slot>>>> =
+    LazyLock::new(|| Mutex::new(&locks::POOL_PARKED, Vec::new()));
 
 /// Run `job` on a parked thread, or on a new one if none is parked.
 fn dispatch(job: Job) -> std::io::Result<()> {
@@ -45,7 +47,7 @@ fn dispatch(job: Job) -> std::io::Result<()> {
         return Ok(());
     }
     let slot = Arc::new(Slot {
-        handoff: Mutex::new(None),
+        handoff: Mutex::new(&locks::POOL_HANDOFF, None),
         ready: Condvar::new(),
     });
     #[cfg(test)]
@@ -126,10 +128,13 @@ pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
         return;
     }
     let latch = Arc::new(Latch {
-        pending_calls: Mutex::new(Pending {
-            calls: n,
-            panic: None,
-        }),
+        pending_calls: Mutex::new(
+            &locks::POOL_LATCH,
+            Pending {
+                calls: n,
+                panic: None,
+            },
+        ),
         all_returned: Condvar::new(),
     });
     for i in 1..n {
@@ -179,9 +184,15 @@ mod tests {
     use std::sync::Barrier;
     use std::time::{Duration, Instant};
 
+    /// The class of the locks these tests make for themselves.
+    static TEST: parking_lot::LockClass = parking_lot::LockClass {
+        name: "TEST",
+        rank: 0,
+    };
+
     /// The tests count the pool's threads, so they take turns.
     fn serial() -> parking_lot::MutexGuard<'static, ()> {
-        static SERIAL: LazyLock<Mutex<()>> = LazyLock::new(|| Mutex::new(()));
+        static SERIAL: LazyLock<Mutex<()>> = LazyLock::new(|| Mutex::new(&TEST, ()));
         SERIAL.lock()
     }
 
@@ -254,7 +265,7 @@ mod tests {
     fn call_0_runs_on_the_callers_thread_and_its_panic_waits_for_the_rest() {
         let _serial = serial();
         let caller = std::thread::current().id();
-        let ran_on = Mutex::new(Vec::new());
+        let ran_on = Mutex::new(&TEST, Vec::new());
         run_all(3, &|i| ran_on.lock().push((i, std::thread::current().id())));
         let mut ran_on = ran_on.into_inner();
         ran_on.sort_by_key(|&(i, _)| i);

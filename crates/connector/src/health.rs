@@ -39,6 +39,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use common::clock::Clock;
+use common::locks;
 use mppdb::Cluster;
 use parking_lot::Mutex;
 
@@ -176,8 +177,11 @@ impl HealthTracker {
         HealthTracker {
             cfg,
             clock,
-            nodes: Mutex::new((0..node_count).map(|_| NodeHealth::default()).collect()),
-            recent: Mutex::new(obs::Histo::new()),
+            nodes: Mutex::new(
+                &locks::HEALTH_NODES,
+                (0..node_count).map(|_| NodeHealth::default()).collect(),
+            ),
+            recent: Mutex::new(&locks::HEALTH_RECENT, obs::Histo::new()),
         }
     }
 
@@ -313,7 +317,7 @@ impl HealthTracker {
 /// V2S piece placement and vice versa.
 pub fn tracker_for(cluster: &Cluster) -> Arc<HealthTracker> {
     static REGISTRY: OnceLock<Mutex<HashMap<u64, Arc<HealthTracker>>>> = OnceLock::new();
-    let registry = REGISTRY.get_or_init(|| Mutex::new(HashMap::new()));
+    let registry = REGISTRY.get_or_init(|| Mutex::new(&locks::HEALTH_REGISTRY, HashMap::new()));
     let mut map = registry.lock();
     // Old clusters (lower ids) are dead test fixtures; keep the map
     // bounded across a long-lived test process.

@@ -17,6 +17,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Weak};
 
+use common::locks;
 use common::{Row, Value};
 use mppdb::catalog::{Segmentation, TableDef};
 use mppdb::udf::{ScalarUdf, UdfParams};
@@ -203,7 +204,7 @@ impl PmmlPredictUdf {
     pub fn new(cluster: &Arc<Cluster>) -> PmmlPredictUdf {
         PmmlPredictUdf {
             cluster: Arc::downgrade(cluster),
-            cache: Mutex::new(HashMap::new()),
+            cache: Mutex::new(&locks::MD_CACHE, HashMap::new()),
         }
     }
 

@@ -7,7 +7,7 @@
 //! observable (`retry.*`, `deadline.*`, `hedge.*` in `dc_counters`): a
 //! [`CallPolicy`] is built once per job and carried whole to every call
 //! site. Behind it there is one definition each of the candidate order
-//! ([`CallPolicy::candidates`]), the steering step (`steer`), the
+//! (`CallPolicy::candidates`), the steering step (`steer`), the
 //! tracker feed (`observe`), the retry/backoff/deadline loop
 //! ([`CallPolicy::run`]) and the hedge (`hedged_read`).
 //!
@@ -618,6 +618,12 @@ mod tests {
     use mppdb::ClusterConfig;
     use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 
+    /// The class of the locks these tests make for themselves.
+    static TEST: parking_lot::LockClass = parking_lot::LockClass {
+        name: "TEST",
+        rank: 0,
+    };
+
     /// A policy outside any job, on a clock only the test moves: its
     /// own tracker, no job deadline.
     fn policy(retry: RetryPolicy) -> CallPolicy {
@@ -902,7 +908,7 @@ mod tests {
     fn a_fast_primary_runs_on_the_callers_thread_and_launches_no_buddy() {
         let clock = Clock::manual();
         let caller = std::thread::current().id();
-        let ran_on = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let ran_on = Arc::new(parking_lot::Mutex::new(&TEST, Vec::new()));
         let run = Arc::new({
             let ran_on = Arc::clone(&ran_on);
             move |node: usize, _: &Cancel| -> ConnectorResult<usize> {

@@ -301,7 +301,7 @@ fn catalog_exec(
 /// degenerate (narrower-than-parts) segment contributes fewer plans
 /// than its share and the Fig. 4(b) total can fall short of
 /// `partitions`. Callers must size per-partition state from the
-/// returned `Vec` (as [`V2sSource::num_partitions`] does), never from
+/// returned `Vec` (as `V2sSource::num_partitions` does), never from
 /// the requested count.
 pub fn plan_hash_partitions(map: &SegmentMap, partitions: usize) -> Vec<PartitionPlan> {
     let segs = map.segments();

@@ -721,11 +721,7 @@ fn connector_sessions_respect_a_dedicated_resource_pool() {
     // queries run at once, and the high-water mark proves the sessions
     // actually joined it.
     let (ctx, cluster) = setup();
-    cluster.create_resource_pool(mppdb::resource::ResourcePool::new(
-        "data_movement",
-        16 << 30,
-        3,
-    ));
+    cluster.create_resource_pool(mppdb::resource::ResourcePool::new("data_movement", 3));
     let df = ctx.create_dataframe(d1_rows(400), d1_schema(), 8).unwrap();
     df.write()
         .format(DEFAULT_SOURCE)

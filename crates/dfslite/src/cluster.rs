@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use common::locks;
 use netsim::record::{NetClass, NodeRef, Recorder};
 use parking_lot::RwLock;
 
@@ -91,14 +92,14 @@ impl DfsClusterSim {
         assert!(config.nodes > 0, "DFS needs at least one datanode");
         assert!(config.block_size > 0, "block size must be positive");
         let datanodes = (0..config.nodes)
-            .map(|_| RwLock::new(DataNode::default()))
+            .map(|_| RwLock::new(&locks::DFSLITE_DATANODE, DataNode::default()))
             .collect();
         Arc::new(DfsClusterSim {
             config,
-            namenode: RwLock::new(NameNode::default()),
+            namenode: RwLock::new(&locks::DFSLITE_NAMENODE, NameNode::default()),
             datanodes,
             recorder,
-            place_cursor: parking_lot::Mutex::new(0),
+            place_cursor: parking_lot::Mutex::new(&locks::DFSLITE_PLACEMENT, 0),
         })
     }
 

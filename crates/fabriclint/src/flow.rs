@@ -5,7 +5,7 @@
 //! and the static lock graph (used by the `--lock-graph` diff mode and
 //! the in-tree subgraph tests).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
 use crate::callgraph::{self, CallGraph};
 use crate::cfg::{self, Ev, FnIr};
@@ -21,14 +21,6 @@ pub struct FlowAnalysis {
 }
 
 pub fn run(files: &[SourceFile], cfg: &Config) -> FlowAnalysis {
-    let debug = std::env::var("FABRICLINT_DEBUG").is_ok();
-    let mut last = std::time::Instant::now();
-    let mut stage = |name: &str| {
-        if debug {
-            eprintln!("[flow] {name}: {:?}", last.elapsed());
-            last = std::time::Instant::now();
-        }
-    };
     let mut findings = Vec::new();
 
     // ---- shared state: lexing, IR, lock registry, call graph ----
@@ -37,65 +29,53 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> FlowAnalysis {
 
     let mut irs: Vec<FnIr> = Vec::new();
     let mut reg = LockRegistry::default();
-    let mut default_fields = Vec::new();
-    let mut stmt_idents: HashMap<String, Vec<String>> = HashMap::new();
+    let mut table: Option<Vec<String>> = None;
     for (f, lx) in &lexed {
         let (regions, whole) = find_test_regions_pub(&lx.tokens);
         let path_test = is_test_path_pub(&f.path);
         let in_test =
             |line: u32| whole || path_test || regions.iter().any(|&(s, e)| line >= s && line <= e);
-        if debug {
-            eprintln!("[flow] file {}", f.path);
-        }
         irs.extend(cfg::extract_fns(&f.path, lx, &in_test));
-        locks::scan_creations(&f.path, lx, &mut reg, &mut default_fields);
-        stmt_idents.extend(locks::creation_stmt_idents(&f.path, lx));
-    }
-
-    // Default-created lock fields share the vendored blanket-impl
-    // creation sites; find those lines in the vendored source.
-    let defaults = vendor_default_sites(&lexed);
-    for (field, kind, _file) in &default_fields {
-        let site = match kind {
-            locks::LockKind::Mutex => defaults.mutex.clone(),
-            locks::LockKind::RwLock => defaults.rwlock.clone(),
-        };
-        if let Some(site) = site {
-            reg.add_default_field(site, *kind, field.clone());
+        locks::scan_creations(&f.path, lx, &in_test, &mut reg);
+        if table.is_none() {
+            table = locks::parse_lock_table(lx);
         }
     }
-    locks::tag_containers(&mut reg, &stmt_idents);
+    locks::tag_containers(&mut reg);
+    let rank: HashMap<String, usize> = table
+        .unwrap_or_default()
+        .into_iter()
+        .enumerate()
+        .map(|(i, name)| (name, i))
+        .collect();
 
-    stage("extract");
     let cg = CallGraph::build(&irs);
     let fn_lock_rets = callgraph::lock_returning_fns(&irs);
     let call_map = |ir: &FnIr, ev: &Ev| cg.resolve(ir, ev);
 
-    // ---- static-lock-order: edges, cycles, lost guards ----
-    let lock_sums = locks::lock_summaries(&irs, &reg, &fn_lock_rets, &call_map);
-    stage("summaries");
-    let mut graph = LockGraph {
-        registry: LockRegistry::default(),
-        ..Default::default()
-    };
-    let idx_of: HashMap<String, Vec<usize>> = HashMap::new();
-    let mut edge_in_test: BTreeMap<(String, String), bool> = BTreeMap::new();
-    for ir in &irs {
-        locks::derive_edges(
-            ir,
-            &idx_of,
-            &irs,
-            &lock_sums,
-            &reg,
-            &fn_lock_rets,
-            &call_map,
-            &mut graph,
-            &mut edge_in_test,
-        );
+    // ---- static-lock-order: undeclared classes, edges, lost guards ----
+    for class in &reg.classes {
+        if rank.contains_key(&class.name) {
+            continue;
+        }
+        for site in class.sites.iter().filter(|s| !s.test) {
+            findings.push(Finding {
+                file: site.file.clone(),
+                line: site.line,
+                rule: Rule::StaticLockOrder,
+                message: format!(
+                    "lock class `{}` is not a row of the `locks!` table in \
+                     common::locks; declare it there, at its rank",
+                    class.name
+                ),
+            });
+        }
     }
-    stage("edges");
-    locks::find_cycles(&mut graph, &edge_in_test);
-    stage("cycles");
+    let lock_sums = locks::lock_summaries(&irs, &reg, &fn_lock_rets, &call_map);
+    let mut graph = LockGraph::default();
+    for ir in &irs {
+        locks::derive_edges(ir, &lock_sums, &reg, &fn_lock_rets, &call_map, &mut graph);
+    }
 
     for (file, line, recv) in &graph.unresolved {
         if is_test_path_pub(file) || file.starts_with("vendor/") {
@@ -111,34 +91,23 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> FlowAnalysis {
             ),
         });
     }
-    for (cycle, all_test) in &graph.cycles {
-        if *all_test {
-            continue; // deliberately inverted edges in test code
-        }
-        // Every `#[derive(Default)]`-created lock shares one class (the
-        // vendored blanket impl's creation site — `default()` is not
-        // `#[track_caller]`), exactly as the runtime witness keys them.
-        // A cycle through that merged class usually conflates two
-        // *different* locks (mover ops vs. rebalance pending), so it
-        // does not fail the build; the runtime witness still fails any
-        // such cycle it actually observes within one process.
-        if cycle.iter().any(|s| s.starts_with(locks::VENDOR_LOT)) {
+    // Every cycle between classes contains an edge that goes up the
+    // table, so one rank comparison per edge finds them all.
+    for ((from, to), via) in &graph.edges {
+        let (Some(&held), Some(&taken)) = (rank.get(from), rank.get(to)) else {
+            continue; // a test's own classes
+        };
+        if held <= taken || via.test_only {
             continue;
         }
-        let via = graph
-            .edges
-            .get(&(cycle[0].clone(), cycle[(1) % cycle.len()].clone()))
-            .cloned()
-            .unwrap_or_default();
-        let (file, line) = split_site(&via);
+        let (file, line) = split_site(&via.site);
         findings.push(Finding {
             file,
             line,
             rule: Rule::StaticLockOrder,
             message: format!(
-                "static lock-order cycle: {} -> (back to start); acquire these \
-                 classes in one global order",
-                cycle.join(" -> ")
+                "lock-order inversion: `{to}` (rank {taken}) acquired while `{from}` \
+                 (rank {held}) may be held; take classes in `locks!` table order"
             ),
         });
     }
@@ -160,47 +129,8 @@ pub fn run(files: &[SourceFile], cfg: &Config) -> FlowAnalysis {
         context_propagation(ir, &flow_sums[idx], cfg, &mut findings);
     }
 
-    stage("flow-passes");
-
     graph.registry = reg;
     FlowAnalysis { findings, graph }
-}
-
-/// The blanket `impl Default` creation sites inside the vendored
-/// parking_lot: the unqualified `Mutex::new` / `RwLock::new` calls in
-/// `vendor/parking_lot/src/lib.rs` (its inner std primitives are
-/// `std::sync`-qualified, so they don't match).
-fn vendor_default_sites(lexed: &[(&SourceFile, crate::lexer::Lexed)]) -> locks::DefaultSites {
-    let mut out = locks::DefaultSites::default();
-    for (f, lx) in lexed {
-        if f.path != locks::VENDOR_LOT {
-            continue;
-        }
-        let toks = &lx.tokens;
-        for i in 0..toks.len() {
-            let t = &toks[i];
-            if t.kind != crate::lexer::TokKind::Ident {
-                continue;
-            }
-            let qualified_std = i >= 3
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && toks[i - 3].is_ident("sync");
-            if qualified_std
-                || !(toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
-                    && toks.get(i + 3).is_some_and(|x| x.is_ident("new")))
-            {
-                continue;
-            }
-            let site = format!("{}:{}", f.path, t.line);
-            if t.text == "Mutex" && out.mutex.is_none() {
-                out.mutex = Some(site);
-            } else if t.text == "RwLock" && out.rwlock.is_none() {
-                out.rwlock = Some(site);
-            }
-        }
-    }
-    out
 }
 
 fn split_site(site: &str) -> (String, u32) {

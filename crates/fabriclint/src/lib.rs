@@ -75,7 +75,8 @@ pub enum Rule {
     ErrorTaxonomy,
     PanicHygiene,
     SafetyComment,
-    /// Flow-sensitive: static lock-order cycles and lost guards.
+    /// Flow-sensitive: lock-order edges against rank, undeclared lock
+    /// classes and lost guards.
     StaticLockOrder,
     /// Flow-sensitive: a call that may sleep/park under a live guard.
     BlockingUnderLock,
@@ -250,18 +251,26 @@ struct RegEntry {
     line: u32,
 }
 
+/// The `;`-separated rows of the first `<macro>! { .. }` invocation:
+/// the `names!` table's, or the `locks!` table's.
+pub(crate) fn table_rows<'a>(
+    toks: &'a [Tok],
+    macro_name: &str,
+) -> Option<impl Iterator<Item = &'a [Tok]>> {
+    let open = toks
+        .windows(3)
+        .position(|w| w[0].is_ident(macro_name) && w[1].is_punct('!') && w[2].is_punct('{'))?;
+    let close = match_delim(toks, open + 2, '{', '}');
+    Some(toks[(open + 3)..close].split(|t| t.is_punct(';')))
+}
+
 /// The rows of the `names!` table in `names.rs`.
 fn parse_registry(lexed: &Lexed) -> Vec<RegEntry> {
-    let toks = &lexed.tokens;
-    let Some(open) = toks
-        .windows(3)
-        .position(|w| w[0].is_ident("names") && w[1].is_punct('!') && w[2].is_punct('{'))
-    else {
+    let Some(table) = table_rows(&lexed.tokens, "names") else {
         return Vec::new();
     };
-    let close = match_delim(toks, open + 2, '{', '}');
     let mut rows = Vec::new();
-    for row in toks[(open + 3)..close].split(|t| t.is_punct(';')) {
+    for row in table {
         if let [kind, ident, eq, name, ..] = row {
             if kind.kind == TokKind::Ident
                 && ident.kind == TokKind::Ident

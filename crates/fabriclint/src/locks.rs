@@ -1,19 +1,12 @@
 //! Static lock classes and the static lock-order graph.
 //!
-//! Mirrors the runtime witness in `vendor/parking_lot/src/witness.rs`:
-//! a lock *class* is a creation site (`file:line` of the `Mutex::new` /
-//! `RwLock::new` token), exactly what `#[track_caller]` hands the
-//! witness at runtime, so static and dynamic edges live in the same
-//! namespace and can be diffed. Two wrinkles make the mapping total:
-//!
-//! * `#[derive(Default)]` structs create their lock fields inside the
-//!   vendored crate's `impl Default` blanket (its `Mutex::new` /
-//!   `RwLock::new` line) — every such field shares that one "default"
-//!   class at runtime, so the static side maps those field names to
-//!   the same vendor site.
-//! * `std::sync` locks are invisible to the witness; creations that
-//!   are `std::sync`-qualified (or in files importing std's lock
-//!   types) are skipped.
+//! Every lock is created with a declared class, one row of the `locks!`
+//! table in `common::locks` (`Mutex::new(&locks::CATALOG, ..)`), and a
+//! row's position is its rank. The pass reads a creation's class from
+//! its first argument: the name the runtime witness keys on too, so
+//! static and witnessed edges share one namespace and diff directly. A
+//! creation with no class argument is a `std::sync` lock, which the
+//! witness does not see either; it is skipped.
 //!
 //! Resolution from an acquisition's receiver name to classes is a
 //! name-keyed over-approximation: same-file creations win when they
@@ -34,19 +27,30 @@ pub enum LockKind {
     RwLock,
 }
 
+/// Where a lock of a class is created.
+#[derive(Debug, Clone)]
+pub struct Site {
+    pub file: String,
+    pub line: u32,
+    /// In test code: exempt from the table check.
+    pub test: bool,
+}
+
 #[derive(Debug, Clone)]
 pub struct LockClass {
-    /// `file:line` of the creation — the witness's class key.
-    pub site: String,
+    /// The declared class: a `locks!` row, and the witness's key.
+    pub name: String,
     pub kind: LockKind,
-    /// Names this class answers to (field/let bindings; the vendor
-    /// default classes collect every Default-created lock field name).
+    /// Names this class answers to (field/let bindings).
     pub names: Vec<String>,
     /// Lock-container bindings mentioned in the creation statement
     /// (element locks: the Mutex inside `timers`' map is tagged
     /// "timers" so `.map(|h| h.lock())` chains resolve).
     pub containers: Vec<String>,
-    pub file: String,
+    /// The identifiers before a creation that inserts into a
+    /// container, from which [`tag_containers`] picks the containers.
+    stmt_idents: Vec<String>,
+    pub sites: Vec<Site>,
 }
 
 pub type ClassId = usize;
@@ -59,33 +63,27 @@ pub struct LockRegistry {
 }
 
 impl LockRegistry {
-    fn add(&mut self, class: LockClass) -> ClassId {
-        // Merge classes with the same site (the vendor default site
-        // accumulates names from every Default-created field).
-        if let Some(id) = self.classes.iter().position(|c| c.site == class.site) {
-            for n in class.names {
-                if !self.classes[id].names.contains(&n) {
-                    self.classes[id].names.push(n.clone());
-                    self.by_name.entry(n).or_default().push(id);
-                }
+    /// Register one creation, merging it into its class.
+    fn add(&mut self, creation: LockClass) {
+        let Some(id) = self.classes.iter().position(|c| c.name == creation.name) else {
+            for n in &creation.names {
+                self.by_name
+                    .entry(n.clone())
+                    .or_default()
+                    .push(self.classes.len());
             }
-            for c in class.containers {
-                if !self.classes[id].containers.contains(&c) {
-                    self.classes[id].containers.push(c.clone());
-                    self.by_container.entry(c).or_default().push(id);
-                }
+            self.classes.push(creation);
+            return;
+        };
+        let class = &mut self.classes[id];
+        for n in creation.names {
+            if !class.names.contains(&n) {
+                class.names.push(n.clone());
+                self.by_name.entry(n).or_default().push(id);
             }
-            return id;
         }
-        let id = self.classes.len();
-        for n in &class.names {
-            self.by_name.entry(n.clone()).or_default().push(id);
-        }
-        for c in &class.containers {
-            self.by_container.entry(c.clone()).or_default().push(id);
-        }
-        self.classes.push(class);
-        id
+        class.stmt_idents.extend(creation.stmt_idents);
+        class.sites.extend(creation.sites);
     }
 
     fn kind_ok(&self, id: ClassId, acq: AcqKind) -> bool {
@@ -109,7 +107,7 @@ impl LockRegistry {
         let same_file: Vec<ClassId> = kinded
             .iter()
             .copied()
-            .filter(|&id| self.classes[id].file == file)
+            .filter(|&id| self.classes[id].sites.iter().any(|s| s.file == file))
             .collect();
         if !same_file.is_empty() {
             same_file
@@ -131,223 +129,96 @@ impl LockRegistry {
             })
             .unwrap_or_default()
     }
+}
 
-    pub fn is_lock_name(&self, name: &str) -> bool {
-        self.by_name.contains_key(name) || self.by_container.contains_key(name)
+/// The class names of the `locks!` table, in rank order: the rows
+/// `IDENT: "what it guards";` of the first `locks! { .. }` in `lexed`.
+pub fn parse_lock_table(lexed: &Lexed) -> Option<Vec<String>> {
+    let rows = crate::table_rows(&lexed.tokens, "locks")?
+        .filter_map(|row| match row {
+            [ident, colon, ..] if ident.kind == TokKind::Ident && colon.is_punct(':') => {
+                Some(ident.text.clone())
+            }
+            _ => None,
+        })
+        .collect();
+    Some(rows)
+}
+
+/// The class a creation's argument list (from the token after its
+/// `(`) names: `&path::IDENT` followed by `,`. A `std::sync` creation
+/// has no class argument.
+fn class_arg(toks: &[Tok], at: usize) -> Option<String> {
+    if !toks.get(at)?.is_punct('&') {
+        return None;
     }
-
-    /// Register a `#[derive(Default)]` lock field under the vendored
-    /// blanket-impl creation site (all such fields share one class at
-    /// runtime, because `default()` is not `#[track_caller]`).
-    pub fn add_default_field(&mut self, site: String, kind: LockKind, field: String) {
-        let file = site
-            .rsplit_once(':')
-            .map(|(f, _)| f.to_string())
-            .unwrap_or_default();
-        self.add(LockClass {
-            site,
-            kind,
-            names: vec![field],
-            containers: Vec::new(),
-            file,
-        });
+    let mut k = at + 1;
+    loop {
+        let t = toks.get(k)?;
+        if t.kind != TokKind::Ident {
+            return None;
+        }
+        if toks.get(k + 1)?.is_punct(':') && toks.get(k + 2)?.is_punct(':') {
+            k += 3;
+            continue;
+        }
+        return toks.get(k + 1)?.is_punct(',').then(|| t.text.clone());
     }
 }
 
-/// The vendored blanket-Default creation sites. Located by scanning
-/// the vendored source so line drift cannot desynchronize the map.
-#[derive(Debug, Default, Clone)]
-pub struct DefaultSites {
-    pub mutex: Option<String>,
-    pub rwlock: Option<String>,
-}
-
-pub const VENDOR_LOT: &str = "vendor/parking_lot/src/lib.rs";
-
-/// Scan one file for creation sites. `files` supplies text for import
-/// analysis; `default_fields` collects lock-typed fields of
-/// `#[derive(Default)]` structs for the vendor-default classes.
+/// Scan one file for the creations of classed locks.
 pub fn scan_creations(
     path: &str,
     lexed: &Lexed,
+    in_test: &dyn Fn(u32) -> bool,
     reg: &mut LockRegistry,
-    default_fields: &mut Vec<(String, LockKind, String)>,
 ) {
+    const INSERT_METHODS: &[&str] = &["or_insert_with", "or_insert", "insert", "push", "entry"];
     let toks = &lexed.tokens;
-    let std_locks = file_uses_std_locks(toks);
-    let mut i = 0usize;
-    // Statement-context tracking for binding inference: the nearest
-    // `let` name and pending `field:` bindings, plus every known-ident
-    // in the current statement (container tagging, resolved later).
+    // Statement context for binding inference: the nearest `let` name
+    // and pending `field:` bindings, and the receiver chain before an
+    // element creation (container tagging, resolved later).
     let mut stmt_start = 0usize;
-    while i < toks.len() {
+    for i in 0..toks.len() {
         let t = &toks[i];
         if t.is_punct(';') {
             stmt_start = i + 1;
         }
-        if t.kind == TokKind::Ident
-            && (t.text == "Mutex" || t.text == "RwLock")
-            && i + 3 < toks.len()
-            && toks[i + 1].is_punct(':')
-            && toks[i + 2].is_punct(':')
-            && toks[i + 3].is_ident("new")
-            && i + 4 < toks.len()
-            && toks[i + 4].is_punct('(')
+        let kind = match t.text.as_str() {
+            "Mutex" => LockKind::Mutex,
+            "RwLock" => LockKind::RwLock,
+            _ => continue,
+        };
+        if t.kind != TokKind::Ident
+            || !(toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
+                && toks.get(i + 2).is_some_and(|x| x.is_punct(':'))
+                && toks.get(i + 3).is_some_and(|x| x.is_ident("new"))
+                && toks.get(i + 4).is_some_and(|x| x.is_punct('(')))
         {
-            let kind = if t.text == "Mutex" {
-                LockKind::Mutex
-            } else {
-                LockKind::RwLock
-            };
-            // `std::sync::Mutex::new` (or a file that imports std's
-            // locks unqualified) is not witness-instrumented.
-            let std_qualified = i >= 2
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && i >= 3
-                && toks[i - 3].is_ident("sync");
-            let lot_qualified = i >= 3
-                && toks[i - 1].is_punct(':')
-                && toks[i - 2].is_punct(':')
-                && toks[i - 3].is_ident("parking_lot");
-            let skip = std_qualified || (std_locks && !lot_qualified);
-            if !skip {
-                let names = binding_names(toks, stmt_start, i);
-                let containers = Vec::new(); // tagged in a second pass
-                reg.add(LockClass {
-                    site: format!("{}:{}", path, t.line),
-                    kind,
-                    names,
-                    containers,
-                    file: path.to_string(),
-                });
-            }
-            i += 4;
             continue;
         }
-        // Struct field declarations `name: Mutex<..>` / `name: RwLock<..>`
-        // under a `#[derive(.. Default ..)]` struct: those locks are
-        // created by the vendored blanket impl (one shared class).
-        if t.is_ident("struct") && struct_derives_default(toks, i) {
-            if let Some(open) = (i..toks.len()).find(|&k| toks[k].is_punct('{')) {
-                if toks[i..open].iter().all(|x| !x.is_punct(';')) {
-                    let close = crate::match_delim_pub(toks, open, '{', '}');
-                    let mut k = open + 1;
-                    while k + 2 < close {
-                        if toks[k].kind == TokKind::Ident
-                            && toks[k + 1].is_punct(':')
-                            && !toks[k + 2].is_punct(':')
-                        {
-                            // Field type: idents until the `,` at field level.
-                            let mut w = k + 2;
-                            let mut angle = 0i32;
-                            while w < close {
-                                let ft = &toks[w];
-                                if ft.is_punct('<') {
-                                    angle += 1;
-                                } else if ft.is_punct('>') {
-                                    angle -= 1;
-                                } else if ft.is_punct(',') && angle <= 0 {
-                                    break;
-                                } else if ft.is_ident("Mutex") && !std_locks {
-                                    default_fields.push((
-                                        toks[k].text.clone(),
-                                        LockKind::Mutex,
-                                        path.to_string(),
-                                    ));
-                                } else if ft.is_ident("RwLock") && !std_locks {
-                                    default_fields.push((
-                                        toks[k].text.clone(),
-                                        LockKind::RwLock,
-                                        path.to_string(),
-                                    ));
-                                }
-                                w += 1;
-                            }
-                            k = w;
-                            continue;
-                        }
-                        k += 1;
-                    }
-                    i = close;
-                }
-            }
-        }
-        i += 1;
+        let Some(name) = class_arg(toks, i + 5) else {
+            continue;
+        };
+        let prefix: Vec<String> = toks[stmt_start..i]
+            .iter()
+            .filter(|x| x.kind == TokKind::Ident)
+            .map(|x| x.text.clone())
+            .collect();
+        let inserts = prefix.iter().any(|p| INSERT_METHODS.contains(&p.as_str()));
+        reg.add(LockClass {
+            name,
+            kind,
+            names: binding_names(toks, stmt_start, i),
+            containers: Vec::new(),
+            stmt_idents: if inserts { prefix } else { Vec::new() },
+            sites: vec![Site {
+                file: path.to_string(),
+                line: t.line,
+                test: in_test(t.line),
+            }],
+        });
     }
-}
-
-/// Does this file import `std::sync`'s `Mutex`/`RwLock` unqualified?
-fn file_uses_std_locks(toks: &[Tok]) -> bool {
-    for (k, t) in toks.iter().enumerate() {
-        if t.is_ident("use")
-            && toks.get(k + 1).is_some_and(|n| n.is_ident("std"))
-            && toks.iter().skip(k).take(12).any(|n| n.is_ident("sync"))
-            && toks
-                .iter()
-                .skip(k)
-                .take(20)
-                .take_while(|n| !n.is_punct(';'))
-                .any(|n| n.is_ident("Mutex") || n.is_ident("RwLock"))
-        {
-            return true;
-        }
-    }
-    false
-}
-
-/// Is the `struct` at `idx` preceded by `#[derive(.. Default ..)]`?
-/// Scans back over attributes and visibility/doc tokens.
-fn struct_derives_default(toks: &[Tok], idx: usize) -> bool {
-    let mut k = idx;
-    let mut budget = 80;
-    while k > 0 && budget > 0 {
-        budget -= 1;
-        k -= 1;
-        let t = &toks[k];
-        if t.is_punct(']') {
-            // Walk back to the matching `[`, check for derive+Default.
-            let mut depth = 1i32;
-            let mut j = k;
-            let mut has_derive = false;
-            let mut has_default = false;
-            while j > 0 {
-                j -= 1;
-                let a = &toks[j];
-                if a.is_punct(']') {
-                    depth += 1;
-                } else if a.is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                } else if a.is_ident("derive") {
-                    has_derive = true;
-                } else if a.is_ident("Default") {
-                    has_default = true;
-                }
-            }
-            if has_derive && has_default {
-                return true;
-            }
-            k = j;
-            continue;
-        }
-        if t.is_punct('#') || t.is_ident("pub") || t.is_punct('(') || t.is_punct(')') {
-            continue;
-        }
-        if t.kind == TokKind::Ident && (t.text == "crate" || t.text == "super") {
-            continue;
-        }
-        // Anything else ends the attribute run.
-        if t.is_punct('}') || t.is_punct(';') || t.is_punct('{') {
-            return false;
-        }
-        if t.kind == TokKind::Ident && !matches!(t.text.as_str(), "derive" | "Default") {
-            return false;
-        }
-    }
-    false
 }
 
 /// Binding names for the creation at `at`: the innermost pending
@@ -356,7 +227,7 @@ fn struct_derives_default(toks: &[Tok], idx: usize) -> bool {
 fn binding_names(toks: &[Tok], stmt_start: usize, at: usize) -> Vec<String> {
     let mut names = Vec::new();
     // Walk back from the creation looking for `ident :` at shallower
-    // delimiter depth (field init like `commit_lock: Mutex::new(())`,
+    // delimiter depth (field init like `commit_lock: Mutex::new(..)`,
     // or `stores: RwLock::new(..)`), skipping over closed delimiters.
     let mut depth = 0i32;
     let mut k = at;
@@ -404,88 +275,49 @@ fn binding_names(toks: &[Tok], stmt_start: usize, at: usize) -> Vec<String> {
 }
 
 /// Tag element classes with their containers: a creation whose
-/// surrounding statement mentions another lock binding (`timers`,
+/// receiver chain inserts into another lock binding (`timers`,
 /// `histos`, …) is an element of that container. Runs after all
-/// creations are known. `stmts` maps each class site to the idents of
-/// its creation statement.
-pub fn tag_containers(reg: &mut LockRegistry, stmts: &HashMap<String, Vec<String>>) {
+/// creations are known. Only a chain with an insertion method
+/// (`entry(..).or_insert_with(..)`, `insert`, `push`) counts: a struct
+/// literal mentions every other field's lock in the same "statement",
+/// so tagging on mere co-occurrence would make every field look like an
+/// element of every other (phantom static edges between unrelated
+/// locks).
+pub fn tag_containers(reg: &mut LockRegistry) {
     let lock_names: HashSet<String> = reg.by_name.keys().cloned().collect();
-    let mut tags: Vec<(ClassId, String)> = Vec::new();
-    for (id, class) in reg.classes.iter().enumerate() {
-        if let Some(idents) = stmts.get(&class.site) {
-            for ident in idents {
-                if lock_names.contains(ident) && !class.names.contains(ident) {
-                    tags.push((id, ident.clone()));
-                }
+    for id in 0..reg.classes.len() {
+        let class = &mut reg.classes[id];
+        for ident in &class.stmt_idents {
+            if lock_names.contains(ident)
+                && !class.names.contains(ident)
+                && !class.containers.contains(ident)
+            {
+                class.containers.push(ident.clone());
+                reg.by_container.entry(ident.clone()).or_default().push(id);
             }
         }
     }
-    for (id, name) in tags {
-        if !reg.classes[id].containers.contains(&name) {
-            reg.classes[id].containers.push(name.clone());
-            reg.by_container.entry(name).or_default().push(id);
-        }
-    }
-}
-
-/// Collect, per creation site, the identifiers of the receiver chain
-/// *before* it in its statement — but only when that prefix contains
-/// an insertion method (`entry(..).or_insert_with(..)`, `insert`,
-/// `push`): those are the map/vec element creations container tagging
-/// exists for. A struct literal mentions every other field's lock in
-/// the same "statement", so tagging on mere co-occurrence would make
-/// every field look like an element of every other (phantom static
-/// cycles between unrelated locks).
-pub fn creation_stmt_idents(path: &str, lexed: &Lexed) -> HashMap<String, Vec<String>> {
-    const INSERT_METHODS: &[&str] = &["or_insert_with", "or_insert", "insert", "push", "entry"];
-    let toks = &lexed.tokens;
-    let mut out: HashMap<String, Vec<String>> = HashMap::new();
-    let mut stmt_start = 0usize;
-    for i in 0..toks.len() {
-        if toks[i].is_punct(';') {
-            stmt_start = i + 1;
-        }
-        let t = &toks[i];
-        if t.kind == TokKind::Ident
-            && (t.text == "Mutex" || t.text == "RwLock")
-            && toks.get(i + 1).is_some_and(|x| x.is_punct(':'))
-            && toks.get(i + 3).is_some_and(|x| x.is_ident("new"))
-        {
-            let prefix: Vec<String> = toks[stmt_start..i]
-                .iter()
-                .filter(|x| x.kind == TokKind::Ident)
-                .map(|x| x.text.clone())
-                .collect();
-            if prefix.iter().any(|p| INSERT_METHODS.contains(&p.as_str())) {
-                out.insert(format!("{}:{}", path, t.line), prefix);
-            }
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------
 // Static graph
 // ---------------------------------------------------------------------
 
-/// One static lock-order edge: a guard of `from` was (possibly
-/// transitively) live while `to` was acquired. `via` is the
-/// `file:line` of the acquisition or call that induced it.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct StaticEdge {
-    pub from: String,
-    pub to: String,
-    pub via: String,
+/// Where a static lock-order edge was derived: the `file:line` of an
+/// acquisition or call that induced it, product code preferred.
+#[derive(Debug, Clone)]
+pub struct Via {
+    pub site: String,
+    /// Every acquisition or call inducing the edge is in test code.
+    pub test_only: bool,
 }
 
 #[derive(Debug, Default)]
 pub struct LockGraph {
     pub registry: LockRegistry,
-    /// Deduped edges keyed (from-site, to-site) → provenance.
-    pub edges: BTreeMap<(String, String), String>,
-    /// Cycles found in the static graph (site lists), with a flag for
-    /// "every participating acquisition is in test code".
-    pub cycles: Vec<(Vec<String>, bool)>,
+    /// Deduped edges keyed (from-class, to-class): a guard of `from`
+    /// was (possibly transitively) live while `to` was acquired.
+    pub edges: BTreeMap<(String, String), Via>,
     /// Receivers of `.lock()` that resolved to no class (analysis
     /// lost a guard) — (file, line, receiver).
     pub unresolved: Vec<(String, u32, String)>,
@@ -498,14 +330,10 @@ impl LockGraph {
 
     /// The witness's text format: `from\tto` per line, sorted.
     pub fn edges_text(&self) -> String {
-        let mut s = String::new();
-        for (from, to) in self.edges.keys() {
-            s.push_str(from);
-            s.push('\t');
-            s.push_str(to);
-            s.push('\n');
-        }
-        s
+        self.edges
+            .keys()
+            .map(|(from, to)| format!("{from}\t{to}\n"))
+            .collect()
     }
 }
 
@@ -544,23 +372,19 @@ pub fn resolve_recv(
     for (name, idents, line) in &ir.let_inits {
         if name == recv {
             let mut out = Vec::new();
-            // A creation inside the init binds directly: classes whose
-            // site is this file near the init line get priority.
-            for (id, class) in reg.classes.iter().enumerate() {
-                if class.file == ir.file && reg.kind_ok(id, acq) {
-                    if let Some(cl) = class
-                        .site
-                        .rsplit(':')
-                        .next()
-                        .and_then(|l| l.parse::<u32>().ok())
+            // A creation inside the init binds directly: classes
+            // created in this file near the init line get priority.
+            if idents.iter().any(|i| i == "new")
+                && idents.iter().any(|i| i == "Mutex" || i == "RwLock")
+            {
+                for (id, class) in reg.classes.iter().enumerate() {
+                    if reg.kind_ok(id, acq)
+                        && class
+                            .sites
+                            .iter()
+                            .any(|s| s.file == ir.file && s.line >= *line && s.line <= line + 30)
                     {
-                        if idents.iter().any(|i| i == "new")
-                            && cl >= *line
-                            && cl <= line + 30
-                            && idents.iter().any(|i| i == "Mutex" || i == "RwLock")
-                        {
-                            out.push(id);
-                        }
+                        out.push(id);
                     }
                 }
             }
@@ -678,24 +502,41 @@ pub fn lock_summaries(
     sums
 }
 
+/// Record `from → to` as derived at `site`.
+fn add_edge(
+    graph: &mut LockGraph,
+    reg: &LockRegistry,
+    from: ClassId,
+    to: ClassId,
+    ir: &FnIr,
+    site: &str,
+) {
+    let key = (reg.classes[from].name.clone(), reg.classes[to].name.clone());
+    let via = graph.edges.entry(key).or_insert_with(|| Via {
+        site: site.to_string(),
+        test_only: true,
+    });
+    if via.test_only && !ir.is_test {
+        *via = Via {
+            site: site.to_string(),
+            test_only: false,
+        };
+    }
+}
+
 /// Replay one function's events deriving edges: every class acquired
 /// (directly or via a call's summary) while guards are live yields an
 /// edge from each live guard's classes. Self-edges (same class) are
-/// recorded like the witness records re-acquisition of a class but —
-/// also like the witness — excluded from cycle detection.
-#[allow(clippy::too_many_arguments)]
+/// recorded like the witness records re-acquisition of a class; having
+/// one rank, they never go against it.
 pub fn derive_edges(
     ir: &FnIr,
-    idx_of: &HashMap<String, Vec<usize>>,
-    irs: &[FnIr],
     sums: &[FnLockSummary],
     reg: &LockRegistry,
     fn_lock_rets: &HashMap<String, Vec<String>>,
     call_map: &dyn Fn(&FnIr, &Ev) -> Vec<usize>,
     graph: &mut LockGraph,
-    edge_in_test: &mut BTreeMap<(String, String), bool>,
 ) {
-    let _ = (idx_of, irs);
     let mut live: Vec<LiveGuard> = Vec::new();
     // Guards dropped inside a nested block (conditional drop): revived
     // when that block closes, since the untaken branch keeps them.
@@ -722,11 +563,7 @@ pub fn derive_edges(
                 for g in &live {
                     for &from in &g.classes {
                         for &to in &classes {
-                            let key =
-                                (reg.classes[from].site.clone(), reg.classes[to].site.clone());
-                            let t = edge_in_test.entry(key.clone()).or_insert(true);
-                            *t = *t && ir.is_test;
-                            graph.edges.entry(key).or_insert_with(|| via.clone());
+                            add_edge(graph, reg, from, to, ir, &via);
                         }
                     }
                 }
@@ -789,148 +626,11 @@ pub fn derive_edges(
                     }
                     for &from in &g.classes {
                         for &to in &acquired {
-                            let key =
-                                (reg.classes[from].site.clone(), reg.classes[to].site.clone());
-                            let t = edge_in_test.entry(key.clone()).or_insert(true);
-                            *t = *t && ir.is_test;
-                            graph.edges.entry(key).or_insert_with(|| via.clone());
+                            add_edge(graph, reg, from, to, ir, &via);
                         }
                     }
                 }
             }
         }
     }
-}
-
-/// Cycle detection over the deduped edge set, mirroring the runtime
-/// witness's semantics (self-edges are not cycles). Strongly connected
-/// components are found first (iterative Tarjan); each non-trivial SCC
-/// is reported as ONE representative cycle — the shortest loop through
-/// the SCC's smallest site — so a dense inversion cluster produces one
-/// actionable finding instead of a combinatorial list.
-pub fn find_cycles(graph: &mut LockGraph, edge_in_test: &BTreeMap<(String, String), bool>) {
-    let nodes: Vec<String> = {
-        let mut s: BTreeSet<String> = BTreeSet::new();
-        for (from, to) in graph.edges.keys() {
-            if from != to {
-                s.insert(from.clone());
-                s.insert(to.clone());
-            }
-        }
-        s.into_iter().collect()
-    };
-    let index_of: HashMap<&str, usize> = nodes
-        .iter()
-        .enumerate()
-        .map(|(i, n)| (n.as_str(), i))
-        .collect();
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); nodes.len()];
-    for (from, to) in graph.edges.keys() {
-        if from != to {
-            adj[index_of[from.as_str()]].push(index_of[to.as_str()]);
-        }
-    }
-    let sccs = tarjan_sccs(&adj);
-    for scc in sccs {
-        if scc.len() < 2 {
-            continue;
-        }
-        let in_scc: HashSet<usize> = scc.iter().copied().collect();
-        // Representative: shortest loop from the smallest site back to
-        // itself, found by BFS restricted to the SCC.
-        let start = scc
-            .iter()
-            .copied()
-            .min_by_key(|&i| nodes[i].as_str())
-            .unwrap_or(scc[0]);
-        let mut prev: HashMap<usize, usize> = HashMap::new();
-        let mut queue = std::collections::VecDeque::new();
-        queue.push_back(start);
-        let mut found = None;
-        'bfs: while let Some(n) = queue.pop_front() {
-            for &next in &adj[n] {
-                if !in_scc.contains(&next) {
-                    continue;
-                }
-                if next == start {
-                    found = Some(n);
-                    break 'bfs;
-                }
-                if let std::collections::hash_map::Entry::Vacant(e) = prev.entry(next) {
-                    e.insert(n);
-                    queue.push_back(next);
-                }
-            }
-        }
-        let Some(mut tail) = found else { continue };
-        let mut cycle_idx = vec![tail];
-        while tail != start {
-            tail = prev[&tail];
-            cycle_idx.push(tail);
-        }
-        cycle_idx.reverse();
-        let cycle: Vec<String> = cycle_idx.iter().map(|&i| nodes[i].clone()).collect();
-        let all_test = cycle.iter().enumerate().all(|(i, from)| {
-            let to = &cycle[(i + 1) % cycle.len()];
-            edge_in_test
-                .get(&(from.clone(), to.clone()))
-                .copied()
-                .unwrap_or(false)
-        });
-        graph.cycles.push((cycle, all_test));
-    }
-    graph.cycles.sort();
-    graph.cycles.dedup();
-}
-
-/// Iterative Tarjan strongly-connected components.
-fn tarjan_sccs(adj: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = adj.len();
-    let mut index = vec![usize::MAX; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut next_index = 0usize;
-    let mut sccs = Vec::new();
-    // Explicit call stack: (node, child-iterator position).
-    for root in 0..n {
-        if index[root] != usize::MAX {
-            continue;
-        }
-        let mut call: Vec<(usize, usize)> = vec![(root, 0)];
-        while let Some(&mut (v, ref mut ci)) = call.last_mut() {
-            if *ci == 0 {
-                index[v] = next_index;
-                low[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-            }
-            if let Some(&w) = adj[v].get(*ci) {
-                *ci += 1;
-                if index[w] == usize::MAX {
-                    call.push((w, 0));
-                } else if on_stack[w] {
-                    low[v] = low[v].min(index[w]);
-                }
-            } else {
-                call.pop();
-                if let Some(&(parent, _)) = call.last() {
-                    low[parent] = low[parent].min(low[v]);
-                }
-                if low[v] == index[v] {
-                    let mut scc = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w] = false;
-                        scc.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    sccs.push(scc);
-                }
-            }
-        }
-    }
-    sccs
 }

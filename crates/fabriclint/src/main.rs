@@ -11,7 +11,7 @@
 //! `target/fabriclint.json`).
 //!
 //! `--lock-graph` prints the static lock-order graph in the witness's
-//! edge format (`from-site<TAB>to-site`). Each `--witness FILE` is a
+//! edge format (`from-class<TAB>to-class`). Each `--witness FILE` is a
 //! runtime edge export (`from<TAB>to<TAB>count` lines, written by the
 //! test suites via `parking_lot::witness::export_edges_text`) to diff
 //! against: a witnessed edge the static graph cannot derive is an

@@ -371,12 +371,21 @@ fn safety_comment_required_for_unsafe() {
 // static-lock-order
 // ---------------------------------------------------------------------
 
-/// Two distinctly-named lock fields created on lines 8 and 9; each
+/// A `locks!` table of two classes, `FIX_FRONT` ranked before
+/// `FIX_REAR`.
+fn lock_table() -> SourceFile {
+    file(
+        "crates/common/src/locks.rs",
+        "locks! {\n    FIX_FRONT: \"the front\";\n    FIX_REAR: \"the rear\";\n}\n",
+    )
+}
+
+/// Two distinctly-named lock fields of the two table classes; each
 /// test appends fns that acquire them in some order. Field names use
 /// the `fix_` prefix so the in-memory classes never alias real
 /// workspace lock names.
-fn pair_file(body: &str) -> SourceFile {
-    file(
+fn pair_file(body: &str) -> [SourceFile; 2] {
+    let pair = file(
         "crates/app/src/pair.rs",
         &format!(
             r#"
@@ -386,30 +395,72 @@ pub struct FixPair {{
 }}
 pub fn mk_pair() -> FixPair {{
     FixPair {{
-        fix_front: Mutex::new(0),
-        fix_rear: Mutex::new(1),
+        fix_front: Mutex::new(&locks::FIX_FRONT, 0),
+        fix_rear: Mutex::new(&locks::FIX_REAR, 1),
     }}
 }}
 {body}
 "#
         ),
-    )
+    );
+    [pair, lock_table()]
 }
 
 #[test]
 fn lock_order_flags_inverted_acquisitions() {
     let body = "pub fn fr(p: &FixPair) { let f = p.fix_front.lock(); let r = p.fix_rear.lock(); }\n\
                 pub fn rf(p: &FixPair) { let r = p.fix_rear.lock(); let f = p.fix_front.lock(); }\n";
-    let f = lint(&[pair_file(body)]);
+    let f = lint(&pair_file(body));
     assert_eq!(rules(&f), vec![Rule::StaticLockOrder], "{f:?}");
-    assert!(f[0].message.contains("cycle"), "{:?}", f[0]);
+    assert!(f[0].message.contains("inversion"), "{:?}", f[0]);
+}
+
+#[test]
+fn lock_order_flags_one_order_against_rank_with_no_cycle() {
+    // Only the rear → front order exists: no cycle closes, but the edge
+    // goes up the table.
+    let body =
+        "pub fn rf(p: &FixPair) { let r = p.fix_rear.lock(); let f = p.fix_front.lock(); }\n";
+    let f = lint(&pair_file(body));
+    assert_eq!(rules(&f), vec![Rule::StaticLockOrder], "{f:?}");
+    assert!(
+        f[0].message.contains("`FIX_FRONT` (rank 0)")
+            && f[0].message.contains("`FIX_REAR` (rank 1)"),
+        "{:?}",
+        f[0]
+    );
+    // The table order itself is clean.
+    let body =
+        "pub fn fr(p: &FixPair) { let f = p.fix_front.lock(); let r = p.fix_rear.lock(); }\n";
+    assert!(lint(&pair_file(body)).is_empty());
+}
+
+#[test]
+fn lock_order_flags_a_product_class_missing_from_the_table() {
+    let [pair, _] = pair_file("");
+    let f = lint(&[
+        pair.clone(),
+        file(
+            "crates/common/src/locks.rs",
+            "locks! {\n    FIX_FRONT: \"the front\";\n}\n",
+        ),
+    ]);
+    assert_eq!(rules(&f), vec![Rule::StaticLockOrder], "{f:?}");
+    assert!(
+        f[0].message.contains("`FIX_REAR` is not a row"),
+        "{:?}",
+        f[0]
+    );
+    // Test code may declare classes of its own.
+    let test_only = file("crates/app/tests/pair.rs", &pair.text);
+    assert!(lint(&[test_only, lock_table()]).is_empty());
 }
 
 #[test]
 fn lock_order_accepts_guard_dropped_before_inversion() {
     let body = "pub fn fr(p: &FixPair) { let f = p.fix_front.lock(); let r = p.fix_rear.lock(); }\n\
                 pub fn rf(p: &FixPair) { let r = p.fix_rear.lock(); drop(r); let f = p.fix_front.lock(); }\n";
-    assert!(lint(&[pair_file(body)]).is_empty());
+    assert!(lint(&pair_file(body)).is_empty());
 }
 
 #[test]
@@ -424,7 +475,7 @@ fn lock_order_revives_conditionally_dropped_guards() {
                     if c { drop(r); return; }\n\
                     let f = p.fix_front.lock();\n\
                 }\n";
-    let f = lint(&[pair_file(body)]);
+    let f = lint(&pair_file(body));
     assert_eq!(rules(&f), vec![Rule::StaticLockOrder], "{f:?}");
 }
 
@@ -440,21 +491,19 @@ fn lock_order_honors_inline_allow() {
                     // fabriclint: allow(static-lock-order): fixture inversion\n\
                     let f = p.fix_front.lock();\n\
                 }\n";
-    assert!(lint(&[pair_file(body)]).is_empty());
+    assert!(lint(&pair_file(body)).is_empty());
 }
 
 #[test]
 fn lock_graph_exposes_witness_keyed_edges() {
     let body =
         "pub fn fr(p: &FixPair) { let f = p.fix_front.lock(); let r = p.fix_rear.lock(); }\n";
-    let g = fabriclint::lock_graph_files(&[pair_file(body)], &Config::default());
-    // Classes are keyed by creation site — the same `file:line` format
-    // the runtime witness exports, so the two sides diff directly.
-    assert!(g.has_edge("crates/app/src/pair.rs:8", "crates/app/src/pair.rs:9"));
-    assert!(!g.has_edge("crates/app/src/pair.rs:9", "crates/app/src/pair.rs:8"));
-    assert!(g
-        .edges_text()
-        .contains("crates/app/src/pair.rs:8\tcrates/app/src/pair.rs:9"));
+    let g = fabriclint::lock_graph_files(&pair_file(body), &Config::default());
+    // Edges are keyed by declared class — the names the runtime witness
+    // exports, so the two sides diff directly.
+    assert!(g.has_edge("FIX_FRONT", "FIX_REAR"));
+    assert!(!g.has_edge("FIX_REAR", "FIX_FRONT"));
+    assert!(g.edges_text().contains("FIX_FRONT\tFIX_REAR"));
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +513,7 @@ fn lock_graph_exposes_witness_keyed_edges() {
 #[test]
 fn blocking_under_lock_flags_sleep_with_guard_live() {
     let body = "pub fn stall(p: &FixPair, d: Duration) { let f = p.fix_front.lock(); sleep(d); }\n";
-    let f = lint(&[pair_file(body)]);
+    let f = lint(&pair_file(body));
     assert_eq!(rules(&f), vec![Rule::BlockingUnderLock], "{f:?}");
 }
 
@@ -474,7 +523,7 @@ fn blocking_under_lock_sees_through_calls() {
     // `fix_nap` carries it back under the guard.
     let body = "pub fn fix_nap(d: Duration) { sleep(d); }\n\
                 pub fn stall(p: &FixPair, d: Duration) { let f = p.fix_front.lock(); fix_nap(d); }\n";
-    let f = lint(&[pair_file(body)]);
+    let f = lint(&pair_file(body));
     assert_eq!(rules(&f), vec![Rule::BlockingUnderLock], "{f:?}");
 }
 
@@ -484,27 +533,27 @@ fn blocking_under_lock_flags_a_clock_sleep_but_not_a_wait_on_its_own_guard() {
                     let f = p.fix_front.lock();\n\
                     clock.sleep(d);\n\
                 }\n";
-    let f = lint(&[pair_file(body)]);
+    let f = lint(&pair_file(body));
     assert_eq!(rules(&f), vec![Rule::BlockingUnderLock], "{f:?}");
     assert!(f[0].message.contains("`sleep`"), "{f:?}");
     let body = "pub fn park(p: &FixPair, cv: &Condvar, clock: Clock, t: Instant) {\n\
                     let mut f = p.fix_front.lock();\n\
                     clock.wait(cv, &mut f, t);\n\
                 }\n";
-    assert!(lint(&[pair_file(body)]).is_empty());
+    assert!(lint(&pair_file(body)).is_empty());
 }
 
 #[test]
 fn blocking_under_lock_accepts_dropped_guard_and_inline_allow() {
     let ok =
         "pub fn stall(p: &FixPair, d: Duration) { let f = p.fix_front.lock(); drop(f); sleep(d); }\n";
-    assert!(lint(&[pair_file(ok)]).is_empty());
+    assert!(lint(&pair_file(ok)).is_empty());
     let allowed = "pub fn stall(p: &FixPair, d: Duration) {\n\
                        let f = p.fix_front.lock();\n\
                        // fabriclint: allow(blocking-under-lock): fixture, bounded wait\n\
                        sleep(d);\n\
                    }\n";
-    assert!(lint(&[pair_file(allowed)]).is_empty());
+    assert!(lint(&pair_file(allowed)).is_empty());
 }
 
 // ---------------------------------------------------------------------

@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use common::clock::Clock;
 use common::hash;
+use common::locks;
 use common::{Expr, Row, Value};
 use netsim::record::{NetClass, NodeRef, Recorder};
 use parking_lot::{Mutex, RwLock};
@@ -118,7 +119,7 @@ impl NodeState {
             up: AtomicBool::new(true),
             generation: AtomicU64::new(0),
             open_sessions: AtomicUsize::new(0),
-            stores: RwLock::new(HashMap::new()),
+            stores: RwLock::new(&locks::NODE_STORES, HashMap::new()),
             retired: AtomicBool::new(false),
             rebuilds: AtomicU64::new(0),
         }
@@ -285,38 +286,37 @@ impl Cluster {
         let mut pools = HashMap::new();
         pools.insert(
             "general".to_string(),
-            Arc::new(ResourcePool::new("general", 32 << 30, usize::MAX)),
+            Arc::new(ResourcePool::new("general", usize::MAX)),
         );
         // The tuple mover's maintenance pool: narrow on purpose, so
         // background moveout/mergeout sheds under load instead of
         // competing with foreground statements.
         pools.insert(
             crate::storage::mover::MOVER_POOL.to_string(),
-            Arc::new(ResourcePool::new(
-                crate::storage::mover::MOVER_POOL,
-                4 << 30,
-                2,
-            )),
+            Arc::new(ResourcePool::new(crate::storage::mover::MOVER_POOL, 2)),
         );
         static NEXT_CLUSTER_ID: AtomicU64 = AtomicU64::new(1);
         let clock = config.clock;
         Arc::new(Cluster {
             id: NEXT_CLUSTER_ID.fetch_add(1, Ordering::Relaxed),
             config,
-            maps: RwLock::new(vec![MapVersion {
-                effective_epoch: 0,
-                map: seg_map,
-            }]),
-            nodes: RwLock::new(nodes),
-            catalog: RwLock::new(Catalog::new()),
+            maps: RwLock::new(
+                &locks::CLUSTER_MAPS,
+                vec![MapVersion {
+                    effective_epoch: 0,
+                    map: seg_map,
+                }],
+            ),
+            nodes: RwLock::new(&locks::CLUSTER_NODES, nodes),
+            catalog: RwLock::new(&locks::CATALOG, Catalog::new()),
             epoch: AtomicU64::new(0),
-            commit_lock: Mutex::new(()),
+            commit_lock: Mutex::new(&locks::COMMIT, ()),
             locks: LockManager::new(clock),
             next_txn: AtomicU64::new(1),
             recorder: Recorder::new(),
-            udfs: RwLock::new(HashMap::new()),
+            udfs: RwLock::new(&locks::UDFS, HashMap::new()),
             dfs: Dfs::new(),
-            pools: RwLock::new(pools),
+            pools: RwLock::new(&locks::RESOURCE_POOLS, pools),
             faults: FaultInjector::default(),
             mover: crate::storage::mover::MoverState::default(),
             rebalance: crate::rebalance::RebalanceState::default(),

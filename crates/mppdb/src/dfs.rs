@@ -10,14 +10,23 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use common::locks;
 use parking_lot::RwLock;
 
 use crate::error::{DbError, DbResult};
 
 /// A cluster-internal blob store.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Dfs {
     files: RwLock<BTreeMap<String, Arc<Vec<u8>>>>,
+}
+
+impl Default for Dfs {
+    fn default() -> Dfs {
+        Dfs {
+            files: RwLock::new(&locks::DFS_FILES, BTreeMap::new()),
+        }
+    }
 }
 
 impl Dfs {

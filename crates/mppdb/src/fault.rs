@@ -35,6 +35,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 use common::clock::Clock;
+use common::locks;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -297,7 +298,6 @@ impl LatencyState {
 /// default, so production paths pay one relaxed lock per touchpoint
 /// only when something is armed (a single `Mutex<Option<..>>` check;
 /// the latency path short-circuits on a relaxed atomic flag).
-#[derive(Default)]
 pub struct FaultInjector {
     plan: Mutex<Option<ActivePlan>>,
     scripted: Mutex<Vec<FaultSite>>,
@@ -307,6 +307,18 @@ pub struct FaultInjector {
     /// stall probabilities.
     may_delay: AtomicBool,
     total_fired: std::sync::atomic::AtomicU64,
+}
+
+impl Default for FaultInjector {
+    fn default() -> FaultInjector {
+        FaultInjector {
+            plan: Mutex::new(&locks::FAULT_PLAN, None),
+            scripted: Mutex::new(&locks::FAULT_SCRIPTED, Vec::new()),
+            latency: Mutex::new(&locks::FAULT_LATENCY, LatencyState::default()),
+            may_delay: AtomicBool::new(false),
+            total_fired: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
 }
 
 impl FaultInjector {

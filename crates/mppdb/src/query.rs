@@ -11,6 +11,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use common::agg::{aggregate_rows, fold_request, AggFunc, AggRequest, GroupedAccs};
+use common::locks;
 use common::{DataType, Expr, Row, Schema};
 use netsim::record::{NetClass, NodeRef};
 use parking_lot::Mutex;
@@ -640,8 +641,10 @@ fn scan_pieces<P: Send>(
     // order are identical to a serial scan — including which error
     // surfaces first. No lock guard is held across the fan-out.
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<DbResult<PieceResult<P>>>>> =
-        Mutex::new((0..pieces.len()).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<DbResult<PieceResult<P>>>>> = Mutex::new(
+        &locks::QUERY_PIECE_SLOTS,
+        (0..pieces.len()).map(|_| None).collect(),
+    );
     common::pool::run_all(ctx.parallelism.min(pieces.len()), &|_| loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= pieces.len() || ctx.cancel.is_cancelled() {

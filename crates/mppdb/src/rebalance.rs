@@ -57,6 +57,7 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use common::locks;
 use parking_lot::Mutex;
 
 use crate::cluster::Cluster;
@@ -115,14 +116,10 @@ pub(crate) struct RebalanceState {
 }
 
 impl Default for RebalanceState {
-    /// Each lock gets a creation site of its own, which the lock-order
-    /// witness keys it by: the plan is held across `commit_lock` and the
-    /// log is taken under it, so one shared `Default` site would read as
-    /// a cycle.
     fn default() -> RebalanceState {
         RebalanceState {
-            pending: Mutex::new(None),
-            ops: Mutex::new(VecDeque::new()),
+            pending: Mutex::new(&locks::REBALANCE_PENDING, None),
+            ops: Mutex::new(&locks::REBALANCE_OPS, VecDeque::new()),
             seq: AtomicU64::new(0),
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! The paper isolates the connector's data-movement traffic in a
 //! dedicated pool sized at half the machine RAM (Sec. 4.1). Our pools
-//! track memory budget and bound concurrent statement admissions; the
+//! bound concurrent statement admissions only (no memory budget); the
 //! benchmark harness reads the high-water marks when reporting resource
 //! usage.
 //!
@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use common::clock::Clock;
+use common::locks;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{DbError, DbResult};
@@ -34,7 +35,6 @@ struct PoolState {
 #[derive(Debug)]
 pub struct ResourcePool {
     name: String,
-    memory_bytes: u64,
     max_concurrency: usize,
     /// Statements allowed to wait for a slot; beyond this, shed.
     max_queue: usize,
@@ -47,14 +47,13 @@ pub struct ResourcePool {
 }
 
 impl ResourcePool {
-    pub fn new(name: impl Into<String>, memory_bytes: u64, max_concurrency: usize) -> ResourcePool {
+    pub fn new(name: impl Into<String>, max_concurrency: usize) -> ResourcePool {
         ResourcePool {
             name: name.into(),
-            memory_bytes,
             max_concurrency: max_concurrency.max(1),
             max_queue: usize::MAX,
             queue_timeout: None,
-            state: Mutex::new(PoolState::default()),
+            state: Mutex::new(&locks::RESOURCE_POOL_STATE, PoolState::default()),
             released: Condvar::new(),
             high_water: AtomicUsize::new(0),
             shed_total: AtomicU64::new(0),
@@ -71,10 +70,6 @@ impl ResourcePool {
 
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    pub fn memory_bytes(&self) -> u64 {
-        self.memory_bytes
     }
 
     pub fn max_concurrency(&self) -> usize {
@@ -206,7 +201,7 @@ mod tests {
     #[test]
     fn admission_tracks_active_and_high_water() {
         let clock = Clock::manual();
-        let pool = Arc::new(ResourcePool::new("p", 1 << 30, 8));
+        let pool = Arc::new(ResourcePool::new("p", 8));
         let g1 = pool.try_admit(clock).unwrap();
         let g2 = pool.try_admit(clock).unwrap();
         assert_eq!(pool.active(), 2);
@@ -223,7 +218,7 @@ mod tests {
         // admitted or queued, so the pool is full while the last six
         // arrive: a bound that lets a third in shows up as 3.
         let clock = Clock::manual();
-        let pool = Arc::new(ResourcePool::new("p", 1 << 30, 2));
+        let pool = Arc::new(ResourcePool::new("p", 2));
         let observed_max = AtomicUsize::new(0);
         let admitted = AtomicUsize::new(0);
         std::thread::scope(|s| {
@@ -249,9 +244,7 @@ mod tests {
     #[test]
     fn full_queue_sheds_immediately() {
         let clock = Clock::manual();
-        let pool = Arc::new(
-            ResourcePool::new("tiny", 1 << 20, 1).with_admission(0, Duration::from_secs(1)),
-        );
+        let pool = Arc::new(ResourcePool::new("tiny", 1).with_admission(0, Duration::from_secs(1)));
         let g = pool.try_admit(clock).expect("first admission fits");
         let err = pool.try_admit(clock).expect_err("queue of 0 sheds at once");
         assert_eq!(
@@ -269,9 +262,8 @@ mod tests {
     #[test]
     fn queue_timeout_sheds_after_deadline() {
         let clock = Clock::manual();
-        let pool = Arc::new(
-            ResourcePool::new("slowq", 1 << 20, 1).with_admission(4, Duration::from_millis(10)),
-        );
+        let pool =
+            Arc::new(ResourcePool::new("slowq", 1).with_admission(4, Duration::from_millis(10)));
         let _g = pool.try_admit(clock).expect("first admission fits");
         let err = std::thread::scope(|s| {
             let waiter = s.spawn(|| pool.try_admit(clock).map(drop));
@@ -291,8 +283,7 @@ mod tests {
     #[test]
     fn queued_waiter_admitted_when_slot_frees() {
         let clock = Clock::manual();
-        let pool =
-            Arc::new(ResourcePool::new("q", 1 << 20, 1).with_admission(4, Duration::from_secs(5)));
+        let pool = Arc::new(ResourcePool::new("q", 1).with_admission(4, Duration::from_secs(5)));
         let g = pool.try_admit(clock).expect("first admission fits");
         std::thread::scope(|s| {
             let h = s.spawn(|| pool.try_admit(clock).map(drop).is_ok());

@@ -10,6 +10,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use common::clock::Clock;
+use common::locks;
 use common::Row;
 use parking_lot::{Condvar, Mutex};
 
@@ -31,12 +32,21 @@ use netsim::record::NodeRef;
 #[derive(Clone, Default)]
 pub struct Cancel(Arc<CancelState>);
 
-#[derive(Default)]
 struct CancelState {
     cancelled: AtomicBool,
     /// Held only to wait on `wake`, and by `cancel` to signal it.
     waiting: Mutex<()>,
     wake: Condvar,
+}
+
+impl Default for CancelState {
+    fn default() -> CancelState {
+        CancelState {
+            cancelled: AtomicBool::new(false),
+            waiting: Mutex::new(&locks::CANCEL_WAIT, ()),
+            wake: Condvar::new(),
+        }
+    }
 }
 
 impl Cancel {
@@ -253,7 +263,7 @@ impl Session {
     /// Insert every row of `source` into `target`: the hand-over a bulk
     /// load's final commit uses. Where the two tables' rows are placed
     /// alike the target adopts the source's storage containers instead
-    /// of copying rows ([`Cluster::insert_from_table`]); the source is
+    /// of copying rows (`Cluster::insert_from_table`); the source is
     /// left as it was either way.
     pub fn insert_from_table(&mut self, target: &str, source: &str) -> DbResult<u64> {
         self.with_txn(|cluster, txn, node, tag| {

@@ -799,7 +799,7 @@ impl ColumnBatch {
     /// are not cloned). This is the batch → row boundary. The rows are
     /// windows onto one row-major block ([`common::row::split_block`]):
     /// a batch makes one allocation for its values, not one per row.
-    /// The transpose runs in tiles of [`ROW_TILE`] rows: every column
+    /// The transpose runs in tiles of `ROW_TILE` rows: every column
     /// visits the tile before the next tile starts, so each row is
     /// written once while it is still in cache.
     pub fn into_rows(self) -> Vec<Row> {

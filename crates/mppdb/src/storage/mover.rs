@@ -46,6 +46,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use common::locks;
 use parking_lot::{Condvar, Mutex};
 
 use crate::cluster::Cluster;
@@ -109,7 +110,6 @@ impl MoverPassReport {
 
 /// Per-cluster mover state: the bounded operation log and the
 /// background thread with its stop signal.
-#[derive(Default)]
 pub(crate) struct MoverState {
     ops: Mutex<VecDeque<MoverOp>>,
     seq: AtomicU64,
@@ -121,6 +121,16 @@ pub(crate) struct MoverState {
 struct MoverStop {
     stopped: Mutex<bool>,
     wake: Condvar,
+}
+
+impl Default for MoverState {
+    fn default() -> MoverState {
+        MoverState {
+            ops: Mutex::new(&locks::MOVER_OPS, VecDeque::new()),
+            seq: AtomicU64::new(0),
+            thread: Mutex::new(&locks::MOVER_THREAD, None),
+        }
+    }
 }
 
 impl MoverState {
@@ -312,10 +322,8 @@ impl Cluster {
         if thread.is_some() {
             return;
         }
-        // Not a derived `Default`: the lock witness keys a lock by its
-        // creation site, and every defaulted lock shares one.
         let stop = Arc::new(MoverStop {
-            stopped: Mutex::new(false),
+            stopped: Mutex::new(&locks::MOVER_STOP, false),
             wake: Condvar::new(),
         });
         let (weak, clock, signal) = (Arc::downgrade(self), self.clock(), Arc::clone(&stop));

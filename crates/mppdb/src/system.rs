@@ -20,8 +20,8 @@
 //!   statistics (`<timer>.count`, `.sum_us`, `.min_us`, `.max_us`,
 //!   `.p50_us`, `.p99_us`) as name/value pairs,
 //! * `dc_lock_edges` — the lock-order witness's acquisition-order
-//!   graph (debug/test builds): one row per observed "lock at
-//!   `from_site` held while acquiring `to_site`" edge. Empty in
+//!   graph (debug/test builds): one row per observed "lock of class
+//!   `from_class` held while acquiring `to_class`" edge. Empty in
 //!   release builds, where the witness compiles out,
 //! * `dc_spans` — every retained distributed-trace span: trace/span/
 //!   parent ids, name, timing, node/task/attempt tags, and row/byte
@@ -50,7 +50,7 @@
 //! * `dc_rebalance` — the rebalancer's retained operation log: plans,
 //!   per-range copies, skips, injected crashes, and map flips.
 //!
-//! All tables are defined in one place ([`DEFS`]): the name list and
+//! All tables are defined in one place (`DEFS`): the name list and
 //! the scan dispatch both derive from it, so they cannot drift apart.
 
 use common::{DataType, Row, Schema, Value};
@@ -361,7 +361,6 @@ fn scan_nodes(cluster: &Cluster) -> (Schema, Vec<Row>) {
 fn scan_resource_pools(cluster: &Cluster) -> (Schema, Vec<Row>) {
     let schema = Schema::from_pairs(&[
         ("pool_name", DataType::Varchar),
-        ("memory_bytes", DataType::Int64),
         ("max_concurrency", DataType::Int64),
         ("max_queue", DataType::Int64),
         ("queue_timeout_ms", DataType::Int64),
@@ -379,7 +378,6 @@ fn scan_resource_pools(cluster: &Cluster) -> (Schema, Vec<Row>) {
         .map(|p| {
             Row::new(vec![
                 Value::Varchar(p.name().to_string()),
-                Value::Int64(i64::try_from(p.memory_bytes()).unwrap_or(i64::MAX)),
                 Value::Int64(clamp(p.max_concurrency())),
                 Value::Int64(clamp(p.max_queue())),
                 p.queue_timeout()
@@ -479,19 +477,19 @@ fn scan_dc_counters(_cluster: &Cluster) -> (Schema, Vec<Row>) {
         for (name, value) in [
             (
                 obs::names::LOCKWITNESS_CLASSES,
-                parking_lot::witness::class_count(),
+                common::locks::ALL.len() as u64,
             ),
             (
                 obs::names::LOCKWITNESS_EDGES,
                 parking_lot::witness::edge_count(),
             ),
             (
-                obs::names::LOCKWITNESS_CYCLES,
-                parking_lot::witness::cycle_count(),
-            ),
-            (
                 obs::names::LOCKWITNESS_HAZARDS,
                 parking_lot::witness::hazard_count(),
+            ),
+            (
+                obs::names::LOCKWITNESS_INVERSIONS,
+                parking_lot::witness::inversion_count(),
             ),
         ] {
             rows.push(Row::new(vec![
@@ -505,8 +503,8 @@ fn scan_dc_counters(_cluster: &Cluster) -> (Schema, Vec<Row>) {
 
 fn scan_dc_lock_edges(_cluster: &Cluster) -> (Schema, Vec<Row>) {
     let schema = Schema::from_pairs(&[
-        ("from_site", DataType::Varchar),
-        ("to_site", DataType::Varchar),
+        ("from_class", DataType::Varchar),
+        ("to_class", DataType::Varchar),
         ("count", DataType::Int64),
     ]);
     let snap = parking_lot::witness::snapshot();
@@ -515,8 +513,8 @@ fn scan_dc_lock_edges(_cluster: &Cluster) -> (Schema, Vec<Row>) {
         .into_iter()
         .map(|e| {
             Row::new(vec![
-                Value::Varchar(e.from_site),
-                Value::Varchar(e.to_site),
+                Value::Varchar(e.from.to_string()),
+                Value::Varchar(e.to.to_string()),
                 Value::Int64(i64::try_from(e.count).unwrap_or(i64::MAX)),
             ])
         })
@@ -729,8 +727,8 @@ mod tests {
             .iter()
             .find(|r| matches!(r.values().first(), Some(Value::Varchar(n)) if n == "general"))
             .unwrap();
-        assert_eq!(general.values()[2], Value::Int64(i64::MAX));
-        assert_eq!(general.values()[4], Value::Null);
+        assert_eq!(general.values()[1], Value::Int64(i64::MAX));
+        assert_eq!(general.values()[3], Value::Null);
     }
 
     #[test]
@@ -848,19 +846,54 @@ mod tests {
     fn dc_lock_edges_table_scans() {
         let cluster = Cluster::new(ClusterConfig::default());
         let (schema, rows) = scan_system_table(&cluster, "dc_lock_edges").unwrap();
-        assert_eq!(schema.fields()[0].name, "from_site");
-        assert_eq!(schema.fields()[1].name, "to_site");
+        assert_eq!(schema.fields()[0].name, "from_class");
+        assert_eq!(schema.fields()[1].name, "to_class");
         assert_eq!(schema.fields()[2].name, "count");
         if parking_lot::witness::active() {
             // Building a cluster takes catalog/store locks in a fixed
             // order, so a debug build has already observed edges; every
-            // row resolves both creation sites.
+            // row names both classes.
             for row in &rows {
                 assert!(matches!(&row.values()[0], Value::Varchar(s) if !s.is_empty()));
                 assert!(matches!(&row.values()[2], Value::Int64(c) if *c > 0));
             }
         } else {
             assert!(rows.is_empty(), "witness must compile out in release");
+        }
+    }
+
+    /// The mover's op log and the fault injector's plan are both locked
+    /// under other locks, and each must show up as its own class: were
+    /// they one class, any order between them would read as a cycle.
+    #[test]
+    fn mover_ops_and_fault_plan_are_distinct_classes_in_dc_lock_edges() {
+        use crate::catalog::{Segmentation, TableDef};
+        use common::row;
+        if !parking_lot::witness::active() {
+            return;
+        }
+        let c = Cluster::new(ClusterConfig::default());
+        let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
+        c.create_table(
+            TableDef::new("t", schema, Segmentation::ByHash(vec!["id".into()])).unwrap(),
+        )
+        .unwrap();
+        let mut txn = c.begin_txn();
+        let rows = (0..64).map(|i| row![i as i64]).collect();
+        c.insert_rows(&mut txn, 0, None, "t", rows).unwrap();
+        c.commit_txn(txn);
+        // A mover pass logs its moveouts under the store lock; an added
+        // node consults the fault plan under the rebalance plan's lock.
+        c.mover_pass();
+        c.add_node().unwrap();
+        let (_, rows) = scan_system_table(&c, "dc_lock_edges").unwrap();
+        let taken: Vec<&Value> = rows.iter().map(|r| &r.values()[1]).collect();
+        for class in [&common::locks::MOVER_OPS, &common::locks::FAULT_PLAN] {
+            assert!(
+                taken.contains(&&Value::Varchar(class.name.to_string())),
+                "no edge into {}: {taken:?}",
+                class.name
+            );
         }
     }
 }

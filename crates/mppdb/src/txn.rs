@@ -19,6 +19,7 @@ use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use common::clock::Clock;
+use common::locks;
 use parking_lot::{Condvar, Mutex};
 
 use crate::error::{DbError, DbResult};
@@ -70,7 +71,7 @@ pub struct LockManager {
 impl LockManager {
     pub fn new(clock: Clock) -> LockManager {
         LockManager {
-            tables: Mutex::new(HashMap::new()),
+            tables: Mutex::new(&locks::TABLE_LOCKS, HashMap::new()),
             released: Condvar::new(),
             clock,
         }
@@ -270,10 +271,16 @@ mod tests {
         assert_eq!(lm.shared_holders("b"), 1);
     }
 
+    /// The class of the locks these tests make for themselves.
+    static TEST: parking_lot::LockClass = parking_lot::LockClass {
+        name: "TEST",
+        rank: 0,
+    };
+
     #[test]
     fn many_threads_serialize_on_exclusive() {
         let lm = Arc::new(manager().0);
-        let counter = Arc::new(Mutex::new(0u64));
+        let counter = Arc::new(Mutex::new(&TEST, 0u64));
         std::thread::scope(|s| {
             for txn in 0..16u64 {
                 let lm = Arc::clone(&lm);

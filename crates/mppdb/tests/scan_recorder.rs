@@ -38,7 +38,7 @@ fn fixture() -> std::sync::Arc<Cluster> {
         ..ClusterConfig::default()
     });
     for n in [1, 4] {
-        cluster.create_resource_pool(ResourcePool::new(format!("scan{n}"), 1 << 30, n));
+        cluster.create_resource_pool(ResourcePool::new(format!("scan{n}"), n));
     }
     let mut s = cluster.connect(0).unwrap();
     s.execute(

@@ -15,6 +15,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::sync::Arc;
 
+use common::locks;
 use parking_lot::Mutex;
 
 /// Which network a transfer crossed (the paper's hardware puts database
@@ -88,7 +89,7 @@ pub struct Event {
 }
 
 /// A shared, thread-safe event log.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Recorder {
     events: Mutex<Vec<Event>>,
 }
@@ -120,7 +121,9 @@ impl Drop for MuteGuard<'_> {
 
 impl Recorder {
     pub fn new() -> Arc<Recorder> {
-        Arc::new(Recorder::default())
+        Arc::new(Recorder {
+            events: Mutex::new(&locks::RECORDER_EVENTS, Vec::new()),
+        })
     }
 
     fn addr(&self) -> usize {

@@ -46,6 +46,7 @@ use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 use common::clock::Clock;
+use common::locks;
 use parking_lot::Mutex;
 
 pub mod names;
@@ -472,12 +473,12 @@ impl Collector {
             start: Clock::real().now(),
             seq: AtomicU64::new(0),
             shards: (0..SHARDS)
-                .map(|_| Mutex::new(std::collections::VecDeque::new()))
+                .map(|_| Mutex::new(&locks::OBS_EVENTS, std::collections::VecDeque::new()))
                 .collect(),
             dropped: AtomicU64::new(0),
             counters: names::DEFS.iter().map(|_| CounterSlot::default()).collect(),
             histos: names::DEFS.iter().map(|_| OnceLock::new()).collect(),
-            traces: Mutex::new(trace::TraceStore::default()),
+            traces: Mutex::new(&locks::OBS_TRACES, trace::TraceStore::default()),
             next_shard: AtomicUsize::new(0),
         }
     }
@@ -568,7 +569,8 @@ impl Collector {
     }
 
     fn record_value(&self, slot: usize, value: u64) {
-        let histo = self.histos[slot].get_or_init(|| Mutex::new(Histo::default()));
+        let histo =
+            self.histos[slot].get_or_init(|| Mutex::new(&locks::OBS_HISTO, Histo::default()));
         histo.lock().record(value);
     }
 

@@ -220,13 +220,13 @@ names! {
     Counter HEDGE_WINS = "hedge.wins",
         "hedged reads won by the buddy attempt";
     Builtin LOCKWITNESS_CLASSES = "lockwitness.classes",
-        "distinct lock classes (creation sites) registered";
-    Builtin LOCKWITNESS_CYCLES = "lockwitness.cycles",
-        "lock-order cycles (potential deadlocks) detected";
+        "lock classes declared in the `locks!` table";
     Builtin LOCKWITNESS_EDGES = "lockwitness.edges",
         "distinct lock acquisition-order edges recorded";
     Builtin LOCKWITNESS_HAZARDS = "lockwitness.hazards",
         "injected sleeps taken while holding a lock";
+    Builtin LOCKWITNESS_INVERSIONS = "lockwitness.inversions",
+        "acquisitions against the declared lock rank (potential deadlocks)";
     Event MD_CATALOG = "md.catalog",
         "op tag for the model catalog statements of deploy, drop and list";
     Counter MD_PREDICTIONS = "md.predictions",

@@ -4,6 +4,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use common::clock::Clock;
+use common::locks;
 use common::{Row, Schema};
 use netsim::record::Recorder;
 use parking_lot::RwLock;
@@ -96,7 +97,7 @@ impl SparkContext {
                 conf,
                 recorder: Recorder::new(),
                 failures: FailureInjector::new(),
-                formats: RwLock::new(HashMap::new()),
+                formats: RwLock::new(&locks::SPARK_FORMATS, HashMap::new()),
             }),
         }
     }

@@ -11,6 +11,7 @@
 
 use std::collections::HashMap;
 
+use common::locks;
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -41,9 +42,16 @@ struct Plan {
 }
 
 /// Shared failure-injection state, consulted by the scheduler.
-#[derive(Default)]
 pub struct FailureInjector {
     plan: Mutex<Plan>,
+}
+
+impl Default for FailureInjector {
+    fn default() -> FailureInjector {
+        FailureInjector {
+            plan: Mutex::new(&locks::SPARK_FAILURES, Plan::default()),
+        }
+    }
 }
 
 impl FailureInjector {

@@ -11,6 +11,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
+use common::locks;
 use parking_lot::{Condvar, Mutex};
 
 use crate::context::SparkConf;
@@ -98,7 +99,7 @@ impl Scheduler {
     pub fn new(conf: SparkConf) -> Scheduler {
         Scheduler {
             conf,
-            stats: Mutex::new(HashMap::new()),
+            stats: Mutex::new(&locks::SCHED_STATS, HashMap::new()),
         }
     }
 
@@ -170,24 +171,27 @@ impl Scheduler {
         }
 
         let queued = queue.len();
-        let state = Mutex::new(JobState::<R> {
-            queue,
-            results: (0..partitions).map(|_| None).collect(),
-            succeeded: 0,
-            completions: 0,
-            attempts_launched,
-            live,
-            durations_us: Vec::new(),
-            running: HashMap::new(),
-            speculated: vec![false; partitions],
-            fatal: None,
-            killed: false,
-            kill_after: failures.take_kill_after(),
-            outstanding: 0,
-            launches: 0,
-            retries: 0,
-            speculative,
-        });
+        let state = Mutex::new(
+            &locks::SCHED_JOB,
+            JobState::<R> {
+                queue,
+                results: (0..partitions).map(|_| None).collect(),
+                succeeded: 0,
+                completions: 0,
+                attempts_launched,
+                live,
+                durations_us: Vec::new(),
+                running: HashMap::new(),
+                speculated: vec![false; partitions],
+                fatal: None,
+                killed: false,
+                kill_after: failures.take_kill_after(),
+                outstanding: 0,
+                launches: 0,
+                retries: 0,
+                speculative,
+            },
+        );
         let wakeup = Condvar::new();
 
         // One worker per attempt queued at launch — the partitions and

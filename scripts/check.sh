@@ -11,8 +11,10 @@ cargo fmt --all --check
 # obs-registry (a dead name row, or a read of an unregistered name:
 # the compiler refuses a wrong name at an emit) / error-taxonomy /
 # panic-hygiene / SAFETY violation —
-# or, via the flow-sensitive passes, any static lock-order cycle,
-# blocking call under a live guard, or dropped Deadline/TraceCtx — not
+# or, via the flow-sensitive passes, a lock class missing from the
+# `locks!` table (common::locks), any static lock-order edge against
+# the table's rank, a blocking call under a live guard, or a dropped
+# Deadline/TraceCtx — not
 # explicitly excepted in fabriclint.allow or an inline allow comment. The JSON report lands
 # in target/ for tooling that wants machine-readable findings.
 echo "== fabriclint --workspace"
@@ -26,12 +28,13 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== cargo build --workspace --all-features"
 cargo build --workspace --all-features -q
 
-# A doc link to an item that was renamed or deleted fails here. The
+# A doc link to an item that was renamed or deleted fails here, and so
+# does a public doc's link to a private item, which renders dead. The
 # vendored crates are left out: vendored proptest carries an ambiguous
 # link of its own.
-echo "== cargo doc --workspace (broken intra-doc links)"
-RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps -q \
-    --exclude proptest --exclude rand --exclude parking_lot
+echo "== cargo doc --workspace (broken and private intra-doc links)"
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+    cargo doc --workspace --no-deps -q --exclude proptest --exclude rand --exclude parking_lot
 
 # --workspace: the root is itself a package, so a bare `cargo test`
 # would run only its suites and skip every crate's own (the scan
@@ -112,12 +115,13 @@ cargo test -q -p connector --lib retry -- --ignored
 echo "== cargo test (perfbench)"
 cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
-# Static-vs-dynamic lock-order diff: the suites above exported their
-# runtime-witnessed acquisition edges (target/lockwitness-*.edges);
-# every witnessed edge must be derivable from source by the static
-# lock-order pass (exit 1 if not — an analysis soundness hole), while
-# statically-possible-but-never-witnessed edges are only reported as
-# coverage. The suites assert the same inclusion as tests; this step
+# Static-vs-dynamic lock-order diff, in declared class names: the suites
+# above exported their runtime-witnessed acquisition edges
+# (target/lockwitness-*.edges) after asserting that none went against
+# rank; every witnessed edge must be derivable from source by the
+# static lock-order pass (exit 1 if not — an analysis soundness hole),
+# while statically-possible-but-never-witnessed edges are only reported
+# as coverage. The suites assert the same inclusion as tests; this step
 # re-runs the diff through the CLI so the edge lists land in the log.
 echo "== fabriclint --lock-graph"
 witness_args=()

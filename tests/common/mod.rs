@@ -2,10 +2,11 @@
 
 use std::path::Path;
 
-/// Assert the runtime lock-order witness is a subgraph of the static
+/// Assert the suite took no lock against its declared rank, and that
+/// the runtime lock-order witness is a subgraph of the static
 /// lock-order graph fabriclint derives from source: every edge the
 /// suite actually drove at runtime must be statically derivable, or
-/// the static analysis has lost a guard/alias and its cycle check can
+/// the static analysis has lost a guard/alias and its rank check can
 /// no longer be trusted. Also writes the witnessed edges to
 /// `target/lockwitness-<suite>.edges` so `fabriclint --lock-graph
 /// --witness <file>` can re-run the same diff from the CLI.
@@ -15,6 +16,11 @@ pub fn assert_witness_subgraph(suite: &str) {
     if !parking_lot::witness::active() {
         return;
     }
+    let inversions = parking_lot::witness::snapshot().inversions;
+    assert!(
+        inversions.is_empty(),
+        "locks taken against their rank (held class, taken class): {inversions:?}"
+    );
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let text = parking_lot::witness::export_edges_text();
     let target = root.join("target");

@@ -184,7 +184,7 @@ fn bounded_pool_sheds_statements_with_typed_error() {
     let _g = lock();
     let db = Cluster::new(ClusterConfig::default());
     db.create_resource_pool(
-        ResourcePool::new("tiny", 1 << 20, 1).with_admission(0, Duration::from_millis(10)),
+        ResourcePool::new("tiny", 1).with_admission(0, Duration::from_millis(10)),
     );
     {
         let mut s = db.connect(0).unwrap();
@@ -329,7 +329,7 @@ fn resilience_counters_surface_in_dc_counters() {
     assert_eq!(got, 1, "buddy won the hedge");
 
     // shed.*: a zero-queue pool with its slot held sheds the next admit.
-    let pool = Arc::new(ResourcePool::new("dc_tiny", 1 << 20, 1).with_admission(0, Duration::ZERO));
+    let pool = Arc::new(ResourcePool::new("dc_tiny", 1).with_admission(0, Duration::ZERO));
     let held = pool.try_admit(clock).unwrap();
     assert!(pool.try_admit(clock).is_err());
     drop(held);
@@ -384,8 +384,9 @@ fn resilience_counters_surface_in_dc_counters() {
 
 /// A clean run must report **zero** lock-order cycles: the witness
 /// watches every vendored `parking_lot` Mutex/RwLock acquisition in
-/// debug/test builds, and any cycle in the acquisition-order graph is a
-/// potential deadlock someone will eventually hit under chaos. The
+/// debug/test builds, and any acquisition against the declared rank
+/// order is a step of a potential deadlock cycle someone will
+/// eventually hit under chaos. The
 /// graph itself is queryable as the `dc_lock_edges` system table, and
 /// the `lockwitness.*` counters surface through `dc_counters` like
 /// every other defense.
@@ -409,13 +410,21 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
         return;
     }
 
-    use vertica_spark_fabric::parking_lot::witness;
+    use vertica_spark_fabric::parking_lot::{witness, LockClass};
 
-    // Manufacture one edge at a creation site unique to this test: its
-    // classes are new, so the edge is new and must show up in both the
-    // accessor counts and the pulled `lockwitness.edges` row.
-    let outer = vertica_spark_fabric::parking_lot::Mutex::new(());
-    let inner = vertica_spark_fabric::parking_lot::Mutex::new(());
+    // Manufacture one edge between two classes unique to this test: the
+    // edge is new and must show up in both the accessor counts and the
+    // pulled `lockwitness.edges` row.
+    static RESILIENCE_OUTER: LockClass = LockClass {
+        name: "RESILIENCE_OUTER",
+        rank: 0,
+    };
+    static RESILIENCE_INNER: LockClass = LockClass {
+        name: "RESILIENCE_INNER",
+        rank: 1,
+    };
+    let outer = vertica_spark_fabric::parking_lot::Mutex::new(&RESILIENCE_OUTER, ());
+    let inner = vertica_spark_fabric::parking_lot::Mutex::new(&RESILIENCE_INNER, ());
     {
         let _o = outer.lock();
         let _i = inner.lock();
@@ -431,10 +440,10 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
         "instrumented locks recorded no edges"
     );
     assert_eq!(
-        witness::cycle_count(),
+        witness::inversion_count(),
         0,
-        "clean run found lock-order cycles: {:?}",
-        witness::snapshot().cycles
+        "clean run took locks against their rank: {:?}",
+        witness::snapshot().inversions
     );
 
     let counters = s
@@ -452,13 +461,13 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
         "lockwitness.edges missing from dc_counters"
     );
     assert_eq!(
-        counter(obs::names::LOCKWITNESS_CYCLES).unwrap_or(0),
+        counter(obs::names::LOCKWITNESS_INVERSIONS).unwrap_or(0),
         0,
-        "lockwitness.cycles must stay zero on a clean run"
+        "lockwitness.inversions must stay zero on a clean run"
     );
 
     // The acquisition graph is queryable over SQL, and the edge this
-    // test manufactured resolves to this file's creation sites.
+    // test manufactured names its two classes.
     let edges = s
         .execute("SELECT * FROM dc_lock_edges")
         .unwrap()
@@ -470,7 +479,7 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
             matches!(
                 (r.get(0), r.get(1)),
                 (Value::Varchar(from), Value::Varchar(to))
-                    if from.contains("resilience.rs") && to.contains("resilience.rs")
+                    if from == "RESILIENCE_OUTER" && to == "RESILIENCE_INNER"
             )
         }),
         "manufactured outer->inner edge not visible in dc_lock_edges"
@@ -481,14 +490,14 @@ fn lock_witness_reports_zero_cycles_on_clean_runs() {
 /// convoy hazard: every other thread needing that lock stalls for the
 /// full injected delay. The fault injector tells the witness before it
 /// sleeps, and the witness attributes the hazard to the held lock's
-/// creation site under `lockwitness.hazards`.
+/// class under `lockwitness.hazards`.
 #[test]
 fn fault_injector_sleep_under_lock_is_a_hazard() {
     let _g = lock();
     if !vertica_spark_fabric::parking_lot::witness::active() {
         return;
     }
-    use vertica_spark_fabric::parking_lot::witness;
+    use vertica_spark_fabric::parking_lot::{witness, LockClass};
 
     let db = Cluster::new(ClusterConfig::default());
     db.faults()
@@ -498,7 +507,11 @@ fn fault_injector_sleep_under_lock_is_a_hazard() {
     db.faults().slow_node(0, 30.0);
 
     let before = witness::hazard_count();
-    let guard = vertica_spark_fabric::parking_lot::Mutex::new(());
+    static RESILIENCE_HELD: LockClass = LockClass {
+        name: "RESILIENCE_HELD",
+        rank: 0,
+    };
+    let guard = vertica_spark_fabric::parking_lot::Mutex::new(&RESILIENCE_HELD, ());
     {
         // Deliberately hold a lock across a connect that the latency
         // profile stalls: the injector's sleep must be attributed.

@@ -346,10 +346,10 @@ fn background_mover_with_concurrent_dml_has_zero_lock_cycles() {
     if vertica_spark_fabric::parking_lot::witness::active() {
         use vertica_spark_fabric::parking_lot::witness;
         assert_eq!(
-            witness::cycle_count(),
+            witness::inversion_count(),
             0,
-            "mover + DML produced a lock-order cycle: {:?}",
-            witness::snapshot().cycles
+            "mover + DML took locks against their rank: {:?}",
+            witness::snapshot().inversions
         );
     }
 }
