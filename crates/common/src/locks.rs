@@ -75,9 +75,9 @@ locks! {
     DFSLITE_DATANODE: "one simulated HDFS datanode's blocks";
     DFSLITE_PLACEMENT: "the simulated HDFS block-placement cursor";
     RECORDER_EVENTS: "a netsim recorder's event log";
-    OBS_TRACES: "the collector's trace store";
+    OBS_SPAN_LOGS: "the collector's registry of per-thread span logs";
+    OBS_SPAN_LOG: "one thread's span log";
     OBS_EVENTS: "one shard of the collector's event ring";
-    OBS_HISTO: "one collector histogram";
     CLOCK_TIMER: "the clock's armed timer launches";
     POOL_PARKED: "the worker pool's parked threads";
     POOL_HANDOFF: "a parked worker's mailbox";

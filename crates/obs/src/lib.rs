@@ -27,8 +27,11 @@
 //! Counters, timers, histograms and spans are named by the typed
 //! handles of [`names`], one per registered name: the handle's type is
 //! its kind, and its value is the index of the collector's slot for it.
-//! A counter slot is an atomic; a histogram slot is made on its first
-//! record. A snapshot shows a slot once something recorded into it.
+//! A counter slot is an atomic; a histogram slot is a set of atomic
+//! buckets made on its first record. No recording entry point waits on
+//! a lock another recorder holds: events go to per-thread shards, spans
+//! to per-thread logs ([`trace`]), and counters and histograms are
+//! atomics. A snapshot shows a slot once something recorded into it.
 //!
 //! The process-wide instance is [`global()`]; isolated instances
 //! ([`Collector::new`]) exist for tests. Collection can be switched
@@ -355,6 +358,68 @@ impl Histo {
     }
 }
 
+/// One timer, histogram or span slot: a [`Histo`] recorded with atomic
+/// adds instead of under a lock. A snapshot's count is the sum of the
+/// buckets it read, so count and buckets always agree; its sum, min and
+/// max may run one record ahead of them while records land.
+struct HistoSlot {
+    sum: AtomicU64,
+    /// `u64::MAX` until the first record.
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: Box<[AtomicU64]>,
+}
+
+impl HistoSlot {
+    fn new() -> HistoSlot {
+        HistoSlot {
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: (0..HISTO_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    fn record(&self, value: u64) {
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+        // `Histo::record` saturates the sum; so does this.
+        let _ = self
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(value))
+            });
+        // Last, with `Release`: a snapshot that counts this value also
+        // sees it in the sum, min and max.
+        self.buckets[histo_bucket_index(value)].fetch_add(1, Ordering::Release);
+    }
+
+    fn load(&self) -> Histo {
+        let buckets: Box<[u64]> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Acquire))
+            .collect();
+        let count = buckets.iter().sum();
+        let recorded = count > 0;
+        Histo {
+            count,
+            sum: self.sum.load(Ordering::Relaxed),
+            min: if recorded {
+                self.min.load(Ordering::Relaxed)
+            } else {
+                0
+            },
+            max: self.max.load(Ordering::Relaxed),
+            buckets,
+        }
+    }
+}
+
 /// One counter's slot. `recorded` is set by the first record, so a
 /// counter that was only ever `add`ed 0 still shows in a snapshot. Both
 /// are statistics publishing no other data, hence `Relaxed`: a snapshot
@@ -453,10 +518,10 @@ pub struct Collector {
     dropped: AtomicU64,
     /// One slot per [`names::DEFS`] row, indexed by a handle.
     counters: Box<[CounterSlot]>,
-    /// Timer, histogram and span slots, likewise indexed; a `Histo` is
+    /// Timer, histogram and span slots, likewise indexed; a slot is
     /// about 30 KB, so each is made on its first record.
-    histos: Box<[OnceLock<Mutex<Histo>>]>,
-    traces: Mutex<trace::TraceStore>,
+    histos: Box<[OnceLock<HistoSlot>]>,
+    spans: trace::Spans,
     next_shard: AtomicUsize,
 }
 
@@ -478,7 +543,7 @@ impl Collector {
             dropped: AtomicU64::new(0),
             counters: names::DEFS.iter().map(|_| CounterSlot::default()).collect(),
             histos: names::DEFS.iter().map(|_| OnceLock::new()).collect(),
-            traces: Mutex::new(&locks::OBS_TRACES, trace::TraceStore::default()),
+            spans: trace::Spans::new(),
             next_shard: AtomicUsize::new(0),
         }
     }
@@ -569,9 +634,7 @@ impl Collector {
     }
 
     fn record_value(&self, slot: usize, value: u64) {
-        let histo =
-            self.histos[slot].get_or_init(|| Mutex::new(&locks::OBS_HISTO, Histo::default()));
-        histo.lock().record(value);
+        self.histos[slot].get_or_init(HistoSlot::new).record(value);
     }
 
     /// Start a new trace rooted at a span `span`. Returns
@@ -582,7 +645,7 @@ impl Collector {
             return TraceCtx::NONE;
         }
         let now = self.now_us();
-        self.traces.lock().start_trace(span, now)
+        self.spans.start_trace(span, now)
     }
 
     /// Start a child span of `parent`. A `NONE` parent (untraced call
@@ -592,38 +655,43 @@ impl Collector {
             return TraceCtx::NONE;
         }
         let now = self.now_us();
-        self.traces.lock().start_span(span, parent, now)
+        self.spans.start_span(span, parent, now)
     }
 
     /// Finish the span `ctx` points at, stamping its end time and
     /// letting `fill` set tags (node, rows, failed, ...). The span's
     /// duration also lands in its span's histogram slot, so every span
     /// name has P50/P95/P99 without separate bookkeeping.
+    ///
+    /// Only the first finish of a span runs `fill` and counts; later
+    /// ones, and finishes of a span whose trace was evicted, do nothing.
+    /// `fill` runs with no lock held, so it may block or record spans of
+    /// its own. The record it is handed carries the span's trace, id,
+    /// name and times; only the tags it sets are kept.
     pub fn span_finish(&self, ctx: TraceCtx, fill: impl FnOnce(&mut SpanRecord)) {
         if ctx.is_none() || !self.is_enabled() {
             return;
         }
         let now = self.now_us();
-        let finished = self.traces.lock().finish_span(ctx, now, fill);
-        if let Some((span, dur_us)) = finished {
-            self.record_value(span.index(), dur_us);
+        if let Some((slot, dur_us)) = self.spans.finish_span(ctx, now, fill) {
+            self.record_value(slot, dur_us);
         }
     }
 
     /// All retained spans of one trace, in span-id order.
     pub fn trace_spans(&self, trace: TraceId) -> Vec<SpanRecord> {
-        self.traces.lock().spans_of(trace)
+        self.spans.spans_of(trace)
     }
 
     /// All retained spans across traces, grouped by trace in creation
     /// order (the `dc_spans` feed).
     pub fn all_spans(&self) -> Vec<SpanRecord> {
-        self.traces.lock().all_spans()
+        self.spans.all_spans()
     }
 
     /// Ids of retained traces, in creation order.
     pub fn trace_ids(&self) -> Vec<TraceId> {
-        self.traces.lock().trace_ids()
+        self.spans.trace_ids()
     }
 
     /// Copy out events, counters, timers, and histograms.
@@ -636,7 +704,7 @@ impl Collector {
         let mut snap = Snapshot {
             events,
             dropped_events: self.dropped.load(Ordering::Relaxed),
-            dropped_spans: self.traces.lock().dropped_spans,
+            dropped_spans: self.spans.dropped(),
             ..Snapshot::default()
         };
         for (def, slot) in names::DEFS.iter().zip(self.counters.iter()) {
@@ -647,12 +715,12 @@ impl Collector {
         }
         for (def, slot) in names::DEFS.iter().zip(self.histos.iter()) {
             let Some(histo) = slot.get() else { continue };
-            let histo = histo.lock();
+            let histo = histo.load();
             if def.kind == NameKind::Timer {
                 snap.timers
                     .insert(def.name.to_string(), timer_stats(&histo));
             } else {
-                snap.histos.insert(def.name.to_string(), histo.clone());
+                snap.histos.insert(def.name.to_string(), histo);
             }
         }
         snap
@@ -679,7 +747,8 @@ mod tests {
         V2S_PIECE_BYTES,
     };
     use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::thread;
 
     #[test]
     fn events_are_sequenced_and_carry_fields() {
@@ -953,6 +1022,250 @@ mod tests {
         // Children of a dropped span are no-ops, not errors.
         let ctx = c.span_start(RETRY_ATTEMPT, TraceCtx::NONE);
         assert!(ctx.is_none());
+
+        // Eight threads racing for the last ids of one trace: exactly
+        // the cap's worth get one, and every other start is counted.
+        let c = Arc::new(Collector::new());
+        let root = c.trace_start(S2V_JOB);
+        let kept: u64 = (0..8)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || {
+                    (0..1_200)
+                        .filter(|_| c.span_start(RETRY_ATTEMPT, root).is_some())
+                        .count() as u64
+                })
+            })
+            .collect::<Vec<_>>()
+            .into_iter()
+            .map(|t| t.join().unwrap())
+            .sum();
+        let cap = trace::MAX_SPANS_PER_TRACE as u64 - 1; // the root has one
+        assert_eq!(kept, cap);
+        assert_eq!(c.snapshot().dropped_spans, 8 * 1_200 - cap);
+        assert_eq!(c.trace_spans(root.trace).len() as u64, cap + 1);
+    }
+
+    /// A span's `fill` runs with no lock held: while one thread's fill
+    /// blocks, another thread starts and finishes a span of the same
+    /// trace. The blocked fill gives up after 5 s, so a recorder that
+    /// waits on it fails the test instead of hanging it.
+    #[test]
+    fn a_blocked_fill_stalls_no_other_recorder() {
+        let c = Arc::new(Collector::new());
+        let root = c.trace_start(S2V_JOB);
+        let blocked = c.span_start(RETRY_ATTEMPT, root);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let a = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || {
+                c.span_finish(blocked, |s| {
+                    started_tx.send(()).unwrap();
+                    let _ = release_rx.recv_timeout(Duration::from_secs(5));
+                    s.rows = 1;
+                })
+            })
+        };
+        started_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("thread A's fill never started");
+        let (done_tx, done_rx) = mpsc::channel();
+        let b = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || {
+                let span = c.span_start(HEDGE_ATTEMPT, root);
+                c.span_finish(span, |s| s.rows = 2);
+                done_tx.send(span).unwrap();
+            })
+        };
+        let b_done = done_rx.recv_timeout(Duration::from_secs(1));
+        release_tx.send(()).ok();
+        a.join().unwrap();
+        b.join().unwrap();
+        let b_span = b_done.expect("thread B waited for thread A's fill");
+        c.span_finish(root, |_| {});
+        let spans = c.trace_spans(root.trace);
+        assert!(trace::validate(&spans).is_empty());
+        assert_eq!(spans[blocked.span.0 as usize - 1].rows, 1);
+        assert_eq!(spans[b_span.span.0 as usize - 1].rows, 2);
+    }
+
+    /// A `fill` may itself record spans: it holds no lock that the
+    /// nested start and finish would need. The spans are recorded on a
+    /// thread of their own, so a recorder deadlocked on itself fails
+    /// the test instead of hanging it.
+    #[test]
+    fn a_fill_may_record_spans() {
+        let c = Arc::new(Collector::new());
+        let root = c.trace_start(S2V_JOB);
+        let (tx, rx) = mpsc::channel();
+        let recorder = {
+            let c = Arc::clone(&c);
+            thread::spawn(move || {
+                let outer = c.span_start(RETRY_ATTEMPT, root);
+                c.span_finish(outer, |s| {
+                    let inner = c.span_start(HEDGE_ATTEMPT, outer);
+                    c.span_finish(inner, |s| s.rows = 2);
+                    s.rows = 1;
+                });
+                tx.send(()).unwrap();
+            })
+        };
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("a fill that records a span deadlocked");
+        recorder.join().unwrap();
+        c.span_finish(root, |_| {});
+        let spans = c.trace_spans(root.trace);
+        assert_eq!(spans.len(), 3);
+        assert!(trace::validate(&spans).is_empty());
+        assert_eq!((spans[1].name, spans[1].rows), ("retry.attempt", 1));
+        assert_eq!((spans[2].name, spans[2].rows), ("hedge.attempt", 2));
+        assert_eq!(spans[2].parent, Some(spans[1].span));
+    }
+
+    /// Eight threads record 1,000 spans each into one trace. Every
+    /// other span is finished by the next thread instead of its
+    /// starter, and every fourth is finished twice, by both. Ids come
+    /// out dense and unique, exactly one close of each span runs its
+    /// `fill` and feeds the histogram, and the trace reads back sorted
+    /// and whole.
+    #[test]
+    fn spans_from_eight_threads_get_dense_ids_and_one_close_each() {
+        const THREADS: usize = 8;
+        const PER: u64 = 1_000;
+        let c = Arc::new(Collector::new());
+        let root = c.trace_start(S2V_JOB);
+        let fills = Arc::new(AtomicU64::new(0));
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..THREADS).map(|_| mpsc::channel()).unzip();
+        let threads: Vec<_> = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(t, rx)| {
+                let (c, fills) = (Arc::clone(&c), Arc::clone(&fills));
+                // The next thread finishes what this one hands over.
+                let next: mpsc::Sender<(TraceCtx, u64)> = txs[(t + 1) % THREADS].clone();
+                thread::spawn(move || {
+                    let finish = |ctx: TraceCtx, rows: u64| {
+                        c.span_finish(ctx, |s| {
+                            fills.fetch_add(1, Ordering::Relaxed);
+                            s.rows = rows;
+                            s.task = Some(rows % 7);
+                        })
+                    };
+                    let mut ids = Vec::new();
+                    for i in 0..PER {
+                        let ctx = c.span_start(RETRY_ATTEMPT, root);
+                        ids.push(ctx.span.0);
+                        let rows = t as u64 * PER + i;
+                        match i % 4 {
+                            0 => {
+                                finish(ctx, rows);
+                                // A second close changes nothing.
+                                c.span_finish(ctx, |s| {
+                                    s.rows = u64::MAX;
+                                    s.failed = true;
+                                });
+                            }
+                            1 => next.send((ctx, rows)).unwrap(),
+                            2 => {
+                                next.send((ctx, rows)).unwrap();
+                                finish(ctx, rows);
+                            }
+                            _ => finish(ctx, rows),
+                        }
+                        while let Ok((ctx, rows)) = rx.try_recv() {
+                            finish(ctx, rows);
+                        }
+                    }
+                    drop(next);
+                    for (ctx, rows) in rx {
+                        finish(ctx, rows);
+                    }
+                    ids
+                })
+            })
+            .collect();
+        drop(txs);
+        let mut ids: Vec<u64> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        ids.sort_unstable();
+        let total = THREADS as u64 * PER;
+        assert_eq!(ids, (2..2 + total).collect::<Vec<_>>(), "dense and unique");
+        c.span_finish(root, |_| {});
+        assert_eq!(fills.load(Ordering::Relaxed), total, "one fill per span");
+        let spans = c.trace_spans(root.trace);
+        assert_eq!(spans.len() as u64, total + 1);
+        assert!(
+            spans.windows(2).all(|w| w[0].span < w[1].span),
+            "sorted by id"
+        );
+        assert!(trace::validate(&spans).is_empty());
+        for s in &spans[1..] {
+            assert!(s.rows < total && !s.failed, "first close wins: {s:?}");
+            assert_eq!(s.task, Some(s.rows % 7));
+        }
+        let mut rows: Vec<u64> = spans[1..].iter().map(|s| s.rows).collect();
+        rows.sort_unstable();
+        assert_eq!(rows, (0..total).collect::<Vec<_>>());
+        assert_eq!(c.snapshot().histos["retry.attempt"].count(), total);
+        assert_eq!(c.all_spans().len() as u64, total + 1);
+    }
+
+    /// Eight threads start 40 traces each, 2.5 times the table: the
+    /// newest `MAX_TRACES` survive whole, the rest are gone, and a span
+    /// started or finished in an evicted trace does nothing but count.
+    #[test]
+    fn trace_slots_evict_the_oldest_under_concurrency() {
+        let c = Arc::new(Collector::new());
+        let threads: Vec<_> = (0..8)
+            .map(|_| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || {
+                    (0..40)
+                        .map(|_| {
+                            let root = c.trace_start(S2V_JOB);
+                            let child = c.span_start(RETRY_ATTEMPT, root);
+                            c.span_finish(child, |s| s.rows = root.trace.0);
+                            c.span_finish(root, |_| {});
+                            root
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let mut roots: Vec<TraceCtx> = threads
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        roots.sort_by_key(|r| r.trace);
+        let ids: Vec<TraceId> = roots.iter().map(|r| r.trace).collect();
+        assert_eq!(ids, (1..=320).map(TraceId).collect::<Vec<_>>());
+        let (evicted, kept) = roots.split_at(320 - trace::MAX_TRACES);
+        assert_eq!(
+            c.trace_ids(),
+            kept.iter().map(|r| r.trace).collect::<Vec<_>>()
+        );
+        for root in kept {
+            let spans = c.trace_spans(root.trace);
+            assert_eq!(spans.len(), 2);
+            assert!(trace::validate(&spans).is_empty());
+            assert_eq!(spans[1].rows, root.trace.0);
+        }
+        let all = c.all_spans();
+        assert_eq!(all.len(), 2 * trace::MAX_TRACES);
+        assert!(all
+            .windows(2)
+            .all(|w| (w[0].trace, w[0].span) < (w[1].trace, w[1].span)));
+        assert!(evicted.iter().all(|r| c.trace_spans(r.trace).is_empty()));
+        let before = c.snapshot();
+        assert!(c.span_start(RETRY_ATTEMPT, evicted[0]).is_none());
+        c.span_finish(evicted[1], |_| panic!("fill of an evicted span ran"));
+        let after = c.snapshot();
+        assert_eq!(after.dropped_spans, before.dropped_spans + 1);
+        assert_eq!(after.histos["s2v.job"], before.histos["s2v.job"]);
     }
 
     /// What a snapshot shows of the slots: a slot appears once recorded

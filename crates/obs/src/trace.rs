@@ -17,18 +17,39 @@
 //! operation downstream into a cheap no-op, so instrumented code never
 //! branches on "am I being traced".
 //!
-//! Span ids are allocated sequentially per trace under the trace-store
-//! lock — no ambient entropy, so a single-threaded replay yields
-//! identical ids and concurrent replays yield identical *shapes* (see
-//! [`shape_digest`], which canonicalizes child order).
+//! Span ids are allocated sequentially per trace from an atomic counter
+//! in the trace's slot of a fixed table of `MAX_TRACES` slots — no
+//! ambient entropy, so a single-threaded replay yields identical ids
+//! and concurrent replays yield identical *shapes* (see
+//! [`shape_digest`], which canonicalizes child order). Starting trace
+//! `t + MAX_TRACES` reuses trace `t`'s slot and so evicts it.
+//!
+//! Recording never waits on another recorder. `span_start` and
+//! `span_finish` append a start or a finish record to the calling
+//! thread's own span log, registered once per thread and collector, so
+//! only a reader ever contends a log's lock. A finish claims its span
+//! with one compare-and-swap on the span's word in the slot table, so
+//! the first close wins without a lock, and `fill` runs with no lock
+//! held. An evicted trace's records are freed by their log's owner
+//! when the log next grows past its pruning mark, outside the lock.
+//! Readers ([`crate::Collector::trace_spans`],
+//! [`crate::Collector::all_spans`]) merge the logs and join each start
+//! record with the first finish record of its span; a read beside
+//! running writers sees each log as it stood when the read reached it.
 //!
 //! The analysis helpers ([`critical_path`], [`render`], [`validate`])
 //! work on a plain `Vec<SpanRecord>` snapshot, so they can run against
 //! a live collector, a `dc_spans` dump, or a hand-built fixture.
 
-use std::collections::HashMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
-use crate::names::Span;
+use common::locks;
+use parking_lot::Mutex;
+
+use crate::names::{self, Span};
 
 /// Identifies one trace (one job). Id 0 is reserved for "not traced".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -104,122 +125,441 @@ impl SpanRecord {
     }
 }
 
-/// Retained traces before the oldest is evicted.
-const MAX_TRACES: usize = 128;
+/// Retained traces: trace `t` lives in slot `t % MAX_TRACES` of the
+/// slot table until trace `t + MAX_TRACES` starts and evicts it.
+pub(crate) const MAX_TRACES: usize = 128;
 
 /// Spans retained per trace; further `span_start`s return
 /// [`TraceCtx::NONE`] and count as dropped.
-const MAX_SPANS_PER_TRACE: usize = 8_192;
+pub(crate) const MAX_SPANS_PER_TRACE: usize = 8_192;
 
-/// Collector-internal store of live and recently finished traces.
-#[derive(Debug, Default)]
-pub(crate) struct TraceStore {
-    next_trace: u64,
-    /// Trace ids in creation order (eviction order).
-    order: std::collections::VecDeque<u64>,
-    traces: HashMap<u64, TraceBuf>,
-    pub(crate) dropped_spans: u64,
+/// A slot's `alloc` word is `trace << NEXT_BITS | next span id`.
+const NEXT_BITS: u32 = 14;
+const NEXT_MASK: u64 = (1 << NEXT_BITS) - 1;
+const _: () = assert!(MAX_SPANS_PER_TRACE < NEXT_MASK as usize);
+
+/// Span words per chunk; a slot makes its chunks as its traces grow.
+const CHUNK: usize = 256;
+
+// A span word holds all that `span_finish` needs, so that closing a
+// span is one compare-and-swap on it:
+//
+//   bits 49..64  the trace's generation in its slot, `trace / MAX_TRACES`,
+//                mod 2^15
+//   bit  48      OPEN: the span has started
+//   bit  47      CLOSED: the span has finished
+//   bits 37..47  the index of the span's name handle
+//   bits  0..37  its start, in µs, mod 2^37 (38 hours)
+const GEN_SHIFT: u32 = 49;
+const GEN_MASK: u64 = (1 << 15) - 1;
+const OPEN: u64 = 1 << 48;
+const CLOSED: u64 = 1 << 47;
+const NAME_SHIFT: u32 = 37;
+const NAME_MASK: u64 = (1 << 10) - 1;
+const START_MASK: u64 = (1 << NAME_SHIFT) - 1;
+
+/// Records a thread's log holds before it frees the records of evicted
+/// traces, at the least.
+const PRUNE_MIN: usize = 1_024;
+
+/// The word of a span of `trace` named `name` that started at `start_us`.
+fn span_word(trace: u64, name: Span, start_us: u64) -> u64 {
+    generation(trace) << GEN_SHIFT
+        | OPEN
+        | (name.index() as u64 & NAME_MASK) << NAME_SHIFT
+        | start_us & START_MASK
 }
 
-#[derive(Debug)]
-struct TraceBuf {
-    next_span: u64,
-    /// Sorted by span id: ids are allocated and pushed under one lock.
-    spans: Vec<SpanRecord>,
-    /// Each span's handle, parallel to `spans`: its histogram slot.
-    handles: Vec<Span>,
+fn generation(trace: u64) -> u64 {
+    (trace / MAX_TRACES as u64) & GEN_MASK
 }
 
-impl TraceStore {
-    pub(crate) fn start_trace(&mut self, name: Span, start_us: u64) -> TraceCtx {
-        self.next_trace += 1;
-        let trace = TraceId(self.next_trace);
-        if self.order.len() >= MAX_TRACES {
-            if let Some(old) = self.order.pop_front() {
-                self.traces.remove(&old);
+/// Whether generation `a` came after generation `b`, in serial-number
+/// order: right while the two are fewer than 2^14 generations (2M
+/// traces) apart, which two words in flight at once always are.
+fn later(a: u64, b: u64) -> bool {
+    let d = a.wrapping_sub(b) & GEN_MASK;
+    d != 0 && d <= GEN_MASK / 2
+}
+
+/// One slot of the trace table.
+struct Slot {
+    alloc: AtomicU64,
+    /// Span `s`'s word is `chunks[(s - 1) / CHUNK][(s - 1) % CHUNK]`.
+    chunks: [OnceLock<Box<[AtomicU64; CHUNK]>>; MAX_SPANS_PER_TRACE / CHUNK],
+}
+
+impl Slot {
+    fn new() -> Slot {
+        Slot {
+            alloc: AtomicU64::new(0),
+            chunks: [const { OnceLock::new() }; MAX_SPANS_PER_TRACE / CHUNK],
+        }
+    }
+
+    fn trace(&self) -> u64 {
+        self.alloc.load(Ordering::Relaxed) >> NEXT_BITS
+    }
+
+    /// Span `span`'s word, if its chunk exists.
+    fn word(&self, span: SpanId) -> Option<&AtomicU64> {
+        let i = usize::try_from(span.0).ok()?.checked_sub(1)?;
+        Some(&self.chunks.get(i / CHUNK)?.get()?[i % CHUNK])
+    }
+
+    fn word_or_make(&self, span: SpanId) -> &AtomicU64 {
+        let i = span.0 as usize - 1;
+        &self.chunks[i / CHUNK].get_or_init(|| Box::new([const { AtomicU64::new(0) }; CHUNK]))
+            [i % CHUNK]
+    }
+}
+
+/// One entry of a span log.
+enum Record {
+    Start {
+        trace: TraceId,
+        span: SpanId,
+        parent: Option<SpanId>,
+        name: Span,
+        start_us: u64,
+    },
+    /// The span as its `fill` left it: its end time and tags.
+    Finish(SpanRecord),
+}
+
+impl Record {
+    fn trace(&self) -> TraceId {
+        match self {
+            Record::Start { trace, .. } => *trace,
+            Record::Finish(s) => s.trace,
+        }
+    }
+}
+
+/// One thread's span records in one collector. Only that thread
+/// appends, so a reader is the only one who ever waits on its lock.
+struct SpanLog(Mutex<LogBuf>);
+
+struct LogBuf {
+    records: Vec<Record>,
+    /// Length at which the owner next frees evicted traces' records.
+    prune_at: usize,
+}
+
+impl LogBuf {
+    /// Drop the records of evicted traces, handing back the details
+    /// they own so that the caller frees them after unlocking.
+    fn take_dead(&mut self, spans: &Spans) -> Vec<String> {
+        let mut freed = Vec::new();
+        self.records.retain_mut(|r| {
+            let live = spans.is_live(r.trace());
+            if let (false, Record::Finish(s)) = (live, r) {
+                if s.detail.capacity() > 0 {
+                    freed.push(std::mem::take(&mut s.detail));
+                }
             }
-        }
-        self.order.push_back(trace.0);
-        let root = SpanId(1);
-        self.traces.insert(
-            trace.0,
-            TraceBuf {
-                next_span: 2,
-                spans: vec![blank(trace, root, None, name.name(), start_us)],
-                handles: vec![name],
+            live
+        });
+        self.prune_at = PRUNE_MIN.max(2 * self.records.len());
+        freed
+    }
+}
+
+impl SpanLog {
+    fn new() -> SpanLog {
+        SpanLog(Mutex::new(
+            &locks::OBS_SPAN_LOG,
+            LogBuf {
+                records: Vec::new(),
+                prune_at: PRUNE_MIN,
             },
-        );
-        TraceCtx { trace, span: root }
+        ))
     }
 
-    pub(crate) fn start_span(&mut self, name: Span, parent: TraceCtx, start_us: u64) -> TraceCtx {
-        let Some(buf) = self.traces.get_mut(&parent.trace.0) else {
-            // Trace evicted (or forged ctx): drop silently.
-            self.dropped_spans += 1;
-            return TraceCtx::NONE;
+    fn append(&self, record: Record, spans: &Spans) {
+        let freed = {
+            let mut buf = self.0.lock();
+            buf.records.push(record);
+            if buf.records.len() < buf.prune_at {
+                return;
+            }
+            buf.take_dead(spans)
         };
-        if buf.spans.len() >= MAX_SPANS_PER_TRACE {
-            self.dropped_spans += 1;
-            return TraceCtx::NONE;
-        }
-        let span = SpanId(buf.next_span);
-        buf.next_span += 1;
-        buf.spans.push(blank(
-            parent.trace,
-            span,
-            Some(parent.span),
-            name.name(),
-            start_us,
-        ));
-        buf.handles.push(name);
-        TraceCtx {
-            trace: parent.trace,
-            span,
+        drop(freed); // with no lock held
+    }
+}
+
+/// Ids of span stores, the key of a thread's logs.
+static NEXT_STORE: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// This thread's log in each store it has recorded into.
+    static LOGS: RefCell<Vec<(u64, Arc<SpanLog>)>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The collector's spans: a fixed table of [`MAX_TRACES`] trace slots,
+/// which hands out span ids, and one log per recording thread, which
+/// holds the spans' records.
+pub(crate) struct Spans {
+    id: u64,
+    next_trace: AtomicU64,
+    slots: Box<[Slot]>,
+    /// Every thread's log, registered by its first record.
+    logs: Mutex<Vec<Arc<SpanLog>>>,
+    dropped: AtomicU64,
+}
+
+impl Spans {
+    pub(crate) fn new() -> Spans {
+        Spans {
+            id: NEXT_STORE.fetch_add(1, Ordering::Relaxed),
+            next_trace: AtomicU64::new(0),
+            slots: (0..MAX_TRACES).map(|_| Slot::new()).collect(),
+            logs: Mutex::new(&locks::OBS_SPAN_LOGS, Vec::new()),
+            dropped: AtomicU64::new(0),
         }
     }
 
-    /// Close a span, returning `(handle, dur_us)` so the collector can
-    /// feed the span's histogram slot outside the store lock.
+    fn slot(&self, trace: TraceId) -> &Slot {
+        &self.slots[(trace.0 % MAX_TRACES as u64) as usize]
+    }
+
+    fn is_live(&self, trace: TraceId) -> bool {
+        trace.0 != 0 && self.slot(trace).trace() == trace.0
+    }
+
+    fn drop_span(&self) -> TraceCtx {
+        self.dropped.fetch_add(1, Ordering::Relaxed);
+        TraceCtx::NONE
+    }
+
+    pub(crate) fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Start a trace in the next slot, evicting the trace there: its
+    /// records die in place and their owners free them.
+    pub(crate) fn start_trace(&self, name: Span, start_us: u64) -> TraceCtx {
+        let trace = TraceId(self.next_trace.fetch_add(1, Ordering::Relaxed) + 1);
+        let slot = self.slot(trace);
+        let prev = slot
+            .alloc
+            .fetch_max(trace.0 << NEXT_BITS | 2, Ordering::Relaxed);
+        if prev >> NEXT_BITS > trace.0 {
+            return self.drop_span(); // a later trace took the slot first
+        }
+        self.open(slot, trace, SpanId(1), None, name, start_us)
+    }
+
+    pub(crate) fn start_span(&self, name: Span, parent: TraceCtx, start_us: u64) -> TraceCtx {
+        let slot = self.slot(parent.trace);
+        let next = slot
+            .alloc
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                (a >> NEXT_BITS == parent.trace.0 && a & NEXT_MASK <= MAX_SPANS_PER_TRACE as u64)
+                    .then_some(a + 1)
+            });
+        match next {
+            // Trace evicted (or forged ctx), or at its span cap.
+            Err(_) => self.drop_span(),
+            Ok(a) => self.open(
+                slot,
+                parent.trace,
+                SpanId(a & NEXT_MASK),
+                Some(parent.span),
+                name,
+                start_us,
+            ),
+        }
+    }
+
+    fn open(
+        &self,
+        slot: &Slot,
+        trace: TraceId,
+        span: SpanId,
+        parent: Option<SpanId>,
+        name: Span,
+        start_us: u64,
+    ) -> TraceCtx {
+        // The word may still hold a span of an evicted generation; a
+        // later one's means this start was itself evicted meanwhile.
+        // The word is all the state: ordering between its starter and
+        // its finisher comes from the hand-over of the ctx.
+        let word = span_word(trace.0, name, start_us);
+        let gen = generation(trace.0);
+        let set = slot
+            .word_or_make(span)
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+                (w & OPEN == 0 || !later(w >> GEN_SHIFT, gen)).then_some(word)
+            });
+        if set.is_err() {
+            return self.drop_span();
+        }
+        self.append_own(Record::Start {
+            trace,
+            span,
+            parent,
+            name,
+            start_us,
+        });
+        TraceCtx { trace, span }
+    }
+
+    /// Close a span: the first finish of a live span wins its word, runs
+    /// `fill` with no lock held, and logs the result. Returns the span
+    /// name's slot and the duration for the collector's histogram.
     pub(crate) fn finish_span(
-        &mut self,
+        &self,
         ctx: TraceCtx,
         end_us: u64,
         fill: impl FnOnce(&mut SpanRecord),
-    ) -> Option<(Span, u64)> {
-        let buf = self.traces.get_mut(&ctx.trace.0)?;
-        let idx = buf
-            .spans
-            .binary_search_by_key(&ctx.span.0, |s| s.span.0)
-            .ok()?;
-        let span = &mut buf.spans[idx];
-        if span.end_us.is_some() {
-            return None; // double-finish: keep the first close
+    ) -> Option<(usize, u64)> {
+        if !self.is_live(ctx.trace) {
+            return None;
         }
-        span.end_us = Some(end_us.max(span.start_us));
-        fill(span);
-        Some((buf.handles[idx], span.dur_us()))
+        let gen = generation(ctx.trace.0);
+        let word = self
+            .slot(ctx.trace)
+            .word(ctx.span)?
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
+                (w & (OPEN | CLOSED) == OPEN && w >> GEN_SHIFT == gen).then_some(w | CLOSED)
+            })
+            .ok()?; // unknown span, or double finish: keep the first close
+        let name = (word >> NAME_SHIFT & NAME_MASK) as usize;
+        let dur_us = end_us.wrapping_sub(word) & START_MASK;
+        let mut span = blank(
+            ctx.trace,
+            ctx.span,
+            None,
+            names::DEFS[name].name,
+            end_us.saturating_sub(dur_us),
+        );
+        span.end_us = Some(end_us);
+        fill(&mut span);
+        self.append_own(Record::Finish(span));
+        Some((name, dur_us))
+    }
+
+    /// Append to the calling thread's log, registering it on its first
+    /// record in this store.
+    fn append_own(&self, record: Record) {
+        let mut record = Some(record);
+        // Fails only while the thread's locals are torn down.
+        let _ = LOGS.try_with(|logs| {
+            let mut logs = logs.borrow_mut();
+            let i = match logs.iter().position(|(id, _)| *id == self.id) {
+                Some(i) => i,
+                None => {
+                    // Forget the logs of stores that are gone.
+                    logs.retain(|(_, log)| Arc::strong_count(log) > 1);
+                    logs.push((self.id, self.register()));
+                    logs.len() - 1
+                }
+            };
+            if let Some(record) = record.take() {
+                logs[i].1.append(record, self);
+            }
+        });
+        if let Some(record) = record {
+            self.register().append(record, self);
+        }
+    }
+
+    fn register(&self) -> Arc<SpanLog> {
+        let log = Arc::new(SpanLog::new());
+        let mut freed = Vec::new();
+        {
+            let mut logs = self.logs.lock();
+            // A log no thread holds any more belongs to an exited
+            // thread: free its dead records, and forget it once empty.
+            logs.retain_mut(|log| match Arc::get_mut(log) {
+                None => true,
+                Some(log) => {
+                    let buf = log.0.get_mut();
+                    freed.extend(buf.take_dead(self));
+                    !buf.records.is_empty()
+                }
+            });
+            logs.push(Arc::clone(&log));
+        }
+        drop(freed);
+        log
+    }
+
+    /// The retained spans of the traces `keep` selects, by trace id,
+    /// each trace's sorted by span id: every start record joined with
+    /// the first finish record of its span.
+    fn collect(&self, keep: impl Fn(TraceId) -> bool) -> BTreeMap<TraceId, Vec<SpanRecord>> {
+        let logs = self.logs.lock().clone();
+        let mut starts = Vec::new();
+        let mut finishes: HashMap<(TraceId, SpanId), SpanRecord> = HashMap::new();
+        for log in logs {
+            let buf = log.0.lock();
+            for record in buf.records.iter().filter(|r| keep(r.trace())) {
+                match record {
+                    Record::Start {
+                        trace,
+                        span,
+                        parent,
+                        name,
+                        start_us,
+                    } => starts.push((*trace, *span, *parent, *name, *start_us)),
+                    Record::Finish(s) => {
+                        finishes
+                            .entry((s.trace, s.span))
+                            .or_insert_with(|| s.clone());
+                    }
+                }
+            }
+        }
+        let mut out: BTreeMap<TraceId, Vec<SpanRecord>> = BTreeMap::new();
+        for (trace, span, parent, name, start_us) in starts {
+            let name = name.name();
+            let record = match finishes.remove(&(trace, span)) {
+                Some(f) => SpanRecord {
+                    parent,
+                    name,
+                    start_us,
+                    end_us: f.end_us.map(|e| e.max(start_us)),
+                    ..f
+                },
+                None => blank(trace, span, parent, name, start_us),
+            };
+            out.entry(trace).or_default().push(record);
+        }
+        for spans in out.values_mut() {
+            spans.sort_by_key(|s| s.span);
+        }
+        out
     }
 
     pub(crate) fn spans_of(&self, trace: TraceId) -> Vec<SpanRecord> {
-        self.traces
-            .get(&trace.0)
-            .map(|b| b.spans.clone())
+        if !self.is_live(trace) {
+            return Vec::new();
+        }
+        self.collect(|t| t == trace)
+            .remove(&trace)
             .unwrap_or_default()
     }
 
     /// All retained spans, grouped by trace in creation order.
     pub(crate) fn all_spans(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::new();
-        for id in &self.order {
-            if let Some(buf) = self.traces.get(id) {
-                out.extend(buf.spans.iter().cloned());
-            }
-        }
-        out
+        self.collect(|t| self.is_live(t))
+            .into_values()
+            .flatten()
+            .collect()
     }
 
     pub(crate) fn trace_ids(&self) -> Vec<TraceId> {
-        self.order.iter().map(|&id| TraceId(id)).collect()
+        let mut ids: Vec<TraceId> = self
+            .slots
+            .iter()
+            .map(|s| TraceId(s.trace()))
+            .filter(|t| t.0 != 0)
+            .collect();
+        ids.sort();
+        ids
     }
 }
 
@@ -530,6 +870,51 @@ pub fn render(spans: &[SpanRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::names::{RETRY_ATTEMPT, S2V_JOB};
+
+    /// A span word has room for the index of every registered name.
+    #[test]
+    fn span_words_hold_every_name() {
+        assert!(names::DEFS.len() <= NAME_MASK as usize + 1);
+    }
+
+    /// Evicted traces' records are freed by their owner, and the log of
+    /// an exited thread is forgotten by the next registration once its
+    /// traces are evicted; the spans of live traces stay readable.
+    #[test]
+    fn evicted_records_are_freed_and_exited_logs_forgotten() {
+        let spans = Spans::new();
+        let one_trace = |t: u64| {
+            let root = spans.start_trace(S2V_JOB, t);
+            let child = spans.start_span(RETRY_ATTEMPT, root, t);
+            spans.finish_span(child, t + 1, |s| s.detail = format!("t{t}"));
+            spans.finish_span(root, t + 2, |_| {});
+            root.trace
+        };
+        let log_lens = || -> Vec<usize> {
+            let logs = spans.logs.lock().clone();
+            logs.iter().map(|l| l.0.lock().records.len()).collect()
+        };
+        // Ten times the table, four records a trace: the log never
+        // reaches the pruning mark without falling back to the live
+        // traces' records.
+        for t in 0..10 * MAX_TRACES as u64 {
+            one_trace(t);
+            assert!(log_lens()[0] < PRUNE_MIN);
+        }
+        let exited = std::thread::scope(|s| s.spawn(|| one_trace(0)).join().unwrap());
+        assert_eq!(log_lens().len(), 2);
+        for t in 0..MAX_TRACES as u64 {
+            one_trace(t);
+        }
+        assert!(spans.spans_of(exited).is_empty());
+        let live = std::thread::scope(|s| s.spawn(|| one_trace(0)).join().unwrap());
+        assert_eq!(log_lens().len(), 2, "the evicted thread's log is gone");
+        let kept = spans.spans_of(live);
+        assert_eq!(kept.len(), 2);
+        assert!(validate(&kept).is_empty());
+        assert_eq!(kept[1].detail, "t0");
+    }
 
     fn span(
         id: u64,
