@@ -583,12 +583,10 @@ fn scan_dc_trace_summary(_cluster: &Cluster) -> (Schema, Vec<Row>) {
         ("dur_us", DataType::Int64),
         ("critical_path", DataType::Varchar),
     ]);
-    let collector = obs::global();
-    let rows = collector
-        .trace_ids()
+    let rows = obs::global()
+        .traces()
         .into_iter()
-        .filter_map(|id| {
-            let spans = collector.trace_spans(id);
+        .filter_map(|(id, spans)| {
             let root = spans.iter().find(|s| s.parent.is_none())?;
             let issues = obs::trace::validate(&spans);
             let unclosed = issues

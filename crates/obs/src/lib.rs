@@ -686,7 +686,13 @@ impl Collector {
     /// All retained spans across traces, grouped by trace in creation
     /// order (the `dc_spans` feed).
     pub fn all_spans(&self) -> Vec<SpanRecord> {
-        self.spans.all_spans()
+        self.traces().into_values().flatten().collect()
+    }
+
+    /// Every retained trace's spans, each in span-id order, read in one
+    /// pass (the `dc_trace_summary` feed).
+    pub fn traces(&self) -> BTreeMap<TraceId, Vec<SpanRecord>> {
+        self.spans.by_trace()
     }
 
     /// Ids of retained traces, in creation order.
@@ -1266,6 +1272,66 @@ mod tests {
         let after = c.snapshot();
         assert_eq!(after.dropped_spans, before.dropped_spans + 1);
         assert_eq!(after.histos["s2v.job"], before.histos["s2v.job"]);
+    }
+
+    /// A read beside running recorders shows every span with its
+    /// parent. Four threads in a ring each start spans and hand them to
+    /// the next thread, which starts and finishes a child under each
+    /// and finishes it; a reader keeps reading the trace meanwhile.
+    /// Four traces in turn, each near the span cap.
+    #[test]
+    fn a_read_beside_recorders_finds_no_orphans() {
+        let c = Arc::new(Collector::new());
+        for _ in 0..4 {
+            read_beside_recorders(&c);
+        }
+    }
+
+    fn read_beside_recorders(c: &Arc<Collector>) {
+        const THREADS: usize = 4;
+        let root = c.trace_start(S2V_JOB);
+        let (txs, rxs): (Vec<_>, Vec<_>) = (0..THREADS).map(|_| mpsc::channel()).unzip();
+        let writers: Vec<_> = rxs
+            .into_iter()
+            .enumerate()
+            .map(|(t, rx)| {
+                let c = Arc::clone(c);
+                let next: mpsc::Sender<TraceCtx> = txs[(t + 1) % THREADS].clone();
+                thread::spawn(move || {
+                    let adopt = |parent: TraceCtx| {
+                        let child = c.span_start(HEDGE_ATTEMPT, parent);
+                        c.span_finish(child, |_| {});
+                        c.span_finish(parent, |_| {});
+                    };
+                    for _ in 0..1_000 {
+                        next.send(c.span_start(RETRY_ATTEMPT, root)).unwrap();
+                        while let Ok(parent) = rx.try_recv() {
+                            adopt(parent);
+                        }
+                    }
+                    drop(next);
+                    rx.into_iter().for_each(adopt);
+                })
+            })
+            .collect();
+        drop(txs);
+        let mut reads = 0;
+        while !writers.iter().all(|w| w.is_finished()) {
+            let spans = c.trace_spans(root.trace);
+            let orphans: Vec<_> = trace::validate(&spans)
+                .into_iter()
+                .filter(|i| matches!(i, trace::TraceIssue::Orphan { .. }))
+                .collect();
+            assert!(orphans.is_empty(), "read {reads}: {orphans:?}");
+            reads += 1;
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        c.span_finish(root, |_| {});
+        let spans = c.trace_spans(root.trace);
+        assert_eq!(spans.len(), 1 + 2 * THREADS * 1_000);
+        assert!(trace::validate(&spans).is_empty());
     }
 
     /// What a snapshot shows of the slots: a slot appears once recorded

@@ -33,16 +33,18 @@
 //! held. An evicted trace's records are freed by their log's owner
 //! when the log next grows past its pruning mark, outside the lock.
 //! Readers ([`crate::Collector::trace_spans`],
-//! [`crate::Collector::all_spans`]) merge the logs and join each start
-//! record with the first finish record of its span; a read beside
-//! running writers sees each log as it stood when the read reached it.
+//! [`crate::Collector::all_spans`], [`crate::Collector::traces`]) merge
+//! the logs and join each start record with the first finish record of
+//! its span. A read beside running writers reads each log as it stood
+//! when the read reached it, and leaves out any span whose parent's
+//! start it did not find, so every span read has its parent.
 //!
 //! The analysis helpers ([`critical_path`], [`render`], [`validate`])
 //! work on a plain `Vec<SpanRecord>` snapshot, so they can run against
 //! a live collector, a `dc_spans` dump, or a hand-built fixture.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -144,15 +146,14 @@ const CHUNK: usize = 256;
 // A span word holds all that `span_finish` needs, so that closing a
 // span is one compare-and-swap on it:
 //
-//   bits 49..64  the trace's generation in its slot, `trace / MAX_TRACES`,
-//                mod 2^15
-//   bit  48      OPEN: the span has started
 //   bit  47      CLOSED: the span has finished
 //   bits 37..47  the index of the span's name handle
 //   bits  0..37  its start, in µs, mod 2^37 (38 hours)
-const GEN_SHIFT: u32 = 49;
-const GEN_MASK: u64 = (1 << 15) - 1;
-const OPEN: u64 = 1 << 48;
+//
+// Words are never cleared. A start writes its word, and a finish
+// claims one, only while the slot names their trace; a later trace's
+// word is written with `Release` after it took the slot, and read with
+// `Acquire`, so reading it shows the later trace in the slot.
 const CLOSED: u64 = 1 << 47;
 const NAME_SHIFT: u32 = 37;
 const NAME_MASK: u64 = (1 << 10) - 1;
@@ -162,24 +163,9 @@ const START_MASK: u64 = (1 << NAME_SHIFT) - 1;
 /// traces, at the least.
 const PRUNE_MIN: usize = 1_024;
 
-/// The word of a span of `trace` named `name` that started at `start_us`.
-fn span_word(trace: u64, name: Span, start_us: u64) -> u64 {
-    generation(trace) << GEN_SHIFT
-        | OPEN
-        | (name.index() as u64 & NAME_MASK) << NAME_SHIFT
-        | start_us & START_MASK
-}
-
-fn generation(trace: u64) -> u64 {
-    (trace / MAX_TRACES as u64) & GEN_MASK
-}
-
-/// Whether generation `a` came after generation `b`, in serial-number
-/// order: right while the two are fewer than 2^14 generations (2M
-/// traces) apart, which two words in flight at once always are.
-fn later(a: u64, b: u64) -> bool {
-    let d = a.wrapping_sub(b) & GEN_MASK;
-    d != 0 && d <= GEN_MASK / 2
+/// The word of a span named `name` that started at `start_us`.
+fn span_word(name: Span, start_us: u64) -> u64 {
+    (name.index() as u64 & NAME_MASK) << NAME_SHIFT | start_us & START_MASK
 }
 
 /// One slot of the trace table.
@@ -199,6 +185,12 @@ impl Slot {
 
     fn trace(&self) -> u64 {
         self.alloc.load(Ordering::Relaxed) >> NEXT_BITS
+    }
+
+    /// Whether the slot still holds `ctx`'s trace and has issued its id.
+    fn issued(&self, ctx: TraceCtx) -> bool {
+        let alloc = self.alloc.load(Ordering::Relaxed);
+        alloc >> NEXT_BITS == ctx.trace.0 && ctx.span.0 < alloc & NEXT_MASK
     }
 
     /// Span `span`'s word, if its chunk exists.
@@ -382,16 +374,15 @@ impl Spans {
         name: Span,
         start_us: u64,
     ) -> TraceCtx {
-        // The word may still hold a span of an evicted generation; a
-        // later one's means this start was itself evicted meanwhile.
-        // The word is all the state: ordering between its starter and
-        // its finisher comes from the hand-over of the ctx.
-        let word = span_word(trace.0, name, start_us);
-        let gen = generation(trace.0);
+        // Whatever the word holds was left by an evicted trace, unless
+        // a later trace has taken the slot and so evicted this start.
+        // Ordering between a span's starter and its finisher comes from
+        // the hand-over of the ctx.
+        let word = span_word(name, start_us);
         let set = slot
             .word_or_make(span)
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
-                (w & OPEN == 0 || !later(w >> GEN_SHIFT, gen)).then_some(word)
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |_| {
+                (slot.trace() == trace.0).then_some(word)
             });
         if set.is_err() {
             return self.drop_span();
@@ -415,17 +406,13 @@ impl Spans {
         end_us: u64,
         fill: impl FnOnce(&mut SpanRecord),
     ) -> Option<(usize, u64)> {
-        if !self.is_live(ctx.trace) {
-            return None;
-        }
-        let gen = generation(ctx.trace.0);
-        let word = self
-            .slot(ctx.trace)
+        let slot = self.slot(ctx.trace);
+        let word = slot
             .word(ctx.span)?
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |w| {
-                (w & (OPEN | CLOSED) == OPEN && w >> GEN_SHIFT == gen).then_some(w | CLOSED)
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |w| {
+                (w & CLOSED == 0 && slot.issued(ctx)).then_some(w | CLOSED)
             })
-            .ok()?; // unknown span, or double finish: keep the first close
+            .ok()?; // evicted, unknown span, or double finish: keep the first close
         let name = (word >> NAME_SHIFT & NAME_MASK) as usize;
         let dur_us = end_us.wrapping_sub(word) & START_MASK;
         let mut span = blank(
@@ -487,9 +474,16 @@ impl Spans {
         log
     }
 
-    /// The retained spans of the traces `keep` selects, by trace id,
-    /// each trace's sorted by span id: every start record joined with
-    /// the first finish record of its span.
+    /// The retained spans of the live traces `keep` selects, by trace
+    /// id, each trace's sorted by span id: every start record joined
+    /// with the first finish record of its span.
+    ///
+    /// The logs are read one after another while recorders run, so a
+    /// child's start may be found in a later log than its parent's
+    /// start, which landed after the read passed its log. Such a child,
+    /// and its subtree, is left out, as a read before its start would
+    /// have: every span read has its parent. A trace evicted during the
+    /// read reads as gone.
     fn collect(&self, keep: impl Fn(TraceId) -> bool) -> BTreeMap<TraceId, Vec<SpanRecord>> {
         let logs = self.logs.lock().clone();
         let mut starts = Vec::new();
@@ -528,8 +522,20 @@ impl Spans {
             };
             out.entry(trace).or_default().push(record);
         }
+        // A trace whose slot is taken stays gone, so one still live now
+        // was live, and unpruned, for the whole read.
+        out.retain(|trace, _| self.is_live(*trace));
         for spans in out.values_mut() {
+            // A parent's id is below its children's.
             spans.sort_by_key(|s| s.span);
+            let mut read = HashSet::new();
+            spans.retain(|s| {
+                let whole = s.parent.is_none_or(|p| read.contains(&p));
+                if whole {
+                    read.insert(s.span);
+                }
+                whole
+            });
         }
         out
     }
@@ -543,12 +549,9 @@ impl Spans {
             .unwrap_or_default()
     }
 
-    /// All retained spans, grouped by trace in creation order.
-    pub(crate) fn all_spans(&self) -> Vec<SpanRecord> {
+    /// Every retained trace's spans, in creation order.
+    pub(crate) fn by_trace(&self) -> BTreeMap<TraceId, Vec<SpanRecord>> {
         self.collect(|t| self.is_live(t))
-            .into_values()
-            .flatten()
-            .collect()
     }
 
     pub(crate) fn trace_ids(&self) -> Vec<TraceId> {
@@ -914,6 +917,45 @@ mod tests {
         assert_eq!(kept.len(), 2);
         assert!(validate(&kept).is_empty());
         assert_eq!(kept[1].detail, "t0");
+    }
+
+    /// A start overwrites whatever word an evicted trace left in its
+    /// slot, however long ago: a 300-span trace, then, 16,385 reuses of
+    /// the slot later (past the half-way turn of a 15-bit serial-number
+    /// count of reuses), another as long, none dropped. Each leaves its
+    /// last span open, and a finish through the evicted trace's ctx
+    /// leaves the new trace's span at that id open.
+    #[test]
+    fn a_start_overwrites_the_words_of_any_evicted_trace() {
+        let spans = Spans::new();
+        let one_trace = || {
+            let root = spans.start_trace(S2V_JOB, 0);
+            assert!(root.is_some());
+            let mut last = root;
+            for t in 0..299 {
+                spans.finish_span(last, t, |_| {});
+                last = spans.start_span(RETRY_ATTEMPT, root, t);
+                assert!(last.is_some());
+            }
+            last
+        };
+        let old = one_trace();
+        spans
+            .next_trace
+            .fetch_add(16_385 * MAX_TRACES as u64 - 1, Ordering::Relaxed);
+        let new = one_trace();
+        assert_eq!((old.span, old.trace.0 % MAX_TRACES as u64), (new.span, 1));
+        assert_eq!(spans.dropped(), 0);
+        assert_eq!(spans.finish_span(old, 300, |_| panic!("evicted")), None);
+        let read = spans.spans_of(new.trace);
+        assert_eq!(read.len(), 300);
+        assert_eq!(
+            validate(&read),
+            [TraceIssue::Unclosed {
+                span: new.span,
+                name: "retry.attempt"
+            }]
+        );
     }
 
     fn span(
