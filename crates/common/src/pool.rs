@@ -9,11 +9,14 @@
 //! is no idle timer and no option: a small job stops paying for a fresh
 //! OS thread, and that is all the pool changes.
 //!
-//! [`run_all`] is the scoped form and [`spawn`] the detached one. A
+//! [`run_all`] is the scoped form and [`spawn`] the one-call form. A
 //! scoped fan-out's caller does a share of the work: it runs call 0
 //! itself while pooled threads run the rest, so a fan-out of one hands
 //! nothing to another thread. Call 0 thus runs under whatever the caller
 //! holds, and a caller must hold no lock guard across [`run_all`].
+//! [`spawn`] hands its call to a pooled thread and returns a [`Handle`]:
+//! [`Handle::join`] waits for the call as [`run_all`] waits for its
+//! calls, and dropping the handle detaches the call.
 
 use std::any::Any;
 use std::panic::{self, AssertUnwindSafe};
@@ -82,16 +85,7 @@ fn worker(slot: Arc<Slot>, mut job: Job) {
     }
 }
 
-/// Run `f` on a pooled thread and return at once; nothing waits for it
-/// (an abandoned call keeps its thread until it returns). Panics when no
-/// thread can be started, as `std::thread::spawn` does.
-pub fn spawn(f: impl FnOnce() + Send + 'static) {
-    if let Err(e) = dispatch(Box::new(f)) {
-        panic!("pool: cannot start a thread: {e}");
-    }
-}
-
-/// What a [`run_all`] waits on.
+/// What a [`run_all`] or a [`Handle`] waits on.
 struct Latch {
     pending_calls: Mutex<Pending>,
     all_returned: Condvar,
@@ -105,6 +99,13 @@ struct Pending {
 }
 
 impl Latch {
+    fn new(calls: usize) -> Arc<Latch> {
+        Arc::new(Latch {
+            pending_calls: Mutex::new(&locks::POOL_LATCH, Pending { calls, panic: None }),
+            all_returned: Condvar::new(),
+        })
+    }
+
     fn count_down(&self, calls: usize, panic: Option<Box<dyn Any + Send>>) {
         let mut pending = self.pending_calls.lock();
         pending.calls -= calls;
@@ -115,6 +116,56 @@ impl Latch {
             self.all_returned.notify_one();
         }
     }
+
+    /// Wait until every call has returned; the first panic among them.
+    fn wait(&self) -> Option<Box<dyn Any + Send>> {
+        let mut pending = self.pending_calls.lock();
+        while pending.calls > 0 {
+            self.all_returned.wait(&mut pending);
+        }
+        pending.panic.take()
+    }
+}
+
+/// A call [`spawn`] started. [`Handle::join`] waits for it to return;
+/// dropping the handle detaches the call, which then runs to its end
+/// with nothing waiting for it.
+pub struct Handle {
+    latch: Arc<Latch>,
+}
+
+impl Handle {
+    /// Wait for the call to return: `Err` with its panic's payload if it
+    /// panicked, as `std::thread::JoinHandle::join` reports it.
+    pub fn wait(self) -> std::thread::Result<()> {
+        self.latch.wait().map_or(Ok(()), Err)
+    }
+
+    /// Wait for the call to return, and re-raise its panic with its
+    /// payload if it panicked, as [`run_all`] does. The caller must hold
+    /// no lock guard across the call.
+    pub fn join(self) {
+        if let Err(payload) = self.wait() {
+            panic::resume_unwind(payload);
+        }
+    }
+}
+
+/// Run `f` on a pooled thread and return at once, with the handle that
+/// joins it. A call whose handle is dropped keeps its thread until it
+/// returns. Panics when no thread can be started, as `std::thread::spawn`
+/// does.
+pub fn spawn(f: impl FnOnce() + Send + 'static) -> Handle {
+    let latch = Latch::new(1);
+    let call_latch = Arc::clone(&latch);
+    let call = Box::new(move || {
+        let outcome = panic::catch_unwind(AssertUnwindSafe(f));
+        call_latch.count_down(1, outcome.err());
+    });
+    if let Err(e) = dispatch(call) {
+        panic!("pool: cannot start a thread: {e}");
+    }
+    Handle { latch }
 }
 
 /// Run `f(0)`, …, `f(n - 1)` and return once every call has returned:
@@ -127,16 +178,7 @@ pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
     if n == 0 {
         return;
     }
-    let latch = Arc::new(Latch {
-        pending_calls: Mutex::new(
-            &locks::POOL_LATCH,
-            Pending {
-                calls: n,
-                panic: None,
-            },
-        ),
-        all_returned: Condvar::new(),
-    });
+    let latch = Latch::new(n);
     for i in 1..n {
         let call_latch = Arc::clone(&latch);
         let call: Box<dyn FnOnce() + Send + '_> = Box::new(move || {
@@ -157,13 +199,7 @@ pub fn run_all<F: Fn(usize) + Sync>(n: usize, f: &F) {
     }
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| f(0)));
     latch.count_down(1, outcome.err());
-    let mut pending = latch.pending_calls.lock();
-    while pending.calls > 0 {
-        latch.all_returned.wait(&mut pending);
-    }
-    let panic = pending.panic.take();
-    drop(pending);
-    if let Some(payload) = panic {
+    if let Some(payload) = latch.wait() {
         panic::resume_unwind(payload);
     }
 }
@@ -351,8 +387,47 @@ mod tests {
     fn spawn_runs_detached_on_a_pooled_thread() {
         let _serial = serial();
         let (tx, rx) = std::sync::mpsc::channel();
-        spawn(move || tx.send(7).unwrap());
-        assert_eq!(rx.recv_timeout(Duration::from_secs(10)), Ok(7));
+        // The handle is gone before the call starts its work.
+        drop(spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            tx.send(std::thread::current().id()).unwrap();
+        }));
+        let ran_on = rx.recv_timeout(Duration::from_secs(10));
+        assert!(ran_on.is_ok_and(|id| id != std::thread::current().id()));
+    }
+
+    #[test]
+    fn join_returns_after_the_call_has_run() {
+        let _serial = serial();
+        let ran = Arc::new(AtomicUsize::new(0));
+        let call_ran = Arc::clone(&ran);
+        let handle = spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            call_ran.fetch_add(1, Ordering::AcqRel);
+        });
+        handle.join();
+        assert_eq!(ran.load(Ordering::Acquire), 1);
+        // A call that has long returned joins at once.
+        let handle = spawn(|| {});
+        settle();
+        assert!(handle.wait().is_ok());
+    }
+
+    #[test]
+    fn a_panicking_calls_payload_comes_back_from_join() {
+        let _serial = serial();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| spawn(|| panic!("spawned")).join()));
+        let payload = caught.expect_err("join re-raises the call's panic");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"spawned"));
+        let payload = spawn(|| panic!("waited"))
+            .wait()
+            .expect_err("wait reports it");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"waited"));
+        // The thread that ran the panicking call parks for the next one.
+        settle();
+        let before = spawned();
+        spawn(|| {}).join();
+        assert_eq!(spawned(), before);
     }
 
     /// xorshift64*: the stress test's seeded choices.
@@ -364,8 +439,9 @@ mod tests {
     }
 
     /// 10,000 jobs of random width, some with nested jobs, some with a
-    /// panicking call: every call runs exactly once, and a job's panic
-    /// comes back to its caller.
+    /// panicking call, each beside a joined and a detached spawn: every
+    /// call runs exactly once, a job's or a joined call's panic comes
+    /// back to its caller, and every detached call runs.
     #[test]
     #[ignore]
     fn stress_random_widths_nesting_and_panics() {
@@ -378,7 +454,26 @@ mod tests {
             }
         }));
         let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let detached = Arc::new(AtomicUsize::new(0));
         for _ in 0..10_000 {
+            // A detached call that outlives its handle, and a joined one
+            // that runs beside the job below and may panic.
+            let runs = Arc::clone(&detached);
+            let nap = next(&mut seed) % 3;
+            drop(spawn(move || {
+                std::thread::sleep(Duration::from_micros(nap));
+                runs.fetch_add(1, Ordering::AcqRel);
+            }));
+            let joined_panics = next(&mut seed).is_multiple_of(8);
+            let joined_ran = Arc::new(AtomicUsize::new(0));
+            let runs = Arc::clone(&joined_ran);
+            let joined = spawn(move || {
+                runs.fetch_add(1, Ordering::AcqRel);
+                if joined_panics {
+                    panic!("planned");
+                }
+            });
+
             let n = (next(&mut seed) % 12) as usize;
             let nested = (next(&mut seed) % 4) as usize;
             let panicking =
@@ -408,7 +503,22 @@ mod tests {
                     panic!("panicked: {}, planned: {planned:?}", outcome.is_err())
                 }
             }
+            let outcome = joined.wait();
+            assert_eq!(joined_ran.load(Ordering::Acquire), 1);
+            match outcome {
+                Ok(()) => assert!(!joined_panics),
+                Err(payload) => {
+                    assert!(joined_panics);
+                    assert_eq!(payload.downcast_ref::<&str>(), Some(&"planned"));
+                }
+            }
             assert!(parked() <= MAX_PARKED);
         }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while detached.load(Ordering::Acquire) < 10_000 {
+            assert!(Instant::now() < deadline, "a detached call never ran");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        settle();
     }
 }

@@ -112,9 +112,11 @@ pub struct ConnectorOptions {
     pub agg_pushdown: bool,
     /// Bulk (one COPY) or streaming micro-batch ingest.
     pub ingest: IngestMode,
-    /// Streaming: run a tuple-mover pass after each micro-batch commit,
-    /// keeping the WOS drained and small ROS containers compacted so
-    /// steady-state scans stay fast under continuous ingest.
+    /// Streaming: start a tuple-mover pass after each micro-batch
+    /// commit, keeping the WOS drained and small ROS containers
+    /// compacted so steady-state scans stay fast under continuous
+    /// ingest. The pass runs on a pooled thread beside the caller; the
+    /// writer joins it before its next flush.
     pub mover_enabled: bool,
 }
 
@@ -431,7 +433,8 @@ impl ConnectorOptionsBuilder {
         self
     }
 
-    /// Enable/disable the per-flush tuple-mover pass in stream mode.
+    /// Enable/disable the per-flush tuple-mover pass in stream mode
+    /// (run beside the caller, joined before the next flush).
     pub fn mover_enabled(mut self, on: bool) -> Self {
         self.opts.mover_enabled = on;
         self

@@ -21,13 +21,20 @@
 //! (only staging/protocol state, target untouched) for the replay to
 //! complete.
 //!
-//! After each committed batch the writer runs one tuple-mover pass
-//! ([`Cluster::mover_pass`], unless `mover.enabled=false`), draining
-//! the WOS the trickle load grows and compacting the small ROS
-//! containers it creates — the difference `BENCH_stream` measures.
+//! After each committed batch the writer starts one tuple-mover pass
+//! ([`Cluster::mover_pass`], unless `mover.enabled=false`) on a pooled
+//! thread, draining the WOS the trickle load grows and compacting the
+//! small ROS containers it creates — the difference `BENCH_stream`
+//! measures. The flush returns once its batch is committed, so the
+//! pass runs in the caller's time between batches, as Vertica's tuple
+//! mover runs behind a load. The writer holds at most one pass and
+//! joins it before its next flush, in [`finish`] and when dropped:
+//! every flush, and every fault the injector draws, sees the store
+//! layout and the order of passes that running the pass inline gives.
 //!
 //! [`append_rows`]: StreamWriter::append_rows
 //! [`poll`]: StreamWriter::poll
+//! [`finish`]: StreamWriter::finish
 //! [`IngestMode::Stream`]: crate::options::IngestMode::Stream
 //! [`s2v`]: crate::s2v
 
@@ -35,7 +42,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use common::{Row, Schema};
+use common::{pool, Row, Schema};
 use mppdb::Cluster;
 use sparklet::{DataFrame, SaveMode, SparkContext};
 
@@ -79,6 +86,8 @@ pub struct StreamWriter {
     committer_task: Option<u64>,
     engine_job_id: u64,
     trace: obs::TraceId,
+    /// The mover pass the last flush started, until it is joined.
+    pass: Option<pool::Handle>,
 }
 
 impl StreamWriter {
@@ -155,6 +164,7 @@ impl StreamWriter {
             committer_task: None,
             engine_job_id: 0,
             trace: obs::TraceId(0),
+            pass: None,
         })
     }
 
@@ -217,21 +227,22 @@ impl StreamWriter {
         Ok(true)
     }
 
-    /// Flush whatever is buffered and return the aggregate report for
-    /// the whole stream: summed rows/phases, `batches` flushed, the
-    /// base job name.
+    /// Flush whatever is buffered, wait for the last mover pass, and
+    /// return the aggregate report for the whole stream: summed
+    /// rows/phases, `batches` flushed, the base job name.
     pub fn finish(mut self) -> ConnectorResult<SaveReport> {
         if !self.ignored && !self.buf.is_empty() {
             let batch = std::mem::take(&mut self.buf);
             self.flush_batch(batch)?;
         }
+        self.join_pass();
         Ok(SaveReport {
             method: WriteMethod::Copy,
-            job_name: self.base,
+            job_name: std::mem::take(&mut self.base),
             rows_loaded: self.rows_loaded,
             rows_rejected: self.rows_rejected,
             committer_task: self.committer_task,
-            rejected_samples: self.rejected_samples,
+            rejected_samples: std::mem::take(&mut self.rejected_samples),
             engine_job_id: self.engine_job_id,
             phase_us: self.phase_us,
             part_files: 0,
@@ -241,8 +252,18 @@ impl StreamWriter {
         })
     }
 
-    /// Run one micro-batch as a full exactly-once S2V job.
+    /// Wait for the mover pass the last flush started, if it is still
+    /// pending, re-raising its panic.
+    fn join_pass(&mut self) {
+        if let Some(pass) = self.pass.take() {
+            pass.join();
+        }
+    }
+
+    /// Run one micro-batch as a full exactly-once S2V job, once the
+    /// previous batch's mover pass has returned.
     fn flush_batch(&mut self, rows: Vec<Row>) -> ConnectorResult<()> {
+        self.join_pass();
         let parts = self
             .opts
             .num_partitions
@@ -274,11 +295,30 @@ impl StreamWriter {
         self.engine_job_id = report.engine_job_id;
         self.trace = report.trace;
         // Background maintenance rides the ingest cadence: drain the
-        // WOS this batch grew and compact the small container it left.
+        // WOS this batch grew and compact the small container it left,
+        // while the caller prepares the next batch.
         if self.opts.mover_enabled {
-            self.cluster.mover_pass();
+            let cluster = Arc::clone(&self.cluster);
+            self.pass = Some(pool::spawn(move || {
+                cluster.mover_pass();
+            }));
         }
         Ok(())
+    }
+}
+
+impl Drop for StreamWriter {
+    /// A dropped writer leaves no pass running behind it. While the
+    /// thread is already panicking, the pass's own panic is not raised
+    /// over it.
+    fn drop(&mut self) {
+        if let Some(pass) = self.pass.take() {
+            if std::thread::panicking() {
+                let _ = pass.wait();
+            } else {
+                pass.join();
+            }
+        }
     }
 }
 
@@ -295,9 +335,13 @@ pub(crate) fn save_stream(
     batch_rows: usize,
 ) -> ConnectorResult<SaveReport> {
     let mut writer = StreamWriter::open(ctx, cluster, df.schema().clone(), opts, mode)?;
-    let rows = df.collect()?;
-    for chunk in rows.chunks(batch_rows.max(1)) {
-        writer.append_rows(chunk.to_vec())?;
+    let mut rows = df.collect()?.into_iter();
+    loop {
+        let chunk: Vec<Row> = rows.by_ref().take(batch_rows.max(1)).collect();
+        if chunk.is_empty() {
+            break;
+        }
+        writer.append_rows(chunk)?;
     }
     writer.finish()
 }
@@ -313,9 +357,10 @@ mod tests {
     const FLUSH_AGE: Duration = Duration::from_millis(50);
     const US: Duration = Duration::from_micros(1);
 
-    /// A writer of 10-row batches that flushes rows 50ms old, on a
-    /// clock only the test moves.
-    fn writer(clock: Clock) -> StreamWriter {
+    /// A writer of 10-row batches that flushes rows 50ms old, on
+    /// `clock`, with its cluster; `copy_direct(false)` lands every batch
+    /// in the WOS for the mover to drain.
+    fn open(clock: Clock, copy_direct: bool) -> (Arc<Cluster>, StreamWriter) {
         let cluster = Cluster::new(ClusterConfig {
             clock,
             ..ClusterConfig::default()
@@ -327,10 +372,25 @@ mod tests {
         let opts = ConnectorOptions::builder("ticks")
             .num_partitions(2)
             .stream(10, FLUSH_AGE.as_millis() as u64)
+            .copy_direct(copy_direct)
+            .mover_enabled(true)
             .build()
             .unwrap();
         let schema = Schema::from_pairs(&[("id", DataType::Int64)]);
-        StreamWriter::open(&ctx, &cluster, schema, &opts, SaveMode::Overwrite).unwrap()
+        let writer =
+            StreamWriter::open(&ctx, &cluster, schema, &opts, SaveMode::Overwrite).unwrap();
+        (cluster, writer)
+    }
+
+    /// A writer of 10-row batches that flushes rows 50ms old, on a
+    /// clock only the test moves.
+    fn writer(clock: Clock) -> StreamWriter {
+        open(clock, true).1
+    }
+
+    fn wos_rows(cluster: &Cluster) -> usize {
+        let stats = cluster.table_stats("ticks").unwrap();
+        stats.iter().map(|s| s.wos_rows).sum()
     }
 
     fn rows(ids: std::ops::Range<i64>) -> Vec<Row> {
@@ -369,5 +429,69 @@ mod tests {
         assert!(w.poll().unwrap());
         assert_eq!((w.batches(), w.buffered()), (2, 0));
         assert_eq!(w.finish().unwrap().rows_loaded, 17);
+    }
+
+    #[test]
+    fn a_flush_returns_while_its_mover_pass_waits_for_a_lock() {
+        let clock = Clock::manual();
+        let (cluster, mut w) = open(clock, false);
+        // An open transaction holds a table that sorts before the
+        // target exclusively, so the pass waits at that table's lock;
+        // a manual clock never times the wait out.
+        let mut holder = cluster.connect(0).unwrap();
+        holder
+            .execute("CREATE TABLE held (id INT) SEGMENTED BY HASH(id) ALL NODES")
+            .unwrap();
+        holder.insert("held", rows(0..4)).unwrap();
+        holder.begin().unwrap();
+        holder.execute("DELETE FROM held WHERE id < 0").unwrap();
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let flushed = w.append_rows(rows(0..10)).unwrap();
+            let _ = tx.send((flushed, w));
+        });
+        // The wait only runs out when the flush waits for its pass.
+        let (flushed, w) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("append_rows returns while its pass waits for a lock");
+        assert_eq!(flushed, 1);
+        assert_eq!(wos_rows(&cluster), 10, "committed, not yet moved");
+        let deadline = std::time::Instant::now() + Duration::from_secs(60);
+        while clock.waiters() == 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the pass never waited"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        holder.rollback().unwrap();
+        assert_eq!(w.finish().unwrap().rows_loaded, 10);
+        let stats = cluster.table_stats("ticks").unwrap();
+        assert!(stats.iter().all(|s| s.wos_rows == 0), "{stats:?}");
+    }
+
+    #[test]
+    fn dropping_a_writer_joins_its_mover_pass() {
+        let (cluster, mut w) = open(Clock::real(), false);
+        assert_eq!(w.append_rows(rows(0..10)).unwrap(), 1);
+        drop(w);
+        assert_eq!(
+            wos_rows(&cluster),
+            0,
+            "the pass ran before the drop returned"
+        );
+        let ops = cluster.mover_ops().len();
+        assert!(ops > 0);
+        // Armed after the drop, moveout crashes find no pass to kill.
+        cluster.faults().arm(
+            mppdb::FaultPlan::seeded(7)
+                .with_moveout_crash(1.0)
+                .with_budget(3),
+        );
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(cluster.mover_ops().len(), ops);
+        assert_eq!(cluster.faults().disarm(), 0, "the plan keeps its budget");
     }
 }

@@ -97,7 +97,8 @@ echo "== SQL aggregate differential, 8 more seed sets"
 cargo test -q -p mppdb --test agg_differential sql_aggregates -- --ignored
 
 # The worker pool under 10,000 jobs of random width, with nested jobs
-# and panicking calls: every call runs once, every panic comes back.
+# and panicking calls, beside joined and detached spawns: every call
+# runs once, every panic comes back to whoever joins it.
 echo "== worker pool stress, 10k random jobs"
 cargo test -q -p common --lib pool -- --ignored
 
@@ -107,6 +108,12 @@ cargo test -q -p common --lib pool -- --ignored
 # surfaces a cancelled arm's error, and leaves nothing armed.
 echo "== hedge timer stress, 10k hedged reads"
 cargo test -q -p connector --lib retry -- --ignored
+
+# A stream of 300 micro-batches whose mover passes run beside a count
+# probe and a thread that creates and drops tables: every probe answer
+# and the final id multiset are exact.
+echo "== stream stress, 300 micro-batches beside probes and table churn"
+cargo test -q -p connector --test stream_stress -- --ignored
 
 # The wall-clock benchmark is a package of its own, outside the
 # workspace: its tests run every workload at 1/100 scale against the
