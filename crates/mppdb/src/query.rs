@@ -24,6 +24,7 @@ use crate::session::Cancel;
 use crate::storage::{BatchScan, ColumnBatch, NodeTableStore, ScanCounters};
 
 mod charge_differential;
+mod count_differential;
 
 /// A single-table read request.
 #[derive(Debug, Clone)]
@@ -351,6 +352,45 @@ pub(crate) fn execute_table_scan(
         }
         None => def.schema.clone(),
     };
+    if spec.count_only {
+        // A count-only request ships just the count. The survivors are
+        // priced as the batch scan would materialize them, copied never.
+        let mut count = 0;
+        scan_pieces(
+            ctx,
+            &def,
+            as_of,
+            spec,
+            predicate.as_ref(),
+            |store, piece, cancel| {
+                let projection = projection_idx.as_deref();
+                let out = store.scan_count_until(
+                    &BatchScan {
+                        projection,
+                        ..*piece
+                    },
+                    Some(cancel),
+                )?;
+                Ok(PieceResult {
+                    payload: out.count,
+                    counters: out.counters,
+                    payload_bytes: out.wire_bytes,
+                    wire: (8, 1),
+                })
+            },
+            |n| {
+                count += n;
+                Ok(())
+            },
+        )?;
+        return Ok(QueryResult {
+            schema: out_schema,
+            rows: Vec::new(),
+            count,
+            epoch: as_of,
+            batch: None,
+        });
+    }
     let dtypes: Vec<DataType> = out_schema.fields().iter().map(|f| f.dtype).collect();
 
     let mut batch = ColumnBatch::new(&dtypes);
@@ -370,34 +410,18 @@ pub(crate) fn execute_table_scan(
                 Some(cancel),
             )?;
             // Only surviving rows materialize their full projected
-            // width, and only they cross between database nodes; a
-            // count-only request ships just the count.
+            // width, and only they cross between database nodes.
             let bytes = out.batch.wire_size() as u64;
-            let wire = if spec.count_only {
-                (8, 1)
-            } else {
-                (bytes, out.batch.num_rows() as u64)
-            };
             Ok(PieceResult {
+                wire: (bytes, out.batch.num_rows() as u64),
                 payload: out.batch,
                 counters: out.counters,
                 payload_bytes: bytes,
-                wire,
             })
         },
         |piece| batch.append(piece),
     )?;
 
-    let count = batch.num_rows() as u64;
-    if spec.count_only {
-        return Ok(QueryResult {
-            schema: out_schema,
-            rows: Vec::new(),
-            count,
-            epoch: as_of,
-            batch: None,
-        });
-    }
     if let Some(limit) = spec.limit {
         batch.truncate(limit as usize);
     }

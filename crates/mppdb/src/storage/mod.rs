@@ -14,6 +14,6 @@ pub use encoding::ColumnData;
 pub use mover::{MoverOp, MoverPassReport, MOVER_POOL};
 pub use stats::{ColumnStats, ContainerStats};
 pub use store::{
-    AggScanOutput, BatchScan, CommitState, ContainerInfo, MergeOutcome, NodeTableStore, RowLoc,
-    ScanCounters, ScanOutput, StorageStats, VisibleRow,
+    AggScanOutput, BatchScan, CommitState, ContainerInfo, CountOutput, MergeOutcome,
+    NodeTableStore, RowLoc, ScanCounters, ScanOutput, StorageStats, VisibleRow,
 };

@@ -24,7 +24,7 @@ use common::{Expr, Result, Row, Value};
 
 use crate::storage::batch::{each_column_type, Bitmap, ColumnVec, Native, TypedVec};
 use crate::storage::encoding::{ColumnData, EncodedColumn};
-use crate::storage::stats::{analyzable, estimate_selectivity, flip, ContainerStats};
+use crate::storage::stats::{analyzable, estimate_selectivity, flip, ZoneMap};
 use crate::storage::store::ScanCounters;
 
 /// Run `$body` with `$l` bound to what `$leaf` holds, whichever it is.
@@ -99,14 +99,14 @@ impl<'p> PredPlan<'p> {
     /// the predicate keeps, the steps most-selective-first by the
     /// container's zone maps (in textual order for an open container,
     /// which has none).
-    pub(super) fn narrow<'s>(
+    pub(super) fn narrow(
         &mut self,
         columns: &[EncodedColumn],
-        stats: impl Into<Option<&'s ContainerStats>>,
+        stats: Option<&impl ZoneMap>,
         sel: &mut Vec<u32>,
         n: &mut ScanCounters,
     ) -> Result<()> {
-        for i in self.order_for(stats.into()) {
+        for i in self.order_for(stats) {
             self.steps[i].apply(columns, &mut self.scratch, sel, n)?;
             if sel.is_empty() {
                 break;
@@ -118,7 +118,7 @@ impl<'p> PredPlan<'p> {
     /// Step evaluation order for one container: most selective first
     /// (zone-map estimate), then fewest referenced columns, then
     /// textual order.
-    fn order_for(&self, stats: Option<&ContainerStats>) -> Vec<usize> {
+    fn order_for(&self, stats: Option<&impl ZoneMap>) -> Vec<usize> {
         let steps = &self.steps;
         let Some(stats) = stats.filter(|_| steps.len() > 1) else {
             return (0..steps.len()).collect();

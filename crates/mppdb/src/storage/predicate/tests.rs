@@ -567,7 +567,7 @@ fn empty_columns_narrow_to_nothing() {
             probe::INTERPRET_ONLY.set(interpret);
             let mut plan = PredPlan::new(&pred, true, 1);
             let (mut sel, mut n) = (Vec::new(), ScanCounters::default());
-            let narrowed = plan.narrow(&[encode(&empty)], &stats, &mut sel, &mut n);
+            let narrowed = plan.narrow(&[encode(&empty)], Some(&stats), &mut sel, &mut n);
             probe::INTERPRET_ONLY.set(false);
             assert!(narrowed.is_ok() && sel.is_empty());
             assert_eq!(n, ScanCounters::default());

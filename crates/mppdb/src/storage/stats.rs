@@ -139,6 +139,21 @@ impl ContainerStats {
         obs::global().record_time(obs::names::STATS_BUILD_US, clock.since(started));
         stats
     }
+}
+
+/// What the zone-map analysis and the selectivity estimate read of one
+/// container: its row count and each column's statistics. A container's
+/// own [`ContainerStats`] is one; an entry of a store's flat zone index,
+/// which a scan walks without touching the containers, is the other.
+pub trait ZoneMap {
+    fn row_count(&self) -> u64;
+    fn column(&self, idx: usize) -> Option<&ColumnStats>;
+}
+
+impl ZoneMap for ContainerStats {
+    fn row_count(&self) -> u64 {
+        self.row_count
+    }
 
     fn column(&self, idx: usize) -> Option<&ColumnStats> {
         self.columns.get(idx)
@@ -282,11 +297,11 @@ pub fn analyzable(expr: &Expr) -> bool {
 
 /// Can the container be skipped for this (bound) predicate? True only
 /// when the analysis proves both "cannot match" and "cannot error".
-pub fn container_cannot_match(expr: &Expr, stats: &ContainerStats) -> bool {
+pub fn container_cannot_match(expr: &Expr, stats: &impl ZoneMap) -> bool {
     analyze(expr, stats) == Some(true)
 }
 
-fn analyze(expr: &Expr, stats: &ContainerStats) -> Option<bool> {
+fn analyze(expr: &Expr, stats: &impl ZoneMap) -> Option<bool> {
     match expr {
         Expr::Literal(Value::Boolean(b)) => Some(!*b),
         Expr::Literal(Value::Null) => Some(true),
@@ -301,7 +316,7 @@ fn analyze(expr: &Expr, stats: &ContainerStats) -> Option<bool> {
         Expr::IsNotNull(inner) => match &**inner {
             Expr::ColumnIdx(i) => {
                 let cs = stats.column(*i)?;
-                Some(cs.null_count == stats.row_count)
+                Some(cs.null_count == stats.row_count())
             }
             Expr::Literal(v) => Some(v.is_null()),
             _ => None,
@@ -333,13 +348,13 @@ fn analyze(expr: &Expr, stats: &ContainerStats) -> Option<bool> {
                 (Expr::ColumnIdx(i), Expr::Literal(v)) => Some(range_cannot_match(
                     *op,
                     stats.column(*i)?,
-                    stats.row_count,
+                    stats.row_count(),
                     v,
                 )),
                 (Expr::Literal(v), Expr::ColumnIdx(i)) => Some(range_cannot_match(
                     flip(*op),
                     stats.column(*i)?,
-                    stats.row_count,
+                    stats.row_count(),
                     v,
                 )),
                 // Literal-vs-literal and column-vs-column comparisons
@@ -411,7 +426,7 @@ pub const DEFAULT_SELECTIVITY: f64 = 0.5;
 /// Estimate the fraction of the container's rows a (bound) predicate
 /// keeps, from zone maps and the NDV sketch. Pure planning input:
 /// wrong estimates cost performance, never correctness.
-pub fn estimate_selectivity(expr: &Expr, stats: &ContainerStats) -> f64 {
+pub fn estimate_selectivity(expr: &Expr, stats: &impl ZoneMap) -> f64 {
     match expr {
         Expr::Literal(Value::Boolean(b)) => {
             if *b {
@@ -424,14 +439,14 @@ pub fn estimate_selectivity(expr: &Expr, stats: &ContainerStats) -> f64 {
         Expr::IsNull(inner) => match &**inner {
             Expr::ColumnIdx(i) => stats
                 .column(*i)
-                .map(|cs| ratio(cs.null_count, stats.row_count))
+                .map(|cs| ratio(cs.null_count, stats.row_count()))
                 .unwrap_or(DEFAULT_SELECTIVITY),
             _ => DEFAULT_SELECTIVITY,
         },
         Expr::IsNotNull(inner) => match &**inner {
             Expr::ColumnIdx(i) => stats
                 .column(*i)
-                .map(|cs| 1.0 - ratio(cs.null_count, stats.row_count))
+                .map(|cs| 1.0 - ratio(cs.null_count, stats.row_count()))
                 .unwrap_or(DEFAULT_SELECTIVITY),
             _ => DEFAULT_SELECTIVITY,
         },
@@ -450,10 +465,10 @@ pub fn estimate_selectivity(expr: &Expr, stats: &ContainerStats) -> f64 {
             | BinaryOp::Gt
             | BinaryOp::GtEq => match (&**left, &**right) {
                 (Expr::ColumnIdx(i), Expr::Literal(v)) => {
-                    comparison_selectivity(*op, stats.column(*i), stats.row_count, v)
+                    comparison_selectivity(*op, stats.column(*i), stats.row_count(), v)
                 }
                 (Expr::Literal(v), Expr::ColumnIdx(i)) => {
-                    comparison_selectivity(flip(*op), stats.column(*i), stats.row_count, v)
+                    comparison_selectivity(flip(*op), stats.column(*i), stats.row_count(), v)
                 }
                 _ => DEFAULT_SELECTIVITY,
             },

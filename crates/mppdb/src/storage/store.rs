@@ -15,18 +15,20 @@ use crate::storage::batch::ColumnBatch;
 use crate::storage::encoding::{encode_with_stats, ColumnData, EncodedColumn};
 use crate::storage::predicate::PredPlan;
 use crate::storage::stats::{
-    container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats,
+    container_cannot_match, estimate_selectivity, ColumnStats, ContainerStats, ZoneMap,
 };
 
 mod fold;
 #[cfg(test)]
 mod model_tests;
 mod visibility;
+mod zones;
 
 pub use visibility::CommitState;
 #[cfg(test)]
 use visibility::DeleteState;
 use visibility::{row_visible, Visibility};
+use zones::ZoneIndex;
 
 /// Location of a row within a node-table store: its container, open or
 /// sealed, and its index there. Stable while the store's lock is held
@@ -85,9 +87,9 @@ struct RosContainer {
     payload: Arc<RosPayload>,
     /// Zone maps, null counts, and NDV sketches computed with the
     /// payload and as immutable: a superset description of the rows any
-    /// snapshot of any table holding the payload can see. Kept beside
-    /// the visibility, not behind the payload's pointer: a scan that
-    /// skips the container by its zone maps touches nothing else.
+    /// snapshot of any table holding the payload can see. A scan decides
+    /// whether to skip the container from the store's copy of its row
+    /// count and column statistics ([`ZoneIndex`]), not from these.
     /// `None` while the container is open.
     stats: Option<ContainerStats>,
     visibility: Visibility,
@@ -222,6 +224,16 @@ pub struct ScanCounters {
 #[derive(Debug)]
 pub struct ScanOutput {
     pub batch: ColumnBatch,
+    pub counters: ScanCounters,
+}
+
+/// What [`NodeTableStore::scan_count`] returns: the survivors' number,
+/// the wire size of their projected columns, and the traversal's
+/// counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CountOutput {
+    pub count: u64,
+    pub wire_bytes: u64,
     pub counters: ScanCounters,
 }
 
@@ -408,19 +420,44 @@ impl<F: FnMut(RowLoc, u64)> ScanSink for LocSink<F> {
     }
 }
 
-/// Call a visitor with every survivor's hash and `Row::wire_size`, sized
-/// from validity bits and string lengths: no value is copied or counted
-/// as decoded.
-struct WireSink<F>(F);
+/// Call a visitor with every survivor's hash and the `Row::wire_size` of
+/// its projected columns, sized from validity bits and string lengths:
+/// no value is copied.
+struct WireSink<'a, F> {
+    /// Table ordinals priced, in output order.
+    projection: &'a [usize],
+    /// Count each priced value as decoded, as [`BatchSink`] counts each
+    /// value it gathers: a count stands for that gather, the price of a
+    /// copy ([`NodeTableStore::for_each_wire_size`]) for no decode.
+    charge: bool,
+    /// Per-survivor sizes, reused from container to container.
+    wire: Vec<u64>,
+    f: F,
+}
 
-impl<F: FnMut(u64, u64)> ScanSink for WireSink<F> {
-    fn consume(&mut self, c: &RosContainer, sel: &[u32], _decoded: &mut u64) -> Result<()> {
-        let mut wire = vec![0u64; sel.len()];
-        for column in &c.payload.columns {
-            column.add_wire_sizes(sel, &mut wire);
+impl<'a, F: FnMut(u64, u64)> WireSink<'a, F> {
+    fn new(projection: &'a [usize], charge: bool, f: F) -> Self {
+        WireSink {
+            projection,
+            charge,
+            wire: Vec::new(),
+            f,
         }
-        for (&idx, w) in sel.iter().zip(wire) {
-            (self.0)(c.payload.hashes[idx as usize], w);
+    }
+}
+
+impl<F: FnMut(u64, u64)> ScanSink for WireSink<'_, F> {
+    fn consume(&mut self, c: &RosContainer, sel: &[u32], decoded: &mut u64) -> Result<()> {
+        self.wire.clear();
+        self.wire.resize(sel.len(), 0);
+        for &table_c in self.projection {
+            c.payload.columns[table_c].add_wire_sizes(sel, &mut self.wire);
+        }
+        if self.charge {
+            *decoded += (sel.len() * self.projection.len()) as u64;
+        }
+        for (&idx, &w) in sel.iter().zip(&self.wire) {
+            (self.f)(c.payload.hashes[idx as usize], w);
         }
         Ok(())
     }
@@ -458,6 +495,9 @@ pub struct NodeTableStore {
     wos: Vec<RosContainer>,
     /// Sealed containers. Ids ascend with position in each list.
     ros: Vec<RosContainer>,
+    /// The sealed containers' row counts and column statistics, entry
+    /// `i` for `ros[i]`.
+    zones: ZoneIndex,
     next_container_id: u64,
     column_count: usize,
 }
@@ -465,6 +505,7 @@ pub struct NodeTableStore {
 impl NodeTableStore {
     pub fn new(column_count: usize) -> NodeTableStore {
         NodeTableStore {
+            zones: ZoneIndex::new(column_count),
             column_count,
             ..NodeTableStore::default()
         }
@@ -552,10 +593,46 @@ impl NodeTableStore {
             stats,
             visibility,
         };
-        match c.stats {
-            Some(_) => self.ros.push(c),
+        self.place(c);
+    }
+
+    /// Append a sealed container to the ROS, its statistics to the zone
+    /// index, or an open one to the WOS.
+    fn place(&mut self, c: RosContainer) {
+        match &c.stats {
+            Some(stats) => {
+                self.zones.push(stats);
+                self.ros.push(c);
+            }
             None => self.wos.push(c),
         }
+    }
+
+    /// Keep the ROS containers `keep` accepts, in order, each with its
+    /// zone index entry.
+    fn retain_ros(&mut self, mut keep: impl FnMut(&mut RosContainer) -> bool) {
+        let mut kept = 0;
+        for at in 0..self.ros.len() {
+            if keep(&mut self.ros[at]) {
+                self.move_ros(at, kept);
+                kept += 1;
+            }
+        }
+        self.truncate_ros(kept);
+    }
+
+    /// Move ROS container `from` and its zone index entry to `to`, which
+    /// holds one already consumed (or is `from`).
+    fn move_ros(&mut self, from: usize, to: usize) {
+        if from != to {
+            self.ros.swap(from, to);
+            self.zones.swap(from, to);
+        }
+    }
+
+    fn truncate_ros(&mut self, len: usize) {
+        self.ros.truncate(len);
+        self.zones.truncate(len);
     }
 
     /// Everything in this store that `txn` sees at `as_of` (its own
@@ -674,22 +751,22 @@ impl NodeTableStore {
     /// are read. Returns how many that was.
     fn abort_ros(&mut self, txn: u64) -> usize {
         let mut touched = 0;
-        for list in [&mut self.ros, &mut self.wos] {
-            list.retain_mut(|c| {
-                if !c.visibility.has_pending() {
-                    return true;
-                }
-                touched += 1;
-                // A container the txn staged goes whole (an adopted one
-                // gives up only its reference to the payload); any other
-                // loses only the deletes the txn staged in it.
-                if c.visibility.staged_by(txn) {
-                    return false;
-                }
-                c.visibility.abort(txn);
-                true
-            });
-        }
+        let mut keep = |c: &mut RosContainer| {
+            if !c.visibility.has_pending() {
+                return true;
+            }
+            touched += 1;
+            // A container the txn staged goes whole (an adopted one
+            // gives up only its reference to the payload); any other
+            // loses only the deletes the txn staged in it.
+            if c.visibility.staged_by(txn) {
+                return false;
+            }
+            c.visibility.abort(txn);
+            true
+        };
+        self.retain_ros(&mut keep);
+        self.wos.retain_mut(keep);
         touched
     }
 
@@ -741,9 +818,10 @@ impl NodeTableStore {
     /// survivors handed to a statically-dispatched [`ScanSink`]. Per
     /// container, the ROS's in id order and then the WOS's:
     ///
-    /// 0. skip a sealed one when its zone maps prove the predicate
-    ///    matches no row and cannot error (or let the sink answer it
-    ///    from statistics); an open one has none, so is never skipped;
+    /// 0. skip a sealed one when its zone maps, read from the
+    ///    [`ZoneIndex`] alone, prove the predicate matches no row and
+    ///    cannot error (or let the sink answer it from statistics); an
+    ///    open one has none, so is never skipped;
     /// 1. build a selection vector of visible positions, probing the
     ///    hash vector against the range (unless the container's hash
     ///    span lies inside it) without decoding any column;
@@ -788,22 +866,25 @@ impl NodeTableStore {
                 .is_none_or(|(start, end)| pos >= start && pos < end)
         };
 
-        for c in self.ros.iter().chain(&self.wos) {
+        let sealed = self.ros.iter().zip(self.zones.iter().map(Some));
+        for (c, zone) in sealed.chain(self.wos.iter().map(|c| (c, None))) {
             if cancel.is_some_and(Cancel::is_cancelled) {
                 break;
             }
-            if let (true, Some(stats)) = (may_skip, &c.stats) {
+            if let (true, Some(zone)) = (may_skip, &zone) {
                 // Stage 0: zone maps. Stats cover a superset of the
                 // visible rows, so "no row matches" holds for every
-                // snapshot.
+                // snapshot. A skipped container is never touched.
                 if scan
                     .predicate
-                    .is_some_and(|pred| container_cannot_match(pred, stats))
+                    .is_some_and(|pred| container_cannot_match(pred, zone))
                 {
                     n.containers_skipped += 1;
-                    n.rows_skipped += c.len() as u64;
+                    n.rows_skipped += zone.row_count();
                     continue;
                 }
+            }
+            if let (true, Some(stats)) = (may_skip, &c.stats) {
                 if sink.try_stats(c, stats, scan)? {
                     n.examined += stats.row_count;
                     continue;
@@ -840,14 +921,14 @@ impl NodeTableStore {
             // Stage 3: predicate over referenced columns only.
             let mut read = ScanCounters::default();
             if let Some(plan) = &mut plan {
-                plan.narrow(&c.payload.columns, c.stats.as_ref(), &mut sel, &mut read)?;
+                plan.narrow(&c.payload.columns, zone.as_ref(), &mut sel, &mut read)?;
             }
             if !sel.is_empty() {
                 sink.consume(c, &sel, &mut read.decoded)?;
             }
             // An open container's plain columns are read in place, as
             // the WOS's rows were: no decode to charge.
-            if c.stats.is_some() {
+            if zone.is_some() {
                 n.decoded += read.decoded;
                 n.rows_skipped += read.rows_skipped;
             }
@@ -873,7 +954,7 @@ impl NodeTableStore {
         scan: &BatchScan<'_>,
         cancel: Option<&Cancel>,
     ) -> Result<ScanOutput> {
-        let all_columns: Vec<usize> = (0..self.column_count).collect();
+        let all_columns = self.all_columns();
         let projection: &[usize] = scan.projection.unwrap_or(&all_columns);
         debug_assert_eq!(projection.len(), scan.dtypes.len());
         let mut sink = BatchSink {
@@ -883,6 +964,40 @@ impl NodeTableStore {
         let counters = self.scan_with(scan, cancel, &mut sink)?;
         Ok(ScanOutput {
             batch: sink.batch,
+            counters,
+        })
+    }
+
+    fn all_columns(&self) -> Vec<usize> {
+        (0..self.column_count).collect()
+    }
+
+    /// The count pushdown's node-side half: how many rows
+    /// [`NodeTableStore::scan_batch`] would return, the wire size of its
+    /// batch and its counters, with the survivors' projected columns
+    /// priced from validity bits and string lengths, never gathered.
+    pub fn scan_count(&self, scan: &BatchScan<'_>) -> Result<CountOutput> {
+        self.scan_count_until(scan, None)
+    }
+
+    /// [`NodeTableStore::scan_count`] for a statement that may be
+    /// cancelled: see `scan_with`.
+    pub(crate) fn scan_count_until(
+        &self,
+        scan: &BatchScan<'_>,
+        cancel: Option<&Cancel>,
+    ) -> Result<CountOutput> {
+        let all_columns = self.all_columns();
+        let projection: &[usize] = scan.projection.unwrap_or(&all_columns);
+        let (mut count, mut wire_bytes) = (0, 0);
+        let mut sink = WireSink::new(projection, true, |_, wire| {
+            count += 1;
+            wire_bytes += wire;
+        });
+        let counters = self.scan_with(scan, cancel, &mut sink)?;
+        Ok(CountOutput {
+            count,
+            wire_bytes,
             counters,
         })
     }
@@ -979,7 +1094,8 @@ impl NodeTableStore {
         cancel: Option<&Cancel>,
         f: impl FnMut(u64, u64),
     ) -> Result<ScanCounters> {
-        self.scan_with(scan, cancel, &mut WireSink(f))
+        let all_columns = self.all_columns();
+        self.scan_with(scan, cancel, &mut WireSink::new(&all_columns, false, f))
     }
 
     /// Estimated rows a scan of this store leaves after filtering, from
@@ -989,13 +1105,12 @@ impl NodeTableStore {
     /// and use the default selectivity.
     pub fn estimate_rows(&self, predicate: Option<&Expr>) -> f64 {
         let ros: f64 = self
-            .ros
+            .zones
             .iter()
-            .filter_map(|c| c.stats.as_ref())
-            .map(|stats| match predicate {
-                None => stats.row_count as f64,
-                Some(p) if container_cannot_match(p, stats) => 0.0,
-                Some(p) => stats.row_count as f64 * estimate_selectivity(p, stats),
+            .map(|zone| match predicate {
+                None => zone.row_count() as f64,
+                Some(p) if container_cannot_match(p, &zone) => 0.0,
+                Some(p) => zone.row_count() as f64 * estimate_selectivity(p, &zone),
             })
             .sum();
         let wos = self.wos_rows() as f64
@@ -1036,9 +1151,9 @@ impl NodeTableStore {
             return 0;
         }
         let id = self.next_id();
-        let sealed = self.concat(sealing, id);
+        let sealed = self.concat(&sealing, id);
         let n = sealed.len();
-        self.ros.push(sealed);
+        self.place(sealed);
         n
     }
 
@@ -1070,53 +1185,51 @@ impl NodeTableStore {
     /// synthetic row windows over unsegmented tables) cannot tell a
     /// merge happened. Statistics are recomputed through the same
     /// [`ContainerStats`] path as every other ROS creation site.
+    ///
+    /// The ROS is compacted in place, each zone index entry moving with
+    /// its container: `[0, kept)` holds the output, `[kept, at)` what
+    /// was consumed, `[at, ..)` what is still to come.
     pub fn mergeout(&mut self, min_merge: usize) -> MergeOutcome {
         let min_merge = min_merge.max(2);
         let mut outcome = MergeOutcome::default();
-        let ros = std::mem::take(&mut self.ros);
-        let mut out: Vec<RosContainer> = Vec::with_capacity(ros.len());
-        let mut run: Vec<RosContainer> = Vec::new();
-        let mut run_stratum = 0u32;
-        for c in ros {
-            let eligible = NodeTableStore::merge_eligible(&c);
-            let s = NodeTableStore::stratum(c.len());
-            if eligible && !run.is_empty() && s == run_stratum {
-                run.push(c);
-                continue;
-            }
-            self.flush_merge_run(&mut run, &mut out, min_merge, &mut outcome);
-            if eligible {
-                run_stratum = s;
-                run.push(c);
+        let (mut kept, mut at) = (0, 0);
+        while at < self.ros.len() {
+            let end = self.merge_run_end(at);
+            if end - at < min_merge {
+                for from in at..end {
+                    self.move_ros(from, kept);
+                    kept += 1;
+                }
             } else {
-                out.push(c);
+                let merged = self.concat(&self.ros[at..end], self.ros[at].id);
+                outcome.merges += 1;
+                outcome.containers_in += end - at;
+                outcome.rows += merged.len();
+                if let Some(stats) = &merged.stats {
+                    self.zones.set(kept, stats);
+                }
+                self.ros[kept] = merged;
+                kept += 1;
             }
+            at = end;
         }
-        self.flush_merge_run(&mut run, &mut out, min_merge, &mut outcome);
-        self.ros = out;
+        self.truncate_ros(kept);
         outcome
     }
 
-    /// Close out one adjacent same-stratum run: merge it when it is
-    /// long enough, otherwise pass the containers through untouched.
-    fn flush_merge_run(
-        &self,
-        run: &mut Vec<RosContainer>,
-        out: &mut Vec<RosContainer>,
-        min_merge: usize,
-        outcome: &mut MergeOutcome,
-    ) {
-        if run.len() < min_merge {
-            out.append(run);
-            return;
+    /// The end of the adjacent same-stratum run of merge-eligible
+    /// containers that starts at ROS position `at`: `at + 1` when that
+    /// one is not eligible.
+    fn merge_run_end(&self, at: usize) -> usize {
+        let first = &self.ros[at];
+        if !NodeTableStore::merge_eligible(first) {
+            return at + 1;
         }
-        let inputs = std::mem::take(run);
-        let id = inputs[0].id;
-        outcome.merges += 1;
-        outcome.containers_in += inputs.len();
-        let merged = self.concat(inputs, id);
-        outcome.rows += merged.len();
-        out.push(merged);
+        let stratum = NodeTableStore::stratum(first.len());
+        let rest = self.ros[at + 1..].iter().take_while(|c| {
+            NodeTableStore::merge_eligible(c) && NodeTableStore::stratum(c.len()) == stratum
+        });
+        at + 1 + rest.count()
     }
 
     /// One sealed container `id` holding the rows of `inputs` one after
@@ -1124,13 +1237,13 @@ impl NodeTableStore {
     /// [`RosPayload::build`] like every ROS container's. The values are
     /// copied into vectors the mover allocates: moved, they would stay in
     /// the allocator arenas of the threads that staged them.
-    fn concat(&self, inputs: Vec<RosContainer>, id: u64) -> RosContainer {
+    fn concat(&self, inputs: &[RosContainer], id: u64) -> RosContainer {
         let n: usize = inputs.iter().map(|c| c.len()).sum();
         let mut hashes = Vec::with_capacity(n);
         let mut column_values: Vec<ColumnData> = (0..self.column_count)
             .map(|_| ColumnData::with_capacity(n))
             .collect();
-        for c in &inputs {
+        for c in inputs {
             for (col, vals) in c.payload.columns.iter().zip(column_values.iter_mut()) {
                 vals.extend(&col.decode());
             }
@@ -1173,6 +1286,8 @@ impl NodeTableStore {
                 }
             }
         }
+        let stats = self.ros.iter().filter_map(|c| c.stats.as_ref());
+        self.zones = ZoneIndex::of(self.column_count, stats);
         removed
     }
 

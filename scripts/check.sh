@@ -47,8 +47,9 @@ echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
 # The run-length container visibility against the per-row model it
-# replaced: the 256 cases above, over eight more seed sets.
-echo "== visibility property, 8 more seed sets"
+# replaced, and the zone index against every container's statistics:
+# the 256 cases above, over eight more seed sets.
+echo "== visibility and zone index properties, 8 more seed sets"
 cargo test -q -p mppdb --lib store::model_tests -- --ignored
 
 # The typed predicate kernels against the interpreter: the 256 cases
@@ -72,6 +73,12 @@ cargo test -q -p avrolite --lib writer_bytes_match_the_reference -- --ignored
 # more seed sets.
 echo "== append charge differential, 8 more seed sets"
 cargo test -q -p mppdb --lib query::charge_differential -- --ignored
+
+# The count pushdown against the materializing read it stands for
+# (count, recorder log, per-store counters): the 256 cases above, over
+# eight more seed sets.
+echo "== count differential, 8 more seed sets"
+cargo test -q -p mppdb --lib query::count_differential -- --ignored
 
 # The lane kernels of a container build (column-wise hash, statistics,
 # encoding choice) against their row references: the properties above,
