@@ -399,7 +399,8 @@ fn eval_binary(op: BinaryOp, l: Value, r: Value) -> Result<Value> {
                             if b == 0 {
                                 Err(Error::Eval("division by zero".into()))
                             } else {
-                                Ok(Value::Int64(a % b))
+                                // `i64::MIN % -1` is 0, not an overflow.
+                                Ok(Value::Int64(a.wrapping_rem(b)))
                             }
                         }
                         _ => unreachable!(),
@@ -586,6 +587,115 @@ mod tests {
         let mut cols = Vec::new();
         e.referenced_columns(&mut cols);
         assert_eq!(cols, vec!["a".to_string(), "b".to_string()]);
+    }
+
+    /// SplitMix64 draws for the generated trees below.
+    struct Draws(u64);
+
+    impl Draws {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    const TYPES: [DataType; 4] = [
+        DataType::Boolean,
+        DataType::Int64,
+        DataType::Float64,
+        DataType::Varchar,
+    ];
+
+    /// A value of `dtype`, or NULL: the integer and float edges, zeros
+    /// and small numbers most often.
+    fn random_value(d: &mut Draws, dtype: DataType) -> Value {
+        if d.below(6) == 0 {
+            return Value::Null;
+        }
+        let small = d.below(7) as i64 - 3;
+        match dtype {
+            DataType::Boolean => Value::Boolean(small > 0),
+            DataType::Int64 => Value::Int64([small, i64::MIN, i64::MAX, -1][d.below(4)]),
+            DataType::Float64 => {
+                let edges = [small as f64 / 2.0, -0.0, f64::NAN, f64::INFINITY, 1e300];
+                Value::Float64(edges[d.below(edges.len())])
+            }
+            DataType::Varchar => Value::Varchar(["", "a", "ab"][d.below(3)].to_string()),
+        }
+    }
+
+    /// A tree of depth at most `depth` over `schema`'s columns (bound) and
+    /// literals of every type, through every operator.
+    fn random_expr(d: &mut Draws, schema: &Schema, depth: u32) -> Expr {
+        if depth == 0 || d.below(4) == 0 {
+            let dtype = TYPES[d.below(4)];
+            return match d.below(3) {
+                0 => Expr::lit(random_value(d, dtype)),
+                _ => Expr::ColumnIdx(d.below(schema.len())),
+            };
+        }
+        use BinaryOp::*;
+        let ops = [
+            Eq, NotEq, Lt, LtEq, Gt, GtEq, And, Or, Add, Sub, Mul, Div, Mod,
+        ];
+        let (shape, op) = (d.below(7), ops[d.below(ops.len())]);
+        let mut sub = || Box::new(random_expr(d, schema, depth - 1));
+        match shape {
+            0 => Expr::Not(sub()),
+            1 => Expr::Neg(sub()),
+            2 => Expr::IsNull(sub()),
+            3 => Expr::IsNotNull(sub()),
+            4 => Expr::Like {
+                expr: sub(),
+                pattern: "a%".into(),
+            },
+            _ => Expr::Binary {
+                left: sub(),
+                op,
+                right: sub(),
+            },
+        }
+    }
+
+    /// Output schemas are declared from `result_type`: every non-NULL
+    /// value an expression evaluates to must have the type it states,
+    /// and a type it cannot state (`None`) has no non-NULL value.
+    #[test]
+    fn result_type_is_the_type_of_every_value() {
+        let mut d = Draws(0x7E57);
+        let (mut typed, mut failed) = (0, 0);
+        for _ in 0..256 {
+            let fields = (0..1 + d.below(4))
+                .map(|i| crate::schema::Field::new(format!("c{i}"), TYPES[d.below(4)]))
+                .collect();
+            let schema = Schema::new(fields);
+            for _ in 0..16 {
+                let e = random_expr(&mut d, &schema, 3);
+                let want = e.result_type(&schema).unwrap();
+                for _ in 0..8 {
+                    let row: Row = schema
+                        .fields()
+                        .iter()
+                        .map(|f| random_value(&mut d, f.dtype))
+                        .collect();
+                    match e.eval(&row) {
+                        Ok(v) if !v.is_null() => {
+                            assert_eq!(v.data_type(), want, "{e} over {row:?}");
+                            typed += 1;
+                        }
+                        Ok(_) => {}
+                        Err(_) => failed += 1,
+                    }
+                }
+            }
+        }
+        assert!(
+            typed > 1_000 && failed > 1_000,
+            "{typed} typed, {failed} failed"
+        );
     }
 
     #[test]

@@ -95,6 +95,14 @@ pub struct TableRef {
     pub alias: Option<String>,
 }
 
+impl TableRef {
+    /// The name a qualified column reaches the relation by: its alias,
+    /// which hides the table name, else the table name.
+    pub fn visible_name(&self) -> &str {
+        self.alias.as_deref().unwrap_or(&self.table)
+    }
+}
+
 /// An inner join.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Join {

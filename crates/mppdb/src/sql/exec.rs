@@ -1,19 +1,22 @@
 //! SQL statement execution.
 
+use std::sync::Arc;
+
 use common::agg::{AggCall, AggFunc, AggRequest, GroupedAccs};
 use common::expr::BinaryOp;
 use common::{DataType, Expr, Field, Row, Schema, Value};
 use netsim::record::NodeRef;
 
 use crate::catalog::{Segmentation, TableDef};
-use crate::cluster::OnPredicateError;
+use crate::cluster::{Cluster, OnPredicateError};
 use crate::error::{DbError, DbResult};
 use crate::query::{apply_spec_to_rows, QueryResult, QuerySpec};
 use crate::session::Session;
 use crate::sql::ast::{
     is_aggregate_name, ExprAst, OrderTarget, SegmentationClause, SelectItem, SelectStmt, Statement,
+    TableRef,
 };
-use crate::udf::UdfParams;
+use crate::udf::{ScalarUdf, UdfParams};
 
 /// Result of executing one SQL statement.
 #[derive(Debug, Clone)]
@@ -106,7 +109,8 @@ fn explain_select(session: &mut Session, select: &SelectStmt) -> DbResult<QueryR
     let pushed = lower_select(select).map(|lowered| lowered.spec);
     if let Some(pred) = &select.predicate {
         let pushed = pushed.as_ref().and_then(|spec| spec.predicate.as_ref());
-        match (pushed, lower_scalar(pred)) {
+        let relation = select.from.as_ref().map(TableRef::visible_name);
+        match (pushed, lower(pred, relation)) {
             (Some(e), _) => lines.push(format!("filter: {} [pushed down to storage]", e.to_sql())),
             (None, Ok(e)) => lines.push(format!(
                 "filter: {} [evaluated in the executor]",
@@ -277,7 +281,7 @@ fn execute_insert(
         }
         let mut values = vec![Value::Null; def.schema.len()];
         for (expr, &idx) in exprs.iter().zip(&target_idx) {
-            values[idx] = eval_const(expr)?;
+            values[idx] = eval_const(session, expr)?;
         }
         rows.push(Row::new(values));
     }
@@ -333,42 +337,44 @@ fn execute_update(
 
 // ----- SELECT ------------------------------------------------------
 
-/// Column scope for name resolution over a (possibly joined) row.
+/// Column scope for name resolution over a (possibly joined) row: per
+/// position, the [visible name](TableRef::visible_name) of the relation
+/// that holds the column, and the column's field.
 struct Scope {
-    /// `(qualifier, column name, data type)` per position.
-    cols: Vec<(Option<String>, String, DataType)>,
+    relations: Vec<String>,
+    schema: Schema,
 }
 
 impl Scope {
-    fn from_schema(alias: Option<&str>, schema: &Schema) -> Scope {
+    /// The scope of a select without FROM: no column resolves.
+    fn empty() -> Scope {
+        Scope::from_schema("", Schema::new(Vec::new()))
+    }
+
+    fn from_schema(relation: &str, schema: Schema) -> Scope {
         Scope {
-            cols: schema
-                .fields()
-                .iter()
-                .map(|f| (alias.map(str::to_string), f.name.clone(), f.dtype))
-                .collect(),
+            relations: vec![relation.to_string(); schema.len()],
+            schema,
         }
     }
 
     fn extend(&mut self, other: Scope) {
-        self.cols.extend(other.cols);
+        self.relations.extend(other.relations);
+        let fields = [self.schema.fields(), other.schema.fields()].concat();
+        self.schema = Schema::new(fields);
     }
 
     fn resolve(&self, qualifier: Option<&str>, name: &str) -> DbResult<usize> {
-        let matches: Vec<usize> = self
-            .cols
-            .iter()
-            .enumerate()
-            .filter(|(_, (q, n, _))| {
-                n.eq_ignore_ascii_case(name)
-                    && match qualifier {
-                        Some(want) => q
-                            .as_deref()
-                            .is_some_and(|have| have.eq_ignore_ascii_case(want)),
-                        None => true,
-                    }
+        if self.relations.is_empty() {
+            return Err(DbError::Execution(
+                "expression must be constant (no column references)".into(),
+            ));
+        }
+        let matches: Vec<usize> = (0..self.relations.len())
+            .filter(|&i| {
+                self.schema.field(i).name.eq_ignore_ascii_case(name)
+                    && qualifier.is_none_or(|q| self.relations[i].eq_ignore_ascii_case(q))
             })
-            .map(|(i, _)| i)
             .collect();
         match matches.len() {
             0 => Err(DbError::Execution(format!(
@@ -393,25 +399,20 @@ pub(crate) fn execute_select(
     }
     let epoch = session.resolve_epoch(select.at_epoch)?;
 
-    // SELECT without FROM: constant expressions, one row.
+    // SELECT without FROM: constant expressions over one row of no
+    // columns.
     let Some(from) = &select.from else {
-        let mut values = Vec::new();
-        let mut names = Vec::new();
-        for (i, item) in select.items.iter().enumerate() {
-            let SelectItem::Expr { expr, alias } = item else {
-                return Err(DbError::Execution("SELECT * requires FROM".into()));
-            };
-            values.push(eval_const(expr)?);
-            names.push(output_name(expr, alias.as_deref(), i));
+        if select.items.contains(&SelectItem::Star) {
+            return Err(DbError::Execution("SELECT * requires FROM".into()));
         }
-        let schema = infer_schema(&names, std::slice::from_ref(&Row::new(values.clone())));
-        return Ok(QueryResult {
-            schema,
-            rows: vec![Row::new(values)],
-            count: 1,
+        let result = project_rows(
+            session,
+            &select.items,
+            &Scope::empty(),
+            vec![Row::default()],
             epoch,
-            batch: None,
-        });
+        )?;
+        return order_and_limit(result, select);
     };
 
     if let Some(lowered) = lower_select(select) {
@@ -424,31 +425,22 @@ pub(crate) fn execute_select(
     }
 
     // General path: materialize the base relation(s).
-    let (mut rows, mut scope) = load_relation(
-        session,
-        &from.table,
-        from.alias.as_deref(),
-        select.at_epoch,
-        depth,
-    )?;
-
+    let (mut rows, mut scope) = load_relation(session, from, select.at_epoch, depth)?;
     for join in &select.joins {
-        let (right_rows, right_scope) = load_relation(
-            session,
-            &join.table.table,
-            join.table.alias.as_deref(),
-            select.at_epoch,
-            depth,
-        )?;
-        rows = execute_join(session, rows, &scope, right_rows, &right_scope, &join.on)?;
+        let (right_rows, right_scope) =
+            load_relation(session, &join.table, select.at_epoch, depth)?;
+        let left_width = scope.relations.len();
         scope.extend(right_scope);
+        let on = bind(session, &join.on, &scope)?;
+        rows = execute_join(session, rows, left_width, right_rows, &on)?;
     }
 
     // WHERE.
     if let Some(pred) = &select.predicate {
+        let pred = bind(session, pred, &scope)?;
         let mut kept = Vec::with_capacity(rows.len());
         for row in rows {
-            if matches!(eval_ast(session, pred, &scope, &row)?, Value::Boolean(true)) {
+            if matches!(pred.eval_row(session, &row)?, Value::Boolean(true)) {
                 kept.push(row);
             }
         }
@@ -577,21 +569,15 @@ fn lower_select(select: &SelectStmt) -> Option<Lowered> {
     if !select.joins.is_empty() {
         return None;
     }
-    let (table, alias) = (from.table.as_str(), from.alias.as_deref());
-    let column = |e: &ExprAst| match e {
-        ExprAst::Column { qualifier, name }
-            if qualifier
-                .as_deref()
-                .is_none_or(|q| Some(q) == alias || q.eq_ignore_ascii_case(table)) =>
-        {
-            Some(name.clone())
-        }
+    let relation = Some(from.visible_name());
+    let column = |e: &ExprAst| match lower(e, relation) {
+        Ok(Expr::Column(name)) => Some(name),
         _ => None,
     };
-    let mut spec = QuerySpec::scan(table);
+    let mut spec = QuerySpec::scan(&from.table);
     spec.as_of_epoch = select.at_epoch;
     if let Some(p) = &select.predicate {
-        spec.predicate = Some(lower_scalar_qualified(p, alias).ok()?);
+        spec.predicate = Some(lower(p, relation).ok()?);
     }
     if select.order_by.is_empty() {
         spec.limit = select.limit;
@@ -678,98 +664,64 @@ fn select_outputs(result: QueryResult, outputs: &[(usize, String)]) -> QueryResu
 /// Load a table or view as rows plus a resolution scope.
 fn load_relation(
     session: &mut Session,
-    name: &str,
-    alias: Option<&str>,
+    relation: &TableRef,
     at_epoch: Option<u64>,
     depth: usize,
 ) -> DbResult<(Vec<Row>, Scope)> {
+    let name = &relation.table;
     let view_select = session
         .cluster()
         .catalog
         .read()
         .view(name)
         .map(|v| v.select.clone());
-    if let Some(mut vsel) = view_select {
-        if vsel.at_epoch.is_none() {
-            vsel.at_epoch = at_epoch;
+    let r = match view_select {
+        Some(mut vsel) => {
+            if vsel.at_epoch.is_none() {
+                vsel.at_epoch = at_epoch;
+            }
+            execute_select(session, &vsel, depth + 1)?
         }
-        let r = execute_select(session, &vsel, depth + 1)?;
-        let scope = Scope::from_schema(alias.or(Some(name)), &r.schema);
-        return Ok((r.rows, scope));
-    }
-    let mut spec = QuerySpec::scan(name);
-    spec.as_of_epoch = at_epoch;
-    let r = session.query(&spec)?;
-    let scope = Scope::from_schema(alias.or(Some(name)), &r.schema);
-    Ok((r.rows, scope))
+        None => {
+            let mut spec = QuerySpec::scan(name);
+            spec.as_of_epoch = at_epoch;
+            session.query(&spec)?
+        }
+    };
+    Ok((
+        r.rows,
+        Scope::from_schema(relation.visible_name(), r.schema),
+    ))
 }
 
-/// Inner join. Uses a hash join when the ON clause is a simple equality
-/// of one left and one right column; falls back to a nested loop.
+/// Inner join of `left`, whose rows are `left_width` wide, with `right`
+/// on `on`, bound over both. A hash join when `on` is an equality of one
+/// left and one right column; a nested loop otherwise.
 fn execute_join(
-    session: &mut Session,
+    session: &Session,
     left: Vec<Row>,
-    left_scope: &Scope,
+    left_width: usize,
     right: Vec<Row>,
-    right_scope: &Scope,
-    on: &ExprAst,
+    on: &Bound,
 ) -> DbResult<Vec<Row>> {
-    // Detect `l.col = r.col`.
-    if let ExprAst::Binary {
-        left: le,
+    if let Expr::Binary {
+        left: l,
         op: BinaryOp::Eq,
-        right: re,
-    } = on
+        right: r,
+    } = &on.expr
     {
-        if let (
-            ExprAst::Column {
-                qualifier: q1,
-                name: n1,
-            },
-            ExprAst::Column {
-                qualifier: q2,
-                name: n2,
-            },
-        ) = (le.as_ref(), re.as_ref())
-        {
-            let l1 = left_scope.resolve(q1.as_deref(), n1);
-            let r2 = right_scope.resolve(q2.as_deref(), n2);
-            let (li, ri) = match (l1, r2) {
-                (Ok(l), Ok(r)) => (Some(l), Some(r)),
-                _ => {
-                    // Try the swapped orientation.
-                    match (
-                        left_scope.resolve(q2.as_deref(), n2),
-                        right_scope.resolve(q1.as_deref(), n1),
-                    ) {
-                        (Ok(l), Ok(r)) => (Some(l), Some(r)),
-                        _ => (None, None),
-                    }
-                }
-            };
-            if let (Some(li), Some(ri)) = (li, ri) {
-                return Ok(hash_join(left, li, right, ri));
+        if let (Expr::ColumnIdx(a), Expr::ColumnIdx(b)) = (l.as_ref(), r.as_ref()) {
+            let (li, ri) = (*a.min(b), *a.max(b));
+            if on.calls.is_empty() && li < left_width && ri >= left_width {
+                return Ok(hash_join(left, li, right, ri - left_width));
             }
         }
     }
-
-    // Nested loop with full ON evaluation.
-    let mut combined_scope = Scope {
-        cols: left_scope.cols.clone(),
-    };
-    combined_scope.extend(Scope {
-        cols: right_scope.cols.clone(),
-    });
     let mut out = Vec::new();
     for l in &left {
         for r in &right {
-            let mut values = l.values().to_vec();
-            values.extend_from_slice(r.values());
-            let row = Row::new(values);
-            if matches!(
-                eval_ast(session, on, &combined_scope, &row)?,
-                Value::Boolean(true)
-            ) {
+            let row = Row::new([l.values(), r.values()].concat());
+            if matches!(on.eval_row(session, &row)?, Value::Boolean(true)) {
                 out.push(row);
             }
         }
@@ -838,24 +790,21 @@ fn join_key(v: &Value) -> Option<JoinKey<'_>> {
 /// [`GroupedAccs`] storage's aggregate scan folds into, so a select forms
 /// the same groups with the same answers on either path.
 fn execute_aggregate(
-    session: &mut Session,
+    session: &Session,
     select: &SelectStmt,
     scope: &Scope,
     rows: Vec<Row>,
     epoch: u64,
 ) -> DbResult<QueryResult> {
-    // A plain column's type, which its key or aggregate output keeps.
-    let declared = |e: &ExprAst| match e {
-        ExprAst::Column { qualifier, name } => {
-            let at = scope.resolve(qualifier.as_deref(), name).ok()?;
-            Some(scope.cols[at].2)
-        }
-        _ => None,
-    };
-    // Per call, its function and argument (`None` for `COUNT(*)`); per
-    // item, the column of the folded rows it reads (keys first, then
-    // calls), its SQL name, and its declared type if it has one.
-    let mut calls: Vec<(AggFunc, Option<&ExprAst>)> = Vec::new();
+    let keys: Vec<Bound> = select
+        .group_by
+        .iter()
+        .map(|e| bind(session, e, scope))
+        .collect::<DbResult<_>>()?;
+    // Per call, its function and bound argument (`None` for `COUNT(*)`);
+    // per item, the column of the folded rows it reads (keys first, then
+    // calls), its SQL name, and its type if binding knows it.
+    let mut calls: Vec<(AggFunc, Option<Bound>)> = Vec::new();
     let mut outputs = Vec::with_capacity(select.items.len());
     for (i, item) in select.items.iter().enumerate() {
         let SelectItem::Expr { expr, alias } = item else {
@@ -868,11 +817,11 @@ fn execute_aggregate(
             _ => None,
         };
         let (at, dtype) = match (select.group_by.iter().position(|g| g == expr), call) {
-            (Some(key), _) => (key, declared(expr)),
+            (Some(key), _) => (key, keys[key].dtype),
             (None, Some((func, name, args))) => {
                 let arg = match (func, args.as_slice()) {
                     (AggFunc::Count, [ExprAst::Star]) => None,
-                    (_, [arg]) => Some(arg),
+                    (_, [arg]) => Some(bind(session, arg, scope)?),
                     _ => {
                         return Err(DbError::Execution(format!(
                             "{name} takes exactly one argument"
@@ -882,7 +831,9 @@ fn execute_aggregate(
                 let dtype = match func {
                     AggFunc::Count => Some(DataType::Int64),
                     AggFunc::Avg => Some(DataType::Float64),
-                    AggFunc::Sum | AggFunc::Min | AggFunc::Max => arg.and_then(declared),
+                    AggFunc::Sum | AggFunc::Min | AggFunc::Max => {
+                        arg.as_ref().and_then(|a| a.dtype)
+                    }
                 };
                 calls.push((func, arg));
                 (select.group_by.len() + calls.len() - 1, dtype)
@@ -896,18 +847,17 @@ fn execute_aggregate(
         outputs.push((at, output_name(expr, alias.as_deref(), i), dtype));
     }
 
-    let mut accs = GroupedAccs::new(calls.iter().map(|&(func, _)| func).collect());
+    let mut accs = GroupedAccs::new(calls.iter().map(|(func, _)| *func).collect());
     let mut inputs = Vec::with_capacity(calls.len());
     for row in &rows {
-        let key: Vec<Value> = select
-            .group_by
+        let key: Vec<Value> = keys
             .iter()
-            .map(|e| eval_ast(session, e, scope, row))
+            .map(|k| k.eval_row(session, row))
             .collect::<DbResult<_>>()?;
         inputs.clear();
         for (_, arg) in &calls {
             inputs.push(match arg {
-                Some(arg) => eval_ast(session, arg, scope, row)?,
+                Some(arg) => arg.eval_row(session, row)?,
                 // COUNT(*) counts every row.
                 None => Value::Int64(1),
             });
@@ -927,13 +877,11 @@ fn execute_aggregate(
         .into_iter()
         .map(|r| r.into_projected(&idx))
         .collect();
-    // An expression's type is its values' (VARCHAR if all are NULL).
     let fields = outputs
         .into_iter()
         .enumerate()
         .map(|(i, (_, name, dtype))| {
-            let inferred = || out_rows.iter().find_map(|r| r.get(i).data_type());
-            Field::new(name, dtype.or_else(inferred).unwrap_or(DataType::Varchar))
+            Field::new(name, dtype.unwrap_or_else(|| value_type(&out_rows, i)))
         })
         .collect();
     Ok(QueryResult {
@@ -960,196 +908,200 @@ fn agg_func(name: &str) -> Option<AggFunc> {
 // ----- projection ----------------------------------------------------
 
 fn project_rows(
-    session: &mut Session,
+    session: &Session,
     items: &[SelectItem],
     scope: &Scope,
     rows: Vec<Row>,
     epoch: u64,
 ) -> DbResult<QueryResult> {
-    // Pure `SELECT *`.
-    if items.len() == 1 && matches!(items[0], SelectItem::Star) {
-        let schema = Schema::new(
-            scope
-                .cols
-                .iter()
-                .map(|(_, name, dtype)| Field::new(name.clone(), *dtype))
-                .collect(),
-        );
-        return Ok(QueryResult {
-            count: rows.len() as u64,
-            schema,
-            rows,
-            epoch,
-            batch: None,
-        });
-    }
-    let mut names = Vec::new();
-    let mut out_rows = Vec::with_capacity(rows.len());
-    for (ri, row) in rows.iter().enumerate() {
-        let mut values = Vec::with_capacity(items.len());
+    let (schema, rows) = if let [SelectItem::Star] = items {
+        (scope.schema.clone(), rows)
+    } else {
+        let mut names = Vec::with_capacity(items.len());
+        let mut bound = Vec::with_capacity(items.len());
         for (i, item) in items.iter().enumerate() {
-            match item {
-                SelectItem::Star => {
-                    if ri == 0 {
-                        return Err(DbError::Execution(
-                            "SELECT * cannot be mixed with expressions".into(),
-                        ));
-                    }
-                    unreachable!()
-                }
-                SelectItem::Expr { expr, alias } => {
-                    if ri == 0 {
-                        names.push(output_name(expr, alias.as_deref(), i));
-                    }
-                    values.push(eval_ast(session, expr, scope, row)?);
-                }
-            }
+            let SelectItem::Expr { expr, alias } = item else {
+                return Err(DbError::Execution(
+                    "SELECT * cannot be mixed with expressions".into(),
+                ));
+            };
+            names.push(output_name(expr, alias.as_deref(), i));
+            bound.push(bind(session, expr, scope)?);
         }
-        out_rows.push(Row::new(values));
-    }
-    if rows.is_empty() {
-        for (i, item) in items.iter().enumerate() {
-            match item {
-                SelectItem::Expr { expr, alias } => {
-                    names.push(output_name(expr, alias.as_deref(), i))
-                }
-                SelectItem::Star => {
-                    return Err(DbError::Execution(
-                        "SELECT * cannot be mixed with expressions".into(),
-                    ))
-                }
-            }
-        }
-    }
-    let schema = infer_schema(&names, &out_rows);
+        let rows = rows
+            .iter()
+            .map(|row| bound.iter().map(|b| b.eval_row(session, row)).collect())
+            .collect::<DbResult<Vec<Row>>>()?;
+        let fields = names
+            .into_iter()
+            .zip(&bound)
+            .enumerate()
+            .map(|(i, (name, b))| Field::new(name, b.dtype.unwrap_or_else(|| value_type(&rows, i))))
+            .collect();
+        (Schema::new(fields), rows)
+    };
     Ok(QueryResult {
-        count: out_rows.len() as u64,
+        count: rows.len() as u64,
         schema,
-        rows: out_rows,
+        rows,
         epoch,
         batch: None,
     })
 }
 
-// ----- expression evaluation ------------------------------------------
+// ----- binding -------------------------------------------------------
 
-/// Lower an AST expression to a shared [`Expr`] (no UDFs, no
-/// aggregates, no qualifiers). Errors when the expression isn't a pure
-/// scalar over unqualified columns.
-pub(crate) fn lower_scalar(ast: &ExprAst) -> DbResult<Expr> {
-    lower_scalar_qualified(ast, None)
+/// What the one walk from [`ExprAst`] to [`Expr`] turns a column leaf and
+/// a function call into.
+#[derive(Clone, Copy)]
+enum Leaves<'a> {
+    /// For a [`QuerySpec`], which binds by name: a column keeps its name
+    /// if its qualifier, if it has one, is the relation's visible name
+    /// (`None`: no qualifier is); a function call does not lower.
+    Names(Option<&'a str>),
+    /// For the row executor: a column resolves to its ordinal in the
+    /// scope, and a function call to a UDF call.
+    Scope(&'a Scope, &'a Cluster),
 }
 
-/// Like [`lower_scalar`] but strips a known table alias off qualified
-/// column references.
-fn lower_scalar_qualified(ast: &ExprAst, alias: Option<&str>) -> DbResult<Expr> {
-    Ok(match ast {
-        ExprAst::Column { qualifier, name } => match qualifier {
-            None => Expr::Column(name.clone()),
-            Some(q) if alias.is_some_and(|a| a.eq_ignore_ascii_case(q)) => {
-                Expr::Column(name.clone())
+/// One walk over an [`ExprAst`]; `calls` collects the UDF calls it
+/// reaches, post-order and left to right, as they are to be evaluated.
+struct Binder<'a> {
+    leaves: Leaves<'a>,
+    calls: Vec<UdfCall>,
+}
+
+impl<'a> Binder<'a> {
+    fn new(leaves: Leaves<'a>) -> Binder<'a> {
+        let calls = Vec::new();
+        Binder { leaves, calls }
+    }
+
+    fn walk(&mut self, ast: &ExprAst) -> DbResult<Expr> {
+        Ok(match ast {
+            ExprAst::Column { qualifier, name } => match (self.leaves, qualifier) {
+                (Leaves::Scope(scope, _), _) => {
+                    Expr::ColumnIdx(scope.resolve(qualifier.as_deref(), name)?)
+                }
+                (Leaves::Names(relation), Some(q))
+                    if !relation.is_some_and(|r| r.eq_ignore_ascii_case(q)) =>
+                {
+                    return Err(DbError::Execution(format!(
+                        "cannot lower qualified column {q}.{name}"
+                    )))
+                }
+                (Leaves::Names(_), _) => Expr::Column(name.clone()),
+            },
+            ExprAst::Literal(v) => Expr::Literal(v.clone()),
+            ExprAst::Binary { left, op, right } => Expr::Binary {
+                left: Box::new(self.walk(left)?),
+                op: *op,
+                right: Box::new(self.walk(right)?),
+            },
+            ExprAst::Not(e) => Expr::Not(Box::new(self.walk(e)?)),
+            ExprAst::Neg(e) => Expr::Neg(Box::new(self.walk(e)?)),
+            ExprAst::IsNull(e) => Expr::IsNull(Box::new(self.walk(e)?)),
+            ExprAst::IsNotNull(e) => Expr::IsNotNull(Box::new(self.walk(e)?)),
+            ExprAst::Like { expr, pattern } => Expr::Like {
+                expr: Box::new(self.walk(expr)?),
+                pattern: pattern.clone(),
+            },
+            ExprAst::FuncCall {
+                name,
+                args,
+                parameters,
+            } => {
+                let Leaves::Scope(scope, cluster) = self.leaves else {
+                    return Err(DbError::Execution(format!(
+                        "function {name} cannot be lowered to a storage predicate"
+                    )));
+                };
+                if is_aggregate_name(name) {
+                    return Err(DbError::Execution(format!(
+                        "aggregate {name} not allowed here"
+                    )));
+                }
+                let udf = cluster
+                    .udf(name)
+                    .ok_or_else(|| DbError::Udf(format!("unknown function: {name}")))?;
+                let args = args.iter().map(|a| self.walk(a)).collect::<DbResult<_>>()?;
+                self.calls.push(UdfCall {
+                    udf,
+                    params: UdfParams::new(parameters),
+                    args,
+                });
+                Expr::ColumnIdx(scope.relations.len() + self.calls.len() - 1)
             }
-            Some(q) => {
-                return Err(DbError::Execution(format!(
-                    "cannot lower qualified column {q}.{name}"
-                )))
-            }
-        },
-        ExprAst::Literal(v) => Expr::Literal(v.clone()),
-        ExprAst::Binary { left, op, right } => Expr::Binary {
-            left: Box::new(lower_scalar_qualified(left, alias)?),
-            op: *op,
-            right: Box::new(lower_scalar_qualified(right, alias)?),
-        },
-        ExprAst::Not(e) => Expr::Not(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::Neg(e) => Expr::Neg(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::IsNull(e) => Expr::IsNull(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::IsNotNull(e) => Expr::IsNotNull(Box::new(lower_scalar_qualified(e, alias)?)),
-        ExprAst::Like { expr, pattern } => Expr::Like {
-            expr: Box::new(lower_scalar_qualified(expr, alias)?),
-            pattern: pattern.clone(),
-        },
-        ExprAst::FuncCall { name, .. } => {
-            return Err(DbError::Execution(format!(
-                "function {name} cannot be lowered to a storage predicate"
-            )))
-        }
-        ExprAst::Star => return Err(DbError::Execution("* is not a scalar expression".into())),
+            ExprAst::Star => return Err(DbError::Execution("* is not a scalar expression".into())),
+        })
+    }
+}
+
+/// Lower an AST expression for storage: a pure scalar over unqualified
+/// columns, which keep their names.
+pub(crate) fn lower_scalar(ast: &ExprAst) -> DbResult<Expr> {
+    lower(ast, None)
+}
+
+/// Like [`lower_scalar`], and a column may be qualified by `relation`.
+fn lower(ast: &ExprAst, relation: Option<&str>) -> DbResult<Expr> {
+    Binder::new(Leaves::Names(relation)).walk(ast)
+}
+
+/// An expression bound to a scope for the row executor. `expr` reads the
+/// row's columns by ordinal and, past them, column `width + k` for the
+/// result of `calls[k]`, which [`Bound::eval_row`] computes first.
+struct Bound {
+    expr: Expr,
+    width: usize,
+    calls: Vec<UdfCall>,
+    /// The type of every non-NULL value, when binding knows it: not for
+    /// an expression that calls a UDF, nor for a bare NULL.
+    dtype: Option<DataType>,
+}
+
+/// One scalar UDF call of a bound expression, its parameters built once.
+struct UdfCall {
+    udf: Arc<dyn ScalarUdf>,
+    params: UdfParams,
+    /// Over the row and the results of the calls before this one.
+    args: Vec<Expr>,
+}
+
+/// Bind `ast` against `scope`: every column resolves, and every function
+/// is found, before the first row.
+fn bind(session: &Session, ast: &ExprAst, scope: &Scope) -> DbResult<Bound> {
+    let mut binder = Binder::new(Leaves::Scope(scope, session.cluster()));
+    let expr = binder.walk(ast)?;
+    let dtype = match binder.calls.is_empty() {
+        true => expr.result_type(&scope.schema).map_err(DbError::Data)?,
+        false => None,
+    };
+    Ok(Bound {
+        expr,
+        width: scope.relations.len(),
+        calls: binder.calls,
+        dtype,
     })
 }
 
-/// Evaluate a constant expression (no column references).
-fn eval_const(expr: &ExprAst) -> DbResult<Value> {
-    let lowered = lower_scalar(expr)?;
-    let empty_schema = Schema::new(vec![]);
-    let bound = lowered.bind(&empty_schema).map_err(|_| {
-        DbError::Execution("expression must be constant (no column references)".into())
-    })?;
-    bound.eval(&Row::new(vec![])).map_err(DbError::Data)
-}
-
-/// Evaluate an AST expression over a scoped row; handles UDF calls.
-fn eval_ast(session: &mut Session, expr: &ExprAst, scope: &Scope, row: &Row) -> DbResult<Value> {
-    match expr {
-        ExprAst::Column { qualifier, name } => {
-            let idx = scope.resolve(qualifier.as_deref(), name)?;
-            Ok(row.get(idx).clone())
+impl Bound {
+    fn eval_row(&self, session: &Session, row: &Row) -> DbResult<Value> {
+        if self.calls.is_empty() {
+            return self.expr.eval(row).map_err(DbError::Data);
         }
-        ExprAst::Literal(v) => Ok(v.clone()),
-        ExprAst::Binary { left, op, right } => {
-            // Reuse the shared evaluator by building a tiny bound tree.
-            let l = eval_ast(session, left, scope, row)?;
-            let r = eval_ast(session, right, scope, row)?;
-            let e = Expr::Binary {
-                left: Box::new(Expr::Literal(l)),
-                op: *op,
-                right: Box::new(Expr::Literal(r)),
-            };
-            e.eval(&Row::new(vec![])).map_err(DbError::Data)
-        }
-        ExprAst::Not(e) => {
-            let v = eval_ast(session, e, scope, row)?;
-            Expr::Not(Box::new(Expr::Literal(v)))
-                .eval(&Row::new(vec![]))
-                .map_err(DbError::Data)
-        }
-        ExprAst::Neg(e) => {
-            let v = eval_ast(session, e, scope, row)?;
-            Expr::Neg(Box::new(Expr::Literal(v)))
-                .eval(&Row::new(vec![]))
-                .map_err(DbError::Data)
-        }
-        ExprAst::IsNull(e) => Ok(Value::Boolean(eval_ast(session, e, scope, row)?.is_null())),
-        ExprAst::IsNotNull(e) => Ok(Value::Boolean(!eval_ast(session, e, scope, row)?.is_null())),
-        ExprAst::Like { expr, pattern } => {
-            let v = eval_ast(session, expr, scope, row)?;
-            Expr::Like {
-                expr: Box::new(Expr::Literal(v)),
-                pattern: pattern.clone(),
-            }
-            .eval(&Row::new(vec![]))
-            .map_err(DbError::Data)
-        }
-        ExprAst::FuncCall {
-            name,
-            args,
-            parameters,
-        } => {
-            if is_aggregate_name(name) {
-                return Err(DbError::Execution(format!(
-                    "aggregate {name} not allowed here"
-                )));
-            }
-            let udf = session
-                .cluster()
-                .udf(name)
-                .ok_or_else(|| DbError::Udf(format!("unknown function: {name}")))?;
-            let arg_values: Vec<Value> = args
+        let mut values = Vec::with_capacity(self.width + self.calls.len());
+        values.extend_from_slice(row.values());
+        values.resize(self.width + self.calls.len(), Value::Null);
+        let mut scratch = Row::new(values);
+        for (k, call) in self.calls.iter().enumerate() {
+            let args: Vec<Value> = call
+                .args
                 .iter()
-                .map(|a| eval_ast(session, a, scope, row))
-                .collect::<DbResult<_>>()?;
-            let params = UdfParams::new(parameters);
-            let out = udf.eval(&arg_values, &params)?;
+                .map(|a| a.eval(&scratch))
+                .collect::<Result<_, _>>()
+                .map_err(DbError::Data)?;
+            let out = call.udf.eval(&args, &call.params)?;
             session.cluster().recorder().work(
                 session.task_tag(),
                 NodeRef::Db(session.node()),
@@ -1157,10 +1109,15 @@ fn eval_ast(session: &mut Session, expr: &ExprAst, scope: &Scope, row: &Row) -> 
                 1,
                 0,
             );
-            Ok(out)
+            scratch.set(self.width + k, out);
         }
-        ExprAst::Star => Err(DbError::Execution("* is not a scalar expression".into())),
+        self.expr.eval(&scratch).map_err(DbError::Data)
     }
+}
+
+/// Evaluate a constant expression: bound against a scope of no columns.
+fn eval_const(session: &Session, expr: &ExprAst) -> DbResult<Value> {
+    bind(session, expr, &Scope::empty())?.eval_row(session, &Row::default())
 }
 
 fn output_name(expr: &ExprAst, alias: Option<&str>, idx: usize) -> String {
@@ -1174,20 +1131,12 @@ fn output_name(expr: &ExprAst, alias: Option<&str>, idx: usize) -> String {
     }
 }
 
-/// Infer an output schema from names and the first rows' value types.
-fn infer_schema(names: &[String], rows: &[Row]) -> Schema {
-    let fields = names
-        .iter()
-        .enumerate()
-        .map(|(i, name)| {
-            let dtype = rows
-                .iter()
-                .find_map(|r| r.get(i).data_type())
-                .unwrap_or(DataType::Varchar);
-            Field::new(name.clone(), dtype)
-        })
-        .collect();
-    Schema::new(fields)
+/// The type of column `i`'s first non-NULL value, for an output whose
+/// type binding does not know (VARCHAR if every value is NULL).
+fn value_type(rows: &[Row], i: usize) -> DataType {
+    rows.iter()
+        .find_map(|r| r.get(i).data_type())
+        .unwrap_or(DataType::Varchar)
 }
 
 /// Scan a view through the programmatic query API: execute the stored

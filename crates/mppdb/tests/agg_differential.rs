@@ -24,6 +24,15 @@
 //! and with a function call added to its WHERE, on the row executor.
 //! Output names, declared types and values must match (rows as a list
 //! under ORDER BY, as a multiset without), or both must fail.
+//!
+//! The third property holds plain selects — `*`, bare and qualified
+//! columns, arithmetic and comparisons, aliased or not — over the same
+//! tables, views, epochs and transactions, to [`Expr::eval`] over the
+//! rows `SELECT *` returns. Each statement runs as drawn and again with
+//! `ALWAYS(0) AND` in its WHERE; both must give the same output names
+//! and declared types whatever the row count, each value must have its
+//! column's declared type, and a column's declared type is its
+//! expression's [`Expr::result_type`].
 
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -872,5 +881,409 @@ fn sql_aggregates_match_the_row_fold_256_cases() {
 fn sql_aggregates_match_the_row_fold_eight_more_seed_sets() {
     for base in 1..=8 {
         run_sql_cases(base);
+    }
+}
+
+// ----- plain selects against `Expr::eval` ------------------------------
+
+/// A generated operand or expression: its SQL text and the [`Expr`] it
+/// means over `SELECT *`'s columns.
+fn projection_operand(rng: &mut StdRng, schema: &Schema, depth: u32) -> (String, Expr) {
+    let numeric = [DataType::Int64, DataType::Float64];
+    if depth == 0 || rng.random_bool(0.4) {
+        if rng.random_bool(0.7) {
+            let f = &schema.fields()[rng.random_range(0..schema.fields().len())];
+            return (f.name.clone(), Expr::col(f.name.clone()));
+        }
+        // A literal, mostly numeric; parenthesized so a minus sign never
+        // meets another.
+        let dtype = match rng.random_bool(0.85) {
+            true => numeric[rng.random_range(0..2)],
+            false => TYPES[rng.random_range(0..TYPES.len())],
+        };
+        let text = sql_literal(rng, dtype);
+        let value = match dtype {
+            DataType::Boolean => Value::Boolean(text == "TRUE"),
+            DataType::Int64 => Value::Int64(text.parse().unwrap()),
+            DataType::Float64 => Value::Float64(text.parse().unwrap()),
+            DataType::Varchar => Value::Varchar(text.trim_matches('\'').to_string()),
+        };
+        return (format!("({text})"), Expr::lit(value));
+    }
+    use common::expr::BinaryOp::*;
+    let (l, le) = projection_operand(rng, schema, depth - 1);
+    match rng.random_range(0..8) {
+        0 => (format!("(-{l})"), Expr::Neg(Box::new(le))),
+        1 => (format!("({l} IS NULL)"), Expr::IsNull(Box::new(le))),
+        k => {
+            let ops = [
+                ("+", Add),
+                ("-", Sub),
+                ("*", Mul),
+                ("/", Div),
+                ("%", Mod),
+                ("<", Lt),
+                ("=", Eq),
+                (">=", GtEq),
+            ];
+            // Mostly `+`, `-` and `*`, which fail only on a wrong type.
+            let (text, op) = ops[match k {
+                2 => rng.random_range(0..ops.len()),
+                _ => rng.random_range(0..3),
+            }];
+            let (r, re) = projection_operand(rng, schema, depth - 1);
+            (format!("({l} {text} {r})"), Expr::binary(le, op, re))
+        }
+    }
+}
+
+/// A generated plain select: its SQL pieces and its reference.
+struct Projection {
+    /// The item list; `*` alone, or expressions.
+    items: String,
+    /// ` ORDER BY …`, ` LIMIT …`, each when present.
+    tail: String,
+    /// Per output column: its expression over `SELECT *`'s columns, and
+    /// its SQL name.
+    exprs: Vec<(Expr, String)>,
+    /// Whether every item is a bare or qualified column (or `*`).
+    plain: bool,
+    order: Vec<(usize, bool)>,
+    limit: Option<usize>,
+}
+
+/// `*`, or 1–4 items: bare columns, columns qualified by `qualifier`
+/// (in any case), and expressions of depth up to 2, some aliased; maybe
+/// an ORDER BY over item positions and a LIMIT.
+fn random_projection(rng: &mut StdRng, schema: &Schema, qualifier: &str) -> Projection {
+    let ncols = schema.fields().len();
+    let (mut texts, mut exprs, mut plain) = (Vec::new(), Vec::new(), true);
+    if rng.random_bool(0.15) {
+        texts.push("*".to_string());
+        for f in schema.fields() {
+            exprs.push((Expr::col(f.name.clone()), f.name.clone()));
+        }
+    } else {
+        for i in 0..rng.random_range(1..5) {
+            let c = format!("c{}", rng.random_range(0..ncols));
+            let (text, expr) = match rng.random_range(0..4) {
+                0 => (c.clone(), Expr::col(c)),
+                1 => {
+                    let q = match rng.random_bool(0.5) {
+                        true => qualifier.to_uppercase(),
+                        false => qualifier.to_string(),
+                    };
+                    (format!("{q}.{c}"), Expr::col(c))
+                }
+                _ => projection_operand(rng, schema, 2),
+            };
+            let name = match &expr {
+                Expr::Column(name) => name.clone(),
+                _ => {
+                    plain = false;
+                    format!("col{i}")
+                }
+            };
+            if rng.random_bool(0.25) {
+                plain = false;
+                texts.push(format!("{text} AS a{i}"));
+                exprs.push((expr, format!("a{i}")));
+            } else {
+                texts.push(text);
+                exprs.push((expr, name));
+            }
+        }
+    }
+    let mut tail = String::new();
+    let order: Vec<(usize, bool)> = match rng.random_bool(0.4) {
+        true => (0..rng.random_range(1..3))
+            .map(|_| (rng.random_range(0..exprs.len()), rng.random_bool(0.5)))
+            .collect(),
+        false => Vec::new(),
+    };
+    if !order.is_empty() {
+        let keys: Vec<String> = order
+            .iter()
+            .map(|&(i, desc)| format!("{}{}", i + 1, if desc { " DESC" } else { "" }))
+            .collect();
+        tail += &format!(" ORDER BY {}", keys.join(", "));
+    }
+    let limit = rng.random_bool(0.3).then(|| rng.random_range(0..5usize));
+    if let Some(n) = limit {
+        tail += &format!(" LIMIT {n}");
+    }
+    Projection {
+        items: texts.join(", "),
+        tail,
+        exprs,
+        plain,
+        order,
+        limit,
+    }
+}
+
+impl Projection {
+    /// The reference: output names and types, and every row of `base`
+    /// through [`Expr::eval`] (`Err` if any row fails), sorted as ORDER
+    /// BY asks; LIMIT is left to [`Projection::compare`].
+    fn reference(&self, schema: &Schema, base: &[Row]) -> Result<(Columns, Vec<Row>), String> {
+        let bound: Vec<Expr> = self
+            .exprs
+            .iter()
+            .map(|(e, _)| e.bind(schema).unwrap())
+            .collect();
+        let fields = self
+            .exprs
+            .iter()
+            .zip(&bound)
+            .map(|((_, name), e)| {
+                let dtype = e.result_type(schema).unwrap();
+                (name.clone(), dtype.unwrap_or(DataType::Varchar))
+            })
+            .collect();
+        let mut rows = base
+            .iter()
+            .map(|row| bound.iter().map(|e| e.eval(row)).collect())
+            .collect::<Result<Vec<Row>, _>>()
+            .map_err(|e| e.to_string())?;
+        order_rows(&mut rows, &self.order);
+        Ok((fields, rows))
+    }
+
+    /// Without ORDER BY the rows are a multiset, and LIMIT keeps some
+    /// `limit` of them. With it, rows tied on the keys may come in any
+    /// order: the answer must be sorted, and hold the reference's rows,
+    /// or under LIMIT its first `limit` up to ties.
+    fn compare(&self, got: &[Row], want: &[Row], tag: &str) {
+        let sorted = |rows: &[Row]| {
+            let mut again = rows.to_vec();
+            order_rows(&mut again, &self.order);
+            spelled_rows(&again) == spelled_rows(rows)
+        };
+        assert!(sorted(got), "rows out of order: {tag}");
+        let mut rest = spelled_rows(want);
+        assert_eq!(
+            got.len(),
+            self.limit.unwrap_or(usize::MAX).min(want.len()),
+            "row count: {tag}"
+        );
+        for row in spelled_rows(got) {
+            let at = rest.iter().position(|w| *w == row);
+            let at = at.unwrap_or_else(|| panic!("row {row} not in {want:?}: {tag}"));
+            rest.remove(at);
+        }
+        // Under ORDER BY and LIMIT, no row left out sorts before the
+        // last row kept.
+        if let (Some(last), false) = (got.last(), self.order.is_empty()) {
+            for row in want {
+                if !sorted(&[last.clone(), row.clone()]) {
+                    let spelled = &spelled_rows(std::slice::from_ref(row))[0];
+                    assert!(
+                        !rest.contains(spelled),
+                        "{spelled} sorts before a kept row: {tag}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Output names and declared types.
+type Columns = Vec<(String, DataType)>;
+
+fn columns(schema: &Schema) -> Columns {
+    let fields = schema.fields().iter();
+    fields.map(|f| (f.name.clone(), f.dtype)).collect()
+}
+
+/// What the projection cases reached.
+#[derive(Default)]
+struct ProjectionReached {
+    ok: usize,
+    errors: usize,
+    lowered: usize,
+    empty_expressions: usize,
+    typed_nulls: usize,
+    qualified: usize,
+    in_txn: usize,
+    views: usize,
+    pinned: usize,
+    ordered: usize,
+    limited: usize,
+}
+
+fn run_projection_case(seed: u64, reached: &mut ProjectionReached) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema = random_schema(&mut rng);
+    let ncols = schema.fields().len();
+    let cluster = Cluster::new(ClusterConfig::default());
+    cluster.register_udf(Arc::new(Always));
+    let mut s = cluster.connect(0).unwrap();
+    let defs: Vec<String> = schema
+        .fields()
+        .iter()
+        .map(|f| format!("{} {}", f.name, f.dtype.sql_name()))
+        .collect();
+    let placement = match rng.random_range(0..3) {
+        0 => " UNSEGMENTED ALL NODES".to_string(),
+        1 => format!(
+            " SEGMENTED BY HASH(c{}) ALL NODES",
+            rng.random_range(0..ncols)
+        ),
+        _ => String::new(),
+    };
+    s.execute(&format!("CREATE TABLE t ({}){placement}", defs.join(", ")))
+        .unwrap();
+    let mut epochs = vec![cluster.current_epoch()];
+    for _ in 0..rng.random_range(1..4) {
+        let n = rng.random_range(0..12);
+        s.insert("t", sql_rows(&mut rng, &schema, n)).unwrap();
+        if rng.random_bool(0.4) {
+            cluster.moveout_all();
+        }
+        if rng.random_bool(0.4) {
+            let sql = format!("DELETE FROM t WHERE {}", sql_predicate(&mut rng, &schema));
+            s.execute(&sql).unwrap();
+        }
+        epochs.push(cluster.current_epoch());
+    }
+    let view = rng.random_bool(0.4);
+    if view {
+        let filter = match rng.random_bool(0.5) {
+            true => format!(" WHERE {}", sql_predicate(&mut rng, &schema)),
+            false => String::new(),
+        };
+        s.execute(&format!("CREATE VIEW v AS SELECT * FROM t{filter}"))
+            .unwrap();
+    }
+    let in_txn = rng.random_bool(0.3);
+    if in_txn {
+        s.execute("BEGIN").unwrap();
+        let n = rng.random_range(0..6);
+        s.insert("t", sql_rows(&mut rng, &schema, n)).unwrap();
+    }
+
+    for query in 0..4 {
+        let relation = if view && rng.random_bool(0.5) {
+            "v"
+        } else {
+            "t"
+        };
+        let at = match rng.random_bool(0.25) {
+            true => format!("AT EPOCH {} ", epochs[rng.random_range(0..epochs.len())]),
+            false => String::new(),
+        };
+        let filter = match rng.random_bool(0.6) {
+            true => format!(" WHERE {}", sql_predicate(&mut rng, &schema)),
+            false => String::new(),
+        };
+        let (from, qualifier) = match rng.random_bool(0.3) {
+            true => (format!("{relation} AS r"), "r"),
+            false => (relation.to_string(), relation),
+        };
+        let select = random_projection(&mut rng, &schema, qualifier);
+        let base = s
+            .execute(&format!("{at}SELECT * FROM {relation}{filter}"))
+            .and_then(|r| r.rows())
+            .unwrap_or_else(|e| panic!("reference read failed: {e} ({at}{relation}{filter})"));
+        let reference = select.reference(&base.schema, &base.rows);
+        let twin_filter = match filter.strip_prefix(" WHERE ") {
+            Some(p) => format!(" WHERE ALWAYS(0) AND ({p})"),
+            None => " WHERE ALWAYS(0)".to_string(),
+        };
+        let lowerable = select.plain && select.order.is_empty();
+        let mut answers = Vec::new();
+        for (lowered, filter) in [(lowerable, &filter), (false, &twin_filter)] {
+            let sql = format!("SELECT {} FROM {from}{filter}{}", select.items, select.tail);
+            let tag =
+                format!("seed {seed} query {query}: {at}{sql} (schema {schema}, txn {in_txn})");
+            let plan = s
+                .execute(&format!("EXPLAIN {sql}"))
+                .unwrap()
+                .rows()
+                .unwrap();
+            let pushed = plan
+                .rows
+                .iter()
+                .any(|r| r.get(0).as_str().unwrap() == "projection: [pushed down to storage]");
+            assert_eq!(pushed, lowered, "plan {:?}: {tag}", plan.rows);
+            let actual = s
+                .execute(&format!("{at}{sql}"))
+                .and_then(|r| r.rows())
+                .map_err(|e| e.to_string());
+            match (&actual, &reference) {
+                (Ok(a), Ok((want, rows))) => {
+                    assert_eq!(&columns(&a.schema), want, "output names and types: {tag}");
+                    for row in &a.rows {
+                        for (v, (_, dtype)) in row.values().iter().zip(want) {
+                            let ok = v.is_null() || v.data_type() == Some(*dtype);
+                            assert!(ok, "{v:?} in a {dtype} column: {tag}");
+                            reached.typed_nulls += usize::from(v.is_null());
+                        }
+                    }
+                    select.compare(&a.rows, rows, &tag);
+                    reached.ok += 1;
+                    reached.lowered += usize::from(lowered);
+                    reached.empty_expressions += usize::from(a.rows.is_empty() && !select.plain);
+                }
+                (Err(_), Err(_)) => reached.errors += 1,
+                (a, e) => panic!(
+                    "SQL and reference disagree on success: sql={:?} reference={:?} ({tag})",
+                    a.as_ref().map(|r| spelled_rows(&r.rows)),
+                    e.as_ref().map(|(_, rows)| spelled_rows(rows)),
+                ),
+            }
+            answers.push(actual.map(|a| (columns(&a.schema), a.rows.len())));
+        }
+        assert_eq!(
+            answers[0], answers[1],
+            "the twins differ: seed {seed} query {query}"
+        );
+        reached.qualified += usize::from(select.items.contains('.'));
+        reached.views += usize::from(relation == "v");
+        reached.pinned += usize::from(!at.is_empty());
+        reached.ordered += usize::from(!select.order.is_empty());
+        reached.limited += usize::from(select.limit.is_some());
+        reached.in_txn += usize::from(in_txn);
+    }
+    if in_txn {
+        s.execute("ROLLBACK").unwrap();
+    }
+}
+
+fn run_projection_cases(base: u64) {
+    let mut reached = ProjectionReached::default();
+    for case in 0..256 {
+        run_projection_case(base * 1_000 + case, &mut reached);
+    }
+    let r = &reached;
+    for (what, n) in [
+        ("successful statement", r.ok),
+        ("failing statement", r.errors),
+        ("lowered projection", r.lowered),
+        ("expression over no rows", r.empty_expressions),
+        ("NULL output", r.typed_nulls),
+        ("qualified column", r.qualified),
+        ("statement in an open transaction", r.in_txn),
+        ("view", r.views),
+        ("AT EPOCH", r.pinned),
+        ("ORDER BY", r.ordered),
+        ("LIMIT", r.limited),
+    ] {
+        assert!(n > 0, "no {what}");
+    }
+}
+
+#[test]
+fn sql_projections_match_expr_eval_256_cases() {
+    run_projection_cases(0);
+}
+
+/// `scripts/check.sh` runs this once with `--ignored`.
+#[test]
+#[ignore = "eight more seed sets of the property above; check.sh runs them"]
+fn sql_projections_match_expr_eval_eight_more_seed_sets() {
+    for base in 1..=8 {
+        run_projection_cases(base);
     }
 }

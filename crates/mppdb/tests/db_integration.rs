@@ -875,3 +875,104 @@ fn ros_encodings_compress_low_cardinality_columns() {
         "expected >2x compression: raw {raw}, encoded {encoded}"
     );
 }
+
+/// A select binds every expression before its first row: an unknown or
+/// ambiguous column, an unknown function or a qualifier the alias hides
+/// fails with one error whether the relation is empty (`e`) or not
+/// (`f`), and whichever path, lowered or row executor, runs it.
+#[test]
+fn binding_errors_do_not_depend_on_the_rows() {
+    let c = cluster();
+    let mut s = c.connect(0).unwrap();
+    for t in ["e", "f"] {
+        s.execute(&format!("CREATE TABLE {t} (id INT, x FLOAT)"))
+            .unwrap();
+    }
+    s.execute("INSERT INTO f VALUES (1, 2.5)").unwrap();
+    for (sql, want) in [
+        ("SELECT nosuch + 1 FROM {t}", "unknown column nosuch"),
+        (
+            "SELECT id FROM {t} WHERE nofn(x) > 0",
+            "unknown function: nofn",
+        ),
+        (
+            "SELECT a.id FROM {t} AS a JOIN f ON a.id = f.id WHERE id > 0",
+            "ambiguous column reference id",
+        ),
+        ("SELECT SUM(nosuch * 2) FROM {t}", "unknown column nosuch"),
+        (
+            "SELECT id FROM {t} WHERE SUM(x) > 0",
+            "aggregate SUM not allowed here",
+        ),
+        (
+            "SELECT *, id + 1 FROM {t}",
+            "SELECT * cannot be mixed with expressions",
+        ),
+        ("SELECT {t}.id FROM {t} AS a", "unknown column"),
+        ("SELECT {t}.id FROM {t} AS a ORDER BY 1", "unknown column"),
+    ] {
+        // Each error in the statement's own spelling, `{t}` put back.
+        let errors: Vec<String> = ["e", "f"]
+            .iter()
+            .map(|t| {
+                let e = s.execute(&sql.replace("{t}", t)).unwrap_err();
+                format!("{e:?}").replace(&format!("column {t}."), "column {t}.")
+            })
+            .collect();
+        assert!(errors[0].contains(want), "{sql}: {errors:?}");
+        assert_eq!(errors[0], errors[1], "{sql}");
+    }
+}
+
+/// Output types come from the binding: an ORDER BY, which keeps a plain
+/// select on the row executor, reports the lowered path's schema, and an
+/// expression over no rows keeps its type.
+#[test]
+fn output_types_do_not_depend_on_the_rows_or_path() {
+    let c = cluster();
+    let mut s = c.connect(0).unwrap();
+    for t in ["e", "f"] {
+        s.execute(&format!("CREATE TABLE {t} (id INT, x FLOAT)"))
+            .unwrap();
+    }
+    s.execute("INSERT INTO f VALUES (1, 2.5)").unwrap();
+    let types = |s: &mut mppdb::Session, sql: &str| -> Vec<String> {
+        let r = s.execute(sql).unwrap().rows().unwrap();
+        let fields = r.schema.fields().iter();
+        fields.map(|f| format!("{} {}", f.name, f.dtype)).collect()
+    };
+    for t in ["e", "f"] {
+        let lowered = types(&mut s, &format!("SELECT id, x FROM {t} WHERE id > 100"));
+        let ordered = format!("SELECT id, x FROM {t} WHERE id > 100 ORDER BY id");
+        assert_eq!(types(&mut s, &ordered), lowered, "{t}");
+        assert_eq!(
+            types(
+                &mut s,
+                &format!("SELECT id + 1, x * 2 AS y, id > 0, -id FROM {t}")
+            ),
+            ["col0 BIGINT", "y FLOAT", "col2 BOOLEAN", "col3 BIGINT"],
+            "{t}"
+        );
+        assert_eq!(
+            types(
+                &mut s,
+                &format!("SELECT id % 2 AS k, SUM(id * 2), MIN(x / 2) FROM {t} GROUP BY id % 2")
+            ),
+            ["k BIGINT", "sum BIGINT", "min FLOAT"],
+            "{t}"
+        );
+    }
+    // `f` hides behind its alias on both paths.
+    let r = s
+        .execute("SELECT a.id FROM f AS a")
+        .unwrap()
+        .rows()
+        .unwrap();
+    assert_eq!(r.rows, vec![row![1i64]]);
+    let r = s
+        .execute("SELECT A.id FROM f AS a ORDER BY 1")
+        .unwrap()
+        .rows()
+        .unwrap();
+    assert_eq!(r.rows, vec![row![1i64]]);
+}

@@ -1,11 +1,16 @@
 //! Hostile input for the SQL front end: a seeded corpus of statements,
 //! every one cut at every byte and with one bit flipped at every byte,
 //! through `sql::parse_statement`. Every input must parse or give the
-//! typed error of bad text — never a panic. Dependency-free: the
-//! literals and the damage are drawn from a seeded SplitMix64.
+//! typed error of bad text — never a panic. Every damaged SELECT or
+//! EXPLAIN that parses is then executed, over empty tables and over one
+//! row each: it must answer or fail with a `DbError`, never panic.
+//! Dependency-free: the literals and the damage are drawn from a seeded
+//! SplitMix64.
 
-use mppdb::sql::parse_statement;
-use mppdb::DbError;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use mppdb::sql::{parse_statement, Statement};
+use mppdb::{Cluster, ClusterConfig, DbError};
 
 /// SplitMix64: a seeded stream of draws with no dependency.
 struct Draws(u64);
@@ -111,4 +116,51 @@ fn damaged_statements_parse_or_fail_typed() {
     // Both ends are reached: a cut after a whole clause or a flipped
     // letter of a literal still parses, most damage does not.
     assert!(parsed > 0 && parsed < inputs, "{parsed} of {inputs} parsed");
+}
+
+#[test]
+fn damaged_selects_execute_or_fail_typed() {
+    let mut rng = Draws(0x5E1);
+    let statements = corpus(&mut rng);
+    let mut queries = Vec::new();
+    for sql in &statements {
+        let select = |text: &str| {
+            matches!(
+                parse_statement(text),
+                Ok(Statement::Select(_) | Statement::Explain(_))
+            )
+        };
+        if select(sql) {
+            queries.push(sql.clone());
+            damage(sql, &mut rng, |text, _| {
+                if select(&text) {
+                    queries.push(text);
+                }
+            });
+        }
+    }
+    let cluster = Cluster::new(ClusterConfig::default());
+    let mut s = cluster.connect(0).unwrap();
+    s.execute(&statements[0]).unwrap();
+    s.execute(&statements[1]).unwrap();
+    let (mut answered, mut failed) = (0, 0);
+    for rows in [false, true] {
+        if rows {
+            s.execute("INSERT INTO t VALUES (1, 0.5, 'ab', TRUE)")
+                .unwrap();
+            s.execute("INSERT INTO u VALUES (1, 'x')").unwrap();
+        }
+        for sql in &queries {
+            let outcome = catch_unwind(AssertUnwindSafe(|| s.execute(sql)));
+            let outcome = outcome.unwrap_or_else(|_| panic!("{sql:?} (rows: {rows}) panicked"));
+            match outcome {
+                Ok(_) => answered += 1,
+                Err(_) => failed += 1,
+            }
+        }
+    }
+    assert!(
+        answered > 0 && failed > 0,
+        "{answered} answered, {failed} failed"
+    );
 }

@@ -103,6 +103,12 @@ cargo test -q -p mppdb --test agg_differential aggregate_fold -- --ignored
 echo "== SQL aggregate differential, 8 more seed sets"
 cargo test -q -p mppdb --test agg_differential sql_aggregates -- --ignored
 
+# Plain selects (columns, arithmetic, comparisons), lowered and on the
+# row executor, against `Expr::eval` over the rows of `SELECT *`: the
+# 256 generated statements above, over eight more seed sets.
+echo "== SQL projection differential, 8 more seed sets"
+cargo test -q -p mppdb --test agg_differential sql_projections -- --ignored
+
 # The worker pool under 10,000 jobs of random width, with nested jobs
 # and panicking calls, beside joined and detached spawns: every call
 # runs once, every panic comes back to whoever joins it.
