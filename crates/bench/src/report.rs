@@ -247,6 +247,23 @@ fn write_json(
     Ok(path)
 }
 
+/// The first line where two reports differ outside `histograms`, the
+/// one section that holds wall-clock values: `(line number, line of a,
+/// line of b)`, a missing line read as empty.
+pub fn first_difference_outside_histograms(a: &str, b: &str) -> Option<(usize, String, String)> {
+    let before_histograms = |json: &str| -> Vec<String> {
+        json.lines()
+            .take_while(|line| !line.starts_with("  \"histograms\":"))
+            .map(str::to_string)
+            .collect()
+    };
+    let (a, b) = (before_histograms(a), before_histograms(b));
+    (0..a.len().max(b.len())).find_map(|i| {
+        let line = |lines: &[String]| lines.get(i).cloned().unwrap_or_default();
+        (line(&a) != line(&b)).then(|| (i + 1, line(&a), line(&b)))
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,6 +337,48 @@ mod tests {
         assert!(json.contains("\"sched.task_retries\": 3"));
         assert!(json.contains("\"s2v.phase3\": {\"count\": 4"));
         assert!(json.contains("\"p99\": 4000"), "{json}");
+    }
+
+    #[test]
+    fn reports_compare_outside_their_histograms() {
+        let rows = vec![ReportRow::new("cell", None, 2.0)];
+        let counters = BTreeMap::from([("scan.rows_examined".to_string(), 17u64)]);
+        let histos = |p50: u64| {
+            let c = obs::Collector::new();
+            c.record_histo(obs::names::V2S_PIECE_BYTES, p50);
+            histos_since(&c.snapshot(), &obs::Collector::new().snapshot())
+        };
+        let json = to_json("pushdown", "Ablation", &rows, &counters, &histos(10));
+        let slower = to_json("pushdown", "Ablation", &rows, &counters, &histos(90));
+        assert_eq!(first_difference_outside_histograms(&json, &slower), None);
+        let more = BTreeMap::from([("scan.rows_examined".to_string(), 18u64)]);
+        let moved = to_json("pushdown", "Ablation", &rows, &more, &histos(10));
+        let (_, was, now) = first_difference_outside_histograms(&json, &moved).unwrap();
+        assert!(was.contains("17") && now.contains("18"), "{was} / {now}");
+        let cut = &json[..json.find("\"counters\"").unwrap()];
+        assert!(first_difference_outside_histograms(&json, cut).is_some());
+    }
+
+    /// `scripts/check.sh` runs this with `--ignored` once `bench
+    /// pushdown` has regenerated the report into `$BENCH_OUT_DIR`: its
+    /// experiment, title, rows and counters are deterministic, so they
+    /// must be the committed file's.
+    #[test]
+    #[ignore = "reads a report regenerated into $BENCH_OUT_DIR; check.sh regenerates it first"]
+    fn regenerated_pushdown_report_matches_the_committed_one() {
+        let read = |path: PathBuf| {
+            std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()))
+        };
+        let fresh = read(out_dir().join("BENCH_pushdown.json"));
+        let committed =
+            read(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pushdown.json"));
+        if let Some((line, was, now)) = first_difference_outside_histograms(&committed, &fresh) {
+            panic!(
+                "BENCH_pushdown.json line {line} changed outside histograms:\n  \
+                 committed:   {was}\n  regenerated: {now}"
+            );
+        }
     }
 
     #[test]

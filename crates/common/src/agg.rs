@@ -401,6 +401,11 @@ impl GroupedAccs {
         self.find_or_insert(key_hash(key), |k| k == key, || key.to_vec())
     }
 
+    /// The index of `key`'s group, if it has one; creates none.
+    pub fn group_of(&self, key: &[Value]) -> Option<usize> {
+        self.find(key_hash(key)?, |k| k == key)
+    }
+
     /// The accumulators of the group at `index` (from
     /// [`GroupedAccs::group_index`]), one per call.
     pub fn group_accs(&mut self, index: usize) -> &mut [Acc] {
@@ -427,22 +432,28 @@ impl GroupedAccs {
         let before = match hash {
             None => None,
             Some(hash) => {
-                let head = self.heads.get(&hash).copied();
-                let mut at = head;
-                while let Some(g) = at {
-                    if is_key(&self.groups[g].0) {
-                        return g;
-                    }
-                    at = self.chain[g];
+                if let Some(g) = self.find(hash, is_key) {
+                    return g;
                 }
-                self.heads.insert(hash, index);
-                head
+                self.heads.insert(hash, index)
             }
         };
         let accs = self.funcs.iter().map(|f| Acc::new(*f)).collect();
         self.groups.push((make_key(), accs));
         self.chain.push(before);
         index
+    }
+
+    /// The group whose key `is_key` accepts among those hashed `hash`.
+    fn find(&self, hash: u64, is_key: impl Fn(&[Value]) -> bool) -> Option<usize> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(g) = at {
+            if is_key(&self.groups[g].0) {
+                return Some(g);
+            }
+            at = self.chain[g];
+        }
+        None
     }
 
     /// Fold rows in, one at a time in order: row `r`'s group is keyed by
@@ -884,6 +895,16 @@ mod tests {
         let mut hashed = GroupedAccs::new(vec![AggFunc::Count]);
         let got: Vec<usize> = twice.iter().map(|key| hashed.group_index(key)).collect();
         assert_eq!(got, want);
+        // A lookup finds what the insertion found, and NaN keys nothing.
+        let nan = |key: &[Value]| {
+            key.iter()
+                .any(|v| matches!(v, Value::Float64(f) if f.is_nan()))
+        };
+        for (key, &g) in twice.iter().zip(&want) {
+            let found = hashed.group_of(key);
+            assert_eq!(found, (!nan(key)).then_some(g), "{key:?}");
+        }
+        assert_eq!(GroupedAccs::new(vec![]).group_of(&[Value::Int64(1)]), None);
         // One hash for every key: the chain alone tells them apart.
         let mut collided = GroupedAccs::new(vec![AggFunc::Count]);
         let got: Vec<usize> = twice

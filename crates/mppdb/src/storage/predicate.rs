@@ -16,6 +16,16 @@
 //! RLE column, once per touched dictionary entry. What a step charges to
 //! [`ScanCounters`] depends on that walk only, never on which of the two
 //! evaluated it.
+//!
+//! What is dispatched per container: the step's shape (no column, one,
+//! several), its kernel's leaves bound to the column's native vectors
+//! (one match on the column and literal types), and for a single
+//! `column <op> literal` leaf over a plain column the operator and
+//! whether the column has a validity bitmap ([`Cmp::narrow_plain`]):
+//! one loop each, in which a row costs its comparisons, a validity bit
+//! and a write, and no dispatch. Over an RLE or dictionary column the
+//! leaf is asked once per run or code, through [`walk`]; a tree of
+//! several leaves is evaluated row by row ([`Node::eval`]).
 
 use std::cmp::Ordering;
 
@@ -184,11 +194,32 @@ impl Step<'_> {
                 let col = &columns[ci];
                 let values = col.values();
                 match self.bind(&[values]) {
-                    Some((root, leaves)) => match (root, leaves.as_slice()) {
-                        // One leaf: one dispatch on its types per
-                        // container, and the walk is compiled around
-                        // the comparison.
-                        (Node::Leaf(_), [leaf]) => each_leaf!(leaf, l => {
+                    Some((root, leaves)) => match (root, leaves.as_slice(), col) {
+                        // A comparison with a literal over a plain
+                        // column: one loop per operator and type pair,
+                        // picked here once per container.
+                        (Node::Leaf(_), [Leaf::Bool(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        (Node::Leaf(_), [Leaf::Int(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        (Node::Leaf(_), [Leaf::IntFloat(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        (Node::Leaf(_), [Leaf::FloatInt(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        (Node::Leaf(_), [Leaf::Float(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        (Node::Leaf(_), [Leaf::Str(l)], EncodedColumn::Plain(_)) => {
+                            l.narrow_plain(sel, n)
+                        }
+                        // Any other leaf, or an encoded column: one
+                        // dispatch on its types per container, and the
+                        // walk is compiled around the leaf.
+                        (Node::Leaf(_), [leaf], _) => each_leaf!(leaf, l => {
                             walk(col, sel, n, |i| Ok(l.test(&|_| i) == Some(true)))
                         }),
                         _ => walk(
@@ -483,6 +514,10 @@ impl Node {
 const LT: u8 = 1;
 const EQ: u8 = 2;
 const GT: u8 = 4;
+/// The other three operators' [`Keeps`] masks.
+const LE: u8 = LT | EQ;
+const GE: u8 = GT | EQ;
+const NE: u8 = LT | GT;
 
 /// The outcome of comparing two values of one ordered type, computed
 /// without a branch: which way a comparison of stored data goes is often
@@ -678,6 +713,63 @@ impl<'a, T: Native + SqlOrd<L>, L: ?Sized> Cmp<'a, T, L> {
     }
 }
 
+impl<T: Native + SqlOrd<L>, L: PartialOrd + ?Sized> Cmp<'_, T, L> {
+    /// Narrow `sel` (ascending rows of the plain column this leaf is
+    /// bound to) to the rows it keeps, charging a decode per row as
+    /// [`walk`] does. The operator is matched here, once per container;
+    /// each of the six has a loop of its own, with no `Result`, no
+    /// outcome `Option` and no mask read per row. It cannot fail; the
+    /// `Result` is that of the walk it stands in for.
+    fn narrow_plain(&self, sel: &mut Vec<u32>, n: &mut ScanCounters) -> Result<()> {
+        n.decoded += sel.len() as u64;
+        match self.keeps.0 {
+            LT => self.keep_rows::<LT>(sel),
+            LE => self.keep_rows::<LE>(sel),
+            EQ => self.keep_rows::<EQ>(sel),
+            GE => self.keep_rows::<GE>(sel),
+            GT => self.keep_rows::<GT>(sel),
+            mask => {
+                debug_assert_eq!(mask, NE, "a Keeps mask is one of six operators");
+                self.keep_rows::<NE>(sel)
+            }
+        }
+        Ok(())
+    }
+
+    /// The loop of operator `K` (a [`Keeps`] mask): a row is kept when
+    /// its outcome has a bit of `K` — the constant mask leaves just the
+    /// comparisons the operator asks for, and `<>` is `<` or `>`, so a
+    /// NaN keeps nothing — and, if the column holds NULLs, its validity
+    /// bit is set. Every row's position is written and the survivors
+    /// counted, as in [`walk`]: no branch on the outcome.
+    #[inline]
+    fn keep_rows<const K: u8>(&self, sel: &mut Vec<u32>) {
+        #[cfg(test)]
+        probe::reach_loop(K, self.data, self.validity, self.lit, sel);
+        let keep = |p: u32| self.data[p as usize].sql_ord(self.lit) & K != 0;
+        let mut kept = 0usize;
+        match self.validity {
+            None => {
+                for r in 0..sel.len() {
+                    let p = sel[r];
+                    let keep_row = keep(p);
+                    sel[kept] = p;
+                    kept += keep_row as usize;
+                }
+            }
+            Some(valid) => {
+                for r in 0..sel.len() {
+                    let p = sel[r];
+                    let keep_row = keep(p) & valid.get(p as usize);
+                    sel[kept] = p;
+                    kept += keep_row as usize;
+                }
+            }
+        }
+        sel.truncate(kept);
+    }
+}
+
 struct IsNull<'a> {
     slot: usize,
     /// `None` when the column holds no NULL.
@@ -721,7 +813,11 @@ impl CmpColumns<'_> {
 /// What the differential test turns and reads: which evaluator ran.
 #[cfg(test)]
 pub(crate) mod probe {
-    use std::cell::Cell;
+    use std::any::type_name;
+    use std::cell::{Cell, RefCell};
+    use std::collections::BTreeSet;
+
+    use crate::storage::batch::Bitmap;
 
     thread_local! {
         /// Send every step of this thread's scans to the interpreter.
@@ -733,5 +829,41 @@ pub(crate) mod probe {
     pub(super) fn tally(kernel: bool) {
         let (k, i) = APPLIED.get();
         APPLIED.set((k + kernel as u64, i + !kernel as u64));
+    }
+
+    /// A per-operator loop of a plain column: `(column type, literal
+    /// type, Keeps mask, case)`, the case being `"no NULL"` or `"NULL"`
+    /// (whether the column has a validity bitmap), `"NaN cell"` (a
+    /// selected cell is a NaN) or `"NaN literal"`.
+    pub(crate) type Loop = (&'static str, &'static str, u8, &'static str);
+
+    thread_local! {
+        /// Every per-operator loop this thread has run.
+        pub(crate) static LOOPS: RefCell<BTreeSet<Loop>> = const { RefCell::new(BTreeSet::new()) };
+    }
+
+    pub(super) fn reach_loop<T: PartialOrd, L: PartialOrd + ?Sized>(
+        keeps: u8,
+        data: &[T],
+        validity: Option<&Bitmap>,
+        lit: &L,
+        sel: &[u32],
+    ) {
+        let pair = (type_name::<T>(), type_name::<L>());
+        let nan = |v: &T| v.partial_cmp(v).is_none();
+        let mut cases = vec![if validity.is_some() {
+            "NULL"
+        } else {
+            "no NULL"
+        }];
+        if sel.iter().any(|&p| nan(&data[p as usize])) {
+            cases.push("NaN cell");
+        }
+        if lit.partial_cmp(lit).is_none() {
+            cases.push("NaN literal");
+        }
+        LOOPS.with_borrow_mut(|loops| {
+            loops.extend(cases.into_iter().map(|case| (pair.0, pair.1, keeps, case)))
+        });
     }
 }

@@ -8,12 +8,15 @@
 
 #![cfg(test)]
 
+use std::any::type_name;
+use std::collections::BTreeSet;
+
 use common::expr::BinaryOp;
 use common::{Expr, Row, Value};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use super::{probe, PredPlan};
+use super::{probe, Keeps, PredPlan};
 use crate::segmentation::HashRange;
 use crate::storage::encoding::{encode_dictionary, encode_rle, ColumnData, EncodedColumn};
 use crate::storage::stats::ContainerStats;
@@ -281,6 +284,27 @@ fn int_literal(rng: &mut StdRng) -> Expr {
     Expr::Literal(int(rng))
 }
 
+/// One comparison of a column with a literal of a type it binds to: a
+/// step of its own, so that on a plain column it runs one of the
+/// per-operator loops. A numeric column meets either numeric type, and
+/// a NaN often.
+fn comparison(rng: &mut StdRng) -> Expr {
+    let c = col(rng);
+    let lit = match c {
+        INT | FLOAT | HOLLOW => match rng.random_range(0..4u32) {
+            0 => int(rng),
+            1 => Value::Float64(f64::NAN),
+            _ => float(rng),
+        },
+        _ => value_of(rng, c),
+    };
+    Expr::binary(
+        Expr::ColumnIdx(c),
+        pick(rng, &COMPARISONS),
+        Expr::Literal(lit),
+    )
+}
+
 fn predicate(rng: &mut StdRng) -> Expr {
     match rng.random_range(0..10u32) {
         0..=6 => tree(rng, 3),
@@ -342,8 +366,11 @@ fn run_case(seed: u64) -> (u64, u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (store, epoch, open_txn) = store(&mut rng);
     let mut applied = (0, 0);
-    for query in 0..6 {
-        let pred = predicate(&mut rng);
+    for query in 0..16 {
+        let pred = match query {
+            0..6 => predicate(&mut rng),
+            _ => comparison(&mut rng),
+        };
         let hash_range = match rng.random_range(0..3u32) {
             0 => None,
             1 => Some(HashRange::new(rng.random_range(0..600u64), None)),
@@ -389,7 +416,42 @@ fn run_case(seed: u64) -> (u64, u64) {
     applied
 }
 
+/// Every per-operator loop of a plain column: each type pair a
+/// comparison leaf binds under each operator, with a validity bitmap and
+/// without, and with a NaN on each side that is a float.
+fn every_loop() -> BTreeSet<probe::Loop> {
+    let pairs = [
+        (type_name::<bool>(), type_name::<bool>()),
+        (type_name::<i64>(), type_name::<i64>()),
+        (type_name::<i64>(), type_name::<f64>()),
+        (type_name::<f64>(), type_name::<i64>()),
+        (type_name::<f64>(), type_name::<f64>()),
+        (type_name::<String>(), type_name::<str>()),
+    ];
+    let float = type_name::<f64>();
+    let mut loops = BTreeSet::new();
+    for (column, literal) in pairs {
+        for op in COMPARISONS {
+            let mask = Keeps::of(op).expect("a comparison").0;
+            let cases = [
+                Some("no NULL"),
+                Some("NULL"),
+                (column == float).then_some("NaN cell"),
+                (literal == float).then_some("NaN literal"),
+            ];
+            loops.extend(
+                cases
+                    .into_iter()
+                    .flatten()
+                    .map(|c| (column, literal, mask, c)),
+            );
+        }
+    }
+    loops
+}
+
 fn run_cases(base: u64) {
+    probe::LOOPS.take();
     let mut applied = (0, 0);
     for case in 0..256 {
         let (kernel, interpreter) = run_case(base * 1_000 + case);
@@ -399,6 +461,9 @@ fn run_cases(base: u64) {
         applied.0 >= 100 && applied.1 >= 30,
         "the generator reached {applied:?} (kernel, interpreter) step applications"
     );
+    let reached = probe::LOOPS.take();
+    let missing: Vec<_> = every_loop().difference(&reached).copied().collect();
+    assert!(missing.is_empty(), "no case ran the loops {missing:?}");
 }
 
 #[test]

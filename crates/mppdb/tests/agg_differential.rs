@@ -35,13 +35,13 @@
 //! expression's [`Expr::result_type`].
 
 use std::cmp::Ordering;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use common::agg::{aggregate_rows, AggCall, AggFunc, AggRequest, GroupedAccs};
 use common::{DataType, Expr, Field, Row, Schema, Value};
 use mppdb::segmentation::HashRange;
-use mppdb::storage::{BatchScan, ColumnData, NodeTableStore};
+use mppdb::storage::{BatchScan, ColumnData, NodeTableStore, RowLoc, ScanCounters};
 use mppdb::udf::UdfParams;
 use mppdb::{Cluster, ClusterConfig, DbResult, ScalarUdf};
 use rand::rngs::StdRng;
@@ -263,6 +263,116 @@ struct Reached {
     errors: usize,
     multi_group: usize,
     nan_keys: usize,
+    fold: FoldReached,
+}
+
+/// The cases the fold's native accumulators and slot tables must get
+/// right bit for bit, counted over the rows of the cases that succeeded.
+#[derive(Default)]
+struct FoldReached {
+    /// A FLOAT `SUM` group with inputs from two containers or more: its
+    /// state is carried from one container's pass into the next.
+    float_carried: usize,
+    /// A FLOAT `SUM` group whose first input is `-0.0`.
+    first_negative_zero: usize,
+    /// A BIGINT `SUM` group whose running sum wraps.
+    int_wrapped: usize,
+    /// A `SUM` call with a NULL input.
+    sum_nulls: usize,
+    /// Encoding of the key column, in a sealed container whose survivors
+    /// hold two keys or more, of a case with one key column.
+    key_encodings: BTreeSet<&'static str>,
+}
+
+/// One group's inputs to a `SUM`, as [`reach_fold`] counts them.
+struct SumGroup {
+    /// Containers with an input.
+    containers: BTreeSet<u64>,
+    first: Value,
+    /// The running sum of BIGINT inputs, wrapping.
+    int_sum: i64,
+    wrapped: bool,
+}
+
+/// Count what `(group_by, calls)` over `scan` reaches of [`FoldReached`].
+fn reach_fold(
+    reached: &mut FoldReached,
+    store: &NodeTableStore,
+    scan: &BatchScan<'_>,
+    group_by: &[usize],
+    calls: &[(AggFunc, Option<usize>)],
+) {
+    let rows = store
+        .scan_batch(scan)
+        .expect("the scan succeeded")
+        .batch
+        .into_rows();
+    let mut containers = Vec::new();
+    store
+        .for_each_visible_loc(scan, |loc, _| {
+            let RowLoc::Ros { container, .. } = loc;
+            containers.push(container);
+        })
+        .expect("the scan succeeded");
+    assert_eq!(
+        containers.len(),
+        rows.len(),
+        "one traversal, one survivor order"
+    );
+    let key = |r: &Row| {
+        spelled_rows(&[Row::new(
+            group_by.iter().map(|&g| r.get(g).clone()).collect(),
+        )])
+    };
+    for &(func, col) in calls {
+        let (AggFunc::Sum, Some(c)) = (func, col) else {
+            continue;
+        };
+        reached.sum_nulls += usize::from(rows.iter().any(|r| r.get(c).is_null()));
+        let mut groups: BTreeMap<Vec<String>, SumGroup> = BTreeMap::new();
+        for (r, &container) in rows.iter().zip(&containers) {
+            let v = r.get(c);
+            if v.is_null() {
+                continue;
+            }
+            let g = groups.entry(key(r)).or_insert_with(|| SumGroup {
+                containers: BTreeSet::new(),
+                first: v.clone(),
+                int_sum: 0,
+                wrapped: false,
+            });
+            g.containers.insert(container);
+            if let Value::Int64(i) = v {
+                let (sum, wrapped) = g.int_sum.overflowing_add(*i);
+                (g.int_sum, g.wrapped) = (sum, g.wrapped || wrapped);
+            }
+        }
+        for g in groups.values() {
+            if let Value::Float64(f) = g.first {
+                reached.float_carried += usize::from(g.containers.len() >= 2);
+                reached.first_negative_zero += usize::from(f.to_bits() == (-0.0f64).to_bits());
+            }
+            reached.int_wrapped += usize::from(g.wrapped);
+        }
+    }
+    if let &[k] = group_by {
+        let infos = store.container_infos();
+        let mut keys_in: Vec<(u64, BTreeSet<Vec<String>>)> = Vec::new();
+        for (r, &container) in rows.iter().zip(&containers) {
+            match keys_in.iter_mut().find(|(c, _)| *c == container) {
+                Some((_, keys)) => {
+                    keys.insert(key(r));
+                }
+                None => keys_in.push((container, BTreeSet::from([key(r)]))),
+            }
+        }
+        for (container, keys) in keys_in {
+            let info = infos.iter().find(|info| info.id == container);
+            if let (Some(info), true) = (info, keys.len() >= 2) {
+                reached.key_encodings.insert(info.encodings[k]);
+            }
+        }
+    }
 }
 
 fn run_case(seed: u64, reached: &mut Reached) {
@@ -353,6 +463,14 @@ fn run_case(seed: u64, reached: &mut Reached) {
                     assert_eq!(spelled(&a), spelled(&e), "no_skip={no_skip}: {tag}");
                     reached.ok += 1;
                     reached.multi_group += usize::from(e.len() > 1);
+                    reach_fold(&mut reached.fold, &store, &scan, &group_by, &calls);
+                    if no_skip {
+                        assert_eq!(
+                            fold_counters(&store, &scan, &group_by, &calls),
+                            batch_counters(&store, &scan, &group_by, &calls),
+                            "the fold's counters are the projected scan's: {tag}"
+                        );
+                    }
                 }
                 (Err(e), Err(a)) => {
                     assert_eq!(a.to_string(), e.to_string(), "no_skip={no_skip}: {tag}");
@@ -367,6 +485,42 @@ fn run_case(seed: u64, reached: &mut Reached) {
             }
         }
     }
+}
+
+/// `scan_aggregate`'s counters.
+fn fold_counters(
+    store: &NodeTableStore,
+    scan: &BatchScan<'_>,
+    group_by: &[usize],
+    calls: &[(AggFunc, Option<usize>)],
+) -> ScanCounters {
+    let out = store.scan_aggregate(scan, calls, group_by);
+    out.expect("the fold succeeded").counters
+}
+
+/// The counters of `scan_batch` over the same scan projected onto the
+/// columns the fold reads: its keys and its calls' inputs.
+fn batch_counters(
+    store: &NodeTableStore,
+    scan: &BatchScan<'_>,
+    group_by: &[usize],
+    calls: &[(AggFunc, Option<usize>)],
+) -> ScanCounters {
+    let mut needed: Vec<usize> = group_by
+        .iter()
+        .copied()
+        .chain(calls.iter().filter_map(|&(_, c)| c))
+        .collect();
+    needed.sort_unstable();
+    needed.dedup();
+    let dtypes: Vec<DataType> = needed.iter().map(|&c| scan.dtypes[c]).collect();
+    let projected = BatchScan {
+        projection: Some(&needed),
+        dtypes: &dtypes,
+        ..*scan
+    };
+    let out = store.scan_batch(&projected);
+    out.expect("the scan succeeded").counters
 }
 
 fn run_cases(base: u64) {
@@ -391,6 +545,23 @@ fn run_cases(base: u64) {
     );
     assert!(reached.multi_group > 0, "no case had two groups");
     assert!(reached.nan_keys > 0, "no NaN key");
+    let fold = &reached.fold;
+    assert!(
+        fold.float_carried > 0,
+        "no FLOAT SUM group carried across containers"
+    );
+    assert!(
+        fold.first_negative_zero > 0,
+        "no FLOAT SUM group began with -0.0"
+    );
+    assert!(fold.int_wrapped > 0, "no BIGINT SUM wrapped");
+    assert!(fold.sum_nulls > 0, "no SUM input was NULL");
+    for encoding in ["plain", "rle", "dictionary"] {
+        assert!(
+            fold.key_encodings.contains(encoding),
+            "no {encoding} key column held two groups in one container"
+        );
+    }
 }
 
 #[test]

@@ -162,6 +162,11 @@ for e in pushdown stream rebalance; do
     echo "== bench $e"
     BENCH_OUT_DIR="$bench_out" cargo run -q -p bench -- "$e" > /dev/null
 done
+# The regenerated pushdown report's experiment, title, rows and counters
+# are deterministic: they must equal the committed file's. Only its
+# histograms hold wall-clock values.
+echo "== BENCH_pushdown.json regenerated equals committed outside histograms"
+BENCH_OUT_DIR="$bench_out" cargo test -q -p bench --lib regenerated_pushdown_report -- --ignored
 rm -rf "$bench_out"
 
 echo "All checks passed."
